@@ -80,7 +80,7 @@ func NewCentralized(n *simnet.Network, coreName string, cfg CentralizedConfig) (
 		core.Close()
 		return nil, err
 	}
-	n.Clock().Go(func() { core.ServeS1AP(l) })
+	core.ServeS1AP(l)
 	return &Centralized{
 		cfg: cfg, net: n, Core: core, epcHost: host,
 		sites: make(map[string]*enb.ENodeB),

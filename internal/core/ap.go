@@ -78,7 +78,7 @@ type AccessPoint struct {
 	mirror   *registry.Mirror
 	keyRev   uint64 // registry revision key sync is current through
 
-	s1Listener epc.Listener
+	s1Listener *simnet.Listener
 	x2Listener x2.Listener
 
 	mu             sync.Mutex
@@ -128,7 +128,7 @@ func NewAccessPoint(host *simnet.Host, cfg APConfig) (*AccessPoint, error) {
 		return nil, fmt.Errorf("core: S1AP listen: %w", err)
 	}
 	ap.s1Listener = s1l
-	host.Clock().Go(func() { core.ServeS1AP(s1l) })
+	core.ServeS1AP(s1l)
 
 	e, err := enb.New(host, enb.Config{
 		ID:      hashID(cfg.ID),

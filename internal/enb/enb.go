@@ -62,11 +62,11 @@ type ueCtx struct {
 	dlTEID   uint32 // eNodeB-local TEID for downlink
 	released bool   // core commanded this context's release already
 
-	// teardown, set in dispatch-handler mode before the context is
-	// published, is the association's idempotent exit path. The S1
-	// release handler calls it directly: closing our own side of the
-	// air conn no longer unblocks a reader whose defer did the cleanup.
-	teardown func()
+	// rx, set before the context is published, owns the association's
+	// idempotent exit path (teardown). The S1 release handler calls it
+	// directly: closing our own side of the air conn delivers no close
+	// event to ourselves.
+	rx *ueRx
 }
 
 // New creates an eNodeB on host and connects it to its core: dials
@@ -112,18 +112,14 @@ func New(host *simnet.Host, cfg Config) (*ENodeB, error) {
 	}
 	e.airL = l
 
-	if sc, ok := raw.(*simnet.Conn); ok {
-		e.installS1(sc)
-	} else {
-		host.Clock().Go(e.s1Loop)
-	}
-	host.Clock().Go(e.airAccept)
+	e.installS1(raw.(*simnet.Conn))
+	l.OnAccept(e.serveUE)
 	return e, nil
 }
 
 // installS1 attaches the run-to-completion downlink S1AP path: frames
 // reassemble and dispatch inline on the network dispatcher. A decode
-// error stops consumption, as the legacy loop's return did.
+// error stops consumption.
 func (e *ENodeB) installS1(sc *simnet.Conn) {
 	asm := &wire.FrameAssembler{}
 	var v s1ap.MsgView
@@ -160,32 +156,21 @@ func (e *ENodeB) NumUEs() int {
 	return len(e.byUEID)
 }
 
-func (e *ENodeB) airAccept() {
-	for {
-		c, err := e.airL.Accept()
-		if err != nil {
-			return
-		}
-		e.host.Clock().Go(func() { e.serveUE(c) })
-	}
-}
-
 // errAirReleased stops frame consumption after an AirRelease tore the
 // association down mid-chunk.
 var errAirReleased = errors.New("enb: air released")
 
-// ueRx is one radio association's uplink consumer, shared by the
-// dispatch handler and the legacy reader loop. Its fields are only
-// touched by the (serialized) delivery path for this conn, plus the
-// idempotent teardown.
+// ueRx is one radio association's uplink consumer: the air conn's
+// delivery handler. Its fields are only touched by the (serialized)
+// delivery path for this conn, plus the idempotent teardown.
 type ueRx struct {
 	e     *ENodeB
 	ctx   *ueCtx
 	first bool
 	done  atomic.Bool
-	// asm reassembles the uplink stream in dispatch mode; embedded so
-	// an association costs one state allocation (ueRx doubles as the
-	// conn's simnet.StreamHandler).
+	// asm reassembles the uplink stream; embedded so an association
+	// costs one state allocation (ueRx doubles as the conn's
+	// simnet.StreamHandler).
 	asm wire.FrameAssembler
 }
 
@@ -213,7 +198,7 @@ func (ur *ueRx) HandleStreamClose() {
 func (ur *ueRx) frame(frame []byte) error {
 	t, payload, err := DecodeAirView(frame)
 	if err != nil {
-		return nil // tolerate junk frames, as the reader loop did
+		return nil // tolerate junk frames
 	}
 	switch t {
 	case AirNASUp:
@@ -244,9 +229,9 @@ func (ur *ueRx) frame(frame []byte) error {
 	return nil
 }
 
-// teardown is the association's exit path (the old serveUE defer).
-// Idempotent: reachable from the air conn's delivery path, its close
-// event, and the S1 release handler.
+// teardown is the association's exit path. Idempotent: reachable from
+// the air conn's delivery path, its close event, and the S1 release
+// handler.
 func (ur *ueRx) teardown() {
 	if !ur.done.CompareAndSwap(false, true) {
 		return
@@ -275,14 +260,14 @@ func (ur *ueRx) teardown() {
 	}
 }
 
-func (e *ENodeB) serveUE(raw net.Conn) {
-	fc := wire.NewFrameConn(raw)
-	ctx := &ueCtx{air: fc, raw: raw}
+// serveUE is the air-interface accept handler: it runs inline at the
+// instant a UE's connection arrives, registers the radio context,
+// broadcasts system information, and binds the conn's uplink to ueRx.
+// No goroutine per UE.
+func (e *ENodeB) serveUE(sc *simnet.Conn) {
+	ctx := &ueCtx{air: wire.NewFrameConn(sc), raw: sc}
 	ur := &ueRx{e: e, ctx: ctx, first: true}
-	sc, handlerMode := raw.(*simnet.Conn)
-	if handlerMode {
-		ctx.teardown = ur.teardown
-	}
+	ctx.rx = ur
 	e.mu.Lock()
 	e.nextUEID++
 	ctx.enbUEID = e.nextUEID
@@ -294,46 +279,7 @@ func (e *ENodeB) serveUE(raw net.Conn) {
 	if sib, err := EncodeSystemInfo(e.si); err == nil {
 		e.sendAir(ctx, AirBroadcast, sib)
 	}
-
-	if handlerMode {
-		// Run-to-completion uplink: frames reassemble and dispatch
-		// inline on the network dispatcher; no goroutine per UE.
-		sc.OnDeliverHandler(ur)
-		return
-	}
-
-	defer ur.teardown()
-	for {
-		frame, err := fc.RecvOwned()
-		if err != nil {
-			return
-		}
-		ferr := ur.frame(frame)
-		wire.PutFrame(frame)
-		if ferr != nil {
-			return
-		}
-	}
-}
-
-// s1Loop handles downlink S1AP traffic from the core. Messages are
-// received into pooled frames and decoded by view: every case below
-// copies what it keeps before the frame recycles, so the dominant
-// DownlinkNASTransport path allocates nothing.
-func (e *ENodeB) s1Loop() {
-	var v s1ap.MsgView
-	for {
-		frame, err := e.s1.RecvOwned()
-		if err != nil {
-			return
-		}
-		if derr := s1ap.DecodeView(frame, &v); derr != nil {
-			wire.PutFrame(frame)
-			return
-		}
-		e.handleS1(&v)
-		wire.PutFrame(frame)
-	}
+	sc.OnDeliverHandler(ur)
 }
 
 // handleS1 runs one decoded downlink S1AP message. The view's slices
@@ -354,9 +300,7 @@ func (e *ENodeB) handleS1(v *s1ap.MsgView) {
 			ctx.mu.Unlock()
 			e.sendAir(ctx, AirRelease, nil)
 			ctx.raw.Close()
-			if ctx.teardown != nil {
-				ctx.teardown()
-			}
+			ctx.rx.teardown()
 		}
 		e.s1.Send(&s1ap.UEContextReleaseComplete{ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 	}

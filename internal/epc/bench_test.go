@@ -28,7 +28,14 @@ type stormBed struct {
 
 func newStormBed(b testing.TB, shards, nENB, uesPerENB int) *stormBed {
 	b.Helper()
-	sb := &stormBed{net: simnet.New(simnet.Link{}, 1)}
+	return newStormBedOn(b, simnet.New(simnet.Link{}, 1), shards, nENB, uesPerENB)
+}
+
+// newStormBedOn builds the storm world on net (whose creator must be
+// the calling goroutine when it runs a virtual clock).
+func newStormBedOn(b testing.TB, net *simnet.Network, shards, nENB, uesPerENB int) *stormBed {
+	b.Helper()
+	sb := &stormBed{net: net}
 	coreHost := sb.net.MustAddHost("core")
 	core, err := epc.NewCore(coreHost, epc.Config{
 		Name: "bench-core", TAC: 7, DirectBreakout: true,
@@ -41,7 +48,7 @@ func newStormBed(b testing.TB, shards, nENB, uesPerENB int) *stormBed {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go core.ServeS1AP(l)
+	core.ServeS1AP(l)
 	b.Cleanup(func() {
 		core.Close()
 		sb.net.Close()

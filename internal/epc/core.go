@@ -3,7 +3,6 @@ package epc
 import (
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,11 +51,12 @@ type Config struct {
 	// Shards is the number of per-UE session shards, each owning its
 	// slice of the session/GUTI tables and serving its signaling
 	// messages one at a time in deterministic (virtual arrival time,
-	// eNB conn ID) order. Shards partition real-CPU execution only —
-	// under a virtual clock, runnable goroutines execute in parallel
-	// while virtual time stands still — so control-plane throughput
-	// scales across cores while simulated results are byte-identical
-	// at any value. 0 means one shard per CPU (capped at maxShards).
+	// eNB conn ID) order. It fixes the GUTI / MME-UE-ID layout (the
+	// owning shard rides in the identity's top bits); simulated results
+	// are byte-identical at any value. All shards of a core are served
+	// on its network's delivery thread, so the count buys no real-CPU
+	// parallelism inside a world. 0 means one shard per CPU (capped at
+	// maxShards).
 	Shards int
 }
 
@@ -113,8 +113,8 @@ func (d UserPlaneDrops) Total() uint64 {
 // Per-UE state is partitioned across session shards keyed by IMSI (or
 // GUTI owner, for TAU): each shard owns its sessions, GUTI map, and
 // identity allocators, and serves at most one signaling message at a
-// time, so shards scale signaling across cores without a core-wide
-// lock while each UE's lifecycle stays single-writer.
+// time, so each UE's lifecycle stays single-writer without a
+// core-wide lock.
 type Core struct {
 	cfg  Config
 	host *simnet.Host
@@ -181,7 +181,7 @@ func NewCore(host *simnet.Host, cfg Config) (*Core, error) {
 		shards:     make([]*sessShard, n),
 		allowedENB: make(map[uint32]bool),
 	}
-	c.proc.capacity = cfg.SignalingProcessors
+	c.proc.init(host, cfg.SignalingProcessors)
 	for i := range c.shards {
 		c.shards[i] = &sessShard{
 			idx:      i,
@@ -189,6 +189,7 @@ func NewCore(host *simnet.Host, cfg Config) (*Core, error) {
 			gutis:    make(map[uint64]string),
 			byIMSI:   make(map[string]*ueSession),
 		}
+		c.shards[i].gate.init(host, 1)
 	}
 	return c, nil
 }
@@ -267,30 +268,11 @@ func (c *Core) Stats() Stats {
 	}
 }
 
-// Listener abstracts net.Listener / simnet.Listener for S1AP serving.
-type Listener interface {
-	Accept() (net.Conn, error)
-	Close() error
-}
-
-// ServeS1AP accepts eNodeB associations until the listener closes.
-// Run in a goroutine.
-func (c *Core) ServeS1AP(l Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		simnet.ClockOf(conn).Go(func() { c.serveENB(conn) })
-	}
-}
-
-// enbConn is one eNodeB association and its UE sessions. The map is
-// touched only by the association's serving goroutine.
-type enbConn struct {
-	conn     *s1ap.Conn
-	sessions map[uint32]*ueSession // ENBUEID → session
-}
+// ServeS1AP serves eNodeB associations arriving on l: each accepted
+// connection becomes an enbConn whose S1AP is served from the conn's
+// delivery handler. It only installs the accept handler and returns;
+// closing l stops new associations.
+func (c *Core) ServeS1AP(l *simnet.Listener) { l.OnAccept(c.serveENB) }
 
 // ueSession is the EPC's handle on one UE. Lifecycle state lives in
 // the NAS session's FSM; everything here but imsi is written only
@@ -307,196 +289,204 @@ type ueSession struct {
 	icsSent    bool
 }
 
-func (c *Core) serveENB(raw net.Conn) {
-	if sc, ok := raw.(*simnet.Conn); ok {
-		c.serveENBDispatch(sc)
+// enbConn is one eNodeB association, served run-to-completion from the
+// conn's delivery handler (it is the conn's simnet.StreamHandler): no
+// goroutine per association, nothing parks. Every field is touched
+// only on the network's delivery thread.
+//
+// Messages on one association are inherently serial, and the
+// association keeps exactly one in flight: a frame that arrives while
+// its predecessor is still waiting on a gate or its ProcessingDelay
+// queues here, and is stamped with its gate-arrival instant only when
+// the predecessor has been fully served. That is why same-instant
+// arrivals on one association complete gateEpsilon apart.
+//
+// A message's life: start (decode, count) → the signaling-processor
+// gate and its ProcessingDelay, when one is modeled → route (find the
+// session and its shard) → the shard's gate → serve → done, which
+// starts the next queued frame at that same instant.
+type enbConn struct {
+	c        *Core
+	sc       *simnet.Conn
+	conn     *s1ap.Conn
+	connID   string                // admission-order actor ID: the eNB's address
+	asm      wire.FrameAssembler   // reassembles the S1AP stream
+	sessions map[uint32]*ueSession // ENBUEID → session
+
+	q       [][]byte // pooled copies of frames awaiting their turn, FIFO from head
+	head    int
+	busy    bool // a message is in flight
+	pumping bool // pump is on the stack; done folds into its loop
+	dead    bool // the eNB side closed; tear down once drained
+
+	// The in-flight message: its pooled frame, the view decoded in
+	// place, and what route resolved.
+	frame []byte
+	v     s1ap.MsgView
+	cur   *ueSession
+	shard *sessShard
+
+	// delay completes the in-flight message's ProcessingDelay; nil when
+	// the core models none. The gate continuations are method values
+	// bound once, so entering a gate allocates nothing.
+	delay         *simnet.Continuation
+	procAdmitted  func()
+	shardAdmitted func()
+}
+
+// serveENB is the S1AP accept handler: it binds a new association to
+// its conn's delivery events.
+func (c *Core) serveENB(sc *simnet.Conn) {
+	ec := &enbConn{
+		c:        c,
+		sc:       sc,
+		conn:     s1ap.NewConn(sc),
+		connID:   sc.RemoteAddr().String(),
+		sessions: make(map[uint32]*ueSession),
+	}
+	ec.shardAdmitted = ec.serveSharded
+	if c.cfg.ProcessingDelay > 0 {
+		ec.delay = c.host.Network().NewContinuation(ec.processed)
+		ec.procAdmitted = ec.process
+	}
+	sc.OnDeliverHandler(ec)
+}
+
+// HandleDeliver implements simnet.StreamHandler: reassemble the chunk,
+// queue each completed frame, and serve as far as the gates allow.
+func (ec *enbConn) HandleDeliver(data []byte) {
+	if ec.dead {
 		return
 	}
-	defer raw.Close()
-	clk := simnet.ClockOf(raw)
-	connID := raw.RemoteAddr().String()
-	ec := &enbConn{conn: s1ap.NewConn(raw), sessions: make(map[uint32]*ueSession)}
-	var v s1ap.MsgView
-	for {
-		// The frame is pooled and the view decoded in place; dispatch is
-		// synchronous, so the buffer is released as soon as the message
-		// (and any views into it, NAS PDU included) has been served.
-		frame, err := ec.conn.RecvOwned()
-		if err == nil {
-			err = s1ap.DecodeView(frame, &v)
-			if err != nil {
-				wire.PutFrame(frame)
-			}
-		}
-		if err != nil {
-			// Association lost (or speaking garbage): tear down this
-			// eNB's sessions.
-			for _, s := range ec.sessions {
-				c.releaseSession(s)
-			}
-			return
-		}
-		c.sigMsgs.Add(1)
-		c.applyProcessingDelay(clk, connID)
-		derr := c.dispatchS1AP(clk, ec, connID, &v)
-		wire.PutFrame(frame)
-		if errors.Is(derr, errENBRefused) {
-			return // drop the association: closed core
-		}
-		// Per-UE errors are isolated; the association survives.
+	if ec.asm.Feed(data, ec.push) != nil {
+		ec.asm.Reset()
+		ec.dead = true // speaking garbage: serve what was framed, then drop
 	}
+	ec.pump()
 }
 
-// enbIngest is the run-to-completion ingest queue for one eNB
-// association. The conn's delivery handler reassembles frames and
-// queues pooled copies; the association's serving goroutine (the one
-// ServeS1AP spawned) drains the queue through dispatchS1AP, which may
-// sleep on admission gates and so cannot run inside a dispatch
-// handler. One goroutine per eNB association — not per UE — keeps the
-// pre-existing serialization (messages on one S1AP association are
-// inherently serial) while the per-UE hot paths stay handler-driven.
-type enbIngest struct {
-	mu   sync.Mutex
-	q    [][]byte // pooled frame copies, FIFO from head
-	head int
-	dead bool
-	wake chan struct{} // buffered(1) doorbell for the serving goroutine
+// HandleStreamClose implements simnet.StreamHandler: the eNodeB closed
+// the association. Frames already received are still served first.
+func (ec *enbConn) HandleStreamClose() {
+	ec.asm.Reset()
+	ec.dead = true
+	ec.pump()
 }
 
-// push queues a copy of frame (which is only valid during the
-// handler's call) for the serving goroutine.
-func (in *enbIngest) push(frame []byte) {
-	buf := append(wire.GetFrame(), frame...)
-	in.mu.Lock()
-	in.q = append(in.q, buf)
-	in.mu.Unlock()
-	in.signal()
+// push queues a pooled copy of frame, which is only valid during the
+// delivery: a gated message outlives it by at least gateEpsilon.
+func (ec *enbConn) push(frame []byte) error {
+	ec.q = append(ec.q, append(wire.GetFrame(), frame...))
+	return nil
 }
 
-// close marks the association dead; queued frames (already fully
-// received) are still served first, matching the blocking reader that
-// drained buffered stream data before seeing the close.
-func (in *enbIngest) close() {
-	in.mu.Lock()
-	in.dead = true
-	in.mu.Unlock()
-	in.signal()
-}
-
-func (in *enbIngest) signal() {
-	select {
-	case in.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pop returns the next queued frame, parking through the clock until
-// one arrives. ok=false means dead and drained.
-func (in *enbIngest) pop(clk simnet.Clock) (frame []byte, ok bool) {
-	for {
-		in.mu.Lock()
-		if in.head < len(in.q) {
-			f := in.q[in.head]
-			in.q[in.head] = nil
-			in.head++
-			if in.head == len(in.q) {
-				in.q, in.head = in.q[:0], 0
-			}
-			in.mu.Unlock()
-			return f, true
-		}
-		if in.dead {
-			in.mu.Unlock()
-			return nil, false
-		}
-		in.mu.Unlock()
-		clk.Block()
-		<-in.wake
-		clk.Unblock()
-	}
-}
-
-// drain recycles any frames still queued when the association is torn
-// down mid-stream (decode error, refused eNB).
-func (in *enbIngest) drain() {
-	in.mu.Lock()
-	for i := in.head; i < len(in.q); i++ {
-		wire.PutFrame(in.q[i])
-		in.q[i] = nil
-	}
-	in.q, in.head, in.dead = nil, 0, true
-	in.mu.Unlock()
-}
-
-// serveENBDispatch serves one eNB association with run-to-completion
-// ingest: frames reassemble inside the delivery handler and the
-// serving goroutine wakes only when there is a message to process —
-// no read-deadline polling, no per-read park/unpark.
-func (c *Core) serveENBDispatch(sc *simnet.Conn) {
-	clk := simnet.ClockOf(sc)
-	connID := sc.RemoteAddr().String()
-	in := &enbIngest{wake: make(chan struct{}, 1)}
-	asm := &wire.FrameAssembler{}
-	sc.OnDeliver(func(data []byte) {
-		if asm.Feed(data, func(frame []byte) error {
-			in.push(frame)
-			return nil
-		}) != nil {
-			asm.Reset()
-			in.close()
-		}
-		// The serving goroutine may have parked on the doorbell; tell
-		// the virtual clock a goroutine became runnable.
-		simnet.Poke(clk)
-	}, func() {
-		asm.Reset()
-		in.close()
-		simnet.Poke(clk)
-	})
-
-	ec := &enbConn{conn: s1ap.NewConn(sc), sessions: make(map[uint32]*ueSession)}
-	var v s1ap.MsgView
-	for {
-		frame, ok := in.pop(clk)
-		if !ok {
-			// Association lost: tear down this eNB's sessions.
-			for _, s := range ec.sessions {
-				c.releaseSession(s)
-			}
-			sc.Close()
-			return
-		}
-		if err := s1ap.DecodeView(frame, &v); err != nil {
-			wire.PutFrame(frame)
-			for _, s := range ec.sessions {
-				c.releaseSession(s)
-			}
-			sc.Close()
-			in.drain()
-			return
-		}
-		c.sigMsgs.Add(1)
-		c.applyProcessingDelay(clk, connID)
-		derr := c.dispatchS1AP(clk, ec, connID, &v)
-		wire.PutFrame(frame)
-		if errors.Is(derr, errENBRefused) {
-			sc.Close()
-			in.drain()
-			return // drop the association: closed core
-		}
-		// Per-UE errors are isolated; the association survives.
-	}
-}
-
-// applyProcessingDelay models the core's signaling processor(s): up
-// to SignalingProcessors messages at a time, each taking
-// ProcessingDelay. Under load, arrivals queue — the saturation
-// behaviour of a shared EPC.
-func (c *Core) applyProcessingDelay(clk simnet.Clock, connID string) {
-	if c.cfg.ProcessingDelay <= 0 {
+// pump starts queued messages until one is left in flight, and tears
+// the association down once it is dead and drained.
+func (ec *enbConn) pump() {
+	if ec.busy || ec.pumping {
 		return
 	}
-	c.proc.run(clk, connID, func() { clk.Sleep(c.cfg.ProcessingDelay) })
+	ec.pumping = true
+	for !ec.busy && ec.head < len(ec.q) {
+		frame := ec.q[ec.head]
+		ec.q[ec.head] = nil
+		ec.head++
+		if ec.head == len(ec.q) {
+			ec.q, ec.head = ec.q[:0], 0
+		}
+		ec.start(frame)
+	}
+	ec.pumping = false
+	if !ec.busy && ec.dead {
+		ec.teardown()
+	}
+}
+
+// start puts one message in flight at the current instant.
+func (ec *enbConn) start(frame []byte) {
+	c := ec.c
+	ec.busy, ec.frame = true, frame
+	if err := s1ap.DecodeView(frame, &ec.v); err != nil {
+		ec.done(errENBRefused) // undecodable S1AP: drop the association
+		return
+	}
+	c.sigMsgs.Add(1)
+	if ec.delay != nil {
+		// The modeled signaling processor(s): up to SignalingProcessors
+		// messages at a time, each holding its slot for ProcessingDelay.
+		// Under load, arrivals queue — the saturation behaviour of a
+		// shared EPC.
+		c.proc.enter(ec.connID, ec.procAdmitted)
+		return
+	}
+	ec.dispatch()
+}
+
+// process runs once the in-flight message holds a signaling-processor
+// slot: it keeps the slot for ProcessingDelay.
+func (ec *enbConn) process() { ec.delay.After(ec.c.cfg.ProcessingDelay, 0) }
+
+// processed is the ProcessingDelay completion event.
+func (ec *enbConn) processed(uint64) {
+	ec.c.proc.release()
+	ec.dispatch()
+}
+
+// dispatch resolves the in-flight message to its session's shard and
+// enters that shard's serving gate: one message per shard at a time,
+// admitted in deterministic (virtual arrival time, eNB conn ID) order.
+// Association-level messages touch no per-UE state and bypass the
+// shards.
+func (ec *enbConn) dispatch() {
+	sh, err := ec.c.route(ec)
+	if err != nil {
+		ec.done(err)
+		return
+	}
+	if sh == nil {
+		ec.done(ec.c.serve(ec, nil))
+		return
+	}
+	ec.shard = sh
+	sh.gate.enter(ec.connID, ec.shardAdmitted)
+}
+
+// serveSharded runs the in-flight message under its shard's gate.
+func (ec *enbConn) serveSharded() {
+	err := ec.c.serve(ec, ec.shard)
+	ec.shard.gate.release()
+	ec.done(err)
+}
+
+// done retires the in-flight message and moves on to the next. Per-UE
+// errors are isolated; only a refused (or garbage-speaking) eNodeB
+// loses the association.
+func (ec *enbConn) done(err error) {
+	wire.PutFrame(ec.frame)
+	ec.frame, ec.cur, ec.shard, ec.busy = nil, nil, nil, false
+	if errors.Is(err, errENBRefused) {
+		ec.teardown()
+		return
+	}
+	ec.pump()
+}
+
+// teardown ends the association: its sessions are released, unserved
+// frames recycled, the conn closed. Idempotent.
+func (ec *enbConn) teardown() {
+	ec.dead = true
+	for id, s := range ec.sessions {
+		ec.c.releaseSession(s)
+		delete(ec.sessions, id)
+	}
+	for i := ec.head; i < len(ec.q); i++ {
+		wire.PutFrame(ec.q[i])
+	}
+	ec.q, ec.head = nil, 0
+	if ec.delay != nil {
+		ec.delay.Stop()
+	}
+	ec.sc.Close()
 }
 
 // shardFor maps an identity onto its owning shard (FNV-1a; no
@@ -546,20 +536,47 @@ func (c *Core) routeInitial(connID string, pdu []byte) *sessShard {
 	return c.shardFor(connID)
 }
 
-// runSharded executes fn under the shard's serving gate: one message
-// per shard at a time, admitted in deterministic (virtual arrival
-// time, eNB conn ID) order.
-func (c *Core) runSharded(clk simnet.Clock, sh *sessShard, actor string, fn func() error) error {
-	var err error
-	sh.gate.run(clk, actor, func() { err = fn() })
-	return err
+// route resolves the in-flight message to the shard that must serve it
+// and the session it concerns (ec.cur). A nil shard means no gate:
+// association-level messages, and releases for contexts already gone.
+func (c *Core) route(ec *enbConn) (*sessShard, error) {
+	v := &ec.v
+	switch v.Type {
+	case s1ap.TypeInitialUEMessage:
+		return c.routeInitial(ec.connID, v.NASPDU), nil
+
+	case s1ap.TypeUplinkNASTransport, s1ap.TypeInitialContextSetupResponse:
+		s, ok := ec.sessions[v.ENBUEID]
+		if !ok {
+			return nil, fmt.Errorf("epc: no session for eNB UE %d", v.ENBUEID)
+		}
+		ec.cur = s
+		return s.shard, nil
+
+	case s1ap.TypePathSwitchRequest:
+		// Locate the session by MME UE ID across this association.
+		for _, cand := range ec.sessions {
+			if cand.mmeUEID == v.MMEUEID {
+				ec.cur = cand
+				return cand.shard, nil
+			}
+		}
+		return nil, fmt.Errorf("epc: path switch for unknown MME UE %d", v.MMEUEID)
+
+	case s1ap.TypeUEContextReleaseRequest, s1ap.TypeUEContextReleaseComplete:
+		if s, ok := ec.sessions[v.ENBUEID]; ok {
+			ec.cur = s
+			return s.shard, nil
+		}
+	}
+	return nil, nil
 }
 
-// dispatchS1AP resolves a decoded message view to its session's shard
-// and serves it there. Association-level messages (S1 setup) touch no
-// per-UE state and bypass the shards. Views in v alias the pooled
-// receive frame; everything here runs synchronously under it.
-func (c *Core) dispatchS1AP(clk simnet.Clock, ec *enbConn, connID string, v *s1ap.MsgView) error {
+// serve runs the in-flight message — under sh's gate when route named
+// a shard. Views in ec.v alias the pooled frame, which stays owned by
+// the association until done.
+func (c *Core) serve(ec *enbConn, sh *sessShard) error {
+	v, s := &ec.v, ec.cur
 	switch v.Type {
 	case s1ap.TypeS1SetupRequest:
 		if c.cfg.RequireENBAuthorization {
@@ -575,79 +592,45 @@ func (c *Core) dispatchS1AP(clk simnet.Clock, ec *enbConn, connID string, v *s1a
 		return ec.conn.Send(&s1ap.S1SetupResponse{MMEName: c.cfg.Name, ServedTAC: c.cfg.TAC, SNID: c.cfg.SNID})
 
 	case s1ap.TypeInitialUEMessage:
-		sh := c.routeInitial(connID, v.NASPDU)
-		return c.runSharded(clk, sh, connID, func() error {
-			s := c.newUESession(sh, v.ENBUEID)
-			ec.sessions[v.ENBUEID] = s
-			return c.feedNAS(ec, s, v.NASPDU)
-		})
+		s = c.newUESession(sh, v.ENBUEID)
+		ec.sessions[v.ENBUEID] = s
+		return c.feedNAS(ec, s, v.NASPDU)
 
 	case s1ap.TypeUplinkNASTransport:
-		s, ok := ec.sessions[v.ENBUEID]
-		if !ok {
-			return fmt.Errorf("epc: no session for eNB UE %d", v.ENBUEID)
-		}
-		return c.runSharded(clk, s.shard, connID, func() error {
-			return c.feedNAS(ec, s, v.NASPDU)
-		})
+		return c.feedNAS(ec, s, v.NASPDU)
 
 	case s1ap.TypeInitialContextSetupResponse:
-		s, ok := ec.sessions[v.ENBUEID]
-		if !ok {
-			return fmt.Errorf("epc: no session for eNB UE %d", v.ENBUEID)
+		addr, err := simnet.ParseAddr(string(v.ENBAddr))
+		if err != nil {
+			return err
 		}
-		return c.runSharded(clk, s.shard, connID, func() error {
-			addr, err := simnet.ParseAddr(string(v.ENBAddr))
-			if err != nil {
-				return err
-			}
-			return c.gw.BindDownlink(s.imsi, addr, v.ENBTEID)
-		})
+		return c.gw.BindDownlink(s.imsi, addr, v.ENBTEID)
 
 	case s1ap.TypePathSwitchRequest:
-		// Locate the session by MME UE ID across this association.
-		var s *ueSession
-		for _, cand := range ec.sessions {
-			if cand.mmeUEID == v.MMEUEID {
-				s = cand
-				break
-			}
+		if _, err := s.nasSession.FSM().Fire(session.EvPathSwitch); err != nil {
+			return err
 		}
-		if s == nil {
-			return fmt.Errorf("epc: path switch for unknown MME UE %d", v.MMEUEID)
+		addr, err := simnet.ParseAddr(string(v.NewENBAddr))
+		if err != nil {
+			return err
 		}
-		return c.runSharded(clk, s.shard, connID, func() error {
-			if _, err := s.nasSession.FSM().Fire(session.EvPathSwitch); err != nil {
-				return err
-			}
-			addr, err := simnet.ParseAddr(string(v.NewENBAddr))
-			if err != nil {
-				return err
-			}
-			if err := c.gw.SwitchPath(s.imsi, addr, v.NewENBTEID); err != nil {
-				return err
-			}
-			return ec.conn.Send(&s1ap.PathSwitchAck{MMEUEID: v.MMEUEID})
-		})
+		if err := c.gw.SwitchPath(s.imsi, addr, v.NewENBTEID); err != nil {
+			return err
+		}
+		return ec.conn.Send(&s1ap.PathSwitchAck{MMEUEID: v.MMEUEID})
 
 	case s1ap.TypeUEContextReleaseRequest:
 		// eNB-initiated release (radio loss): end the lifecycle, then
 		// complete the standard command/complete exchange.
-		if s, ok := ec.sessions[v.ENBUEID]; ok {
-			c.runSharded(clk, s.shard, connID, func() error {
-				c.releaseSession(s)
-				return nil
-			})
+		if s != nil {
+			c.releaseSession(s)
 			delete(ec.sessions, v.ENBUEID)
 		}
 		return ec.conn.Send(&s1ap.UEContextReleaseCommand{ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 
 	case s1ap.TypeUEContextReleaseComplete:
-		if s, ok := ec.sessions[v.ENBUEID]; ok {
-			c.runSharded(clk, s.shard, connID, func() error {
-				c.releaseSession(s)
-				return nil
-			})
+		if s != nil {
+			c.releaseSession(s)
 			delete(ec.sessions, v.ENBUEID)
 		}
 		return nil

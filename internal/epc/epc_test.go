@@ -54,7 +54,7 @@ func newTestbed(t *testing.T, stub bool, epcLatency time.Duration) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go core.ServeS1AP(l)
+	core.ServeS1AP(l)
 
 	e, err := enb.New(ap, enb.Config{ID: 1, TAC: 7, MMEAddr: coreHost.Name() + ":36412"})
 	if err != nil {
@@ -253,6 +253,38 @@ func TestUnknownUERejected(t *testing.T) {
 	}
 	if st := tb.core.Stats(); st.Rejects != 1 {
 		t.Errorf("rejects = %d", st.Rejects)
+	}
+}
+
+// TestRejectedAttachDropsAssociation: a failed attach must not leave
+// its radio association behind. The UE closes the air conn on every
+// failing exit, so the eNodeB's context goes, and the eNodeB's release
+// request retires the core's half-built session — instead of both
+// lingering until the device's next Attach.
+func TestRejectedAttachDropsAssociation(t *testing.T) {
+	tb := newTestbed(t, false, 2*time.Millisecond) // closed HSS
+	sim, _ := auth.NewSIM("001010000000141")       // NOT provisioned
+	d, _ := ue.NewDevice(tb.net.MustAddHost("ue-y"), sim)
+	t.Cleanup(d.Close)
+	if _, err := d.Attach(tb.enb.AirAddr(), 5*time.Second); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("attach of unknown IMSI: %v", err)
+	}
+	atReject := tb.core.Stats().SignalingMessages
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) &&
+		(tb.enb.NumUEs() != 0 || tb.core.Stats().SignalingMessages < atReject+2) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := tb.enb.NumUEs(); n != 0 {
+		t.Errorf("eNodeB still holds %d UE context(s) after a rejected attach", n)
+	}
+	// UEContextReleaseRequest, then ReleaseComplete: the core's session
+	// for the rejected UE is gone.
+	if got := tb.core.Stats().SignalingMessages; got < atReject+2 {
+		t.Errorf("core saw %d S1AP messages after the reject, want the release exchange (2)", got-atReject)
+	}
+	if n := tb.core.Gateway().NumSessions(); n != 0 {
+		t.Errorf("gateway sessions = %d", n)
 	}
 }
 

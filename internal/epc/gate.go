@@ -1,7 +1,6 @@
 package epc
 
 import (
-	"sync"
 	"time"
 
 	"dlte/internal/simnet"
@@ -10,130 +9,130 @@ import (
 // gateEpsilon is the registration window of a deterministic gate:
 // every entrant that arrives at one virtual instant gets this long
 // (one virtual nanosecond — invisible at any rendered precision) to
-// enqueue before admission order is decided. Under a VirtualClock,
-// time cannot pass the window until all goroutines woken at that
-// instant have run, so the queue is complete when the window closes.
+// enqueue before admission order is decided. Under a VirtualClock the
+// window's close is a wheel event one nanosecond out, and every event
+// of the arrival instant runs before it, so the queue is complete when
+// the window closes.
 const gateEpsilon = time.Nanosecond
 
 // gateWaiter is one entrant awaiting admission, keyed by virtual
 // arrival time with an actor ID (the eNB connection ID) as tiebreak.
-// Each waiter owns a buffered(1) ready channel for direct handoff:
-// the admitting goroutine signals exactly the waiters it admits, and
-// nobody else wakes.
+// admit runs on the delivery thread once the entrant holds a slot.
 type gateWaiter struct {
 	at    time.Time
 	actor string
-	ready chan struct{}
-}
-
-var gateWaiterPool = sync.Pool{
-	New: func() interface{} { return &gateWaiter{ready: make(chan struct{}, 1)} },
+	admit func()
 }
 
 // detGate admits work onto a bounded number of slots in deterministic
-// order. A bare mutex (or semaphore) would admit same-instant
-// entrants in whatever order the Go scheduler unblocks them —
-// nondeterministic under concurrent simulation worlds. Instead
-// admission is strictly by (virtual arrival time, actor ID), both
-// functions of simulation state alone: messages on one S1AP
-// association are inherently serial, so the key is total, and
-// earlier-instant arrivals are always enqueued before virtual time
-// moves on (the VirtualClock only advances over a quiescent world).
+// order: strictly by (virtual arrival time, actor ID), both functions
+// of simulation state alone. Messages on one S1AP association are
+// inherently serial (enbConn keeps one in flight), so the key is total.
 //
-// Admission is batched: whenever a slot frees or the registration
-// window closes, tryAdmit pops the whole admissible run of queue
-// heads in one pass and hands each admitted waiter its slot directly
-// over its own channel. The earlier design instead closed a shared
-// broadcast channel and let every parked entrant re-check — O(n)
-// spurious wakeups per admission, O(n²) per storm burst, which
-// dominated the attach-storm profile at high shard counts.
+// The gate is a data structure plus events, not a place goroutines
+// park: enter queues the entrant and books one tick per arrival
+// instant at +gateEpsilon; the tick and every release call tryAdmit,
+// which pops the whole admissible run of queue heads — entrants whose
+// window has closed, while slots last — and runs each one's admit
+// continuation inline. An entrant keeps its slot until it calls
+// release, possibly from a later event (a ProcessingDelay completion).
+// Everything here runs on the network's delivery thread (DESIGN.md
+// §14), so the gate needs no lock.
 //
 // Two gates are built on this: each session shard's serving gate
 // (capacity 1 — at most one signaling message per shard in flight,
 // which is what makes shard state single-writer) and the modeled
 // signaling processor of a centralized EPC (capacity =
-// SignalingProcessors, where the admitted work is a ProcessingDelay
-// sleep — an M/D/k queue in virtual time).
+// SignalingProcessors, each admitted message holding its slot for
+// ProcessingDelay — an M/D/k queue in virtual time).
 type detGate struct {
 	capacity int // admission slots; 0 means 1
 
-	mu      sync.Mutex
-	waiters []*gateWaiter // sorted by (at, actor); small: one per eNB conn
-	running int
+	clk simnet.Clock
+	// tick closes registration windows. Nil on a wall clock, which has
+	// no quiescence guarantee to make a window meaningful: entrants
+	// there are admissible on arrival.
+	tick   *simnet.Continuation
+	tickAt time.Time // latest instant a tick is booked for
+
+	waiters   []gateWaiter // sorted by (at, actor); live from head
+	head      int
+	running   int
+	admitting bool // tryAdmit is on the stack; releases fold into its loop
 }
 
-func (g *detGate) enqueue(w *gateWaiter) {
-	g.mu.Lock()
-	i := 0
-	for i < len(g.waiters) && (g.waiters[i].at.Before(w.at) ||
-		(g.waiters[i].at.Equal(w.at) && g.waiters[i].actor < w.actor)) {
-		i++
+// init binds the gate to the clock (and, under a virtual clock, the
+// delivery thread) of the core's host.
+func (g *detGate) init(host *simnet.Host, capacity int) {
+	g.capacity = capacity
+	g.clk = host.Clock()
+	if _, virtual := g.clk.(*simnet.VirtualClock); virtual {
+		g.tick = host.Network().NewContinuation(func(uint64) { g.tryAdmit() })
 	}
-	g.waiters = append(g.waiters, nil)
-	copy(g.waiters[i+1:], g.waiters[i:])
-	g.waiters[i] = w
-	g.mu.Unlock()
+}
+
+// enter queues an entrant arriving now; admit runs once it holds a
+// slot, never before the caller returns to the delivery loop under a
+// virtual clock.
+func (g *detGate) enter(actor string, admit func()) {
+	now := g.clk.Now()
+	if g.head == len(g.waiters) {
+		g.waiters, g.head = g.waiters[:0], 0
+	} else if g.head >= 32 && 2*g.head >= len(g.waiters) {
+		// A saturated gate never drains: reclaim the admitted prefix.
+		n := copy(g.waiters, g.waiters[g.head:])
+		for i := n; i < len(g.waiters); i++ {
+			g.waiters[i] = gateWaiter{}
+		}
+		g.waiters, g.head = g.waiters[:n], 0
+	}
+	// Arrival instants only grow, so the slot is found from the tail.
+	i := len(g.waiters)
+	g.waiters = append(g.waiters, gateWaiter{})
+	for ; i > g.head && g.waiters[i-1].at.Equal(now) && g.waiters[i-1].actor > actor; i-- {
+		g.waiters[i] = g.waiters[i-1]
+	}
+	g.waiters[i] = gateWaiter{at: now, actor: actor, admit: admit}
+	if g.tick == nil {
+		g.tryAdmit()
+		return
+	}
+	if t := now.Add(gateEpsilon); t.After(g.tickAt) {
+		g.tickAt = t
+		g.tick.After(gateEpsilon, 0)
+	}
+}
+
+// release frees the caller's slot and admits whoever it unblocks.
+func (g *detGate) release() {
+	g.running--
+	g.tryAdmit()
 }
 
 // tryAdmit pops every queue head an open slot can take — a whole run
-// of same-window arrivals in one pass — and signals each admitted
-// waiter's ready channel. Caller holds g.mu.
+// of same-window arrivals in one pass — and runs each admitted
+// entrant's continuation. A head whose window is still open (it
+// arrived at this very instant) ends the pass; its tick is booked.
 func (g *detGate) tryAdmit() {
+	if g.admitting {
+		return
+	}
+	g.admitting = true
 	slots := g.capacity
 	if slots < 1 {
 		slots = 1
 	}
-	n := 0
-	for g.running < slots && n < len(g.waiters) {
-		w := g.waiters[n]
-		g.waiters[n] = nil
-		n++
-		g.running++
-		w.ready <- struct{}{}
-	}
-	if n > 0 {
-		rem := copy(g.waiters, g.waiters[n:])
-		clear := g.waiters[rem:]
-		for i := range clear {
-			clear[i] = nil
+	now := g.clk.Now()
+	for g.running < slots && g.head < len(g.waiters) {
+		w := &g.waiters[g.head]
+		if g.tick != nil && w.at.Add(gateEpsilon).After(now) {
+			break
 		}
-		g.waiters = g.waiters[:rem]
+		admit := w.admit
+		*w = gateWaiter{}
+		g.head++
+		g.running++
+		admit()
 	}
-}
-
-// run executes fn once admitted. All waits go through the clock
-// (Sleep, Block-bracketed channel receives) so a VirtualClock sees
-// queued goroutines as parked and advances virtual time
-// deterministically.
-func (g *detGate) run(clk simnet.Clock, actor string, fn func()) {
-	w := gateWaiterPool.Get().(*gateWaiter)
-	w.at = clk.Now()
-	w.actor = actor
-	g.enqueue(w)
-	if _, virtual := clk.(*simnet.VirtualClock); virtual {
-		// Same-instant arrivals finish enqueueing before admission
-		// order is decided. Only a virtual clock has the quiescence
-		// guarantee that makes the window meaningful; on a wall clock
-		// the 1 ns sleep is a ~50 µs real timer for nothing.
-		clk.Sleep(gateEpsilon)
-	}
-	g.mu.Lock()
-	g.tryAdmit()
-	g.mu.Unlock()
-	select {
-	case <-w.ready:
-		// Admitted in our own pass (or by a peer before we got here).
-	default:
-		clk.Block()
-		<-w.ready
-		clk.Unblock()
-	}
-
-	fn()
-
-	g.mu.Lock()
-	g.running--
-	g.tryAdmit()
-	g.mu.Unlock()
-	gateWaiterPool.Put(w)
+	g.admitting = false
 }

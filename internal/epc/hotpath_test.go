@@ -56,16 +56,40 @@ func TestShardRoutingStable(t *testing.T) {
 	}
 }
 
-// TestGateRunAllocBound bounds the deterministic gate's steady-state
-// cost: each run may allocate the two wake channels (admission +
-// completion) and the occasional waiter-slice regrowth, nothing more.
+// TestGateRunAllocBound pins the deterministic gate's steady-state
+// cost at zero: entering, being admitted and releasing allocate
+// nothing once the queue exists (the entrant's continuation is a func
+// value bound once per association, as enbConn does). The virtual leg
+// includes the registration-window tick event.
 func TestGateRunAllocBound(t *testing.T) {
-	g := &detGate{capacity: 1}
-	clk := simnet.Wall
-	g.run(clk, "warm", func() {}) // first run allocates the queue itself
-	if got := testing.AllocsPerRun(200, func() {
-		g.run(clk, "actor", func() {})
-	}); got > 4 {
-		t.Errorf("detGate.run allocates %v per run, want ≤ 4", got)
+	ran := 0
+	var g *detGate
+	admit := func() { ran++; g.release() }
+
+	wall := simnet.New(simnet.Link{}, 1)
+	t.Cleanup(wall.Close)
+	g = &detGate{}
+	g.init(wall.MustAddHost("core"), 1)
+	g.enter("warm", admit) // first entry allocates the queue itself
+	if got := testing.AllocsPerRun(200, func() { g.enter("actor", admit) }); got != 0 {
+		t.Errorf("wall-clock gate pass allocates %v per run, want 0", got)
+	}
+
+	vn := simnet.NewVirtualNetwork(simnet.Link{}, 1)
+	t.Cleanup(vn.Close)
+	g = &detGate{}
+	g.init(vn.MustAddHost("core"), 1)
+	clk := vn.Clock()
+	pass := func() {
+		g.enter("actor", admit)
+		clk.Sleep(2 * gateEpsilon) // past the window: the tick has run
+	}
+	pass()
+	before := ran
+	if got := testing.AllocsPerRun(200, pass); got > 2 { // the Sleep's waiter and wake channel
+		t.Errorf("virtual-clock gate pass allocates %v per run, want ≤ 2 (the test's own Sleep)", got)
+	}
+	if ran-before < 200 {
+		t.Errorf("admitted %d of ≥200 entrants", ran-before)
 	}
 }

@@ -41,7 +41,7 @@ func TestIdleSessionWorldFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go core.ServeS1AP(l)
+	core.ServeS1AP(l)
 	apHost := net.MustAddHost("ap0")
 	e, err := enb.New(apHost, enb.Config{
 		ID: 1, TAC: 7,

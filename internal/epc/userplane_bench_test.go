@@ -53,7 +53,7 @@ func newUserPlaneBed(b testing.TB, tunneled bool) *upBed {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go core.ServeS1AP(l)
+	core.ServeS1AP(l)
 
 	site, err := enb.New(ap, enb.Config{
 		ID: 1, TAC: 7, MMEAddr: fmt.Sprintf("%s:%d", coreHost.Name(), epc.S1APPort),

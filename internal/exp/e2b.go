@@ -135,7 +135,7 @@ func e2bWorld(r *e2bRun, packets int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	n.Clock().Go(func() { core.ServeS1AP(l) })
+	core.ServeS1AP(l)
 
 	site, err := enb.New(ap, enb.Config{
 		ID: 1, TAC: 7, MMEAddr: fmt.Sprintf("%s:%d", coreHost.Name(), epc.S1APPort),

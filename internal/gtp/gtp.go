@@ -151,12 +151,31 @@ type tunnelState struct {
 	handler Handler
 }
 
-// tunnelTable is the copy-on-write TEID table. Mutations (attach,
-// bind, release — control-plane rate) build a fresh map under the
-// endpoint mutex and publish it atomically; the per-packet send and
-// demux paths only ever Load.
+// tunnelPageSize is the number of TEID slots per table page. TEIDs are
+// allocated sequentially, so a page fills densely before the next one
+// is created.
+const tunnelPageSize = 256
+
+// tunnelPage is one fixed run of TEID slots; a nil slot is a free TEID.
+type tunnelPage [tunnelPageSize]atomic.Pointer[tunnelState]
+
+// tunnelTable is the paged TEID table: a directory of fixed pages
+// indexed by TEID. A mutation (attach, bind, release — control-plane
+// rate) is one atomic slot store under the endpoint mutex; only growing
+// past the last page copies the directory and republishes it. The
+// per-packet send and demux paths Load the directory and the slot and
+// take no lock.
 type tunnelTable struct {
-	m map[uint32]*tunnelState
+	pages []*tunnelPage
+}
+
+// get returns the live entry for teid, or nil.
+func (t *tunnelTable) get(teid uint32) *tunnelState {
+	pg := teid / tunnelPageSize
+	if pg >= uint32(len(t.pages)) {
+		return nil
+	}
+	return t.pages[pg][teid%tunnelPageSize].Load()
 }
 
 // DropCounters exposes the endpoint's packet-drop observability: the
@@ -186,6 +205,7 @@ type Endpoint struct {
 
 	mu       sync.Mutex // serializes table mutations; never on the packet path
 	nextTEID uint32
+	live     atomic.Int64 // tunnels in the table
 	done     chan struct{}
 }
 
@@ -203,7 +223,7 @@ func NewEndpoint(pc PacketConn) *Endpoint {
 	}
 	e.ow, _ = pc.(ownedWriter)
 	e.or, _ = pc.(ownedReader)
-	e.table.Store(&tunnelTable{m: map[uint32]*tunnelState{}})
+	e.table.Store(&tunnelTable{})
 	if hs, ok := pc.(handlerSetter); ok {
 		// Run-to-completion: demux runs inline per delivered packet; no
 		// reader goroutine exists to leak or park. demux is already a
@@ -219,16 +239,21 @@ func NewEndpoint(pc PacketConn) *Endpoint {
 // Drops exposes the endpoint's drop counters.
 func (e *Endpoint) Drops() DropCounters { return e.drops }
 
-// publish installs a mutated copy of the tunnel table. Callers hold
-// e.mu.
-func (e *Endpoint) publish(mutate func(m map[uint32]*tunnelState)) {
-	old := e.table.Load().m
-	m := make(map[uint32]*tunnelState, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+// slot returns teid's table slot, growing the page directory to cover
+// it. Callers hold e.mu.
+func (e *Endpoint) slot(teid uint32) *atomic.Pointer[tunnelState] {
+	t := e.table.Load()
+	pg := int(teid / tunnelPageSize)
+	if pg >= len(t.pages) {
+		pages := make([]*tunnelPage, pg+1)
+		copy(pages, t.pages)
+		for i := len(t.pages); i <= pg; i++ {
+			pages[i] = new(tunnelPage)
+		}
+		t = &tunnelTable{pages: pages}
+		e.table.Store(t)
 	}
-	mutate(m)
-	e.table.Store(&tunnelTable{m: m})
+	return &t.pages[pg][teid%tunnelPageSize]
 }
 
 // AllocateTEID reserves a fresh local TEID with the given inbound
@@ -239,9 +264,8 @@ func (e *Endpoint) AllocateTEID(h Handler) uint32 {
 	defer e.mu.Unlock()
 	teid := e.nextTEID
 	e.nextTEID++
-	e.publish(func(m map[uint32]*tunnelState) {
-		m[teid] = &tunnelState{t: Tunnel{LocalTEID: teid}, handler: h}
-	})
+	e.slot(teid).Store(&tunnelState{t: Tunnel{LocalTEID: teid}, handler: h})
+	e.live.Add(1)
 	return teid
 }
 
@@ -250,15 +274,13 @@ func (e *Endpoint) AllocateTEID(h Handler) uint32 {
 func (e *Endpoint) Bind(localTEID, remoteTEID uint32, peer net.Addr) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old, ok := e.table.Load().m[localTEID]
-	if !ok {
+	old := e.table.Load().get(localTEID)
+	if old == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownTEID, localTEID)
 	}
-	e.publish(func(m map[uint32]*tunnelState) {
-		m[localTEID] = &tunnelState{
-			t:       Tunnel{LocalTEID: localTEID, RemoteTEID: remoteTEID, Peer: peer},
-			handler: old.handler,
-		}
+	e.slot(localTEID).Store(&tunnelState{
+		t:       Tunnel{LocalTEID: localTEID, RemoteTEID: remoteTEID, Peer: peer},
+		handler: old.handler,
 	})
 	return nil
 }
@@ -267,18 +289,15 @@ func (e *Endpoint) Bind(localTEID, remoteTEID uint32, peer net.Addr) error {
 func (e *Endpoint) Release(localTEID uint32) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.table.Load().m[localTEID]; !ok {
+	if e.table.Load().get(localTEID) == nil {
 		return
 	}
-	e.publish(func(m map[uint32]*tunnelState) {
-		delete(m, localTEID)
-	})
+	e.slot(localTEID).Store(nil)
+	e.live.Add(-1)
 }
 
 // NumTunnels reports the number of live tunnels.
-func (e *Endpoint) NumTunnels() int {
-	return len(e.table.Load().m)
-}
+func (e *Endpoint) NumTunnels() int { return int(e.live.Load()) }
 
 // GetBuffer returns a pooled buffer with GTP-U headroom reserved:
 // len(buf) == headroom, append the payload behind it, then hand the
@@ -308,7 +327,7 @@ func (e *Endpoint) SendBuffer(localTEID uint32, buf []byte) error {
 		simnet.PutPayload(buf)
 		return ErrClosed
 	}
-	ts := e.table.Load().m[localTEID]
+	ts := e.table.Load().get(localTEID)
 	if ts == nil || ts.t.Peer == nil {
 		simnet.PutPayload(buf)
 		return fmt.Errorf("%w: %d", ErrUnknownTEID, localTEID)
@@ -331,7 +350,7 @@ func (e *Endpoint) demux(data []byte, from net.Addr) {
 		e.drops.Malformed.Inc()
 		return
 	}
-	ts := e.table.Load().m[h.TEID]
+	ts := e.table.Load().get(h.TEID)
 	if ts == nil || ts.handler == nil {
 		e.drops.UnknownTEID.Inc()
 		return

@@ -241,3 +241,60 @@ func TestGarbageTrafficIgnored(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 }
+
+// TestTunnelTablePages drives the paged TEID table across page
+// boundaries: allocation grows the directory a page at a time, a
+// mutation is visible to lookups on every page, release frees exactly
+// its slot, and a TEID past the directory is simply unknown. A
+// mutation's cost must not depend on how many tunnels are live.
+func TestTunnelTablePages(t *testing.T) {
+	a, _, _ := newPair(t)
+	peer := simnet.Addr{Host: "b", Port: Port}
+	const n = 3*tunnelPageSize + 17
+	teids := make([]uint32, n)
+	for i := range teids {
+		teids[i] = a.AllocateTEID(nil)
+		if err := a.Bind(teids[i], uint32(1000+i), peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.NumTunnels(); got != n {
+		t.Fatalf("NumTunnels = %d, want %d", got, n)
+	}
+	if pages := len(a.table.Load().pages); pages != 4 {
+		t.Errorf("directory has %d pages for %d sequential TEIDs, want 4", pages, n)
+	}
+	for i, teid := range teids {
+		ts := a.table.Load().get(teid)
+		if ts == nil || ts.t.RemoteTEID != uint32(1000+i) {
+			t.Fatalf("TEID %d: entry %+v", teid, ts)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		a.Release(teids[i])
+		a.Release(teids[i]) // idempotent: the counter must not move twice
+	}
+	if got, want := a.NumTunnels(), n/2; got != want {
+		t.Errorf("NumTunnels after releasing every other tunnel = %d, want %d", got, want)
+	}
+	for i, teid := range teids {
+		if live := a.table.Load().get(teid) != nil; live != (i%2 == 1) {
+			t.Fatalf("TEID %d live = %v", teid, live)
+		}
+	}
+	if err := a.Bind(teids[0], 1, peer); !errors.Is(err, ErrUnknownTEID) {
+		t.Errorf("bind of released TEID: %v", err)
+	}
+	if a.table.Load().get(1<<30) != nil {
+		t.Error("TEID beyond the directory resolved")
+	}
+	// One tunnel's life is three slot stores and two entries (plus a
+	// page every 256th TEID), however many neighbours it has.
+	if got := testing.AllocsPerRun(100, func() {
+		teid := a.AllocateTEID(nil)
+		a.Bind(teid, 7, peer)
+		a.Release(teid)
+	}); got > 4 {
+		t.Errorf("allocate+bind+release with %d live tunnels allocates %v, want ≤ 4", a.NumTunnels(), got)
+	}
+}

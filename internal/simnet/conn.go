@@ -192,6 +192,7 @@ func (c *Conn) installDispatch(d *dispatcher, dc *dconn) {
 	p.preq = nil
 	p.dc.Store(dc)
 	p.mu.Unlock()
+	d.kickW(dc)
 	select {
 	case <-p.closed:
 		// Peer closed before the handler existed; its close event was

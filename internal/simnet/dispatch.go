@@ -46,6 +46,7 @@ type dconn struct {
 	onData   func(data []byte)                // stream payload handler
 	onPacket func(data []byte, from net.Addr) // datagram handler
 	onClose  func()                           // stream EOF handler
+	cont     func(arg uint64)                 // continuation endpoint (Continuation)
 
 	// closed marks a self-closed endpoint: deliveries already in
 	// flight are dropped when they fire. closeSent dedups the peer
@@ -85,6 +86,7 @@ type dconn struct {
 type wrec struct {
 	data    []byte
 	from    net.Addr
+	arg     uint64 // continuation argument
 	at      time.Time
 	isClose bool
 	force   bool // teardown close: deliver even to a closed endpoint
@@ -96,6 +98,7 @@ type wrec struct {
 type vrec struct {
 	data    []byte
 	from    net.Addr
+	arg     uint64 // continuation argument
 	dc      *dconn
 	isClose bool
 	force   bool // teardown close: deliver even to a closed endpoint
@@ -164,7 +167,7 @@ func (d *dispatcher) register() *dconn {
 
 // enqueueV schedules one delivery at virtual instant at (duration since
 // the clock's base). Caller must not hold d.mu.
-func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, at time.Duration, isClose, force bool) {
+func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Duration, isClose, force bool) {
 	d.mu.Lock()
 	if (dc.closed && !force) || (dc.bounded && dc.inflight >= inboxDepth) {
 		d.mu.Unlock()
@@ -180,16 +183,19 @@ func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, at time.Dur
 		d.recs = append(d.recs, vrec{})
 		idx = uint32(len(d.recs) - 1)
 	}
-	d.recs[idx] = vrec{data: data, from: from, dc: dc, isClose: isClose, force: force}
+	d.recs[idx] = vrec{data: data, from: from, arg: arg, dc: dc, isClose: isClose, force: force}
 	// Per-endpoint FIFO: a delivery never overtakes an earlier one on
 	// the same conn. Jitter can draw a smaller delay for a later write;
 	// the legacy queue serialized those at the running max instant, and
 	// stream byte order (and differential equivalence) depends on the
-	// dispatcher doing the same.
-	if at < dc.lastAt {
-		at = dc.lastAt
-	} else {
-		dc.lastAt = at
+	// dispatcher doing the same. Continuation events are timers, not a
+	// byte stream: each fires at its own instant.
+	if dc.cont == nil {
+		if at < dc.lastAt {
+			at = dc.lastAt
+		} else {
+			dc.lastAt = at
+		}
 	}
 	d.sched.AtIndexed(at, uint64(idx))
 	d.pending.Add(1)
@@ -249,11 +255,11 @@ func (s *Scheduler) peekBound() (time.Duration, bool) {
 // flush runs every event still queued on the virtual engine, instant
 // by instant. Called once at clock shutdown: conns closed during world
 // teardown schedule their close events here, and with the advancer
-// gone nothing else would ever run them — leaving handler-fed
-// consumers (a service goroutine parked on its ingest queue) waiting
-// for an EOF that never comes until the close-side drain deadline
-// expires. The step cap only guards against a pathological handler
-// loop re-scheduling forever at shutdown.
+// gone nothing else would ever run them — leaving whoever a handler
+// feeds (an association's teardown, a goroutine parked on a
+// handler-filled queue) waiting for an EOF that never comes. The step
+// cap only guards against a pathological handler loop re-scheduling
+// forever at shutdown.
 func (d *dispatcher) flush() {
 	for i := 0; i < 1<<16 && d.pending.Load() > 0; i++ {
 		at, ok := d.next()
@@ -324,15 +330,24 @@ func stableSortByConn(recs []vrec) {
 	}
 }
 
-// deliver runs one delivery's handler and recycles its payload buffer.
-// The buffer is valid only for the duration of the handler call.
+// deliver runs one virtual-engine record. The payload buffer is valid
+// only for the duration of the handler call.
 func (d *dispatcher) deliver(r *vrec) {
-	dc := r.dc
-	if dc.closed && !r.force {
-		payloadPut(r.data)
-		return
-	}
-	if r.isClose {
+	d.run(r.dc, r.dc.closed && !r.force, r.data, r.from, r.arg, r.isClose)
+}
+
+// run executes one matured event on its endpoint — both engines funnel
+// here, on their single delivery thread. Only conn and packet
+// deliveries count as handler dispatches; continuation events (timers,
+// connection arrivals) do not. drop is the endpoint's closed flag as
+// read under the engine's lock.
+func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg uint64, isClose bool) {
+	switch {
+	case drop: // endpoint closed itself while the event was in flight
+		payloadPut(data)
+	case dc.cont != nil:
+		dc.cont(arg)
+	case isClose:
 		if dc.closeDelivered {
 			return
 		}
@@ -342,17 +357,17 @@ func (d *dispatcher) deliver(r *vrec) {
 		} else if f := dc.onClose; f != nil {
 			f()
 		}
-		return
+	default:
+		d.dispatches.Add(1)
+		if dc.onPacket != nil {
+			dc.onPacket(data, from)
+		} else if dc.sink != nil {
+			dc.sink.HandleDeliver(data)
+		} else {
+			dc.onData(data)
+		}
+		payloadPut(data)
 	}
-	d.dispatches.Add(1)
-	if dc.onPacket != nil {
-		dc.onPacket(r.data, r.from)
-	} else if dc.sink != nil {
-		dc.sink.HandleDeliver(r.data)
-	} else {
-		dc.onData(r.data)
-	}
-	payloadPut(r.data)
 }
 
 // noteLegacyWake records a legacy channel enqueue. If it happened
@@ -380,10 +395,20 @@ func Poke(clk Clock) {
 // dispatcher if no goroutine is already draining. Deliveries mature in
 // write order per conn; a head-of-line delivery with a future instant
 // arms a real timer rather than stalling the drain loop.
-func (d *dispatcher) enqueueW(dc *dconn, data []byte, from net.Addr, at time.Time, isClose, force bool) {
+//
+// A continuation endpoint's events are timers rather than a stream, so
+// they queue in maturity order instead of write order.
+func (d *dispatcher) enqueueW(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Time, isClose, force bool) {
 	d.wmu.Lock()
+	d.queueW(dc, data, from, arg, at, isClose, force)
+	d.scheduleW(dc)
+}
+
+// queueW is the append half of enqueueW; caller holds d.wmu. Split out
+// so handler installation can migrate buffered data under the pipe's
+// own lock without running handlers there (kickW drains afterwards).
+func (d *dispatcher) queueW(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Time, isClose, force bool) {
 	if (dc.closed && !force) || (dc.bounded && dc.inflight >= inboxDepth) {
-		d.wmu.Unlock()
 		payloadPut(data)
 		return
 	}
@@ -391,8 +416,26 @@ func (d *dispatcher) enqueueW(dc *dconn, data []byte, from net.Addr, at time.Tim
 	if dc.wq == nil {
 		dc.wq = make([]wrec, 0, 8)
 	}
-	dc.wq = append(dc.wq, wrec{data: data, from: from, at: at, isClose: isClose, force: force})
-	d.scheduleW(dc)
+	dc.wq = append(dc.wq, wrec{data: data, from: from, arg: arg, at: at, isClose: isClose, force: force})
+	if dc.cont != nil {
+		i := len(dc.wq) - 1
+		for ; i > 0 && dc.wq[i-1].at.After(at); i-- {
+			dc.wq[i], dc.wq[i-1] = dc.wq[i-1], dc.wq[i]
+		}
+		if i == 0 && dc.timerArmed {
+			// The armed timer covers the old head; the new one is earlier.
+			dc.wtimer.Reset(time.Until(at))
+		}
+	}
+}
+
+// kickW drains whatever migration queued on dc. No-op on the virtual
+// engine, whose advancer finds the events on the wheel.
+func (d *dispatcher) kickW(dc *dconn) {
+	if d.vc == nil {
+		d.wmu.Lock()
+		d.scheduleW(dc)
+	}
 }
 
 // armTimerW arms dc's reusable maturity timer for the given wait.
@@ -449,30 +492,9 @@ func (d *dispatcher) drainW() {
 			copy(dc.wq, dc.wq[1:])
 			dc.wq = dc.wq[:len(dc.wq)-1]
 			dc.inflight--
-			closed := dc.closed
+			drop := dc.closed && !head.force
 			d.wmu.Unlock()
-			if closed && !head.force {
-				payloadPut(head.data)
-			} else if head.isClose {
-				if !dc.closeDelivered {
-					dc.closeDelivered = true
-					if dc.sink != nil {
-						dc.sink.HandleStreamClose()
-					} else if f := dc.onClose; f != nil {
-						f()
-					}
-				}
-			} else {
-				d.dispatches.Add(1)
-				if dc.onPacket != nil {
-					dc.onPacket(head.data, head.from)
-				} else if dc.sink != nil {
-					dc.sink.HandleDeliver(head.data)
-				} else {
-					dc.onData(head.data)
-				}
-				payloadPut(head.data)
-			}
+			d.run(dc, drop, head.data, head.from, head.arg, head.isClose)
 			d.wmu.Lock()
 		}
 		dc.ready = false
@@ -506,22 +528,30 @@ func (d *dispatcher) scheduleTimerW(dc *dconn) {
 // to whichever engine the network runs on. data ownership transfers to
 // the dispatcher (it is recycled after the handler returns).
 func (d *dispatcher) send(dc *dconn, data []byte, from net.Addr, delay time.Duration) {
+	d.sendArg(dc, data, from, 0, delay)
+}
+
+// sendArg is send carrying a continuation argument.
+func (d *dispatcher) sendArg(dc *dconn, data []byte, from net.Addr, arg uint64, delay time.Duration) {
 	if d.vc != nil {
-		d.enqueueV(dc, data, from, d.vc.nowDur()+delay, false, false)
+		d.enqueueV(dc, data, from, arg, d.vc.nowDur()+delay, false, false)
 		return
 	}
 	var at time.Time
 	if delay > 0 {
 		at = time.Now().Add(delay)
 	}
-	d.enqueueW(dc, data, from, at, false, false)
+	d.enqueueW(dc, data, from, arg, at, false, false)
 }
 
 // migrateChunk re-registers a delivery that was buffered on the legacy
 // path before the handler existed, preserving its original delivery
 // instant (and releasing its delivery barrier — the dispatcher's
 // pending count now holds time back instead). Callers are running
-// goroutines, so a virtual clock cannot advance mid-migration.
+// goroutines, so a virtual clock cannot advance mid-migration. It only
+// queues: the caller holds the pipe's lock, which a handler writing
+// back into the pipe would need, so the wall engine's inline drain
+// waits for kickW after the lock is dropped.
 func (d *dispatcher) migrateChunk(dc *dconn, ch chunk, from net.Addr) {
 	if d.vc != nil {
 		at := d.vc.nowDur()
@@ -530,11 +560,13 @@ func (d *dispatcher) migrateChunk(dc *dconn, ch chunk, from net.Addr) {
 				at = t
 			}
 		}
-		d.enqueueV(dc, ch.data, from, at, false, false)
+		d.enqueueV(dc, ch.data, from, 0, at, false, false)
 		d.vc.releaseBarrier(ch.bar)
 		return
 	}
-	d.enqueueW(dc, ch.data, from, ch.at, false, false)
+	d.wmu.Lock()
+	d.queueW(dc, ch.data, from, 0, ch.at, false, false)
+	d.wmu.Unlock()
 }
 
 // migrateDatagram is migrateChunk for a packet socket's buffered
@@ -547,11 +579,13 @@ func (d *dispatcher) migrateDatagram(dc *dconn, dg datagram) {
 				at = t
 			}
 		}
-		d.enqueueV(dc, dg.data, dg.from, at, false, false)
+		d.enqueueV(dc, dg.data, dg.from, 0, at, false, false)
 		d.vc.releaseBarrier(dg.bar)
 		return
 	}
-	d.enqueueW(dc, dg.data, dg.from, dg.at, false, false)
+	d.wmu.Lock()
+	d.queueW(dc, dg.data, dg.from, 0, dg.at, false, false)
+	d.wmu.Unlock()
 }
 
 // sendClose schedules the endpoint's close notification after every
@@ -569,7 +603,7 @@ func (d *dispatcher) sendClose(dc *dconn) {
 		if now := d.vc.nowDur(); now > at {
 			at = now
 		}
-		d.enqueueV(dc, nil, nil, at, true, false)
+		d.enqueueV(dc, nil, nil, 0, at, true, false)
 		return
 	}
 	d.wmu.Lock()
@@ -579,7 +613,7 @@ func (d *dispatcher) sendClose(dc *dconn) {
 	}
 	dc.closeSent = true
 	d.wmu.Unlock()
-	d.enqueueW(dc, nil, nil, time.Time{}, true, false)
+	d.enqueueW(dc, nil, nil, 0, time.Time{}, true, false)
 }
 
 // sendCloseForce schedules a close notification that fires even after
@@ -598,13 +632,13 @@ func (d *dispatcher) sendCloseForce(dc *dconn) {
 		if now := d.vc.nowDur(); now > at {
 			at = now
 		}
-		d.enqueueV(dc, nil, nil, at, true, true)
+		d.enqueueV(dc, nil, nil, 0, at, true, true)
 		return
 	}
 	d.wmu.Lock()
 	dc.closeSent = true
 	d.wmu.Unlock()
-	d.enqueueW(dc, nil, nil, time.Time{}, true, true)
+	d.enqueueW(dc, nil, nil, 0, time.Time{}, true, true)
 }
 
 // markClosed marks a self-closed endpoint so deliveries already in

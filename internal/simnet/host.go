@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Host is a named endpoint in a Network. A host can listen for stream
@@ -64,17 +65,19 @@ func (h *Host) Listen(port int) (*Listener, error) {
 	l := &Listener{
 		host:   h,
 		addr:   Addr{Host: h.name, Port: port},
-		accept: make(chan *Conn, 64),
+		accept: make(chan *Conn, acceptBacklog),
 		done:   make(chan struct{}),
 	}
+	l.arrive = h.net.NewContinuation(l.arrived)
 	h.listeners[port] = l
 	return l, nil
 }
 
 // Dial opens a stream connection to addr ("host:port"). The connection
 // is usable immediately on the dialer side; the SYN-equivalent delivery
-// to the listener incurs one link latency, and data queued before the
-// accept is preserved (as with a real TCP accept queue).
+// to the listener incurs one link latency — a dispatcher event, not a
+// goroutine — and data queued before the accept is preserved (as with a
+// real TCP accept queue).
 func (h *Host) Dial(addr string) (net.Conn, error) {
 	a, err := ParseAddr(addr)
 	if err != nil {
@@ -109,25 +112,7 @@ func (h *Host) Dial(addr string) (net.Conn, error) {
 	if !up {
 		return nil, fmt.Errorf("dial %s: %w", addr, ErrLinkDown)
 	}
-	clk := h.net.clock
-	clk.Go(func() {
-		if delay > 0 {
-			clk.Sleep(delay)
-		}
-		select {
-		case l.accept <- srvConn:
-		case <-l.done:
-			cliConn.Close()
-		default:
-			clk.Block()
-			select {
-			case l.accept <- srvConn:
-			case <-l.done:
-				cliConn.Close()
-			}
-			clk.Unblock()
-		}
-	})
+	l.schedule(srvConn, delay)
 	return cliConn, nil
 }
 
@@ -189,17 +174,100 @@ func (h *Host) closeAll() {
 	}
 }
 
-// Listener accepts stream connections on a host port.
+// acceptBacklog bounds the connections a handler-less listener holds
+// for blocking Accept calls; arrivals beyond it are refused.
+const acceptBacklog = 64
+
+// Listener accepts stream connections on a host port. A dialed
+// connection arrives one link latency after the Dial, as an event on
+// the network's delivery thread: with an accept handler installed
+// (OnAccept) the handler runs inline at that instant; without one the
+// connection waits in the backlog for a blocking Accept.
 type Listener struct {
 	host   *Host
 	addr   Addr
 	accept chan *Conn
+	arrive *Continuation
+
+	mu       sync.Mutex
+	handler  func(*Conn)
+	inflight []*Conn  // dialed, not yet arrived; indexed by event arg
+	free     []uint64 // recycled inflight slots
 
 	closeOnce sync.Once
 	done      chan struct{}
 }
 
-// Accept waits for the next inbound connection.
+// schedule books srv's arrival at the listener delay from now.
+func (l *Listener) schedule(srv *Conn, delay time.Duration) {
+	l.mu.Lock()
+	var slot uint64
+	if n := len(l.free); n > 0 {
+		slot = l.free[n-1]
+		l.free = l.free[:n-1]
+		l.inflight[slot] = srv
+	} else {
+		slot = uint64(len(l.inflight))
+		l.inflight = append(l.inflight, srv)
+	}
+	l.mu.Unlock()
+	l.arrive.After(delay, slot)
+}
+
+// arrived is the arrival event: hand the connection to the accept
+// handler, or queue it for a blocking Accept. A listener that closed
+// while the connection was in flight (or whose backlog is full) refuses
+// it, which the dialer sees as its conn closing.
+func (l *Listener) arrived(slot uint64) {
+	l.mu.Lock()
+	srv := l.inflight[slot]
+	l.inflight[slot] = nil
+	l.free = append(l.free, slot)
+	h := l.handler
+	l.mu.Unlock()
+	select {
+	case <-l.done:
+		srv.Close()
+		return
+	default:
+	}
+	if h != nil {
+		h(srv)
+		return
+	}
+	select {
+	case l.accept <- srv:
+		// An Accept may be parked on the backlog: not a wake the clock
+		// can count, so the advancer must settle before moving time.
+		l.host.net.dispatcherFor().noteLegacyWake()
+	default:
+		srv.Close()
+	}
+}
+
+// OnAccept switches the listener to run-to-completion accepts: h runs
+// inline on the network's delivery thread for every arriving
+// connection, at its arrival instant, in (instant, dial order) order.
+// h is a dispatch handler (see Conn.OnDeliver for the contract) and
+// typically just registers the conn's own delivery handler.
+// Connections already waiting in the backlog are handed to h before
+// OnAccept returns; blocking Accept must not be used afterwards.
+func (l *Listener) OnAccept(h func(*Conn)) {
+	l.mu.Lock()
+	l.handler = h
+	l.mu.Unlock()
+	for {
+		select {
+		case c := <-l.accept:
+			h(c)
+		default:
+			return
+		}
+	}
+}
+
+// Accept waits for the next inbound connection: the blocking shim for
+// listeners without an accept handler.
 func (l *Listener) Accept() (net.Conn, error) {
 	select {
 	case c := <-l.accept:
@@ -223,7 +291,8 @@ func (l *Listener) Clock() Clock { return l.host.net.clock }
 // Addr reports the listening address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
-// Close stops the listener. Established connections are unaffected.
+// Close stops the listener. Established connections are unaffected;
+// connections still in flight are refused when they arrive.
 func (l *Listener) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.done)

@@ -123,6 +123,7 @@ func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	p.prebox = nil
 	p.dc.Store(dc)
 	p.imu.Unlock()
+	d.kickW(dc)
 }
 
 // engage returns the legacy inbox, allocating it and draining any

@@ -47,18 +47,25 @@ type AttachResult struct {
 type Device struct {
 	host *simnet.Host
 	sim  auth.SIM
-	nue  *nas.UE
 
 	mu       sync.Mutex
-	raw      net.Conn
-	air      *wire.FrameConn
+	nue      *nas.UE   // NAS/SIM state; guarded by mu (handler and callers both drive it)
+	st       *airState // current radio association, nil when none
 	attached bool
 	result   AttachResult
+	// rx queues downlink user packets for Recv. Allocated on the first
+	// downlink packet or the first Recv of an association — the
+	// control-plane never pays for it — and closed when the association
+	// is lost.
+	rx chan rxPacket
 
-	rx        chan rxPacket
-	nasEvents chan nasEvent
-	sysInfo   chan enb.SystemInfo
-	readerWG  sync.WaitGroup
+	// The pending procedure. Attach and Detach are run by the air
+	// conn's delivery handler (airState.frame); the calling goroutine
+	// only parks on done until the handler — or the deadline — ends it.
+	proc      procKind
+	procStart time.Time  // procedure start, for AttachResult.Duration
+	gotSI     bool       // attach: system information seen, AttachRequest sent
+	done      chan error // buffered(1): the pending procedure's outcome
 
 	// sigTx/sigRx count NAS signaling payload bytes over the air in
 	// each direction — the UE end of the mobility plane's measurement
@@ -66,7 +73,22 @@ type Device struct {
 	sigTx, sigRx atomic.Uint64
 }
 
-// rxPacket is one downlink packet as queued by the read loop: the
+// procKind names the procedure a Device has pending.
+type procKind uint8
+
+const (
+	procNone procKind = iota
+	procAttach
+	procDetach
+)
+
+var procNames = [...]string{procNone: "procedure", procAttach: "attach", procDetach: "detach"}
+
+// rxQueueDepth bounds the downlink packets buffered for Recv; beyond
+// it packets drop, like a full socket buffer.
+const rxQueueDepth = 256
+
+// rxPacket is one downlink packet as queued by the air handler: the
 // payload sits in a pooled buffer whose ownership travels with the
 // packet (the consumer releases it), and the remote endpoint is
 // memoized across the run of packets from one peer, so steady-state
@@ -77,11 +99,6 @@ type rxPacket struct {
 	data   []byte // release with wire.PutFrame after consuming
 }
 
-type nasEvent struct {
-	pdu []byte
-	err error
-}
-
 // NewDevice creates a UE on the given host with the given SIM. The
 // NAS/SIM state (SQN) persists across attaches, as in a real handset.
 func NewDevice(host *simnet.Host, sim auth.SIM) (*Device, error) {
@@ -89,7 +106,7 @@ func NewDevice(host *simnet.Host, sim auth.SIM) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{host: host, sim: sim, nue: nue}, nil
+	return &Device{host: host, sim: sim, nue: nue, done: make(chan error, 1)}, nil
 }
 
 // IMSI reports the device identity.
@@ -139,161 +156,151 @@ type HandoverResult struct {
 // UE-side half of the mobility plane's measurement seam (the AP-side
 // half, X2 choreography bytes, is metered by mobility.Plane).
 func (d *Device) Handover(airAddr string, timeout time.Duration) (HandoverResult, error) {
-	clk := d.host.Clock()
 	sigBefore := d.SignalingBytes()
-	start := clk.Now()
 	res, err := d.Attach(airAddr, timeout)
 	if err != nil {
 		return HandoverResult{}, err
 	}
 	return HandoverResult{
-		AttachResult:   res,
-		Interruption:   clk.Since(start),
+		AttachResult: res,
+		// The break with the old AP is Attach's first act, at the very
+		// instant its latency is measured from.
+		Interruption:   res.Duration,
 		SignalingBytes: d.SignalingBytes() - sigBefore,
 	}, nil
 }
 
 // Attach connects to the AP at airAddr and runs the full registration
 // handshake, returning the result with measured latency. Any previous
-// association is dropped first (dLTE roaming is break-before-make).
+// association is dropped first (dLTE roaming is break-before-make), and
+// a failed attach leaves none behind.
+//
+// The handshake itself runs in the air conn's delivery handler: the
+// broadcast system information triggers the AttachRequest, each
+// downlink NAS message is answered inline. The caller parks once, on
+// the outcome or the deadline.
 func (d *Device) Attach(airAddr string, timeout time.Duration) (AttachResult, error) {
-	d.dropConnLocked()
+	d.dropConn()
 
-	clk := d.host.Clock()
-	start := clk.Now()
+	start := d.host.Clock().Now()
 	raw, err := d.host.Dial(airAddr)
 	if err != nil {
 		return AttachResult{}, fmt.Errorf("ue: air dial: %w", err)
 	}
-	air := wire.NewFrameConn(raw)
+	sc := raw.(*simnet.Conn)
+	st := &airState{d: d, raw: sc, air: wire.NewFrameConn(sc)}
 
 	d.mu.Lock()
-	d.raw = raw
-	d.air = air
-	d.rx = make(chan rxPacket, 256)
-	d.nasEvents = make(chan nasEvent, 16)
-	d.sysInfo = make(chan enb.SystemInfo, 1)
+	d.st = st
+	d.begin(procAttach, start)
 	d.mu.Unlock()
+	sc.OnDeliverHandler(st)
 
-	if sc, ok := raw.(*simnet.Conn); ok {
-		// Run-to-completion downlink: air frames reassemble and dispatch
-		// inline on the network dispatcher; no reader goroutine per UE.
-		d.installAir(sc)
-	} else {
-		d.readerWG.Add(1)
-		clk.Go(func() { d.readLoop(raw, air) })
-	}
-
-	deadlineT := clk.NewTimer(timeout)
-	defer deadlineT.Stop()
-	deadline := deadlineT.C
-
-	// Cell search: wait for the broadcast system information to learn
-	// the serving network identity before attaching.
-	var si enb.SystemInfo
-	clk.Block()
-	select {
-	case si = <-d.sysInfo:
-		clk.Unblock()
-	case <-deadline:
-		clk.Unblock()
-		d.dropConnLocked()
-		return AttachResult{}, fmt.Errorf("%w: no system information", ErrTimeout)
-	}
-
-	pdu, err := d.nue.StartAttach(si.SNID)
-	if err != nil {
+	if err := d.await(timeout); err != nil {
+		d.dropConn()
 		return AttachResult{}, err
 	}
-	if err := d.sendAir(enb.AirNASUp, pdu); err != nil {
-		return AttachResult{}, err
-	}
-
-	for {
-		var ev nasEvent
-		clk.Block()
-		select {
-		case ev = <-d.nasEvents:
-			clk.Unblock()
-		case <-deadline:
-			clk.Unblock()
-			d.dropConnLocked()
-			return AttachResult{}, fmt.Errorf("%w: attach after %v", ErrTimeout, timeout)
-		}
-		if ev.err != nil {
-			return AttachResult{}, ev.err
-		}
-		buf := wire.GetFrame()
-		reply, done, err := d.nue.HandleAppend(ev.pdu, buf)
-		wire.PutFrame(ev.pdu)
-		if err != nil {
-			wire.PutFrame(buf)
-			return AttachResult{}, err
-		}
-		if len(reply) > 0 {
-			if err := d.sendAir(enb.AirNASUp, reply); err != nil {
-				wire.PutFrame(buf)
-				return AttachResult{}, err
-			}
-		}
-		wire.PutFrame(buf)
-		if done {
-			res := AttachResult{
-				IP:             d.nue.IPAddress,
-				GUTI:           d.nue.GUTI,
-				DirectBreakout: d.nue.Breakout,
-				Duration:       clk.Since(start),
-			}
-			d.mu.Lock()
-			d.attached = true
-			d.result = res
-			d.mu.Unlock()
-			return res, nil
-		}
-	}
+	d.mu.Lock()
+	res := d.result
+	d.mu.Unlock()
+	return res, nil
 }
 
 // Detach runs the detach handshake and drops the radio connection.
 func (d *Device) Detach(timeout time.Duration) error {
 	d.mu.Lock()
-	attached := d.attached
-	d.mu.Unlock()
-	if !attached {
+	st := d.st
+	if !d.attached || st == nil {
+		d.mu.Unlock()
 		return ErrNotAttached
 	}
-	pdu, err := d.nue.StartDetach()
+	buf := wire.GetFrame()
+	pdu, err := d.nue.StartDetachAppend(buf)
+	if err == nil {
+		// Pending before the request leaves: on a wall clock the accept
+		// can be delivered from inside the send.
+		d.begin(procDetach, time.Time{})
+	}
+	d.mu.Unlock()
+	if err == nil {
+		err = st.sendAir(enb.AirNASUp, pdu)
+	}
+	wire.PutFrame(buf)
 	if err != nil {
+		d.mu.Lock()
+		d.proc = procNone
+		d.mu.Unlock()
 		return err
 	}
-	if err := d.sendAir(enb.AirNASUp, pdu); err != nil {
+	if err := d.await(timeout); err != nil {
 		return err
 	}
+	d.dropConn()
+	return nil
+}
+
+// begin makes kind the pending procedure. Caller holds d.mu.
+func (d *Device) begin(kind procKind, start time.Time) {
+	d.proc, d.procStart, d.gotSI = kind, start, false
+	select {
+	case <-d.done: // outcome of a procedure nobody waited out
+	default:
+	}
+}
+
+// finish ends the pending procedure with err, if it still is kind on
+// association st, and wakes the goroutine parked in await. A successful
+// attach registers here, its latency read off the clock at this
+// delivery's instant. Called from the delivery handler, so the wake
+// needs a Poke.
+func (d *Device) finish(st *airState, kind procKind, err error) {
+	d.mu.Lock()
+	if d.st != st || d.proc != kind {
+		d.mu.Unlock()
+		return
+	}
+	if err == nil && kind == procAttach {
+		d.attached = true
+		d.result = AttachResult{
+			IP:             d.nue.IPAddress,
+			GUTI:           d.nue.GUTI,
+			DirectBreakout: d.nue.Breakout,
+			Duration:       d.host.Clock().Since(d.procStart),
+		}
+	}
+	d.proc = procNone
+	d.done <- err // buffered; begin drained it
+	d.mu.Unlock()
+	simnet.Poke(d.host.Clock())
+}
+
+// await parks the caller until the pending procedure finishes or
+// timeout elapses — the procedure's one goroutine park.
+func (d *Device) await(timeout time.Duration) error {
 	clk := d.host.Clock()
-	deadlineT := clk.NewTimer(timeout)
-	defer deadlineT.Stop()
-	for {
-		var ev nasEvent
-		clk.Block()
-		select {
-		case ev = <-d.nasEvents:
-			clk.Unblock()
-		case <-deadlineT.C:
-			clk.Unblock()
-			return fmt.Errorf("%w: detach after %v", ErrTimeout, timeout)
-		}
-		if ev.err != nil {
-			return ev.err
-		}
-		_, done, err := d.nue.Handle(ev.pdu)
-		wire.PutFrame(ev.pdu)
-		if err != nil {
-			return err
-		}
-		if done {
-			d.dropConnLocked()
-			return nil
-		}
+	deadline := clk.NewTimer(timeout)
+	defer deadline.Stop()
+	clk.Block()
+	select {
+	case err := <-d.done:
+		clk.Unblock()
+		return err
+	case <-deadline.C:
+		clk.Unblock()
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	select {
+	case err := <-d.done: // finished as the deadline fired
+		return err
+	default:
+	}
+	kind := d.proc
+	d.proc = procNone
+	if kind == procAttach && !d.gotSI {
+		return fmt.Errorf("%w: no system information", ErrTimeout)
+	}
+	return fmt.Errorf("%w: %s after %v", ErrTimeout, procNames[kind], timeout)
 }
 
 // Send transmits an uplink user packet to remote ("host:port"). The
@@ -303,9 +310,9 @@ func (d *Device) Detach(timeout time.Duration) error {
 func (d *Device) Send(remote string, payload []byte) error {
 	d.mu.Lock()
 	attached := d.attached
-	air := d.air
+	st := d.st
 	d.mu.Unlock()
-	if !attached || air == nil {
+	if !attached || st == nil {
 		return ErrNotAttached
 	}
 	frame := append(wire.GetFrame(), uint8(enb.AirDataUp), 0, 0)
@@ -320,7 +327,7 @@ func (d *Device) Send(remote string, payload []byte) error {
 		return fmt.Errorf("ue: user packet length %d overflows air frame", inner)
 	}
 	frame[1], frame[2] = byte(inner>>8), byte(inner)
-	err = air.Send(frame)
+	err = st.air.Send(frame)
 	wire.PutFrame(frame)
 	return err
 }
@@ -329,7 +336,7 @@ func (d *Device) Send(remote string, payload []byte) error {
 // packet's pooled buffer and must release it with wire.PutFrame.
 func (d *Device) recvPacket(timeout time.Duration) (rxPacket, error) {
 	d.mu.Lock()
-	rx := d.rx
+	rx := d.rxLocked()
 	d.mu.Unlock()
 	if rx == nil {
 		return rxPacket{}, ErrNotAttached
@@ -401,41 +408,47 @@ func (d *Device) Echo(remote string, payload []byte, retryEvery, timeout time.Du
 	}
 }
 
-func (d *Device) sendAir(t enb.AirMsgType, payload []byte) error {
-	d.mu.Lock()
-	air := d.air
-	d.mu.Unlock()
-	if air == nil {
-		return ErrNotAttached
+// rxLocked returns the downlink queue of the live association,
+// allocating it on first use; nil when there is no live association.
+// Caller holds d.mu.
+func (d *Device) rxLocked() chan rxPacket {
+	if d.rx == nil && d.st != nil && !d.st.lost {
+		d.rx = make(chan rxPacket, rxQueueDepth)
 	}
-	// Pooled assembly: Send's stream layer copies before returning.
-	frame, err := enb.AppendAir(wire.GetFrame(), t, payload)
-	if err == nil {
-		err = air.Send(frame)
-	}
-	if err == nil && t == enb.AirNASUp {
-		d.sigTx.Add(uint64(len(payload)))
-	}
-	wire.PutFrame(frame)
-	return err
+	return d.rx
 }
 
-// airState is one association's downlink frame consumer: the memoized
-// remote endpoint the old reader loop kept on its stack, shared by the
-// dispatch handler and the legacy reader.
+// airState is one radio association: its conn, and the downlink frame
+// consumer registered as the conn's delivery handler.
 type airState struct {
 	d   *Device
-	raw net.Conn
+	raw *simnet.Conn
+	air *wire.FrameConn
+	// lost marks an association the network side ended; guarded by d.mu.
+	lost bool
 	// Downlink packets from one peer share a memoized remote string and
 	// boxed address, so steady-state delivery costs one pooled copy and
 	// no allocation.
 	lastRemote string
 	lastAddr   net.Addr
-	// asm reassembles the downlink stream in dispatch mode. Embedded
-	// (and airState registered as the conn's StreamHandler) so an
-	// attach allocates one state object, not a constellation of
-	// assembler plus closures.
+	// asm reassembles the downlink stream. Embedded (and airState
+	// registered as the conn's StreamHandler) so an attach allocates one
+	// state object, not a constellation of assembler plus closures.
 	asm wire.FrameAssembler
+}
+
+// sendAir frames one uplink air message on the association.
+func (st *airState) sendAir(t enb.AirMsgType, payload []byte) error {
+	// Pooled assembly: Send's stream layer copies before returning.
+	frame, err := enb.AppendAir(wire.GetFrame(), t, payload)
+	if err == nil {
+		err = st.air.Send(frame)
+	}
+	if err == nil && t == enb.AirNASUp {
+		st.d.sigTx.Add(uint64(len(payload)))
+	}
+	wire.PutFrame(frame)
+	return err
 }
 
 // onFrame adapts frame to the assembler's emit signature. Passed as a
@@ -451,7 +464,7 @@ func (st *airState) HandleDeliver(data []byte) {
 	if st.asm.Feed(data, st.onFrame) != nil {
 		st.asm.Reset()
 		st.raw.Close()
-		st.d.connLost(st.raw)
+		st.d.connLost(st)
 	}
 }
 
@@ -459,13 +472,14 @@ func (st *airState) HandleDeliver(data []byte) {
 // closed the association.
 func (st *airState) HandleStreamClose() {
 	st.asm.Reset()
-	st.d.connLost(st.raw)
+	st.d.connLost(st)
 }
 
-// frame consumes one downlink air frame. frame is valid only for the
-// duration of the call; anything queued (NAS PDUs, user packets) is
-// copied into its own pooled buffer. Channel sends that wake parked
-// consumers Poke the clock, since this may run inside a dispatch batch.
+// frame consumes one downlink air frame on the delivery thread. frame
+// is valid only for the duration of the call; a queued user packet is
+// copied into its own pooled buffer. Signaling frames drive the pending
+// procedure inline. Channel sends that wake parked consumers Poke the
+// clock.
 func (st *airState) frame(frame []byte) {
 	d := st.d
 	t, payload, err := enb.DecodeAirView(frame)
@@ -474,30 +488,14 @@ func (st *airState) frame(frame []byte) {
 	}
 	switch t {
 	case enb.AirBroadcast:
+		// Cell search done: the broadcast names the serving network, so
+		// the pending attach can send its AttachRequest.
 		if si, err := enb.DecodeSystemInfo(payload); err == nil {
-			d.mu.Lock()
-			ch := d.sysInfo
-			d.mu.Unlock()
-			select {
-			case ch <- si:
-				simnet.Poke(d.host.Clock())
-			default:
-			}
+			st.systemInfo(si)
 		}
 	case enb.AirNASDown:
 		d.sigRx.Add(uint64(len(payload)))
-		// The PDU is queued past this frame's release, so it travels
-		// in its own pooled buffer; the NAS consumer releases it.
-		pdu := append(wire.GetFrame(), payload...)
-		d.mu.Lock()
-		ch := d.nasEvents
-		d.mu.Unlock()
-		select {
-		case ch <- nasEvent{pdu: pdu}:
-			simnet.Poke(d.host.Clock())
-		default:
-			wire.PutFrame(pdu)
-		}
+		st.nasDown(payload)
 	case enb.AirDataDown:
 		remote, data, err := epc.DecodeUserPacketView(payload)
 		if err != nil {
@@ -512,7 +510,10 @@ func (st *airState) frame(frame []byte) {
 			}
 		}
 		d.mu.Lock()
-		ch := d.rx
+		var ch chan rxPacket
+		if d.st == st {
+			ch = d.rxLocked()
+		}
 		d.mu.Unlock()
 		if ch != nil {
 			buf := append(wire.GetFrame(), data...)
@@ -525,16 +526,60 @@ func (st *airState) frame(frame []byte) {
 		}
 	case enb.AirRelease:
 		st.raw.Close()
-		d.connLost(st.raw)
+		d.connLost(st)
 	}
 }
 
-// connLost finishes an association teardown: if raw is still the
-// current association, registration drops and the rx channel closes
-// (waking blocked Recv callers). Idempotent.
-func (d *Device) connLost(raw net.Conn) {
+// systemInfo starts the pending attach's NAS exchange.
+func (st *airState) systemInfo(si enb.SystemInfo) {
+	d := st.d
 	d.mu.Lock()
-	if d.raw == raw {
+	if d.st != st || d.proc != procAttach || d.gotSI {
+		d.mu.Unlock()
+		return
+	}
+	d.gotSI = true
+	buf := wire.GetFrame()
+	pdu, err := d.nue.StartAttachAppend(buf, si.SNID)
+	d.mu.Unlock()
+	if err == nil {
+		err = st.sendAir(enb.AirNASUp, pdu)
+	}
+	wire.PutFrame(buf)
+	if err != nil {
+		d.finish(st, procAttach, err)
+	}
+}
+
+// nasDown feeds one downlink NAS message to the pending procedure and
+// answers it inline.
+func (st *airState) nasDown(pdu []byte) {
+	d := st.d
+	d.mu.Lock()
+	kind := d.proc
+	if d.st != st || kind == procNone {
+		d.mu.Unlock()
+		return
+	}
+	buf := wire.GetFrame()
+	reply, done, err := d.nue.HandleAppend(pdu, buf)
+	d.mu.Unlock()
+	if err == nil && len(reply) > 0 {
+		err = st.sendAir(enb.AirNASUp, reply)
+	}
+	wire.PutFrame(buf)
+	if err != nil || done {
+		d.finish(st, kind, err)
+	}
+}
+
+// connLost finishes an association teardown the network side started:
+// if st is still the current association, registration drops and the rx
+// queue closes (waking blocked Recv callers). Idempotent.
+func (d *Device) connLost(st *airState) {
+	d.mu.Lock()
+	if d.st == st {
+		st.lost = true
 		d.attached = false
 		if d.rx != nil {
 			close(d.rx)
@@ -545,48 +590,21 @@ func (d *Device) connLost(raw net.Conn) {
 	simnet.Poke(d.host.Clock())
 }
 
-// installAir attaches the run-to-completion downlink path to a simnet
-// air connection: per-association frame reassembly feeding airState,
-// teardown on peer close.
-func (d *Device) installAir(sc *simnet.Conn) {
-	sc.OnDeliverHandler(&airState{d: d, raw: sc})
-}
-
-func (d *Device) readLoop(raw net.Conn, air *wire.FrameConn) {
-	defer d.readerWG.Done()
-	st := &airState{d: d, raw: raw}
-	for {
-		frame, err := air.RecvOwned()
-		if err != nil {
-			d.connLost(raw)
-			return
-		}
-		st.frame(frame)
-		wire.PutFrame(frame)
-	}
-}
-
-// dropConnLocked closes any existing radio connection and waits for
-// its reader to finish.
-func (d *Device) dropConnLocked() {
+// dropConn closes any existing radio association from the UE side.
+func (d *Device) dropConn() {
 	d.mu.Lock()
-	raw := d.raw
-	d.raw = nil
-	d.air = nil
+	st := d.st
+	d.st = nil
 	d.attached = false
-	if d.rx != nil {
-		// Leave channel to the reader's close path; just detach it.
-		d.rx = nil
-	}
+	d.proc = procNone
+	// A Recv still parked on the old queue keeps it until its own
+	// deadline; the next association starts a fresh one.
+	d.rx = nil
 	d.mu.Unlock()
-	if raw != nil {
-		raw.Close()
-		clk := d.host.Clock()
-		clk.Block()
-		d.readerWG.Wait()
-		clk.Unblock()
+	if st != nil {
+		st.raw.Close()
 	}
 }
 
 // Close releases the device.
-func (d *Device) Close() { d.dropConnLocked() }
+func (d *Device) Close() { d.dropConn() }
