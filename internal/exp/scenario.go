@@ -216,10 +216,23 @@ func (spec *ScenarioSpec) uePos(u scenUE, t time.Duration) float64 {
 	}
 }
 
-// bestLiveCell picks the strongest audible live cell for a UE at x —
-// the compact analogue of mobility.BestCell over the cell string.
-func (spec *ScenarioSpec) bestLiveCell(x float64, t time.Duration) (int, float64) {
-	best, bestRSRP := -1, math.Inf(-1)
+// scenTieRel is the relative distance gap below which two cells' RSRPs
+// may round to the same float. Ranking by RSRP is the specification
+// (strongest wins, lowest index on a tie); ranking by distance is the
+// same order without the logarithm everywhere outside that gap.
+const scenTieRel = 1e-9
+
+// nearestLiveCell picks the strongest live cell for a UE at x and
+// returns it with its clamped distance, or -1 when no cell in the scan
+// window is live. RSRP falls with clamped distance, so the scan ranks
+// by distance and takes a logarithm only to split a near-tie; cells at
+// the same clamped distance (the plateau inside scenRSRPRefM included)
+// have the same RSRP and keep the lower index.
+func (spec *ScenarioSpec) nearestLiveCell(x float64, t time.Duration) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	// [nearer, farther] brackets the distances whose RSRP may round to
+	// the best cell's; outside it the distance order is the RSRP order.
+	nearer, farther := bestD, bestD
 	// Only cells within a few spacings matter; scan a window.
 	c0 := int(x/spec.SpacingM) - 3
 	if c0 < 0 {
@@ -229,15 +242,30 @@ func (spec *ScenarioSpec) bestLiveCell(x float64, t time.Duration) (int, float64
 		if spec.cellDown(c, t) {
 			continue
 		}
-		r := scenRSRP(math.Abs(x - spec.cellX(c)))
-		if r > bestRSRP {
-			best, bestRSRP = c, r
+		d := math.Abs(x - spec.cellX(c))
+		if d < scenRSRPRefM {
+			d = scenRSRPRefM // scenRSRP's clamp
+		}
+		if d > farther || d == bestD {
+			continue // weaker, or the same RSRP: the earlier cell keeps it
+		}
+		if d < nearer || scenRSRP(d) > scenRSRP(bestD) {
+			best, bestD = c, d
+			nearer, farther = d*(1-scenTieRel), d*(1+scenTieRel)
 		}
 	}
-	if bestRSRP < scenMinUsableDB {
-		return -1, bestRSRP
+	return best, bestD
+}
+
+// bestLiveCell is the cell a UE at x attaches to: the strongest live
+// cell if it clears the usable floor, else -1 — the compact analogue of
+// mobility.BestCell over the cell string.
+func (spec *ScenarioSpec) bestLiveCell(x float64, t time.Duration) int {
+	best, d := spec.nearestLiveCell(x, t)
+	if best < 0 || scenRSRP(d) < scenMinUsableDB {
+		return -1
 	}
-	return best, bestRSRP
+	return best
 }
 
 // scenPromo is one flash-crowd promotion record, merged across regions
@@ -277,8 +305,7 @@ func (r *scenRegion) handle(arg uint64) {
 		u := scenDraw(r.spec, r.seed, gi)
 		r.pool.StartAttach(l)
 		r.pool.Register(l, u.guti, u.ip)
-		cell, _ := r.spec.bestLiveCell(r.spec.uePos(u, now), now)
-		r.serving[l] = int32(cell)
+		r.serving[l] = int32(r.spec.bestLiveCell(r.spec.uePos(u, now), now))
 		r.sch.AtIndexed(now+scenMeasurePeriod(r.seed, gi, 0), scenArg(scenKindMeasure, l))
 	case scenKindMeasure:
 		r.measure(l, gi, now)
@@ -312,7 +339,7 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 	case cur >= 0 && spec.cellDown(cur, now):
 		// Serving cell crashed under the UE: grab the best survivor or
 		// drop.
-		if best, _ := spec.bestLiveCell(x, now); best >= 0 {
+		if best := spec.bestLiveCell(x, now); best >= 0 {
 			r.serving[l] = int32(best)
 			r.recordHandover(gi, l)
 			r.reattached++
@@ -323,18 +350,21 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 	case cur < 0:
 		// Out of service (dropped earlier): re-attach as soon as any
 		// cell is audible again.
-		if best, _ := spec.bestLiveCell(x, now); best >= 0 {
+		if best := spec.bestLiveCell(x, now); best >= 0 {
 			r.serving[l] = int32(best)
 		}
 	default:
 		// Normal trigger evaluation: does the best neighbour beat the
 		// serving cell by the A3 hysteresis (or the serving cell fall
-		// below the floor)?
-		servingRSRP := scenRSRP(math.Abs(x - spec.cellX(cur)))
-		if best, bestRSRP := spec.bestLiveCell(x, now); best >= 0 && best != cur &&
-			scenTrigger.Decide(servingRSRP, bestRSRP) {
-			r.serving[l] = int32(best)
-			r.recordHandover(gi, l)
+		// below the floor)? Most ticks the strongest cell is the serving
+		// cell and no RSRP is needed at all.
+		if best, d := spec.nearestLiveCell(x, now); best >= 0 && best != cur {
+			bestRSRP := scenRSRP(d)
+			if bestRSRP >= scenMinUsableDB &&
+				scenTrigger.Decide(scenRSRP(math.Abs(x-spec.cellX(cur))), bestRSRP) {
+				r.serving[l] = int32(best)
+				r.recordHandover(gi, l)
+			}
 		}
 	}
 

@@ -9,6 +9,7 @@
 package leaktest
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,6 +21,15 @@ import (
 //
 //	func TestMain(m *testing.M) { leaktest.Main(m) }
 func Main(m *testing.M) {
+	// A fuzzing run is not audited: the coordinating process keeps
+	// os/signal's delivery loop alive (signal.Notify), and no test can
+	// stop it.
+	flag.Parse()
+	for _, name := range []string{"test.fuzz", "test.fuzzworker"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" && f.Value.String() != "false" {
+			os.Exit(m.Run())
+		}
+	}
 	// The baseline is taken before any test runs: the test main
 	// goroutine plus whatever the runtime and testing machinery keep
 	// alive for the duration of the binary.

@@ -30,8 +30,13 @@ type Delta struct {
 }
 
 // defaultLogCap bounds the revision delta log: clients more than this
-// many mutations behind fall back to a full snapshot.
-const defaultLogCap = 16384
+// many mutations behind fall back to a full snapshot. The log's storage
+// comes in chunks of logChunkLen entries (a whole number per ring).
+const (
+	defaultLogCap = 16384
+	logChunkBits  = 8
+	logChunkLen   = 1 << logChunkBits
+)
 
 // Store is the registry state, usable in process or behind a Server.
 //
@@ -80,9 +85,7 @@ type keySnapshot struct {
 
 // NewStore returns an empty registry store.
 func NewStore() *Store {
-	s := &Store{aps: make(map[string]APRecord), keys: make(map[string]KeyRecord)}
-	s.log.buf = make([]Delta, 0, defaultLogCap)
-	return s
+	return &Store{aps: make(map[string]APRecord), keys: make(map[string]KeyRecord)}
 }
 
 // bump records one mutation under s.mu: advances the revision, logs the
@@ -310,24 +313,33 @@ func (s *Store) DeltasSince(fromRev uint64, dst []Delta) (out []Delta, ok bool) 
 }
 
 // deltaLog is a bounded ring of the most recent mutations. Revisions in
-// the log are contiguous: every mutation pushes exactly one delta.
+// the log are contiguous: every mutation pushes exactly one delta. The
+// ring's storage is allocated a chunk at a time as the log first fills:
+// most stores log a few dozen deltas and hold one 44 KB chunk, where
+// the whole ring up front is 2.8 MB to allocate and zero per world.
 type deltaLog struct {
-	buf   []Delta
-	start int // index of the oldest entry
-	n     int
+	chunks [defaultLogCap / logChunkLen][]Delta
+	start  int // ring position of the oldest entry
+	n      int
+}
+
+// at returns ring position i's entry, allocating its chunk on first use.
+func (l *deltaLog) at(i int) *Delta {
+	c := &l.chunks[i>>logChunkBits]
+	if *c == nil {
+		*c = make([]Delta, logChunkLen)
+	}
+	return &(*c)[i&(logChunkLen-1)]
 }
 
 func (l *deltaLog) push(d Delta) {
-	if cap(l.buf) == 0 {
-		l.buf = make([]Delta, 0, defaultLogCap)
-	}
-	if l.n < cap(l.buf) {
-		l.buf = append(l.buf, d)
+	if l.n < defaultLogCap {
+		*l.at(l.n) = d // start stays 0 until the ring is full
 		l.n++
 		return
 	}
-	l.buf[l.start] = d
-	l.start = (l.start + 1) % l.n
+	*l.at(l.start) = d
+	l.start = (l.start + 1) % defaultLogCap
 }
 
 func (l *deltaLog) since(fromRev, cur uint64, dst []Delta) ([]Delta, bool) {
@@ -337,7 +349,7 @@ func (l *deltaLog) since(fromRev, cur uint64, dst []Delta) ([]Delta, bool) {
 	if l.n == 0 {
 		return dst, false
 	}
-	oldest := l.buf[l.start].Rev
+	oldest := l.at(l.start).Rev
 	if fromRev+1 < oldest {
 		return dst, false
 	}
@@ -345,7 +357,7 @@ func (l *deltaLog) since(fromRev, cur uint64, dst []Delta) ([]Delta, bool) {
 	// offset from the oldest.
 	skip := int(fromRev + 1 - oldest)
 	for i := skip; i < l.n; i++ {
-		dst = append(dst, l.buf[(l.start+i)%l.n])
+		dst = append(dst, *l.at((l.start + i) % defaultLogCap))
 	}
 	return dst, true
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -400,5 +401,23 @@ func TestClientRevisionAndDeltas(t *testing.T) {
 	}
 	if ds[0].Kind != DeltaJoin || ds[0].AP.ID != "ap1" || ds[1].Kind != DeltaKey {
 		t.Fatalf("deltas = %+v", ds)
+	}
+}
+
+// TestStoreFirstPublishAllocatesLittle is the regression for the
+// up-front delta log: NewStore used to allocate (and zero) all
+// defaultLogCap entries, megabytes per world, before the first delta.
+func TestStoreFirstPublishAllocatesLittle(t *testing.T) {
+	k := testKey(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	err := s.PublishKey(k)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewStore + first PublishKey allocated %d bytes, want < 64 KB", got)
 	}
 }

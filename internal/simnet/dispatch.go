@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -204,10 +203,11 @@ func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64,
 
 // next reports the earliest instant at or after the wheel's position
 // that may hold a delivery. The bound is exact when it comes from the
-// level-0 wheel; an upper-level bound is a lower bound only, and the
-// advancer resolves it by advancing the clock (and wheel) to the bound
-// and asking again — exactly how delivery barriers already move time
-// without firing anything.
+// wheel's run or its level-0 wheel; an upper-level bound is a lower
+// bound only, and the advancer resolves it by advancing the clock (and
+// wheel) to the bound and asking again — exactly how delivery barriers
+// already move time without firing anything. The wheel flattens the
+// slot into its run on that step, so the second answer is exact.
 func (d *dispatcher) next() (time.Duration, bool) {
 	if d.pending.Load() == 0 {
 		return 0, false
@@ -215,41 +215,6 @@ func (d *dispatcher) next() (time.Duration, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sched.peekBound()
-}
-
-// peekBound is the read-only half of nextDue: the earliest level-0
-// instant, or the earliest upper-level slot boundary when no level-0
-// candidate precedes it. ok=false means nothing is queued.
-func (s *Scheduler) peekBound() (time.Duration, bool) {
-	now := uint64(s.now)
-	cand := time.Duration(-1)
-	if bm := s.occupied[0]; bm != 0 {
-		pos := int(now & wheelMask)
-		d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
-		cand = s.now + time.Duration(d)
-	}
-	casLevel := -1
-	var casStart time.Duration
-	for k := 1; k < wheelLevels; k++ {
-		bm := s.occupied[k]
-		if bm == 0 {
-			continue
-		}
-		shift := uint(k) * wheelBits
-		pos := int((now >> shift) & wheelMask)
-		d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
-		start := time.Duration(((now >> shift) + uint64(d)) << shift)
-		if casLevel < 0 || start < casStart {
-			casLevel, casStart = k, start
-		}
-	}
-	if cand >= 0 && (casLevel < 0 || cand < casStart) {
-		return cand, true
-	}
-	if casLevel >= 0 {
-		return casStart, true
-	}
-	return 0, false
 }
 
 // flush runs every event still queued on the virtual engine, instant

@@ -236,3 +236,34 @@ func compareTraces(t *testing.T, kind string, handler, legacy []delivery) {
 		t.Fatalf("%s traces:\nhandler %v\nlegacy  %v", kind, handler, legacy)
 	}
 }
+
+// TestDispatchLoneDeliveryTwoBatches pins the advancer's cost of one
+// handler-to-handler hop: from an idle wheel, a delivery one link delay
+// out is reached in two steps — the wheel slot's span start, where the
+// slot flattens into the run, then the exact instant — however many
+// wheel levels the delay spans (one step per level before: 4 for 10 ms,
+// 5 for 100 ms). The loop is the advancer's: ask next, move time there,
+// run the batch.
+func TestDispatchLoneDeliveryTwoBatches(t *testing.T) {
+	for _, delay := range []time.Duration{10 * time.Millisecond, 100 * time.Millisecond} {
+		d := &dispatcher{sched: NewScheduler()}
+		dc := d.register()
+		delivered := 0
+		dc.onData = func([]byte) { delivered++ }
+		d.enqueueV(dc, nil, nil, 0, delay, false, false)
+		batches := 0
+		for delivered == 0 {
+			at, ok := d.next()
+			if !ok {
+				t.Fatalf("delay %v: nothing queued after %d batches", delay, batches)
+			}
+			d.runAt(at)
+			if batches++; batches > 2 {
+				t.Fatalf("delay %v: not delivered within 2 batches", delay)
+			}
+		}
+		if now := d.sched.Now(); now != delay {
+			t.Fatalf("delay %v: delivered at %v", delay, now)
+		}
+	}
+}

@@ -24,18 +24,26 @@ import (
 // wheelSlots slots each, where a level-k slot spans 64^k nanoseconds of
 // virtual time. Level 0 resolves single instants; an event whose
 // deadline is further out parks in the coarsest wheel that still
-// separates it from the current time, and cascades down one level at a
-// time as the clock reaches its slot's span. Schedule, cancel, and fire
-// are all O(1) amortized (a cascade touches each event at most
-// wheelLevels times over its whole lifetime), versus O(log n) per
-// operation for the old container/heap queue — and cancellation
-// reclaims the event slot immediately instead of pinning it in the
-// heap until its deadline.
+// separates it from the current time. When the clock reaches its slot's
+// span the slot is flattened — its few records move straight into the
+// sorted run that fires next (see flatten) — or, when the slot is
+// crowded or shares its start with another level, cascades down one
+// level. Schedule, cancel, and fire are all O(1) amortized (a sparse
+// timer is moved twice over its lifetime, a cascading one at most
+// wheelLevels times), versus O(log n) per operation for the old
+// container/heap queue — and cancellation reclaims the event slot
+// immediately instead of pinning it in the heap until its deadline.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 11 // 64^11 ns > max time.Duration: any deadline fits
+
+	// flattenMax bounds the run: a slot with more records cascades
+	// instead of being insertion-sorted, and a full run sends further
+	// inserts back to the wheel. It is also the run buffer's capacity,
+	// so the buffer is allocated once per wheel.
+	flattenMax = 64
 
 	maxDuration = time.Duration(1<<63 - 1)
 
@@ -66,7 +74,7 @@ type wevent struct {
 
 const (
 	wfLinked uint8 = 1 << iota // on a wheel slot list
-	wfDue                      // pulled into the due buffer, not yet run
+	wfDue                      // queued in the run, not yet fired
 	wfDead                     // canceled while due or firing; skip and recycle
 )
 
@@ -116,10 +124,14 @@ type Scheduler struct {
 	slots    [wheelLevels][wheelSlots]slotList
 	occupied [wheelLevels]uint64 // bitmap of non-empty slots per level
 
-	// due holds the current instant's events, seq-sorted; dueIdx is the
-	// dispatch cursor. The buffer is reused across instants.
-	due    []*wevent
-	dueIdx int
+	// due is the run: records taken off the wheel and not yet fired,
+	// sorted by (at, seq); dueIdx is the dispatch cursor. It holds either
+	// one instant's batch (a level-0 slot) or a flattened upper slot's
+	// records. The wheel holds nothing before spanEnd, so the run's head
+	// is the next event and an insert before spanEnd joins the run.
+	due     []*wevent
+	dueIdx  int
+	spanEnd time.Duration
 
 	free  *wevent
 	slabs int // slabs ever allocated (diagnostic; see storeCap)
@@ -165,6 +177,59 @@ func (s *Scheduler) recycle(e *wevent) {
 	e.flags = 0
 	e.next = s.free
 	s.free = e
+}
+
+// enqueue queues e (with at/seq set, at >= s.now): in the run when its
+// instant lies inside the open span, on the wheel otherwise.
+func (s *Scheduler) enqueue(e *wevent) {
+	if e.at < s.spanEnd {
+		s.joinRun(e)
+	} else {
+		s.insert(e)
+	}
+	s.live++
+}
+
+// joinRun places e in the run after every entry at or before its
+// instant — e carries the largest seq issued so far. A full run instead
+// closes the span at e's instant: e and the entries after it go (back)
+// to the wheel, which keeps an insert O(flattenMax) however many land
+// inside one span.
+func (s *Scheduler) joinRun(e *wevent) {
+	run := s.due[s.dueIdx:]
+	// The first entry after e's instant: the comparison never reports a
+	// match, so equal instants sort before e.
+	lo, _ := slices.BinarySearchFunc(run, e.at, func(r *wevent, at time.Duration) int {
+		if r.at > at {
+			return 1
+		}
+		return -1
+	})
+	if len(run) >= flattenMax {
+		for _, r := range run[lo:] {
+			if r.flags&wfDead != 0 {
+				s.recycle(r)
+				continue
+			}
+			r.flags &^= wfDue
+			s.insert(r)
+		}
+		clear(run[lo:])
+		s.due = s.due[:s.dueIdx+lo]
+		s.spanEnd = e.at
+		s.insert(e)
+		return
+	}
+	if s.dueIdx > 0 && len(s.due) == cap(s.due) {
+		n := copy(s.due, run)
+		clear(s.due[n:])
+		s.due, s.dueIdx = s.due[:n], 0
+	}
+	s.due = append(s.due, nil)
+	run = s.due[s.dueIdx:]
+	copy(run[lo+1:], run[lo:])
+	run[lo] = e
+	e.flags |= wfDue
 }
 
 // insert links e (with at/seq set, at >= s.now) into the wheel.
@@ -228,8 +293,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	e := s.alloc()
 	s.seq++
 	e.at, e.seq, e.fn = t, s.seq, fn
-	s.insert(e)
-	s.live++
+	s.enqueue(e)
 	return Event{s: s, e: e, gen: e.gen, at: t}
 }
 
@@ -251,8 +315,7 @@ func (s *Scheduler) AtIndexed(t time.Duration, arg uint64) {
 	e := s.alloc()
 	s.seq++
 	e.at, e.seq, e.arg = t, s.seq, arg
-	s.insert(e)
-	s.live++
+	s.enqueue(e)
 }
 
 // Every schedules fn to run at t, t+period, t+2·period, … until the
@@ -286,8 +349,7 @@ func (s *Scheduler) Every(start, period time.Duration, fn func()) Event {
 		}
 		s.seq++
 		link.at, link.seq = t, s.seq
-		s.insert(link)
-		s.live++
+		s.enqueue(link)
 	}
 	// Clamp only the queued time: `next` keeps the raw chain phase, so a
 	// past start still yields firings at start+period, start+2·period, …
@@ -297,8 +359,7 @@ func (s *Scheduler) Every(start, period time.Duration, fn func()) Event {
 	}
 	s.seq++
 	link.at, link.seq = t0, s.seq
-	s.insert(link)
-	s.live++
+	s.enqueue(link)
 	return Event{s: s, e: ctl, gen: ctlGen, at: 0}
 }
 
@@ -320,8 +381,8 @@ func (s *Scheduler) cancelEvent(e *wevent) {
 }
 
 // cancelQueued cancels an event in whatever dispatch state it is in:
-// parked in the wheel (unlink and reclaim now), pulled into the due
-// buffer (flag dead; the dispatch scan reclaims it), or currently
+// parked in the wheel (unlink and reclaim now), queued in the run (flag
+// dead; popDue reclaims it when it reaches the head), or currently
 // firing (flag dead; runEvent reclaims it after fn returns).
 func (s *Scheduler) cancelQueued(e *wevent) {
 	switch {
@@ -338,7 +399,7 @@ func (s *Scheduler) cancelQueued(e *wevent) {
 }
 
 // pullSlot drains level-0 slot (all events share at == s.now) into the
-// due buffer in seq order.
+// run in seq order.
 func (s *Scheduler) pullSlot(slot int) {
 	l := &s.slots[0][slot]
 	for e := l.head; e != nil; {
@@ -350,8 +411,8 @@ func (s *Scheduler) pullSlot(slot int) {
 	}
 	l.head, l.tail = nil, nil
 	s.occupied[0] &^= 1 << uint(slot)
-	if len(s.due)-s.dueIdx > 1 {
-		slices.SortFunc(s.due[s.dueIdx:], func(a, b *wevent) int {
+	if len(s.due) > 1 {
+		slices.SortFunc(s.due, func(a, b *wevent) int {
 			switch {
 			case a.seq < b.seq:
 				return -1
@@ -379,105 +440,174 @@ func (s *Scheduler) cascade(level, slot int) {
 	}
 }
 
-// nextDue advances the wheel to the next occupied instant ≤ limit,
-// pulling that instant's events into the due buffer, and reports
-// whether it found one. Upper-level slots cascade as virtual time
-// reaches their span — before any level-0 instant at the same time
-// fires, so same-instant events always merge into one seq-sorted
-// batch. When nothing is due by limit, the clock advances to limit if
-// advance is set (safe: every occupied slot's span then starts after
-// limit).
-func (s *Scheduler) nextDue(limit time.Duration, advance bool) bool {
-	for {
-		now := uint64(s.now)
-
-		// Earliest exact instant on the level-0 wheel, if any.
-		cand := time.Duration(-1)
-		if bm := s.occupied[0]; bm != 0 {
-			pos := int(now & wheelMask)
-			d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
-			cand = s.now + time.Duration(d)
+// flatten moves an upper-level slot's records straight into the run,
+// insertion-sorted by (at, seq), instead of re-linking them one level
+// down at a time. The caller has established (scan's alone) that the
+// rest of the wheel holds nothing before the end of the slot's span, so
+// the sorted run is exactly the wheel's next events. A slot of more
+// than flattenMax records is left in place for cascade; flatten then
+// reports false.
+func (s *Scheduler) flatten(level, slot int) bool {
+	l := &s.slots[level][slot]
+	run := s.due[:0]
+	for e := l.head; e != nil; e = e.next {
+		if len(run) == flattenMax {
+			clear(run)
+			return false
 		}
-
-		// Earliest upper-level slot boundary: events there must drop a
-		// level before they can fire.
-		casLevel := -1
-		var casStart time.Duration
-		for k := 1; k < wheelLevels; k++ {
-			bm := s.occupied[k]
-			if bm == 0 {
-				continue
-			}
-			shift := uint(k) * wheelBits
-			pos := int((now >> shift) & wheelMask)
-			// Distance 0 is valid: once the clock lands on an occupied
-			// slot's span start (common when several levels share one
-			// boundary), that slot cascades immediately. Inserts never
-			// target the current position (the bump rule keeps them
-			// strictly ahead), so a cascaded slot stays empty and the
-			// loop always descends.
-			d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
-			start := time.Duration(((now >> shift) + uint64(d)) << shift)
-			if casLevel < 0 || start < casStart {
-				casLevel, casStart = k, start
-			}
+		i := len(run)
+		run = append(run, e)
+		for ; i > 0 && (run[i-1].at > e.at || run[i-1].at == e.at && run[i-1].seq > e.seq); i-- {
+			run[i] = run[i-1]
 		}
+		run[i] = e
+	}
+	// prev/next go stale here: nothing reads them off a wfDue record,
+	// and insert and recycle overwrite them.
+	for _, e := range run {
+		e.flags = e.flags&^wfLinked | wfDue
+	}
+	l.head, l.tail = nil, nil
+	s.occupied[level] &^= 1 << uint(slot)
+	s.due = run
+	return true
+}
 
-		// Strict <: on a tie the upper slot may hold same-instant events
-		// with smaller seq, so it must cascade into the batch first.
-		if cand >= 0 && (casLevel < 0 || cand < casStart) {
-			if cand > limit {
-				break
-			}
-			s.now = cand
-			s.pullSlot(int(uint64(cand) & wheelMask))
-			return true
-		}
-		if casLevel >= 0 {
-			if casStart > limit {
-				break
-			}
-			if casStart > s.now {
-				s.now = casStart
-			}
-			s.cascade(casLevel, int((uint64(casStart)>>(uint(casLevel)*wheelBits))&wheelMask))
+// scan finds the wheel's earliest occupied position at or after now:
+// an exact instant on level 0, or an upper-level slot's span start.
+// level is -1 when the wheel is empty. An upper slot wins a tie with a
+// level-0 instant: it may hold same-instant events with smaller seq,
+// which must merge into the batch before it fires. alone reports that
+// the rest of the wheel holds nothing before the end of the chosen
+// upper slot's span — every level below it is empty and no other
+// level's slot starts at the same instant (slots further up start on
+// multiples of this level's span, so the next one is a whole span on).
+func (s *Scheduler) scan() (level int, start time.Duration, alone bool) {
+	now := uint64(s.now)
+	level = -1
+	for k := 1; k < wheelLevels; k++ {
+		bm := s.occupied[k]
+		if bm == 0 {
 			continue
 		}
-		break // nothing queued anywhere
+		shift := uint(k) * wheelBits
+		pos := int((now >> shift) & wheelMask)
+		// Distance 0 is valid: once the clock lands on an occupied
+		// slot's span start (common when several levels share one
+		// boundary), that slot is next. Inserts never target the current
+		// position (the bump rule keeps them strictly ahead), so an
+		// emptied slot stays empty and the wheel always descends.
+		d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
+		st := time.Duration(((now >> shift) + uint64(d)) << shift)
+		switch {
+		case level < 0:
+			level, start, alone = k, st, true
+		case st < start:
+			level, start, alone = k, st, false // the lower level is occupied
+		case st == start:
+			alone = false
+		}
+	}
+	if bm := s.occupied[0]; bm != 0 {
+		pos := int(now & wheelMask)
+		d := bits.TrailingZeros64(bits.RotateLeft64(bm, -pos))
+		if cand := s.now + time.Duration(d); level < 0 || cand < start {
+			return 0, cand, false
+		}
+		alone = false
+	}
+	return level, start, alone
+}
+
+// peekBound is the read-only half of popDue: the instant of the next
+// event, exactly, when the run holds one; otherwise scan's bound — exact
+// from level 0, a lower bound (the slot's span start) from an upper
+// level. ok=false means nothing is queued.
+func (s *Scheduler) peekBound() (time.Duration, bool) {
+	for _, e := range s.due[s.dueIdx:] {
+		if e.flags&wfDead == 0 {
+			return e.at, true
+		}
+	}
+	level, start, _ := s.scan()
+	return start, level >= 0
+}
+
+// nextDue refills the empty run from the wheel's next occupied position
+// at or before limit, advancing the clock to it, and reports whether it
+// found one. A level-0 slot yields one instant's batch. An upper-level
+// slot is flattened into a run over its whole span when it is alone and
+// small; otherwise it cascades one level down — before any level-0
+// instant at the same time fires, so same-instant events always merge
+// into one seq-sorted batch — and the search repeats.
+func (s *Scheduler) nextDue(limit time.Duration) bool {
+	if s.due == nil {
+		s.due = make([]*wevent, 0, flattenMax) // the wheel's one run buffer
+	}
+	for {
+		level, start, alone := s.scan()
+		if level < 0 || start > limit {
+			return false
+		}
+		if start > s.now {
+			s.now = start
+		}
+		shift := uint(level) * wheelBits
+		slot := int((uint64(start) >> shift) & wheelMask)
+		switch {
+		case level == 0:
+			s.pullSlot(slot)
+			return true
+		case alone && s.flatten(level, slot):
+			s.spanEnd = start + 1<<shift
+			if s.spanEnd < start {
+				// The last span before the horizon. An insert at
+				// maxDuration itself then parks on the wheel, which is
+				// still in order: its seq follows every run entry's.
+				s.spanEnd = maxDuration
+			}
+			return true
+		default:
+			s.cascade(level, slot)
+		}
+	}
+}
+
+// popDue returns the next live event at or before limit, moving the
+// clock to its instant, or nil. With nothing left by limit the clock
+// moves to limit if advance is set (safe: the run's head and every
+// occupied slot's span then lie after limit).
+func (s *Scheduler) popDue(limit time.Duration, advance bool) *wevent {
+	for {
+		if s.dueIdx == len(s.due) {
+			s.due, s.dueIdx = s.due[:0], 0
+			if !s.nextDue(limit) {
+				break
+			}
+		}
+		e := s.due[s.dueIdx]
+		if e.at > limit {
+			break
+		}
+		s.due[s.dueIdx] = nil
+		s.dueIdx++
+		e.flags &^= wfDue
+		if e.flags&wfDead != 0 {
+			s.recycle(e)
+			continue
+		}
+		s.now = e.at
+		return e
 	}
 	if advance && limit > s.now {
 		s.now = limit
 	}
-	return false
-}
-
-// popDue returns the next live event at or before limit, advancing the
-// clock, or nil.
-func (s *Scheduler) popDue(limit time.Duration, advance bool) *wevent {
-	for {
-		for s.dueIdx < len(s.due) {
-			e := s.due[s.dueIdx]
-			s.due[s.dueIdx] = nil
-			s.dueIdx++
-			e.flags &^= wfDue
-			if e.flags&wfDead != 0 {
-				s.recycle(e)
-				continue
-			}
-			return e
-		}
-		if len(s.due) > 0 {
-			s.due = s.due[:0]
-			s.dueIdx = 0
-		}
-		if !s.nextDue(limit, advance) {
-			return nil
-		}
-	}
+	return nil
 }
 
 // runEvent dispatches one popped event and reclaims its record unless
-// it re-queued itself (an Every chain link).
+// it re-queued itself (an Every chain link, back on the wheel or in the
+// run).
 func (s *Scheduler) runEvent(e *wevent) {
 	s.live--
 	if e.fn == nil {
@@ -489,7 +619,7 @@ func (s *Scheduler) runEvent(e *wevent) {
 		return
 	}
 	e.fn()
-	if e.flags&wfLinked == 0 {
+	if e.flags&(wfLinked|wfDue) == 0 {
 		s.recycle(e)
 	}
 }

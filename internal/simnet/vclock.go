@@ -669,8 +669,9 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 	if nextDispatch >= 0 {
 		// The bound may be an upper-wheel slot boundary rather than an
 		// exact event instant; advancing to it and running the (possibly
-		// empty) batch lets the wheel cascade and refine the bound, the
-		// same way barrier steps move time without firing anything.
+		// empty) batch lets the wheel flatten that slot into its run,
+		// which makes the next bound exact — the same way barrier steps
+		// move time without firing anything.
 		if nextDispatch > c.now {
 			c.now = nextDispatch
 		}

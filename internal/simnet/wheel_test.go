@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,104 +12,258 @@ import (
 
 const (
 	opAt = iota
+	opAtIndexed
 	opEvery
 	opCancel
 	opRunUntil
+	opStep
+	numOpKinds
 )
 
 type schedOp struct {
 	kind      int
-	t         time.Duration // absolute: At target, Every start, RunUntil limit
+	t         time.Duration // absolute: At/AtIndexed target, Every start, RunUntil limit
 	period    time.Duration
 	stopAfter int // Every: self-cancel from inside fn after this many fires
 	cancelIdx int
+	kids      []kidOp // At/AtIndexed: what the callback does when it fires
+}
+
+// A kidOp is one action of a firing callback. Scheduling from inside a
+// callback is what reaches the wheel's open-span states: the leaf lands
+// in the run when the parent was flattened, on the wheel otherwise.
+const (
+	kidAfter    = iota // schedule a leaf d after the firing instant (0: the instant itself)
+	kidBlockEnd        // schedule a leaf d after the last nanosecond of the aligned 64^level ns block holding the firing instant — the open span's edge when the parent came off that level
+	kidCancel          // cancel top-level handle idx, fired or not
+	numKidKinds
+)
+
+type kidOp struct {
+	kind    int
+	d       time.Duration
+	level   int
+	idx     int
+	indexed bool // the leaf is an AtIndexed record
+}
+
+// farOffset draws a delay that parks on wheel level 2..6 (4 µs .. 73 min).
+func farOffset(rng *rand.Rand) time.Duration {
+	span := int64(1) << (uint(2+rng.Intn(5)) * wheelBits)
+	return time.Duration(span + rng.Int63n(63*span))
 }
 
 // genSchedOps builds a deterministic randomized workload mixing every
 // scheduler operation across time scales that exercise all wheel
 // levels (ns .. hundreds of seconds), including past-time clamps,
-// external cancels in every dispatch state, and self-canceling chains.
-func genSchedOps(seed int64, n int) []schedOp {
+// external cancels in every dispatch state, self-canceling chains,
+// callbacks that schedule into (and past the edges of) an open span and
+// cancel records that have not fired yet, closure-free records, Step
+// between RunUntils, limits a few ns either side of a scheduled
+// instant, and bursts of flattenMax±1 records in one slot. sparse
+// scripts schedule little and run often, so most slots hold one record
+// and take the flattened path; dense ones mostly cascade.
+func genSchedOps(seed int64, n int, sparse bool) []schedOp {
 	rng := rand.New(rand.NewSource(seed))
 	scales := []time.Duration{
 		time.Nanosecond, time.Microsecond, time.Millisecond,
 		time.Second, 100 * time.Second,
 	}
 	var ops []schedOp
+	var targets []time.Duration
 	now := time.Duration(0)
 	handles := 0
 	off := func() time.Duration {
+		if sparse {
+			return farOffset(rng)
+		}
 		d := time.Duration(rng.Int63n(200)) * scales[rng.Intn(len(scales))]
 		if rng.Intn(8) == 0 {
 			d = -d // past target: exercises the clamp-to-now path
 		}
 		return d
 	}
-	for i := 0; i < n; i++ {
-		switch k := rng.Intn(10); {
-		case k < 4:
-			ops = append(ops, schedOp{kind: opAt, t: now + off()})
+	kids := func() []kidOp {
+		if rng.Intn(3) != 0 {
+			return nil
+		}
+		m := 1 + rng.Intn(3)
+		if rng.Intn(16) == 0 {
+			m = flattenMax + rng.Intn(8) // overflow the run
+		}
+		ks := make([]kidOp, m)
+		for j := range ks {
+			k := kidOp{indexed: rng.Intn(2) == 0}
+			switch r := rng.Intn(8); {
+			case r < 4:
+				k.kind = kidAfter
+				if rng.Intn(4) != 0 {
+					k.d = time.Duration(rng.Int63n(100_000) + 1)
+				}
+			case r < 6:
+				k.kind, k.level, k.d = kidBlockEnd, 1+rng.Intn(6), time.Duration(rng.Intn(2))
+			default:
+				k.kind, k.idx = kidCancel, rng.Intn(handles+4) // may name a handle made later
+			}
+			ks[j] = k
+		}
+		return ks
+	}
+	schedule := func(kind int, t time.Duration, ks []kidOp) {
+		ops = append(ops, schedOp{kind: kind, t: t, kids: ks})
+		targets = append(targets, t)
+		if kind == opAt {
 			handles++
-		case k < 6:
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := rng.Intn(16)
+		if sparse && k < 8 && rng.Intn(2) == 0 {
+			k = 15 // run more, schedule less
+		}
+		switch {
+		case k < 3:
+			schedule(opAt, now+off(), kids())
+		case k < 5:
+			schedule(opAtIndexed, now+off(), kids())
+		case k < 7:
 			period := time.Duration(rng.Int63n(50*int64(scales[rng.Intn(len(scales))])) + 1)
 			ops = append(ops, schedOp{
 				kind: opEvery, t: now + off(), period: period,
 				stopAfter: 1 + rng.Intn(8), // always bounded: chains self-cancel
 			})
 			handles++
-		case k < 8 && handles > 0:
+		case k == 7:
+			// One slot's worth of records around the flatten bound; the
+			// first cancels a few of its slot-mates when it fires.
+			base, step := now+farOffset(rng), time.Duration(1+rng.Intn(3))
+			m := flattenMax - 1 + rng.Intn(3)
+			mates := []kidOp{
+				{kind: kidCancel, idx: handles + 1},
+				{kind: kidCancel, idx: handles + 1 + rng.Intn(m-1)},
+			}
+			for j := 0; j < m; j++ {
+				schedule(opAt, base+time.Duration(j)*step, mates)
+				mates = nil
+			}
+		case k < 11 && handles > 0:
 			ops = append(ops, schedOp{kind: opCancel, cancelIdx: rng.Intn(handles)})
+		case k == 11:
+			ops = append(ops, schedOp{kind: opStep})
+		case k == 12 && len(targets) > 0:
+			// A limit within 2 µs of a scheduled instant: inside its span.
+			if t := targets[rng.Intn(len(targets))] + time.Duration(rng.Int63n(4001)-2000); t > now {
+				now = t
+				ops = append(ops, schedOp{kind: opRunUntil, t: now})
+			}
 		default:
 			now += time.Duration(rng.Int63n(100*int64(scales[rng.Intn(len(scales))])) + 1)
 			ops = append(ops, schedOp{kind: opRunUntil, t: now})
 		}
 	}
-	ops = append(ops, schedOp{kind: opRunUntil, t: now + 500*time.Second})
+	ops = append(ops, schedOp{kind: opRunUntil, t: now + 2*time.Hour})
 	return ops
 }
 
 // schedDriver adapts one scheduler implementation to the op script.
 type schedDriver struct {
-	now      func() time.Duration
-	at       func(t time.Duration, fn func()) func()
-	every    func(start, period time.Duration, fn func()) func()
-	runUntil func(t time.Duration)
-	pending  func() int
+	now       func() time.Duration
+	at        func(t time.Duration, fn func()) func()
+	atIndexed func(t time.Duration, arg uint64)
+	onIndexed func(h func(arg uint64))
+	every     func(start, period time.Duration, fn func()) func()
+	runUntil  func(t time.Duration)
+	step      func() bool
+	pending   func() int
+	peek      func() peekRec
 }
 
 type fireRec struct {
 	at time.Duration
-	id int
+	id int // op index; a callback's k-th leaf is -(op*256+k+1)
 }
 
-func driveSchedOps(ops []schedOp, d schedDriver) (fires []fireRec, pend []int) {
+// peekRec is what a scheduler says about its next event between ops.
+// exact marks a bound promised to be the next firing instant itself.
+type peekRec struct {
+	bound time.Duration
+	exact bool
+	ok    bool
+}
+
+type schedTrace struct {
+	fires []fireRec
+	pend  []int
+	peeks []peekRec
+}
+
+func driveSchedOps(ops []schedOp, d schedDriver) schedTrace {
+	var tr schedTrace
 	var cancels []func()
+	fire := func(id int) { tr.fires = append(tr.fires, fireRec{d.now(), id}) }
+	runKids := func(id int) {
+		for k, kid := range ops[id].kids {
+			var at time.Duration
+			switch kid.kind {
+			case kidCancel:
+				if kid.idx < len(cancels) {
+					cancels[kid.idx]()
+				}
+				continue
+			case kidAfter:
+				at = d.now() + kid.d
+			case kidBlockEnd:
+				at = (d.now() | (1<<(uint(kid.level)*wheelBits) - 1)) + kid.d
+			}
+			leaf := -(id*256 + k + 1)
+			if kid.indexed {
+				d.atIndexed(at, uint64(int64(leaf)))
+			} else {
+				d.at(at, func() { fire(leaf) })
+			}
+		}
+	}
+	d.onIndexed(func(arg uint64) {
+		id := int(int64(arg))
+		fire(id)
+		if id >= 0 {
+			runKids(id)
+		}
+	})
 	for id, op := range ops {
 		id := id
 		switch op.kind {
 		case opAt:
-			c := d.at(op.t, func() { fires = append(fires, fireRec{d.now(), id}) })
+			c := d.at(op.t, func() { fire(id); runKids(id) })
 			cancels = append(cancels, c)
+		case opAtIndexed:
+			d.atIndexed(op.t, uint64(id))
 		case opEvery:
 			count := 0
 			stop := op.stopAfter
 			var self func()
 			self = d.every(op.t, op.period, func() {
 				count++
-				fires = append(fires, fireRec{d.now(), id})
+				fire(id)
 				if count == stop {
 					self()
 				}
 			})
 			cancels = append(cancels, self)
 		case opCancel:
-			cancels[op.cancelIdx]()
+			if op.cancelIdx < len(cancels) {
+				cancels[op.cancelIdx]()
+			}
 		case opRunUntil:
 			d.runUntil(op.t)
-			pend = append(pend, d.pending())
+			tr.pend = append(tr.pend, d.pending())
+		case opStep:
+			d.step()
+			tr.pend = append(tr.pend, d.pending())
 		}
+		tr.peeks = append(tr.peeks, d.peek())
 	}
-	return fires, pend
+	return tr
 }
 
 func wheelDriver() schedDriver {
@@ -117,55 +273,247 @@ func wheelDriver() schedDriver {
 		at: func(t time.Duration, fn func()) func() {
 			return s.At(t, fn).Cancel
 		},
+		atIndexed: s.AtIndexed,
+		onIndexed: func(h func(uint64)) { s.OnIndexed = h },
 		every: func(start, period time.Duration, fn func()) func() {
 			return s.Every(start, period, fn).Cancel
 		},
 		runUntil: s.RunUntil,
+		step:     s.Step,
 		pending:  s.Pending,
+		peek: func() peekRec {
+			p := peekRec{}
+			p.bound, p.ok = s.peekBound()
+			for _, e := range s.due[s.dueIdx:] {
+				p.exact = p.exact || e.flags&wfDead == 0
+			}
+			return p
+		},
 	}
 }
 
 func refDriver() schedDriver {
 	s := newRefScheduler()
+	var onIndexed func(uint64)
 	return schedDriver{
 		now: s.Now,
 		at: func(t time.Duration, fn func()) func() {
 			return s.At(t, fn).Cancel
 		},
+		atIndexed: func(t time.Duration, arg uint64) { s.At(t, func() { onIndexed(arg) }) },
+		onIndexed: func(h func(uint64)) { onIndexed = h },
 		every: func(start, period time.Duration, fn func()) func() {
 			return s.Every(start, period, fn).Cancel
 		},
 		runUntil: s.RunUntil,
+		step:     s.Step,
 		pending:  s.Pending,
+		peek: func() peekRec {
+			p := peekRec{exact: true}
+			for _, e := range s.heap {
+				if !e.dead && (!p.ok || e.at < p.bound) {
+					p.bound, p.ok = e.at, true
+				}
+			}
+			return p
+		},
 	}
 }
 
-// TestSchedulerDifferentialVsRefHeap drives the timing wheel and the
-// old container/heap scheduler with identical randomized workloads and
-// requires identical firing order and identical pending counts at
-// every quiescent point.
-func TestSchedulerDifferentialVsRefHeap(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		ops := genSchedOps(seed, 600)
-		wf, wp := driveSchedOps(ops, wheelDriver())
-		rf, rp := driveSchedOps(ops, refDriver())
-		if len(wf) != len(rf) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wf), len(rf))
-		}
-		for i := range wf {
-			if wf[i] != rf[i] {
-				t.Fatalf("seed %d: firing %d diverges: wheel %v heap %v", seed, i, wf[i], rf[i])
-			}
-		}
-		if len(wp) != len(rp) {
-			t.Fatalf("seed %d: pending snapshots %d vs %d", seed, len(wp), len(rp))
-		}
-		for i := range wp {
-			if wp[i] != rp[i] {
-				t.Fatalf("seed %d: pending snapshot %d diverges: wheel %d heap %d", seed, i, wp[i], rp[i])
-			}
+// diffSchedOps drives the timing wheel and the old container/heap
+// scheduler with one script and requires identical firing order,
+// identical pending counts at every quiescent point, and a peekBound
+// that is the heap's next firing instant whenever the wheel's run holds
+// it, and never later than it otherwise.
+func diffSchedOps(t *testing.T, label string, ops []schedOp) {
+	t.Helper()
+	w := driveSchedOps(ops, wheelDriver())
+	r := driveSchedOps(ops, refDriver())
+	if len(w.fires) != len(r.fires) {
+		t.Fatalf("%s: wheel fired %d events, heap %d", label, len(w.fires), len(r.fires))
+	}
+	for i := range w.fires {
+		if w.fires[i] != r.fires[i] {
+			t.Fatalf("%s: firing %d diverges: wheel %v heap %v", label, i, w.fires[i], r.fires[i])
 		}
 	}
+	if len(w.pend) != len(r.pend) {
+		t.Fatalf("%s: pending snapshots %d vs %d", label, len(w.pend), len(r.pend))
+	}
+	for i := range w.pend {
+		if w.pend[i] != r.pend[i] {
+			t.Fatalf("%s: pending snapshot %d diverges: wheel %d heap %d", label, i, w.pend[i], r.pend[i])
+		}
+	}
+	for i, wp := range w.peeks {
+		rp := r.peeks[i]
+		if wp.ok != rp.ok || wp.bound > rp.bound || wp.exact && wp.bound != rp.bound {
+			t.Fatalf("%s: after op %d (%+v) peekBound = %+v, heap's next event %+v", label, i, ops[i], wp, rp)
+		}
+	}
+}
+
+func TestSchedulerDifferentialVsRefHeap(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		diffSchedOps(t, "dense", genSchedOps(seed, 600, false))
+		diffSchedOps(t, "sparse", genSchedOps(seed, 600, true))
+	}
+}
+
+// schedScripts are hand-written scripts, one per open-span state the
+// random generator reaches only by luck. They also seed the fuzzer.
+var schedScripts = map[string][]schedOp{
+	// The runEvent recycle regression: a chain link that re-arms into
+	// the open run is wfDue, not wfLinked, when fn returns.
+	"every-inside-span": {
+		{kind: opEvery, t: 2500 * time.Millisecond, period: 10 * time.Microsecond, stopAfter: 5},
+		{kind: opRunUntil, t: 10 * time.Second},
+	},
+	"every-canceled-in-run": {
+		{kind: opEvery, t: 2500 * time.Millisecond, period: 10 * time.Microsecond, stopAfter: 8},
+		{kind: opRunUntil, t: 2500*time.Millisecond + 15*time.Microsecond},
+		{kind: opCancel, cancelIdx: 0},
+		{kind: opRunUntil, t: 10 * time.Second},
+	},
+	// Inserts at the current instant, one ns on, and either side of the
+	// span's last nanosecond at every level the parent can come off.
+	"span-edges": {
+		{kind: opAtIndexed, t: 2500 * time.Millisecond, kids: []kidOp{
+			{kind: kidAfter}, {kind: kidAfter, d: 1, indexed: true},
+			{kind: kidBlockEnd, level: 3}, {kind: kidBlockEnd, level: 3, d: 1},
+			{kind: kidBlockEnd, level: 4, indexed: true}, {kind: kidBlockEnd, level: 4, d: 1},
+			{kind: kidBlockEnd, level: 5}, {kind: kidBlockEnd, level: 5, d: 1, indexed: true},
+		}},
+		{kind: opRunUntil, t: 2500*time.Millisecond + 50*time.Microsecond}, // inside the span
+		{kind: opStep},
+		{kind: opAt, t: 2500*time.Millisecond + 60*time.Microsecond},
+		{kind: opRunUntil, t: 10 * time.Second},
+	},
+	"cancel-run-mate": {
+		{kind: opAt, t: time.Second, kids: []kidOp{{kind: kidCancel, idx: 2}, {kind: kidCancel, idx: 0}}},
+		{kind: opAt, t: time.Second + 10},
+		{kind: opAt, t: time.Second + 20},
+		{kind: opAt, t: time.Second + 30},
+		{kind: opRunUntil, t: time.Second + 10},
+		{kind: opCancel, cancelIdx: 3},
+		{kind: opRunUntil, t: 2 * time.Second},
+	},
+	// A callback that floods the open span: the run fills, closes at the
+	// overflowing insert, and sends its tail back to the wheel.
+	"run-overflow": {
+		{kind: opAt, t: 2500 * time.Millisecond, kids: func() []kidOp {
+			ks := make([]kidOp, flattenMax+12)
+			for i := range ks {
+				ks[i] = kidOp{kind: kidAfter, d: time.Duration((i*37)%len(ks)+1) * time.Microsecond, indexed: i%3 == 0}
+			}
+			return ks
+		}()},
+		{kind: opRunUntil, t: 10 * time.Second},
+	},
+	// The last spans before the horizon, whose end does not fit a Duration.
+	"horizon": {
+		{kind: opAt, t: maxDuration - 5, kids: []kidOp{{kind: kidAfter, d: 2}, {kind: kidAfter, d: 5}, {kind: kidAfter, d: 9}}},
+		{kind: opAtIndexed, t: maxDuration},
+		{kind: opAt, t: maxDuration - 1<<54, kids: []kidOp{{kind: kidBlockEnd, level: 9}, {kind: kidBlockEnd, level: 10}}},
+		{kind: opRunUntil, t: maxDuration},
+	},
+}
+
+func init() {
+	// flattenMax-1, flattenMax and flattenMax+1 records alone in one slot.
+	for _, m := range []int{flattenMax - 1, flattenMax, flattenMax + 1} {
+		var ops []schedOp
+		for j := 0; j < m; j++ {
+			ops = append(ops, schedOp{kind: opAt + j%2, t: 3*time.Second + time.Duration(m-j)})
+		}
+		ops = append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 5}, schedOp{kind: opRunUntil, t: 4 * time.Second})
+		schedScripts[fmt.Sprintf("slot-of-%d", m)] = ops
+	}
+}
+
+func TestSchedulerScriptsVsRefHeap(t *testing.T) {
+	for name, ops := range schedScripts {
+		diffSchedOps(t, name, ops)
+		// The byte form the fuzzer mutates must describe the same script.
+		diffSchedOps(t, name+" (decoded)", decodeSchedOps(encodeSchedOps(ops)))
+	}
+}
+
+// The fuzzer's script encoding: fixed-width little-endian records, so a
+// mutation changes one field of one op. Decoding clamps every field to
+// a script that terminates (chains self-cancel within 8 fires, at most
+// maxFuzzOps ops of at most maxFuzzKids actions each).
+const (
+	maxFuzzOps  = 256
+	maxFuzzKids = flattenMax + 16
+	opBytes     = 21
+	kidBytes    = 13
+)
+
+func encodeSchedOps(ops []schedOp) []byte {
+	var b []byte
+	for _, op := range ops {
+		b = append(b, byte(op.kind))
+		b = binary.LittleEndian.AppendUint64(b, uint64(op.t))
+		b = binary.LittleEndian.AppendUint64(b, uint64(op.period))
+		b = append(b, byte(op.stopAfter-1))
+		b = binary.LittleEndian.AppendUint16(b, uint16(op.cancelIdx))
+		b = append(b, byte(len(op.kids)))
+		for _, k := range op.kids {
+			flags := byte(0)
+			if k.indexed {
+				flags = 1
+			}
+			b = append(b, byte(k.kind), flags, byte(k.level))
+			b = binary.LittleEndian.AppendUint16(b, uint16(k.idx))
+			b = binary.LittleEndian.AppendUint64(b, uint64(k.d))
+		}
+	}
+	return b
+}
+
+func decodeSchedOps(b []byte) []schedOp {
+	var ops []schedOp
+	for len(b) >= opBytes && len(ops) < maxFuzzOps {
+		op := schedOp{
+			kind:      int(b[0]) % numOpKinds,
+			t:         time.Duration(binary.LittleEndian.Uint64(b[1:]) & uint64(maxDuration)),
+			period:    time.Duration(binary.LittleEndian.Uint64(b[9:]) & uint64(maxDuration)),
+			stopAfter: 1 + int(b[17])%8,
+			cancelIdx: int(binary.LittleEndian.Uint16(b[18:])),
+		}
+		if op.period == 0 {
+			op.period = 1
+		}
+		nkids := int(b[20]) % (maxFuzzKids + 1)
+		b = b[opBytes:]
+		for ; nkids > 0 && len(b) >= kidBytes; nkids-- {
+			op.kids = append(op.kids, kidOp{
+				kind:    int(b[0]) % numKidKinds,
+				indexed: b[1]&1 != 0,
+				level:   int(b[2]) % wheelLevels,
+				idx:     int(binary.LittleEndian.Uint16(b[3:])),
+				d:       time.Duration(binary.LittleEndian.Uint64(b[5:]) & uint64(maxDuration)),
+			})
+			b = b[kidBytes:]
+		}
+		ops = append(ops, op)
+	}
+	return append(ops, schedOp{kind: opRunUntil, t: maxDuration})
+}
+
+// FuzzSchedulerVsRefHeap mutates op scripts, seeded from the
+// hand-written scripts and a few generated ones.
+func FuzzSchedulerVsRefHeap(f *testing.F) {
+	for _, ops := range schedScripts {
+		f.Add(encodeSchedOps(ops))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(encodeSchedOps(genSchedOps(seed, 120, seed%2 == 0)))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		diffSchedOps(t, "fuzz", decodeSchedOps(b))
+	})
 }
 
 // ---- wheel-specific regressions ------------------------------------------
@@ -207,6 +555,44 @@ func TestSchedulerCancelReclaimsStore(t *testing.T) {
 	s.RunUntil(time.Hour)
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
+	}
+}
+
+// TestSchedulerLoneTimerSingleDescent pins the flattened path by its
+// mechanism, not the clock: a lone timer 2.5 s out parks five levels up,
+// and one refill must take it from that slot straight into the run —
+// scheduled, flattened, fired: three touches — where cascading re-linked
+// it on every level in between (eleven).
+func TestSchedulerLoneTimerSingleDescent(t *testing.T) {
+	s := NewScheduler()
+	const at = 2500 * time.Millisecond
+	fired := 0
+	s.OnIndexed = func(uint64) { fired++ }
+	s.AtIndexed(at, 1)
+	if s.occupied[5] == 0 {
+		t.Fatalf("a +2.5 s timer should park on level 5; occupied = %v", s.occupied)
+	}
+	if !s.nextDue(maxDuration) {
+		t.Fatal("nextDue found nothing")
+	}
+	if s.occupied != [wheelLevels]uint64{} {
+		t.Fatalf("record still on the wheel after one refill: occupied = %v", s.occupied)
+	}
+	if len(s.due) != 1 || s.due[0].at != at || s.due[0].flags != wfDue {
+		t.Fatalf("run after one refill = %v", s.due)
+	}
+	// The clock stands at the slot's span start with the run open over
+	// the span — had the record cascaded, the clock would be at its
+	// instant and no span would be open.
+	if s.now >= at || s.spanEnd <= at {
+		t.Fatalf("now = %v, spanEnd = %v: no open span around %v", s.now, s.spanEnd, at)
+	}
+	if got, ok := s.peekBound(); !ok || got != at {
+		t.Fatalf("peekBound = %v, %v; want the instant itself", got, ok)
+	}
+	s.RunUntil(3 * time.Second)
+	if fired != 1 || s.Pending() != 0 {
+		t.Fatalf("fired %d, pending %d", fired, s.Pending())
 	}
 }
 
