@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json bench-gate bench-baseline ab fuzz-smoke smoke determinism-smoke check
+.PHONY: all build vet lint test race bench bench-json bench-gate bench-baseline ab fuzz-smoke smoke determinism-smoke determinism-gate check
 
 all: check
 
@@ -223,5 +223,23 @@ determinism-smoke: build
 		/tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-p8.txt /tmp/dlte-det-e13-s8.txt \
 		/tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt /tmp/dlte-det-e11-s8.txt \
 		/tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
+
+# Determinism gate (ROADMAP item 1a, "gate first"): the two
+# determinism tests at GOMAXPROCS 1/2/8 x -count=DET_COUNT, one pass
+# ratio per cell. The ratios are the progress measure of ROADMAP item 1
+# — the tests ride the clock's settle heuristic and are red on a 2-CPU
+# host today — so the target reports and never fails, and `check` does
+# not run it yet. A change to the clock or to a parked wait compares
+# its ratios against its parent's.
+DET_COUNT ?= 10
+determinism-gate:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test -c -o "$$tmp/exp.test" ./internal/exp; \
+	for t in TestExperimentsDeterministic TestSerialParallelIdentical; do \
+		for p in 1 2 8; do \
+			pass=$$( (cd internal/exp && "$$tmp/exp.test" -test.run "^$$t\$$" -test.count $(DET_COUNT) -test.cpu $$p -test.v 2>&1 || true) | grep -c '^--- PASS' || true ); \
+			echo "determinism-gate: $$t GOMAXPROCS=$$p $$pass/$(DET_COUNT)"; \
+		done; \
+	done
 
 check: lint build race bench smoke determinism-smoke

@@ -313,12 +313,13 @@ func (e *ENodeB) lookup(enbUEID uint32) *ueCtx {
 }
 
 func (e *ENodeB) sendAir(ctx *ueCtx, t AirMsgType, payload []byte) {
-	// The air frame is assembled in a pooled buffer: Send's stream layer
-	// owns its own copy by the time it returns, so the scratch recycles.
-	// This is the per-packet downlink path (GTP demux → UE air).
-	frame, err := AppendAir(wire.GetFrame(), t, payload)
+	// The air frame is assembled in a pooled buffer behind the stream
+	// prefix's headroom: the stream layer owns its own copy by the time
+	// SendFramed returns, so the scratch recycles. This is the per-packet
+	// downlink path (GTP demux → UE air).
+	frame, err := AppendAir(wire.GetFramed(), t, payload)
 	if err == nil {
-		ctx.air.Send(frame)
+		ctx.air.SendFramed(frame)
 	}
 	wire.PutFrame(frame)
 }

@@ -99,11 +99,14 @@ type UserPlaneDrops struct {
 	// UnboundDownlink counts Internet return traffic arriving before
 	// the downlink path was bound.
 	UnboundDownlink uint64
+	// OversizeDownlink counts Internet return traffic whose source
+	// endpoint name does not fit the user-packet framing.
+	OversizeDownlink uint64
 }
 
 // Total sums all drop causes.
 func (d UserPlaneDrops) Total() uint64 {
-	return d.Malformed + d.UnknownTEID + d.UnboundDownlink
+	return d.Malformed + d.UnknownTEID + d.UnboundDownlink + d.OversizeDownlink
 }
 
 // Core is an EPC control+user plane: HSS, MME, and gateway. Deploy one
@@ -261,9 +264,10 @@ func (c *Core) Stats() Stats {
 		Rejects:           c.rejects.Load(),
 		Detaches:          c.detaches.Load(),
 		UserPlaneDrops: UserPlaneDrops{
-			Malformed:       uint64(td.Malformed.Value() + gd.MalformedUser.Value() + gd.BadRemote.Value()),
-			UnknownTEID:     uint64(td.UnknownTEID.Value()),
-			UnboundDownlink: uint64(gd.UnboundDownlink.Value()),
+			Malformed:        uint64(td.Malformed.Value() + gd.MalformedUser.Value() + gd.BadRemote.Value()),
+			UnknownTEID:      uint64(td.UnknownTEID.Value()),
+			UnboundDownlink:  uint64(gd.UnboundDownlink.Value()),
+			OversizeDownlink: uint64(gd.OversizeDownlink.Value()),
 		},
 	}
 }

@@ -37,6 +37,9 @@ type GatewayDrops struct {
 	// UnboundDownlink counts Internet return traffic arriving before
 	// the eNodeB bound the downlink (dropped like a NAT without state).
 	UnboundDownlink *metrics.Counter
+	// OversizeDownlink counts Internet return traffic the user-packet
+	// framing cannot carry (a source endpoint name beyond 255 bytes).
+	OversizeDownlink *metrics.Counter
 }
 
 // Gateway is the combined S/P-GW: it terminates GTP-U tunnels from
@@ -106,9 +109,10 @@ func NewGateway(host *simnet.Host) (*Gateway, error) {
 		ep:       gtp.NewEndpoint(pc),
 		sessions: make(map[string]*gwSession),
 		drops: GatewayDrops{
-			MalformedUser:   &metrics.Counter{},
-			BadRemote:       &metrics.Counter{},
-			UnboundDownlink: &metrics.Counter{},
+			MalformedUser:    &metrics.Counter{},
+			BadRemote:        &metrics.Counter{},
+			UnboundDownlink:  &metrics.Counter{},
+			OversizeDownlink: &metrics.Counter{},
 		},
 	}
 	g.nat.Store(&natCache{m: map[string]net.Addr{}})
@@ -305,6 +309,7 @@ func (g *Gateway) downlink(s *gwSession, data []byte, from net.Addr) {
 	buf, err := AppendUserPacket(buf, s.lastRemote, data)
 	if err != nil {
 		gtp.PutBuffer(buf)
+		g.drops.OversizeDownlink.Inc()
 		return
 	}
 	g.ep.SendBuffer(s.localTEID, buf)

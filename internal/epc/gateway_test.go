@@ -2,6 +2,7 @@ package epc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dlte/internal/simnet"
@@ -91,5 +92,37 @@ func TestIPFormulaSpansSubnet(t *testing.T) {
 	}
 	if got := ipForIndex(maxIPIndex); got != "10.45.255.250" {
 		t.Errorf("ipForIndex(max) = %s", got)
+	}
+}
+
+// TestOversizeDownlinkCounted: return traffic whose source endpoint
+// name does not fit the user-packet framing (a one-byte length) cannot
+// be tunneled; it is dropped and counted, through to Core.Stats.
+func TestOversizeDownlinkCounted(t *testing.T) {
+	c := newHotpathCore(t, 1)
+	if _, _, err := c.gw.CreateSession("imsi-1"); err != nil {
+		t.Fatal(err)
+	}
+	c.gw.mu.Lock()
+	s := c.gw.sessions["imsi-1"]
+	c.gw.mu.Unlock()
+	if err := c.gw.BindDownlink("imsi-1", simnet.Addr{Host: "enb", Port: GTPPort}, 7); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats().UserPlaneDrops
+
+	c.gw.downlink(s, []byte("data"), simnet.Addr{Host: strings.Repeat("h", 300), Port: 9000})
+	got := c.Stats().UserPlaneDrops
+	if got.OversizeDownlink != before.OversizeDownlink+1 {
+		t.Errorf("OversizeDownlink = %d, want %d", got.OversizeDownlink, before.OversizeDownlink+1)
+	}
+	if got.Total() != before.Total()+1 {
+		t.Errorf("Total = %d, want %d: the drop is not in the total", got.Total(), before.Total()+1)
+	}
+
+	// A name that fits is forwarded, not counted.
+	c.gw.downlink(s, []byte("data"), simnet.Addr{Host: strings.Repeat("h", 200), Port: 9000})
+	if again := c.Stats().UserPlaneDrops; again != got {
+		t.Errorf("forwardable packet moved the drop counters: %+v → %+v", got, again)
 	}
 }

@@ -6,6 +6,13 @@
 // workhorse), a token-based identity provider (the OAuth/FIDO2
 // stand-in), and a rendezvous relay (the WhatsApp-style message/voice
 // stand-in used by the Papua deployment experiment, E8).
+//
+// The two network servers are run-to-completion dispatch handlers
+// (simnet.PacketConn.SetHandler, DESIGN.md §14): each datagram is
+// served inline at its delivery instant on the network's delivery
+// thread. A server owns no goroutine, polls no deadline and schedules
+// nothing on the clock, so an idle world holding one stays idle, and a
+// steady-state echo allocates nothing. Close just closes the socket.
 package ott
 
 import (
@@ -18,6 +25,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dlte/internal/simnet"
@@ -27,12 +35,8 @@ import (
 // use it to measure end-to-end RTT through whichever data path the
 // architecture under test provides.
 type EchoServer struct {
-	pc      *simnet.PacketConn
-	done    chan struct{}
-	once    sync.Once
-	echoed  sync.Map // from-addr string → count (for assertions)
-	counter int64
-	mu      sync.Mutex
+	pc    *simnet.PacketConn
+	count atomic.Int64
 }
 
 // NewEchoServer starts an echo server on host:port.
@@ -41,51 +45,24 @@ func NewEchoServer(host *simnet.Host, port int) (*EchoServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ott: echo: %w", err)
 	}
-	s := &EchoServer{pc: pc, done: make(chan struct{})}
-	pc.Clock().Go(s.loop)
+	s := &EchoServer{pc: pc}
+	pc.SetHandler(s.echo)
 	return s, nil
 }
 
-func (s *EchoServer) loop() {
-	clk := s.pc.Clock()
-	buf := make([]byte, 64*1024)
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		s.pc.SetReadDeadline(clk.Now().Add(200 * time.Millisecond))
-		n, from, err := s.pc.ReadFrom(buf)
-		if err != nil {
-			continue
-		}
-		s.mu.Lock()
-		s.counter++
-		s.mu.Unlock()
-		if c, ok := s.echoed.Load(from.String()); ok {
-			s.echoed.Store(from.String(), c.(int)+1)
-		} else {
-			s.echoed.Store(from.String(), 1)
-		}
-		s.pc.WriteTo(buf[:n], from)
-	}
+// echo is the socket's dispatch handler: the reply leaves at the very
+// instant the request is delivered. data is the dispatcher's buffer;
+// WriteTo copies it before returning.
+func (s *EchoServer) echo(data []byte, from net.Addr) {
+	s.count.Add(1)
+	s.pc.WriteTo(data, from)
 }
 
 // Count reports total datagrams echoed.
-func (s *EchoServer) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counter
-}
+func (s *EchoServer) Count() int64 { return s.count.Load() }
 
 // Close stops the server.
-func (s *EchoServer) Close() {
-	s.once.Do(func() {
-		close(s.done)
-		s.pc.Close()
-	})
-}
+func (s *EchoServer) Close() { s.pc.Close() }
 
 // --- Identity provider --------------------------------------------------
 
@@ -175,14 +152,11 @@ func (p *IdentityProvider) sign(payload string) string {
 //	'S' nameLen name payload    — send payload to mailbox name
 //	'D' nameLen name payload    — delivery to a registered client
 type Relay struct {
-	pc   *simnet.PacketConn
-	done chan struct{}
-	once sync.Once
+	pc *simnet.PacketConn
 
-	mu    sync.Mutex
-	boxes map[string]net.Addr
-
-	delivered sync.Map // mailbox → count
+	mu        sync.Mutex
+	boxes     map[string]net.Addr
+	delivered map[string]int // mailbox → count
 }
 
 // NewRelay starts a relay on host:port.
@@ -191,64 +165,46 @@ func NewRelay(host *simnet.Host, port int) (*Relay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ott: relay: %w", err)
 	}
-	r := &Relay{pc: pc, done: make(chan struct{}), boxes: make(map[string]net.Addr)}
-	pc.Clock().Go(r.loop)
+	r := &Relay{pc: pc, boxes: make(map[string]net.Addr), delivered: make(map[string]int)}
+	pc.SetHandler(r.handle)
 	return r, nil
 }
 
-func (r *Relay) loop() {
-	clk := r.pc.Clock()
-	buf := make([]byte, 64*1024)
-	for {
-		select {
-		case <-r.done:
+// handle is the socket's dispatch handler. frame is the dispatcher's
+// buffer, valid only for the call: a forwarded message is rebuilt as a
+// 'D' frame in a pooled payload whose ownership passes to the network.
+func (r *Relay) handle(frame []byte, from net.Addr) {
+	if len(frame) < 2 || len(frame) < 2+int(frame[1]) {
+		return
+	}
+	name := string(frame[2 : 2+int(frame[1])])
+	switch frame[0] {
+	case 'R':
+		r.mu.Lock()
+		r.boxes[name] = from
+		r.mu.Unlock()
+	case 'S':
+		r.mu.Lock()
+		dst, ok := r.boxes[name]
+		if ok {
+			r.delivered[name]++
+		}
+		r.mu.Unlock()
+		if !ok {
 			return
-		default:
 		}
-		r.pc.SetReadDeadline(clk.Now().Add(200 * time.Millisecond))
-		n, from, err := r.pc.ReadFrom(buf)
-		if err != nil || n < 2 {
-			continue
-		}
-		op := buf[0]
-		nameLen := int(buf[1])
-		if n < 2+nameLen {
-			continue
-		}
-		name := string(buf[2 : 2+nameLen])
-		switch op {
-		case 'R':
-			r.mu.Lock()
-			r.boxes[name] = from
-			r.mu.Unlock()
-		case 'S':
-			r.mu.Lock()
-			dst, ok := r.boxes[name]
-			r.mu.Unlock()
-			if !ok {
-				continue
-			}
-			payload := buf[2+nameLen : n]
-			out := make([]byte, 0, 2+nameLen+len(payload))
-			out = append(out, 'D', byte(nameLen))
-			out = append(out, name...)
-			out = append(out, payload...)
-			r.pc.WriteTo(out, dst)
-			if c, ok := r.delivered.Load(name); ok {
-				r.delivered.Store(name, c.(int)+1)
-			} else {
-				r.delivered.Store(name, 1)
-			}
-		}
+		out := simnet.GetPayload(len(frame))
+		copy(out, frame)
+		out[0] = 'D'
+		r.pc.WriteOwnedTo(out, dst)
 	}
 }
 
 // Delivered reports messages delivered to the named mailbox.
 func (r *Relay) Delivered(name string) int {
-	if c, ok := r.delivered.Load(name); ok {
-		return c.(int)
-	}
-	return 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.delivered[name]
 }
 
 // Registered reports the mailbox's current address, if any.
@@ -260,12 +216,7 @@ func (r *Relay) Registered(name string) (net.Addr, bool) {
 }
 
 // Close stops the relay.
-func (r *Relay) Close() {
-	r.once.Do(func() {
-		close(r.done)
-		r.pc.Close()
-	})
-}
+func (r *Relay) Close() { r.pc.Close() }
 
 // RegisterFrame builds a relay registration datagram.
 func RegisterFrame(mailbox string) []byte {

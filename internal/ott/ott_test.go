@@ -19,6 +19,19 @@ func newNet(t *testing.T) *simnet.Network {
 	return n
 }
 
+// recv reads one datagram from a test client socket, waiting up to
+// timeout of virtual time.
+func recv(pc *simnet.PacketConn, timeout time.Duration) ([]byte, error) {
+	pc.SetReadDeadline(pc.Clock().Now().Add(timeout))
+	data, _, err := pc.ReadFromOwned()
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), data...)
+	simnet.PutPayload(data)
+	return out, nil
+}
+
 func TestEchoServer(t *testing.T) {
 	n := newNet(t)
 	srv := n.MustAddHost("srv")
@@ -29,18 +42,15 @@ func TestEchoServer(t *testing.T) {
 	}
 	t.Cleanup(e.Close)
 
-	clk := n.Clock()
 	pc, _ := cli.ListenPacket(0)
 	for i := 0; i < 3; i++ {
 		pc.WriteToHost([]byte{byte(i)}, "srv", 9000)
-		buf := make([]byte, 16)
-		pc.SetReadDeadline(clk.Now().Add(2 * time.Second))
-		nr, _, err := pc.ReadFrom(buf)
+		got, err := recv(pc, 2*time.Second)
 		if err != nil {
 			t.Fatalf("echo %d: %v", i, err)
 		}
-		if nr != 1 || buf[0] != byte(i) {
-			t.Errorf("echo %d = %v", i, buf[:nr])
+		if len(got) != 1 || got[0] != byte(i) {
+			t.Errorf("echo %d = %v", i, got)
 		}
 	}
 	if e.Count() != 3 {
@@ -108,13 +118,11 @@ func TestRelayDelivery(t *testing.T) {
 	}
 
 	pa.WriteToHost(SendFrame("bob", []byte("hello bob")), "relay", 9100)
-	buf := make([]byte, 256)
-	pb.SetReadDeadline(clk.Now().Add(2 * time.Second))
-	nr, _, err := pb.ReadFrom(buf)
+	got, err := recv(pb, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	box, payload, err := ParseDelivery(buf[:nr])
+	box, payload, err := ParseDelivery(got)
 	if err != nil || box != "bob" || string(payload) != "hello bob" {
 		t.Fatalf("delivery = %q %q %v", box, payload, err)
 	}
@@ -156,13 +164,10 @@ func TestRelayAddressRefresh(t *testing.T) {
 	waitReg("bob-new")
 
 	pa.WriteToHost(SendFrame("bob", []byte("after move")), "relay", 9100)
-	buf := make([]byte, 256)
-	pn.SetReadDeadline(clk.Now().Add(2 * time.Second))
-	if _, _, err := pn.ReadFrom(buf); err != nil {
+	if _, err := recv(pn, 2*time.Second); err != nil {
 		t.Fatalf("new address starved: %v", err)
 	}
-	po.SetReadDeadline(clk.Now().Add(100 * time.Millisecond))
-	if _, _, err := po.ReadFrom(buf); err == nil {
+	if _, err := recv(po, 100*time.Millisecond); err == nil {
 		t.Error("old address still receiving")
 	}
 }

@@ -24,7 +24,9 @@ import "time"
 //   - Wrap every blocking operation the clock cannot see — a channel
 //     select, sync.Cond.Wait, WaitGroup.Wait, mutex acquisition that
 //     can stall — in Block/Unblock, and take any timeout channels in
-//     that select from NewTimer/After on the same clock.
+//     that select from NewTimer/After on the same clock; or wait
+//     through a clock-owned Mailbox, whose Recv parks and wakes under
+//     the clock's own accounting and needs neither.
 //   - Derive deadlines from Now on the same clock, never time.Now.
 //
 // WallClock implements Block/Unblock/Go as no-ops/bare spawns, so
@@ -92,10 +94,10 @@ var Wall Clock = wallClock{}
 // wallClock adapts the time package to the Clock interface.
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                       { return time.Now() }
-func (wallClock) Since(t time.Time) time.Duration      { return time.Since(t) }
-func (wallClock) Until(t time.Time) time.Duration      { return time.Until(t) }
-func (wallClock) Sleep(d time.Duration)                { time.Sleep(d) }
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) Since(t time.Time) time.Duration        { return time.Since(t) }
+func (wallClock) Until(t time.Time) time.Duration        { return time.Until(t) }
+func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 func (wallClock) NewTimer(d time.Duration) *Timer {

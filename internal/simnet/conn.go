@@ -79,6 +79,9 @@ type Conn struct {
 	remote  Addr
 	// rx is the pipe this side reads from; tx is the pipe it writes to.
 	rx, tx *halfPipe
+	// link memoizes the local→remote link state on first Write, so the
+	// per-write delay skips the network's link-map lookup.
+	link atomic.Pointer[linkState]
 
 	readDeadline  deadline
 	writeDeadline deadline
@@ -312,7 +315,12 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, ErrClosed
 	default:
 	}
-	delay, up := c.network.delayFor(c.local.Host, c.remote.Host, len(b), false)
+	ls := c.link.Load()
+	if ls == nil {
+		ls = c.network.link(c.local.Host, c.remote.Host)
+		c.link.Store(ls)
+	}
+	delay, up := c.network.delayOn(ls, len(b), false)
 	if !up {
 		return 0, ErrLinkDown
 	}

@@ -152,15 +152,24 @@ func (n *Network) Host(name string) (*Host, bool) {
 func (n *Network) SetLink(a, b string, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[[2]string{a, b}] = &linkState{cfg: l}
-	n.links[[2]string{b, a}] = &linkState{cfg: l}
+	n.setLinkLocked(a, b, l)
+	n.setLinkLocked(b, a, l)
 }
 
 // SetLinkOneWay configures only the a→b direction.
 func (n *Network) SetLinkOneWay(a, b string, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[[2]string{a, b}] = &linkState{cfg: l}
+	n.setLinkLocked(a, b, l)
+}
+
+// setLinkLocked reconfigures the src→dst direction and idles its
+// transmitter. An existing entry is rewritten in place, never replaced:
+// sockets and conns memoize the *linkState they send through, so an
+// entry's address is its identity for the network's lifetime.
+func (n *Network) setLinkLocked(src, dst string, l Link) {
+	ls := n.linkFor(src, dst)
+	ls.cfg, ls.busyUntil = l, time.Time{}
 }
 
 // SetLinkDown marks both directions between a and b up or down,
@@ -168,19 +177,13 @@ func (n *Network) SetLinkOneWay(a, b string, l Link) {
 func (n *Network) SetLinkDown(a, b string, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, key := range [][2]string{{a, b}, {b, a}} {
-		ls, ok := n.links[key]
-		if !ok {
-			cfg := n.defaultLink
-			ls = &linkState{cfg: cfg}
-			n.links[key] = ls
-		}
-		ls.cfg.Down = down
-	}
+	n.linkFor(a, b).cfg.Down = down
+	n.linkFor(b, a).cfg.Down = down
 }
 
 // linkFor returns the directional link state from src to dst, creating
-// a default entry on first use so busyUntil tracking is stable.
+// a default entry on first use so busyUntil tracking is stable. Caller
+// holds n.mu.
 func (n *Network) linkFor(src, dst string) *linkState {
 	key := [2]string{src, dst}
 	ls, ok := n.links[key]
@@ -196,9 +199,22 @@ func (n *Network) linkFor(src, dst string) *linkState {
 // state. It returns ok=false when the link is down or the packet is
 // randomly lost (lossy true enables random loss).
 func (n *Network) delayFor(src, dst string, size int, lossy bool) (time.Duration, bool) {
+	return n.delayOn(n.link(src, dst), size, lossy)
+}
+
+// link resolves the src→dst link state once, for senders that memoize
+// it and then price each packet with delayOn — skipping the two-string
+// map hash delayFor pays per call.
+func (n *Network) link(src, dst string) *linkState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ls := n.linkFor(src, dst)
+	return n.linkFor(src, dst)
+}
+
+// delayOn is delayFor on a resolved link.
+func (n *Network) delayOn(ls *linkState, size int, lossy bool) (time.Duration, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	cfg := ls.cfg
 	if cfg.Down {
 		return 0, false
@@ -294,8 +310,15 @@ type Addr struct {
 // Network implements net.Addr.
 func (a Addr) Network() string { return "sim" }
 
-// String implements net.Addr, rendering "host:port".
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
+// String implements net.Addr, rendering "host:port". Assembled in a
+// stack buffer so the only allocation is the returned string (host
+// names beyond the buffer spill to the heap).
+func (a Addr) String() string {
+	buf := make([]byte, 0, 64)
+	buf = append(buf, a.Host...)
+	buf = append(buf, ':')
+	return string(strconv.AppendInt(buf, int64(a.Port), 10))
+}
 
 // ParseAddr splits "host:port". The host part may itself contain no
 // colons (simnet host names are flat identifiers). The port must be a

@@ -3,7 +3,10 @@ package simnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,11 +50,11 @@ func TestParseAddr(t *testing.T) {
 		{"", Addr{}, false},
 		{"host:", Addr{}, false},
 		{"host:abc", Addr{}, false},
-		{"host:80x", Addr{}, false},  // trailing garbage
-		{"host: 80", Addr{}, false},  // embedded space
-		{"host:+80", Addr{}, false},  // sign rejected
-		{"host:-1", Addr{}, false},   // negative
-		{"host:65536", Addr{}, false}, // out of range
+		{"host:80x", Addr{}, false},                   // trailing garbage
+		{"host: 80", Addr{}, false},                   // embedded space
+		{"host:+80", Addr{}, false},                   // sign rejected
+		{"host:-1", Addr{}, false},                    // negative
+		{"host:65536", Addr{}, false},                 // out of range
 		{"host:999999999999999999999", Addr{}, false}, // overflow
 	}
 	for _, c := range cases {
@@ -71,6 +74,39 @@ func TestParseAddr(t *testing.T) {
 	}
 	if a.Network() != "sim" {
 		t.Errorf("Network = %q", a.Network())
+	}
+}
+
+// TestAddrStringRoundTrip: String and ParseAddr are inverses over
+// every address a socket can hold, and String agrees with the
+// fmt-based rendering it replaced.
+func TestAddrStringRoundTrip(t *testing.T) {
+	long := strings.Repeat("h", 100) // beyond String's stack buffer
+	for _, a := range []Addr{
+		{"registry", 8400}, {"ap1", 0}, {"ap1", 7}, {"ap1", 65535}, {"", 80},
+		{"a:b", 8080}, {"10.45.0.2", 49152}, {long, 2152},
+	} {
+		s := a.String()
+		if want := fmt.Sprintf("%s:%d", a.Host, a.Port); s != want {
+			t.Errorf("%+v.String() = %q, want %q", a, s, want)
+		}
+		if got, err := ParseAddr(s); err != nil || got != a {
+			t.Errorf("ParseAddr(%q) = %+v, %v, want %+v", s, got, err, a)
+		}
+	}
+}
+
+// TestAddrStringOneAlloc: the returned string is the only allocation.
+// String sits on every memo miss of the user plane (BearerConn.WriteTo,
+// Gateway.downlink, coerceAddr's fallback) and on the registry.
+func TestAddrStringOneAlloc(t *testing.T) {
+	a := Addr{Host: "ott-echo-3", Port: 49152}
+	var s string
+	if got := testing.AllocsPerRun(1000, func() { s = a.String() }); got != 1 {
+		t.Errorf("Addr.String allocates %v times, want 1", got)
+	}
+	if s != "ott-echo-3:49152" {
+		t.Errorf("String = %q", s)
 	}
 }
 
@@ -459,5 +495,61 @@ func TestConnAddrs(t *testing.T) {
 	ra := c.RemoteAddr().(Addr)
 	if ra.Host != "b" || ra.Port != 80 {
 		t.Errorf("RemoteAddr = %v", ra)
+	}
+}
+
+// TestLinkMemoSeesReconfiguration: sockets and conns memoize the link
+// they send through, so SetLink and SetLinkDown must rewrite that link
+// in place — a sender that already resolved it sees the new parameters
+// on its very next write.
+func TestLinkMemoSeesReconfiguration(t *testing.T) {
+	n := NewVirtualNetwork(Link{Latency: time.Millisecond}, 1)
+	defer n.Close()
+	clk := n.Clock()
+	a, b := n.MustAddHost("a"), n.MustAddHost("b")
+	src, _ := a.ListenPacket(0)
+	dst, _ := b.ListenPacket(9)
+	arrivals := NewMailbox[time.Time](clk, 8)
+	dst.SetHandler(func([]byte, net.Addr) { arrivals.Put(clk.Now()) })
+
+	l, _ := b.Listen(10)
+	l.OnAccept(func(c *Conn) { c.OnDeliver(func([]byte) {}, nil) })
+	cc, err := a.Dial("b:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flight := func() time.Duration {
+		t.Helper()
+		sent := clk.Now()
+		src.WriteToHost([]byte("x"), "b", 9)
+		at, err := arrivals.Recv(time.Second)
+		if err != nil {
+			t.Fatalf("packet lost: %v", err)
+		}
+		return at.Sub(sent)
+	}
+	if d := flight(); d != time.Millisecond {
+		t.Fatalf("default link flight = %v", d)
+	}
+	if _, err := cc.Write([]byte("warm")); err != nil { // memoizes the conn's link
+		t.Fatal(err)
+	}
+
+	n.SetLink("a", "b", Link{Latency: 7 * time.Millisecond})
+	if d := flight(); d != 7*time.Millisecond {
+		t.Errorf("flight after SetLink = %v, want 7ms", d)
+	}
+	n.SetLinkDown("a", "b", true)
+	src.WriteToHost([]byte("x"), "b", 9)
+	if _, err := arrivals.Recv(50 * time.Millisecond); !errors.Is(err, ErrDeadline) {
+		t.Errorf("packet crossed a down link (err %v)", err)
+	}
+	if _, err := cc.Write([]byte("x")); !errors.Is(err, ErrLinkDown) {
+		t.Errorf("stream write on a down link = %v, want ErrLinkDown", err)
+	}
+	n.SetLinkDown("a", "b", false)
+	if d := flight(); d != 7*time.Millisecond {
+		t.Errorf("flight after link up = %v, want 7ms", d)
 	}
 }

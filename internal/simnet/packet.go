@@ -43,10 +43,11 @@ type PacketConn struct {
 	// lock-free on the send fast path.
 	dc atomic.Pointer[dconn]
 
-	// lastDst memoizes the most recent resolved destination so a
-	// socket streaming to one peer (the common user-plane shape) skips
-	// the two mutex-guarded map lookups per packet. Invalidated by
-	// comparing the address and checking the target's done channel.
+	// lastDst memoizes the most recent resolved destination — the
+	// socket and the link toward its host — so a socket streaming to one
+	// peer (the common user-plane shape) skips three mutex-guarded map
+	// lookups per packet. Invalidated by comparing the address and
+	// checking the target's done channel; link entries never move.
 	lastDst atomic.Pointer[pktDst]
 
 	readDeadline deadline
@@ -56,37 +57,39 @@ type PacketConn struct {
 
 // pktDst is one memoized destination resolution.
 type pktDst struct {
-	a   Addr
-	dst *PacketConn
+	a    Addr
+	dst  *PacketConn
+	link *linkState
 }
 
-// resolveDst finds the destination socket for a, consulting the memo
-// first. ok=false means the packet black-holes (unknown host or
+// resolveDst finds the destination socket and link for a, consulting
+// the memo first. nil means the packet black-holes (unknown host or
 // unbound port), matching UDP.
-func (p *PacketConn) resolveDst(a Addr) (*PacketConn, bool) {
+func (p *PacketConn) resolveDst(a Addr) *pktDst {
 	if m := p.lastDst.Load(); m != nil && m.a == a {
 		select {
 		case <-m.dst.done:
 			// Socket since closed; fall through and re-resolve (the
 			// port may have been rebound).
 		default:
-			return m.dst, true
+			return m
 		}
 	}
 	p.host.net.mu.Lock()
 	remote, ok := p.host.net.hosts[a.Host]
 	p.host.net.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil
 	}
 	remote.mu.Lock()
 	dst, ok := remote.pktConns[a.Port]
 	remote.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil
 	}
-	p.lastDst.Store(&pktDst{a: a, dst: dst})
-	return dst, true
+	m := &pktDst{a: a, dst: dst, link: p.host.net.link(p.host.name, a.Host)}
+	p.lastDst.Store(m)
+	return m
 }
 
 // LocalAddr reports the socket's bound address.
@@ -99,7 +102,7 @@ func (p *PacketConn) LocalAddr() net.Addr { return p.addr }
 // already buffered are re-registered at their original delivery
 // instants. The same handler contract as Conn.OnDeliver applies: no
 // clock waits inside h, and Poke after waking goroutines through
-// channels the clock cannot see.
+// channels the clock cannot see (a Mailbox.Put needs none).
 func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	d := p.host.net.dispatcherFor()
 	dc := d.register()
@@ -229,18 +232,18 @@ func (p *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 		return 0, err
 	}
 
-	dst, ok := p.resolveDst(a)
-	if !ok {
+	m := p.resolveDst(a)
+	if m == nil {
 		return len(b), nil // silently dropped, like UDP into a black hole
 	}
 
-	delay, deliver := p.host.net.delayFor(p.host.name, a.Host, len(b), true)
+	delay, deliver := p.host.net.delayOn(m.link, len(b), true)
 	if !deliver {
 		return len(b), nil // lost or link down
 	}
 	data := payloadGet(len(b))
 	copy(data, b)
-	p.queueTo(dst, data, delay)
+	p.queueTo(m.dst, data, delay)
 	return len(b), nil
 }
 
@@ -273,21 +276,19 @@ func (p *PacketConn) WriteOwnedTo(b []byte, addr net.Addr) (int, error) {
 		return 0, err
 	}
 
-	dst, ok := p.resolveDst(a)
-	if !ok {
-		n := len(b)
+	n := len(b)
+	m := p.resolveDst(a)
+	if m == nil {
 		payloadPut(b)
 		return n, nil // silently dropped, like UDP into a black hole
 	}
 
-	delay, deliver := p.host.net.delayFor(p.host.name, a.Host, len(b), true)
+	delay, deliver := p.host.net.delayOn(m.link, n, true)
 	if !deliver {
-		n := len(b)
 		payloadPut(b)
 		return n, nil // lost or link down
 	}
-	n := len(b)
-	p.queueTo(dst, b, delay)
+	p.queueTo(m.dst, b, delay)
 	return n, nil
 }
 

@@ -11,7 +11,8 @@ import (
 // VirtualClock is a deterministic discrete-event Clock. It tracks how
 // many registered goroutines are runnable ("busy"); when that count
 // reaches zero the world is quiescent — everyone is parked in a clock
-// wait (Sleep, a Timer in a select, a Block-bracketed channel op) —
+// wait (Sleep, a Mailbox receive, a Timer in a select, a Block-bracketed
+// channel op) —
 // and a background advancer jumps virtual time straight to the next
 // timer's expiry and fires it. Simulated latencies therefore cost
 // microseconds of wall time instead of their face value, and two runs
@@ -53,7 +54,7 @@ type VirtualClock struct {
 
 // vwaiter is one scheduled wakeup. Exactly one of wake/ch is set:
 // wake is a parked goroutine (the advancer transfers the busy slot to
-// it before closing the channel); ch is a Timer/Ticker target whose
+// it before releasing the channel); ch is a Timer/Ticker target whose
 // receiver, if any, accounts for itself via Block/Unblock.
 type vwaiter struct {
 	at     time.Duration
@@ -62,6 +63,23 @@ type vwaiter struct {
 	wake   chan struct{}
 	ch     chan time.Time
 	period time.Duration // > 0 re-arms (Ticker)
+}
+
+// release lets the goroutine parked on w run. A one-shot waiter (Sleep,
+// a delivery hold) has an unbuffered wake channel, closed here. A
+// Mailbox's waiter is re-armed park after park, so its wake channel is
+// 1-buffered and released by a send instead — told apart by capacity
+// rather than by a flag, which would grow every Sleep's record a size
+// class.
+func (w *vwaiter) release() {
+	if cap(w.wake) == 0 {
+		close(w.wake)
+		return
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default: // one park, one token: cannot happen, and must not block under c.mu
+	}
 }
 
 type waiterHeap []*vwaiter
@@ -167,7 +185,7 @@ func (c *VirtualClock) Close() {
 	for _, w := range c.timers {
 		w.idx = -1
 		if w.wake != nil {
-			close(w.wake)
+			w.release()
 		}
 	}
 	for _, b := range c.barriers {
@@ -314,6 +332,44 @@ func (c *VirtualClock) Go(fn func()) {
 		}()
 		fn()
 	}()
+}
+
+// park is the clock half of Mailbox.Recv: it arms w (whose wake channel
+// is 1-buffered, see release) to fire d from now and gives up the caller's busy slot, exactly as Sleep
+// does. It reports false on a closed clock, where nothing is armed and
+// only the mailbox itself can wake the receiver.
+func (c *VirtualClock) park(w *vwaiter, d time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	c.seq++
+	w.at, w.seq = c.now+d, c.seq
+	heap.Push(&c.timers, w)
+	c.busy--
+	c.parks.Add(1)
+	if c.busy == 0 {
+		c.cond.Broadcast()
+	}
+	return true
+}
+
+// unpark is the clock half of a Mailbox wake: it cancels w's timeout
+// and takes a busy slot on the parked receiver's behalf, so the
+// receiver is counted runnable before it is released — the same
+// transfer the advancer makes for a Sleep. It reports false when w has
+// already fired: the advancer (or Close) made the transfer and released
+// the receiver itself.
+func (c *VirtualClock) unpark(w *vwaiter) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w.idx < 0 {
+		return false
+	}
+	heap.Remove(&c.timers, w.idx)
+	c.busy++
+	return true
 }
 
 // Block implements Clock.
@@ -653,7 +709,7 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 		}
 		if w.wake != nil {
 			c.busy++ // transfer a busy slot to the woken sleeper
-			close(w.wake)
+			w.release()
 			return stepWake, nil
 		}
 		select {

@@ -57,7 +57,7 @@ type Device struct {
 	// downlink packet or the first Recv of an association — the
 	// control-plane never pays for it — and closed when the association
 	// is lost.
-	rx chan rxPacket
+	rx *simnet.Mailbox[rxPacket]
 
 	// The pending procedure. Attach and Detach are run by the air
 	// conn's delivery handler (airState.frame); the calling goroutine
@@ -71,6 +71,8 @@ type Device struct {
 	// each direction — the UE end of the mobility plane's measurement
 	// seam (a handover's cost is the delta across the re-attach).
 	sigTx, sigRx atomic.Uint64
+	// rxDrops counts downlink packets dropped on a full rx queue.
+	rxDrops atomic.Uint64
 }
 
 // procKind names the procedure a Device has pending.
@@ -139,6 +141,12 @@ func (d *Device) IP() string {
 // device has exchanged over the air (both directions) since creation.
 // Monotonic; meant for deltas around an attach or handover.
 func (d *Device) SignalingBytes() uint64 { return d.sigTx.Load() + d.sigRx.Load() }
+
+// RxDrops reports how many downlink user packets this device has
+// dropped because its receive queue was full (nobody draining Recv) —
+// the UE end of the user plane's drop accounting, next to the core's
+// epc.Stats().UserPlaneDrops.
+func (d *Device) RxDrops() uint64 { return d.rxDrops.Load() }
 
 // HandoverResult reports a completed roam to a new AP.
 type HandoverResult struct {
@@ -304,9 +312,11 @@ func (d *Device) await(timeout time.Duration) error {
 }
 
 // Send transmits an uplink user packet to remote ("host:port"). The
-// air frame and the user packet inside it are assembled in one pooled
-// buffer — air header first, user framing appended behind it, inner
-// length patched in — so the per-packet path allocates nothing.
+// stream prefix, the air frame and the user packet inside it are
+// assembled in one pooled buffer — headroom, air header, user framing
+// appended behind them, both lengths patched in — so the per-packet
+// path allocates nothing and copies the payload once on its way to the
+// stream.
 func (d *Device) Send(remote string, payload []byte) error {
 	d.mu.Lock()
 	attached := d.attached
@@ -315,25 +325,28 @@ func (d *Device) Send(remote string, payload []byte) error {
 	if !attached || st == nil {
 		return ErrNotAttached
 	}
-	frame := append(wire.GetFrame(), uint8(enb.AirDataUp), 0, 0)
+	const hdr = wire.FrameHeadroom + 3 // stream prefix, air type, air length
+	frame := append(wire.GetFramed(), uint8(enb.AirDataUp), 0, 0)
 	frame, err := epc.AppendUserPacket(frame, remote, payload)
 	if err != nil {
 		wire.PutFrame(frame)
 		return err
 	}
-	inner := len(frame) - 3
+	inner := len(frame) - hdr
 	if inner > 0xFFFF {
 		wire.PutFrame(frame)
 		return fmt.Errorf("ue: user packet length %d overflows air frame", inner)
 	}
-	frame[1], frame[2] = byte(inner>>8), byte(inner)
-	err = st.air.Send(frame)
+	frame[hdr-2], frame[hdr-1] = byte(inner>>8), byte(inner)
+	err = st.air.SendFramed(frame)
 	wire.PutFrame(frame)
 	return err
 }
 
-// recvPacket dequeues the next downlink packet. The caller owns the
-// packet's pooled buffer and must release it with wire.PutFrame.
+// recvPacket dequeues the next downlink packet, parking on the
+// association's mailbox — a clock-owned wait that allocates nothing —
+// when none is buffered. The caller owns the packet's pooled buffer and
+// must release it with wire.PutFrame.
 func (d *Device) recvPacket(timeout time.Duration) (rxPacket, error) {
 	d.mu.Lock()
 	rx := d.rxLocked()
@@ -341,27 +354,13 @@ func (d *Device) recvPacket(timeout time.Duration) (rxPacket, error) {
 	if rx == nil {
 		return rxPacket{}, ErrNotAttached
 	}
-	// Fast path: a packet is already buffered.
-	select {
-	case p, ok := <-rx:
-		if !ok {
-			return rxPacket{}, ErrDetachedMid
-		}
+	p, err := rx.Recv(timeout)
+	switch {
+	case err == nil:
 		return p, nil
+	case errors.Is(err, simnet.ErrClosed):
+		return rxPacket{}, ErrDetachedMid
 	default:
-	}
-	clk := d.host.Clock()
-	t := clk.NewTimer(timeout)
-	defer t.Stop()
-	clk.Block()
-	defer clk.Unblock()
-	select {
-	case p, ok := <-rx:
-		if !ok {
-			return rxPacket{}, ErrDetachedMid
-		}
-		return p, nil
-	case <-t.C:
 		return rxPacket{}, fmt.Errorf("%w: recv after %v", ErrTimeout, timeout)
 	}
 }
@@ -411,9 +410,9 @@ func (d *Device) Echo(remote string, payload []byte, retryEvery, timeout time.Du
 // rxLocked returns the downlink queue of the live association,
 // allocating it on first use; nil when there is no live association.
 // Caller holds d.mu.
-func (d *Device) rxLocked() chan rxPacket {
+func (d *Device) rxLocked() *simnet.Mailbox[rxPacket] {
 	if d.rx == nil && d.st != nil && !d.st.lost {
-		d.rx = make(chan rxPacket, rxQueueDepth)
+		d.rx = simnet.NewMailbox[rxPacket](d.host.Clock(), rxQueueDepth)
 	}
 	return d.rx
 }
@@ -439,10 +438,10 @@ type airState struct {
 
 // sendAir frames one uplink air message on the association.
 func (st *airState) sendAir(t enb.AirMsgType, payload []byte) error {
-	// Pooled assembly: Send's stream layer copies before returning.
-	frame, err := enb.AppendAir(wire.GetFrame(), t, payload)
+	// Pooled assembly: the stream layer copies before returning.
+	frame, err := enb.AppendAir(wire.GetFramed(), t, payload)
 	if err == nil {
-		err = st.air.Send(frame)
+		err = st.air.SendFramed(frame)
 	}
 	if err == nil && t == enb.AirNASUp {
 		st.d.sigTx.Add(uint64(len(payload)))
@@ -477,9 +476,9 @@ func (st *airState) HandleStreamClose() {
 
 // frame consumes one downlink air frame on the delivery thread. frame
 // is valid only for the duration of the call; a queued user packet is
-// copied into its own pooled buffer. Signaling frames drive the pending
-// procedure inline. Channel sends that wake parked consumers Poke the
-// clock.
+// copied into its own pooled buffer and put in the rx mailbox, which
+// wakes a parked reader through the clock. Signaling frames drive the
+// pending procedure inline.
 func (st *airState) frame(frame []byte) {
 	d := st.d
 	t, payload, err := enb.DecodeAirView(frame)
@@ -510,18 +509,17 @@ func (st *airState) frame(frame []byte) {
 			}
 		}
 		d.mu.Lock()
-		var ch chan rxPacket
+		var rx *simnet.Mailbox[rxPacket]
 		if d.st == st {
-			ch = d.rxLocked()
+			rx = d.rxLocked()
 		}
 		d.mu.Unlock()
-		if ch != nil {
+		if rx != nil {
 			buf := append(wire.GetFrame(), data...)
-			select {
-			case ch <- rxPacket{remote: st.lastRemote, addr: st.lastAddr, data: buf}:
-				simnet.Poke(d.host.Clock())
-			default: // receiver not draining; drop like a full buffer
+			if !rx.Put(rxPacket{remote: st.lastRemote, addr: st.lastAddr, data: buf}) {
+				// Receiver not draining; drop like a full buffer.
 				wire.PutFrame(buf)
+				d.rxDrops.Add(1)
 			}
 		}
 	case enb.AirRelease:
@@ -582,12 +580,11 @@ func (d *Device) connLost(st *airState) {
 		st.lost = true
 		d.attached = false
 		if d.rx != nil {
-			close(d.rx)
+			d.rx.Close()
 			d.rx = nil
 		}
 	}
 	d.mu.Unlock()
-	simnet.Poke(d.host.Clock())
 }
 
 // dropConn closes any existing radio association from the UE side.

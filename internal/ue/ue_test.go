@@ -1,13 +1,17 @@
 package ue_test
 
 import (
+	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"dlte/internal/auth"
 	"dlte/internal/core"
 	"dlte/internal/geo"
+	"dlte/internal/leaktest"
+	"dlte/internal/ott"
 	"dlte/internal/radio"
 	"dlte/internal/simnet"
 	"dlte/internal/transport"
@@ -196,5 +200,126 @@ func TestBearerDeadline(t *testing.T) {
 	b.Close()
 	if _, err := b.WriteTo([]byte("x"), simnet.Addr{Host: "ott", Port: 1}); !errors.Is(err, ue.ErrNotAttached) {
 		t.Errorf("write after close: %v", err)
+	}
+}
+
+// echoWorld attaches one UE behind ap1 and starts a handler-mode echo
+// server on its own host.
+func echoWorld(t *testing.T, imsi string) (*core.Scenario, *core.AccessPoint, *ue.Device, *ott.EchoServer) {
+	t.Helper()
+	s, ap1, _ := newWorld(t)
+	srv, err := ott.NewEchoServer(s.Net.MustAddHost("ott"), 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return s, ap1, attachUE(t, s, ap1, "ue1", imsi), srv
+}
+
+// TestBearerRoundTripZeroAlloc gates the user plane end to end at
+// steady state: BearerConn.WriteTo → air → GTP → gateway NAT → echo
+// handler and back to a BearerConn.ReadFrom that parks on the rx
+// mailbox for every reply. Nothing on that path — the parked read
+// included — allocates; the round trip is one goroutine park and six
+// handler dispatches with no legacy delivery.
+func TestBearerRoundTripZeroAlloc(t *testing.T) {
+	s, _, d, srv := echoWorld(t, "001010000000405")
+	b := d.Bearer()
+	var dst net.Addr = simnet.Addr{Host: "ott", Port: 9000}
+	payload := bytes.Repeat([]byte("dLTE"), 128)
+	buf := make([]byte, 2*len(payload))
+	roundTrip := func() {
+		if _, err := b.WriteTo(payload, dst); err != nil {
+			t.Fatal(err)
+		}
+		b.SetReadDeadline(s.Clock().Now().Add(time.Second))
+		n, from, err := b.ReadFrom(buf)
+		if err != nil || !bytes.Equal(buf[:n], payload) || from != dst {
+			t.Fatalf("echo = %d bytes from %v, %v", n, from, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		roundTrip() // warm the pools, the memos and the dispatcher's slab
+	}
+	const trips = 200
+	before := s.Net.ExecStats()
+	var allocs float64
+	if leaktest.RaceEnabled { // sync.Pool drops items under the detector
+		for i := 0; i <= trips; i++ {
+			roundTrip()
+		}
+	} else {
+		allocs = testing.AllocsPerRun(trips, roundTrip)
+	}
+	after := s.Net.ExecStats()
+	if allocs != 0 {
+		t.Errorf("bearer round trip allocates %v times, want 0", allocs)
+	}
+	if got := after.GoroutineParks - before.GoroutineParks; got != trips+1 {
+		t.Errorf("%d round trips parked %d times, want one each", trips+1, got)
+	}
+	if got := after.HandlerDispatches - before.HandlerDispatches; got != 6*(trips+1) {
+		t.Errorf("%d round trips ran %d handler dispatches, want six each", trips+1, got)
+	}
+	if got := after.LegacyDeliveries - before.LegacyDeliveries; got != 0 {
+		t.Errorf("%d legacy deliveries on the user plane", got)
+	}
+	if srv.Count() != 64+trips+1 {
+		t.Errorf("echo server counted %d", srv.Count())
+	}
+	if d.RxDrops() != 0 {
+		t.Errorf("RxDrops = %d", d.RxDrops())
+	}
+}
+
+// TestRxOverflowCounted: downlink packets beyond the rx queue's depth
+// drop like a full socket buffer — and are counted, so the user plane
+// has no silent discard.
+func TestRxOverflowCounted(t *testing.T) {
+	s, _, d, _ := echoWorld(t, "001010000000406")
+	const sent = 300 // the rx queue holds 256
+	for i := 0; i < sent; i++ {
+		if err := d.Send("ott:9000", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Clock().Sleep(time.Second) // every echo has come back; nobody read
+	if got := d.RxDrops(); got != sent-256 {
+		t.Errorf("RxDrops = %d, want %d", got, sent-256)
+	}
+	for i := 0; i < 256; i++ { // the survivors are the oldest, in order
+		pkt, err := d.Recv(time.Second)
+		if err != nil || len(pkt.Payload) != 1 || pkt.Payload[0] != byte(i) {
+			t.Fatalf("packet %d = %v, %v", i, pkt.Payload, err)
+		}
+	}
+	if _, err := d.Recv(10 * time.Millisecond); !errors.Is(err, ue.ErrTimeout) {
+		t.Errorf("drained queue Recv = %v, want ErrTimeout", err)
+	}
+}
+
+// TestParkedRecvSeesAssociationLoss: a reader parked on the rx mailbox
+// is woken with ErrDetachedMid the instant the network side drops the
+// association, not at its own deadline.
+func TestParkedRecvSeesAssociationLoss(t *testing.T) {
+	s, ap1, d, _ := echoWorld(t, "001010000000407")
+	clk := s.Clock()
+	start := clk.Now()
+	clk.Go(func() {
+		clk.Sleep(50 * time.Millisecond)
+		ap1.ENB.Close()
+	})
+	_, err := d.Recv(time.Minute)
+	if !errors.Is(err, ue.ErrDetachedMid) {
+		t.Fatalf("Recv across association loss = %v, want ErrDetachedMid", err)
+	}
+	if waited := clk.Since(start); waited >= time.Second {
+		t.Errorf("reader woke after %v: at its deadline, not at the loss", waited)
+	}
+	if d.Attached() {
+		t.Error("device still attached")
+	}
+	if _, err := d.Recv(time.Second); !errors.Is(err, ue.ErrNotAttached) {
+		t.Errorf("Recv with no association = %v, want ErrNotAttached", err)
 	}
 }

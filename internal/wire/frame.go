@@ -58,9 +58,19 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // release it with PutFrame.
 func GetFrame() []byte { return framePool.Get().(*[frameClassBytes]byte)[:0] }
 
-// PutFrame recycles a buffer from GetFrame or RecvOwned. Buffers grown
-// past the pooled class (recognizable by capacity) go to the GC; the
-// exact-capacity check also keeps foreign slices out of the pool.
+// FrameHeadroom is the size of the length prefix a framed stream puts
+// before every frame.
+const FrameHeadroom = 4
+
+// GetFramed is GetFrame with FrameHeadroom bytes already reserved:
+// append the frame content behind them and hand the buffer to
+// SendFramed, which fills the prefix in and writes the buffer as is.
+func GetFramed() []byte { return framePool.Get().(*[frameClassBytes]byte)[:FrameHeadroom] }
+
+// PutFrame recycles a buffer from GetFrame, GetFramed or RecvOwned.
+// Buffers grown past the pooled class (recognizable by capacity) go to
+// the GC; the exact-capacity check also keeps foreign slices out of the
+// pool.
 func PutFrame(b []byte) {
 	if cap(b) != frameClassBytes {
 		return
@@ -132,6 +142,23 @@ func (c *FrameConn) Send(payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return WriteFrame(c.rw, payload)
+}
+
+// SendFramed writes one frame assembled behind FrameHeadroom bytes of
+// headroom (GetFramed). The prefix is patched into the headroom and the
+// buffer goes to the stream in one Write, so the frame is copied once —
+// by the stream — where Send copies it into a prefixed scratch first.
+// The buffer stays the caller's. Safe for concurrent use.
+func (c *FrameConn) SendFramed(buf []byte) error {
+	n := len(buf) - FrameHeadroom
+	if n < 0 || n > MaxFrameSize {
+		return fmt.Errorf("%w: frame length %d", ErrOverflow, n)
+	}
+	buf[0], buf[1], buf[2], buf[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.rw.Write(buf)
+	return err
 }
 
 // Recv reads one frame. Safe for concurrent use, though protocols here

@@ -220,6 +220,43 @@ func TestFrameSequence(t *testing.T) {
 	}
 }
 
+// TestSendFramedMatchesSend: a frame assembled behind headroom goes out
+// byte-identical to the same payload through Send, in one Write, and a
+// buffer shorter than its own headroom is refused.
+func TestSendFramedMatchesSend(t *testing.T) {
+	for _, size := range []int{0, 1, 515, frameClassBytes - FrameHeadroom, frameClassBytes + 100} {
+		payload := bytes.Repeat([]byte{0xA5}, size)
+		var viaSend, viaFramed countingBuffer
+		if err := NewFrameConn(&viaSend).Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		buf := append(GetFramed(), payload...)
+		if err := NewFrameConn(&viaFramed).SendFramed(buf); err != nil {
+			t.Fatal(err)
+		}
+		PutFrame(buf)
+		if !bytes.Equal(viaFramed.Bytes(), viaSend.Bytes()) {
+			t.Errorf("size %d: SendFramed wrote %x..., Send wrote %x...", size, viaFramed.Bytes()[:4], viaSend.Bytes()[:4])
+		}
+		if viaFramed.writes != 1 {
+			t.Errorf("size %d: SendFramed made %d writes, want 1", size, viaFramed.writes)
+		}
+	}
+	if err := NewFrameConn(&bytes.Buffer{}).SendFramed(make([]byte, FrameHeadroom-1)); !errors.Is(err, ErrOverflow) {
+		t.Errorf("runt buffer: %v, want ErrOverflow", err)
+	}
+}
+
+type countingBuffer struct {
+	bytes.Buffer
+	writes int
+}
+
+func (b *countingBuffer) Write(p []byte) (int, error) {
+	b.writes++
+	return b.Buffer.Write(p)
+}
+
 type testMsg struct{ v uint32 }
 
 func (m testMsg) EncodeTo(w *Writer) { w.U32(m.v) }
