@@ -187,41 +187,34 @@ smoke: build
 	rm -f /tmp/dlte-sim-smoke /tmp/dlte-smoke-1.txt /tmp/dlte-smoke-2.txt
 
 # Real-CPU-knob determinism smoke: the full quick sweep must render
-# byte-identical tables fully serial (-p 1), fully concurrent (-p 8),
-# and with every simulated core sharded eight ways (-shards 8). The
-# E13 leg repeats the comparison at a 100k-UE population, where
-# -shards additionally fans the region wheels across OS threads —
-# the million-UE scaling path must not cost a byte of stability. The
-# E11 leg does the same for the full-size mobility scenarios: the
-# compiled corridor / flash-crowd / failure-wave worlds interleave
-# real-stack probe handovers with region-sharded compact events, and
-# neither knob may move a byte of the rendered table. The E12 leg runs
-# the full-size coexistence frontier (64/512/2048 domains on the
-# event-driven PHY engine, fanned out over -p workers) and pins the
-# index-ordered reduction: identical tables at -p 1 and -p 8.
+# byte-identical tables fully serial (-p 1) and fully concurrent
+# (-p 8). The E13 leg repeats the comparison at a 100k-UE population,
+# where -p additionally fans the region wheels across OS threads — the
+# million-UE scaling path must not cost a byte of stability. The E11
+# leg does the same for the full-size mobility scenarios: the compiled
+# corridor / flash-crowd / failure-wave worlds interleave real-stack
+# probe handovers with region-sharded compact events, and the knob may
+# not move a byte of the rendered table. The E12 leg runs the full-size
+# coexistence frontier (64/512/2048 domains on the event-driven PHY
+# engine, fanned out over -p workers) and pins the index-ordered
+# reduction: identical tables at -p 1 and -p 8.
 determinism-smoke: build
 	$(GO) build -o /tmp/dlte-sim-det ./cmd/dlte-sim
-	/tmp/dlte-sim-det -quick -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-p1.txt
-	/tmp/dlte-sim-det -quick -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-p8.txt
-	/tmp/dlte-sim-det -quick -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-s8.txt
+	/tmp/dlte-sim-det -quick -p 1 2>/dev/null > /tmp/dlte-det-p1.txt
+	/tmp/dlte-sim-det -quick -p 8 2>/dev/null > /tmp/dlte-det-p8.txt
 	cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-p8.txt
-	cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-s8.txt
-	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-e13-p1.txt
-	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-e13-p8.txt
-	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-e13-s8.txt
+	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 1 2>/dev/null > /tmp/dlte-det-e13-p1.txt
+	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 8 2>/dev/null > /tmp/dlte-det-e13-p8.txt
 	cmp /tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-p8.txt
-	cmp /tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-s8.txt
-	/tmp/dlte-sim-det -exp E11 -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-e11-p1.txt
-	/tmp/dlte-sim-det -exp E11 -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-e11-p8.txt
-	/tmp/dlte-sim-det -exp E11 -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-e11-s8.txt
+	/tmp/dlte-sim-det -exp E11 -p 1 2>/dev/null > /tmp/dlte-det-e11-p1.txt
+	/tmp/dlte-sim-det -exp E11 -p 8 2>/dev/null > /tmp/dlte-det-e11-p8.txt
 	cmp /tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt
-	cmp /tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-s8.txt
 	/tmp/dlte-sim-det -exp E12 -p 1 2>/dev/null > /tmp/dlte-det-e12-p1.txt
 	/tmp/dlte-sim-det -exp E12 -p 8 2>/dev/null > /tmp/dlte-det-e12-p8.txt
 	cmp /tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
-	rm -f /tmp/dlte-sim-det /tmp/dlte-det-p1.txt /tmp/dlte-det-p8.txt /tmp/dlte-det-s8.txt \
-		/tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-p8.txt /tmp/dlte-det-e13-s8.txt \
-		/tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt /tmp/dlte-det-e11-s8.txt \
+	rm -f /tmp/dlte-sim-det /tmp/dlte-det-p1.txt /tmp/dlte-det-p8.txt \
+		/tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-p8.txt \
+		/tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt \
 		/tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
 
 # Determinism gate (ROADMAP item 1a, "gate first"): the two

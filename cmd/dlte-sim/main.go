@@ -8,16 +8,14 @@
 //	dlte-sim -exp E2            # one experiment
 //	dlte-sim -exp all -quick    # everything, reduced sweeps
 //	dlte-sim -p 8               # run worlds on 8 workers (default: NumCPU)
-//	dlte-sim -shards 8          # serve each core's sessions on 8 shards
 //	dlte-sim -exp E13 -ues 1000000  # one million-UE compact world
 //
 // Experiments (and the independent simulation worlds inside each
 // sweep) execute concurrently up to -p workers, but stdout is always
 // emitted in experiment order and is byte-identical for a given seed
-// at any -p, including -p 1 (see DESIGN.md §5b). -shards is the same
-// kind of knob one level down: it spreads each simulated core's
-// session state machines across real CPUs without changing a byte of
-// output (DESIGN.md §6).
+// at any -p, including -p 1 (see DESIGN.md §5b). -p is the only
+// real-CPU knob: it also sets how many OS threads drain the compact
+// worlds' region wheels (E11, E13).
 package main
 
 import (
@@ -71,13 +69,24 @@ type job struct {
 	done chan struct{}
 }
 
+// workerCount resolves -p the way exp.Options.Parallelism reads it:
+// 0 is one worker per CPU, a negative count is a usage error.
+func workerCount(p int) (int, error) {
+	if p < 0 {
+		return 0, fmt.Errorf("-p %d: worker count must be ≥ 0 (0 = one per CPU)", p)
+	}
+	if p == 0 {
+		return runtime.NumCPU(), nil
+	}
+	return p, nil
+}
+
 func main() {
 	expFlag := flag.String("exp", "all", "experiment to run: E1..E13, E2b, or 'all'")
 	quick := flag.Bool("quick", false, "reduced sweeps (CI-sized)")
 	seed := flag.Int64("seed", 42, "simulation seed")
-	par := flag.Int("p", runtime.NumCPU(), "max concurrent simulation worlds (1 = fully serial)")
-	shards := flag.Int("shards", 0, "session shards per simulated core (0 = one per CPU; output-invariant)")
-	ues := flag.Int("ues", 0, "E13 only: run a single world of exactly this many UEs instead of the default sweep (output depends on -ues but never on -p/-shards)")
+	par := flag.Int("p", runtime.NumCPU(), "max concurrent simulation worlds and compact-world region workers (0 = one per CPU, 1 = fully serial; output-invariant)")
+	ues := flag.Int("ues", 0, "E13 only: run a single world of exactly this many UEs instead of the default sweep (output depends on -ues but never on -p)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit (pprof format)")
 	flag.Parse()
@@ -123,8 +132,10 @@ func main() {
 			os.Exit(2)
 		}
 	})
-	if *par < 1 {
-		*par = 1
+	workers, err := workerCount(*par)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	want := strings.ToUpper(*expFlag)
 	var jobs []*job
@@ -147,14 +158,10 @@ func main() {
 		queue <- j
 	}
 	close(queue)
-	workers := *par
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(jobs)); w++ {
 		go func() {
 			for j := range queue {
-				opt := exp.Options{Quick: *quick, Seed: *seed, Out: &j.buf, Parallelism: *par, Shards: *shards, UEs: *ues}
+				opt := exp.Options{Quick: *quick, Seed: *seed, Out: &j.buf, Parallelism: workers, UEs: *ues}
 				start := time.Now()
 				j.err = j.r.run(opt)
 				j.took = time.Since(start)

@@ -13,7 +13,7 @@
 //   - internal/baseline: the comparison architectures (telecom LTE,
 //     private LTE, legacy WiFi).
 //   - internal/exp: the experiment harness regenerating every table,
-//     figure, and claim (E1–E9, indexed in DESIGN.md §3).
+//     figure, and claim (E1–E13, indexed in DESIGN.md §3).
 //
 // Runnables: cmd/dlte-sim (experiments), cmd/dlte-demo (narrated
 // lifecycle), cmd/dlte-registry and cmd/dlte-keytool (real-TCP registry

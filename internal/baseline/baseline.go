@@ -32,8 +32,6 @@ type CentralizedConfig struct {
 	// signaling messages in parallel (see epc.Config; 0 or 1 is the
 	// classic single processor).
 	SignalingProcessors int
-	// Shards is the core's session shard count (see epc.Config).
-	Shards int
 	// OnPrem marks a private-LTE deployment: the core still admits
 	// only authorized eNodeBs, but sits near the sites (the caller
 	// sets a short WANLink accordingly).
@@ -69,7 +67,6 @@ func NewCentralized(n *simnet.Network, coreName string, cfg CentralizedConfig) (
 		OpenHSS:                 false, // closed subscriber store
 		ProcessingDelay:         cfg.ProcessingDelay,
 		SignalingProcessors:     cfg.SignalingProcessors,
-		Shards:                  cfg.Shards,
 		RequireENBAuthorization: true, // closed to organic expansion
 	})
 	if err != nil {

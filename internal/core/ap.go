@@ -53,10 +53,6 @@ type APConfig struct {
 	// service time (see epc.Config); experiments set it equal to the
 	// centralized core's so scaling comparisons isolate sharing.
 	ProcessingDelay time.Duration
-	// Shards is the stub core's session shard count (see epc.Config;
-	// 0 means one per CPU). Shard-count choice never changes simulated
-	// results, only real-CPU signaling throughput.
-	Shards int
 	// Trigger is the AP's RSRP handover policy; the zero value means
 	// mobility.DefaultTrigger.
 	Trigger mobility.Trigger
@@ -115,7 +111,6 @@ func NewAccessPoint(host *simnet.Host, cfg APConfig) (*AccessPoint, error) {
 		DirectBreakout:  true,
 		OpenHSS:         true,
 		ProcessingDelay: cfg.ProcessingDelay,
-		Shards:          cfg.Shards,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: stub EPC: %w", err)

@@ -17,29 +17,26 @@ import (
 // benchmarking: one core, several eNodeBs (each its own S1AP
 // association), and a population of provisioned UEs. With no modeled
 // link latency or processing delay, wall time measures the signaling
-// stack's real CPU cost — the thing session sharding parallelizes.
-// The shard sweep only spreads when GOMAXPROCS > 1; on a single-CPU
-// runner all shard counts serialize onto one core and measure flat.
+// stack's real CPU cost.
 type stormBed struct {
 	net *simnet.Network
 	ues []*ue.Device
 	air []string // air address per UE
 }
 
-func newStormBed(b testing.TB, shards, nENB, uesPerENB int) *stormBed {
+func newStormBed(b testing.TB, nENB, uesPerENB int) *stormBed {
 	b.Helper()
-	return newStormBedOn(b, simnet.New(simnet.Link{}, 1), shards, nENB, uesPerENB)
+	return newStormBedOn(b, simnet.New(simnet.Link{}, 1), nENB, uesPerENB)
 }
 
 // newStormBedOn builds the storm world on net (whose creator must be
 // the calling goroutine when it runs a virtual clock).
-func newStormBedOn(b testing.TB, net *simnet.Network, shards, nENB, uesPerENB int) *stormBed {
+func newStormBedOn(b testing.TB, net *simnet.Network, nENB, uesPerENB int) *stormBed {
 	b.Helper()
 	sb := &stormBed{net: net}
 	coreHost := sb.net.MustAddHost("core")
 	core, err := epc.NewCore(coreHost, epc.Config{
 		Name: "bench-core", TAC: 7, DirectBreakout: true,
-		Shards: shards,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -108,22 +105,14 @@ func (sb *stormBed) storm(b *testing.B) {
 	}
 }
 
-// BenchmarkAttachStorm measures attach-storm throughput at increasing
-// session-shard counts: 8 eNodeB associations × 4 UEs re-attach
-// concurrently per iteration. On a multi-core machine, higher shard
-// counts admit more sessions' signaling in parallel; results are
-// identical regardless (sharding is keyed on IMSI/GUTI, and each UE's
-// state machine is served serially either way).
+// BenchmarkAttachStorm measures attach-storm throughput: 8 eNodeB
+// associations × 4 UEs re-attach concurrently per iteration.
 func BenchmarkAttachStorm(b *testing.B) {
-	for _, shards := range []int{1, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sb := newStormBed(b, shards, 8, 4)
-			sb.storm(b) // warm: first attach allocates sessions and tunnels
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sb.storm(b)
-			}
-		})
+	sb := newStormBed(b, 8, 4)
+	sb.storm(b) // warm: first attach allocates sessions and tunnels
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.storm(b)
 	}
 }

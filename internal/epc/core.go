@@ -3,7 +3,6 @@ package epc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,30 +47,7 @@ type Config struct {
 	// telecom/private-LTE property the paper contrasts with dLTE's
 	// open registry (§2.1, Table 1).
 	RequireENBAuthorization bool
-	// Shards is the number of per-UE session shards, each owning its
-	// slice of the session/GUTI tables and serving its signaling
-	// messages one at a time in deterministic (virtual arrival time,
-	// eNB conn ID) order. It fixes the GUTI / MME-UE-ID layout (the
-	// owning shard rides in the identity's top bits); simulated results
-	// are byte-identical at any value. All shards of a core are served
-	// on its network's delivery thread, so the count buys no real-CPU
-	// parallelism inside a world. 0 means one shard per CPU (capped at
-	// maxShards).
-	Shards int
 }
-
-// maxShards caps the shard count: the GUTI layout reserves 16 bits
-// for the owning shard and the MME UE ID layout 12, and beyond the
-// CPU count extra shards only add memory.
-const maxShards = 256
-
-// gutiShardShift places the owning shard in a GUTI's top 16 bits, so
-// any GUTI (including a foreign one carried in a roaming TAU) routes
-// to exactly one shard without a global table.
-const gutiShardShift = 48
-
-// mmeShardShift places the owning shard in an MME UE ID's top bits.
-const mmeShardShift = 20
 
 // Stats are the core's cumulative signaling counters.
 type Stats struct {
@@ -113,43 +89,31 @@ func (d UserPlaneDrops) Total() uint64 {
 // per AP for dLTE stubs, or one shared instance for the centralized
 // baseline.
 //
-// Per-UE state is partitioned across session shards keyed by IMSI (or
-// GUTI owner, for TAU): each shard owns its sessions, GUTI map, and
-// identity allocators, and serves at most one signaling message at a
-// time, so each UE's lifecycle stays single-writer without a
-// core-wide lock.
+// Per-UE state lives in one session table behind one capacity-1
+// serving gate: at most one per-UE signaling message is in flight, so
+// session fields other than the FSM and IMSI are single-writer. mu
+// guards the table and the identity allocators, which release and
+// handover paths read from other goroutines.
 type Core struct {
 	cfg  Config
 	host *simnet.Host
 	hss  *auth.SubscriberDB
 	gw   *Gateway
 
-	shards []*sessShard
-	proc   detGate // the modeled signaling processor(s)
+	serving detGate // one per-UE signaling message at a time
+	proc    detGate // the modeled signaling processor(s)
 
 	mu         sync.Mutex
 	allowedENB map[uint32]bool
+	nextMME    uint32
+	nextGUTI   uint64
+	gutis      map[uint64]string     // GUTI → IMSI
+	byIMSI     map[string]*ueSession // current session per registered IMSI
 
 	sigMsgs  atomic.Uint64
 	attaches atomic.Uint64
 	rejects  atomic.Uint64
 	detaches atomic.Uint64
-}
-
-// sessShard owns one partition of the per-UE control-plane state.
-// The gate serializes signaling processing (so session fields other
-// than the FSM and IMSI are single-writer); mu guards the tables and
-// allocators, which release/handover paths read from other
-// goroutines.
-type sessShard struct {
-	idx  int
-	gate detGate
-
-	mu       sync.Mutex
-	nextMME  uint32
-	nextGUTI uint64
-	gutis    map[uint64]string     // GUTI → IMSI
-	byIMSI   map[string]*ueSession // current session per registered IMSI
 }
 
 // NewCore creates a core whose gateway lives on host.
@@ -164,13 +128,6 @@ func NewCore(host *simnet.Host, cfg Config) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
 	hss := auth.NewSubscriberDB(cfg.OpenHSS)
 	// SQN freshness must follow the simulation's clock, not the wall
 	// clock: two cores challenging the same roaming SIM within one
@@ -181,19 +138,13 @@ func NewCore(host *simnet.Host, cfg Config) (*Core, error) {
 		host:       host,
 		hss:        hss,
 		gw:         gw,
-		shards:     make([]*sessShard, n),
 		allowedENB: make(map[uint32]bool),
+		nextGUTI:   0x100,
+		gutis:      make(map[uint64]string),
+		byIMSI:     make(map[string]*ueSession),
 	}
 	c.proc.init(host, cfg.SignalingProcessors)
-	for i := range c.shards {
-		c.shards[i] = &sessShard{
-			idx:      i,
-			nextGUTI: 0x100,
-			gutis:    make(map[uint64]string),
-			byIMSI:   make(map[string]*ueSession),
-		}
-		c.shards[i].gate.init(host, 1)
-	}
+	c.serving.init(host, 1)
 	return c, nil
 }
 
@@ -205,9 +156,6 @@ func (c *Core) Gateway() *Gateway { return c.gw }
 
 // Host reports the core's host name.
 func (c *Core) Host() string { return c.host.Name() }
-
-// Shards reports the resolved session shard count.
-func (c *Core) Shards() int { return len(c.shards) }
 
 // Provision adds a subscriber to the HSS.
 func (c *Core) Provision(sim auth.SIM) error { return c.hss.Provision(sim) }
@@ -239,10 +187,9 @@ func (c *Core) ImportPublishedKey(p auth.KeyPublication) error {
 // bookkeeping (who prepared what, in-flight state) lives in
 // internal/mobility, not here.
 func (c *Core) CompleteHandover(imsi string) error {
-	sh := c.shardFor(imsi)
-	sh.mu.Lock()
-	s := sh.byIMSI[imsi]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	s := c.byIMSI[imsi]
+	c.mu.Unlock()
 	if s == nil {
 		// No live control-plane session (it may already have been
 		// released); make sure the user plane is gone regardless.
@@ -280,12 +227,11 @@ func (c *Core) ServeS1AP(l *simnet.Listener) { l.OnAccept(c.serveENB) }
 
 // ueSession is the EPC's handle on one UE. Lifecycle state lives in
 // the NAS session's FSM; everything here but imsi is written only
-// under the owning shard's gate. imsi (and the shard's byIMSI entry)
-// is guarded by shard.mu because release and handover paths read it
+// under the core's serving gate. imsi (and the core's byIMSI entry)
+// is guarded by Core.mu because release and handover paths read it
 // from other goroutines.
 type ueSession struct {
 	nasSession *nas.NetworkSession
-	shard      *sessShard
 	enbUEID    uint32
 	mmeUEID    uint32
 	imsi       string
@@ -307,8 +253,8 @@ type ueSession struct {
 //
 // A message's life: start (decode, count) → the signaling-processor
 // gate and its ProcessingDelay, when one is modeled → route (find the
-// session and its shard) → the shard's gate → serve → done, which
-// starts the next queued frame at that same instant.
+// session) → the serving gate → serve → done, which starts the next
+// queued frame at that same instant.
 type enbConn struct {
 	c        *Core
 	sc       *simnet.Conn
@@ -324,18 +270,17 @@ type enbConn struct {
 	dead    bool // the eNB side closed; tear down once drained
 
 	// The in-flight message: its pooled frame, the view decoded in
-	// place, and what route resolved.
+	// place, and the session route resolved.
 	frame []byte
 	v     s1ap.MsgView
 	cur   *ueSession
-	shard *sessShard
 
 	// delay completes the in-flight message's ProcessingDelay; nil when
 	// the core models none. The gate continuations are method values
 	// bound once, so entering a gate allocates nothing.
-	delay         *simnet.Continuation
-	procAdmitted  func()
-	shardAdmitted func()
+	delay           *simnet.Continuation
+	procAdmitted    func()
+	servingAdmitted func()
 }
 
 // serveENB is the S1AP accept handler: it binds a new association to
@@ -348,7 +293,7 @@ func (c *Core) serveENB(sc *simnet.Conn) {
 		connID:   sc.RemoteAddr().String(),
 		sessions: make(map[uint32]*ueSession),
 	}
-	ec.shardAdmitted = ec.serveSharded
+	ec.servingAdmitted = ec.serveGated
 	if c.cfg.ProcessingDelay > 0 {
 		ec.delay = c.host.Network().NewContinuation(ec.processed)
 		ec.procAdmitted = ec.process
@@ -436,29 +381,27 @@ func (ec *enbConn) processed(uint64) {
 	ec.dispatch()
 }
 
-// dispatch resolves the in-flight message to its session's shard and
-// enters that shard's serving gate: one message per shard at a time,
-// admitted in deterministic (virtual arrival time, eNB conn ID) order.
-// Association-level messages touch no per-UE state and bypass the
-// shards.
+// dispatch resolves the in-flight message to its session and enters
+// the core's serving gate: one per-UE message at a time, admitted in
+// deterministic (virtual arrival time, eNB conn ID) order.
+// Association-level messages touch no per-UE state and bypass the gate.
 func (ec *enbConn) dispatch() {
-	sh, err := ec.c.route(ec)
+	gated, err := ec.c.route(ec)
 	if err != nil {
 		ec.done(err)
 		return
 	}
-	if sh == nil {
-		ec.done(ec.c.serve(ec, nil))
+	if !gated {
+		ec.done(ec.c.serve(ec))
 		return
 	}
-	ec.shard = sh
-	sh.gate.enter(ec.connID, ec.shardAdmitted)
+	ec.c.serving.enter(ec.connID, ec.servingAdmitted)
 }
 
-// serveSharded runs the in-flight message under its shard's gate.
-func (ec *enbConn) serveSharded() {
-	err := ec.c.serve(ec, ec.shard)
-	ec.shard.gate.release()
+// serveGated runs the in-flight message under the serving gate.
+func (ec *enbConn) serveGated() {
+	err := ec.c.serve(ec)
+	ec.c.serving.release()
 	ec.done(err)
 }
 
@@ -467,7 +410,7 @@ func (ec *enbConn) serveSharded() {
 // loses the association.
 func (ec *enbConn) done(err error) {
 	wire.PutFrame(ec.frame)
-	ec.frame, ec.cur, ec.shard, ec.busy = nil, nil, nil, false
+	ec.frame, ec.cur, ec.busy = nil, nil, false
 	if errors.Is(err, errENBRefused) {
 		ec.teardown()
 		return
@@ -493,93 +436,47 @@ func (ec *enbConn) teardown() {
 	ec.sc.Close()
 }
 
-// shardFor maps an identity onto its owning shard (FNV-1a; no
-// allocation — this runs per signaling message).
-func (c *Core) shardFor(id string) *sessShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return c.shards[h%uint32(len(c.shards))]
-}
-
-// shardForBytes is shardFor over a byte view (same FNV-1a, so a given
-// identity routes identically whether it arrives as string or view).
-func (c *Core) shardForBytes(id []byte) *sessShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return c.shards[h%uint32(len(c.shards))]
-}
-
-// shardOfGUTI routes a GUTI to the shard that allocated it (or, for a
-// foreign GUTI, to a deterministic shard that will not know it —
-// yielding the standard TAU reject).
-func (c *Core) shardOfGUTI(g uint64) *sessShard {
-	return c.shards[(g>>gutiShardShift)%uint64(len(c.shards))]
-}
-
-// routeInitial peeks at the first NAS PDU of a new UE context to find
-// the identity that keys the session's shard: the IMSI of an
-// AttachRequest, the GUTI owner of a TAURequest. Undecodable or
-// identity-free PDUs fall back to hashing the association, which is
-// still deterministic.
-func (c *Core) routeInitial(connID string, pdu []byte) *sessShard {
-	var v nas.MsgView
-	if err := nas.DecodeView(pdu, &v); err == nil {
-		switch v.Type {
-		case nas.TypeAttachRequest:
-			return c.shardForBytes(v.IMSI)
-		case nas.TypeTAURequest:
-			return c.shardOfGUTI(v.GUTI)
-		}
-	}
-	return c.shardFor(connID)
-}
-
-// route resolves the in-flight message to the shard that must serve it
-// and the session it concerns (ec.cur). A nil shard means no gate:
-// association-level messages, and releases for contexts already gone.
-func (c *Core) route(ec *enbConn) (*sessShard, error) {
+// route resolves the session the in-flight message concerns (ec.cur)
+// and reports whether it must be served under the serving gate.
+// Ungated: association-level messages, and releases for contexts
+// already gone.
+func (c *Core) route(ec *enbConn) (gated bool, err error) {
 	v := &ec.v
 	switch v.Type {
 	case s1ap.TypeInitialUEMessage:
-		return c.routeInitial(ec.connID, v.NASPDU), nil
+		return true, nil
 
 	case s1ap.TypeUplinkNASTransport, s1ap.TypeInitialContextSetupResponse:
 		s, ok := ec.sessions[v.ENBUEID]
 		if !ok {
-			return nil, fmt.Errorf("epc: no session for eNB UE %d", v.ENBUEID)
+			return false, fmt.Errorf("epc: no session for eNB UE %d", v.ENBUEID)
 		}
 		ec.cur = s
-		return s.shard, nil
+		return true, nil
 
 	case s1ap.TypePathSwitchRequest:
 		// Locate the session by MME UE ID across this association.
 		for _, cand := range ec.sessions {
 			if cand.mmeUEID == v.MMEUEID {
 				ec.cur = cand
-				return cand.shard, nil
+				return true, nil
 			}
 		}
-		return nil, fmt.Errorf("epc: path switch for unknown MME UE %d", v.MMEUEID)
+		return false, fmt.Errorf("epc: path switch for unknown MME UE %d", v.MMEUEID)
 
 	case s1ap.TypeUEContextReleaseRequest, s1ap.TypeUEContextReleaseComplete:
 		if s, ok := ec.sessions[v.ENBUEID]; ok {
 			ec.cur = s
-			return s.shard, nil
+			return true, nil
 		}
 	}
-	return nil, nil
+	return false, nil
 }
 
-// serve runs the in-flight message — under sh's gate when route named
-// a shard. Views in ec.v alias the pooled frame, which stays owned by
-// the association until done.
-func (c *Core) serve(ec *enbConn, sh *sessShard) error {
+// serve runs the in-flight message — under the serving gate when route
+// asked for it. Views in ec.v alias the pooled frame, which stays owned
+// by the association until done.
+func (c *Core) serve(ec *enbConn) error {
 	v, s := &ec.v, ec.cur
 	switch v.Type {
 	case s1ap.TypeS1SetupRequest:
@@ -596,7 +493,7 @@ func (c *Core) serve(ec *enbConn, sh *sessShard) error {
 		return ec.conn.Send(&s1ap.S1SetupResponse{MMEName: c.cfg.Name, ServedTAC: c.cfg.TAC, SNID: c.cfg.SNID})
 
 	case s1ap.TypeInitialUEMessage:
-		s = c.newUESession(sh, v.ENBUEID)
+		s = c.newUESession(v.ENBUEID)
 		ec.sessions[v.ENBUEID] = s
 		return c.feedNAS(ec, s, v.NASPDU)
 
@@ -644,16 +541,14 @@ func (c *Core) serve(ec *enbConn, sh *sessShard) error {
 	}
 }
 
-// newUESession builds a session owned by shard sh. Identities embed
-// the shard index (GUTI top bits, MME UE ID top bits) so later
-// messages route back to the owner without a global table.
-func (c *Core) newUESession(sh *sessShard, enbUEID uint32) *ueSession {
-	sh.mu.Lock()
-	sh.nextMME++
-	mmeUEID := uint32(sh.idx)<<mmeShardShift | sh.nextMME
-	sh.mu.Unlock()
+// newUESession builds a session for a new S1 UE context.
+func (c *Core) newUESession(enbUEID uint32) *ueSession {
+	c.mu.Lock()
+	c.nextMME++
+	mmeUEID := c.nextMME
+	c.mu.Unlock()
 
-	s := &ueSession{shard: sh, enbUEID: enbUEID, mmeUEID: mmeUEID}
+	s := &ueSession{enbUEID: enbUEID, mmeUEID: mmeUEID}
 	s.nasSession = nas.NewNetworkSession(nas.NetworkConfig{
 		HSS:              c.hss,
 		ServingNetworkID: c.cfg.SNID,
@@ -662,10 +557,10 @@ func (c *Core) newUESession(sh *sessShard, enbUEID uint32) *ueSession {
 		AllocateIP: func(imsi string) (string, error) {
 			// The UE passed authentication: it becomes the canonical
 			// session for its IMSI (superseding any stale one).
-			sh.mu.Lock()
+			c.mu.Lock()
 			s.imsi = imsi
-			sh.byIMSI[imsi] = s
-			sh.mu.Unlock()
+			c.byIMSI[imsi] = s
+			c.mu.Unlock()
 			ip, teid, err := c.gw.CreateSession(imsi)
 			if err != nil {
 				return "", err
@@ -674,16 +569,15 @@ func (c *Core) newUESession(sh *sessShard, enbUEID uint32) *ueSession {
 			return ip, nil
 		},
 		AllocateGUTI: func() uint64 {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			sh.nextGUTI++
-			return uint64(sh.idx)<<gutiShardShift | uint64(c.cfg.TAC)<<32 | sh.nextGUTI
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.nextGUTI++
+			return uint64(c.cfg.TAC)<<32 | c.nextGUTI
 		},
 		KnownGUTI: func(g uint64) bool {
-			own := c.shardOfGUTI(g)
-			own.mu.Lock()
-			defer own.mu.Unlock()
-			_, ok := own.gutis[g]
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			_, ok := c.gutis[g]
 			return ok
 		},
 	})
@@ -692,7 +586,7 @@ func (c *Core) newUESession(sh *sessShard, enbUEID uint32) *ueSession {
 
 // feedNAS pushes an uplink NAS PDU into the session's protocol
 // handler (which drives the lifecycle FSM) and relays any reply /
-// context-setup downlink. Runs under the owning shard's gate.
+// context-setup downlink. Runs under the serving gate.
 //
 // The downlink path is single-buffer: the S1AP transport header goes
 // into a pooled frame first, the NAS handler appends its reply (NAS
@@ -724,18 +618,15 @@ func (c *Core) feedNAS(ec *enbConn, s *ueSession, pdu []byte) error {
 	switch ev.Kind {
 	case nas.EventRegistered:
 		c.attaches.Add(1)
-		sh := s.shard
-		sh.mu.Lock()
-		sh.gutis[ev.GUTI] = ev.IMSI
-		sh.mu.Unlock()
+		c.mu.Lock()
+		c.gutis[ev.GUTI] = ev.IMSI
+		c.mu.Unlock()
 	case nas.EventDetached:
 		c.detaches.Add(1)
-		// The GUTI is UE-echoed: route the unmap to whichever shard
-		// owns that value (a garbage GUTI unmaps nothing).
-		own := c.shardOfGUTI(ev.GUTI)
-		own.mu.Lock()
-		delete(own.gutis, ev.GUTI)
-		own.mu.Unlock()
+		// The GUTI is UE-echoed: a garbage one unmaps nothing.
+		c.mu.Lock()
+		delete(c.gutis, ev.GUTI)
+		c.mu.Unlock()
 		defer c.releaseSession(s)
 	case nas.EventRejected, nas.EventAuthFailed:
 		c.rejects.Add(1)
@@ -765,14 +656,13 @@ func (c *Core) feedNAS(ec *enbConn, s *ueSession, pdu []byte) error {
 // session.
 func (c *Core) releaseSession(s *ueSession) {
 	s.nasSession.FSM().Fire(session.EvRelease)
-	sh := s.shard
-	sh.mu.Lock()
+	c.mu.Lock()
 	imsi := s.imsi
-	owner := imsi != "" && sh.byIMSI[imsi] == s
+	owner := imsi != "" && c.byIMSI[imsi] == s
 	if owner {
-		delete(sh.byIMSI, imsi)
+		delete(c.byIMSI, imsi)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if owner {
 		c.gw.DeleteSession(imsi)
 	}

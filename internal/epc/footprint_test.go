@@ -21,7 +21,7 @@ func TestActiveUEGoroutineFootprint(t *testing.T) {
 	const nENB, perENB = 4, 16
 	const population = nENB * perENB
 
-	sb := newStormBed(t, 1, nENB, perENB)
+	sb := newStormBed(t, nENB, perENB)
 
 	// Baseline after the world is built but before any UE attaches:
 	// core, eNodeBs, and idle devices all up.
@@ -100,7 +100,7 @@ func TestAttachParkBudget(t *testing.T) {
 	const air = 2 * time.Millisecond
 
 	net := simnet.NewVirtualNetwork(simnet.Link{Latency: air}, 1)
-	sb := newStormBedOn(t, net, 1, nENB, perENB)
+	sb := newStormBedOn(t, net, nENB, perENB)
 	clk := net.Clock()
 
 	round := func(sample func()) {

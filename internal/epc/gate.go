@@ -39,10 +39,10 @@ type gateWaiter struct {
 // Everything here runs on the network's delivery thread (DESIGN.md
 // §14), so the gate needs no lock.
 //
-// Two gates are built on this: each session shard's serving gate
-// (capacity 1 — at most one signaling message per shard in flight,
-// which is what makes shard state single-writer) and the modeled
-// signaling processor of a centralized EPC (capacity =
+// Two gates are built on this: the core's serving gate (capacity 1 —
+// at most one per-UE signaling message in flight, which is what makes
+// session state single-writer) and the modeled signaling processor of
+// a centralized EPC (capacity =
 // SignalingProcessors, each admitted message holding its slot for
 // ProcessingDelay — an M/D/k queue in virtual time).
 type detGate struct {

@@ -99,7 +99,7 @@ func TestIPFormulaSpansSubnet(t *testing.T) {
 // name does not fit the user-packet framing (a one-byte length) cannot
 // be tunneled; it is dropped and counted, through to Core.Stats.
 func TestOversizeDownlinkCounted(t *testing.T) {
-	c := newHotpathCore(t, 1)
+	c := newHotpathCore(t)
 	if _, _, err := c.gw.CreateSession("imsi-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,59 +1,26 @@
 package epc
 
 import (
-	"fmt"
 	"testing"
 
 	"dlte/internal/simnet"
 )
 
 // These are the allocation gates for the per-attach hot path: the
-// session-shard routing helpers and the deterministic gate run on
-// every signaling message. The FSM transition itself is gated to zero
-// allocations in the session package (TestFireNoAllocs).
+// deterministic gate runs on every signaling message. The FSM
+// transition itself is gated to zero allocations in the session
+// package (TestFireNoAllocs).
 
-func newHotpathCore(t *testing.T, shards int) *Core {
+func newHotpathCore(t *testing.T) *Core {
 	t.Helper()
 	n := simnet.New(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
-	c, err := NewCore(n.MustAddHost("core"), Config{Name: "hot", TAC: 7, Shards: shards})
+	c, err := NewCore(n.MustAddHost("core"), Config{Name: "hot", TAC: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
-}
-
-func TestShardRoutingNoAllocs(t *testing.T) {
-	c := newHotpathCore(t, 8)
-	ids := []string{"conn-1", "001010000000101", "a-longer-routing-key"}
-	if got := testing.AllocsPerRun(1000, func() {
-		for _, id := range ids {
-			if c.shardFor(id) == nil {
-				t.Fatal("nil shard")
-			}
-		}
-	}); got != 0 {
-		t.Errorf("shardFor allocates %v per run, want 0", got)
-	}
-	guti := uint64(3)<<gutiShardShift | uint64(7)<<32 | 0x123
-	if got := testing.AllocsPerRun(1000, func() {
-		if c.shardOfGUTI(guti) != c.shards[3] {
-			t.Fatal("wrong shard")
-		}
-	}); got != 0 {
-		t.Errorf("shardOfGUTI allocates %v per run, want 0", got)
-	}
-}
-
-func TestShardRoutingStable(t *testing.T) {
-	c := newHotpathCore(t, 8)
-	for i := 0; i < 100; i++ {
-		id := fmt.Sprintf("conn-%d", i)
-		if c.shardFor(id) != c.shardFor(id) {
-			t.Fatalf("shardFor(%q) unstable", id)
-		}
-	}
 }
 
 // TestGateRunAllocBound pins the deterministic gate's steady-state

@@ -31,7 +31,7 @@ func TestIdleSessionWorldFootprint(t *testing.T) {
 	defer net.Close()
 	coreHost := net.MustAddHost("core")
 	core, err := epc.NewCore(coreHost, epc.Config{
-		Name: "idle-core", TAC: 7, DirectBreakout: true, Shards: 4,
+		Name: "idle-core", TAC: 7, DirectBreakout: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func (g *refGate) run(clk simnet.Clock, actor string, fn func()) {
 
 // gateScript is one randomized workload for a single gate: capacity
 // slots, hold (the ProcessingDelay an admitted message keeps its slot
-// for; 0 = the shard gate's instantaneous work), and per association
+// for; 0 = the serving gate's instantaneous work), and per association
 // the virtual instants its messages reach the core. An association
 // serves one message at a time, so a message that arrives while its
 // predecessor is in flight enters the gate the moment the predecessor
@@ -137,8 +137,8 @@ type admission struct {
 
 // between is what an association does between leaving this gate and
 // re-entering it with its next message. A message that held a
-// signaling-processor slot goes on through its shard's gate first (one
-// gateEpsilon); a shard-gate message is followed at once.
+// signaling-processor slot goes on through the serving gate first (one
+// gateEpsilon); a serving-gate message is followed at once.
 func (s gateScript) between() time.Duration {
 	if s.hold > 0 {
 		return gateEpsilon

@@ -26,34 +26,29 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a := run()
-	b := run()
-	if !bytes.Equal(a, b) {
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 120
-		if lo < 0 {
-			lo = 0
-		}
-		hiA, hiB := i+120, i+120
-		if hiA > len(a) {
-			hiA = len(a)
-		}
-		if hiB > len(b) {
-			hiB = len(b)
-		}
-		t.Fatalf("same-seed runs diverge at byte %d:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-			i, a[lo:hiA], b[lo:hiB])
-	}
+	requireSameBytes(t, "run 1", "run 2", run(), run())
 }
 
-// TestSerialParallelIdentical is the regression gate for the two
-// real-CPU knobs: the same seed must render byte-identical tables
+// requireSameBytes fails the test at the first byte where two renders
+// part, with 120 bytes of context either side.
+func requireSameBytes(t *testing.T, labelA, labelB string, a, b []byte) {
+	t.Helper()
+	if bytes.Equal(a, b) {
+		return
+	}
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(i-120, 0)
+	t.Fatalf("%s and %s diverge at byte %d:\n--- %s ---\n%s\n--- %s ---\n%s",
+		labelA, labelB, i, labelA, a[lo:min(i+120, len(a))], labelB, b[lo:min(i+120, len(b))])
+}
+
+// TestSerialParallelIdentical is the regression gate for the one
+// real-CPU knob: the same seed must render byte-identical tables
 // whether the sweeps run serially or with every world concurrent
-// (Parallelism), and whether each simulated core serves its sessions
-// on one shard or eight (Shards). E3 covers the
+// (Parallelism). E3 covers the
 // contended-signaling-processor worlds (the shared centralized EPC,
 // historically the first place scheduler interleaving leaked into
 // results); E4 covers roaming and retransmission timing; E10 covers
@@ -61,60 +56,62 @@ func TestExperimentsDeterministic(t *testing.T) {
 // and a push subscription all race on one registry — its wire-byte
 // accounting depends on every delta landing in its own frame. E12
 // covers the pure-compute fan-out: thousands of coexistence domains on
-// the event-driven PHY engine, reduced in index order. The
-// shards=32 leg is the attach-storm gate: E3's storm worlds at the
-// widest shard count the storm benchmark sweeps must render the same
-// bytes as the single-shard serial run, pinning batched shard-gate
-// admission to the virtual-time order.
+// the event-driven PHY engine, reduced in index order.
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	run := func(parallelism, shards int) []byte {
+	run := func(parallelism int) []byte {
 		var buf bytes.Buffer
-		opt := Options{Quick: true, Seed: 42, Out: &buf, Parallelism: parallelism, Shards: shards}
+		opt := Options{Quick: true, Seed: 42, Out: &buf, Parallelism: parallelism}
 		if _, err := RunE3(opt); err != nil {
-			t.Fatalf("E3 (p=%d s=%d): %v", parallelism, shards, err)
+			t.Fatalf("E3 (p=%d): %v", parallelism, err)
 		}
 		if _, err := RunE4(opt); err != nil {
-			t.Fatalf("E4 (p=%d s=%d): %v", parallelism, shards, err)
+			t.Fatalf("E4 (p=%d): %v", parallelism, err)
 		}
 		if _, err := RunE10(opt); err != nil {
-			t.Fatalf("E10 (p=%d s=%d): %v", parallelism, shards, err)
+			t.Fatalf("E10 (p=%d): %v", parallelism, err)
 		}
 		if _, err := RunE12(opt); err != nil {
-			t.Fatalf("E12 (p=%d s=%d): %v", parallelism, shards, err)
+			t.Fatalf("E12 (p=%d): %v", parallelism, err)
 		}
 		return buf.Bytes()
 	}
-	diverge := func(labelA, labelB string, a, b []byte) {
-		t.Helper()
-		if bytes.Equal(a, b) {
-			return
-		}
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 120
-		if lo < 0 {
-			lo = 0
-		}
-		hiA, hiB := i+120, i+120
-		if hiA > len(a) {
-			hiA = len(a)
-		}
-		if hiB > len(b) {
-			hiB = len(b)
-		}
-		t.Fatalf("%s and %s runs diverge at byte %d:\n--- %s ---\n%s\n--- %s ---\n%s",
-			labelA, labelB, i, labelA, a[lo:hiA], labelB, b[lo:hiB])
+	requireSameBytes(t, "serial (p=1)", "parallel (p=8)", run(1), run(8))
+}
+
+// TestCompileScenarioWorkerInvariant checks the compact world's
+// worker-invariance directly, independent of Options: one region
+// worker or eight, every scenario kind under both schemes ends with the
+// same handover, event, outage and interruption figures.
+func TestCompileScenarioWorkerInvariant(t *testing.T) {
+	type outcome struct {
+		handovers, events, dropped, reattached uint64
+		p50, p99                               float64
 	}
-	serial := run(1, 1)
-	parallel := run(8, 1)
-	sharded := run(8, 8)
-	storm := run(8, 32)
-	diverge("serial (p=1,s=1)", "parallel (p=8,s=1)", serial, parallel)
-	diverge("serial (p=1,s=1)", "sharded (p=8,s=8)", serial, sharded)
-	diverge("serial (p=1,s=1)", "storm (p=8,s=32)", serial, storm)
+	run := func(spec ScenarioSpec, scheme Scheme, workers int) outcome {
+		w, err := CompileScenario(spec, scheme, 42, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{handovers: w.Handovers(), events: w.Events()}
+		o.dropped, o.reattached, _ = w.Outage()
+		o.p50, o.p99 = w.InterruptionQuantiles()
+		return o
+	}
+	for _, spec := range e11Specs(Options{Quick: true}) {
+		for _, scheme := range []Scheme{SchemeDLTE, SchemeTelecom} {
+			one, eight := run(spec, scheme, 1), run(spec, scheme, 8)
+			if one != eight {
+				t.Errorf("%s %v: workers=1 %+v, workers=8 %+v", spec.Name, scheme, one, eight)
+			}
+			if one.events == 0 {
+				t.Errorf("%s %v: empty world %+v", spec.Name, scheme, one)
+			}
+		}
+	}
 }

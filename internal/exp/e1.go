@@ -36,7 +36,7 @@ func RunE1(opt Options) (E1Result, error) {
 
 	// --- Openness, dLTE: a newcomer AP joins the registry and serves
 	// a client, with nobody's permission.
-	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, opt.Seed, opt.Shards)
+	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, opt.Seed)
 	if err != nil {
 		return res, err
 	}

@@ -38,7 +38,7 @@ import (
 //     Record per handover. Probe numbers anchor the compact model to
 //     the real protocol cost.
 //
-// Determinism: tables are byte-identical at any -p/-shards. The compact
+// Determinism: tables are byte-identical at any -p. The compact
 // worlds are worker-invariant by construction; the probe worlds run on
 // virtual clocks; telecom byte costs come from real codec sizes, not
 // timing.
@@ -146,7 +146,7 @@ type e11Row struct {
 // newMobilityWorld is newDLTEWorld with cooperative X2 mode and a
 // shared mobility meter threaded into every AP — the probe worlds'
 // standard shape.
-func newMobilityWorld(n int, apKm float64, seed int64, shards int, m *mobility.Meter) (*core.Scenario, []*core.AccessPoint, error) {
+func newMobilityWorld(n int, apKm float64, seed int64, m *mobility.Meter) (*core.Scenario, []*core.AccessPoint, error) {
 	s, err := core.NewScenario(defaultWAN, seed)
 	if err != nil {
 		return nil, nil, err
@@ -158,10 +158,9 @@ func newMobilityWorld(n int, apKm float64, seed int64, shards int, m *mobility.M
 			Position: geo.Pt(float64(i)*apKm*1000, 0),
 			Band:     radio.LTEBand5,
 			HeightM:  20, EIRPdBm: 58,
-			Mode:   x2.ModeCooperative,
-			TAC:    uint16(i + 1),
-			Shards: shards,
-			Meter:  m,
+			Mode:  x2.ModeCooperative,
+			TAC:   uint16(i + 1),
+			Meter: m,
 		})
 		if err != nil {
 			s.Close()
@@ -248,9 +247,9 @@ func probeHandover(s *core.Scenario, src, dst *core.AccessPoint, d *ue.Device, m
 // probeCorridor drives one real UE down a 4-AP corridor: three full
 // handovers, each metered end to end. Returns the median interruption
 // and mean signaling bytes per handover.
-func probeCorridor(seed int64, shards int) (float64, float64, error) {
+func probeCorridor(seed int64) (float64, float64, error) {
 	m := mobility.NewMeter()
-	s, aps, err := newMobilityWorld(4, 1.0, seed, shards, m)
+	s, aps, err := newMobilityWorld(4, 1.0, seed, m)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -294,9 +293,9 @@ func probeCorridor(seed int64, shards int) (float64, float64, error) {
 // one of the hot cells — then disperses one of them through a real
 // plane handover. Returns the promotion attach p50 and the disperse
 // handover's interruption/bytes.
-func probeFlash(seed int64, shards int, promos []scenPromo) (promoP50, hoMs, hoBytes float64, err error) {
+func probeFlash(seed int64, promos []scenPromo) (promoP50, hoMs, hoBytes float64, err error) {
 	m := mobility.NewMeter()
-	s, aps, err := newMobilityWorld(4, 1.0, seed, shards, m)
+	s, aps, err := newMobilityWorld(4, 1.0, seed, m)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -344,8 +343,8 @@ func probeFlash(seed int64, shards int, promos []scenPromo) (promoP50, hoMs, hoB
 // probeFailureDLTE crashes the probe's serving AP (simnet link cut —
 // the AP is unreachable from UE, registry, and peers) and checks the
 // UE re-attaches to a surviving island. Returns (survived, outage).
-func probeFailureDLTE(seed int64, shards int) (bool, time.Duration, error) {
-	s, aps, err := newMobilityWorld(3, 2.0, seed, shards, nil)
+func probeFailureDLTE(seed int64) (bool, time.Duration, error) {
+	s, aps, err := newMobilityWorld(3, 2.0, seed, nil)
 	if err != nil {
 		return false, 0, err
 	}
@@ -386,11 +385,11 @@ func probeFailureDLTE(seed int64, shards int) (bool, time.Duration, error) {
 // baseline: the wave takes out the operator core's site, so even the
 // surviving cell site cannot attach anyone — sessions behind a dead
 // EPC do not survive.
-func probeFailureTelecom(seed int64, shards int) (bool, error) {
+func probeFailureTelecom(seed int64) (bool, error) {
 	n := simnet.NewVirtualNetwork(defaultWAN, seed)
 	defer n.Close()
 	central, err := baseline.NewCentralized(n, "epc", baseline.CentralizedConfig{
-		TAC: 11, WANLink: defaultWAN, Shards: shards,
+		TAC: 11, WANLink: defaultWAN,
 	})
 	if err != nil {
 		return false, err
@@ -428,7 +427,7 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 	t0 := time.Now()
 
 	for _, scheme := range []Scheme{SchemeDLTE, SchemeTelecom} {
-		w, err := CompileScenario(spec, scheme, seed, opt.Shards)
+		w, err := CompileScenario(spec, scheme, seed, opt.workers())
 		if err != nil {
 			return row, err
 		}
@@ -445,7 +444,7 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 			if spec.Kind == KindFlashCrowd {
 				promos := w.Promotions()
 				row.promoted = len(promos)
-				pp50, hoMs, hoBytes, perr := probeFlash(seed, opt.Shards, promos)
+				pp50, hoMs, hoBytes, perr := probeFlash(seed, promos)
 				if perr != nil {
 					return row, perr
 				}
@@ -458,13 +457,13 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 
 	switch spec.Kind {
 	case KindCorridor:
-		probeMs, probeBytes, err := probeCorridor(seed, opt.Shards)
+		probeMs, probeBytes, err := probeCorridor(seed)
 		if err != nil {
 			return row, err
 		}
 		row.probeMs, row.probeBytes = probeMs, probeBytes
 	case KindFailureWave:
-		survived, outage, err := probeFailureDLTE(seed, opt.Shards)
+		survived, outage, err := probeFailureDLTE(seed)
 		if err != nil {
 			return row, err
 		}
@@ -472,12 +471,12 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 		// Bytes per handover: the wave's re-attach is a cold attach at
 		// the island (no X2 prepare possible — the source is dead), so
 		// reuse the corridor probe's full-arc cost for the table.
-		_, probeBytes, err := probeCorridor(seed+7, opt.Shards)
+		_, probeBytes, err := probeCorridor(seed + 7)
 		if err != nil {
 			return row, err
 		}
 		row.probeBytes = probeBytes
-		telOK, err := probeFailureTelecom(seed, opt.Shards)
+		telOK, err := probeFailureTelecom(seed)
 		if err != nil {
 			return row, err
 		}

@@ -16,7 +16,7 @@ import (
 func benchHandoverWorld(b *testing.B, n int) *handoverBench {
 	b.Helper()
 	m := mobility.NewMeter()
-	s, aps, err := newMobilityWorld(2, 1.0, 42, 0, m)
+	s, aps, err := newMobilityWorld(2, 1.0, 42, m)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"dlte/internal/enb"
@@ -23,9 +22,9 @@ import (
 // idles with periodic tracking-area updates; a handful later see real
 // activity and are promoted through the full Device/EPC stack.
 //
-// Determinism: the printed table is byte-identical at any Parallelism
-// or Shards. The region count is a constant (regions are a modeling
-// unit; Shards only sets how many OS threads drain them), every per-UE
+// Determinism: the printed table is byte-identical at any Parallelism.
+// The region count is a constant (regions are a modeling unit;
+// Parallelism only sets how many OS threads drain them), every per-UE
 // quantity is a pure function of (seed, global index), cross-region
 // aggregates are commutative sums, and the promotion log is merged
 // with simnet.MergeRegions before it touches output. Wall time and
@@ -38,7 +37,7 @@ type E13Result struct {
 	Table *metrics.Table
 	// BytesPerUE is the accounted steady-state cost of one idle UE:
 	// its SoA slot plus its parked wheel timer. A constant of the
-	// representation, independent of population, regions, or shards.
+	// representation, independent of population, regions, or workers.
 	BytesPerUE int
 	// EventsByUEs / TAUByUEs / PromotedByUEs are deterministic world
 	// outcomes by population size.
@@ -52,8 +51,8 @@ type E13Result struct {
 
 // E13 world shape. The region count is part of the model (like a cell
 // plan), not a performance knob: changing it would re-partition UEs
-// and must not be conflated with -shards, which only picks how many
-// OS threads drain the fixed regions.
+// and must not be conflated with -p, which only picks how many OS
+// threads drain the fixed regions.
 const (
 	e13Regions    = 64
 	e13Window     = 250 * time.Millisecond
@@ -190,9 +189,6 @@ type e13World struct {
 }
 
 func newE13World(seed int64, n, workers int) *e13World {
-	if workers == 0 {
-		workers = runtime.NumCPU() // match the Options.Shards convention
-	}
 	w := &e13World{
 		n: n, seed: seed,
 		ss:    simnet.NewShardedScheduler(e13Regions, e13Window, workers),
@@ -308,7 +304,7 @@ func e13Sizes(opt Options) []int {
 
 func runE13World(seed int64, n int, opt Options) (e13Point, error) {
 	p := e13Point{n: n}
-	w := newE13World(seed, n, opt.Shards)
+	w := newE13World(seed, n, opt.workers())
 	t0 := time.Now()
 	if err := w.start(); err != nil {
 		return p, err
@@ -334,7 +330,7 @@ func runE13World(seed int64, n int, opt Options) (e13Point, error) {
 	// AP/core — the compact world's exit ramp, measured end to end.
 	promos := w.mergedPromos()
 	p.promoted = len(promos)
-	s, aps, err := newDLTEWorld(1, 1.0, x2.ModeFairShare, seed, opt.Shards)
+	s, aps, err := newDLTEWorld(1, 1.0, x2.ModeFairShare, seed)
 	if err != nil {
 		return p, err
 	}

@@ -46,39 +46,24 @@ func TestE13Quick(t *testing.T) {
 	}
 }
 
-// TestE13SerialParallelShardedIdentical is E13's leg of the
-// determinism gate: the rendered table must be byte-identical whether
-// worlds run serially or concurrently (Parallelism) and whether the
-// region wheels drain on one OS thread or eight (Shards). This is the
-// property that lets -shards scale a million-UE world across cores
-// without auditing output stability.
-func TestE13SerialParallelShardedIdentical(t *testing.T) {
+// TestE13SerialParallelIdentical is E13's leg of the determinism gate:
+// the rendered table must be byte-identical whether worlds run serially
+// with their region wheels drained on one OS thread, or concurrently
+// on eight (Parallelism). This is the property that lets -p scale a
+// million-UE world across cores without auditing output stability.
+func TestE13SerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	run := func(parallelism, shards int) []byte {
+	run := func(parallelism int) []byte {
 		var buf bytes.Buffer
-		opt := Options{Quick: true, Seed: 42, Out: &buf, Parallelism: parallelism, Shards: shards}
+		opt := Options{Quick: true, Seed: 42, Out: &buf, Parallelism: parallelism}
 		if _, err := RunE13(opt); err != nil {
-			t.Fatalf("E13 (p=%d s=%d): %v", parallelism, shards, err)
+			t.Fatalf("E13 (p=%d): %v", parallelism, err)
 		}
 		return buf.Bytes()
 	}
-	serial := run(1, 1)
-	for _, leg := range []struct {
-		label string
-		p, s  int
-	}{{"parallel (p=8,s=1)", 8, 1}, {"sharded (p=1,s=8)", 1, 8}, {"both (p=8,s=8)", 8, 8}} {
-		got := run(leg.p, leg.s)
-		if !bytes.Equal(serial, got) {
-			i := 0
-			for i < len(serial) && i < len(got) && serial[i] == got[i] {
-				i++
-			}
-			t.Fatalf("serial and %s diverge at byte %d:\n--- serial ---\n%s\n--- %s ---\n%s",
-				leg.label, i, serial, leg.label, got)
-		}
-	}
+	requireSameBytes(t, "serial (p=1)", "parallel (p=8)", run(1), run(8))
 }
 
 // TestE13UEsOverride pins the -ues plumbing: a single-world sweep of
@@ -105,7 +90,7 @@ func measureIdleWorld(seed int64, n int) (float64, *e13World, error) {
 		return m.HeapAlloc
 	}
 	h0 := heap()
-	w := newE13World(seed, n, 0)
+	w := newE13World(seed, n, runtime.NumCPU())
 	if err := w.start(); err != nil {
 		return 0, nil, err
 	}

@@ -38,7 +38,7 @@ func RunE2(opt Options) (E2Result, error) {
 	}
 
 	// --- dLTE: stub core on the AP, breakout at the AP.
-	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, opt.Seed, opt.Shards)
+	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, opt.Seed)
 	if err != nil {
 		return res, err
 	}

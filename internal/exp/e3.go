@@ -81,19 +81,19 @@ func RunE3(opt Options) (E3Result, error) {
 		switch {
 		case i < len(apCounts):
 			nAP := apCounts[i]
-			p.p50, p.p99, p.msgs, e = runDLTEStorm(nAP, opt.Seed, opt.Shards)
+			p.p50, p.p99, p.msgs, e = runDLTEStorm(nAP, opt.Seed)
 			if e != nil {
 				return fmt.Errorf("E3 dlte n=%d: %w", nAP, e)
 			}
 		case i < 2*len(apCounts):
 			nAP := apCounts[i-len(apCounts)]
-			p.p50, p.p99, p.msgs, e = runCentralStorm(nAP, opt.Seed, opt.Shards, 1)
+			p.p50, p.p99, p.msgs, e = runCentralStorm(nAP, opt.Seed, 1)
 			if e != nil {
 				return fmt.Errorf("E3 central n=%d: %w", nAP, e)
 			}
 		default:
 			procs := e3ProcSweep[i-2*len(apCounts)]
-			p.p50, p.p99, p.msgs, e = runCentralStorm(res.MaxAPs, opt.Seed, opt.Shards, procs)
+			p.p50, p.p99, p.msgs, e = runCentralStorm(res.MaxAPs, opt.Seed, procs)
 			if e != nil {
 				return fmt.Errorf("E3b central k=%d: %w", procs, e)
 			}
@@ -135,7 +135,7 @@ func RunE3(opt Options) (E3Result, error) {
 // APs simultaneously. Each stub carries exactly the same per-message
 // processing cost as the centralized core — the only difference under
 // test is that dLTE has one processor per site instead of one shared.
-func runDLTEStorm(nAP int, seed int64, shards int) (p50, p99 float64, coreMsgs uint64, err error) {
+func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err error) {
 	s, err := core.NewScenario(defaultWAN, seed)
 	if err != nil {
 		return 0, 0, 0, err
@@ -149,7 +149,6 @@ func runDLTEStorm(nAP int, seed int64, shards int) (p50, p99 float64, coreMsgs u
 			Band:     radio.LTEBand5, HeightM: 20, EIRPdBm: 58,
 			Mode: x2.ModeFairShare, TAC: uint16(i + 1),
 			ProcessingDelay: e3ProcDelay,
-			Shards:          shards,
 		})
 		if aerr != nil {
 			return 0, 0, 0, aerr
@@ -226,7 +225,7 @@ func runDLTEStorm(nAP int, seed int64, shards int) (p50, p99 float64, coreMsgs u
 // EPC whose signaling processor costs e3ProcDelay per message; procs
 // is the modeled number of parallel signaling processors (1 = the
 // classic single-threaded MME, >1 = E3b's sharded MME).
-func runCentralStorm(nAP int, seed int64, shards, procs int) (p50, p99 float64, coreMsgs uint64, err error) {
+func runCentralStorm(nAP int, seed int64, procs int) (p50, p99 float64, coreMsgs uint64, err error) {
 	n := simnet.NewVirtualNetwork(simnet.Link{Latency: 10 * time.Millisecond}, seed)
 	defer n.Close()
 	central, err := baseline.NewCentralized(n, "epc", baseline.CentralizedConfig{
@@ -234,7 +233,6 @@ func runCentralStorm(nAP int, seed int64, shards, procs int) (p50, p99 float64, 
 		WANLink:             simnet.Link{Latency: 10 * time.Millisecond},
 		ProcessingDelay:     e3ProcDelay,
 		SignalingProcessors: procs,
-		Shards:              shards,
 	})
 	if err != nil {
 		return 0, 0, 0, err

@@ -63,14 +63,14 @@ func RunE4(opt Options) (E4Result, error) {
 		i := j / 2
 		rtt := ottRTTs[i]
 		if j%2 == 0 {
-			mst, e := runRoam(opt.Seed+int64(i), rtt, transport.Migratory, opt.Shards)
+			mst, e := runRoam(opt.Seed+int64(i), rtt, transport.Migratory)
 			if e != nil {
 				return fmt.Errorf("E4 mst rtt=%d: %w", rtt, e)
 			}
 			mstOut[i] = mst
 			return nil
 		}
-		leg, e := runRoam(opt.Seed+int64(i)+100, rtt, transport.Legacy, opt.Shards)
+		leg, e := runRoam(opt.Seed+int64(i)+100, rtt, transport.Legacy)
 		if e != nil {
 			return fmt.Errorf("E4 legacy rtt=%d: %w", rtt, e)
 		}
@@ -133,9 +133,9 @@ type roamOutcome struct {
 
 // runRoam executes one instrumented roam with connection migration
 // (Migratory) or reconnect-from-scratch (Legacy).
-func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roamOutcome, error) {
+func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, error) {
 	var out roamOutcome
-	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed, shards)
+	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed)
 	if err != nil {
 		return out, err
 	}

@@ -31,19 +31,19 @@ func RunE4Ablation(opt Options) (*metrics.Table, error) {
 	err := forEachWorld(opt, 3, func(i int) error {
 		switch i {
 		case 0:
-			mig, e := runRoam(opt.Seed+11, ottRTT, transport.Migratory, opt.Shards)
+			mig, e := runRoam(opt.Seed+11, ottRTT, transport.Migratory)
 			if e != nil {
 				return fmt.Errorf("migration: %w", e)
 			}
 			disruption[0] = mig.disruptionMs
 		case 1:
-			zero, e := runResumeRoam(opt.Seed+12, ottRTT, true, opt.Shards)
+			zero, e := runResumeRoam(opt.Seed+12, ottRTT, true)
 			if e != nil {
 				return fmt.Errorf("0-RTT resume: %w", e)
 			}
 			disruption[1] = zero
 		case 2:
-			leg, e := runRoam(opt.Seed+13, ottRTT, transport.Legacy, opt.Shards)
+			leg, e := runRoam(opt.Seed+13, ottRTT, transport.Legacy)
 			if e != nil {
 				return fmt.Errorf("legacy: %w", e)
 			}
@@ -65,8 +65,8 @@ func RunE4Ablation(opt Options) (*metrics.Table, error) {
 // runResumeRoam roams with an explicit close-and-resume instead of
 // migration: the client tears its session down at the roam and
 // reopens it with the resume token (0-RTT when resume is true).
-func runResumeRoam(seed int64, ottOneWayMs int, resume bool, shards int) (float64, error) {
-	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed, shards)
+func runResumeRoam(seed int64, ottOneWayMs int, resume bool) (float64, error) {
+	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -41,7 +41,7 @@ func RunE7(opt Options) (E7Result, error) {
 		"APs", "update period ms", "X2 bytes/s per AP", "% of 256kbps backhaul", "% of 10Mbps backhaul")
 
 	for _, n := range apCounts {
-		bps, err := measureX2Rate(n, rounds, period, opt.Seed, opt.Shards)
+		bps, err := measureX2Rate(n, rounds, period, opt.Seed)
 		if err != nil {
 			return res, fmt.Errorf("E7 n=%d: %w", n, err)
 		}
@@ -63,7 +63,7 @@ func RunE7(opt Options) (E7Result, error) {
 		{"1 Mbps / 50 ms", simnet.Link{Latency: 50 * time.Millisecond, BandwidthBps: 1e6}},
 		{"256 kbps / 200 ms", simnet.Link{Latency: 200 * time.Millisecond, BandwidthBps: 256e3}},
 	} {
-		conv, err := measureConvergence(bh.link, opt.Seed, opt.Shards)
+		conv, err := measureConvergence(bh.link, opt.Seed)
 		if err != nil {
 			return res, fmt.Errorf("E7b %s: %w", bh.name, err)
 		}
@@ -79,8 +79,8 @@ func RunE7(opt Options) (E7Result, error) {
 
 // measureX2Rate runs `rounds` coordination cycles across n APs and
 // reports per-AP coordination bytes per second (tx+rx averaged).
-func measureX2Rate(n, rounds int, period time.Duration, seed int64, shards int) (float64, error) {
-	s, aps, err := newDLTEWorld(n, 3, x2.ModeCooperative, seed, shards)
+func measureX2Rate(n, rounds int, period time.Duration, seed int64) (float64, error) {
+	s, aps, err := newDLTEWorld(n, 3, x2.ModeCooperative, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -125,8 +125,8 @@ func measureX2Rate(n, rounds int, period time.Duration, seed int64, shards int) 
 
 // measureConvergence times one full advertise+negotiate+adopt cycle
 // between two APs over the given backhaul link.
-func measureConvergence(backhaul simnet.Link, seed int64, shards int) (float64, error) {
-	s, aps, err := newDLTEWorld(2, 3, x2.ModeFairShare, seed, shards)
+func measureConvergence(backhaul simnet.Link, seed int64) (float64, error) {
+	s, aps, err := newDLTEWorld(2, 3, x2.ModeFairShare, seed)
 	if err != nil {
 		return 0, err
 	}

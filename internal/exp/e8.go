@@ -102,7 +102,7 @@ func RunE8(opt Options) (E8Result, error) {
 		}
 		// OTT messaging through the real AP: two attached UEs exchange
 		// relay messages (the WhatsApp model of §5).
-		d, e := runOTTMessaging(opt.Seed, opt.Shards)
+		d, e := runOTTMessaging(opt.Seed)
 		if e != nil {
 			return fmt.Errorf("E8 ott: %w", e)
 		}
@@ -127,8 +127,8 @@ func RunE8(opt Options) (E8Result, error) {
 
 // runOTTMessaging attaches two UEs to the town AP and exchanges relay
 // messages through the live data path.
-func runOTTMessaging(seed int64, shards int) (int, error) {
-	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, seed, shards)
+func runOTTMessaging(seed int64) (int, error) {
+	s, aps, err := newDLTEWorld(1, 3, x2.ModeFairShare, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -68,7 +68,7 @@ func RunE9(opt Options) (E9Result, error) {
 		case 1:
 			csmaFull = phy.SimulateDCF(phy.DCFConfig{Stations: stations, Seed: opt.Seed}, seconds)
 		case 2:
-			g, d, e := runRelayOutage(opt.Seed, opt.Shards)
+			g, d, e := runRelayOutage(opt.Seed)
 			if e != nil {
 				return fmt.Errorf("E9b: %w", e)
 			}
@@ -132,8 +132,8 @@ func RunE9(opt Options) (E9Result, error) {
 
 // runRelayOutage injects a backhaul failure at ap1 and drives the X2
 // relay negotiation with ap2 over the surviving inter-AP path.
-func runRelayOutage(seed int64, shards int) (granted bool, detectMs float64, err error) {
-	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed, shards)
+func runRelayOutage(seed int64) (granted bool, detectMs float64, err error) {
+	s, aps, err := newDLTEWorld(2, 3, x2.ModeCooperative, seed)
 	if err != nil {
 		return false, 0, err
 	}

@@ -32,19 +32,14 @@ type Options struct {
 	Seed int64
 	// Out, when non-nil, receives the rendered tables.
 	Out io.Writer
-	// Parallelism bounds how many independent simulation worlds run
-	// concurrently inside one experiment. 0 means one per CPU; 1 runs
-	// the sweeps serially. Results are byte-identical at any value —
-	// each world derives its seed from (Seed, job index) and tables
-	// are rendered only after all worlds finish.
+	// Parallelism is the one real-CPU knob: it bounds how many
+	// independent simulation worlds run concurrently inside one
+	// experiment, and how many OS threads drain a compact world's
+	// region wheels (E11, E13). 0 means one per CPU; 1 runs everything
+	// serially. Results are byte-identical at any value — each world
+	// derives its seed from (Seed, job index), regions are a modeling
+	// constant, and tables are rendered only after all worlds finish.
 	Parallelism int
-	// Shards is each simulated core's session shard count (see
-	// epc.Config.Shards). Like Parallelism it is a real-CPU knob only:
-	// rendered results are byte-identical at any value, because shards
-	// change which OS threads serve signaling, never the virtual-time
-	// order it is served in. E13 additionally uses it as the worker
-	// budget for draining its region wheels — again real-CPU only.
-	Shards int
 	// UEs, when > 0, replaces E13's default population sweep with a
 	// single world of exactly this many compact UEs. Other experiments
 	// ignore it. Validation (rejecting values ≤ 0 typed explicitly)
@@ -74,9 +69,7 @@ var defaultWAN = simnet.Link{Latency: 10 * time.Millisecond}
 
 // newDLTEWorld builds a scenario with n dLTE APs spaced apKm apart in
 // a line, all in one contention domain, plus an OTT host named "ott".
-// shards is threaded into every stub core (0 = one per CPU); it never
-// changes results, only real-CPU signaling throughput.
-func newDLTEWorld(n int, apKm float64, mode x2.Mode, seed int64, shards int) (*core.Scenario, []*core.AccessPoint, error) {
+func newDLTEWorld(n int, apKm float64, mode x2.Mode, seed int64) (*core.Scenario, []*core.AccessPoint, error) {
 	s, err := core.NewScenario(defaultWAN, seed)
 	if err != nil {
 		return nil, nil, err
@@ -88,9 +81,8 @@ func newDLTEWorld(n int, apKm float64, mode x2.Mode, seed int64, shards int) (*c
 			Position: geo.Pt(float64(i)*apKm*1000, 0),
 			Band:     radio.LTEBand5,
 			HeightM:  20, EIRPdBm: 58,
-			Mode:   mode,
-			TAC:    uint16(i + 1),
-			Shards: shards,
+			Mode: mode,
+			TAC:  uint16(i + 1),
 		})
 		if err != nil {
 			s.Close()

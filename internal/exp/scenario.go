@@ -88,7 +88,7 @@ type ScenarioSpec struct {
 
 // Scenario world shape. Like E13, the region count is a modeling unit
 // — a fixed partition of the population — never a performance knob;
-// Options.Shards only picks how many OS threads drain the regions.
+// Options.Parallelism only picks how many OS threads drain the regions.
 const (
 	scenRegions = 64
 	scenWindow  = 250 * time.Millisecond
@@ -397,8 +397,8 @@ type CompiledScenario struct {
 }
 
 // CompileScenario lowers spec onto a sharded compact world. workers
-// follows the Options.Shards convention (0 = one per CPU) and never
-// changes results.
+// follows the Options.Parallelism convention (0 = one per CPU) and
+// never changes results.
 func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) (*CompiledScenario, error) {
 	if spec.UEs <= 0 || spec.APs <= 1 || spec.SpacingM <= 0 {
 		return nil, fmt.Errorf("scenario %q: need UEs>0, APs>1, SpacingM>0", spec.Name)

@@ -8,7 +8,7 @@
 //
 // Before this package the arc was smeared across layers: the X2
 // dispatch lived in core's coordinator, the prepared-context table in
-// the EPC's session shards, the session-FSM transition in
+// the EPC's session table, the session-FSM transition in
 // epc.CompleteHandover, and nothing tracked the source side's view of
 // an in-flight handover at all (an ack could arrive and be dropped on
 // the floor). The plane pulls those pieces behind one API: core
@@ -236,8 +236,8 @@ func (p *Plane) RejectionCause(imsi string) uint8 {
 }
 
 // PreparedBy reports which peer AP (if any) pushed the named UE's
-// context here — the target-side table that used to live on the EPC's
-// session shards.
+// context here — the target-side table that used to live in the EPC's
+// session table.
 func (p *Plane) PreparedBy(imsi string) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

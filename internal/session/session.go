@@ -14,7 +14,7 @@
 // The machine holds lifecycle state only. Protocol material (auth
 // vectors, security contexts, allocated identities) stays with the
 // layers that own it: nas.NetworkSession delegates its message
-// legality checks here, and epc.Core's session shards drive the same
+// legality checks here, and epc.Core's session table drives the same
 // machine for EPC-level events (release, handover completion), so the
 // UE lifecycle has exactly one authority instead of being smeared
 // across packages.
@@ -219,7 +219,7 @@ var transitions = func() [numStates][numEvents]State {
 
 // Machine is one UE's lifecycle state machine. The zero value is a
 // valid machine in Idle. Machines are safe for concurrent use: NAS
-// processing fires events from a core shard's serving context while
+// processing fires events from a core's serving gate while
 // EPC/X2 paths (release, handover completion) fire from their own
 // goroutines.
 type Machine struct {

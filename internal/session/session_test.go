@@ -195,8 +195,8 @@ func TestStringCoverage(t *testing.T) {
 }
 
 // TestFireNoAllocs gates the legal-transition hot path at zero
-// allocations: Fire runs once per NAS message under a shard's serving
-// lock.
+// allocations: Fire runs once per NAS message under a core's serving
+// gate.
 func TestFireNoAllocs(t *testing.T) {
 	var m Machine
 	allocs := testing.AllocsPerRun(1000, func() {
