@@ -353,17 +353,3 @@ func (ap *AccessPoint) Close() {
 	ap.s1Listener.Close()
 	ap.Core.Close()
 }
-
-// waitSettle is a small helper: coordination messages are
-// asynchronous; callers poll on the world's clock with deadlines
-// rather than sleep.
-func waitSettle(clk simnet.Clock, timeout time.Duration, cond func() bool) bool {
-	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}

@@ -15,6 +15,19 @@ import (
 	"dlte/internal/x2"
 )
 
+// waitSettle polls cond on the world's clock until it holds or the
+// (virtual) timeout passes: coordination messages are asynchronous.
+func waitSettle(clk simnet.Clock, timeout time.Duration, cond func() bool) bool {
+	deadline := clk.Now().Add(timeout)
+	for clk.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		clk.Sleep(5 * time.Millisecond)
+	}
+	return cond()
+}
+
 func newScenario(t *testing.T) *Scenario {
 	t.Helper()
 	s, err := NewScenario(simnet.Link{Latency: 2 * time.Millisecond}, 1)

@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"dlte/internal/auth"
+	"dlte/internal/wire"
 	"dlte/internal/x2"
 )
 
@@ -165,13 +166,17 @@ func (p *Plane) SetAdmit(f AdmitFunc) {
 }
 
 // wireSize reports the framed on-the-wire size of an X2 message — what
-// the agent's traffic meter would charge for sending it.
+// the agent's traffic meter charges for sending it. The frame is sized
+// in a pooled writer, so metering allocates nothing.
 func wireSize(msg x2.Message) int {
-	b, err := x2.Marshal(msg)
-	if err != nil {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.U8(uint8(msg.Type()))
+	msg.EncodeTo(w)
+	if w.Err() != nil {
 		return 0
 	}
-	return len(b) + 4 // frame header
+	return w.Len() + 4 // frame header
 }
 
 // Prepare runs the source side of handover preparation: push the

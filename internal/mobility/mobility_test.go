@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"dlte/internal/auth"
+	"dlte/internal/leaktest"
+	"dlte/internal/simnet"
 	"dlte/internal/x2"
 )
 
@@ -222,6 +224,59 @@ func TestDuplicateCompleteDeduped(t *testing.T) {
 		wireSize(done))
 	if recs[0].X2Bytes != want {
 		t.Fatalf("X2Bytes = %d, want %d (duplicate complete must not re-charge)", recs[0].X2Bytes, want)
+	}
+}
+
+// arcMessages are the four X2 messages a handover arc meters.
+func arcMessages() []x2.Message {
+	pub := testPub("001010000000012")
+	return []x2.Message{
+		&x2.UEContextPush{IMSI: string(pub.IMSI), K: pub.K, OPc: pub.OPc},
+		&x2.HandoverRequest{IMSI: string(pub.IMSI), SourceAP: "ap1", RSRPdBm: -10000},
+		&x2.HandoverRequestAck{IMSI: string(pub.IMSI), Accepted: true},
+		&x2.HandoverComplete{IMSI: string(pub.IMSI), TargetAP: "ap2"},
+	}
+}
+
+// TestWireSizeMatchesAgentTraffic pins the meter to the wire rather
+// than to itself: for each message of the arc, wireSize is exactly what
+// a real x2.Agent charges its tx counter for sending it.
+func TestWireSizeMatchesAgentTraffic(t *testing.T) {
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
+	defer n.Close()
+	src := x2.NewAgent("ap1", x2.PeerHello{}, nil)
+	dst := x2.NewAgent("ap2", x2.PeerHello{}, nil)
+	defer src.Close()
+	defer dst.Close()
+	l, err := n.MustAddHost("ap2").Listen(36422)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Clock().Go(func() { dst.Serve(l) })
+	if _, err := src.Connect(n.MustAddHost("ap1").Dial, "ap2:36422"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range arcMessages() {
+		tx0, _, _, _ := src.Traffic()
+		if err := src.Send("ap2", m); err != nil {
+			t.Fatal(err)
+		}
+		tx1, _, _, _ := src.Traffic()
+		if got, want := wireSize(m), int(tx1-tx0); got != want {
+			t.Errorf("%s: wireSize = %d, agent charged %d", m.Type(), got, want)
+		}
+	}
+}
+
+// TestWireSizeZeroAlloc: metering an arc's X2 bytes allocates nothing.
+func TestWireSizeZeroAlloc(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, m := range arcMessages() {
+		if got := testing.AllocsPerRun(100, func() { wireSize(m) }); got != 0 {
+			t.Errorf("%s: wireSize allocates %v times, want 0", m.Type(), got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,21 +23,17 @@ type chunk struct {
 // delivered after the link delay; the byte stream is reliable and
 // ordered (it models TCP riding the simulated link).
 //
-// A pipe delivers through exactly one of three paths, in lifecycle
-// order: preq buffers writes that arrive before the receiver engages
-// (no reader parked yet, no handler installed — typically a dial
-// handshake frame in flight); queue is the legacy channel a blocking
-// reader parks on, allocated on first Read; a registered dispatch
-// handler (dc) replaces both and runs deliveries run-to-completion on
-// the network's dispatcher.
+// A pipe delivers through one of two paths. The legacy path is box, the
+// mailbox a blocking Read waits on, made on the first legacy write or
+// the first Read; a reliable stream never drops, so it is unbounded. A
+// registered dispatch handler (dc) replaces it and runs deliveries
+// run-to-completion on the network's dispatcher.
 type halfPipe struct {
 	mu         sync.Mutex
-	preq       []chunk    // writes before engagement, in write order
-	queue      chan chunk // legacy path; nil until a reader engages
-	pending    []byte     // unread remainder of the last delivered chunk
-	pendingBuf []byte     // pending's backing pool buffer, recycled when drained
-	closed     chan struct{}
-	once       sync.Once
+	box        *Mailbox[chunk] // legacy path; nil until a write or Read needs it
+	pending    []byte          // unread remainder of the last delivered chunk
+	pendingBuf []byte          // pending's backing pool buffer, recycled when drained
+	closed     atomic.Bool
 
 	// dc is the receiver's dispatch endpoint. Written under mu (so
 	// installation can migrate buffered chunks atomically against
@@ -44,32 +41,29 @@ type halfPipe struct {
 	dc atomic.Pointer[dconn]
 }
 
-func newHalfPipe() *halfPipe {
-	return &halfPipe{closed: make(chan struct{})}
-}
-
+// close marks the pipe closed and closes its mailbox: a parked reader
+// drains what is queued, then sees EOF.
 func (p *halfPipe) close() {
-	p.once.Do(func() { close(p.closed) })
+	if p.closed.Swap(true) {
+		return
+	}
+	p.mu.Lock()
+	if p.box != nil {
+		p.box.Close()
+	}
+	p.mu.Unlock()
 }
 
-// engage returns the legacy delivery channel, allocating it and
-// draining any pre-engagement chunks into it on first use.
-func (p *halfPipe) engage() chan chunk {
-	p.mu.Lock()
-	if p.queue == nil {
-		depth := streamQueueDepth
-		if len(p.preq) >= depth {
-			depth = len(p.preq) + 64
+// mailboxLocked returns the legacy mailbox, making it on first use —
+// already closed if the pipe is. Caller holds p.mu.
+func (p *halfPipe) mailboxLocked(clk Clock) *Mailbox[chunk] {
+	if p.box == nil {
+		p.box = NewMailbox[chunk](clk, math.MaxInt)
+		if p.closed.Load() {
+			p.box.Close()
 		}
-		p.queue = make(chan chunk, depth)
-		for _, ch := range p.preq {
-			p.queue <- ch
-		}
-		p.preq = nil
 	}
-	q := p.queue
-	p.mu.Unlock()
-	return q
+	return p.box
 }
 
 // Conn is a simnet stream connection implementing net.Conn.
@@ -83,8 +77,7 @@ type Conn struct {
 	// per-write delay skips the network's link-map lookup.
 	link atomic.Pointer[linkState]
 
-	readDeadline  deadline
-	writeDeadline deadline
+	readDeadline deadline
 }
 
 type deadline struct {
@@ -106,8 +99,7 @@ func (d *deadline) get() time.Time {
 
 // newConnPair wires two Conns back to back across the network's links.
 func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
-	aToB := newHalfPipe()
-	bToA := newHalfPipe()
+	aToB, bToA := &halfPipe{}, &halfPipe{}
 	a := &Conn{network: n, local: local, remote: remote, rx: bToA, tx: aToB}
 	b := &Conn{network: n, local: remote, remote: local, rx: aToB, tx: bToA}
 	return a, b
@@ -178,142 +170,78 @@ func (c *Conn) installDispatch(d *dispatcher, dc *dconn) {
 		d.migrateChunk(dc, chunk{data: p.pending}, nil)
 		p.pending, p.pendingBuf = nil, nil
 	}
-	if p.queue != nil {
-	drain:
+	if p.box != nil {
 		for {
-			select {
-			case ch := <-p.queue:
-				d.migrateChunk(dc, ch, nil)
-			default:
-				break drain
+			ch, err := p.box.Recv(0)
+			if err != nil {
+				break
 			}
+			d.migrateChunk(dc, ch, nil)
 		}
 	}
-	for _, ch := range p.preq {
-		d.migrateChunk(dc, ch, nil)
-	}
-	p.preq = nil
 	p.dc.Store(dc)
 	p.mu.Unlock()
 	d.kickW(dc)
-	select {
-	case <-p.closed:
+	if p.closed.Load() {
 		// Peer closed before the handler existed; its close event was
 		// never scheduled, so schedule it now (after migrated data).
 		d.sendClose(dc)
-	default:
 	}
 }
 
-// Read implements net.Conn. It blocks until data is deliverable (its
-// link delay has elapsed), the peer closes, or the read deadline fires.
+// Read implements net.Conn. It waits on the pipe's mailbox until data
+// is deliverable (its link delay has elapsed), the peer closes, or the
+// read deadline passes. A deadline inside a delivery's link delay ends
+// the read at the deadline with the data consumed (real kernels would
+// have buffered it, and our single-reader protocols never rely on
+// post-deadline re-reads).
 func (c *Conn) Read(b []byte) (int, error) {
-	c.rx.mu.Lock()
-	if len(c.rx.pending) > 0 {
-		n := copy(b, c.rx.pending)
-		c.rx.pending = c.rx.pending[n:]
-		if len(c.rx.pending) == 0 {
-			c.rx.pending = nil
-			payloadPut(c.rx.pendingBuf)
-			c.rx.pendingBuf = nil
+	p := c.rx
+	p.mu.Lock()
+	if len(p.pending) > 0 {
+		n := copy(b, p.pending)
+		p.pending = p.pending[n:]
+		if len(p.pending) == 0 {
+			p.pending = nil
+			payloadPut(p.pendingBuf)
+			p.pendingBuf = nil
 		}
-		c.rx.mu.Unlock()
+		p.mu.Unlock()
 		return n, nil
 	}
-	c.rx.mu.Unlock()
+	box := p.mailboxLocked(c.network.clock)
+	p.mu.Unlock()
 
-	clk := c.network.clock
-	queue := c.rx.engage()
-
-	// Fast path: a chunk is already queued; no need to park.
-	select {
-	case ch := <-queue:
-		return c.deliver(ch, b, nil), nil
-	default:
+	dl := c.readDeadline.get()
+	ch, err := box.recvBy(dl)
+	if err == ErrClosed {
+		return 0, io.EOF
+	} else if err != nil {
+		return 0, err
 	}
+	box.hold(ch.bar, ch.at, dl)
 
-	var timer *Timer
-	var deadlineC <-chan time.Time
-	if dl := c.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return 0, ErrDeadline
-		}
-		timer = clk.NewTimer(wait)
-		deadlineC = timer.C
-		defer timer.Stop()
-	}
-
-	clk.Block()
-	select {
-	case ch := <-queue:
-		clk.Unblock()
-		return c.deliver(ch, b, deadlineC), nil
-	case <-c.rx.closed:
-		clk.Unblock()
-		// Drain anything queued before the close won the race.
-		select {
-		case ch := <-queue:
-			return c.deliver(ch, b, deadlineC), nil
-		default:
-			return 0, io.EOF
-		}
-	case <-deadlineC:
-		clk.Unblock()
-		return 0, ErrDeadline
-	}
-}
-
-// deliver waits out the chunk's remaining link delay, then copies its
-// bytes into b, stashing any remainder as pending. A fully consumed
-// chunk's buffer goes back to the payload pool; a partially consumed
-// one is recycled once the pending remainder drains.
-func (c *Conn) deliver(ch chunk, b []byte, deadlineC <-chan time.Time) int {
-	c.holdUntil(ch, deadlineC)
-	c.rx.mu.Lock()
+	// Copy out, stashing any remainder as pending. A fully consumed
+	// chunk's buffer goes back to the payload pool; a partially consumed
+	// one is recycled once the pending remainder drains.
+	p.mu.Lock()
 	n := copy(b, ch.data)
 	if n < len(ch.data) {
-		c.rx.pending = ch.data[n:]
-		c.rx.pendingBuf = ch.data
+		p.pending, p.pendingBuf = ch.data[n:], ch.data
 	} else {
 		payloadPut(ch.data)
 	}
-	c.rx.mu.Unlock()
-	return n
-}
-
-// holdUntil sleeps until the delivery instant, or returns early if the
-// deadline channel fires (the data stays consumed: real kernels would
-// have buffered it, and our single-reader protocols never rely on
-// post-deadline re-reads).
-func (c *Conn) holdUntil(ch chunk, deadlineC <-chan time.Time) {
-	if vc, ok := c.network.clock.(*VirtualClock); ok {
-		vc.holdDelivery(ch.bar, ch.at, deadlineC)
-		return
-	}
-	if ch.at.IsZero() {
-		return // immediate delivery; no clock read
-	}
-	wait := time.Until(ch.at)
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-deadlineC:
-	}
+	p.mu.Unlock()
+	return n, nil
 }
 
 // Write implements net.Conn. Bytes are queued with the link delay
-// computed at write time; writes fail if the link is down or the peer
-// has closed.
+// computed at write time; writes fail if the link is down or the pipe
+// has closed, and never block — on either path the receive queue is
+// unbounded, as befits a reliable stream.
 func (c *Conn) Write(b []byte) (int, error) {
-	select {
-	case <-c.tx.closed:
+	if c.tx.closed.Load() {
 		return 0, ErrClosed
-	default:
 	}
 	ls := c.link.Load()
 	if ls == nil {
@@ -327,8 +255,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	p := c.tx
 
 	// Dispatch fast path: the receiver runs a handler; schedule a
-	// delivery event. No channel, no barrier, no blocking (deadlines
-	// are moot — the event queue never exerts backpressure).
+	// delivery event. No mailbox, no barrier.
 	if dc := p.dc.Load(); dc != nil {
 		data := payloadGet(len(b))
 		copy(data, b)
@@ -349,6 +276,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 	// Legacy enqueue, mode-checked under the pipe lock so a concurrent
 	// OnDeliver migration cannot strand the chunk behind the handler.
+	// The unbounded mailbox refuses only once the pipe has closed.
 	p.mu.Lock()
 	if dc := p.dc.Load(); dc != nil {
 		p.mu.Unlock()
@@ -356,53 +284,15 @@ func (c *Conn) Write(b []byte) (int, error) {
 		dc.d.send(dc, data, nil, delay)
 		return len(b), nil
 	}
-	if p.queue == nil {
-		// Receiver not engaged yet: buffer in write order.
-		p.preq = append(p.preq, ch)
-		p.mu.Unlock()
-		c.network.noteLegacyDelivery()
-		return len(b), nil
-	}
-	queue := p.queue
-	select {
-	case queue <- ch:
-		p.mu.Unlock()
-		c.network.noteLegacyDelivery()
-		return len(b), nil
-	default:
-	}
+	queued := p.mailboxLocked(clk).Put(ch)
 	p.mu.Unlock()
-
-	var deadlineC <-chan time.Time
-	if dl := c.writeDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			c.releaseBarrier(ch.bar)
-			payloadPut(data)
-			return 0, ErrDeadline
-		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-
-	clk.Block()
-	select {
-	case queue <- ch:
-		clk.Unblock()
-		c.network.noteLegacyDelivery()
-		return len(b), nil
-	case <-c.tx.closed:
-		clk.Unblock()
+	if !queued {
 		c.releaseBarrier(ch.bar)
 		payloadPut(data)
 		return 0, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		c.releaseBarrier(ch.bar)
-		payloadPut(data)
-		return 0, ErrDeadline
 	}
+	c.network.noteLegacyDelivery()
+	return len(b), nil
 }
 
 func (c *Conn) releaseBarrier(b *vbarrier) {
@@ -439,11 +329,10 @@ func (c *Conn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline implements net.Conn. Deadlines apply to operations
-// started after the call; they do not interrupt a blocked operation.
+// SetDeadline implements net.Conn. Deadlines apply to reads started
+// after the call; they do not interrupt a blocked Read.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.readDeadline.set(t)
-	c.writeDeadline.set(t)
 	return nil
 }
 
@@ -453,8 +342,6 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	c.writeDeadline.set(t)
-	return nil
-}
+// SetWriteDeadline implements net.Conn. It is accepted and has no
+// effect: writes never block, so there is nothing for it to bound.
+func (c *Conn) SetWriteDeadline(time.Time) error { return nil }

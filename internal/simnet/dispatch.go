@@ -10,23 +10,18 @@ import (
 // This file is the run-to-completion dispatch core (DESIGN.md §14).
 //
 // A Conn or PacketConn with a registered handler no longer delivers
-// through a buffered channel to a parked reader goroutine: each write
+// through a mailbox to a parked reader goroutine: each write
 // becomes a closure-free delivery event and the receiver's handler runs
 // inline when the event fires. Under a VirtualClock the events live on
 // the PR 7 timing wheel and the clock's advancer executes each
 // instant's batch in deterministic (delivery instant, conn ID) order —
 // the same admission-order convention epc's detGate uses — with no
-// channel, no barrier, no park/unpark, and no settle round for pure
+// mailbox, no barrier, no park/unpark, and no settle round for pure
 // handler-to-handler hops. Under the wall clock, delivery is a per-conn
 // FIFO drained inline by whichever goroutine finds the dispatcher idle;
 // nested writes from inside a handler flatten into the active drain
 // loop instead of recursing, so a handler may write (even back into the
 // conn whose send triggered it) without re-entering application locks.
-
-// streamQueueDepth is the buffered-channel depth of a legacy (blocking
-// Read) stream conn. The channel is allocated lazily on first use;
-// handler-mode conns never allocate it.
-const streamQueueDepth = 4096
 
 // inboxDepth bounds a packet socket's receive queue: datagrams beyond
 // it drop, modeling kernel receive-buffer overflow. Handler-mode
@@ -121,9 +116,8 @@ type dispatcher struct {
 	pending atomic.Int64
 
 	// woke notes that a delivery batch did something the quiescence
-	// detector cannot see on its own — a legacy channel enqueue or an
-	// explicit Poke — so the advancer must run a settle round before
-	// moving time again.
+	// detector cannot see on its own — an explicit Poke — so the
+	// advancer must run a settle round before moving time again.
 	woke atomic.Bool
 
 	connSeq atomic.Uint64
@@ -240,9 +234,9 @@ func (d *dispatcher) flush() {
 // within a conn is already preserved by wheel seq order), handlers run
 // in that order, and deliveries they schedule for the same instant form
 // the next sub-batch until the instant drains. It reports whether the
-// batch might have made a registered goroutine runnable (a legacy
-// enqueue or Poke happened), which tells the advancer whether the next
-// step needs a settle round. Called by the advancer with the clock's
+// batch might have made a registered goroutine runnable behind the
+// clock's back (a Poke happened), which tells the advancer whether the
+// next step needs a settle round. Called by the advancer with the clock's
 // mutex released and virtual time already at `at`.
 func (d *dispatcher) runAt(at time.Duration) bool {
 	d.woke.Store(false)
@@ -333,14 +327,6 @@ func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg u
 		}
 		payloadPut(data)
 	}
-}
-
-// noteLegacyWake records a legacy channel enqueue. If it happened
-// inside a dispatch batch, the receiver may have become runnable in a
-// way quiescence counting cannot see, so the advancer must settle
-// before moving time.
-func (d *dispatcher) noteLegacyWake() {
-	d.woke.Store(true)
 }
 
 // Poke tells a virtual clock that the calling handler made a goroutine
@@ -622,7 +608,7 @@ func (d *dispatcher) markClosed(dc *dconn) {
 
 // ExecStats are a world's execution-model counters: how many deliveries
 // ran as run-to-completion handler dispatches, how many took the legacy
-// channel path to a blocking reader, and how many times a registered
+// mailbox path to a blocking reader, and how many times a registered
 // goroutine parked in the virtual clock (sleeps, blocking reads,
 // delivery holds). The dispatches/parks ratio is the direct measure of
 // what the dispatch conversion bought.
@@ -645,11 +631,6 @@ func (n *Network) ExecStats() ExecStats {
 	return s
 }
 
-// noteLegacyDelivery counts a legacy channel enqueue and, when a
-// dispatch batch is running, flags the wake for the advancer.
-func (n *Network) noteLegacyDelivery() {
-	n.legacyDeliveries.Add(1)
-	if d := n.disp.Load(); d != nil {
-		d.noteLegacyWake()
-	}
-}
+// noteLegacyDelivery counts a legacy mailbox enqueue. The wake of a
+// parked reader is the mailbox's, tracked by the clock.
+func (n *Network) noteLegacyDelivery() { n.legacyDeliveries.Add(1) }

@@ -65,7 +65,7 @@ func (h *Host) Listen(port int) (*Listener, error) {
 	l := &Listener{
 		host:   h,
 		addr:   Addr{Host: h.name, Port: port},
-		accept: make(chan *Conn, acceptBacklog),
+		accept: NewMailbox[*Conn](h.net.clock, acceptBacklog),
 		done:   make(chan struct{}),
 	}
 	l.arrive = h.net.NewContinuation(l.arrived)
@@ -130,8 +130,8 @@ func (h *Host) ListenPacket(port int) (*PacketConn, error) {
 	if _, used := h.pktConns[port]; used {
 		return nil, fmt.Errorf("%w: %s:%d (udp)", ErrPortInUse, h.name, port)
 	}
-	// The inbox channel is allocated lazily on first blocking read;
-	// handler-mode sockets never pay for it.
+	// The legacy mailbox is made lazily on first use; handler-mode
+	// sockets never pay for it.
 	pc := &PacketConn{
 		host: h,
 		addr: Addr{Host: h.name, Port: port},
@@ -186,7 +186,7 @@ const acceptBacklog = 64
 type Listener struct {
 	host   *Host
 	addr   Addr
-	accept chan *Conn
+	accept *Mailbox[*Conn] // the backlog a blocking Accept waits on
 	arrive *Continuation
 
 	mu       sync.Mutex
@@ -235,12 +235,7 @@ func (l *Listener) arrived(slot uint64) {
 		h(srv)
 		return
 	}
-	select {
-	case l.accept <- srv:
-		// An Accept may be parked on the backlog: not a wake the clock
-		// can count, so the advancer must settle before moving time.
-		l.host.net.dispatcherFor().noteLegacyWake()
-	default:
+	if !l.accept.Put(srv) {
 		srv.Close()
 	}
 }
@@ -257,32 +252,22 @@ func (l *Listener) OnAccept(h func(*Conn)) {
 	l.handler = h
 	l.mu.Unlock()
 	for {
-		select {
-		case c := <-l.accept:
-			h(c)
-		default:
+		c, err := l.accept.Recv(0)
+		if err != nil {
 			return
 		}
+		h(c)
 	}
 }
 
-// Accept waits for the next inbound connection: the blocking shim for
-// listeners without an accept handler.
+// Accept waits for the next inbound connection, untimed on the backlog
+// mailbox: the blocking shim for listeners without an accept handler.
 func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.accept:
-		return c, nil
-	default:
-	}
-	clk := l.host.net.clock
-	clk.Block()
-	defer clk.Unblock()
-	select {
-	case c := <-l.accept:
-		return c, nil
-	case <-l.done:
+	c, err := l.accept.Wait()
+	if err != nil {
 		return nil, ErrClosed
 	}
+	return c, nil
 }
 
 // Clock returns the clock governing the listener's network.
@@ -296,6 +281,7 @@ func (l *Listener) Addr() net.Addr { return l.addr }
 func (l *Listener) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.done)
+		l.accept.Close()
 		l.host.removeListener(l.addr.Port)
 	})
 	return nil

@@ -20,10 +20,14 @@ import (
 //
 // Put never blocks: beyond depth queued values it refuses, like a full
 // socket buffer, and the caller counts the drop. Any goroutine or
-// dispatch handler may Put; Recv must run on a clock-registered
+// dispatch handler may Put; Recv and Wait must run on a clock-registered
 // goroutine. The waiter of the common single receiver is embedded, so a
-// parked Recv allocates nothing; concurrent receivers are served in
+// parked receive allocates nothing; concurrent receivers are served in
 // arrival order and allocate their own.
+//
+// Mailboxes are also simnet's legacy receive path: a blocking Conn.Read,
+// PacketConn.ReadFrom or Listener.Accept waits on one, fed at write
+// time, and then holds a delivery until its link delay has elapsed.
 type Mailbox[T any] struct {
 	vc    *VirtualClock // nil: real time
 	depth int
@@ -34,7 +38,7 @@ type Mailbox[T any] struct {
 	closed      bool
 	first, last *mailWaiter[T] // parked receivers, oldest first
 	own         mailWaiter[T]
-	ownParked   bool
+	ownInUse    bool // own is parked in a receive or a hold
 }
 
 // mailWaiter is one parked receiver. state and val are written by
@@ -96,6 +100,31 @@ func (m *Mailbox[T]) Put(v T) bool {
 // time for one: ErrDeadline when none came, ErrClosed once the mailbox
 // is closed and drained.
 func (m *Mailbox[T]) Recv(timeout time.Duration) (T, error) {
+	return m.recv(max(timeout, 0))
+}
+
+// Wait is Recv without a timeout. On a VirtualClock the receiver parks
+// untimed: it gives up its busy slot with no heap entry, so only a Put,
+// Close or the clock's own Close ends the wait — a far-future timeout
+// would instead be fired by the advancer, jumping an idle world to the
+// horizon. It returns ErrClosed once the mailbox is closed and drained,
+// or when the clock closes under the wait.
+func (m *Mailbox[T]) Wait() (T, error) { return m.recv(-1) }
+
+// recvBy receives with a deadline on the mailbox's clock; the zero
+// deadline waits untimed.
+func (m *Mailbox[T]) recvBy(deadline time.Time) (T, error) {
+	switch {
+	case deadline.IsZero():
+		return m.Wait()
+	case m.vc == nil:
+		return m.Recv(time.Until(deadline))
+	}
+	return m.Recv(m.vc.Until(deadline))
+}
+
+// recv is Recv for timeout ≥ 0 and Wait for a negative one.
+func (m *Mailbox[T]) recv(timeout time.Duration) (T, error) {
 	var zero T
 	m.mu.Lock()
 	if m.n > 0 {
@@ -110,20 +139,11 @@ func (m *Mailbox[T]) Recv(timeout time.Duration) (T, error) {
 		m.mu.Unlock()
 		return zero, ErrClosed
 	}
-	if timeout <= 0 {
+	if timeout == 0 {
 		m.mu.Unlock()
 		return zero, ErrDeadline
 	}
-	w := &m.own
-	if m.ownParked {
-		w = new(mailWaiter[T])
-	} else {
-		m.ownParked = true
-	}
-	if w.wake == nil {
-		w.wake = make(chan struct{}, 1)
-		w.vw = vwaiter{idx: -1, wake: w.wake}
-	}
+	w := m.claim()
 	w.state, w.next = mailWaiting, nil
 	if m.last == nil {
 		m.first = w
@@ -137,7 +157,7 @@ func (m *Mailbox[T]) Recv(timeout time.Duration) (T, error) {
 	// On a virtual clock the token comes from Put or Close, or from the
 	// clock when the timeout fires (or the clock itself closes).
 	tokenTaken := true
-	if m.vc != nil {
+	if m.vc != nil || timeout < 0 {
 		<-w.wake
 	} else {
 		tokenTaken = w.waitWall(timeout)
@@ -151,17 +171,61 @@ func (m *Mailbox[T]) Recv(timeout time.Duration) (T, error) {
 	} else if !tokenTaken {
 		<-w.wake // the waker beat the timer to the mutex; its token is in
 	}
-	if w == &m.own {
-		m.ownParked = false
-	}
+	m.unclaim(w)
 	m.mu.Unlock()
-	switch state {
-	case mailGot:
+	switch {
+	case state == mailGot:
 		return v, nil
-	case mailClosed:
+	case state == mailClosed, timeout < 0:
 		return zero, ErrClosed
 	}
 	return zero, ErrDeadline
+}
+
+// hold waits out a received legacy delivery: until its instant at, or
+// the read deadline if that comes first (zero: none). On a VirtualClock
+// the hold re-arms a claimed waiter (holdDelivery), so while one
+// receiver holds at a time it allocates nothing.
+func (m *Mailbox[T]) hold(b *vbarrier, at, deadline time.Time) {
+	if !deadline.IsZero() && deadline.Before(at) {
+		at = deadline
+	}
+	if m.vc == nil {
+		if !at.IsZero() { // zero: an immediate delivery, no clock read
+			time.Sleep(time.Until(at))
+		}
+		return
+	}
+	m.mu.Lock()
+	w := m.claim()
+	m.mu.Unlock()
+	m.vc.holdDelivery(&w.vw, b, at)
+	m.mu.Lock()
+	m.unclaim(w)
+	m.mu.Unlock()
+}
+
+// claim returns the embedded waiter if no receive or hold is using it,
+// else a fresh one. Caller holds m.mu.
+func (m *Mailbox[T]) claim() *mailWaiter[T] {
+	w := &m.own
+	if m.ownInUse {
+		w = new(mailWaiter[T])
+	} else {
+		m.ownInUse = true
+	}
+	if w.wake == nil {
+		w.wake = make(chan struct{}, 1)
+		w.vw = vwaiter{idx: -1, wake: w.wake}
+	}
+	return w
+}
+
+// unclaim returns a claimed waiter. Caller holds m.mu.
+func (m *Mailbox[T]) unclaim(w *mailWaiter[T]) {
+	if w == &m.own {
+		m.ownInUse = false
+	}
 }
 
 // Close wakes every parked receiver with ErrClosed and makes later Puts

@@ -59,7 +59,7 @@ type Network struct {
 	// disp is the run-to-completion dispatch engine, created lazily on
 	// the first handler registration (dispatcherFor).
 	disp atomic.Pointer[dispatcher]
-	// legacyDeliveries counts deliveries that took the channel path to
+	// legacyDeliveries counts deliveries that took the mailbox path to
 	// a blocking reader instead of a handler (ExecStats).
 	legacyDeliveries atomic.Uint64
 }

@@ -24,20 +24,18 @@ type datagram struct {
 // transport layers: unreliable, unordered-within-jitter, loss- and
 // latency-afflicted delivery.
 //
-// Like a stream halfPipe, a socket receives through one of three
-// paths: prebox buffers packets arriving before the receiver engages,
-// inbox is the legacy channel a blocking reader parks on (allocated on
-// first ReadFrom), and a registered dispatch handler replaces both.
-// The receive buffer is bounded at inboxDepth on every path — overflow
-// drops model kernel receive-buffer loss identically in all modes.
+// Like a stream halfPipe, a socket receives through one of two paths:
+// box is the legacy mailbox a blocking ReadFrom waits on (made on the
+// first datagram or ReadFrom), and a registered dispatch handler
+// replaces it. The receive buffer is bounded at inboxDepth on both
+// paths — overflow drops model kernel receive-buffer loss identically.
 type PacketConn struct {
 	host     *Host
 	addr     Addr
 	boxedSrc net.Addr // addr boxed once, stamped on outgoing datagrams
 
-	imu    sync.Mutex
-	prebox []datagram
-	inbox  chan datagram // legacy path; nil until a reader engages
+	imu sync.Mutex
+	box *Mailbox[datagram] // legacy path; nil until a datagram or ReadFrom needs it
 
 	// dc is the receiver's dispatch endpoint. Written under imu; read
 	// lock-free on the send fast path.
@@ -109,40 +107,32 @@ func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	dc.onPacket = h
 	dc.bounded = true
 	p.imu.Lock()
-	if p.inbox != nil {
-	drain:
+	if p.box != nil {
 		for {
-			select {
-			case dg := <-p.inbox:
-				d.migrateDatagram(dc, dg)
-			default:
-				break drain
+			dg, err := p.box.Recv(0)
+			if err != nil {
+				break
 			}
+			d.migrateDatagram(dc, dg)
 		}
 	}
-	for _, dg := range p.prebox {
-		d.migrateDatagram(dc, dg)
-	}
-	p.prebox = nil
 	p.dc.Store(dc)
 	p.imu.Unlock()
 	d.kickW(dc)
 }
 
-// engage returns the legacy inbox, allocating it and draining any
-// pre-engagement datagrams into it on first use.
-func (p *PacketConn) engage() chan datagram {
-	p.imu.Lock()
-	if p.inbox == nil {
-		p.inbox = make(chan datagram, inboxDepth)
-		for _, dg := range p.prebox {
-			p.inbox <- dg
+// mailboxLocked returns the legacy mailbox, making it on first use —
+// already closed if the socket is. Caller holds p.imu.
+func (p *PacketConn) mailboxLocked() *Mailbox[datagram] {
+	if p.box == nil {
+		p.box = NewMailbox[datagram](p.host.net.clock, inboxDepth)
+		select {
+		case <-p.done:
+			p.box.Close()
+		default:
 		}
-		p.prebox = nil
 	}
-	in := p.inbox
-	p.imu.Unlock()
-	return in
+	return p.box
 }
 
 // coerceAddr normalizes the destination address forms WriteTo accepts.
@@ -159,10 +149,9 @@ func coerceAddr(addr net.Addr) (Addr, error) {
 
 // queueTo hands an owned payload to dst's receive path after delay:
 // the dispatch handler when one is registered, otherwise the legacy
-// inbox (or prebox). Overflow beyond inboxDepth drops the packet on
-// every path.
+// mailbox. Overflow beyond inboxDepth drops the packet on both paths.
 func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) {
-	// Dispatch fast path: no barrier, no channel.
+	// Dispatch fast path: no barrier, no mailbox.
 	if dc := dst.dc.Load(); dc != nil {
 		dc.d.send(dc, data, p.boxedSrc, delay)
 		return
@@ -174,7 +163,7 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		dg.at = clk.Now().Add(delay)
 		dg.bar = vc.addBarrier(dg.at)
 	} else if delay > 0 {
-		// Wall clock with no link delay leaves at zero: holdUntil
+		// Wall clock with no link delay leaves at zero: the hold
 		// skips the clock read entirely for immediate deliveries.
 		dg.at = clk.Now().Add(delay)
 	}
@@ -189,25 +178,13 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		dc.d.send(dc, data, p.boxedSrc, delay)
 		return
 	}
-	if dst.inbox == nil {
-		if len(dst.prebox) < inboxDepth {
-			dst.prebox = append(dst.prebox, dg)
-			dst.imu.Unlock()
-			p.host.net.noteLegacyDelivery()
-			return
-		}
-		dst.imu.Unlock()
-	} else {
-		select {
-		case dst.inbox <- dg:
-			dst.imu.Unlock()
-			p.host.net.noteLegacyDelivery()
-			return
-		default:
-			dst.imu.Unlock()
-		}
+	queued := dst.mailboxLocked().Put(dg)
+	dst.imu.Unlock()
+	if queued {
+		p.host.net.noteLegacyDelivery()
+		return
 	}
-	// Receiver queue overflow models receive-buffer drops.
+	// A full (or closed) receive buffer drops the packet.
 	if virtual {
 		vc.releaseBarrier(dg.bar)
 	}
@@ -292,112 +269,36 @@ func (p *PacketConn) WriteOwnedTo(b []byte, addr net.Addr) (int, error) {
 	return n, nil
 }
 
-// ReadFrom receives the next datagram, blocking until one is
-// deliverable, the socket closes, or the read deadline fires.
+// ReadFrom receives the next datagram, waiting until one is
+// deliverable, the socket closes, or the read deadline passes.
 func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	clk := p.host.net.clock
-	inbox := p.engage()
-
-	// Fast path: a datagram is already queued; no need to park.
-	select {
-	case dg := <-inbox:
-		p.holdUntil(dg, nil)
-		n := copy(b, dg.data)
-		payloadPut(dg.data)
-		return n, dg.from, nil
-	default:
+	data, from, err := p.ReadFromOwned()
+	if err != nil {
+		return 0, nil, err
 	}
-
-	var deadlineC <-chan time.Time
-	if dl := p.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return 0, nil, ErrDeadline
-		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-	clk.Block()
-	select {
-	case dg := <-inbox:
-		clk.Unblock()
-		p.holdUntil(dg, deadlineC)
-		n := copy(b, dg.data)
-		payloadPut(dg.data)
-		return n, dg.from, nil
-	case <-p.done:
-		clk.Unblock()
-		return 0, nil, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		return 0, nil, ErrDeadline
-	}
+	n := copy(b, data)
+	payloadPut(data)
+	return n, from, nil
 }
 
 // ReadFromOwned receives the next datagram and returns its pooled
 // delivery buffer directly, avoiding ReadFrom's copy-out. Ownership of
 // the returned slice transfers to the caller, who must release it with
 // PutPayload (or pass it on via WriteOwnedTo) exactly once. Deadline
-// and close behavior match ReadFrom.
+// and close behavior match ReadFrom: a deadline inside the datagram's
+// link delay ends the read at the deadline with the datagram consumed
+// (a real kernel would have buffered it past the deadline too).
 func (p *PacketConn) ReadFromOwned() ([]byte, net.Addr, error) {
-	clk := p.host.net.clock
-	inbox := p.engage()
-
-	// Fast path: a datagram is already queued; no need to park.
-	select {
-	case dg := <-inbox:
-		p.holdUntil(dg, nil)
-		return dg.data, dg.from, nil
-	default:
+	p.imu.Lock()
+	box := p.mailboxLocked()
+	p.imu.Unlock()
+	dl := p.readDeadline.get()
+	dg, err := box.recvBy(dl)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	var deadlineC <-chan time.Time
-	if dl := p.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return nil, nil, ErrDeadline
-		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-	clk.Block()
-	select {
-	case dg := <-inbox:
-		clk.Unblock()
-		p.holdUntil(dg, deadlineC)
-		return dg.data, dg.from, nil
-	case <-p.done:
-		clk.Unblock()
-		return nil, nil, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		return nil, nil, ErrDeadline
-	}
-}
-
-// holdUntil waits out the datagram's remaining link delay. The
-// datagram is consumed even if the deadline fires first; a real kernel
-// would have buffered it past the deadline too.
-func (p *PacketConn) holdUntil(dg datagram, deadlineC <-chan time.Time) {
-	if vc, ok := p.host.net.clock.(*VirtualClock); ok {
-		vc.holdDelivery(dg.bar, dg.at, deadlineC)
-		return
-	}
-	if dg.at.IsZero() {
-		return // immediate delivery; no clock read
-	}
-	wait := time.Until(dg.at)
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-deadlineC:
-	}
+	box.hold(dg.bar, dg.at, dl)
+	return dg.data, dg.from, nil
 }
 
 // Clock returns the clock governing this socket's network.
@@ -417,6 +318,11 @@ func (p *PacketConn) Close() error {
 			dc.d.markClosed(dc)
 		}
 		close(p.done)
+		p.imu.Lock()
+		if p.box != nil {
+			p.box.Close()
+		}
+		p.imu.Unlock()
 		p.host.removePacketConn(p.addr.Port)
 	})
 	return nil

@@ -18,12 +18,10 @@ import (
 // microseconds of wall time instead of their face value, and two runs
 // with the same seed see the same virtual timeline.
 //
-// Delivery barriers close the one race quiescence counting cannot see:
-// a packet already handed to a receiver's queue whose receiving
-// goroutine has not been rescheduled yet. The sender registers the
-// delivery instant as a barrier; the advancer never jumps past the
-// earliest barrier until the receiver has swapped it for a real timer
-// (holdDelivery) or the barrier's instant has been reached.
+// Delivery barriers pin each legacy (blocking-read) delivery's instant:
+// the sender registers it as a barrier, and the advancer never jumps
+// past the earliest barrier until the receiver has swapped it for a
+// real timer (holdDelivery) or the barrier's instant has been reached.
 //
 // The zero value is not usable; call NewVirtual. The goroutine that
 // creates the clock is the initial registered goroutine and must be
@@ -39,6 +37,7 @@ type VirtualClock struct {
 	gen      uint64
 	seq      uint64
 	timers   waiterHeap
+	untimed  []*vwaiter // receivers parked with no timeout (Mailbox.Wait); Close releases them
 	barriers barrierHeap
 	closed   bool
 
@@ -49,13 +48,14 @@ type VirtualClock struct {
 	disp []*dispatcher
 
 	live  atomic.Int64  // goroutines spawned via Go that have not returned
-	parks atomic.Uint64 // goroutine parks: Sleep, Block, delivery holds
+	parks atomic.Uint64 // goroutine parks: Sleep, Block, Mailbox receives, delivery holds
 }
 
 // vwaiter is one scheduled wakeup. Exactly one of wake/ch is set:
 // wake is a parked goroutine (the advancer transfers the busy slot to
 // it before releasing the channel); ch is a Timer/Ticker target whose
-// receiver, if any, accounts for itself via Block/Unblock.
+// receiver, if any, accounts for itself via Block/Unblock. A negative
+// at marks an untimed park: idx then indexes c.untimed, not the heap.
 type vwaiter struct {
 	at     time.Duration
 	seq    uint64
@@ -65,12 +65,12 @@ type vwaiter struct {
 	period time.Duration // > 0 re-arms (Ticker)
 }
 
-// release lets the goroutine parked on w run. A one-shot waiter (Sleep,
-// a delivery hold) has an unbuffered wake channel, closed here. A
-// Mailbox's waiter is re-armed park after park, so its wake channel is
-// 1-buffered and released by a send instead — told apart by capacity
-// rather than by a flag, which would grow every Sleep's record a size
-// class.
+// release lets the goroutine parked on w run. A one-shot waiter (Sleep)
+// has an unbuffered wake channel, closed here. A Mailbox's waiter (a
+// receive or a delivery hold) is re-armed park after park, so its wake
+// channel is 1-buffered and released by a send instead — told apart by
+// capacity rather than by a flag, which would grow every Sleep's record
+// a size class.
 func (w *vwaiter) release() {
 	if cap(w.wake) == 0 {
 		close(w.wake)
@@ -182,16 +182,18 @@ func (c *VirtualClock) Close() {
 	}
 	c.closed = true
 	liveClocks.Add(-1)
-	for _, w := range c.timers {
-		w.idx = -1
-		if w.wake != nil {
-			w.release()
+	for _, ws := range [][]*vwaiter{c.timers, c.untimed} {
+		for _, w := range ws {
+			w.idx = -1
+			if w.wake != nil {
+				w.release()
+			}
 		}
 	}
 	for _, b := range c.barriers {
 		b.idx = -1
 	}
-	c.timers = nil
+	c.timers, c.untimed = nil, nil
 	c.barriers = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -230,27 +232,42 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 		runtime.Gosched()
 		return
 	}
-	w := c.pushWaiterLocked(d, nil)
+	w := &vwaiter{wake: make(chan struct{})}
+	c.parkLocked(w, c.now+d)
+	c.mu.Unlock()
+	<-w.wake // the advancer transfers our busy slot back before closing
+}
+
+// pushWaiterLocked schedules ch, a Timer/Ticker target, to fire d from
+// now.
+func (c *VirtualClock) pushWaiterLocked(d time.Duration, ch chan time.Time) *vwaiter {
+	c.seq++
+	w := &vwaiter{at: c.now + d, seq: c.seq, ch: ch}
+	heap.Push(&c.timers, w)
+	return w
+}
+
+// parkLocked gives up the caller's busy slot until w is released: by
+// the advancer at virtual instant at (a heap entry), or — for a
+// negative at, an untimed park — only by unpark or Close. An untimed
+// park is kept off the heap rather than given a far-future instant,
+// which the advancer would fire, jumping an idle world to the horizon.
+// Caller holds c.mu.
+func (c *VirtualClock) parkLocked(w *vwaiter, at time.Duration) {
+	w.at = at
+	if at < 0 {
+		w.idx = len(c.untimed)
+		c.untimed = append(c.untimed, w)
+	} else {
+		c.seq++
+		w.seq = c.seq
+		heap.Push(&c.timers, w)
+	}
 	c.busy--
 	c.parks.Add(1)
 	if c.busy == 0 {
 		c.cond.Broadcast()
 	}
-	c.mu.Unlock()
-	<-w.wake // the advancer transfers our busy slot back before closing
-}
-
-// pushWaiterLocked schedules a wakeup d from now. A nil ch makes a
-// parked-goroutine waiter (wake channel), otherwise ch is the fire
-// target.
-func (c *VirtualClock) pushWaiterLocked(d time.Duration, ch chan time.Time) *vwaiter {
-	c.seq++
-	w := &vwaiter{at: c.now + d, seq: c.seq, ch: ch}
-	if ch == nil {
-		w.wake = make(chan struct{})
-	}
-	heap.Push(&c.timers, w)
-	return w
 }
 
 // NewTimer implements Clock.
@@ -334,40 +351,47 @@ func (c *VirtualClock) Go(fn func()) {
 	}()
 }
 
-// park is the clock half of Mailbox.Recv: it arms w (whose wake channel
-// is 1-buffered, see release) to fire d from now and gives up the caller's busy slot, exactly as Sleep
-// does. It reports false on a closed clock, where nothing is armed and
-// only the mailbox itself can wake the receiver.
+// park is the clock half of a Mailbox receive: it arms w (whose wake
+// channel is 1-buffered, see release) to fire d from now — or, for a
+// negative d, parks it untimed — and gives up the caller's busy slot,
+// exactly as Sleep does. It reports false on a closed clock, where
+// nothing is armed and only the mailbox itself can wake the receiver.
 func (c *VirtualClock) park(w *vwaiter, d time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	c.seq++
-	w.at, w.seq = c.now+d, c.seq
-	heap.Push(&c.timers, w)
-	c.busy--
-	c.parks.Add(1)
-	if c.busy == 0 {
-		c.cond.Broadcast()
+	at := d
+	if d >= 0 {
+		at = c.now + d
 	}
+	c.parkLocked(w, at)
 	return true
 }
 
 // unpark is the clock half of a Mailbox wake: it cancels w's timeout
-// and takes a busy slot on the parked receiver's behalf, so the
-// receiver is counted runnable before it is released — the same
-// transfer the advancer makes for a Sleep. It reports false when w has
-// already fired: the advancer (or Close) made the transfer and released
-// the receiver itself.
+// (or takes it off the untimed list) and takes a busy slot on the
+// parked receiver's behalf, so the receiver is counted runnable before
+// it is released — the same transfer the advancer makes for a Sleep. It
+// reports false when w has already fired: the advancer (or Close) made
+// the transfer and released the receiver itself.
 func (c *VirtualClock) unpark(w *vwaiter) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w.idx < 0 {
 		return false
 	}
-	heap.Remove(&c.timers, w.idx)
+	if w.at < 0 {
+		last := len(c.untimed) - 1
+		c.untimed[w.idx] = c.untimed[last]
+		c.untimed[w.idx].idx = w.idx
+		c.untimed[last] = nil
+		c.untimed = c.untimed[:last]
+		w.idx = -1
+	} else {
+		heap.Remove(&c.timers, w.idx)
+	}
 	c.busy++
 	return true
 }
@@ -422,12 +446,13 @@ func (c *VirtualClock) releaseBarrier(b *vbarrier) {
 	c.mu.Unlock()
 }
 
-// holdDelivery parks the calling goroutine until virtual time reaches
-// the delivery instant at, atomically swapping the delivery's barrier
-// for a timed waiter so the advancer can neither jump past the
-// delivery nor stall on its barrier. A receive on abortC (a read
-// deadline on the same clock) ends the hold early.
-func (c *VirtualClock) holdDelivery(b *vbarrier, at time.Time, abortC <-chan time.Time) {
+// holdDelivery parks the calling goroutine on w (a re-armed Mailbox
+// waiter) until virtual time reaches at — the delivery instant, or a
+// read deadline before it — atomically swapping the delivery's barrier
+// for the timed waiter so the advancer can neither jump past the
+// delivery nor stall on its barrier. Only the advancer (or Close)
+// releases it, so there is no abort race to settle.
+func (c *VirtualClock) holdDelivery(w *vwaiter, b *vbarrier, at time.Time) {
 	d := at.Sub(c.base)
 	c.mu.Lock()
 	if b != nil && b.idx >= 0 {
@@ -437,31 +462,9 @@ func (c *VirtualClock) holdDelivery(b *vbarrier, at time.Time, abortC <-chan tim
 		c.mu.Unlock()
 		return
 	}
-	c.seq++
-	w := &vwaiter{at: d, seq: c.seq, wake: make(chan struct{})}
-	heap.Push(&c.timers, w)
-	c.busy--
-	c.parks.Add(1)
-	if c.busy == 0 {
-		c.cond.Broadcast()
-	}
+	c.parkLocked(w, d)
 	c.mu.Unlock()
-
-	select {
-	case <-w.wake:
-		// Fired: the advancer transferred our busy slot back.
-	case <-abortC:
-		c.mu.Lock()
-		if w.idx >= 0 {
-			// Not fired yet: reclaim our own busy slot.
-			heap.Remove(&c.timers, w.idx)
-			c.busy++
-			c.gen++
-		}
-		// Otherwise the waiter fired concurrently and the busy slot
-		// was already transferred to us.
-		c.mu.Unlock()
-	}
+	<-w.wake // fired: the advancer transferred our busy slot back
 }
 
 // Pending reports the number of scheduled wakeups (timers and
@@ -513,11 +516,10 @@ const stabilizeRounds = 12
 
 // wakeStabilizeRounds is the settle budget after a step that carried a
 // wake signal the clock cannot track — a dispatch handler that woke a
-// goroutine through a plain channel send (Poke), or a legacy enqueue
-// made from inside a dispatch batch. Unlike a barrier-protected legacy
-// delivery, such a wake is only caught if the woken goroutine gets
-// scheduled within the settle window, so the window must absorb
-// ambient scheduler load (GC assists, a dying world's stragglers).
+// goroutine through a plain channel send (Poke). Unlike a Mailbox wake,
+// such a wake is only caught if the woken goroutine gets scheduled
+// within the settle window, so the window must absorb ambient
+// scheduler load (GC assists, a dying world's stragglers).
 // The full budget is burned only when the signal turns out to have
 // woken nobody — any actual wake exits the loop early via the
 // busy/gen check — and wake steps are a small fraction of advances,
@@ -691,10 +693,9 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 		b := c.barriers[0].at
 		if (nextTimer < 0 || b < nextTimer) && (nextDispatch < 0 || b < nextDispatch) {
 			// An in-flight delivery is due first: advance to its instant
-			// only. Its receiver (if one is parked on the queue) has been
-			// runnable since the enqueue and will be caught by the next
-			// settle round; a queue nobody reads stops capping time once
-			// matured.
+			// only. A receiver parked on its mailbox was counted busy
+			// when the value was put; a mailbox nobody reads stops
+			// capping time once matured.
 			heap.Pop(&c.barriers)
 			if b > c.now {
 				c.now = b
