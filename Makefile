@@ -56,10 +56,8 @@ BENCH_GATE_PKGS = ./internal/registry ./internal/x2 ./internal/nas ./internal/s1
 # The attach-storm benchmark is end-to-end (every op re-attaches a
 # 32-UE population across 8 eNodeB associations), so it runs in its
 # own invocation with far fewer iterations than the hot-path gates.
-# Its committed allocs/op carry ~45 allocs (2%) of headroom over the
-# usual 2055: it runs on the wall-clock engine, where how often a
-# conn's maturity timer and queue are first allocated depends on real
-# timing, and runs between 2054 and 2090 have been observed.
+# Its committed allocs/op carry ~1.5% of headroom over the usual 1930
+# (runs between 1927 and 1942 have been seen across -cpu 1/2/4).
 STORM_GATE_RE = BenchmarkAttachStorm
 STORM_GATE_PKGS = ./internal/epc
 STORM_GATE_FLAGS = -benchmem -benchtime 50x -count 3 -json

@@ -5,7 +5,8 @@
 // traffic, peer discovery, share negotiation, and a roam.
 //
 // It is the fastest way to watch every moving part of the paper's
-// architecture work together.
+// architecture work together. The world runs on virtual time: the
+// printed latencies are simulated, and every run prints the same bytes.
 //
 // Usage:
 //
@@ -15,7 +16,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"dlte/internal/auth"
@@ -31,17 +34,24 @@ import (
 func main() {
 	nUE := flag.Int("ues", 3, "number of UEs to attach")
 	flag.Parse()
+	if err := run(os.Stdout, *nUE); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run narrates the lifecycle with nUE subscribers to out.
+func run(out io.Writer, nUE int) error {
 	step := func(format string, args ...interface{}) {
-		fmt.Printf("\n==> "+format+"\n", args...)
+		fmt.Fprintf(out, "\n==> "+format+"\n", args...)
 	}
 
 	step("booting the simulated internetwork (10 ms WAN) and global registry")
-	s, err := core.NewWallScenario(simnet.Link{Latency: 10 * time.Millisecond}, 1)
+	s, err := core.NewScenario(simnet.Link{Latency: 10 * time.Millisecond}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s.Close()
+	clk := s.Clock()
 
 	step("three owners independently bring up dLTE APs and join the open registry")
 	var aps []*core.AccessPoint
@@ -54,94 +64,95 @@ func main() {
 			Mode: mode, TAC: uint16(i + 1),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		aps = append(aps, ap)
-		fmt.Printf("    %s joined (mode=%s, air=%s)\n", ap.ID(), ap.Mode(), ap.AirAddr())
+		fmt.Fprintf(out, "    %s joined (mode=%s, air=%s)\n", ap.ID(), ap.Mode(), ap.AirAddr())
 	}
 
 	step("an OTT echo service goes up on the public Internet")
 	ottHost, _ := s.Net.AddHost("ott")
 	echo, err := ott.NewEchoServer(ottHost, 9000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer echo.Close()
 
-	step("%d subscribers publish open-SIM keys to the registry", *nUE)
-	devices := make([]*ue.Device, 0, *nUE)
-	for i := 0; i < *nUE; i++ {
+	step("%d subscribers publish open-SIM keys to the registry", nUE)
+	devices := make([]*ue.Device, 0, nUE)
+	for i := 0; i < nUE; i++ {
 		d, err := s.AddUE(fmt.Sprintf("ue%d", i+1), imsi(i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		devices = append(devices, d)
-		fmt.Printf("    %s published its key\n", d.IMSI())
+		fmt.Fprintf(out, "    %s published its key\n", d.IMSI())
 	}
 
 	step("ap1 syncs published keys into its local HSS stub")
 	n, err := aps[0].SyncSubscriberKeys()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("    imported %d subscriber key(s)\n", n)
+	fmt.Fprintf(out, "    imported %d subscriber key(s)\n", n)
 
 	step("UEs attach at ap1 (mutual AKA against the stub, direct breakout)")
 	for i, d := range devices {
 		name := fmt.Sprintf("ue%d", i+1)
 		if err := s.ConnectUERadio(name, "ap1", geo.Pt(800+float64(i)*200, 0)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := d.Attach(aps[0].AirAddr(), 10*time.Second)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("    %s attached in %v → IP %s (breakout=%v)\n",
+		fmt.Fprintf(out, "    %s attached in %v → IP %s (breakout=%v)\n",
 			d.IMSI(), res.Duration.Round(time.Millisecond), res.IP, res.DirectBreakout)
 	}
 
 	step("traffic flows straight from the AP to the Internet")
 	rtt, err := devices[0].Echo("ott:9000", []byte("hello"), 200*time.Millisecond, 5*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("    echo RTT through ap1: %v\n", rtt.Round(time.Millisecond))
+	fmt.Fprintf(out, "    echo RTT through ap1: %v\n", rtt.Round(time.Millisecond))
 
 	step("ap1 discovers its contention domain via the registry and peers over X2")
 	domain, err := aps[0].DiscoverPeers()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("    contention domain: %v\n", domain)
+	fmt.Fprintf(out, "    contention domain: %v\n", domain)
 
 	step("APs advertise load and negotiate airtime (cooperative)")
 	for _, ap := range aps {
 		ap.AdvertiseLoad()
 	}
-	time.Sleep(100 * time.Millisecond)
+	clk.Sleep(100 * time.Millisecond)
 	share, err := aps[0].NegotiateShares()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("    ap1's negotiated share: %.2f (it carries all %d UEs)\n", share, *nUE)
+	fmt.Fprintf(out, "    ap1's negotiated share: %.2f (it carries all %d UEs)\n", share, nUE)
 
 	step("ue1 roams: ap1 prepares ap2 over X2, ue1 re-attaches")
 	d := devices[0]
 	if err := s.ConnectUERadio("ue1", "ap2", geo.Pt(2400, 0)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := aps[0].Mobility.Prepare("ap2", d.Publication(), -102); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	time.Sleep(100 * time.Millisecond)
+	clk.Sleep(100 * time.Millisecond)
 	res, err := d.Attach(aps[1].AirAddr(), 10*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("    re-attached at ap2 in %v → new IP %s (endpoint mobility is the transport's job)\n",
+	fmt.Fprintf(out, "    re-attached at ap2 in %v → new IP %s (endpoint mobility is the transport's job)\n",
 		res.Duration.Round(time.Millisecond), res.IP)
 
 	step("done — every signaling message above crossed the real NAS/S1AP/GTP/X2 stacks")
+	return nil
 }
 
 // imsi derives the demo subscribers' identities.

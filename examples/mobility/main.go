@@ -1,14 +1,18 @@
 // Mobility: a client roams between two dLTE APs mid-session. With a
 // migratory transport (the QUIC stand-in), the session glides across
 // the IP address change; with a legacy TCP-like transport it resets and
-// must reconnect — the paper's §4.2 argument made observable.
+// must reconnect — the paper's §4.2 argument made observable. The world
+// runs on virtual time, so the printed latencies are simulated and
+// every run prints the same bytes.
 //
 //	go run ./examples/mobility
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"dlte/internal/auth"
@@ -21,21 +25,30 @@ import (
 )
 
 func main() {
-	for _, mode := range []transport.Mode{transport.Migratory, transport.Legacy} {
-		fmt.Printf("=== transport: %s ===\n", mode)
-		if err := run(mode); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
-func run(mode transport.Mode) error {
-	s, err := core.NewWallScenario(simnet.Link{Latency: 10 * time.Millisecond}, 7)
+// run roams the client once per transport mode, narrating to out.
+func run(out io.Writer) error {
+	for _, mode := range []transport.Mode{transport.Migratory, transport.Legacy} {
+		fmt.Fprintf(out, "=== transport: %s ===\n", mode)
+		if err := roam(out, mode); err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+	}
+	return nil
+}
+
+func roam(out io.Writer, mode transport.Mode) error {
+	s, err := core.NewScenario(simnet.Link{Latency: 10 * time.Millisecond}, 7)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
+	clk := s.Clock()
 
 	var aps []*core.AccessPoint
 	for i := 0; i < 2; i++ {
@@ -88,7 +101,7 @@ func run(mode transport.Mode) error {
 	if _, err := d.Attach(aps[0].AirAddr(), 10*time.Second); err != nil {
 		return err
 	}
-	fmt.Printf("attached at ap1, IP %s\n", d.IP())
+	fmt.Fprintf(out, "attached at ap1, IP %s\n", d.IP())
 
 	cli, err := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},
 		transport.DialConfig{Mode: mode, Timeout: 10 * time.Second})
@@ -97,16 +110,16 @@ func run(mode transport.Mode) error {
 	}
 	defer cli.Close()
 	ping := func(label string) {
-		start := time.Now()
+		start := clk.Now()
 		if err := cli.Send([]byte(label)); err != nil {
-			fmt.Printf("  %-16s send failed: %v\n", label, err)
+			fmt.Fprintf(out, "  %-16s send failed: %v\n", label, err)
 			return
 		}
 		if _, err := cli.Recv(3 * time.Second); err != nil {
-			fmt.Printf("  %-16s echo lost: %v\n", label, err)
+			fmt.Fprintf(out, "  %-16s echo lost: %v\n", label, err)
 			return
 		}
-		fmt.Printf("  %-16s echoed in %v\n", label, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "  %-16s echoed in %v\n", label, clk.Since(start).Round(time.Millisecond))
 	}
 	ping("before-roam")
 
@@ -119,27 +132,27 @@ func run(mode transport.Mode) error {
 	if err := aps[0].Mobility.Prepare("ap2", d.Publication(), -103); err != nil {
 		return err
 	}
-	time.Sleep(50 * time.Millisecond)
-	start := time.Now()
+	clk.Sleep(50 * time.Millisecond)
+	start := clk.Now()
 	if _, err := d.Attach(aps[1].AirAddr(), 10*time.Second); err != nil {
 		return err
 	}
-	fmt.Printf("roamed to ap2 in %v, new IP %s\n", time.Since(start).Round(time.Millisecond), d.IP())
+	fmt.Fprintf(out, "roamed to ap2 in %v, new IP %s\n", clk.Since(start).Round(time.Millisecond), d.IP())
 
 	// Does the session survive?
 	if mode == transport.Migratory {
 		ping("after-roam")
-		fmt.Println("  → the connection migrated: same session, new path (QUIC-style)")
+		fmt.Fprintln(out, "  → the connection migrated: same session, new path (QUIC-style)")
 		return nil
 	}
 	// Legacy: the server resets the address-bound connection.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(3 * time.Second)
+	for clk.Now().Before(deadline) {
 		if err := cli.Send([]byte("after-roam")); err != nil {
-			fmt.Printf("  connection reset by server: %v\n", err)
+			fmt.Fprintf(out, "  connection reset by server: %v\n", err)
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
 	cli.Close()
 	re, err := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},
@@ -148,11 +161,11 @@ func run(mode transport.Mode) error {
 		return err
 	}
 	defer re.Close()
-	fmt.Println("  → application had to reconnect from scratch (TCP-style)")
-	start = time.Now()
+	fmt.Fprintln(out, "  → application had to reconnect from scratch (TCP-style)")
+	start = clk.Now()
 	re.Send([]byte("post-reconnect"))
 	if _, err := re.Recv(3 * time.Second); err == nil {
-		fmt.Printf("  post-reconnect echo in %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "  post-reconnect echo in %v\n", clk.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -1,14 +1,17 @@
 // Quickstart: the smallest complete dLTE network — one registry, one
 // access point with its local core stub, one subscriber with a
 // published open-SIM key, and traffic flowing straight from the AP to
-// an Internet echo service.
+// an Internet echo service. The world runs on virtual time, so the
+// printed latencies are simulated and every run prints the same bytes.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"dlte/internal/auth"
@@ -21,11 +24,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the network and narrates its lifecycle to out.
+func run(out io.Writer) error {
 	// A simulated internetwork: every host pair defaults to a 10 ms
 	// one-way WAN link. The scenario starts the global registry.
-	s, err := core.NewWallScenario(simnet.Link{Latency: 10 * time.Millisecond}, 1)
+	s, err := core.NewScenario(simnet.Link{Latency: 10 * time.Millisecond}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s.Close()
 
@@ -40,15 +50,15 @@ func main() {
 		TAC:  1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("AP %q is up: clients attach at %s\n", ap.ID(), ap.AirAddr())
+	fmt.Fprintf(out, "AP %q is up: clients attach at %s\n", ap.ID(), ap.AirAddr())
 
 	// An OTT echo service somewhere on the Internet.
 	ottHost, _ := s.Net.AddHost("echo.example")
 	echo, err := ott.NewEchoServer(ottHost, 9000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer echo.Close()
 
@@ -56,34 +66,35 @@ func main() {
 	// (the §4.2 open-SIM step), and give it a radio link 1.2 km out.
 	d, err := s.AddUE("phone", auth.IMSI("001010000000777"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if n, err := ap.SyncSubscriberKeys(); err != nil || n != 1 {
-		log.Fatalf("key sync: n=%d err=%v", n, err)
+		return fmt.Errorf("key sync: n=%d err=%v", n, err)
 	}
 	if err := s.ConnectUERadio("phone", "gym", geo.Pt(1200, 0)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Attach: real NAS over the air, real S1AP to the stub, mutual
 	// Milenage AKA, GTP-U bearer — then direct breakout.
 	res, err := d.Attach(ap.AirAddr(), 10*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("attached in %v: IP=%s GUTI=%#x breakout=%v\n",
+	fmt.Fprintf(out, "attached in %v: IP=%s GUTI=%#x breakout=%v\n",
 		res.Duration.Round(time.Millisecond), res.IP, res.GUTI, res.DirectBreakout)
 
 	// Traffic: UE → AP → Internet, no EPC in the middle.
 	rtt, err := d.Echo("echo.example:9000", []byte("hello dLTE"), 200*time.Millisecond, 5*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("echo RTT: %v\n", rtt.Round(time.Millisecond))
+	fmt.Fprintf(out, "echo RTT: %v\n", rtt.Round(time.Millisecond))
 
 	// Clean release.
 	if err := d.Detach(5 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("detached cleanly — quickstart complete")
+	fmt.Fprintln(out, "detached cleanly — quickstart complete")
+	return nil
 }

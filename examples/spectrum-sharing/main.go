@@ -2,13 +2,15 @@
 // from ignoring each other (selfish), to the registry-negotiated fair
 // split, to full cooperation (paper §4.3). The X2 negotiation runs for
 // real; the airtime consequences are evaluated on the LTE multi-cell
-// simulator.
+// simulator. The signaling runs on virtual time, so every run prints
+// the same bytes.
 //
 //	go run ./examples/spectrum-sharing
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -23,40 +25,48 @@ import (
 )
 
 func main() {
-	// --- The live signaling part: two APs discover each other through
-	// the registry and negotiate shares over X2.
-	s, err := core.NewWallScenario(simnet.Link{Latency: 10 * time.Millisecond}, 3)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run negotiates the split and prints what each mode delivers to out.
+func run(out io.Writer) error {
+	// --- The live signaling part: two APs discover each other through
+	// the registry and negotiate shares over X2.
+	s, err := core.NewScenario(simnet.Link{Latency: 10 * time.Millisecond}, 3)
+	if err != nil {
+		return err
+	}
 	defer s.Close()
+	clk := s.Clock()
 
 	ap1, err := s.AddAP(core.APConfig{ID: "farm-coop", Position: geo.Pt(0, 0),
 		Band: radio.LTEBand5, HeightM: 20, EIRPdBm: 58, Mode: x2.ModeFairShare, TAC: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ap2, err := s.AddAP(core.APConfig{ID: "school", Position: geo.Pt(1500, 0),
 		Band: radio.LTEBand5, HeightM: 20, EIRPdBm: 58, Mode: x2.ModeFairShare, TAC: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	domain, err := ap1.DiscoverPeers()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("registry says the contention domain is %v\n", domain)
+	fmt.Fprintf(out, "registry says the contention domain is %v\n", domain)
 
 	share, err := ap1.NegotiateShares()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && ap2.Share() == 1 {
-		time.Sleep(5 * time.Millisecond)
+	deadline := clk.Now().Add(2 * time.Second)
+	for clk.Now().Before(deadline) && ap2.Share() == 1 {
+		clk.Sleep(5 * time.Millisecond)
 	}
-	fmt.Printf("negotiated over X2: farm-coop=%.2f school=%.2f\n\n", share, ap2.Share())
+	fmt.Fprintf(out, "negotiated over X2: farm-coop=%.2f school=%.2f\n\n", share, ap2.Share())
 
 	// --- The airtime consequences, on the multi-cell simulator: eight
 	// clients spread through the overlap corridor.
@@ -78,11 +88,12 @@ func main() {
 		}
 		t.AddRow(mode.String(), r.TotalBps/1e6, worst/1e6, metrics.JainIndex(vals))
 	}
-	t.Render(os.Stdout)
-	fmt.Println("\nuncoordinated wins raw total when clients hug their own AP, but")
-	fmt.Println("starves the overlap zone; the negotiated split rescues the worst")
-	fmt.Println("user, and cooperation (joint assignment + load-aware shares)")
-	fmt.Println("equalizes everyone at the same aggregate (§4.3).")
+	t.Render(out)
+	fmt.Fprintln(out, "\nuncoordinated wins raw total when clients hug their own AP, but")
+	fmt.Fprintln(out, "starves the overlap zone; the negotiated split rescues the worst")
+	fmt.Fprintln(out, "user, and cooperation (joint assignment + load-aware shares)")
+	fmt.Fprintln(out, "equalizes everyone at the same aggregate (§4.3).")
+	return nil
 }
 
 // buildUsers places clients between the sites, matching E5's geometry.

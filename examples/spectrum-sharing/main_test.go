@@ -1,0 +1,21 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestRunDeterministic runs the example twice and requires
+// byte-identical output: every latency it prints is simulated time.
+func TestRunDeterministic(t *testing.T) {
+	var first, second bytes.Buffer
+	if err := run(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("runs differ:\n--- first\n%s--- second\n%s", first.Bytes(), second.Bytes())
+	}
+}

@@ -2,6 +2,8 @@ package auth
 
 import (
 	"testing"
+
+	"dlte/internal/leaktest"
 )
 
 // The AKA hot path (attach-storm rate) must not allocate beyond the
@@ -20,7 +22,7 @@ func hotpathMilenage(t testing.TB) *Milenage {
 }
 
 func TestGenerateVectorAllocBound(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	m := hotpathMilenage(t)
@@ -37,7 +39,7 @@ func TestGenerateVectorAllocBound(t *testing.T) {
 }
 
 func TestRespondAllocBound(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	m := hotpathMilenage(t)
@@ -122,7 +124,7 @@ func TestNextVectorsBatch(t *testing.T) {
 }
 
 func TestNextVectorsAllocBound(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	db := NewSubscriberDB(true)

@@ -13,7 +13,7 @@ import (
 
 func newCentral(t *testing.T, wan simnet.Link) (*simnet.Network, *Centralized) {
 	t.Helper()
-	n := simnet.New(simnet.Link{Latency: 2 * time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: 2 * time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	c, err := NewCentralized(n, "telco-epc", CentralizedConfig{TAC: 1, WANLink: wan})
 	if err != nil {
@@ -95,11 +95,11 @@ func TestWiFiAssociationLatencyOrder(t *testing.T) {
 	}
 }
 
-// runAttachStorm measures wall-clock time for nUE concurrent attaches
-// against a centralized core with the given processing delay.
+// runAttachStorm measures the simulated time nUE concurrent attaches
+// take against a centralized core with the given processing delay.
 func runAttachStorm(t *testing.T, delay time.Duration, nUE int) time.Duration {
 	t.Helper()
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	c, err := NewCentralized(n, "epc", CentralizedConfig{
 		TAC: 1, WANLink: simnet.Link{Latency: time.Millisecond},
@@ -114,8 +114,9 @@ func runAttachStorm(t *testing.T, delay time.Duration, nUE int) time.Duration {
 		t.Fatal(err)
 	}
 
-	done := make(chan error, nUE)
-	start := time.Now()
+	clk := n.Clock()
+	done := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), nUE)
+	start := clk.Now()
 	for i := 0; i < nUE; i++ {
 		sim, _ := auth.NewSIM(auth.IMSI("0010100000006" + string(rune('0'+i)) + "0"))
 		if err := c.Core.Provision(sim); err != nil {
@@ -125,17 +126,17 @@ func runAttachStorm(t *testing.T, delay time.Duration, nUE int) time.Duration {
 		n.SetLink(host.Name(), "cell-1", simnet.Link{Latency: time.Millisecond})
 		d, _ := ue.NewDevice(host, sim)
 		t.Cleanup(d.Close)
-		go func(d *ue.Device) {
+		clk.Go(func() {
 			_, err := d.Attach(site.AirAddr(), 20*time.Second)
-			done <- err
-		}(d)
+			done.Put(err)
+		})
 	}
 	for i := 0; i < nUE; i++ {
-		if err := <-done; err != nil {
+		if err, _ := done.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return time.Since(start)
+	return clk.Since(start)
 }
 
 func TestProcessingDelayCapsSignalingRate(t *testing.T) {

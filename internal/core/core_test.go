@@ -108,7 +108,7 @@ func TestFairShareNegotiation(t *testing.T) {
 
 func TestStandaloneAPNoRegistry(t *testing.T) {
 	// The paper's Papua deployment: one AP, no registry at all (§5).
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	host := n.MustAddHost("solo")
 	ap, err := NewAccessPoint(host, APConfig{ID: "solo", Band: radio.LTEBand5, TAC: 9})

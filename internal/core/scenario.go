@@ -39,18 +39,8 @@ const RegistryAddr = "registry:8400"
 // spawns must use Clock().Go, and out-of-band waits must be bracketed
 // with Clock().Block/Unblock (see simnet.Clock).
 func NewScenario(wan simnet.Link, seed int64) (*Scenario, error) {
-	return buildScenario(simnet.NewVirtualNetwork(wan, seed))
-}
-
-// NewWallScenario is NewScenario on wall-clock time, for interactive
-// demos whose pacing should match real time.
-func NewWallScenario(wan simnet.Link, seed int64) (*Scenario, error) {
-	return buildScenario(simnet.New(wan, seed))
-}
-
-func buildScenario(n *simnet.Network) (*Scenario, error) {
 	s := &Scenario{
-		Net:      n,
+		Net:      simnet.NewVirtualNetwork(wan, seed),
 		Registry: registry.NewStore(),
 		aps:      make(map[string]*AccessPoint),
 		ues:      make(map[string]*ue.Device),

@@ -13,11 +13,11 @@ import (
 	"dlte/internal/ue"
 )
 
-// stormBed is a real-clock, zero-latency world sized for throughput
-// benchmarking: one core, several eNodeBs (each its own S1AP
-// association), and a population of provisioned UEs. With no modeled
-// link latency or processing delay, wall time measures the signaling
-// stack's real CPU cost.
+// stormBed is a zero-latency world sized for throughput benchmarking:
+// one core, several eNodeBs (each its own S1AP association), and a
+// population of provisioned UEs. With no modeled link latency or
+// processing delay, virtual time stands still and wall time measures
+// the signaling stack's real CPU cost.
 type stormBed struct {
 	net *simnet.Network
 	ues []*ue.Device
@@ -26,11 +26,11 @@ type stormBed struct {
 
 func newStormBed(b testing.TB, nENB, uesPerENB int) *stormBed {
 	b.Helper()
-	return newStormBedOn(b, simnet.New(simnet.Link{}, 1), nENB, uesPerENB)
+	return newStormBedOn(b, simnet.NewVirtualNetwork(simnet.Link{}, 1), nENB, uesPerENB)
 }
 
-// newStormBedOn builds the storm world on net (whose creator must be
-// the calling goroutine when it runs a virtual clock).
+// newStormBedOn builds the storm world on net, whose clock the calling
+// goroutine must drive.
 func newStormBedOn(b testing.TB, net *simnet.Network, nENB, uesPerENB int) *stormBed {
 	b.Helper()
 	sb := &stormBed{net: net}
@@ -86,18 +86,22 @@ func newStormBedOn(b testing.TB, net *simnet.Network, nENB, uesPerENB int) *stor
 // storm re-attaches every UE concurrently (re-attach without detach
 // supersedes, so each round exercises the full attach path).
 func (sb *stormBed) storm(b *testing.B) {
+	clk := sb.net.Clock()
 	var wg sync.WaitGroup
 	errs := make(chan error, len(sb.ues))
 	for i, d := range sb.ues {
 		wg.Add(1)
-		go func(d *ue.Device, air string) {
+		air := sb.air[i]
+		clk.Go(func() {
 			defer wg.Done()
 			if _, err := d.Attach(air, 30*time.Second); err != nil {
 				errs <- err
 			}
-		}(d, sb.air[i])
+		})
 	}
+	clk.Block()
 	wg.Wait()
+	clk.Unblock()
 	select {
 	case err := <-errs:
 		b.Fatalf("attach: %v", err)

@@ -30,7 +30,7 @@ type testbed struct {
 func newTestbed(t *testing.T, stub bool, epcLatency time.Duration) *testbed {
 	t.Helper()
 	tb := &testbed{}
-	tb.net = simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	tb.net = simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(tb.net.Close)
 
 	ap := tb.net.MustAddHost("ap")
@@ -187,19 +187,20 @@ func TestMultipleUEsConcurrentAttach(t *testing.T) {
 	for i := 0; i < n; i++ {
 		devices[i] = tb.newUE(t, fmt.Sprintf("0010100000002%02d", i))
 	}
-	errs := make(chan error, n)
+	clk := tb.net.Clock()
+	errs := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), n)
 	for _, d := range devices {
-		go func(d *ue.Device) {
+		clk.Go(func() {
 			if _, err := d.Attach(tb.enb.AirAddr(), 10*time.Second); err != nil {
-				errs <- err
+				errs.Put(err)
 				return
 			}
 			_, err := d.Echo("ott:9000", []byte("hi"), 200*time.Millisecond, 5*time.Second)
-			errs <- err
-		}(d)
+			errs.Put(err)
+		})
 	}
 	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
+		if err, _ := errs.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,9 +227,10 @@ func TestDetachReleasesSession(t *testing.T) {
 	if err := d.Detach(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for tb.core.Gateway().NumSessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	clk := tb.net.Clock()
+	deadline := clk.Now().Add(2 * time.Second)
+	for tb.core.Gateway().NumSessions() != 0 && clk.Now().Before(deadline) {
+		clk.Sleep(10 * time.Millisecond)
 	}
 	if got := tb.core.Gateway().NumSessions(); got != 0 {
 		t.Errorf("sessions after detach = %d", got)
@@ -270,10 +272,11 @@ func TestRejectedAttachDropsAssociation(t *testing.T) {
 		t.Fatalf("attach of unknown IMSI: %v", err)
 	}
 	atReject := tb.core.Stats().SignalingMessages
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) &&
+	clk := tb.net.Clock()
+	deadline := clk.Now().Add(2 * time.Second)
+	for clk.Now().Before(deadline) &&
 		(tb.enb.NumUEs() != 0 || tb.core.Stats().SignalingMessages < atReject+2) {
-		time.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 	if n := tb.enb.NumUEs(); n != 0 {
 		t.Errorf("eNodeB still holds %d UE context(s) after a rejected attach", n)

@@ -9,10 +9,10 @@ import (
 // gateEpsilon is the registration window of a deterministic gate:
 // every entrant that arrives at one virtual instant gets this long
 // (one virtual nanosecond — invisible at any rendered precision) to
-// enqueue before admission order is decided. Under a VirtualClock the
-// window's close is a wheel event one nanosecond out, and every event
-// of the arrival instant runs before it, so the queue is complete when
-// the window closes.
+// enqueue before admission order is decided. The window's close is a
+// wheel event one nanosecond out, and every event of the arrival
+// instant runs before it, so the queue is complete when the window
+// closes.
 const gateEpsilon = time.Nanosecond
 
 // gateWaiter is one entrant awaiting admission, keyed by virtual
@@ -48,12 +48,9 @@ type gateWaiter struct {
 type detGate struct {
 	capacity int // admission slots; 0 means 1
 
-	clk simnet.Clock
-	// tick closes registration windows. Nil on a wall clock, which has
-	// no quiescence guarantee to make a window meaningful: entrants
-	// there are admissible on arrival.
-	tick   *simnet.Continuation
-	tickAt time.Time // latest instant a tick is booked for
+	clk    simnet.Clock
+	tick   *simnet.Continuation // closes registration windows
+	tickAt time.Time            // latest instant a tick is booked for
 
 	waiters   []gateWaiter // sorted by (at, actor); live from head
 	head      int
@@ -61,19 +58,16 @@ type detGate struct {
 	admitting bool // tryAdmit is on the stack; releases fold into its loop
 }
 
-// init binds the gate to the clock (and, under a virtual clock, the
-// delivery thread) of the core's host.
+// init binds the gate to the clock and the delivery thread of the
+// core's host.
 func (g *detGate) init(host *simnet.Host, capacity int) {
 	g.capacity = capacity
 	g.clk = host.Clock()
-	if _, virtual := g.clk.(*simnet.VirtualClock); virtual {
-		g.tick = host.Network().NewContinuation(func(uint64) { g.tryAdmit() })
-	}
+	g.tick = host.Network().NewContinuation(func(uint64) { g.tryAdmit() })
 }
 
 // enter queues an entrant arriving now; admit runs once it holds a
-// slot, never before the caller returns to the delivery loop under a
-// virtual clock.
+// slot, never before the caller returns to the delivery loop.
 func (g *detGate) enter(actor string, admit func()) {
 	now := g.clk.Now()
 	if g.head == len(g.waiters) {
@@ -93,10 +87,6 @@ func (g *detGate) enter(actor string, admit func()) {
 		g.waiters[i] = g.waiters[i-1]
 	}
 	g.waiters[i] = gateWaiter{at: now, actor: actor, admit: admit}
-	if g.tick == nil {
-		g.tryAdmit()
-		return
-	}
 	if t := now.Add(gateEpsilon); t.After(g.tickAt) {
 		g.tickAt = t
 		g.tick.After(gateEpsilon, 0)
@@ -125,7 +115,7 @@ func (g *detGate) tryAdmit() {
 	now := g.clk.Now()
 	for g.running < slots && g.head < len(g.waiters) {
 		w := &g.waiters[g.head]
-		if g.tick != nil && w.at.Add(gateEpsilon).After(now) {
+		if w.at.Add(gateEpsilon).After(now) {
 			break
 		}
 		admit := w.admit

@@ -12,7 +12,7 @@ import (
 // the old bump-only counter never reused a released address and walked
 // off the 10.45.0.0/16 block after ~64k sessions.
 func TestIPPoolReusesReleasedAddresses(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer n.Close()
 	gw, err := NewGateway(n.MustAddHost("gw"))
 	if err != nil {
@@ -51,7 +51,7 @@ func TestIPPoolReusesReleasedAddresses(t *testing.T) {
 // TestIPPoolExhaustion checks the typed error at the pool bound and
 // that releasing a session makes an address available again.
 func TestIPPoolExhaustion(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer n.Close()
 	gw, err := NewGateway(n.MustAddHost("gw"))
 	if err != nil {

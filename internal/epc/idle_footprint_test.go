@@ -27,7 +27,7 @@ func TestIdleSessionWorldFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement; skipped in -short")
 	}
-	net := simnet.New(simnet.Link{}, 1)
+	net := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer net.Close()
 	coreHost := net.MustAddHost("core")
 	core, err := epc.NewCore(coreHost, epc.Config{

@@ -3,7 +3,6 @@ package epc_test
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,11 +14,11 @@ import (
 	"dlte/internal/ue"
 )
 
-// upBed is a real-clock, zero-latency world for user-plane throughput
+// upBed is a zero-latency world for user-plane throughput
 // benchmarking: one attached UE whose bearer traffic crosses the full
 // stack (air framing → eNB → GTP or breakout → gateway NAT → external
-// sink). With no modeled delay, wall time is the per-packet CPU cost
-// of the data path itself.
+// sink). With no modeled delay, virtual time stands still and wall
+// time is the per-packet CPU cost of the data path itself.
 type upBed struct {
 	bc       *ue.BearerConn
 	sink     *simnet.PacketConn
@@ -28,16 +27,15 @@ type upBed struct {
 	// from the first uplink packet; downlink injections target it.
 	gwAddr net.Addr
 
-	atSink atomic.Uint64 // uplink packets seen by the sink
-	atUE   atomic.Uint64 // downlink packets seen by the UE pump
-	stop   atomic.Bool
+	arrived *simnet.Mailbox[struct{}] // one token per packet a counter saw
+	stop    atomic.Bool
 
 	core *epc.Core
 }
 
 func newUserPlaneBed(b testing.TB, tunneled bool) *upBed {
 	b.Helper()
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	ap := n.MustAddHost("ap")
 	coreHost := ap
 	if tunneled {
@@ -87,6 +85,7 @@ func newUserPlaneBed(b testing.TB, tunneled bool) *upBed {
 		bc:       dev.Bearer(),
 		sink:     sinkPC,
 		sinkAddr: simnet.Addr{Host: "sink", Port: 9000},
+		arrived:  simnet.NewMailbox[struct{}](n.Clock().(*simnet.VirtualClock), 1024),
 		core:     core,
 	}
 	b.Cleanup(func() {
@@ -106,15 +105,15 @@ func newUserPlaneBed(b testing.TB, tunneled bool) *upBed {
 	// NAT without state. Ping until a pong makes the round trip.
 	buf := make([]byte, 2048)
 	clk := bed.bc.Clock()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := clk.Now().Add(10 * time.Second)
 	for {
-		if time.Now().After(deadline) {
+		if clk.Now().After(deadline) {
 			b.Fatal("user-plane round trip never came up")
 		}
 		if _, err := bed.bc.WriteTo([]byte("probe"), bed.sinkAddr); err != nil {
 			b.Fatal(err)
 		}
-		sinkPC.SetReadDeadline(time.Now().Add(time.Second))
+		sinkPC.SetReadDeadline(clk.Now().Add(time.Second))
 		_, from, err := sinkPC.ReadFrom(buf)
 		if err != nil {
 			continue
@@ -133,10 +132,11 @@ func newUserPlaneBed(b testing.TB, tunneled bool) *upBed {
 // countUplink drains the sink, counting arrivals.
 func (u *upBed) countUplink() {
 	buf := make([]byte, 2048)
+	clk := u.sink.Clock()
 	for {
-		u.sink.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		u.sink.SetReadDeadline(clk.Now().Add(100 * time.Millisecond))
 		if _, _, err := u.sink.ReadFrom(buf); err == nil {
-			u.atSink.Add(1)
+			u.arrived.Put(struct{}{})
 		} else if u.stop.Load() {
 			return
 		}
@@ -150,7 +150,7 @@ func (u *upBed) countDownlink() {
 	for {
 		u.bc.SetReadDeadline(clk.Now().Add(100 * time.Millisecond))
 		if _, _, err := u.bc.ReadFrom(buf); err == nil {
-			u.atUE.Add(1)
+			u.arrived.Put(struct{}{})
 		} else if u.stop.Load() {
 			return
 		}
@@ -158,20 +158,27 @@ func (u *upBed) countDownlink() {
 }
 
 // pump issues n sends keeping at most window in flight (counted at the
-// far end via seen), then waits for all n to land.
-func pump(b *testing.B, n, window int, seen *atomic.Uint64, send func() error) {
+// far end into arrived), then waits for all n to land.
+func pump(b *testing.B, n, window int, arrived *simnet.Mailbox[struct{}], send func() error) {
 	b.Helper()
-	start := seen.Load()
+	await := func() {
+		if _, err := arrived.Recv(time.Second); err != nil {
+			b.Fatalf("packet lost: %v", err)
+		}
+	}
+	inFlight := 0
 	for i := 0; i < n; i++ {
-		for uint64(i)-(seen.Load()-start) >= uint64(window) {
-			runtime.Gosched()
+		if inFlight == window {
+			await()
+			inFlight--
 		}
 		if err := send(); err != nil {
 			b.Fatal(err)
 		}
+		inFlight++
 	}
-	for seen.Load()-start < uint64(n) {
-		runtime.Gosched()
+	for ; inFlight > 0; inFlight-- {
+		await()
 	}
 }
 
@@ -179,11 +186,11 @@ func pump(b *testing.B, n, window int, seen *atomic.Uint64, send func() error) {
 // write → air frame → eNB decap → breakout gateway NAT → sink socket.
 func BenchmarkUserPlaneUplink(b *testing.B) {
 	bed := newUserPlaneBed(b, false)
-	go bed.countUplink()
+	bed.bc.Clock().Go(bed.countUplink)
 	payload := make([]byte, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
-	pump(b, b.N, 64, &bed.atSink, func() error {
+	pump(b, b.N, 64, bed.arrived, func() error {
 		_, err := bed.bc.WriteTo(payload, bed.sinkAddr)
 		return err
 	})
@@ -195,11 +202,11 @@ func BenchmarkUserPlaneUplink(b *testing.B) {
 // bearer read.
 func BenchmarkUserPlaneDownlink(b *testing.B) {
 	bed := newUserPlaneBed(b, false)
-	go bed.countDownlink()
+	bed.bc.Clock().Go(bed.countDownlink)
 	payload := make([]byte, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
-	pump(b, b.N, 64, &bed.atUE, func() error {
+	pump(b, b.N, 64, bed.arrived, func() error {
 		_, err := bed.sink.WriteTo(payload, bed.gwAddr)
 		return err
 	})
@@ -227,7 +234,7 @@ func BenchmarkBreakoutVsTunnel(b *testing.B) {
 				if _, err := bed.bc.WriteTo(payload, bed.sinkAddr); err != nil {
 					b.Fatal(err)
 				}
-				bed.sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+				bed.sink.SetReadDeadline(clk.Now().Add(5 * time.Second))
 				_, from, err := bed.sink.ReadFrom(buf)
 				if err != nil {
 					b.Fatal(err)

@@ -11,19 +11,21 @@ import (
 	"dlte/internal/simnet"
 )
 
-// benchPair builds two GTP endpoints on a zero-latency wall-clock
-// simnet with one bound tunnel in each direction.
+// benchPair builds two GTP endpoints on a zero-latency simnet with one
+// bound tunnel in each direction. The calling goroutine drives the
+// network's clock: deliveries run while it waits in await.
 type benchPair struct {
-	net      *simnet.Network
-	a, b     *gtp.Endpoint
-	aTEID    uint32 // local TEID at a (b sends to it)
-	bTEID    uint32 // local TEID at b (a sends to it)
-	received atomic.Uint64
+	net     *simnet.Network
+	a, b    *gtp.Endpoint
+	aTEID   uint32                    // local TEID at a (b sends to it)
+	bTEID   uint32                    // local TEID at b (a sends to it)
+	arrived *simnet.Mailbox[struct{}] // one token per demuxed packet
 }
 
 func newBenchPair(tb testing.TB) *benchPair {
 	tb.Helper()
-	p := &benchPair{net: simnet.New(simnet.Link{}, 1)}
+	p := &benchPair{net: simnet.NewVirtualNetwork(simnet.Link{}, 1)}
+	p.arrived = simnet.NewMailbox[struct{}](p.net.Clock().(*simnet.VirtualClock), 1024)
 	ha := p.net.MustAddHost("enb")
 	hb := p.net.MustAddHost("sgw")
 	pca, err := ha.ListenPacket(gtp.Port)
@@ -37,10 +39,10 @@ func newBenchPair(tb testing.TB) *benchPair {
 	p.a = gtp.NewEndpoint(pca)
 	p.b = gtp.NewEndpoint(pcb)
 	p.aTEID = p.a.AllocateTEID(func(payload []byte, from net.Addr) {
-		p.received.Add(1)
+		p.arrived.Put(struct{}{})
 	})
 	p.bTEID = p.b.AllocateTEID(func(payload []byte, from net.Addr) {
-		p.received.Add(1)
+		p.arrived.Put(struct{}{})
 	})
 	if err := p.a.Bind(p.aTEID, p.bTEID, simnet.Addr{Host: "sgw", Port: gtp.Port}); err != nil {
 		tb.Fatal(err)
@@ -56,21 +58,30 @@ func newBenchPair(tb testing.TB) *benchPair {
 	return p
 }
 
+// await waits for the far demux handler to see one more packet.
+func (p *benchPair) await(tb testing.TB) {
+	if _, err := p.arrived.Recv(time.Second); err != nil {
+		tb.Fatalf("packet not demuxed: %v", err)
+	}
+}
+
 // sendWindowed streams n packets a→b keeping at most window in flight
 // (socket buffers are finite; UDP semantics drop on overflow), then
 // waits for the far demux handler to have seen all n.
 func (p *benchPair) sendWindowed(b *testing.B, n, window int, send func() error) {
-	start := p.received.Load()
+	inFlight := 0
 	for i := 0; i < n; i++ {
-		for uint64(i)-(p.received.Load()-start) >= uint64(window) {
-			runtime.Gosched()
+		if inFlight == window {
+			p.await(b)
+			inFlight--
 		}
 		if err := send(); err != nil {
 			b.Fatal(err)
 		}
+		inFlight++
 	}
-	for p.received.Load()-start < uint64(n) {
-		runtime.Gosched()
+	for ; inFlight > 0; inFlight-- {
+		p.await(b)
 	}
 }
 
@@ -133,20 +144,17 @@ func TestSendDemuxZeroAlloc(t *testing.T) {
 	p := newBenchPair(t)
 	payload := make([]byte, 512)
 	send := func() {
-		start := p.received.Load()
 		buf := gtp.GetBuffer()
 		buf = append(buf, payload...)
 		if err := p.a.SendBuffer(p.aTEID, buf); err != nil {
 			t.Fatal(err)
 		}
-		for p.received.Load() == start {
-			runtime.Gosched()
-		}
+		p.await(t)
 	}
 	for i := 0; i < 64; i++ {
 		send() // warm the buffer pools and the socket path
 	}
-	// The demux runs on the endpoint's read goroutine; AllocsPerRun
+	// The demux runs on the clock's delivery thread; AllocsPerRun
 	// still sees it (the counter is process-wide). Averaging over many
 	// runs forgives a stray runtime allocation, not a per-packet one.
 	if avg := testing.AllocsPerRun(200, send); avg > 0.5 {

@@ -61,7 +61,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func newPair(t *testing.T) (*Endpoint, *Endpoint, *simnet.Network) {
 	t.Helper()
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	a := n.MustAddHost("enb")
 	b := n.MustAddHost("gw")
@@ -79,11 +79,18 @@ func newPair(t *testing.T) (*Endpoint, *Endpoint, *simnet.Network) {
 	return ea, eb, n
 }
 
-func TestTunnelForwarding(t *testing.T) {
-	enb, gw, _ := newPair(t)
+// inbox returns a mailbox on n's clock and a tunnel handler that
+// delivers a copy of every payload to it.
+func inbox(n *simnet.Network) (*simnet.Mailbox[[]byte], Handler) {
+	m := simnet.NewMailbox[[]byte](n.Clock().(*simnet.VirtualClock), 4)
+	return m, func(p []byte, _ net.Addr) { m.Put(append([]byte(nil), p...)) }
+}
 
-	got := make(chan []byte, 1)
-	gwTEID := gw.AllocateTEID(func(p []byte, _ net.Addr) { got <- append([]byte(nil), p...) })
+func TestTunnelForwarding(t *testing.T) {
+	enb, gw, n := newPair(t)
+
+	got, h := inbox(n)
+	gwTEID := gw.AllocateTEID(h)
 	enbTEID := enb.AllocateTEID(nil)
 
 	if err := enb.Bind(enbTEID, gwTEID, simnet.Addr{Host: "gw", Port: Port}); err != nil {
@@ -92,51 +99,48 @@ func TestTunnelForwarding(t *testing.T) {
 	if err := enb.Send(enbTEID, []byte("uplink-ip-packet")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case p := <-got:
-		if string(p) != "uplink-ip-packet" {
-			t.Errorf("payload = %q", p)
-		}
-	case <-time.After(2 * time.Second):
+	p, err := got.Recv(2 * time.Second)
+	if err != nil {
 		t.Fatal("packet not delivered")
+	}
+	if string(p) != "uplink-ip-packet" {
+		t.Errorf("payload = %q", p)
 	}
 }
 
 func TestBidirectionalTunnel(t *testing.T) {
-	enb, gw, _ := newPair(t)
+	enb, gw, n := newPair(t)
 
-	up := make(chan []byte, 1)
-	down := make(chan []byte, 1)
-	gwTEID := gw.AllocateTEID(func(p []byte, _ net.Addr) { up <- append([]byte(nil), p...) })
-	enbTEID := enb.AllocateTEID(func(p []byte, _ net.Addr) { down <- append([]byte(nil), p...) })
+	up, hUp := inbox(n)
+	down, hDown := inbox(n)
+	gwTEID := gw.AllocateTEID(hUp)
+	enbTEID := enb.AllocateTEID(hDown)
 
 	enb.Bind(enbTEID, gwTEID, simnet.Addr{Host: "gw", Port: Port})
 	gw.Bind(gwTEID, enbTEID, simnet.Addr{Host: "enb", Port: Port})
 
 	enb.Send(enbTEID, []byte("up"))
 	gw.Send(gwTEID, []byte("down"))
-	for i := 0; i < 2; i++ {
-		select {
-		case p := <-up:
-			if string(p) != "up" {
-				t.Errorf("uplink = %q", p)
-			}
-		case p := <-down:
-			if string(p) != "down" {
-				t.Errorf("downlink = %q", p)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("tunnel traffic lost")
+	for _, dir := range []struct {
+		name string
+		m    *simnet.Mailbox[[]byte]
+	}{{"up", up}, {"down", down}} {
+		p, err := dir.m.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatalf("%slink traffic lost", dir.name)
+		}
+		if string(p) != dir.name {
+			t.Errorf("%slink = %q", dir.name, p)
 		}
 	}
 }
 
 func TestTEIDDemux(t *testing.T) {
-	enb, gw, _ := newPair(t)
-	a := make(chan []byte, 1)
-	b := make(chan []byte, 1)
-	teidA := gw.AllocateTEID(func(p []byte, _ net.Addr) { a <- append([]byte(nil), p...) })
-	teidB := gw.AllocateTEID(func(p []byte, _ net.Addr) { b <- append([]byte(nil), p...) })
+	enb, gw, n := newPair(t)
+	a, hA := inbox(n)
+	b, hB := inbox(n)
+	teidA := gw.AllocateTEID(hA)
+	teidB := gw.AllocateTEID(hB)
 	if teidA == teidB {
 		t.Fatal("duplicate TEIDs allocated")
 	}
@@ -148,21 +152,15 @@ func TestTEIDDemux(t *testing.T) {
 	enb.Send(ta, []byte("for-a"))
 	enb.Send(tb, []byte("for-b"))
 
-	select {
-	case p := <-a:
-		if string(p) != "for-a" {
-			t.Errorf("a got %q", p)
-		}
-	case <-time.After(2 * time.Second):
+	if p, err := a.Recv(2 * time.Second); err != nil {
 		t.Fatal("a starved")
+	} else if string(p) != "for-a" {
+		t.Errorf("a got %q", p)
 	}
-	select {
-	case p := <-b:
-		if string(p) != "for-b" {
-			t.Errorf("b got %q", p)
-		}
-	case <-time.After(2 * time.Second):
+	if p, err := b.Recv(2 * time.Second); err != nil {
 		t.Fatal("b starved")
+	} else if string(p) != "for-b" {
+		t.Errorf("b got %q", p)
 	}
 }
 
@@ -182,9 +180,9 @@ func TestSendErrors(t *testing.T) {
 }
 
 func TestRelease(t *testing.T) {
-	enb, gw, _ := newPair(t)
-	got := make(chan []byte, 1)
-	gwTEID := gw.AllocateTEID(func(p []byte, _ net.Addr) { got <- append([]byte(nil), p...) })
+	enb, gw, n := newPair(t)
+	got, h := inbox(n)
+	gwTEID := gw.AllocateTEID(h)
 	enbTEID := enb.AllocateTEID(nil)
 	enb.Bind(enbTEID, gwTEID, simnet.Addr{Host: "gw", Port: Port})
 
@@ -196,10 +194,8 @@ func TestRelease(t *testing.T) {
 		t.Errorf("NumTunnels after release = %d", gw.NumTunnels())
 	}
 	enb.Send(enbTEID, []byte("late"))
-	select {
-	case <-got:
+	if _, err := got.Recv(100 * time.Millisecond); err == nil {
 		t.Error("released tunnel delivered traffic")
-	case <-time.After(100 * time.Millisecond):
 	}
 }
 
@@ -221,7 +217,7 @@ func TestCloseStopsEndpoint(t *testing.T) {
 
 func TestGarbageTrafficIgnored(t *testing.T) {
 	// Non-GTP and unknown-TEID packets must not crash the loop.
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
 	gwHost := n.MustAddHost("gw")
 	srcHost := n.MustAddHost("src")
@@ -229,16 +225,14 @@ func TestGarbageTrafficIgnored(t *testing.T) {
 	gw := NewEndpoint(pgw)
 	t.Cleanup(func() { gw.Close() })
 
-	got := make(chan []byte, 1)
-	gw.AllocateTEID(func(p []byte, _ net.Addr) { got <- append([]byte(nil), p...) })
+	got, h := inbox(n)
+	gw.AllocateTEID(h)
 
 	src, _ := srcHost.ListenPacket(0)
 	src.WriteToHost([]byte{1, 2, 3}, "gw", Port)                      // garbage
 	src.WriteToHost(Encode(424242, []byte("wrong-teid")), "gw", Port) // unknown TEID
-	select {
-	case p := <-got:
+	if p, err := got.Recv(100 * time.Millisecond); err == nil {
 		t.Errorf("unexpected delivery: %q", p)
-	case <-time.After(100 * time.Millisecond):
 	}
 }
 

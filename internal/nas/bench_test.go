@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dlte/internal/auth"
+	"dlte/internal/leaktest"
 	"dlte/internal/session"
 	"dlte/internal/wire"
 )
@@ -152,7 +153,7 @@ func TestNASProcedureAllocGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs quiesced allocator")
 	}
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	p := newBenchPairT(t)

@@ -25,7 +25,7 @@ func TestEchoRoundTripZeroAlloc(t *testing.T) {
 	}
 	t.Cleanup(e.Close)
 	pc, _ := n.MustAddHost("cli").ListenPacket(0)
-	replies := simnet.NewMailbox[int](n.Clock(), 8)
+	replies := simnet.NewMailbox[int](n.Clock().(*simnet.VirtualClock), 8)
 	pc.SetHandler(func(data []byte, _ net.Addr) { replies.Put(len(data)) })
 
 	payload := make([]byte, 512)

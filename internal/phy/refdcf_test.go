@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dlte/internal/leaktest"
 )
 
 // This file keeps the pre-engine slot-stepped contention loops as
@@ -522,7 +524,7 @@ func TestCoexDifferential(t *testing.T) {
 // must be ≥ 20× faster than the slot-stepped oracle on a 32-station
 // 10-second saturated domain.
 func TestDCFEngineSpeedup(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("timing test is meaningless under the race detector")
 	}
 	cfg := DCFConfig{Stations: benchDCFStations(32), Seed: 5}

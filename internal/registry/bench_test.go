@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dlte/internal/geo"
+	"dlte/internal/leaktest"
 	"dlte/internal/simnet"
 	"dlte/internal/wire"
 )
@@ -79,7 +80,7 @@ func BenchmarkStoreJoin(b *testing.B) {
 // end to end over a zero-latency simnet connection — the whole
 // request/response cycle that WaitForRevision polls.
 func BenchmarkRegistryRevisionRTT(b *testing.B) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer n.Close()
 	srvHost := n.MustAddHost("registry")
 	cliHost := n.MustAddHost("client")
@@ -89,7 +90,7 @@ func BenchmarkRegistryRevisionRTT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go NewServer(store).Serve(l)
+	n.Clock().Go(func() { NewServer(store).Serve(l) })
 	c, err := Dial(cliHost.Dial, "registry:8400")
 	if err != nil {
 		b.Fatal(err)
@@ -184,7 +185,7 @@ func (l *revLoopConn) SetWriteDeadline(time.Time) error { return nil }
 // spins on: one pooled frame out, one pooled frame back, in-place
 // decode — nothing allocated per probe.
 func TestRevisionProbeZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	store := NewStore()
@@ -209,7 +210,7 @@ func TestRevisionProbeZeroAlloc(t *testing.T) {
 // pulls (a 2048-AP list is ~180 KB; the rev probe is 13 bytes each
 // way).
 func TestWaitForRevisionUsesRevProbe(t *testing.T) {
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	defer n.Close()
 	srvHost := n.MustAddHost("registry")
 	cliHost := n.MustAddHost("client")
@@ -219,7 +220,7 @@ func TestWaitForRevisionUsesRevProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go NewServer(store).Serve(l)
+	n.Clock().Go(func() { NewServer(store).Serve(l) })
 	c, err := Dial(cliHost.Dial, "registry:8400")
 	if err != nil {
 		t.Fatal(err)

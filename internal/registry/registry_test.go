@@ -128,7 +128,7 @@ func TestStoreKeys(t *testing.T) {
 
 func newClientServer(t *testing.T) (*Client, *Store) {
 	t.Helper()
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	srvHost := n.MustAddHost("registry")
 	cliHost := n.MustAddHost("ap1")
@@ -138,7 +138,7 @@ func newClientServer(t *testing.T) (*Client, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	n.Clock().Go(func() { srv.Serve(l) })
 	c, err := Dial(cliHost.Dial, "registry:8400")
 	if err != nil {
 		t.Fatal(err)
@@ -226,39 +226,40 @@ func TestWaitForRevision(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
 	srvHost := n.MustAddHost("registry")
 	store := NewStore()
 	l, _ := srvHost.Listen(8400)
-	go NewServer(store).Serve(l)
+	n.Clock().Go(func() { NewServer(store).Serve(l) })
 
-	done := make(chan error, 8)
+	clk := n.Clock()
+	done := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), 8)
 	for i := 0; i < 8; i++ {
-		host := n.MustAddHost(string(rune('a' + i)))
-		go func(i int, h *simnet.Host) {
+		h := n.MustAddHost(string(rune('a' + i)))
+		clk.Go(func() {
 			c, err := Dial(h.Dial, "registry:8400")
 			if err != nil {
-				done <- err
+				done.Put(err)
 				return
 			}
 			defer c.Close()
 			for j := 0; j < 20; j++ {
 				r := rec(h.Name(), float64(i*1000), 0)
 				if err := c.Join(r); err != nil {
-					done <- err
+					done.Put(err)
 					return
 				}
 				if _, err := c.List(""); err != nil {
-					done <- err
+					done.Put(err)
 					return
 				}
 			}
-			done <- nil
-		}(i, host)
+			done.Put(nil)
+		})
 	}
 	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
+		if err, _ := done.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -215,10 +215,18 @@ func TestWatch(t *testing.T) {
 	}
 }
 
-// newMirrorWorld runs a server plus helpers on a virtual-clock simnet.
+// newMirrorWorld runs a server plus helpers on a virtual-clock simnet,
+// on one P. The subscription pusher waits for the next store mutation
+// in a Block-bracketed select, a wake the clock catches only through
+// the advancer's settle rounds: exact on one P, where every runnable
+// goroutine gets its turn inside one round of yields, and a guess on
+// several (ROADMAP item 1). The mirror tests are about the feed, not
+// about that guess.
 func newMirrorWorld(t *testing.T) (*simnet.Network, *Store) {
 	t.Helper()
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	srvHost := n.MustAddHost("registry")
 	store := NewStore()
@@ -226,7 +234,7 @@ func newMirrorWorld(t *testing.T) (*simnet.Network, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go NewServer(store).Serve(l)
+	n.Clock().Go(func() { NewServer(store).Serve(l) })
 	return n, store
 }
 

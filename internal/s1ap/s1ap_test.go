@@ -66,7 +66,7 @@ func TestTypeNames(t *testing.T) {
 }
 
 func TestConnOverSimnet(t *testing.T) {
-	n := simnet.New(simnet.Link{Latency: time.Millisecond}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	enbHost := n.MustAddHost("enb")
 	mmeHost := n.MustAddHost("mme")
@@ -75,26 +75,27 @@ func TestConnOverSimnet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := make(chan error, 1)
-	go func() {
+	clk := n.Clock()
+	done := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), 1)
+	clk.Go(func() {
 		c, err := l.Accept()
 		if err != nil {
-			done <- err
+			done.Put(err)
 			return
 		}
 		conn := NewConn(c)
 		msg, err := conn.Recv()
 		if err != nil {
-			done <- err
+			done.Put(err)
 			return
 		}
 		req, ok := msg.(*S1SetupRequest)
 		if !ok {
-			done <- errors.New("wrong message type")
+			done.Put(errors.New("wrong message type"))
 			return
 		}
-		done <- conn.Send(&S1SetupResponse{MMEName: "mme-for-" + req.ENBName, ServedTAC: req.TAC})
-	}()
+		done.Put(conn.Send(&S1SetupResponse{MMEName: "mme-for-" + req.ENBName, ServedTAC: req.TAC}))
+	})
 
 	raw, err := enbHost.Dial("mme:36412")
 	if err != nil {
@@ -112,39 +113,40 @@ func TestConnOverSimnet(t *testing.T) {
 	if !ok || sr.MMEName != "mme-for-e1" || sr.ServedTAC != 7 {
 		t.Errorf("response = %+v", resp)
 	}
-	if err := <-done; err != nil {
+	if err, _ := done.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestConnInterleavedNASTransport(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(36412)
-	srvDone := make(chan error, 1)
-	go func() {
+	clk := n.Clock()
+	srvDone := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), 1)
+	clk.Go(func() {
 		c, err := l.Accept()
 		if err != nil {
-			srvDone <- err
+			srvDone.Put(err)
 			return
 		}
 		conn := NewConn(c)
 		for i := 0; i < 10; i++ {
 			m, err := conn.Recv()
 			if err != nil {
-				srvDone <- err
+				srvDone.Put(err)
 				return
 			}
 			ul := m.(*UplinkNASTransport)
 			if err := conn.Send(&DownlinkNASTransport{ENBUEID: ul.ENBUEID, MMEUEID: 100 + ul.ENBUEID, NASPDU: ul.NASPDU}); err != nil {
-				srvDone <- err
+				srvDone.Put(err)
 				return
 			}
 		}
-		srvDone <- nil
-	}()
+		srvDone.Put(nil)
+	})
 	raw, err := a.Dial("b:36412")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +165,7 @@ func TestConnInterleavedNASTransport(t *testing.T) {
 			t.Fatalf("echo mismatch at %d: %+v", i, dl)
 		}
 	}
-	if err := <-srvDone; err != nil {
+	if err, _ := srvDone.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }

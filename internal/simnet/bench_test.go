@@ -7,32 +7,19 @@ import (
 	"time"
 )
 
-// benchPair builds a zero-latency wall-clock network with a connected
-// stream pair: writes are deliverable immediately, so a synchronous
+// benchPair builds a zero-latency network with a connected stream
+// pair: writes are deliverable immediately, so a synchronous
 // write-then-read ping exercises the full hot path without parking.
 func benchPair(b *testing.B) (*Conn, *Conn) {
 	b.Helper()
-	n := New(Link{}, 1)
+	n := NewVirtualNetwork(Link{}, 1)
 	b.Cleanup(n.Close)
 	a := n.MustAddHost("a")
-	z := n.MustAddHost("z")
-	l, err := z.Listen(80)
+	l, err := n.MustAddHost("z").Listen(80)
 	if err != nil {
 		b.Fatal(err)
 	}
-	accepted := make(chan *Conn, 1)
-	go func() {
-		c, aerr := l.Accept()
-		if aerr != nil {
-			return
-		}
-		accepted <- c.(*Conn)
-	}()
-	c, err := a.Dial("z:80")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c.(*Conn), <-accepted
+	return acceptOne(b, n, l, a, "z:80")
 }
 
 // BenchmarkSimnetStreamThroughput measures the stream delivery hot path
@@ -59,7 +46,7 @@ func BenchmarkSimnetStreamThroughput(b *testing.B) {
 // BenchmarkSimnetPacketConn measures the datagram hot path
 // (PacketConn.WriteTo → inbox → PacketConn.ReadFrom).
 func BenchmarkSimnetPacketConn(b *testing.B) {
-	n := New(Link{}, 1)
+	n := NewVirtualNetwork(Link{}, 1)
 	defer n.Close()
 	a := n.MustAddHost("a")
 	z := n.MustAddHost("z")
@@ -233,7 +220,7 @@ func TestSchedulerEveryNoAllocPerFiring(t *testing.T) {
 // datagram path: after warm-up, a WriteTo/ReadFrom pair recycles its
 // buffer instead of allocating.
 func TestPacketRoundTripNoAllocSteadyState(t *testing.T) {
-	n := New(Link{}, 1)
+	n := NewVirtualNetwork(Link{}, 1)
 	defer n.Close()
 	a := n.MustAddHost("a")
 	z := n.MustAddHost("z")
@@ -258,8 +245,8 @@ func TestPacketRoundTripNoAllocSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip() // warm the pool
 	}
-	// The wall clock's time.Now and the rng draw stay; the per-packet
-	// payload copy must not. Allow a small epsilon for runtime noise.
+	// The per-packet payload copy must not allocate. Allow a small
+	// epsilon for runtime noise.
 	if avg := testing.AllocsPerRun(500, roundTrip); avg > 0.5 {
 		t.Errorf("datagram round trip allocates %.2f objects/op, want ~0", avg)
 	}

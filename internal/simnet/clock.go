@@ -5,15 +5,16 @@ import "time"
 // Clock abstracts the passage of time for everything that runs over a
 // Network. Two implementations exist:
 //
-//   - WallClock (the package-level Wall): real time via the time
-//     package. The cmd/ binaries and any component running over real
-//     sockets use this; it is also the default for Networks created
-//     with New, preserving historical behavior.
+//   - VirtualClock: deterministic discrete-event time, and the only
+//     clock a Network runs on. Virtual time stands still while any
+//     registered goroutine is runnable and jumps straight to the next
+//     timer's expiry when all of them are blocked, so simulated link
+//     latencies cost no wall-clock time.
 //
-//   - VirtualClock: deterministic discrete-event time. Virtual time
-//     stands still while any registered goroutine is runnable and
-//     jumps straight to the next timer's expiry when all of them are
-//     blocked, so simulated link latencies cost no wall-clock time.
+//   - WallClock (the package-level Wall): real time via the time
+//     package. It exists for ClockOf, which hands it to
+//     transport-agnostic code (the registry server, MST, X2) running
+//     over real sockets, as cmd/dlte-registry does.
 //
 // The contract for code running under a Clock:
 //
@@ -30,7 +31,7 @@ import "time"
 //   - Derive deadlines from Now on the same clock, never time.Now.
 //
 // WallClock implements Block/Unblock/Go as no-ops/bare spawns, so
-// code written against the contract behaves identically on real time.
+// code written against the contract also runs over real sockets.
 type Clock interface {
 	// Now reports the current instant on this clock.
 	Now() time.Time

@@ -10,9 +10,9 @@ import (
 )
 
 // chunk is a batch of stream bytes due for delivery at a clock
-// instant (its send time plus the link delay at send time). Under a
-// VirtualClock, bar holds the delivery barrier keeping virtual time
-// from jumping past the delivery before the receiver parks on it.
+// instant (its send time plus the link delay at send time). bar holds
+// the delivery barrier keeping virtual time from jumping past the
+// delivery before the receiver parks on it.
 type chunk struct {
 	data []byte
 	at   time.Time
@@ -56,9 +56,9 @@ func (p *halfPipe) close() {
 
 // mailboxLocked returns the legacy mailbox, making it on first use —
 // already closed if the pipe is. Caller holds p.mu.
-func (p *halfPipe) mailboxLocked(clk Clock) *Mailbox[chunk] {
+func (p *halfPipe) mailboxLocked(vc *VirtualClock) *Mailbox[chunk] {
 	if p.box == nil {
-		p.box = NewMailbox[chunk](clk, math.MaxInt)
+		p.box = NewMailbox[chunk](vc, math.MaxInt)
 		if p.closed.Load() {
 			p.box.Close()
 		}
@@ -154,7 +154,7 @@ func (c *Conn) OnDeliverHandler(h StreamHandler) {
 // on a handler-fed queue depends on that callback to exit.
 func (c *Conn) closeTeardown() error {
 	if dc := c.rx.dc.Load(); dc != nil && (dc.sink != nil || dc.onClose != nil) {
-		dc.d.sendCloseForce(dc)
+		dc.d.sendClose(dc, true)
 	}
 	return c.Close()
 }
@@ -167,7 +167,7 @@ func (c *Conn) installDispatch(d *dispatcher, dc *dconn) {
 	p.mu.Lock()
 	if len(p.pending) > 0 {
 		// Remainder of a partially-read chunk: already deliverable.
-		d.migrateChunk(dc, chunk{data: p.pending}, nil)
+		d.migrate(dc, p.pending, nil, time.Time{}, nil)
 		p.pending, p.pendingBuf = nil, nil
 	}
 	if p.box != nil {
@@ -176,16 +176,15 @@ func (c *Conn) installDispatch(d *dispatcher, dc *dconn) {
 			if err != nil {
 				break
 			}
-			d.migrateChunk(dc, ch, nil)
+			d.migrate(dc, ch.data, nil, ch.at, ch.bar)
 		}
 	}
 	p.dc.Store(dc)
 	p.mu.Unlock()
-	d.kickW(dc)
 	if p.closed.Load() {
 		// Peer closed before the handler existed; its close event was
 		// never scheduled, so schedule it now (after migrated data).
-		d.sendClose(dc)
+		d.sendClose(dc, false)
 	}
 }
 
@@ -263,16 +262,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return len(b), nil
 	}
 
-	clk := c.network.clock
+	vc := c.network.clock
 	data := payloadGet(len(b))
 	copy(data, b)
-	ch := chunk{data: data}
-	if vc, ok := clk.(*VirtualClock); ok {
-		ch.at = clk.Now().Add(delay)
-		ch.bar = vc.addBarrier(ch.at)
-	} else if delay > 0 {
-		ch.at = clk.Now().Add(delay)
-	}
+	at := vc.Now().Add(delay)
+	ch := chunk{data: data, at: at, bar: vc.addBarrier(at)}
 
 	// Legacy enqueue, mode-checked under the pipe lock so a concurrent
 	// OnDeliver migration cannot strand the chunk behind the handler.
@@ -280,28 +274,19 @@ func (c *Conn) Write(b []byte) (int, error) {
 	p.mu.Lock()
 	if dc := p.dc.Load(); dc != nil {
 		p.mu.Unlock()
-		c.releaseBarrier(ch.bar)
+		vc.releaseBarrier(ch.bar)
 		dc.d.send(dc, data, nil, delay)
 		return len(b), nil
 	}
-	queued := p.mailboxLocked(clk).Put(ch)
+	queued := p.mailboxLocked(vc).Put(ch)
 	p.mu.Unlock()
 	if !queued {
-		c.releaseBarrier(ch.bar)
+		vc.releaseBarrier(ch.bar)
 		payloadPut(data)
 		return 0, ErrClosed
 	}
 	c.network.noteLegacyDelivery()
 	return len(b), nil
-}
-
-func (c *Conn) releaseBarrier(b *vbarrier) {
-	if b == nil {
-		return
-	}
-	if vc, ok := c.network.clock.(*VirtualClock); ok {
-		vc.releaseBarrier(b)
-	}
 }
 
 // Close implements net.Conn. It closes both directions, so the peer's
@@ -312,7 +297,7 @@ func (c *Conn) Close() error {
 		dc.d.markClosed(dc) // drop own in-flight deliveries
 	}
 	if dc := c.tx.dc.Load(); dc != nil {
-		dc.d.sendClose(dc) // peer's handler sees EOF after queued data
+		dc.d.sendClose(dc, false) // peer's handler sees EOF after queued data
 	}
 	c.tx.close()
 	c.rx.close()

@@ -4,13 +4,12 @@ import "time"
 
 // Continuation is a self-addressed dispatch endpoint: After schedules
 // fn(arg) to run on the network's delivery thread d from now, exactly
-// like a delivery to a handler-mode conn — under a VirtualClock it is a
-// wheel event ordered with every other same-instant event by (instant,
-// endpoint ID, scheduling order), under the wall clock a matured entry
-// in the endpoint's queue — and at steady state scheduling one
-// allocates nothing. It is how an actor that lives in handlers waits
-// for time to pass without a goroutine to park: a protocol timer, a
-// modeled service time, a connection's arrival at a listener.
+// like a delivery to a handler-mode conn — a wheel event ordered with
+// every other same-instant event by (instant, endpoint ID, scheduling
+// order) — and at steady state scheduling one allocates nothing. It is
+// how an actor that lives in handlers waits for time to pass without a
+// goroutine to park: a protocol timer, a modeled service time, a
+// connection's arrival at a listener.
 //
 // fn runs under the handler contract (DESIGN.md §14): it must not block
 // on the clock, and it must Poke if it wakes a goroutine through

@@ -9,14 +9,13 @@ import (
 // instead of around it: the one wait primitive that needs neither
 // Block/Unblock, nor a Timer, nor a Poke from the producer.
 //
-// On a VirtualClock a parked Recv is a timed waiter on the clock's own
-// heap, like a Sleep. A Put that finds a receiver parked cancels that
+// A parked Recv is a timed waiter on the clock's own heap, like a
+// Sleep. A Put that finds a receiver parked cancels that
 // waiter and takes the receiver's busy slot under the clock's mutex
 // before releasing it, so the receiver is counted runnable from the
 // instant it is woken — the advancer never has to guess (settle) whether
 // someone is about to run. A Put that finds nobody parked only queues
-// and touches no clock state. On any other clock the wait is a channel
-// and one reused time.Timer.
+// and touches no clock state.
 //
 // Put never blocks: beyond depth queued values it refuses, like a full
 // socket buffer, and the caller counts the drop. Any goroutine or
@@ -29,7 +28,7 @@ import (
 // PacketConn.ReadFrom or Listener.Accept waits on one, fed at write
 // time, and then holds a delivery until its link delay has elapsed.
 type Mailbox[T any] struct {
-	vc    *VirtualClock // nil: real time
+	vc    *VirtualClock
 	depth int
 
 	mu          sync.Mutex
@@ -45,10 +44,9 @@ type Mailbox[T any] struct {
 // whoever wakes it, under the mailbox's mutex, before its single token
 // is sent.
 type mailWaiter[T any] struct {
-	vw    vwaiter       // virtual clock: the timeout
+	vw    vwaiter       // the timeout
 	armed bool          // vw is (or was) on the clock's heap for this park
 	wake  chan struct{} // 1-buffered: exactly one token per park
-	timer *time.Timer   // real time: the reused timeout
 	state mailState
 	val   T
 	next  *mailWaiter[T]
@@ -63,11 +61,9 @@ const (
 )
 
 // NewMailbox returns an empty mailbox holding at most depth values,
-// whose receivers wait on clk.
-func NewMailbox[T any](clk Clock, depth int) *Mailbox[T] {
-	m := &Mailbox[T]{depth: depth}
-	m.vc, _ = clk.(*VirtualClock)
-	return m
+// whose receivers wait on vc.
+func NewMailbox[T any](vc *VirtualClock, depth int) *Mailbox[T] {
+	return &Mailbox[T]{vc: vc, depth: depth}
 }
 
 // Put hands v to the longest-parked receiver, or queues it. It reports
@@ -103,22 +99,19 @@ func (m *Mailbox[T]) Recv(timeout time.Duration) (T, error) {
 	return m.recv(max(timeout, 0))
 }
 
-// Wait is Recv without a timeout. On a VirtualClock the receiver parks
-// untimed: it gives up its busy slot with no heap entry, so only a Put,
-// Close or the clock's own Close ends the wait — a far-future timeout
-// would instead be fired by the advancer, jumping an idle world to the
-// horizon. It returns ErrClosed once the mailbox is closed and drained,
-// or when the clock closes under the wait.
+// Wait is Recv without a timeout. The receiver parks untimed: it gives
+// up its busy slot with no heap entry, so only a Put, Close or the
+// clock's own Close ends the wait — a far-future timeout would instead
+// be fired by the advancer, jumping an idle world to the horizon. It
+// returns ErrClosed once the mailbox is closed and drained, or when the
+// clock closes under the wait.
 func (m *Mailbox[T]) Wait() (T, error) { return m.recv(-1) }
 
 // recvBy receives with a deadline on the mailbox's clock; the zero
 // deadline waits untimed.
 func (m *Mailbox[T]) recvBy(deadline time.Time) (T, error) {
-	switch {
-	case deadline.IsZero():
+	if deadline.IsZero() {
 		return m.Wait()
-	case m.vc == nil:
-		return m.Recv(time.Until(deadline))
 	}
 	return m.Recv(m.vc.Until(deadline))
 }
@@ -151,25 +144,18 @@ func (m *Mailbox[T]) recv(timeout time.Duration) (T, error) {
 		m.last.next = w
 	}
 	m.last = w
-	w.armed = m.vc != nil && m.vc.park(&w.vw, timeout)
+	w.armed = m.vc.park(&w.vw, timeout)
 	m.mu.Unlock()
 
-	// On a virtual clock the token comes from Put or Close, or from the
-	// clock when the timeout fires (or the clock itself closes).
-	tokenTaken := true
-	if m.vc != nil || timeout < 0 {
-		<-w.wake
-	} else {
-		tokenTaken = w.waitWall(timeout)
-	}
+	// The token comes from Put or Close, or from the clock when the
+	// timeout fires (or the clock itself closes).
+	<-w.wake
 
 	m.mu.Lock()
 	v, state := w.val, w.state
 	w.val = zero
 	if state == mailWaiting {
 		m.unlink(w)
-	} else if !tokenTaken {
-		<-w.wake // the waker beat the timer to the mutex; its token is in
 	}
 	m.unclaim(w)
 	m.mu.Unlock()
@@ -183,18 +169,12 @@ func (m *Mailbox[T]) recv(timeout time.Duration) (T, error) {
 }
 
 // hold waits out a received legacy delivery: until its instant at, or
-// the read deadline if that comes first (zero: none). On a VirtualClock
-// the hold re-arms a claimed waiter (holdDelivery), so while one
-// receiver holds at a time it allocates nothing.
+// the read deadline if that comes first (zero: none). The hold re-arms
+// a claimed waiter (holdDelivery), so while one receiver holds at a
+// time it allocates nothing.
 func (m *Mailbox[T]) hold(b *vbarrier, at, deadline time.Time) {
 	if !deadline.IsZero() && deadline.Before(at) {
 		at = deadline
-	}
-	if m.vc == nil {
-		if !at.IsZero() { // zero: an immediate delivery, no clock read
-			time.Sleep(time.Until(at))
-		}
-		return
 	}
 	m.mu.Lock()
 	w := m.claim()
@@ -288,35 +268,4 @@ func (m *Mailbox[T]) grow() {
 		q[i] = m.q[(m.head+i)%len(m.q)]
 	}
 	m.q, m.head = q, 0
-}
-
-// waitWall parks the receiver in real time. It reports whether the
-// waiter's token was consumed (false: the timeout ended the wait).
-func (w *mailWaiter[T]) waitWall(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	if w.timer == nil {
-		w.timer = time.NewTimer(timeout)
-	} else {
-		w.timer.Reset(timeout)
-	}
-	for {
-		select {
-		case <-w.wake:
-			if !w.timer.Stop() {
-				select {
-				case <-w.timer.C:
-				default:
-				}
-			}
-			return true
-		case <-w.timer.C:
-			// A tick left over from the previous wait can surface here;
-			// only the deadline ends this one.
-			if rem := time.Until(deadline); rem > 0 {
-				w.timer.Reset(rem)
-				continue
-			}
-			return false
-		}
-	}
 }

@@ -9,13 +9,12 @@ import (
 	"dlte/internal/leaktest"
 )
 
-// Mailbox conformance, on both clocks: the receive side's contract must
-// not depend on whether the wait is a virtual-clock waiter or a channel
-// and a time.Timer.
+// Mailbox conformance: the receive side's contract as a virtual-clock
+// waiter.
 
 func TestMailboxTimeout(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		clk := n.Clock()
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		clk := n.clock
 		m := NewMailbox[int](clk, 4)
 		if _, err := m.Recv(0); !errors.Is(err, ErrDeadline) {
 			t.Fatalf("Recv(0) on empty = %v, want ErrDeadline", err)
@@ -26,12 +25,8 @@ func TestMailboxTimeout(t *testing.T) {
 			if !errors.Is(err, ErrDeadline) {
 				t.Fatalf("Recv = %v, want ErrDeadline", err)
 			}
-			waited := clk.Since(start)
-			if _, virtual := clk.(*VirtualClock); virtual && waited != 20*time.Millisecond {
-				t.Fatalf("virtual timeout after %v, want exactly 20ms", waited)
-			}
-			if waited < 20*time.Millisecond {
-				t.Fatalf("timeout after %v, before its 20ms", waited)
+			if waited := clk.Since(start); waited != 20*time.Millisecond {
+				t.Fatalf("timeout after %v, want exactly 20ms", waited)
 			}
 		}
 		// A timed-out receiver leaves nothing behind: the next value
@@ -42,15 +37,15 @@ func TestMailboxTimeout(t *testing.T) {
 		if v, err := m.Recv(time.Second); err != nil || v != 7 {
 			t.Fatalf("Recv = %d, %v", v, err)
 		}
-		if vc, ok := clk.(*VirtualClock); ok && vc.Pending() != 0 {
-			t.Errorf("%d waiters left on the clock", vc.Pending())
+		if p := clk.Pending(); p != 0 {
+			t.Errorf("%d waiters left on the clock", p)
 		}
 	})
 }
 
 func TestMailboxPutWakesParkedRecv(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		clk := n.Clock()
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		clk := n.clock
 		m := NewMailbox[int](clk, 4)
 		start := clk.Now()
 		clk.Go(func() {
@@ -61,18 +56,18 @@ func TestMailboxPutWakesParkedRecv(t *testing.T) {
 		if err != nil || v != 42 {
 			t.Fatalf("Recv = %d, %v", v, err)
 		}
-		if _, virtual := clk.(*VirtualClock); virtual && clk.Since(start) != 5*time.Millisecond {
+		if clk.Since(start) != 5*time.Millisecond {
 			t.Errorf("woken at +%v, want +5ms: the cancelled timeout moved time", clk.Since(start))
 		}
-		if vc, ok := clk.(*VirtualClock); ok && vc.Pending() != 0 {
-			t.Errorf("cancelled timeout still on the clock (%d pending)", vc.Pending())
+		if p := clk.Pending(); p != 0 {
+			t.Errorf("cancelled timeout still on the clock (%d pending)", p)
 		}
 	})
 }
 
 func TestMailboxCloseWakesParkedRecv(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		clk := n.Clock()
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		clk := n.clock
 		m := NewMailbox[int](clk, 4)
 		m.Put(1)
 		clk.Go(func() {
@@ -96,8 +91,8 @@ func TestMailboxCloseWakesParkedRecv(t *testing.T) {
 }
 
 func TestMailboxOverflowDrops(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		m := NewMailbox[int](n.Clock(), 12) // crosses one ring growth (8 → 12)
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		m := NewMailbox[int](n.clock, 12) // crosses one ring growth (8 → 12)
 		for i := 0; i < 15; i++ {
 			if ok := m.Put(i); ok != (i < 12) {
 				t.Fatalf("Put(%d) = %v", i, ok)
@@ -123,8 +118,8 @@ func TestMailboxOverflowDrops(t *testing.T) {
 // received exactly once and in order, and no wake token leaks into the
 // next park.
 func TestMailboxPutVersusTimeout(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		clk := n.Clock()
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		clk := n.clock
 		const rounds = 300
 		const wait = 200 * time.Microsecond
 		m := NewMailbox[int](clk, rounds)
@@ -167,8 +162,8 @@ func TestMailboxPutVersusTimeout(t *testing.T) {
 // TestMailboxConcurrentReceivers: receivers beyond the embedded waiter
 // park too, and are served oldest first.
 func TestMailboxConcurrentReceivers(t *testing.T) {
-	engines(t, Link{}, func(t *testing.T, n *Network) {
-		clk := n.Clock()
+	onVirtual(t, Link{}, func(t *testing.T, n *Network) {
+		clk := n.clock
 		m := NewMailbox[int](clk, 4)
 		got := make([]int, 3)
 		var wg sync.WaitGroup
@@ -206,7 +201,7 @@ func TestMailboxConcurrentReceivers(t *testing.T) {
 func TestMailboxHandlerWakeIsTracked(t *testing.T) {
 	n := NewVirtualNetwork(Link{}, 1)
 	defer n.Close()
-	vc := n.Clock().(*VirtualClock)
+	vc := n.clock
 	m := NewMailbox[uint64](vc, 4)
 	cont := n.NewContinuation(func(arg uint64) { m.Put(arg) })
 	d := n.disp.Load()

@@ -43,10 +43,10 @@ type Link struct {
 // typical tunnel-friendly Internet path.
 const MTU = 1400
 
-// Network is an in-memory internetwork of named hosts. The zero value
-// is not usable; call New.
+// Network is an in-memory internetwork of named hosts, running on a
+// VirtualClock. The zero value is not usable; call NewVirtualNetwork.
 type Network struct {
-	clock       Clock
+	clock       *VirtualClock
 	ownedVC     *VirtualClock // closed with the network when it created the clock
 	mu          sync.Mutex
 	hosts       map[string]*Host
@@ -71,22 +71,13 @@ type linkState struct {
 	busyUntil time.Time
 }
 
-// New creates a Network whose links default to the given Link
-// parameters and whose randomness is seeded for reproducibility. The
-// network runs on wall-clock time; use NewWithClock or
-// NewVirtualNetwork for discrete-event time.
-func New(defaultLink Link, seed int64) *Network {
-	return NewWithClock(defaultLink, seed, Wall)
-}
-
-// NewWithClock creates a Network whose time (link delays, deadlines,
-// delivery instants) is governed by clk.
-func NewWithClock(defaultLink Link, seed int64, clk Clock) *Network {
-	if clk == nil {
-		clk = Wall
-	}
+// NewWithClock creates a Network whose links default to the given Link
+// parameters, whose randomness is seeded for reproducibility, and whose
+// time (link delays, deadlines, delivery instants) is governed by vc.
+// Several networks may share one clock; the caller closes it.
+func NewWithClock(defaultLink Link, seed int64, vc *VirtualClock) *Network {
 	return &Network{
-		clock:       clk,
+		clock:       vc,
 		hosts:       make(map[string]*Host),
 		links:       make(map[[2]string]*linkState),
 		conns:       make(map[*Conn]struct{}),

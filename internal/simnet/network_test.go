@@ -7,14 +7,13 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 func newTestNet(t *testing.T, link Link) *Network {
 	t.Helper()
-	n := New(link, 1)
+	n := NewVirtualNetwork(link, 1)
 	t.Cleanup(n.Close)
 	return n
 }
@@ -118,10 +117,9 @@ func TestStreamEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	done := NewMailbox[struct{}](n.clock, 1)
+	n.clock.Go(func() {
+		defer done.Put(struct{}{})
 		c, err := l.Accept()
 		if err != nil {
 			t.Errorf("accept: %v", err)
@@ -129,7 +127,7 @@ func TestStreamEcho(t *testing.T) {
 		}
 		defer c.Close()
 		io.Copy(c, c)
-	}()
+	})
 
 	c, err := a.Dial("b:80")
 	if err != nil {
@@ -147,7 +145,7 @@ func TestStreamEcho(t *testing.T) {
 		t.Errorf("echo = %q", got)
 	}
 	c.Close()
-	wg.Wait()
+	done.Wait()
 }
 
 func TestStreamLatency(t *testing.T) {
@@ -156,32 +154,29 @@ func TestStreamLatency(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	go func() {
+	clk := n.Clock()
+	clk.Go(func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer c.Close()
 		io.Copy(c, c)
-	}()
+	})
 	c, err := a.Dial("b:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	start := time.Now()
+	start := clk.Now()
 	c.Write([]byte("x"))
 	buf := make([]byte, 1)
 	if _, err := io.ReadFull(c, buf); err != nil {
 		t.Fatal(err)
 	}
-	rtt := time.Since(start)
-	if rtt < 2*lat {
-		t.Errorf("RTT %v < 2×latency %v", rtt, 2*lat)
-	}
-	if rtt > 2*lat+150*time.Millisecond {
-		t.Errorf("RTT %v implausibly large", rtt)
+	if rtt := clk.Since(start); rtt != 2*lat {
+		t.Errorf("RTT %v, want 2×latency %v", rtt, 2*lat)
 	}
 }
 
@@ -224,34 +219,23 @@ func TestCloseUnblocksReader(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	accepted := make(chan io.ReadWriteCloser, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-accepted
+	c, srv := acceptOne(t, n, l, a, "b:80")
 
-	done := make(chan error, 1)
-	go func() {
+	clk := n.Clock()
+	done := NewMailbox[error](n.clock, 1)
+	clk.Go(func() {
 		buf := make([]byte, 16)
 		_, err := srv.Read(buf)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+		done.Put(err)
+	})
+	clk.Sleep(10 * time.Millisecond)
 	c.Close()
-	select {
-	case err := <-done:
-		if err != io.EOF {
-			t.Errorf("read after close = %v, want EOF", err)
-		}
-	case <-time.After(2 * time.Second):
+	err, timeout := done.Recv(2 * time.Second)
+	if timeout != nil {
 		t.Fatal("reader not unblocked by close")
+	}
+	if err != io.EOF {
+		t.Errorf("read after close = %v, want EOF", err)
 	}
 }
 
@@ -260,24 +244,21 @@ func TestReadDeadline(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	go l.Accept()
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := acceptOne(t, n, l, a, "b:80")
 	defer c.Close()
-	c.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	clk := n.Clock()
+	c.SetReadDeadline(clk.Now().Add(30 * time.Millisecond))
 	buf := make([]byte, 1)
-	start := time.Now()
-	_, err = c.Read(buf)
+	start := clk.Now()
+	_, err := c.Read(buf)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("deadline took %v", elapsed)
+	if elapsed := clk.Since(start); elapsed != 30*time.Millisecond {
+		t.Errorf("deadline took %v, want 30ms", elapsed)
 	}
 	// Expired deadline fails immediately.
-	c.SetDeadline(time.Now().Add(-time.Second))
+	c.SetDeadline(clk.Now().Add(-time.Second))
 	if _, err := c.Read(buf); !errors.Is(err, ErrDeadline) {
 		t.Errorf("want immediate ErrDeadline, got %v", err)
 	}
@@ -288,13 +269,13 @@ func TestLinkDownStream(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	go func() {
+	n.Clock().Go(func() {
 		for {
 			if _, err := l.Accept(); err != nil {
 				return
 			}
 		}
-	}()
+	})
 	c, err := a.Dial("b:80")
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +310,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	pb.SetReadDeadline(time.Now().Add(time.Second))
+	pb.SetReadDeadline(n.Clock().Now().Add(time.Second))
 	nr, from, err := pb.ReadFrom(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +332,7 @@ func TestPacketLossTotal(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pa.WriteToHost([]byte("x"), "b", 1000)
 	}
-	pb.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	pb.SetReadDeadline(n.Clock().Now().Add(50 * time.Millisecond))
 	if _, _, err := pb.ReadFrom(make([]byte, 8)); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expected all packets lost, got %v", err)
 	}
@@ -370,7 +351,7 @@ func TestPacketLossPartial(t *testing.T) {
 	received := 0
 	buf := make([]byte, 8)
 	for {
-		pb.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		pb.SetReadDeadline(n.Clock().Now().Add(50 * time.Millisecond))
 		if _, _, err := pb.ReadFrom(buf); err != nil {
 			break
 		}
@@ -413,7 +394,7 @@ func TestPacketLinkDownDropsSilently(t *testing.T) {
 	if _, err := pa.WriteToHost([]byte("x"), "b", 1000); err != nil {
 		t.Fatalf("packet on down link should drop, not error: %v", err)
 	}
-	pb.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	pb.SetReadDeadline(n.Clock().Now().Add(30 * time.Millisecond))
 	if _, _, err := pb.ReadFrom(make([]byte, 8)); !errors.Is(err, ErrDeadline) {
 		t.Error("packet delivered across down link")
 	}
@@ -425,23 +406,24 @@ func TestBandwidthSerialization(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	done := make(chan time.Time, 1)
-	go func() {
+	clk := n.Clock()
+	done := NewMailbox[time.Time](n.clock, 1)
+	clk.Go(func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		io.ReadFull(c, make([]byte, 1000))
-		done <- time.Now()
-	}()
+		done.Put(clk.Now())
+	})
 	c, err := a.Dial("b:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
+	start := clk.Now()
 	c.Write(make([]byte, 1000))
-	end := <-done
+	end, _ := done.Wait()
 	if d := end.Sub(start); d < 90*time.Millisecond {
 		t.Errorf("1000B over 80kbps arrived in %v, want ≥ ~100ms", d)
 	}
@@ -465,7 +447,7 @@ func TestClosedPacketConnWrite(t *testing.T) {
 }
 
 func TestNetworkClose(t *testing.T) {
-	n := New(Link{}, 1)
+	n := NewVirtualNetwork(Link{}, 1)
 	a := n.MustAddHost("a")
 	l, _ := a.Listen(80)
 	n.Close()
@@ -483,11 +465,7 @@ func TestConnAddrs(t *testing.T) {
 	a := n.MustAddHost("a")
 	b := n.MustAddHost("b")
 	l, _ := b.Listen(80)
-	go l.Accept()
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := acceptOne(t, n, l, a, "b:80")
 	defer c.Close()
 	if c.LocalAddr().(Addr).Host != "a" {
 		t.Errorf("LocalAddr = %v", c.LocalAddr())
@@ -509,7 +487,7 @@ func TestLinkMemoSeesReconfiguration(t *testing.T) {
 	a, b := n.MustAddHost("a"), n.MustAddHost("b")
 	src, _ := a.ListenPacket(0)
 	dst, _ := b.ListenPacket(9)
-	arrivals := NewMailbox[time.Time](clk, 8)
+	arrivals := NewMailbox[time.Time](n.clock, 8)
 	dst.SetHandler(func([]byte, net.Addr) { arrivals.Put(clk.Now()) })
 
 	l, _ := b.Listen(10)

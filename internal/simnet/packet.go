@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// datagram is one queued packet with its delivery instant. Under a
-// VirtualClock, bar keeps virtual time from jumping past the delivery
-// before the receiver parks on it. from carries the sender's pre-boxed
+// datagram is one queued packet with its delivery instant. bar keeps
+// virtual time from jumping past the delivery before the receiver parks
+// on it. from carries the sender's pre-boxed
 // address so the ReadFrom return costs no interface allocation.
 type datagram struct {
 	data []byte
@@ -113,12 +113,11 @@ func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 			if err != nil {
 				break
 			}
-			d.migrateDatagram(dc, dg)
+			d.migrate(dc, dg.data, dg.from, dg.at, dg.bar)
 		}
 	}
 	p.dc.Store(dc)
 	p.imu.Unlock()
-	d.kickW(dc)
 }
 
 // mailboxLocked returns the legacy mailbox, making it on first use —
@@ -156,25 +155,15 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		dc.d.send(dc, data, p.boxedSrc, delay)
 		return
 	}
-	clk := p.host.net.clock
-	dg := datagram{data: data, from: p.boxedSrc}
-	vc, virtual := clk.(*VirtualClock)
-	if virtual {
-		dg.at = clk.Now().Add(delay)
-		dg.bar = vc.addBarrier(dg.at)
-	} else if delay > 0 {
-		// Wall clock with no link delay leaves at zero: the hold
-		// skips the clock read entirely for immediate deliveries.
-		dg.at = clk.Now().Add(delay)
-	}
+	vc := p.host.net.clock
+	at := vc.Now().Add(delay)
+	dg := datagram{data: data, from: p.boxedSrc, at: at, bar: vc.addBarrier(at)}
 	// Legacy enqueue, mode-checked under the receive lock so a
 	// concurrent SetHandler migration cannot strand the datagram.
 	dst.imu.Lock()
 	if dc := dst.dc.Load(); dc != nil {
 		dst.imu.Unlock()
-		if virtual {
-			vc.releaseBarrier(dg.bar)
-		}
+		vc.releaseBarrier(dg.bar)
 		dc.d.send(dc, data, p.boxedSrc, delay)
 		return
 	}
@@ -185,9 +174,7 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		return
 	}
 	// A full (or closed) receive buffer drops the packet.
-	if virtual {
-		vc.releaseBarrier(dg.bar)
-	}
+	vc.releaseBarrier(dg.bar)
 	payloadPut(data)
 }
 

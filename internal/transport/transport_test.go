@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,10 +31,19 @@ type rig struct {
 	addr   simnet.Addr
 }
 
+// newRig builds an echo server world on one P. A session's waits
+// (Recv, the send window, the retransmit ticker) are Block-bracketed
+// channel selects, whose wakes reach the virtual clock only through the
+// advancer's settle rounds: exact on one P, where every runnable
+// goroutine gets its turn inside one round of yields, and a guess on
+// several (ROADMAP item 1). The tests are about the protocol, not about
+// that guess.
 func newRig(t *testing.T, mode Mode, latency time.Duration) *rig {
 	t.Helper()
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	r := &rig{}
-	r.net = simnet.New(simnet.Link{Latency: latency}, 1)
+	r.net = simnet.NewVirtualNetwork(simnet.Link{Latency: latency}, 1)
 	t.Cleanup(r.net.Close)
 	srvHost := r.net.MustAddHost("server")
 	pc, err := srvHost.ListenPacket(7000)
@@ -139,32 +149,33 @@ func TestLegacyHandshakeSlower(t *testing.T) {
 	rl := newRig(t, Legacy, lat)
 	rm := newRig(t, Migratory, lat)
 
-	start := time.Now()
+	start := rm.net.Clock().Now()
 	cm, err := Dial(rm.clientPC(t, "ue1"), rm.addr, DialConfig{Mode: Migratory})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cm.Close()
-	dm := time.Since(start)
+	dm := rm.net.Clock().Since(start)
 
-	start = time.Now()
+	start = rl.net.Clock().Now()
 	cl, err := Dial(rl.clientPC(t, "ue1"), rl.addr, DialConfig{Mode: Legacy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	dl := time.Since(start)
+	dl := rl.net.Clock().Since(start)
 
 	if dl <= dm {
 		t.Errorf("legacy handshake %v not slower than migratory %v", dl, dm)
 	}
-	if dl < 3*lat { // 2 RTT = 4×lat, allow timing slop
+	if dl < 4*lat { // 2 RTT = 4×lat
 		t.Errorf("legacy handshake %v implausibly fast for 2 RTT", dl)
 	}
 }
 
 func TestZeroRTTResume(t *testing.T) {
 	r := newRig(t, Migratory, 10*time.Millisecond)
+	clk := r.net.Clock()
 	c1, err := Dial(r.clientPC(t, "ue1"), r.addr, DialConfig{Mode: Migratory})
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +185,13 @@ func TestZeroRTTResume(t *testing.T) {
 
 	// Resume: Dial returns without a round trip and data flows in the
 	// first flight.
-	start := time.Now()
+	start := clk.Now()
 	c2, err := Dial(r.clientPC(t, "ue1b"), r.addr, DialConfig{Mode: Migratory, ResumeToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	dialTime := time.Since(start)
+	dialTime := clk.Since(start)
 	if dialTime > 5*time.Millisecond {
 		t.Errorf("0-RTT dial took %v", dialTime)
 	}
@@ -191,9 +202,9 @@ func TestZeroRTTResume(t *testing.T) {
 		t.Fatalf("0-RTT echo = %q err=%v", got, err)
 	}
 	// Wait for the async ACCEPT to land before checking stats.
-	deadline := time.Now().Add(2 * time.Second)
-	for r.server.Stats().Resumes == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	deadline := clk.Now().Add(2 * time.Second)
+	for r.server.Stats().Resumes == 0 && clk.Now().Before(deadline) {
+		clk.Sleep(5 * time.Millisecond)
 	}
 	if st := r.server.Stats(); st.Resumes != 1 {
 		t.Errorf("resumes = %d", st.Resumes)
@@ -236,6 +247,7 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 	// checks the control-plane (curPC) and data-plane (session.pc)
 	// swaps are synchronized.
 	r := newRig(t, Migratory, time.Millisecond)
+	clk := r.net.Clock()
 	c, err := Dial(r.clientPC(t, "ue-h0"), r.addr, DialConfig{Mode: Migratory})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +257,7 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() {
+	clk.Go(func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -254,11 +266,11 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 			default:
 			}
 			c.Send([]byte(fmt.Sprintf("m%d", i)))
-			time.Sleep(time.Millisecond)
+			clk.Sleep(time.Millisecond)
 		}
-	}()
+	})
 	var echoes atomic.Int64
-	go func() {
+	clk.Go(func() {
 		defer wg.Done()
 		for {
 			select {
@@ -270,21 +282,23 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 				echoes.Add(1)
 			}
 		}
-	}()
+	})
 
 	// Migrate across five successive hosts under load.
 	for i := 1; i <= 5; i++ {
-		time.Sleep(20 * time.Millisecond)
+		clk.Sleep(20 * time.Millisecond)
 		c.Migrate(r.clientPC(t, fmt.Sprintf("ue-h%d", i)))
 	}
 	// Traffic must still flow on the final path.
 	before := echoes.Load()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && echoes.Load() == before {
-		time.Sleep(10 * time.Millisecond)
+	deadline := clk.Now().Add(3 * time.Second)
+	for clk.Now().Before(deadline) && echoes.Load() == before {
+		clk.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
+	clk.Block()
 	wg.Wait()
+	clk.Unblock()
 	if echoes.Load() == before {
 		t.Fatal("no echoes after final migration: session lost its path")
 	}
@@ -295,6 +309,7 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 
 func TestMigrateAfterCloseIsNoop(t *testing.T) {
 	r := newRig(t, Migratory, time.Millisecond)
+	clk := r.net.Clock()
 	c, err := Dial(r.clientPC(t, "ue-old"), r.addr, DialConfig{Mode: Migratory})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +319,7 @@ func TestMigrateAfterCloseIsNoop(t *testing.T) {
 	c.Migrate(pc) // must not spawn a reader or resurrect the session
 	// The socket handed to a dead client is closed so it can't leak.
 	buf := make([]byte, 16)
-	pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	pc.SetReadDeadline(clk.Now().Add(100 * time.Millisecond))
 	if _, _, err := pc.ReadFrom(buf); err == nil {
 		t.Fatal("socket still open after Migrate on closed client")
 	}
@@ -312,6 +327,7 @@ func TestMigrateAfterCloseIsNoop(t *testing.T) {
 
 func TestLegacyMigrationResets(t *testing.T) {
 	r := newRig(t, Legacy, 2*time.Millisecond)
+	clk := r.net.Clock()
 	c, err := Dial(r.clientPC(t, "ue-old"), r.addr, DialConfig{Mode: Legacy})
 	if err != nil {
 		t.Fatal(err)
@@ -326,13 +342,13 @@ func TestLegacyMigrationResets(t *testing.T) {
 	// The next send from the new address draws a RESET; subsequent
 	// operations fail with ErrReset.
 	c.Send([]byte("y"))
-	deadline := time.Now().Add(3 * time.Second)
+	deadline := clk.Now().Add(3 * time.Second)
 	var lastErr error
-	for time.Now().Before(deadline) {
+	for clk.Now().Before(deadline) {
 		if lastErr = c.Send([]byte("z")); errors.Is(lastErr, ErrReset) {
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
+		clk.Sleep(20 * time.Millisecond)
 	}
 	if !errors.Is(lastErr, ErrReset) {
 		t.Fatalf("legacy migration: want ErrReset, got %v", lastErr)
@@ -347,6 +363,7 @@ func TestLegacyHighLatencyHandshake(t *testing.T) {
 	// client's duplicate HELLOs/CONFIRMs must not reset the session
 	// (cookies must be stable and post-establishment CONFIRMs re-ACK).
 	r := newRig(t, Legacy, 100*time.Millisecond)
+	clk := r.net.Clock()
 	c, err := Dial(r.clientPC(t, "ue1"), r.addr, DialConfig{Mode: Legacy, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +377,7 @@ func TestLegacyHighLatencyHandshake(t *testing.T) {
 		t.Fatalf("echo over 200ms RTT: %q %v", got, err)
 	}
 	// Late handshake duplicates may add RESET-free re-ACKs only.
-	time.Sleep(300 * time.Millisecond)
+	clk.Sleep(300 * time.Millisecond)
 	if err := c.Send([]byte("still-alive")); err != nil {
 		t.Fatalf("session died after handshake dups: %v", err)
 	}
@@ -371,6 +388,7 @@ func TestLegacyHighLatencyHandshake(t *testing.T) {
 
 func TestReliabilityUnderLoss(t *testing.T) {
 	r := newRig(t, Migratory, time.Millisecond)
+	clk := r.net.Clock()
 	// 20% loss both ways between client and server.
 	r.net.MustAddHost("lossy")
 	r.net.SetLink("lossy", "server", simnet.Link{Latency: time.Millisecond, Loss: 0.2})
@@ -383,14 +401,14 @@ func TestReliabilityUnderLoss(t *testing.T) {
 	defer c.Close()
 
 	const n = 50
-	go func() {
+	clk.Go(func() {
 		for i := 0; i < n; i++ {
 			c.Send([]byte{byte(i)})
 		}
-	}()
+	})
 	seen := make(map[byte]bool)
-	deadline := time.Now().Add(20 * time.Second)
-	for len(seen) < n && time.Now().Before(deadline) {
+	deadline := clk.Now().Add(20 * time.Second)
+	for len(seen) < n && clk.Now().Before(deadline) {
 		b, err := c.Recv(2 * time.Second)
 		if err != nil {
 			continue
@@ -407,6 +425,7 @@ func TestReliabilityUnderLoss(t *testing.T) {
 
 func TestInOrderDelivery(t *testing.T) {
 	r := newRig(t, Migratory, time.Millisecond)
+	clk := r.net.Clock()
 	// Jitter reorders packets.
 	r.net.MustAddHost("jittery")
 	r.net.SetLink("jittery", "server", simnet.Link{Latency: time.Millisecond, Jitter: 4 * time.Millisecond})
@@ -419,11 +438,11 @@ func TestInOrderDelivery(t *testing.T) {
 	defer c.Close()
 
 	const n = 30
-	go func() {
+	clk.Go(func() {
 		for i := 0; i < n; i++ {
 			c.Send([]byte{byte(i)})
 		}
-	}()
+	})
 	prev := -1
 	for i := 0; i < n; i++ {
 		b, err := c.Recv(5 * time.Second)
@@ -438,7 +457,7 @@ func TestInOrderDelivery(t *testing.T) {
 }
 
 func TestDialTimeout(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
 	h := n.MustAddHost("client")
 	pc, _ := h.ListenPacket(0)
@@ -467,6 +486,7 @@ func TestCloseSemantics(t *testing.T) {
 
 func TestTokenSingleUse(t *testing.T) {
 	r := newRig(t, Migratory, time.Millisecond)
+	clk := r.net.Clock()
 	c1, err := Dial(r.clientPC(t, "ue1"), r.addr, DialConfig{Mode: Migratory})
 	if err != nil {
 		t.Fatal(err)
@@ -480,12 +500,12 @@ func TestTokenSingleUse(t *testing.T) {
 	}
 	defer c2.Close()
 	waitStats := func(f func(ServerStats) bool) ServerStats {
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
+		deadline := clk.Now().Add(2 * time.Second)
+		for clk.Now().Before(deadline) {
 			if st := r.server.Stats(); f(st) {
 				return st
 			}
-			time.Sleep(5 * time.Millisecond)
+			clk.Sleep(5 * time.Millisecond)
 		}
 		return r.server.Stats()
 	}

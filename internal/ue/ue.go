@@ -225,8 +225,8 @@ func (d *Device) Detach(timeout time.Duration) error {
 	buf := wire.GetFrame()
 	pdu, err := d.nue.StartDetachAppend(buf)
 	if err == nil {
-		// Pending before the request leaves: on a wall clock the accept
-		// can be delivered from inside the send.
+		// Pending before the request leaves, so the accept finds the
+		// procedure whenever it is delivered.
 		d.begin(procDetach, time.Time{})
 	}
 	d.mu.Unlock()
@@ -412,7 +412,7 @@ func (d *Device) Echo(remote string, payload []byte, retryEvery, timeout time.Du
 // Caller holds d.mu.
 func (d *Device) rxLocked() *simnet.Mailbox[rxPacket] {
 	if d.rx == nil && d.st != nil && !d.st.lost {
-		d.rx = simnet.NewMailbox[rxPacket](d.host.Clock(), rxQueueDepth)
+		d.rx = simnet.NewMailbox[rxPacket](d.host.Clock().(*simnet.VirtualClock), rxQueueDepth)
 	}
 	return d.rx
 }

@@ -56,7 +56,7 @@ func attachUE(t *testing.T, s *core.Scenario, ap *core.AccessPoint, name, imsi s
 }
 
 func TestDeviceLifecycleGuards(t *testing.T) {
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	t.Cleanup(n.Close)
 	host := n.MustAddHost("u")
 	sim, _ := auth.NewSIM("001010000000401")

@@ -130,8 +130,8 @@ func ReadFrameOwned(r io.Reader) ([]byte, error) {
 type FrameConn struct {
 	rw io.ReadWriter
 
-	wmu sync.Mutex
-	rmu sync.Mutex
+	writeMu sync.Mutex
+	readMu  sync.Mutex
 }
 
 // NewFrameConn wraps rw.
@@ -139,8 +139,8 @@ func NewFrameConn(rw io.ReadWriter) *FrameConn { return &FrameConn{rw: rw} }
 
 // Send writes one frame. Safe for concurrent use.
 func (c *FrameConn) Send(payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	return WriteFrame(c.rw, payload)
 }
 
@@ -155,8 +155,8 @@ func (c *FrameConn) SendFramed(buf []byte) error {
 		return fmt.Errorf("%w: frame length %d", ErrOverflow, n)
 	}
 	buf[0], buf[1], buf[2], buf[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	_, err := c.rw.Write(buf)
 	return err
 }
@@ -164,16 +164,16 @@ func (c *FrameConn) SendFramed(buf []byte) error {
 // Recv reads one frame. Safe for concurrent use, though protocols here
 // use a single reader goroutine.
 func (c *FrameConn) Recv() ([]byte, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
 	return ReadFrame(c.rw)
 }
 
 // RecvOwned reads one frame into a pooled buffer the caller releases
 // with PutFrame after consuming it (and any views into it).
 func (c *FrameConn) RecvOwned() ([]byte, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
 	return ReadFrameOwned(c.rw)
 }
 

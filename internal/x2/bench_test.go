@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dlte/internal/leaktest"
 	"dlte/internal/simnet"
 	"dlte/internal/wire"
 )
@@ -55,7 +56,7 @@ func benchAgent(tb testing.TB, k int) *Agent {
 // draining frames through the pooled receive path.
 func benchMesh(tb testing.TB, k int) *Agent {
 	tb.Helper()
-	n := simnet.New(simnet.Link{}, 1)
+	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	tb.Cleanup(n.Close)
 	hub := n.MustAddHost("hub")
 	a := NewAgent("hub", PeerHello{BandName: "b5", Mode: ModeFairShare}, nil)
@@ -68,13 +69,13 @@ func benchMesh(tb testing.TB, k int) *Agent {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { l.Close() })
-		go func(id string) {
+		n.Clock().Go(func() {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
 			fc := wire.NewFrameConn(c)
-			if sinkHandshake(fc, id) != nil {
+			if sinkHandshake(fc, name) != nil {
 				c.Close()
 				return
 			}
@@ -86,7 +87,7 @@ func benchMesh(tb testing.TB, k int) *Agent {
 				}
 				wire.PutFrame(b)
 			}
-		}(name)
+		})
 		if _, err := a.Connect(hub.Dial, name+":36422"); err != nil {
 			tb.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func BenchmarkX2BroadcastSimnet(b *testing.B) {
 // the peer snapshot (reused scratch), not in the framing (pooled
 // prefix+payload scratch released after the stream write).
 func TestX2BroadcastZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	a := benchAgent(t, 16)
@@ -183,7 +184,7 @@ func TestX2BroadcastZeroAlloc(t *testing.T) {
 
 // TestX2SendZeroAlloc gates the unicast path the same way.
 func TestX2SendZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	a := benchAgent(t, 1)
