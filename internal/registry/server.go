@@ -2,6 +2,7 @@ package registry
 
 import (
 	"net"
+	"time"
 
 	"dlte/internal/simnet"
 	"dlte/internal/wire"
@@ -13,13 +14,22 @@ type Listener interface {
 	Close() error
 }
 
+// defaultPushTimeout bounds one push to a subscriber, its catch-up
+// included. The store pushes under its mutation lock, so this is also
+// the longest a subscriber that stops reading can hold up the
+// registry's writers before it is dropped.
+const defaultPushTimeout = 2 * time.Second
+
 // Server exposes a Store over the framed binary protocol.
 type Server struct {
-	store *Store
+	store       *Store
+	pushTimeout time.Duration
 }
 
 // NewServer wraps a store.
-func NewServer(store *Store) *Server { return &Server{store: store} }
+func NewServer(store *Store) *Server {
+	return &Server{store: store, pushTimeout: defaultPushTimeout}
+}
 
 // Store returns the underlying store (for in-process seeding).
 func (s *Server) Store() *Store { return s.store }
@@ -60,7 +70,6 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		}
 		if req.op == opSubscribe {
-			// The connection becomes a one-way push feed.
 			s.serveSubscription(c, fc, req.fromRev)
 			return
 		}
@@ -116,80 +125,44 @@ func (s *Server) handle(fc *wire.FrameConn, req request, cs *connState) error {
 	return sendErr(fc, errCodeGeneric, "unknown op")
 }
 
-// serveSubscription pushes revision deltas until the client hangs up.
-// If the client's revision has aged out of the delta log it receives a
-// full snapshot first (respSnapshot, then records and keys chunks),
-// then the live feed.
+// serveSubscription turns the connection into a one-way push feed. The
+// store pushes each frame from inside the mutation that causes it: a
+// catch-up first — a full snapshot (respSnapshot, then records and keys
+// chunks) if the client's revision has aged out of the delta log,
+// else one batch of the deltas since — then one frame per live delta.
+// The subscriber sends nothing more; reading on only notices its
+// hang-up, which ends the subscription.
+//
+// Each push carries a write deadline of pushTimeout (simnet writes never
+// block and ignore it; a TCP subscriber that stops reading fails its
+// push instead of holding the store lock). A failed push closes the
+// connection: the store has dropped the subscriber, and the client sees
+// its feed end rather than go silent.
 func (s *Server) serveSubscription(c net.Conn, fc *wire.FrameConn, fromRev uint64) {
 	clk := simnet.ClockOf(c)
-	done := make(chan struct{})
-	// The subscriber sends nothing after opSubscribe; this reader exists
-	// to observe the close. It parks in conn.Read, which handles its own
-	// busy/blocked accounting.
-	clk.Go(func() {
-		defer close(done)
-		for {
-			b, err := fc.RecvOwned()
-			if err != nil {
-				return
-			}
-			wire.PutFrame(b)
+	cancel, err := s.store.Subscribe(fromRev, func(f Feed) error {
+		c.SetWriteDeadline(clk.Now().Add(s.pushTimeout))
+		var err error
+		if f.Snapshot {
+			err = sendSnapshot(fc, f.Rev, f.Records, f.Keys)
+		} else {
+			err = sendDeltas(fc, f.Rev, f.Deltas)
 		}
+		if err != nil {
+			c.Close()
+		}
+		return err
 	})
-	rev := fromRev
-	var scratch []Delta
-	live := false
+	if err != nil {
+		return
+	}
+	defer cancel()
 	for {
-		// Grab the wakeup channel before comparing revisions so a
-		// mutation landing in between still wakes us.
-		ch := s.store.Watch()
-		if s.store.Revision() == rev {
-			live = true // caught up; everything later is the live feed
-			clk.Block()
-			select {
-			case <-ch:
-			case <-done:
-			}
-			clk.Unblock()
-			select {
-			case <-done:
-				return
-			default:
-			}
-			continue
+		b, err := fc.RecvOwned()
+		if err != nil {
+			return
 		}
-		ds, ok := s.store.DeltasSince(rev, scratch[:0])
-		if !ok {
-			recs, keys, snapRev := s.store.SnapshotAll()
-			if err := sendSnapshot(fc, snapRev, recs, keys); err != nil {
-				return
-			}
-			rev = snapRev
-			continue
-		}
-		scratch = ds
-		if len(ds) == 0 {
-			continue
-		}
-		rev = ds[len(ds)-1].Rev
-		if !live {
-			// Initial catch-up: one batched burst is fine (its content is
-			// fixed by the subscribe revision).
-			if err := sendDeltas(fc, rev, ds); err != nil {
-				return
-			}
-			live = true
-			continue
-		}
-		// Live feed: one delta per frame. Whether the pusher observes two
-		// near-simultaneous mutations in one wakeup or two depends on
-		// goroutine scheduling; per-delta framing keeps the bytes on the
-		// wire (and so E10's traffic accounting) identical either way.
-		for i := range ds {
-			if err := sendDeltas(fc, ds[i].Rev, ds[i:i+1]); err != nil {
-				return
-			}
-		}
+		wire.PutFrame(b)
 	}
 }
 

@@ -61,8 +61,24 @@ type Store struct {
 	apSnap  atomic.Pointer[apSnapshot]
 	keySnap atomic.Pointer[keySnapshot]
 
-	log   deltaLog
-	watch chan struct{} // closed and replaced on every mutation; nil until first Watch
+	log  deltaLog
+	subs []*subscriber // live feeds, in subscription order
+}
+
+// Feed is one push to a subscriber: a full snapshot of the store at Rev
+// (Snapshot set; Records and Keys hold it), or deltas ending at Rev. Its
+// slices are shared with the store and valid only during the push.
+type Feed struct {
+	Rev      uint64
+	Snapshot bool
+	Records  []APRecord
+	Keys     []KeyRecord
+	Deltas   []Delta
+}
+
+// subscriber is one registered feed.
+type subscriber struct {
+	push func(Feed) error
 }
 
 // apSnapshot is an immutable view of the AP table at apRev: the shared
@@ -89,26 +105,60 @@ func NewStore() *Store {
 }
 
 // bump records one mutation under s.mu: advances the revision, logs the
-// delta, and wakes subscription pushers.
+// delta, and pushes it to every subscriber as its own feed entry. A
+// subscriber whose push fails is dropped.
 func (s *Store) bump(d Delta) {
 	d.Rev = s.rev.Add(1)
 	s.log.push(d)
-	if s.watch != nil {
-		close(s.watch)
-		s.watch = nil
+	if len(s.subs) == 0 {
+		return
 	}
+	f := Feed{Rev: d.Rev, Deltas: s.log.newest()}
+	live := s.subs[:0]
+	for _, sub := range s.subs {
+		if sub.push(f) == nil {
+			live = append(live, sub)
+		}
+	}
+	clear(s.subs[len(live):])
+	s.subs = live
 }
 
-// Watch returns a channel closed on the next mutation. Subscription
-// pushers grab the channel, compare revisions, and block on it only if
-// already caught up (the grab-before-compare order avoids lost wakeups).
-func (s *Store) Watch() <-chan struct{} {
+// Subscribe registers push as a feed of every mutation after fromRev.
+// Under the mutation lock it first pushes the catch-up — the deltas
+// since fromRev in one batch, or a full snapshot when fromRev has aged
+// out of the log — and then each later mutation pushes its own delta
+// from inside the mutation, so the feed carries every revision once and
+// in order. push runs under the store's lock: it must not block for
+// long or call back into the store. A failed push ends the
+// subscription, as does cancel; a failed catch-up is returned and
+// registers nothing.
+func (s *Store) Subscribe(fromRev uint64, push func(Feed) error) (cancel func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.watch == nil {
-		s.watch = make(chan struct{})
+	rev := s.rev.Load()
+	if ds, ok := s.log.since(fromRev, rev, nil); !ok {
+		err = push(Feed{
+			Rev:      rev,
+			Snapshot: true,
+			Records:  s.apSnapshotLocked().all,
+			Keys:     s.keySnapshotLocked().all,
+		})
+	} else if len(ds) > 0 {
+		err = push(Feed{Rev: rev, Deltas: ds})
 	}
-	return s.watch
+	if err != nil {
+		return nil, err
+	}
+	sub := &subscriber{push: push}
+	s.subs = append(s.subs, sub)
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if i := slices.Index(s.subs, sub); i >= 0 {
+			s.subs = slices.Delete(s.subs, i, i+1)
+		}
+	}, nil
 }
 
 // Join registers (or updates) an AP record. Joining is open: any
@@ -292,16 +342,6 @@ func (s *Store) Keys() []KeyRecord {
 	return sn.all
 }
 
-// SnapshotAll returns a mutually consistent full view (AP records,
-// keys, revision) for snapshot fallback on subscriptions.
-func (s *Store) SnapshotAll() (recs []APRecord, keys []KeyRecord, rev uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ap := s.apSnapshotLocked()
-	ks := s.keySnapshotLocked()
-	return ap.all, ks.all, s.rev.Load()
-}
-
 // DeltasSince appends to dst every delta with revision > fromRev, in
 // revision order, and reports whether the log still reaches back that
 // far. ok == false means fromRev has aged out (the caller must resync
@@ -340,6 +380,15 @@ func (l *deltaLog) push(d Delta) {
 	}
 	*l.at(l.start) = d
 	l.start = (l.start + 1) % defaultLogCap
+}
+
+// newest returns the most recent entry as a one-element slice of the
+// ring's own storage. The log must not be empty.
+func (l *deltaLog) newest() []Delta {
+	i := (l.start + l.n - 1) % defaultLogCap
+	c := l.chunks[i>>logChunkBits]
+	j := i & (logChunkLen - 1)
+	return c[j : j+1]
 }
 
 func (l *deltaLog) since(fromRev, cur uint64, dst []Delta) ([]Delta, bool) {

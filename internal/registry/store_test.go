@@ -3,8 +3,11 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,38 +197,12 @@ func TestDeltaLogAgesOut(t *testing.T) {
 	}
 }
 
-// TestWatch verifies the mutation wakeup channel semantics the
-// subscription pusher relies on.
-func TestWatch(t *testing.T) {
-	s := NewStore()
-	ch := s.Watch()
-	select {
-	case <-ch:
-		t.Fatal("watch channel closed before any mutation")
-	default:
-	}
-	if ch2 := s.Watch(); ch2 != ch {
-		t.Fatal("Watch between mutations returned a different channel")
-	}
-	seedGrid(t, s, 1)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watch channel not closed by a mutation")
-	}
-}
-
-// newMirrorWorld runs a server plus helpers on a virtual-clock simnet,
-// on one P. The subscription pusher waits for the next store mutation
-// in a Block-bracketed select, a wake the clock catches only through
-// the advancer's settle rounds: exact on one P, where every runnable
-// goroutine gets its turn inside one round of yields, and a guess on
-// several (ROADMAP item 1). The mirror tests are about the feed, not
-// about that guess.
+// newMirrorWorld runs a server plus helpers on a virtual-clock simnet.
+// Every wait in it is clock-owned — mirror and server reads park on
+// Mailboxes, and the store pushes subscription frames from inside the
+// mutation — so the world is exact at any GOMAXPROCS.
 func newMirrorWorld(t *testing.T) (*simnet.Network, *Store) {
 	t.Helper()
-	procs := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	t.Cleanup(n.Close)
 	srvHost := n.MustAddHost("registry")
@@ -236,6 +213,13 @@ func newMirrorWorld(t *testing.T) (*simnet.Network, *Store) {
 	}
 	n.Clock().Go(func() { NewServer(store).Serve(l) })
 	return n, store
+}
+
+// subscribers reports how many feeds the store is pushing to.
+func (s *Store) subscribers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
 }
 
 // TestMirrorLiveFeed: a mirror subscribed at the current revision sees
@@ -427,5 +411,243 @@ func TestStoreFirstPublishAllocatesLittle(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("NewStore + first PublishKey allocated %d bytes, want < 64 KB", got)
+	}
+}
+
+// TestSubscriberGoroutineFootprint: a subscription costs the server one
+// standing goroutine — its serveConn, which reads on only to notice the
+// hang-up. The push itself runs inside each mutation and needs no
+// goroutine; a closed subscription takes its serveConn with it.
+func TestSubscriberGoroutineFootprint(t *testing.T) {
+	n, store := newMirrorWorld(t)
+	clk := n.Clock()
+	host := n.MustAddHost("obs")
+	clk.Sleep(time.Millisecond) // the server is accepting
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	const subs = 8
+	feeds := make([]*Subscription, subs)
+	for i := range feeds {
+		sub, err := Subscribe(host.Dial, "registry:8400", store.Revision())
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds[i] = sub
+	}
+	clk.Sleep(10 * time.Millisecond) // every subscribe has been served
+	if got := store.subscribers(); got != subs {
+		t.Fatalf("store has %d subscribers, want %d", got, subs)
+	}
+	if added := runtime.NumGoroutine() - before; added != subs {
+		t.Errorf("%d subscribers cost %d goroutines, want exactly 1 each", subs, added)
+	}
+	for _, sub := range feeds {
+		sub.Close()
+	}
+	clk.Sleep(10 * time.Millisecond)
+	if got := store.subscribers(); got != 0 {
+		t.Errorf("%d subscribers left after every feed closed", got)
+	}
+	// A returned serveConn has given back its busy slot but may not
+	// have exited yet.
+	after := runtime.NumGoroutine()
+	for i := 0; after > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after != before {
+		t.Errorf("goroutines %d → %d across subscribe and close", before, after)
+	}
+}
+
+// TestJoinDeltaLatencyExact: the store pushes a join's delta from inside
+// the join, so a mirror applies it at exactly the join instant plus the
+// link latency, whatever the Go scheduler does.
+func TestJoinDeltaLatencyExact(t *testing.T) {
+	n, store := newMirrorWorld(t)
+	clk := n.Clock()
+	host := n.MustAddHost("obs")
+	m, err := NewMirror(host.Dial, "registry:8400", store.Revision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var mu sync.Mutex
+	seen := make(map[string]time.Time)
+	m.SetOnDelta(func(d Delta) {
+		mu.Lock()
+		seen[d.AP.ID] = clk.Now()
+		mu.Unlock()
+	})
+	clk.Sleep(10 * time.Millisecond) // subscribed
+	joined := make(map[string]time.Time)
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("ap%02d", i)
+		joined[id] = clk.Now()
+		if err := store.Join(rec(id, float64(i)*1000, 0)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Sleep(time.Duration(i%3) * time.Millisecond) // some joins share an instant
+	}
+	if err := m.WaitRev(store.Revision(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for id, at := range joined {
+		if got := seen[id].Sub(at); got != time.Millisecond {
+			t.Errorf("%s reached the mirror %v after its join, want exactly the 1ms link latency", id, got)
+		}
+	}
+}
+
+// TestSubscribeRacingMutations: a subscribe that lands in the middle of
+// a burst of concurrent mutations sees every revision after its
+// starting point exactly once, in order — the catch-up and the live
+// pushes meet under the store's lock.
+func TestSubscribeRacingMutations(t *testing.T) {
+	s := NewStore()
+	const burst = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < burst; i++ {
+			if err := s.PublishKey(testKey(i % 50)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for s.Revision() < burst/4 {
+		runtime.Gosched()
+	}
+	from := s.Revision()
+	var got []uint64
+	cancel, err := s.Subscribe(from, func(f Feed) error {
+		if f.Snapshot {
+			t.Error("recent revision answered with a snapshot")
+		}
+		for _, d := range f.Deltas {
+			got = append(got, d.Rev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	cancel()
+	if want := burst - int(from); len(got) != want {
+		t.Fatalf("subscribed at rev %d: pushed %d deltas, want %d", from, len(got), want)
+	}
+	for i, rev := range got {
+		if rev != from+uint64(i)+1 {
+			t.Fatalf("delta %d has rev %d, want %d: lost or duplicated", i, rev, from+uint64(i)+1)
+		}
+	}
+}
+
+// TestClosedSubscriberRemoved: a subscriber leaves the store's push list
+// both ways it can end — its connection hangs up (the server's read
+// sees EOF), or a push to it fails — and later mutations go on. A
+// server-side push failure also closes the feed, so the mirror sees it
+// end instead of silently missing deltas.
+func TestClosedSubscriberRemoved(t *testing.T) {
+	n, store := newMirrorWorld(t)
+	clk := n.Clock()
+	m, err := NewMirror(n.MustAddHost("obs").Dial, "registry:8400", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Sleep(10 * time.Millisecond)
+	if got := store.subscribers(); got != 1 {
+		t.Fatalf("store has %d subscribers, want 1", got)
+	}
+	m.Close()
+	clk.Sleep(10 * time.Millisecond)
+	if got := store.subscribers(); got != 0 {
+		t.Fatalf("hung-up subscriber still registered (%d)", got)
+	}
+
+	m, err = NewMirror(n.MustAddHost("cut").Dial, "registry:8400", store.Revision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	clk.Sleep(10 * time.Millisecond)
+	n.SetLinkDown("registry", "cut", true)
+	if err := store.Join(rec("apx", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Sleep(10 * time.Millisecond)
+	if got := store.subscribers(); got != 0 {
+		t.Fatalf("subscriber whose push failed still registered (%d)", got)
+	}
+	if m.Err() == nil {
+		t.Fatal("server dropped the subscriber but the mirror's feed is still open")
+	}
+
+	failing := errors.New("broken feed")
+	calls := 0
+	if _, err := store.Subscribe(store.Revision(), func(Feed) error {
+		calls++
+		return failing
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := store.Join(rec(fmt.Sprintf("ap%d", i), 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 1 || store.subscribers() != 0 {
+		t.Errorf("failing subscriber pushed %d times, %d left registered; want 1 push, then removed", calls, store.subscribers())
+	}
+	if _, err := store.Subscribe(0, func(Feed) error { return failing }); !errors.Is(err, failing) {
+		t.Errorf("failed catch-up returned %v, want the push error", err)
+	}
+	if got := store.subscribers(); got != 0 {
+		t.Errorf("a failed catch-up registered a subscriber (%d)", got)
+	}
+}
+
+// TestStalledSubscriberDropped: over a real (blocking) connection, a
+// subscriber that stops reading cannot hold the store lock past the
+// push timeout — the mutation returns, the subscriber is dropped, and
+// its feed ends.
+func TestStalledSubscriberDropped(t *testing.T) {
+	store := NewStore()
+	srv := NewServer(store)
+	srv.pushTimeout = 20 * time.Millisecond
+	sc, cc := net.Pipe() // unbuffered: a write waits for the reader
+	go srv.serveConn(sc)
+	sub, err := Subscribe(func(string) (net.Conn, error) { return cc, nil }, "registry", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for deadline := time.Now().Add(5 * time.Second); store.subscribers() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	joined := make(chan error, 1)
+	go func() { joined <- store.Join(rec("ap0", 0, 0)) }()
+	select {
+	case err := <-joined:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join still blocked behind a subscriber that stopped reading")
+	}
+	if got := store.subscribers(); got != 0 {
+		t.Errorf("stalled subscriber still registered (%d)", got)
+	}
+	cc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := sub.next(); !errors.Is(err, io.EOF) {
+		t.Errorf("stalled subscriber's feed read %v after its push failed, want EOF", err)
 	}
 }

@@ -22,12 +22,17 @@ import "time"
 //     Go, never with a bare `go` statement (a VirtualClock counts
 //     runnable goroutines; an uncounted one makes time advance while
 //     work is still pending).
-//   - Wrap every blocking operation the clock cannot see — a channel
-//     select, sync.Cond.Wait, WaitGroup.Wait, mutex acquisition that
-//     can stall — in Block/Unblock, and take any timeout channels in
-//     that select from NewTimer/After on the same clock; or wait
-//     through a clock-owned Mailbox, whose Recv parks and wakes under
-//     the clock's own accounting and needs neither.
+//   - Prefer waiting through the clock itself: Sleep, or a clock-owned
+//     Mailbox, whose Recv parks and wakes under the clock's own
+//     accounting. Otherwise wrap every blocking operation the clock
+//     cannot see — a channel select, sync.Cond.Wait, WaitGroup.Wait,
+//     mutex acquisition that can stall — in Block/Unblock, and take
+//     any timeout channels in that select from NewTimer/After on the
+//     same clock. Only a goroutine inside Block may be woken by a
+//     Timer/Ticker fire or by a handler's Poke. While none is, a
+//     VirtualClock knows the world is quiescent exactly; while one is,
+//     it must settle the scheduler (yield) before every step, so every
+//     Block costs its whole world.
 //   - Derive deadlines from Now on the same clock, never time.Now.
 //
 // WallClock implements Block/Unblock/Go as no-ops/bare spawns, so

@@ -1,9 +1,12 @@
 package simnet
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dlte/internal/leaktest"
 )
 
 // clockConformance runs the Clock-contract checks shared by both
@@ -209,5 +212,126 @@ func TestClockOf(t *testing.T) {
 	}
 	if ClockOf(nil) != Wall {
 		t.Error("ClockOf(nil) != Wall")
+	}
+}
+
+// settleYields reads the clock's settle-loop yield count.
+func settleYields(c *VirtualClock) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.yields
+}
+
+// TestBlockFreeWorldNeverSettles pins the exact-quiescence rule: in a
+// world where no goroutine is inside Block, every wake is a tracked
+// busy-slot transfer, so the advancer steps without a single scheduler
+// yield — across Sleeps, a goroutine-to-goroutine Mailbox ping-pong and
+// a handler hop into a Mailbox.
+func TestBlockFreeWorldNeverSettles(t *testing.T) {
+	n := NewVirtualNetwork(Link{}, 1)
+	defer n.Close()
+	vc := n.clock
+	ping := NewMailbox[int](vc, 1)
+	pong := NewMailbox[int](vc, 1)
+	hop := NewMailbox[uint64](vc, 1)
+	cont := n.NewContinuation(func(arg uint64) { hop.Put(arg) })
+	vc.Go(func() {
+		for {
+			v, err := ping.Wait()
+			if err != nil {
+				return
+			}
+			vc.Sleep(time.Millisecond)
+			pong.Put(v)
+		}
+	})
+	start := vc.Now()
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		vc.Sleep(time.Millisecond)
+		ping.Put(i)
+		if v, err := pong.Recv(time.Second); err != nil || v != i {
+			t.Fatalf("pong %d = %d, %v", i, v, err)
+		}
+		cont.After(time.Millisecond, uint64(i))
+		if v, err := hop.Recv(time.Second); err != nil || v != uint64(i) {
+			t.Fatalf("hop %d = %d, %v", i, v, err)
+		}
+	}
+	ping.Close()
+	if got := vc.Since(start); got != cycles*3*time.Millisecond {
+		t.Errorf("%d cycles took %v of virtual time, want %v", cycles, got, cycles*3*time.Millisecond)
+	}
+	if y := settleYields(vc); y != 0 {
+		t.Errorf("a Block-free world ran %d settle yields, want 0", y)
+	}
+}
+
+// TestBlockedWorldStillSettles: a goroutine inside Block, woken by a
+// dispatch handler's plain channel send plus Poke, is still caught by
+// the settle loop before time moves on to the driver's next event.
+func TestBlockedWorldStillSettles(t *testing.T) {
+	n := NewVirtualNetwork(Link{}, 1)
+	defer n.Close()
+	vc := n.clock
+	ch := make(chan struct{}, 1)
+	cont := n.NewContinuation(func(uint64) {
+		ch <- struct{}{}
+		Poke(vc)
+	})
+	woke := NewMailbox[time.Duration](vc, 1)
+	const rounds = 20
+	vc.Go(func() {
+		for i := 0; i < rounds; i++ {
+			vc.Block()
+			<-ch
+			vc.Unblock()
+			woke.Put(vc.Now().Sub(virtualEpoch))
+		}
+	})
+	for i := 0; i < rounds; i++ {
+		at := vc.Now().Add(5 * time.Millisecond)
+		cont.After(5*time.Millisecond, 0)
+		vc.Sleep(10 * time.Millisecond) // the next event after the wake
+		got, err := woke.Recv(0)
+		if err != nil {
+			t.Fatalf("round %d: the blocked goroutine had not run by +10ms: %v", i, err)
+		}
+		if want := at.Sub(virtualEpoch); got != want {
+			t.Fatalf("round %d: the blocked goroutine ran at %v, want %v: time moved past its wake", i, got, want)
+		}
+	}
+	if settleYields(vc) == 0 {
+		t.Error("a world with a goroutine inside Block never settled")
+	}
+}
+
+// TestUnblockWithoutBlockPanics: an unmatched Unblock would hide a
+// blocked goroutine from the settle rule, so it fails loudly.
+func TestUnblockWithoutBlockPanics(t *testing.T) {
+	vc := NewVirtual()
+	defer vc.Close()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "Unblock without a matching Block") {
+			t.Errorf("unmatched Unblock recovered %v, want a clear panic", r)
+		}
+	}()
+	vc.Block()
+	vc.Unblock()
+	vc.Unblock()
+}
+
+// TestSleepZeroAlloc: a steady-state Sleep reuses a pooled waiter and
+// its wake channel.
+func TestSleepZeroAlloc(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	vc := NewVirtual()
+	defer vc.Close()
+	vc.Sleep(time.Millisecond) // warm the pool and the heap
+	if got := testing.AllocsPerRun(200, func() { vc.Sleep(time.Millisecond) }); got != 0 {
+		t.Errorf("Sleep allocates %v times, want 0", got)
 	}
 }

@@ -34,6 +34,8 @@ type VirtualClock struct {
 	now  time.Duration // virtual time since base
 
 	busy     int // registered goroutines currently runnable
+	blocked  int // goroutines inside a Block/Unblock bracket
+	yields   int // settle-loop scheduler yields, for tests
 	gen      uint64
 	seq      uint64
 	timers   waiterHeap
@@ -52,10 +54,11 @@ type VirtualClock struct {
 }
 
 // vwaiter is one scheduled wakeup. Exactly one of wake/ch is set:
-// wake is a parked goroutine (the advancer transfers the busy slot to
-// it before releasing the channel); ch is a Timer/Ticker target whose
-// receiver, if any, accounts for itself via Block/Unblock. A negative
-// at marks an untimed park: idx then indexes c.untimed, not the heap.
+// wake is a parked goroutine's 1-buffered token channel (the advancer
+// transfers the busy slot to it before sending); ch is a Timer/Ticker
+// target whose receiver, if any, accounts for itself via Block/Unblock.
+// A negative at marks an untimed park: idx then indexes c.untimed, not
+// the heap.
 type vwaiter struct {
 	at     time.Duration
 	seq    uint64
@@ -65,17 +68,11 @@ type vwaiter struct {
 	period time.Duration // > 0 re-arms (Ticker)
 }
 
-// release lets the goroutine parked on w run. A one-shot waiter (Sleep)
-// has an unbuffered wake channel, closed here. A Mailbox's waiter (a
-// receive or a delivery hold) is re-armed park after park, so its wake
-// channel is 1-buffered and released by a send instead — told apart by
-// capacity rather than by a flag, which would grow every Sleep's record
-// a size class.
+// release lets the goroutine parked on w run by sending its one token.
+// Every parked waiter — a Sleep's pooled one, a Mailbox's receive or
+// delivery hold — is re-armed park after park, so the token is a send,
+// never a close.
 func (w *vwaiter) release() {
-	if cap(w.wake) == 0 {
-		close(w.wake)
-		return
-	}
 	select {
 	case w.wake <- struct{}{}:
 	default: // one park, one token: cannot happen, and must not block under c.mu
@@ -223,6 +220,14 @@ func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) 
 // Until implements Clock.
 func (c *VirtualClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
 
+// sleepWaiters recycles Sleep's waiters, each with its 1-buffered wake
+// channel, so a steady-state Sleep allocates nothing. A waiter goes back
+// only after its token has arrived: by then the clock has taken it off
+// the heap and holds no reference to it.
+var sleepWaiters = sync.Pool{New: func() any {
+	return &vwaiter{wake: make(chan struct{}, 1)}
+}}
+
 // Sleep implements Clock: the goroutine parks and virtual time will
 // reach now+d before it runs again.
 func (c *VirtualClock) Sleep(d time.Duration) {
@@ -232,10 +237,11 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 		runtime.Gosched()
 		return
 	}
-	w := &vwaiter{wake: make(chan struct{})}
+	w := sleepWaiters.Get().(*vwaiter)
 	c.parkLocked(w, c.now+d)
 	c.mu.Unlock()
-	<-w.wake // the advancer transfers our busy slot back before closing
+	<-w.wake // the advancer transfers our busy slot back before sending
+	sleepWaiters.Put(w)
 }
 
 // pushWaiterLocked schedules ch, a Timer/Ticker target, to fire d from
@@ -396,10 +402,13 @@ func (c *VirtualClock) unpark(w *vwaiter) bool {
 	return true
 }
 
-// Block implements Clock.
+// Block implements Clock. While any goroutine is inside a Block/Unblock
+// bracket the advancer settles the scheduler before every step, since
+// such a goroutine can be made runnable behind the clock's back.
 func (c *VirtualClock) Block() {
 	c.mu.Lock()
 	c.busy--
+	c.blocked++
 	c.parks.Add(1)
 	if c.busy == 0 {
 		c.cond.Broadcast()
@@ -407,9 +416,15 @@ func (c *VirtualClock) Block() {
 	c.mu.Unlock()
 }
 
-// Unblock implements Clock.
+// Unblock implements Clock. It panics without a matching Block: the
+// unmatched call would hide a blocked goroutine from the settle rule.
 func (c *VirtualClock) Unblock() {
 	c.mu.Lock()
+	if c.blocked == 0 {
+		c.mu.Unlock()
+		panic("simnet: VirtualClock.Unblock without a matching Block")
+	}
+	c.blocked--
 	c.busy++
 	c.gen++
 	c.mu.Unlock()
@@ -574,11 +589,12 @@ const (
 //
 // Settle rounds are the expensive part of a step, and they exist only
 // to catch goroutines that became runnable outside the clock's
-// bookkeeping. Steps that provably woke nobody — barrier advances, and
-// dispatch batches whose handlers only wrote handler-mode conns — skip
-// the settle before the next step; that skip is what makes a
-// handler-to-handler hop a plain scheduler event instead of a
-// park/settle/unpark round.
+// bookkeeping — which only a goroutine inside Block can be, so a world
+// with nobody blocked never settles (settleLocked). Steps that provably
+// woke nobody — barrier advances, and dispatch batches whose handlers
+// only wrote handler-mode conns — skip the settle before the next step;
+// that skip is what makes a handler-to-handler hop a plain scheduler
+// event instead of a park/settle/unpark round.
 func (c *VirtualClock) advance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -647,13 +663,25 @@ func (c *VirtualClock) pendingWorkLocked() bool {
 // whose channel was just filled, a select whose timer just fired) a
 // chance to run and re-register as busy before time moves. It reports
 // whether the world stayed quiescent throughout.
+//
+// Only a goroutine inside Block can be such a receiver. With busy == 0
+// and blocked == 0 every registered goroutine is parked in a clock-owned
+// wait — a Sleep, a Mailbox receive, a delivery hold — and only the
+// advancer or unpark can release one, each doing busy++ under c.mu
+// first. Timer/Ticker fires and Poke wake goroutines inside Block by
+// contract. So with nobody blocked the yields could find no one, and
+// the world is quiescent exactly.
 func (c *VirtualClock) settleLocked(deep bool) bool {
+	if c.blocked == 0 {
+		return true
+	}
 	gen := c.gen
 	rounds := settleRounds(deep)
 	for i := 0; i < rounds; i++ {
 		c.mu.Unlock()
 		runtime.Gosched()
 		c.mu.Lock()
+		c.yields++
 		if c.closed || c.busy > 0 || c.gen != gen {
 			return false
 		}

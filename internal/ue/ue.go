@@ -63,9 +63,9 @@ type Device struct {
 	// conn's delivery handler (airState.frame); the calling goroutine
 	// only parks on done until the handler — or the deadline — ends it.
 	proc      procKind
-	procStart time.Time  // procedure start, for AttachResult.Duration
-	gotSI     bool       // attach: system information seen, AttachRequest sent
-	done      chan error // buffered(1): the pending procedure's outcome
+	procStart time.Time              // procedure start, for AttachResult.Duration
+	gotSI     bool                   // attach: system information seen, AttachRequest sent
+	done      *simnet.Mailbox[error] // depth 1: the pending procedure's outcome
 
 	// sigTx/sigRx count NAS signaling payload bytes over the air in
 	// each direction — the UE end of the mobility plane's measurement
@@ -108,7 +108,8 @@ func NewDevice(host *simnet.Host, sim auth.SIM) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{host: host, sim: sim, nue: nue, done: make(chan error, 1)}, nil
+	done := simnet.NewMailbox[error](host.Clock().(*simnet.VirtualClock), 1)
+	return &Device{host: host, sim: sim, nue: nue, done: done}, nil
 }
 
 // IMSI reports the device identity.
@@ -250,17 +251,14 @@ func (d *Device) Detach(timeout time.Duration) error {
 // begin makes kind the pending procedure. Caller holds d.mu.
 func (d *Device) begin(kind procKind, start time.Time) {
 	d.proc, d.procStart, d.gotSI = kind, start, false
-	select {
-	case <-d.done: // outcome of a procedure nobody waited out
-	default:
-	}
+	d.done.Recv(0) // drop the outcome of a procedure nobody waited out
 }
 
 // finish ends the pending procedure with err, if it still is kind on
 // association st, and wakes the goroutine parked in await. A successful
 // attach registers here, its latency read off the clock at this
-// delivery's instant. Called from the delivery handler, so the wake
-// needs a Poke.
+// delivery's instant. The wake is a Mailbox Put, which the clock tracks
+// itself: no Poke.
 func (d *Device) finish(st *airState, kind procKind, err error) {
 	d.mu.Lock()
 	if d.st != st || d.proc != kind {
@@ -277,31 +275,21 @@ func (d *Device) finish(st *airState, kind procKind, err error) {
 		}
 	}
 	d.proc = procNone
-	d.done <- err // buffered; begin drained it
+	d.done.Put(err) // depth 1; begin drained it
 	d.mu.Unlock()
-	simnet.Poke(d.host.Clock())
 }
 
-// await parks the caller until the pending procedure finishes or
-// timeout elapses — the procedure's one goroutine park.
+// await parks the caller on the done mailbox until the pending
+// procedure finishes or timeout elapses — the procedure's one goroutine
+// park, a clock-owned wait with its own timeout.
 func (d *Device) await(timeout time.Duration) error {
-	clk := d.host.Clock()
-	deadline := clk.NewTimer(timeout)
-	defer deadline.Stop()
-	clk.Block()
-	select {
-	case err := <-d.done:
-		clk.Unblock()
+	if err, rerr := d.done.Recv(timeout); rerr == nil {
 		return err
-	case <-deadline.C:
-		clk.Unblock()
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	select {
-	case err := <-d.done: // finished as the deadline fired
+	if err, rerr := d.done.Recv(0); rerr == nil { // finished as the deadline fired
 		return err
-	default:
 	}
 	kind := d.proc
 	d.proc = procNone
