@@ -67,11 +67,12 @@ STORM_GATE_FLAGS = -benchmem -benchtime 50x -count 3 -json
 # the E13 compact attach-and-idle world at 10k/100k UEs. The 1M legs
 # of both run under bench-json but stay informational — whole-world
 # wall time at that scale is seconds, too coarse for a 25% gate.
-# IdleWorld's committed allocs/op carry ~2% of headroom (3131 and 3327
-# are the usual counts, 3186 and 3343 have been seen): two thirds of
-# them are the ShardedScheduler's per-window worker goroutines, whose
-# runtime bookkeeping is scheduler-shaped. SchedulerTimers/100k is 196
-# slabs over 10 ops plus the harness's own few — 19 or 20 by rounding.
+# IdleWorld's committed allocs/op carry ~2% of headroom (3148–3207 and
+# 3264–3324 have been seen): two thirds of them are the
+# ShardedScheduler's per-window worker goroutines, whose runtime
+# bookkeeping is scheduler-shaped; each region wheel adds its key slabs
+# and run buffer. SchedulerTimers/100k is the first op's closure-record
+# table and key-slab growth spread over 10 ops — 12 to 14 by rounding.
 WHEEL_GATE_RE = BenchmarkSchedulerTimers/1k$$|BenchmarkSchedulerTimers/100k$$
 WHEEL_GATE_PKGS = ./internal/simnet
 WHEEL_GATE_FLAGS = -benchmem -benchtime 10x -count 3 -json

@@ -25,8 +25,8 @@ func TestE13Quick(t *testing.T) {
 		t.Errorf("accounted B/UE = %d, want slot+timer = %d",
 			res.BytesPerUE, ue.IdleSlotBytes+simnet.EventBytes)
 	}
-	if res.BytesPerUE > 128 {
-		t.Errorf("accounted B/UE = %d, want ≤ 128", res.BytesPerUE)
+	if res.BytesPerUE > 58 {
+		t.Errorf("accounted B/UE = %d, want ≤ 58", res.BytesPerUE)
 	}
 	for _, n := range e13Sizes(Options{Quick: true}) {
 		if res.PromotedByUEs[n] != e13Promotions {
@@ -104,12 +104,12 @@ func measureIdleWorld(seed int64, n int) (float64, *e13World, error) {
 
 // TestIdleWorldFootprint is the measured (not accounted) form of the
 // E13 budget, at the headline scale: a million-UE world — SoA slots,
-// the wheel's event slabs at their high-water mark, region structures
-// — must retain ≤ 128 B per idle UE. The accounted floor is
-// ue.IdleSlotBytes + simnet.EventBytes (93 B as of this writing);
-// measured sits near 104 B (allocator size-class rounding on slabs
-// and pool arrays), so the headroom is real but thin: a new per-UE
-// field or a fatter wheel record trips this first. Smaller
+// the wheel's key blocks at their high-water mark, region structures
+// — must retain ≤ 66 B per idle UE. The accounted floor is
+// ue.IdleSlotBytes + simnet.EventBytes (53 B as of this writing);
+// measured sits near 60.4 B (partly filled head blocks, slab and pool
+// array rounding), and the bound is that plus ~10 %: a new per-UE
+// field or a fatter wheel key trips this first. Smaller
 // populations read higher — per-region slab rounding is a fixed
 // ~2 MB that only amortizes at scale — so the bound is pinned here,
 // not in the quick sizes.
@@ -123,8 +123,8 @@ func TestIdleWorldFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("idle compact UE ≈ %.1f B retained (accounted %d)", perUE, ue.IdleSlotBytes+simnet.EventBytes)
-	if perUE > 128 {
-		t.Errorf("idle world retains %.1f B/UE, want ≤ 128", perUE)
+	if perUE > 66 {
+		t.Errorf("idle world retains %.1f B/UE, want ≤ 66", perUE)
 	}
 	runtime.KeepAlive(w)
 }

@@ -207,13 +207,12 @@ func (d *dispatcher) runAt(at time.Duration) bool {
 		d.mu.Lock()
 		d.batch = d.batch[:0]
 		for {
-			e := d.sched.popDue(at, true)
-			if e == nil {
+			k, ok := d.sched.popDue(at, true)
+			if !ok {
 				break
 			}
-			d.batch = append(d.batch, uint32(e.arg))
+			d.batch = append(d.batch, uint32(k.arg))
 			d.sched.live--
-			d.sched.recycle(e)
 		}
 		n := len(d.batch)
 		if n == 0 {

@@ -192,6 +192,22 @@ func TestSchedulerEveryCancelFromInsideFn(t *testing.T) {
 	}
 }
 
+// TestSchedulerEveryNonPositivePeriodPanics: a chain that re-arms at the
+// instant it fires would keep RunUntil from ever returning, so Every
+// refuses it up front, as it refuses a nil fn.
+func TestSchedulerEveryNonPositivePeriodPanics(t *testing.T) {
+	for _, period := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Every with period %v did not panic", period)
+				}
+			}()
+			NewScheduler().Every(time.Second, period, func() {})
+		}()
+	}
+}
+
 func TestSchedulerCancelNilAndDouble(t *testing.T) {
 	s := NewScheduler()
 	var zero Event

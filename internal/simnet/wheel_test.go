@@ -3,9 +3,13 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+
+	"dlte/internal/leaktest"
 )
 
 // ---- differential property test: wheel vs reference heap ----------------
@@ -284,8 +288,8 @@ func wheelDriver() schedDriver {
 		peek: func() peekRec {
 			p := peekRec{}
 			p.bound, p.ok = s.peekBound()
-			for _, e := range s.due[s.dueIdx:] {
-				p.exact = p.exact || e.flags&wfDead == 0
+			for _, k := range s.due[s.dueIdx:] {
+				p.exact = p.exact || !s.dead(k)
 			}
 			return p
 		},
@@ -417,11 +421,55 @@ var schedScripts = map[string][]schedOp{
 		{kind: opAt, t: maxDuration - 1<<54, kids: []kidOp{{kind: kidBlockEnd, level: 9}, {kind: kidBlockEnd, level: 10}}},
 		{kind: opRunUntil, t: maxDuration},
 	},
+	// Cancel swap-removes a key with the last key of its slot's head
+	// block. Twenty keys in one slot are a full block (handles 0–15) and
+	// a head of four (handles 16–18, then an indexed key). The cancels
+	// move the indexed key into the full block, handle 17 to the head's
+	// front and, once the emptied head block is released, handles 15, 14
+	// and 13 to the full block's front; 17, 15 and 14 are then canceled
+	// through their handles where they moved to.
+	"cancel-mid-block": func() []schedOp {
+		var ops []schedOp
+		for j := 0; j < blockKeys+4; j++ {
+			kind := opAt
+			if j == blockKeys+3 {
+				kind = opAtIndexed
+			}
+			ops = append(ops, schedOp{kind: kind, t: 3*time.Second + time.Duration(j*7%(blockKeys+4))})
+		}
+		for _, h := range []int{5, blockKeys + 2, blockKeys, blockKeys + 1, 0, blockKeys - 1, blockKeys - 2} {
+			ops = append(ops, schedOp{kind: opCancel, cancelIdx: h})
+		}
+		return append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 9}, schedOp{kind: opRunUntil, t: 4 * time.Second})
+	}(),
+	// A crowded slot spanning seven blocks, with cancels that swap keys
+	// across its blocks, cascades through several levels.
+	"cascade-multi-block": func() []schedOp {
+		var ops []schedOp
+		for j := 0; j < 6*blockKeys+4; j++ {
+			ops = append(ops, schedOp{kind: opAt + j%2, t: 3*time.Second + time.Duration(j*37%100)*time.Microsecond})
+		}
+		for _, h := range []int{3, 20, 49, 31} {
+			ops = append(ops, schedOp{kind: opCancel, cancelIdx: h})
+		}
+		return append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 40*time.Microsecond}, schedOp{kind: opRunUntil, t: 4 * time.Second})
+	}(),
+}
+
+// slotOfCancel is m closure keys alone in one slot, one of which is
+// canceled before the slot comes due.
+func slotOfCancel(m int) []schedOp {
+	var ops []schedOp
+	for j := 0; j < m; j++ {
+		ops = append(ops, schedOp{kind: opAt, t: 3*time.Second + time.Duration(m-j)})
+	}
+	return append(ops, schedOp{kind: opCancel, cancelIdx: blockKeys + 3}, schedOp{kind: opRunUntil, t: 4 * time.Second})
 }
 
 func init() {
-	// flattenMax-1, flattenMax and flattenMax+1 records alone in one slot.
-	for _, m := range []int{flattenMax - 1, flattenMax, flattenMax + 1} {
+	// A slot one key short of, at and one past a block, and one short
+	// of, at and one past the flatten bound, alone in one slot.
+	for _, m := range []int{blockKeys - 1, blockKeys, blockKeys + 1, flattenMax - 1, flattenMax, flattenMax + 1} {
 		var ops []schedOp
 		for j := 0; j < m; j++ {
 			ops = append(ops, schedOp{kind: opAt + j%2, t: 3*time.Second + time.Duration(m-j)})
@@ -429,6 +477,11 @@ func init() {
 		ops = append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 5}, schedOp{kind: opRunUntil, t: 4 * time.Second})
 		schedScripts[fmt.Sprintf("slot-of-%d", m)] = ops
 	}
+	// 66 keys over five blocks, canceled down to 65 (four full blocks
+	// and one key): flatten refuses the slot and it cascades. 65 keys
+	// canceled down to 64 empty the head block: the slot flattens.
+	schedScripts["flatten-refuses-65-keys"] = slotOfCancel(flattenMax + 2)
+	schedScripts["flatten-takes-64-keys"] = slotOfCancel(flattenMax + 1)
 }
 
 func TestSchedulerScriptsVsRefHeap(t *testing.T) {
@@ -521,8 +574,9 @@ func FuzzSchedulerVsRefHeap(f *testing.F) {
 // TestSchedulerCancelReclaimsStore is the regression for the heap
 // scheduler's memory pinning: canceled events stayed in the queue
 // until their deadline. The wheel must return every record of 100k
-// canceled periodic chains to the free list immediately, and reuse
-// them for later events instead of growing the store.
+// canceled periodic chains, and every key block their keys sat in, to
+// the free lists immediately, and reuse them for later events instead
+// of growing the store.
 func TestSchedulerCancelReclaimsStore(t *testing.T) {
 	s := NewScheduler()
 	const n = 100_000
@@ -543,18 +597,100 @@ func TestSchedulerCancelReclaimsStore(t *testing.T) {
 	if free, cap := s.storeFree(), s.storeCap(); free != cap {
 		t.Fatalf("canceled events still pin %d of %d records", cap-free, cap)
 	}
-	// The reclaimed store is reused: scheduling n fresh timers must not
-	// allocate a single new slab.
-	capBefore := s.storeCap()
+	if inUse := s.blocksInUse(); inUse != 0 {
+		t.Fatalf("canceled events still pin %d key blocks", inUse)
+	}
+	// The reclaimed store is reused: n fresh timers at the chains' first
+	// instants, half closures and half indexed, fill the same slots key
+	// for key, so they must not grow the record table or carve a slab.
+	capBefore, slabsBefore := s.storeCap(), len(s.slabs)
 	for i := 0; i < n; i++ {
-		s.AtIndexed(time.Duration(i), uint64(i))
+		at := time.Duration(i) * time.Microsecond
+		if i%2 == 0 {
+			s.At(at, func() {})
+		} else {
+			s.AtIndexed(at, uint64(i))
+		}
 	}
 	if s.storeCap() != capBefore {
 		t.Fatalf("store grew %d -> %d records despite %d free", capBefore, s.storeCap(), capBefore)
 	}
+	if len(s.slabs) != slabsBefore {
+		t.Fatalf("key slabs grew %d -> %d despite every block free", slabsBefore, len(s.slabs))
+	}
 	s.RunUntil(time.Hour)
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
+	}
+	if inUse := s.blocksInUse(); inUse != 0 {
+		t.Fatalf("%d key blocks still in use after the drain", inUse)
+	}
+}
+
+// TestSchedulerFreshWorldAllocs pins the key slab's allocation shape:
+// a fresh wheel parking n indexed timers over 64 slots on four levels
+// allocates itself, whole slabs and the slab table's append growth past
+// its inline slots — never anything per slot or per event — so a world
+// costs about one allocation per slabBlocks·blockKeys keys however its
+// timers spread.
+func TestSchedulerFreshWorldAllocs(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("the race runtime allocates on the wheel's behalf")
+	}
+	const n = 50_000
+	var s *Scheduler
+	// The first collection starts the runtime's mark workers, whose
+	// allocations are not the wheel's: get it over with.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(3, func() {
+		s = NewScheduler()
+		for j := 0; j < n; j++ {
+			level, slot := 1+j%4, 1+(j/4)%16
+			span := time.Duration(1) << (uint(level) * wheelBits)
+			s.AtIndexed(time.Duration(slot)*span+time.Duration(j)%span, uint64(j))
+		}
+	})
+	slabs := (n + slabBlocks*blockKeys - 1) / (slabBlocks * blockKeys)
+	// The Scheduler, its slabs, and one table growth per doubling past
+	// inlineSlabs.
+	limit := 1 + slabs + bits.Len(uint((slabs-1)/inlineSlabs))
+	if allocs > float64(limit) {
+		t.Errorf("a fresh wheel parking %d timers made %v allocations, want ≤ %d", n, allocs, limit)
+	}
+	for level := 1; level <= 4; level++ {
+		if got := bits.OnesCount64(s.occupied[level]); got != 16 {
+			t.Fatalf("level %d has %d occupied slots, want 16", level, got)
+		}
+	}
+	fired := 0
+	s.OnIndexed = func(uint64) { fired++ }
+	s.Run()
+	if fired != n || s.blocksInUse() != 0 {
+		t.Fatalf("fired %d of %d; %d blocks still in use after the drain", fired, n, s.blocksInUse())
+	}
+}
+
+// TestSchedulerIndexedZeroAlloc: scheduling and firing indexed timers
+// allocates nothing once the wheel's slabs and run buffer are warm.
+func TestSchedulerIndexedZeroAlloc(t *testing.T) {
+	const n = 1_000
+	s := NewScheduler()
+	fired := 0
+	s.OnIndexed = func(uint64) { fired++ }
+	round := func() {
+		base := s.Now()
+		for j := 0; j < n; j++ {
+			s.AtIndexed(base+timerOffset(j, n), uint64(j))
+		}
+		s.RunUntil(base + n*100)
+	}
+	round()
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Errorf("%d indexed timers allocate %v per round, want 0", n, got)
+	}
+	// AllocsPerRun adds one warm-up round of its own.
+	if fired != 22*n || s.Pending() != 0 {
+		t.Fatalf("fired %d, want %d; pending %d", fired, 22*n, s.Pending())
 	}
 }
 
@@ -578,7 +714,7 @@ func TestSchedulerLoneTimerSingleDescent(t *testing.T) {
 	if s.occupied != [wheelLevels]uint64{} {
 		t.Fatalf("record still on the wheel after one refill: occupied = %v", s.occupied)
 	}
-	if len(s.due) != 1 || s.due[0].at != at || s.due[0].flags != wfDue {
+	if len(s.due) != 1 || s.due[0] != (wkey{at: at, seq: 1, arg: 1}) {
 		t.Fatalf("run after one refill = %v", s.due)
 	}
 	// The clock stands at the slot's span start with the run open over

@@ -40,7 +40,8 @@ type IdlePool struct {
 
 // IdleSlotBytes is the accounted per-UE cost of one compact slot — the
 // sum of the parallel-array element sizes. The E13 bytes/idle-UE
-// budget is IdleSlotBytes + simnet.EventBytes (the parked timer).
+// budget is IdleSlotBytes + simnet.EventBytes: this slot plus the one
+// parked TAU timer, an indexed wheel key with no record behind it.
 var IdleSlotBytes = int(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(uint32(0)) +
 	unsafe.Sizeof(uint32(0)) + unsafe.Sizeof(IdleState(0)) + unsafe.Sizeof(int32(0)))
 

@@ -57,8 +57,8 @@ func TestIdlePoolLifecycle(t *testing.T) {
 
 func TestIdleSlotBytesBudget(t *testing.T) {
 	// The compact promise: tens of bytes per idle UE. If a new field
-	// pushes the slot past this, the E13 ≤128 B/UE budget (slot + one
-	// parked wheel timer) is at risk — grow deliberately.
+	// pushes the slot past this, the E13 B/UE budget (slot + one parked
+	// wheel key, gated in internal/exp) is at risk — grow deliberately.
 	if IdleSlotBytes > 32 {
 		t.Fatalf("IdleSlotBytes = %d, want ≤ 32", IdleSlotBytes)
 	}
