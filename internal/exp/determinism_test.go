@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 )
 
 // TestExperimentsDeterministic is the regression gate for the virtual
@@ -81,36 +83,62 @@ func TestSerialParallelIdentical(t *testing.T) {
 	requireSameBytes(t, "serial (p=1)", "parallel (p=8)", run(1), run(8))
 }
 
+// scenTestWindow is the windowed leg's step: every region stops at each
+// multiple of it before any region goes past.
+const scenTestWindow = 250 * time.Millisecond
+
 // TestCompileScenarioWorkerInvariant checks the compact world's
 // worker-invariance directly, independent of Options: one region
 // worker or eight, every scenario kind under both schemes ends with the
-// same handover, event, outage and interruption figures.
+// same handover, event, outage and interruption figures and the same
+// merged promotion log. A third, windowed leg is the drain-order
+// oracle: it drives every region's wheel from the test in
+// scenTestWindow steps, so no region ever runs ahead of another, and
+// must agree with Run's region-major drain.
 func TestCompileScenarioWorkerInvariant(t *testing.T) {
 	type outcome struct {
 		handovers, events, dropped, reattached uint64
 		p50, p99                               float64
+		promos                                 string
 	}
-	run := func(spec ScenarioSpec, scheme Scheme, workers int) outcome {
+	run := func(spec ScenarioSpec, scheme Scheme, workers int, windowed bool) outcome {
 		w, err := CompileScenario(spec, scheme, 42, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Run(); err != nil {
+		if !windowed {
+			err = w.Run()
+		} else if err = w.start(); err == nil {
+			for end := time.Duration(0); end < spec.Horizon; {
+				end = min(end+scenTestWindow, spec.Horizon)
+				for _, reg := range w.regions {
+					reg.sch.RunUntil(end)
+				}
+			}
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		o := outcome{handovers: w.Handovers(), events: w.Events()}
 		o.dropped, o.reattached, _ = w.Outage()
 		o.p50, o.p99 = w.InterruptionQuantiles()
+		o.promos = fmt.Sprint(w.Promotions())
 		return o
 	}
 	for _, spec := range e11Specs(Options{Quick: true}) {
 		for _, scheme := range []Scheme{SchemeDLTE, SchemeTelecom} {
-			one, eight := run(spec, scheme, 1), run(spec, scheme, 8)
+			one, eight := run(spec, scheme, 1, false), run(spec, scheme, 8, false)
 			if one != eight {
 				t.Errorf("%s %v: workers=1 %+v, workers=8 %+v", spec.Name, scheme, one, eight)
 			}
+			if windowed := run(spec, scheme, 1, true); windowed != one {
+				t.Errorf("%s %v: windowed %+v, region-major %+v", spec.Name, scheme, windowed, one)
+			}
 			if one.events == 0 {
 				t.Errorf("%s %v: empty world %+v", spec.Name, scheme, one)
+			}
+			if spec.Promotions > 0 && one.promos == "[]" {
+				t.Errorf("%s %v: no promotions logged", spec.Name, scheme)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"dlte/internal/metrics"
 	"dlte/internal/mobility"
 	"dlte/internal/simnet"
 	"dlte/internal/ue"
@@ -91,7 +90,6 @@ type ScenarioSpec struct {
 // Options.Parallelism only picks how many OS threads drain the regions.
 const (
 	scenRegions = 64
-	scenWindow  = 250 * time.Millisecond
 
 	// Measurement cadence: each UE evaluates its radio environment
 	// every measureBase + [0, measureJitter) — drawn per (UE, tick) so
@@ -158,12 +156,70 @@ func scenMeasurePeriod(seed int64, gi, tick int) time.Duration {
 	return scenMeasureBase + time.Duration(h%uint64(scenMeasureJitter))
 }
 
-// scenHODraw is the modeled dLTE interruption for UE gi's k-th
-// handover, milliseconds.
-func scenHODraw(seed int64, gi int, k uint32) float64 {
+// Interruption samples are stored as 2-byte draw codes: a dLTE draw is
+// its jitter in microseconds, [0, scenHOCodes), and scenHOTelecomCode
+// stands for the telecom scheme's flat centralHandoverMs. scenHOMs is
+// increasing in the code (centralHandoverMs is above every dLTE draw),
+// so code order is sample order.
+const (
+	scenHOCodes       = scenHOJitterMs * 1000
+	scenHOTelecomCode = scenHOCodes
+)
+
+// scenHOCode draws the modeled dLTE interruption for UE gi's k-th
+// handover, as a code for scenHOMs.
+func scenHOCode(seed int64, gi int, k uint32) uint16 {
 	h := splitmix64(uint64(seed) ^ 0x9FB21C651E98DF25)
 	h = splitmix64(h ^ uint64(gi)<<16 ^ uint64(k))
-	return scenHOBaseMs + float64(h%(scenHOJitterMs*1000))/1000
+	return uint16(h % scenHOCodes)
+}
+
+// scenHOMs is the interruption a code stands for, milliseconds.
+func scenHOMs(code uint16) float64 {
+	if code == scenHOTelecomCode {
+		return centralHandoverMs
+	}
+	return scenHOBaseMs + float64(code)/1000
+}
+
+// scenHOQuantiles reports the p50/p99 of the samples the codes stand
+// for, bit-equal to metrics.Histogram.Quantile over those samples: it
+// counts codes and reads the two order statistics each quantile
+// interpolates between, instead of sorting the floats.
+func scenHOQuantiles(parts [][]uint16) (p50, p99 float64) {
+	counts := make([]uint32, scenHOCodes+1)
+	n := 0
+	for _, p := range parts {
+		for _, c := range p {
+			counts[c]++
+		}
+		n += len(p)
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return scenHOQuantile(counts, n, 0.5), scenHOQuantile(counts, n, 0.99)
+}
+
+// scenHOQuantile is metrics.Histogram.Quantile for 0 < q < 1 over the
+// n samples counted per code.
+func scenHOQuantile(counts []uint32, n int, q float64) float64 {
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	frac := pos - float64(lo) // 0 when lo == hi, which then returns v*1 + v*0 = v
+	return scenHOOrdered(counts, lo)*(1-frac) + scenHOOrdered(counts, hi)*frac
+}
+
+// scenHOOrdered is the k-th smallest counted sample (0-based).
+func scenHOOrdered(counts []uint32, k int) float64 {
+	for c, m := range counts {
+		if k < int(m) {
+			return scenHOMs(uint16(c))
+		}
+		k -= int(m)
+	}
+	panic("scenHOOrdered: rank out of range")
 }
 
 // scenRSRP is the audible power at distance d meters — the same
@@ -276,9 +332,10 @@ type scenPromo struct {
 	rec ue.PromoteRecord
 }
 
-// scenRegion owns one wheel's worth of the population. Within a
-// barrier window it touches only its own slots and counters — the
-// commutative-aggregation pattern ShardedScheduler permits.
+// scenRegion owns one wheel's worth of the population. Its events touch
+// only its own slots and counters, so its wheel runs to the horizon
+// without looking at any other region; cross-region figures are sums
+// and merged logs taken after the run.
 type scenRegion struct {
 	idx, base, count int
 	spec             *ScenarioSpec
@@ -290,8 +347,8 @@ type scenRegion struct {
 	hoCount          []uint32 // per-slot handovers (the draw ordinal)
 
 	events, handovers   uint64
-	dropped, reattached uint64 // failure-wave outcomes
-	interruptMs         []float64
+	dropped, reattached uint64   // failure-wave outcomes
+	interruptCodes      []uint16 // per-handover interruption, see scenHOMs
 	promos              []scenPromo
 }
 
@@ -375,11 +432,11 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 
 func (r *scenRegion) recordHandover(gi, l int) {
 	r.handovers++
-	if r.scheme == SchemeTelecom {
-		r.interruptMs = append(r.interruptMs, centralHandoverMs)
-	} else {
-		r.interruptMs = append(r.interruptMs, scenHODraw(r.seed, gi, r.hoCount[l]))
+	code := uint16(scenHOTelecomCode)
+	if r.scheme != SchemeTelecom {
+		code = scenHOCode(r.seed, gi, r.hoCount[l])
 	}
+	r.interruptCodes = append(r.interruptCodes, code)
 	r.hoCount[l]++
 }
 
@@ -408,7 +465,7 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 	}
 	w := &CompiledScenario{
 		Spec: spec, Scheme: scheme, seed: seed,
-		ss: simnet.NewShardedScheduler(scenRegions, scenWindow, workers),
+		ss: simnet.NewShardedScheduler(scenRegions, workers),
 	}
 	q, rem := spec.UEs/scenRegions, spec.UEs%scenRegions
 	base := 0
@@ -432,9 +489,18 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 	return w, nil
 }
 
-// Run seeds every UE's start event (plus flash-crowd activity events)
-// and drains the world to the spec's horizon.
+// Run seeds the world and drains it to the spec's horizon.
 func (w *CompiledScenario) Run() error {
+	if err := w.start(); err != nil {
+		return err
+	}
+	w.ss.RunUntil(w.Spec.Horizon)
+	return nil
+}
+
+// start allocates every slot and parks each UE's start event, plus the
+// flash crowd's activity events.
+func (w *CompiledScenario) start() error {
 	spec := &w.Spec
 	for _, reg := range w.regions {
 		for l := 0; l < reg.count; l++ {
@@ -454,7 +520,6 @@ func (w *CompiledScenario) Run() error {
 			reg.sch.AtIndexed(at, scenArg(scenKindActivity, gi-reg.base))
 		}
 	}
-	w.ss.RunUntil(spec.Horizon, nil)
 	return nil
 }
 
@@ -502,17 +567,14 @@ func (w *CompiledScenario) Outage() (dropped, reattached uint64, survival float6
 }
 
 // InterruptionQuantiles reports the modeled per-handover interruption
-// p50/p99 in ms. Samples are concatenated in region order — the region
-// partition is a fixed modeling unit, so the multiset and its order
-// are worker-invariant.
+// p50/p99 in ms. Each region's samples depend only on that region, so
+// the multiset is worker-invariant.
 func (w *CompiledScenario) InterruptionQuantiles() (p50, p99 float64) {
-	h := metrics.NewHistogram()
-	for _, reg := range w.regions {
-		for _, v := range reg.interruptMs {
-			h.Observe(v)
-		}
+	parts := make([][]uint16, len(w.regions))
+	for i, reg := range w.regions {
+		parts[i] = reg.interruptCodes
 	}
-	return h.Quantile(0.5), h.Quantile(0.99)
+	return scenHOQuantiles(parts)
 }
 
 // Promotions is the merged flash-crowd promotion log in (at, gi)

@@ -6,21 +6,14 @@ import (
 	"time"
 )
 
-// DefaultBarrierWindow is the barrier interval a ShardedScheduler uses
-// when the caller does not pick one. Wide enough to amortize the
-// barrier over many events, short enough that cross-region effects
-// (handover, registry sync) stay responsive at simulation timescales.
-const DefaultBarrierWindow = 100 * time.Millisecond
-
-// ShardedScheduler drains independent per-region Schedulers in
-// lockstep barrier windows: within a window every region's wheel runs
-// on its own (possibly on its own OS thread), and all regions
-// quiesce at the window boundary before the next window starts —
-// the same sync-point structure the VirtualClock's quiescence barrier
-// gives the goroutine-based worlds. Regions must not touch each
-// other's state inside a window; cross-region work happens in the
-// onBarrier callback (which runs serially, with every region parked)
-// or through commutative aggregation.
+// ShardedScheduler drains independent per-region Schedulers. Regions
+// never touch each other's state: each region's events read and write
+// only that region's slots, and cross-region results are commutative
+// aggregates or ordered logs merged afterwards. So there is nothing to
+// synchronize between regions, and RunUntil drains region-major: a
+// worker takes a region and runs its wheel straight to the horizon
+// before it takes the next one, so a region's working set stays in
+// cache for its whole run.
 //
 // Determinism: a region's event stream depends only on that region's
 // own state, so per-region results are identical at any worker count.
@@ -30,21 +23,15 @@ const DefaultBarrierWindow = 100 * time.Millisecond
 // global indices rather than region-local ones (DESIGN.md §11).
 type ShardedScheduler struct {
 	regions []*Scheduler
-	window  time.Duration
 	workers int
-	now     time.Duration
 }
 
 // NewShardedScheduler builds a world of `regions` independent wheels
-// advanced in `window`-sized barriers by up to `workers` OS threads
-// (workers <= 1 drains serially on the caller's goroutine; either way
-// the result is identical).
-func NewShardedScheduler(regions int, window time.Duration, workers int) *ShardedScheduler {
+// drained by up to `workers` OS threads (workers <= 1 drains serially
+// on the caller's goroutine; either way the result is identical).
+func NewShardedScheduler(regions, workers int) *ShardedScheduler {
 	if regions < 1 {
 		regions = 1
-	}
-	if window <= 0 {
-		window = DefaultBarrierWindow
 	}
 	if workers < 1 {
 		workers = 1
@@ -53,7 +40,7 @@ func NewShardedScheduler(regions int, window time.Duration, workers int) *Sharde
 	for i := range rs {
 		rs[i] = NewScheduler()
 	}
-	return &ShardedScheduler{regions: rs, window: window, workers: workers}
+	return &ShardedScheduler{regions: rs, workers: workers}
 }
 
 // Regions reports the number of region wheels.
@@ -62,9 +49,6 @@ func (ss *ShardedScheduler) Regions() int { return len(ss.regions) }
 // Region returns region i's Scheduler. Safe to use directly between
 // (not during) RunUntil calls, and from region i's own events.
 func (ss *ShardedScheduler) Region(i int) *Scheduler { return ss.regions[i] }
-
-// Now reports the last barrier the world has fully reached.
-func (ss *ShardedScheduler) Now() time.Duration { return ss.now }
 
 // Pending sums live queued events across all regions.
 func (ss *ShardedScheduler) Pending() int {
@@ -75,35 +59,15 @@ func (ss *ShardedScheduler) Pending() int {
 	return n
 }
 
-// RunUntil advances every region to t in barrier windows. After each
-// window all regions have reached the same virtual instant; onBarrier
-// (optional) then runs serially and may mutate any region — including
-// scheduling new events — before the next window opens.
-func (ss *ShardedScheduler) RunUntil(t time.Duration, onBarrier func(now time.Duration)) {
-	for ss.now < t {
-		end := ss.now + ss.window
-		if end > t || end < ss.now { // clamp, and guard overflow near the horizon
-			end = t
-		}
-		ss.drain(end)
-		ss.now = end
-		if onBarrier != nil {
-			onBarrier(end)
-		}
-	}
-}
-
-// drain advances every region wheel to end, fanning regions out over
-// the worker budget. Work-stealing order does not matter: regions are
-// independent, so scheduling is invisible in the results.
-func (ss *ShardedScheduler) drain(end time.Duration) {
-	w := ss.workers
-	if w > len(ss.regions) {
-		w = len(ss.regions)
-	}
+// RunUntil advances every region to t, fanning regions out over the
+// worker budget. Which worker runs which region, and in what order,
+// does not matter: regions are independent, so scheduling is invisible
+// in the results.
+func (ss *ShardedScheduler) RunUntil(t time.Duration) {
+	w := min(ss.workers, len(ss.regions))
 	if w <= 1 {
 		for _, r := range ss.regions {
-			r.RunUntil(end)
+			r.RunUntil(t)
 		}
 		return
 	}
@@ -119,7 +83,7 @@ func (ss *ShardedScheduler) drain(end time.Duration) {
 				if j >= len(ss.regions) {
 					return
 				}
-				ss.regions[j].RunUntil(end)
+				ss.regions[j].RunUntil(t)
 			}
 		}()
 	}

@@ -831,11 +831,12 @@ func TestSchedulerStaleHandleCancel(t *testing.T) {
 // ---- sharded scheduler ----------------------------------------------------
 
 // TestShardedSchedulerDeterministicAcrossWorkers runs the same
-// per-region workload serially and with maximal worker parallelism and
-// requires identical per-region logs, barrier sequences, and clocks.
+// per-region workload serially and with more workers than CPUs and
+// requires identical per-region logs and clocks.
 func TestShardedSchedulerDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([][]time.Duration, []time.Duration) {
-		ss := NewShardedScheduler(8, 10*time.Millisecond, workers)
+	const horizon = 100 * time.Millisecond
+	run := func(workers int) [][]time.Duration {
+		ss := NewShardedScheduler(8, workers)
 		logs := make([][]time.Duration, ss.Regions())
 		for i := 0; i < ss.Regions(); i++ {
 			i := i
@@ -844,49 +845,155 @@ func TestShardedSchedulerDeterministicAcrossWorkers(t *testing.T) {
 				logs[i] = append(logs[i], r.Now())
 			})
 		}
-		var barriers []time.Duration
-		ss.RunUntil(100*time.Millisecond, func(now time.Duration) {
-			barriers = append(barriers, now)
-		})
-		return logs, barriers
-	}
-	serialLogs, serialBarriers := run(1)
-	parLogs, parBarriers := run(8)
-	for i := range serialLogs {
-		if len(serialLogs[i]) != len(parLogs[i]) {
-			t.Fatalf("region %d: %d vs %d fires", i, len(serialLogs[i]), len(parLogs[i]))
+		ss.RunUntil(horizon)
+		for i := 0; i < ss.Regions(); i++ {
+			if now := ss.Region(i).Now(); now != horizon {
+				t.Fatalf("workers=%d region %d: Now = %v, want %v", workers, i, now, horizon)
+			}
 		}
-		for j := range serialLogs[i] {
-			if serialLogs[i][j] != parLogs[i][j] {
-				t.Fatalf("region %d fire %d: %v vs %v", i, j, serialLogs[i][j], parLogs[i][j])
+		return logs
+	}
+	serial := run(1)
+	for _, workers := range []int{3, 8} {
+		par := run(workers)
+		for i := range serial {
+			if fmt.Sprint(serial[i]) != fmt.Sprint(par[i]) {
+				t.Fatalf("region %d: workers=1 fired at %v, workers=%d at %v", i, serial[i], workers, par[i])
 			}
 		}
 	}
-	if len(serialBarriers) != len(parBarriers) || len(serialBarriers) != 10 {
-		t.Fatalf("barriers: serial %v par %v", serialBarriers, parBarriers)
-	}
-	if serialBarriers[len(serialBarriers)-1] != 100*time.Millisecond {
-		t.Fatalf("last barrier = %v", serialBarriers[len(serialBarriers)-1])
+}
+
+// shardFire is one entry of a region's fire log: when, and which event.
+type shardFire struct {
+	at  time.Duration
+	tag uint64
+}
+
+// Fire-log tags: the low bits of an indexed arg name its chain; these
+// high bits mark the closure events.
+const (
+	shardTagAt    = 1 << 62
+	shardTagEvery = 1 << 63
+)
+
+// shardWindow is the step of the windowed twin drain.
+const shardWindow = 10 * time.Millisecond
+
+// shardDelay draws a follow-up delay that lands at the firing instant,
+// exactly on one of the next window boundaries, or anywhere up to four
+// windows on — so follow-ups hit and cross many boundaries.
+func shardDelay(rng *rand.Rand, now time.Duration) time.Duration {
+	switch rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return (now/shardWindow+1+time.Duration(rng.Intn(3)))*shardWindow - now
+	default:
+		return time.Duration(rng.Int63n(int64(4 * shardWindow)))
 	}
 }
 
-// TestShardedSchedulerBarrierScheduling verifies onBarrier may feed
-// new cross-region work into the next window.
-func TestShardedSchedulerBarrierScheduling(t *testing.T) {
-	ss := NewShardedScheduler(2, 10*time.Millisecond, 2)
-	var fired []time.Duration
-	ss.RunUntil(30*time.Millisecond, func(now time.Duration) {
-		if now == 10*time.Millisecond {
-			ss.Region(1).At(now+5*time.Millisecond, func() {
-				fired = append(fired, ss.Region(1).Now())
-			})
+// seedShardedWorkload gives every region of ss its own mix of At, Every
+// and AtIndexed events. Each indexed chain re-arms itself from its
+// handler and now and then schedules a closure; Every firings schedule
+// a closure on the next boundary. Each region draws from its own rng in
+// its own event order, so its log is a function of the region alone.
+func seedShardedWorkload(ss *ShardedScheduler, horizon time.Duration) [][]shardFire {
+	logs := make([][]shardFire, ss.Regions())
+	for i := 0; i < ss.Regions(); i++ {
+		i := i
+		r := ss.Region(i)
+		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		logAt := func(tag uint64) func() {
+			return func() { logs[i] = append(logs[i], shardFire{r.Now(), tag}) }
 		}
-	})
-	if len(fired) != 1 || fired[0] != 15*time.Millisecond {
-		t.Fatalf("barrier-scheduled fires = %v", fired)
+		r.OnIndexed = func(arg uint64) {
+			now := r.Now()
+			logs[i] = append(logs[i], shardFire{now, arg})
+			if now < horizon {
+				r.AtIndexed(now+shardDelay(rng, now), arg)
+			}
+			if rng.Intn(4) == 0 {
+				r.At(now+shardDelay(rng, now), logAt(shardTagAt|arg))
+			}
+		}
+		r.Every(time.Duration(i)*time.Millisecond, 7*time.Millisecond, func() {
+			logAt(shardTagEvery)()
+			now := r.Now()
+			r.At((now/shardWindow+1)*shardWindow, logAt(shardTagEvery|shardTagAt))
+		})
+		for k := 0; k < 40; k++ {
+			at := time.Duration(rng.Int63n(int64(horizon / 2)))
+			if k%5 == 0 {
+				at = at / shardWindow * shardWindow // on a boundary
+			}
+			r.AtIndexed(at, uint64(k))
+			if k%8 == 0 {
+				r.At(at, logAt(shardTagAt|uint64(k)))
+			}
+		}
 	}
-	if ss.Now() != 30*time.Millisecond {
-		t.Fatalf("Now = %v", ss.Now())
+	return logs
+}
+
+// drainWindowed is the slow twin of ShardedScheduler.RunUntil: it stops
+// every region at each shardWindow boundary before any region enters the
+// next window.
+func drainWindowed(ss *ShardedScheduler, t time.Duration) {
+	for end := shardWindow; ; end += shardWindow {
+		end = min(end, t)
+		for i := 0; i < ss.Regions(); i++ {
+			ss.Region(i).RunUntil(end)
+		}
+		if end == t {
+			return
+		}
+	}
+}
+
+// TestShardedDrainMatchesWindowed is the drain-order oracle: running
+// each region straight to the horizon, at one worker or eight, must
+// fire exactly what the windowed drain fires, in the same order, with
+// the same clocks and the same events left parked.
+func TestShardedDrainMatchesWindowed(t *testing.T) {
+	const regions, horizon = 16, 300 * time.Millisecond
+	ref := NewShardedScheduler(regions, 1)
+	want := seedShardedWorkload(ref, horizon)
+	drainWindowed(ref, horizon)
+	fires, onBoundary := 0, 0
+	for _, log := range want {
+		fires += len(log)
+		for _, f := range log {
+			if f.at%shardWindow == 0 {
+				onBoundary++
+			}
+		}
+	}
+	if onBoundary < regions*int(horizon/shardWindow) {
+		t.Fatalf("workload too thin: %d of %d fires on window boundaries", onBoundary, fires)
+	}
+	t.Logf("%d fires, %d on window boundaries", fires, onBoundary)
+	for _, workers := range []int{1, 8} {
+		ss := NewShardedScheduler(regions, workers)
+		got := seedShardedWorkload(ss, horizon)
+		ss.RunUntil(horizon)
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("workers=%d region %d: %d fires, windowed %d", workers, i, len(got[i]), len(want[i]))
+			}
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("workers=%d region %d fire %d: %+v, windowed %+v", workers, i, j, got[i][j], want[i][j])
+				}
+			}
+			if g, w := ss.Region(i).Now(), ref.Region(i).Now(); g != w {
+				t.Fatalf("workers=%d region %d: Now %v, windowed %v", workers, i, g, w)
+			}
+			if g, w := ss.Region(i).Pending(), ref.Region(i).Pending(); g != w {
+				t.Fatalf("workers=%d region %d: %d pending, windowed %d", workers, i, g, w)
+			}
+		}
 	}
 }
 
