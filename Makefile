@@ -217,11 +217,15 @@ determinism-smoke: build
 
 # Determinism gate (ROADMAP item 1a, "gate first"): the two
 # determinism tests at GOMAXPROCS 1/2/8 x -count=DET_COUNT, one pass
-# ratio per cell. The ratios are the progress measure of ROADMAP item 1
-# — the tests ride the clock's settle heuristic and are red on a 2-CPU
-# host today — so the target reports and never fails, and `check` does
-# not run it yet. A change to the clock or to a parked wait compares
-# its ratios against its parent's.
+# ratio per cell. The ratios are the progress measure of ROADMAP item 1.
+# No experiment world waits inside Block any more, so the settle
+# heuristic is out of their path; what is left is same-instant
+# concurrency among tracked wakes (item 1c). Measured on a 2-CPU host
+# with DET_COUNT=20: TestExperimentsDeterministic 20/20/20 and
+# TestSerialParallelIdentical 20/20/19 at GOMAXPROCS 1/2/8, where the
+# Block-based waits scored 20/18/11 and 20/16/15. The target reports
+# and never fails, and `check` does not run it yet. A change to the
+# clock or to a parked wait compares its ratios against its parent's.
 DET_COUNT ?= 10
 determinism-gate:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

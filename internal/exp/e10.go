@@ -260,7 +260,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	tEnd := t0.Add(e10JoinStart + e10JoinWindow + e10Margin)
 	numPolls := int((e10JoinStart+e10JoinWindow+e10Margin-e10PollStart)/e10PollPeriod) + 1
 
-	var wg sync.WaitGroup
+	g := newGroup(clk)
 	var firstErr error
 	var errMu sync.Mutex
 	fail := func(err error) {
@@ -271,9 +271,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 		errMu.Unlock()
 	}
 
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
+	g.spawn(func() {
 		for k := 0; k < numPolls; k++ {
 			sleepUntil(clk, t0.Add(e10PollStart+time.Duration(k)*e10PollPeriod))
 			list, err := pollC.List("")
@@ -303,9 +301,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		joinAt[i] = t0.Add(e10JoinStart + time.Duration(i)*stagger)
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
+		g.spawn(func() {
 			sleepUntil(clk, joinAt[i])
 			c, err := registry.Dial(joinHost.Dial, regAddr)
 			if err != nil {
@@ -321,9 +317,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 
 	// Key churn during the join window: new subscribers publish while
 	// membership is in flux (in-process, like Scenario.AddUE does).
-	wg.Add(1)
-	clk.Go(func() {
-		defer wg.Done()
+	g.spawn(func() {
 		for j := 0; j < cfg.churn; j++ {
 			sleepUntil(clk, t0.Add(e10JoinStart+time.Duration(j)*churnStagger))
 			rec := registry.KeyRecord{
@@ -338,9 +332,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 		}
 	})
 
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	g.wait()
 	if firstErr != nil {
 		return pt, firstErr
 	}
@@ -427,9 +419,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	meshStart := clk.Now()
 	for k := 0; k < cfg.meshK; k++ {
 		k := k
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
+		g.spawn(func() {
 			sleepUntil(clk, meshStart.Add(time.Duration(k)*2*time.Millisecond))
 			c, err := registry.Dial(meshHosts[k].Dial, regAddr)
 			if err != nil {
@@ -453,9 +443,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			}
 		})
 	}
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	g.wait()
 	if firstErr != nil {
 		return pt, firstErr
 	}

@@ -187,17 +187,15 @@ func e2bWorld(r *e2bRun, packets int, seed int64) error {
 	clk := n.Clock()
 	payload := make([]byte, e2bPayloadBytes)
 	var (
-		wg      sync.WaitGroup
 		mu      sync.Mutex
 		longest time.Duration
 		okTotal int
 		firstE  error
 	)
+	g := newGroup(clk)
 	for i := range flows {
 		f := flows[i]
-		wg.Add(1)
-		clk.Go(func() {
-			defer wg.Done()
+		g.spawn(func() {
 			got, took, err := e2bStream(f.dev, f.sink, payload, packets)
 			mu.Lock()
 			defer mu.Unlock()
@@ -210,9 +208,7 @@ func e2bWorld(r *e2bRun, packets int, seed int64) error {
 			}
 		})
 	}
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	g.wait()
 	if firstE != nil {
 		return firstE
 	}

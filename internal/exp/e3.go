@@ -156,7 +156,7 @@ func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err e
 		aps = append(aps, ap)
 	}
 	hist := metrics.NewHistogram()
-	var wg sync.WaitGroup
+	g := newGroup(s.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	for i, ap := range aps {
@@ -177,11 +177,9 @@ func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err e
 			return 0, 0, 0, kerr
 		}
 		for _, d := range devices {
-			wg.Add(1)
 			d := d
 			ap := ap
-			s.Clock().Go(func() {
-				defer wg.Done()
+			g.spawn(func() {
 				r, aerr := d.Attach(ap.AirAddr(), 60*time.Second)
 				mu.Lock()
 				defer mu.Unlock()
@@ -193,10 +191,8 @@ func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err e
 			})
 		}
 	}
+	g.wait()
 	clk := s.Clock()
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}
@@ -250,7 +246,7 @@ func runCentralStorm(nAP int, seed int64, procs int) (p50, p99 float64, coreMsgs
 	}
 
 	hist := metrics.NewHistogram()
-	var wg sync.WaitGroup
+	g := newGroup(n.Clock())
 	var mu sync.Mutex
 	var firstErr error
 	for i := range sites {
@@ -270,9 +266,7 @@ func runCentralStorm(nAP int, seed int64, procs int) (p50, p99 float64, coreMsgs
 				return 0, 0, 0, derr
 			}
 			air := sites[i].air
-			wg.Add(1)
-			n.Clock().Go(func() {
-				defer wg.Done()
+			g.spawn(func() {
 				r, aerr := d.Attach(air, 120*time.Second)
 				mu.Lock()
 				defer mu.Unlock()
@@ -284,10 +278,8 @@ func runCentralStorm(nAP int, seed int64, procs int) (p50, p99 float64, coreMsgs
 			})
 		}
 	}
+	g.wait()
 	clk := n.Clock()
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -187,56 +188,44 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 	defer cli.Close()
 
 	clk := s.Clock()
+	vc := clk.(*simnet.VirtualClock)
 	// Probe loop: send seq, count echoes, track the largest gap.
 	const probePeriod = 10 * time.Millisecond
-	echoes := make(chan time.Time, 1024)
-	clk.Go(func() {
-		for {
-			if _, rerr := cli.Recv(5 * time.Second); rerr != nil {
-				return
-			}
-			select {
-			case echoes <- clk.Now():
-			default:
-			}
-		}
-	})
-	stop := make(chan struct{})
-	probeLoop := func(stopCh chan struct{}, c *transport.Client) func() {
+	echoes := simnet.NewMailbox[time.Time](vc, 1024)
+	readEchoes := func(c *transport.Client) func() {
 		return func() {
-			t := clk.NewTicker(probePeriod)
-			defer t.Stop()
 			for {
-				clk.Block()
-				select {
-				case <-stopCh:
-					clk.Unblock()
+				if _, rerr := c.Recv(5 * time.Second); rerr != nil {
 					return
-				case <-t.C:
-					clk.Unblock()
-					c.Send([]byte("probe"))
 				}
+				echoes.Put(clk.Now())
 			}
 		}
 	}
-	clk.Go(probeLoop(stop, cli))
+	clk.Go(readEchoes(cli))
+	stop := simnet.NewMailbox[struct{}](vc, 1)
+	clk.Go(func() {
+		for {
+			if _, err := stop.Recv(probePeriod); !errors.Is(err, simnet.ErrDeadline) {
+				return
+			}
+			cli.Send([]byte("probe"))
+		}
+	})
 
 	// Warm up, then roam.
 	drainUntil(clk, echoes, 400*time.Millisecond)
 	aps[0].Mobility.Prepare("ap2", d.Publication(), -101)
 	// Flush any echo that slipped in between warm-up and the roam so
-	// the first item on the channel is genuinely post-roam.
+	// the first one received is genuinely post-roam.
 	for {
-		select {
-		case <-echoes:
-			continue
-		default:
+		if _, err := echoes.Recv(0); err != nil {
+			break
 		}
-		break
 	}
 	lastBefore := clk.Now()
 	if _, err := d.Attach(aps[1].AirAddr(), 15*time.Second); err != nil {
-		close(stop)
+		stop.Close()
 		return out, fmt.Errorf("re-attach: %w", err)
 	}
 
@@ -253,46 +242,26 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 		// Tear the dead connection down completely before redialing:
 		// its reader would otherwise keep consuming bearer packets
 		// meant for the new connection.
-		close(stop)
-		stop = make(chan struct{})
+		stop.Close()
 		cli.Close()
 		cli2, rerr := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},
 			transport.DialConfig{Mode: mode, Timeout: 15 * time.Second})
 		if rerr != nil {
-			close(stop)
 			return out, fmt.Errorf("legacy redial: %w", rerr)
 		}
 		defer cli2.Close()
 		cli2.Send([]byte("probe"))
-		clk.Go(func() {
-			for {
-				if _, rerr := cli2.Recv(5 * time.Second); rerr != nil {
-					return
-				}
-				select {
-				case echoes <- clk.Now():
-				default:
-				}
-			}
-		})
+		clk.Go(readEchoes(cli2))
 	}
 
 	// First echo after the roam bounds the disruption.
-	var firstAfter time.Time
-	giveUp := clk.NewTimer(10 * time.Second)
-	clk.Block()
-	select {
-	case firstAfter = <-echoes:
-		clk.Unblock()
-		giveUp.Stop()
-	case <-giveUp.C:
-		clk.Unblock()
-		close(stop)
+	firstAfter, err := echoes.Recv(10 * time.Second)
+	stop.Close()
+	if err != nil {
 		out.survived = false
 		out.disruptionMs = 10000
 		return out, nil
 	}
-	close(stop)
 	out.survived = true
 	out.disruptionMs = ms(firstAfter.Sub(lastBefore))
 	st := cli.Stats()
@@ -301,16 +270,10 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 }
 
 // drainUntil consumes echo timestamps for the given duration.
-func drainUntil(clk simnet.Clock, ch chan time.Time, d time.Duration) {
-	deadline := clk.NewTimer(d)
-	defer deadline.Stop()
+func drainUntil(clk simnet.Clock, echoes *simnet.Mailbox[time.Time], d time.Duration) {
+	deadline := clk.Now().Add(d)
 	for {
-		clk.Block()
-		select {
-		case <-ch:
-			clk.Unblock()
-		case <-deadline.C:
-			clk.Unblock()
+		if _, err := echoes.Recv(clk.Until(deadline)); err != nil {
 			return
 		}
 	}

@@ -10,6 +10,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"dlte/internal/auth"
@@ -62,6 +63,41 @@ func Mbps(bps float64) float64 { return bps / 1e6 }
 
 // ms converts a duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// group joins a batch of clock goroutines through the clock's own
+// accounting: each member puts one token on a mailbox deep enough for
+// all of them, and wait takes the tokens back. The joining goroutine
+// thus parks in a receive the clock tracks; a WaitGroup wake would be
+// invisible to it.
+type group struct {
+	clk  simnet.Clock
+	done *simnet.Mailbox[struct{}]
+	n    int
+}
+
+func newGroup(clk simnet.Clock) *group {
+	return &group{clk: clk, done: simnet.NewMailbox[struct{}](clk.(*simnet.VirtualClock), math.MaxInt)}
+}
+
+// spawn runs fn on a clock goroutine that the next wait joins. Only the
+// joining goroutine calls spawn and wait.
+func (g *group) spawn(fn func()) {
+	g.n++
+	g.clk.Go(func() {
+		defer g.done.Put(struct{}{})
+		fn()
+	})
+}
+
+// wait returns once every goroutine spawned has returned, or the
+// clock has closed.
+func (g *group) wait() {
+	for ; g.n > 0; g.n-- {
+		if _, err := g.done.Wait(); err != nil {
+			return
+		}
+	}
+}
 
 // defaultWAN is the scenario-wide Internet link: 10 ms one-way,
 // uncongested.

@@ -29,48 +29,6 @@ func clockConformance(t *testing.T, clk Clock) {
 		t.Errorf("Until(+1s) = %v", u)
 	}
 
-	// NewTimer fires once, roughly on time, and a second receive would
-	// block (buffered chan of one send).
-	start = clk.Now()
-	tm := clk.NewTimer(15 * time.Millisecond)
-	clk.Block()
-	at := <-tm.C
-	clk.Unblock()
-	if at.Sub(start) < 15*time.Millisecond {
-		t.Errorf("timer fired early: %v", at.Sub(start))
-	}
-	if tm.Stop() {
-		t.Error("Stop after fire reported true")
-	}
-
-	// Stop before fire prevents delivery.
-	tm2 := clk.NewTimer(time.Hour)
-	if !tm2.Stop() {
-		t.Error("Stop before fire reported false")
-	}
-
-	// After is a one-shot convenience for NewTimer.
-	start = clk.Now()
-	clk.Block()
-	<-clk.After(5 * time.Millisecond)
-	clk.Unblock()
-	if got := clk.Since(start); got < 5*time.Millisecond {
-		t.Errorf("After(5ms) returned after only %v", got)
-	}
-
-	// Ticker fires repeatedly with at least the period between ticks.
-	tk := clk.NewTicker(5 * time.Millisecond)
-	start = clk.Now()
-	for i := 0; i < 3; i++ {
-		clk.Block()
-		<-tk.C
-		clk.Unblock()
-	}
-	tk.Stop()
-	if got := clk.Since(start); got < 15*time.Millisecond {
-		t.Errorf("3 ticks of 5ms took only %v", got)
-	}
-
 	// Go runs the function; Block/Unblock bracket foreign waits.
 	done := make(chan struct{})
 	clk.Go(func() {
@@ -178,22 +136,9 @@ func TestVirtualClockCloseReleasesSleepers(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Close did not release a parked sleeper")
 	}
-}
-
-func TestVirtualClockStopAfterClose(t *testing.T) {
-	// Regression: Timer.Stop after Close used to call heap.Remove with
-	// a stale index into the already-cleared heap and panic.
-	clk := NewVirtual()
-	tm := clk.NewTimer(time.Hour)
-	tk := clk.NewTicker(time.Hour)
-	clk.Close()
-	tm.Stop()
-	tk.Stop()
 	clk.Close() // double Close is a no-op
 	// Clock calls after Close stay safe.
 	clk.Sleep(time.Hour)
-	t2 := clk.NewTimer(time.Hour)
-	t2.Stop()
 }
 
 func TestClockOf(t *testing.T) {
@@ -264,45 +209,6 @@ func TestBlockFreeWorldNeverSettles(t *testing.T) {
 	}
 	if y := settleYields(vc); y != 0 {
 		t.Errorf("a Block-free world ran %d settle yields, want 0", y)
-	}
-}
-
-// TestBlockedWorldStillSettles: a goroutine inside Block, woken by a
-// dispatch handler's plain channel send plus Poke, is still caught by
-// the settle loop before time moves on to the driver's next event.
-func TestBlockedWorldStillSettles(t *testing.T) {
-	n := NewVirtualNetwork(Link{}, 1)
-	defer n.Close()
-	vc := n.clock
-	ch := make(chan struct{}, 1)
-	cont := n.NewContinuation(func(uint64) {
-		ch <- struct{}{}
-		Poke(vc)
-	})
-	woke := NewMailbox[time.Duration](vc, 1)
-	const rounds = 20
-	vc.Go(func() {
-		for i := 0; i < rounds; i++ {
-			vc.Block()
-			<-ch
-			vc.Unblock()
-			woke.Put(vc.Now().Sub(virtualEpoch))
-		}
-	})
-	for i := 0; i < rounds; i++ {
-		at := vc.Now().Add(5 * time.Millisecond)
-		cont.After(5*time.Millisecond, 0)
-		vc.Sleep(10 * time.Millisecond) // the next event after the wake
-		got, err := woke.Recv(0)
-		if err != nil {
-			t.Fatalf("round %d: the blocked goroutine had not run by +10ms: %v", i, err)
-		}
-		if want := at.Sub(virtualEpoch); got != want {
-			t.Fatalf("round %d: the blocked goroutine ran at %v, want %v: time moved past its wake", i, got, want)
-		}
-	}
-	if settleYields(vc) == 0 {
-		t.Error("a world with a goroutine inside Block never settled")
 	}
 }
 

@@ -118,8 +118,9 @@ func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
 // mid-stream loses nothing and shifts no timestamps. After
 // installation the blocking Read path must not be used again. The
 // caller must be a clock-registered goroutine, and h must not block on
-// clock waits (no Sleep, no blocking simnet reads); a handler that
-// wakes other goroutines through plain channels must call Poke.
+// clock waits (no Sleep, no blocking simnet reads). h wakes goroutines
+// only through a simnet write or a Mailbox.Put, the wakes the clock
+// tracks (DESIGN.md §14).
 func (c *Conn) OnDeliver(h func(data []byte), onClose func()) {
 	d := c.network.dispatcherFor()
 	dc := d.register()

@@ -12,10 +12,10 @@ import "time"
 // connection's arrival at a listener.
 //
 // fn runs under the handler contract (DESIGN.md §14): it must not block
-// on the clock, and it must Poke if it wakes a goroutine through
-// anything but a simnet write. Unlike a conn's deliveries, an
-// endpoint's continuation events are not FIFO: each fires at its own
-// instant, so a short wait scheduled after a long one fires first.
+// on the clock, and it wakes goroutines only through a simnet write or
+// a Mailbox.Put. Unlike a conn's deliveries, an endpoint's continuation
+// events are not FIFO: each fires at its own instant, so a short wait
+// scheduled after a long one fires first.
 // Continuation events are not counted as ExecStats.HandlerDispatches.
 type Continuation struct{ dc *dconn }
 

@@ -129,10 +129,9 @@ func TestOnAcceptOrdering(t *testing.T) {
 			at   time.Duration
 		}
 		start := clk.Now()
-		arrived := make(chan arrival, dialers+1)
+		arrived := NewMailbox[arrival](clk.(*VirtualClock), dialers+1)
 		l.OnAccept(func(c *Conn) {
-			arrived <- arrival{c.RemoteAddr().(Addr).Host, clk.Since(start)}
-			Poke(clk)
+			arrived.Put(arrival{c.RemoteAddr().(Addr).Host, clk.Since(start)})
 		})
 		near := n.MustAddHost("near")
 		n.SetLink("near", "srv", Link{Latency: lat / 3})
@@ -150,9 +149,10 @@ func TestOnAcceptOrdering(t *testing.T) {
 		want = append([]string{"near"}, want...)
 
 		for i, w := range want {
-			clk.Block()
-			got := <-arrived
-			clk.Unblock()
+			got, err := arrived.Recv(time.Second)
+			if err != nil {
+				t.Fatalf("arrival %d: %v", i, err)
+			}
 			if got.from != w {
 				t.Fatalf("arrival %d from %s, want %s", i, got.from, w)
 			}

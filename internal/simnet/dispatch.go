@@ -41,11 +41,14 @@ type dconn struct {
 	cont     func(arg uint64)                 // continuation endpoint (Continuation)
 
 	// closed marks a self-closed endpoint: deliveries already in
-	// flight are dropped when they fire. closeSent dedups the peer
-	// close event. lastAt is the latest delivery instant scheduled to
-	// this endpoint, so a close event never overtakes queued data.
-	// All three are guarded by the owning dispatcher's mutex.
-	closed    bool
+	// flight are dropped when they fire. It is set under the owning
+	// dispatcher's mutex and read atomically on the delivery thread,
+	// which a goroutine woken mid-batch may be closing the endpoint
+	// under. closeSent dedups the peer close event. lastAt is the
+	// latest delivery instant scheduled to this endpoint, so a close
+	// event never overtakes queued data. Both are guarded by the
+	// dispatcher's mutex.
+	closed    atomic.Bool
 	closeSent bool
 	lastAt    time.Duration
 
@@ -90,11 +93,6 @@ type dispatcher struct {
 	scratch []vrec
 	pending atomic.Int64
 
-	// woke notes that a delivery batch did something the quiescence
-	// detector cannot see on its own — an explicit Poke — so the
-	// advancer must run a settle round before moving time again.
-	woke atomic.Bool
-
 	connSeq atomic.Uint64
 
 	dispatches atomic.Uint64 // handler deliveries run (ExecStats)
@@ -126,7 +124,7 @@ func (d *dispatcher) register() *dconn {
 // the clock's base). Caller must not hold d.mu.
 func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Duration, isClose, force bool) {
 	d.mu.Lock()
-	if (dc.closed && !force) || (dc.bounded && dc.inflight >= inboxDepth) {
+	if (dc.closed.Load() && !force) || (dc.bounded && dc.inflight >= inboxDepth) {
 		d.mu.Unlock()
 		payloadPut(data)
 		return
@@ -196,13 +194,9 @@ func (d *dispatcher) flush() {
 // run-to-completion: each sub-batch is sorted by conn ID (write order
 // within a conn is already preserved by wheel seq order), handlers run
 // in that order, and deliveries they schedule for the same instant form
-// the next sub-batch until the instant drains. It reports whether the
-// batch might have made a registered goroutine runnable behind the
-// clock's back (a Poke happened), which tells the advancer whether the
-// next step needs a settle round. Called by the advancer with the clock's
-// mutex released and virtual time already at `at`.
-func (d *dispatcher) runAt(at time.Duration) bool {
-	d.woke.Store(false)
+// the next sub-batch until the instant drains. Called by the advancer
+// with the clock's mutex released and virtual time already at `at`.
+func (d *dispatcher) runAt(at time.Duration) {
 	for {
 		d.mu.Lock()
 		d.batch = d.batch[:0]
@@ -237,7 +231,6 @@ func (d *dispatcher) runAt(at time.Duration) bool {
 			d.deliver(&d.scratch[i])
 		}
 	}
-	return d.woke.Load()
 }
 
 // stableSortByConn orders a sub-batch by conn ID, preserving input
@@ -254,14 +247,13 @@ func stableSortByConn(recs []vrec) {
 // deliver runs one record. The payload buffer is valid only for the
 // duration of the handler call.
 func (d *dispatcher) deliver(r *vrec) {
-	d.run(r.dc, r.dc.closed && !r.force, r.data, r.from, r.arg, r.isClose)
+	d.run(r.dc, r.dc.closed.Load() && !r.force, r.data, r.from, r.arg, r.isClose)
 }
 
 // run executes one matured event on its endpoint, on the advancer's
 // delivery thread. Only conn and packet deliveries count as handler
 // dispatches; continuation events (timers, connection arrivals) do not.
-// drop is the endpoint's closed flag as read under the dispatcher's
-// lock.
+// drop is the endpoint's closed flag as read at delivery.
 func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg uint64, isClose bool) {
 	switch {
 	case drop: // endpoint closed itself while the event was in flight
@@ -288,18 +280,6 @@ func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg u
 			dc.onData(data)
 		}
 		payloadPut(data)
-	}
-}
-
-// Poke tells a virtual clock that the calling handler made a goroutine
-// runnable through something other than a simnet write — a send on an
-// application channel, a cond broadcast — so the clock must settle the
-// scheduler before advancing time. Handlers that only write simnet
-// conns never need it. It is a no-op on Wall, which code shared with
-// real sockets may hold (ClockOf).
-func Poke(clk Clock) {
-	if vc, ok := clk.(*VirtualClock); ok {
-		vc.Poke()
 	}
 }
 
@@ -359,7 +339,7 @@ func (d *dispatcher) sendClose(dc *dconn, force bool) {
 // flight are dropped when they fire.
 func (d *dispatcher) markClosed(dc *dconn) {
 	d.mu.Lock()
-	dc.closed = true
+	dc.closed.Store(true)
 	d.mu.Unlock()
 }
 

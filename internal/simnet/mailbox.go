@@ -6,8 +6,8 @@ import (
 )
 
 // Mailbox is a bounded FIFO whose receive side waits through the clock
-// instead of around it: the one wait primitive that needs neither
-// Block/Unblock, nor a Timer, nor a Poke from the producer.
+// instead of around it: with Sleep, the only way a goroutine in a
+// simulated world waits (see Clock).
 //
 // A parked Recv is a timed waiter on the clock's own heap, like a
 // Sleep. A Put that finds a receiver parked cancels that

@@ -195,16 +195,15 @@ func TestMailboxConcurrentReceivers(t *testing.T) {
 
 // TestMailboxHandlerWakeIsTracked pins the wake contract on a virtual
 // clock: a Put from a dispatch handler to a parked receiver is a busy
-// slot transfer under the clock's mutex — no generation bump, no woke
-// flag, so no deep settle — and a Put with nobody parked touches no
-// clock state at all. Steady state allocates nothing.
+// slot transfer under the clock's mutex — no generation bump, so
+// nothing for a settle round to catch — and a Put with nobody parked
+// touches no clock state at all. Steady state allocates nothing.
 func TestMailboxHandlerWakeIsTracked(t *testing.T) {
 	n := NewVirtualNetwork(Link{}, 1)
 	defer n.Close()
 	vc := n.clock
 	m := NewMailbox[uint64](vc, 4)
 	cont := n.NewContinuation(func(arg uint64) { m.Put(arg) })
-	d := n.disp.Load()
 
 	roundTrip := func() {
 		cont.After(time.Millisecond, 9)
@@ -228,9 +227,6 @@ func TestMailboxHandlerWakeIsTracked(t *testing.T) {
 		t.Errorf("10 parked receives armed %d waiters", vc.seq-seq)
 	}
 	vc.mu.Unlock()
-	if d.woke.Load() {
-		t.Error("handler Put flagged an untracked wake")
-	}
 	if got := vc.parks.Load() - parks; got != 10 {
 		t.Errorf("10 receives parked %d times", got)
 	}

@@ -99,8 +99,8 @@ func (p *PacketConn) LocalAddr() net.Addr { return p.addr }
 // dispatcher and valid only for the duration of the call. Packets
 // already buffered are re-registered at their original delivery
 // instants. The same handler contract as Conn.OnDeliver applies: no
-// clock waits inside h, and Poke after waking goroutines through
-// channels the clock cannot see (a Mailbox.Put needs none).
+// clock waits inside h, and wakes only through a simnet write or a
+// Mailbox.Put.
 func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	d := p.host.net.dispatcherFor()
 	dc := d.register()

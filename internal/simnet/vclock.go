@@ -11,8 +11,7 @@ import (
 // VirtualClock is a deterministic discrete-event Clock. It tracks how
 // many registered goroutines are runnable ("busy"); when that count
 // reaches zero the world is quiescent — everyone is parked in a clock
-// wait (Sleep, a Mailbox receive, a Timer in a select, a Block-bracketed
-// channel op) —
+// wait (Sleep, a Mailbox receive, a delivery hold, a Block bracket) —
 // and a background advancer jumps virtual time straight to the next
 // timer's expiry and fires it. Simulated latencies therefore cost
 // microseconds of wall time instead of their face value, and two runs
@@ -53,19 +52,15 @@ type VirtualClock struct {
 	parks atomic.Uint64 // goroutine parks: Sleep, Block, Mailbox receives, delivery holds
 }
 
-// vwaiter is one scheduled wakeup. Exactly one of wake/ch is set:
-// wake is a parked goroutine's 1-buffered token channel (the advancer
-// transfers the busy slot to it before sending); ch is a Timer/Ticker
-// target whose receiver, if any, accounts for itself via Block/Unblock.
-// A negative at marks an untimed park: idx then indexes c.untimed, not
-// the heap.
+// vwaiter is one parked goroutine's wakeup: wake is its 1-buffered
+// token channel. The advancer, or unpark's caller, transfers the busy
+// slot to it before sending; Close just sends. A negative at marks an
+// untimed park: idx then indexes c.untimed, not the heap.
 type vwaiter struct {
-	at     time.Duration
-	seq    uint64
-	idx    int
-	wake   chan struct{}
-	ch     chan time.Time
-	period time.Duration // > 0 re-arms (Ticker)
+	at   time.Duration
+	seq  uint64
+	idx  int
+	wake chan struct{}
 }
 
 // release lets the goroutine parked on w run by sending its one token.
@@ -182,9 +177,7 @@ func (c *VirtualClock) Close() {
 	for _, ws := range [][]*vwaiter{c.timers, c.untimed} {
 		for _, w := range ws {
 			w.idx = -1
-			if w.wake != nil {
-				w.release()
-			}
+			w.release()
 		}
 	}
 	for _, b := range c.barriers {
@@ -244,15 +237,6 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	sleepWaiters.Put(w)
 }
 
-// pushWaiterLocked schedules ch, a Timer/Ticker target, to fire d from
-// now.
-func (c *VirtualClock) pushWaiterLocked(d time.Duration, ch chan time.Time) *vwaiter {
-	c.seq++
-	w := &vwaiter{at: c.now + d, seq: c.seq, ch: ch}
-	heap.Push(&c.timers, w)
-	return w
-}
-
 // parkLocked gives up the caller's busy slot until w is released: by
 // the advancer at virtual instant at (a heap entry), or — for a
 // negative at, an untimed park — only by unpark or Close. An untimed
@@ -274,60 +258,6 @@ func (c *VirtualClock) parkLocked(w *vwaiter, at time.Duration) {
 	if c.busy == 0 {
 		c.cond.Broadcast()
 	}
-}
-
-// NewTimer implements Clock.
-func (c *VirtualClock) NewTimer(d time.Duration) *Timer {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return &Timer{C: ch, stop: func() bool { return false }}
-	}
-	if d <= 0 {
-		ch <- c.base.Add(c.now)
-		c.mu.Unlock()
-		return &Timer{C: ch, stop: func() bool { return false }}
-	}
-	w := c.pushWaiterLocked(d, ch)
-	if c.busy == 0 {
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-	return &Timer{C: ch, stop: func() bool { return c.removeWaiter(w) }}
-}
-
-// After implements Clock.
-func (c *VirtualClock) After(d time.Duration) <-chan time.Time { return c.NewTimer(d).C }
-
-// NewTicker implements Clock.
-func (c *VirtualClock) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("simnet: non-positive Ticker period")
-	}
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return &Ticker{C: ch, stop: func() {}}
-	}
-	w := c.pushWaiterLocked(d, ch)
-	w.period = d
-	if c.busy == 0 {
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-	return &Ticker{C: ch, stop: func() { c.removeWaiter(w) }}
-}
-
-func (c *VirtualClock) removeWaiter(w *vwaiter) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w.idx < 0 {
-		return false
-	}
-	heap.Remove(&c.timers, w.idx)
-	return true
 }
 
 // Go implements Clock: fn runs registered, so virtual time stands
@@ -404,7 +334,8 @@ func (c *VirtualClock) unpark(w *vwaiter) bool {
 
 // Block implements Clock. While any goroutine is inside a Block/Unblock
 // bracket the advancer settles the scheduler before every step, since
-// such a goroutine can be made runnable behind the clock's back.
+// such a goroutine can be made runnable behind the clock's back. Only
+// waits outside the simulator need it; see Clock.
 func (c *VirtualClock) Block() {
 	c.mu.Lock()
 	c.busy--
@@ -482,8 +413,8 @@ func (c *VirtualClock) holdDelivery(w *vwaiter, b *vbarrier, at time.Time) {
 	<-w.wake // fired: the advancer transferred our busy slot back
 }
 
-// Pending reports the number of scheduled wakeups (timers and
-// tickers). Intended for tests.
+// Pending reports the number of timed parks (sleeps, mailbox receives
+// with a timeout, delivery holds). Intended for tests.
 func (c *VirtualClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -506,20 +437,6 @@ func (c *VirtualClock) nowDur() time.Duration {
 	return c.now
 }
 
-// Poke tells the clock that the calling dispatch handler made a
-// registered goroutine runnable through something the clock cannot see
-// (an application channel send, a cond broadcast), so the advancer
-// must run a settle round before moving time again. See Poke (the
-// package function) for the handler-facing contract.
-func (c *VirtualClock) Poke() {
-	c.mu.Lock()
-	c.gen++
-	for _, d := range c.disp {
-		d.woke.Store(true)
-	}
-	c.mu.Unlock()
-}
-
 // stabilizeRounds bounds the advancer's settle loop: how many yield
 // rounds of unchanged state it requires before trusting that no woken
 // goroutine is still on a run queue waiting to declare itself busy.
@@ -529,44 +446,20 @@ func (c *VirtualClock) Poke() {
 // of ours.
 const stabilizeRounds = 12
 
-// wakeStabilizeRounds is the settle budget after a step that carried a
-// wake signal the clock cannot track — a dispatch handler that woke a
-// goroutine through a plain channel send (Poke). Unlike a Mailbox wake,
-// such a wake is only caught if the woken goroutine gets scheduled
-// within the settle window, so the window must absorb ambient
-// scheduler load (GC assists, a dying world's stragglers).
-// The full budget is burned only when the signal turns out to have
-// woken nobody — any actual wake exits the loop early via the
-// busy/gen check — and wake steps are a small fraction of advances,
-// so the deep budget does not tax the common quiet step.
-const wakeStabilizeRounds = 64
+// maxStabilizeRounds caps the scaled settle budget. Yields under load
+// execute other worlds' useful work, so a generous cap costs little
+// wall time; it only bounds advancer latency on an otherwise idle
+// scheduler.
+const maxStabilizeRounds = 384
 
-// maxStabilizeRounds / maxWakeStabilizeRounds cap the scaled settle
-// budgets. Yields under load execute other worlds' useful work, so a
-// generous cap costs little wall time; it only bounds advancer latency
-// on an otherwise idle scheduler.
-const (
-	maxStabilizeRounds     = 384
-	maxWakeStabilizeRounds = 1024
-)
-
-// settleRounds is the current settle budget: the per-world base
-// (deeper when the last step carried an untracked wake signal) per
+// settleRounds is the current settle budget: the per-world base per
 // live VirtualClock sharing the scheduler.
-func settleRounds(deep bool) int {
+func settleRounds() int {
 	n := int(liveClocks.Load())
 	if n < 1 {
 		n = 1
 	}
-	base, cap := stabilizeRounds, maxStabilizeRounds
-	if deep {
-		base, cap = wakeStabilizeRounds, maxWakeStabilizeRounds
-	}
-	r := base * n
-	if r > cap {
-		r = cap
-	}
-	return r
+	return min(stabilizeRounds*n, maxStabilizeRounds)
 }
 
 // stepKind classifies what one advancer step did, which decides
@@ -576,7 +469,7 @@ type stepKind int
 const (
 	stepIdle     stepKind = iota // nothing to step
 	stepQuiet                    // moved time only; nobody became runnable
-	stepWake                     // fired a timer: someone may be runnable
+	stepWake                     // released a parked goroutine
 	stepDispatch                 // a dispatch batch is due at c.now
 )
 
@@ -599,7 +492,6 @@ func (c *VirtualClock) advance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	needSettle := true
-	deepSettle := false
 	for {
 		if c.closed {
 			// Deliveries scheduled during teardown (every conn close
@@ -616,32 +508,25 @@ func (c *VirtualClock) advance() {
 		}
 		if c.busy > 0 || !c.pendingWorkLocked() {
 			c.cond.Wait()
-			needSettle, deepSettle = true, false
+			needSettle = true
 			continue
 		}
-		if needSettle && !c.settleLocked(deepSettle) {
-			deepSettle = false // whoever woke will re-park through the clock
-			continue           // someone became runnable; re-evaluate
+		if needSettle && !c.settleLocked() {
+			continue // someone became runnable; re-evaluate
 		}
 		kind, d := c.stepLocked()
 		switch kind {
-		case stepIdle:
-			needSettle, deepSettle = true, false
+		case stepIdle, stepWake:
+			needSettle = true
 		case stepQuiet:
 			needSettle = false
-		case stepWake:
-			needSettle, deepSettle = true, false
 		case stepDispatch:
 			at := c.now
 			gen := c.gen
 			c.mu.Unlock()
-			woke := d.runAt(at)
+			d.runAt(at)
 			c.mu.Lock()
-			needSettle = woke || c.gen != gen || c.busy > 0
-			// A woke flag or gen bump is an untracked wake: the woken
-			// goroutine may sit on a run queue for a while before it
-			// can declare itself busy, so the next settle digs deeper.
-			deepSettle = woke || c.gen != gen
+			needSettle = c.gen != gen || c.busy > 0
 		}
 	}
 }
@@ -667,16 +552,15 @@ func (c *VirtualClock) pendingWorkLocked() bool {
 // Only a goroutine inside Block can be such a receiver. With busy == 0
 // and blocked == 0 every registered goroutine is parked in a clock-owned
 // wait — a Sleep, a Mailbox receive, a delivery hold — and only the
-// advancer or unpark can release one, each doing busy++ under c.mu
-// first. Timer/Ticker fires and Poke wake goroutines inside Block by
-// contract. So with nobody blocked the yields could find no one, and
+// advancer, unpark or Close can release one, each doing busy++ under
+// c.mu first. So with nobody blocked the yields could find no one, and
 // the world is quiescent exactly.
-func (c *VirtualClock) settleLocked(deep bool) bool {
+func (c *VirtualClock) settleLocked() bool {
 	if c.blocked == 0 {
 		return true
 	}
 	gen := c.gen
-	rounds := settleRounds(deep)
+	rounds := settleRounds()
 	for i := 0; i < rounds; i++ {
 		c.mu.Unlock()
 		runtime.Gosched()
@@ -736,19 +620,8 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 		if w.at > c.now {
 			c.now = w.at
 		}
-		if w.wake != nil {
-			c.busy++ // transfer a busy slot to the woken sleeper
-			w.release()
-			return stepWake, nil
-		}
-		select {
-		case w.ch <- c.base.Add(c.now):
-		default: // ticker receiver lagging; skip the tick like time.Ticker
-		}
-		if w.period > 0 {
-			w.at += w.period
-			heap.Push(&c.timers, w)
-		}
+		c.busy++ // transfer a busy slot to the woken goroutine
+		w.release()
 		return stepWake, nil
 	}
 	if nextDispatch >= 0 {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -15,14 +16,14 @@ type Client struct {
 	mode Mode
 
 	mu       sync.Mutex
-	token    []byte // resume token from the last ACCEPT
-	accepted chan struct{}
-	accOnce  sync.Once
-	done     chan struct{}
+	token    []byte                    // resume token from the last ACCEPT
+	accepted *simnet.Mailbox[struct{}] // a token per ACCEPT (depth 1)
+	done     *simnet.Mailbox[struct{}] // never filled; closed by Close
 	doneOnce sync.Once
 	curPC    PacketConn
 	serverAt net.Addr
-	readerWG sync.WaitGroup
+	readers  int                       // legacy readers still running
+	exited   *simnet.Mailbox[struct{}] // a token per reader exit (depth 1)
 }
 
 // DialConfig shapes a client dial.
@@ -36,26 +37,32 @@ type DialConfig struct {
 	Timeout time.Duration
 }
 
-// Dial opens a session to server over pc.
+// Dial opens a session to server over pc, which must run on a
+// simnet.VirtualClock.
 func Dial(pc PacketConn, server net.Addr, cfg DialConfig) (*Client, error) {
+	clk, err := virtualClock(pc)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 3 * time.Second
 	}
 	cid := randomU64()
 	c := &Client{
-		session:  newSession(pc, server, cid),
+		session:  newSession(clk, pc, server, cid),
 		mode:     cfg.Mode,
-		accepted: make(chan struct{}),
-		done:     make(chan struct{}),
+		accepted: simnet.NewMailbox[struct{}](clk, 1),
+		done:     simnet.NewMailbox[struct{}](clk, 1),
 		curPC:    pc,
 		serverAt: server,
+		exited:   simnet.NewMailbox[struct{}](clk, 1),
 	}
 	if hs, ok := pc.(handlerSetter); ok {
 		// Run-to-completion ingress on this socket; see Migrate for how
 		// path changes swap the handler to the new socket.
 		hs.SetHandler(c.ingress)
 	} else {
-		c.readerWG.Add(1)
+		c.readers++
 		c.clk.Go(func() { c.readLoop(pc) })
 	}
 	c.clk.Go(c.retransmitLoop)
@@ -83,24 +90,16 @@ func Dial(pc PacketConn, server net.Addr, cfg DialConfig) (*Client, error) {
 func (c *Client) awaitAcceptRetry(hello Packet, timeout time.Duration) error {
 	deadline := c.clk.Now().Add(timeout)
 	for {
-		t := c.clk.NewTimer(rto)
-		c.clk.Block()
-		select {
-		case <-c.accepted:
-			c.clk.Unblock()
-			t.Stop()
+		_, err := c.accepted.Recv(rto)
+		switch {
+		case err == nil:
 			return nil
-		case <-c.done:
-			c.clk.Unblock()
-			t.Stop()
-			return ErrClosed
-		case <-t.C:
-			c.clk.Unblock()
-			if c.clk.Now().After(deadline) {
-				return fmt.Errorf("%w: handshake", ErrTimeout)
-			}
-			c.writeCtl(hello)
+		case !errors.Is(err, simnet.ErrDeadline):
+			return ErrClosed // Close closed accepted
+		case c.clk.Now().After(deadline):
+			return fmt.Errorf("%w: handshake", ErrTimeout)
 		}
+		c.writeCtl(hello)
 	}
 }
 
@@ -139,14 +138,11 @@ func (c *Client) Migrate(newPC PacketConn) {
 	// both swaps — the session never calls back into Client, so the
 	// c.mu → session.mu order cannot deadlock.
 	c.mu.Lock()
-	select {
-	case <-c.done:
-		// Closed (or closing): don't resurrect a reader on a socket
-		// nobody will ever close.
+	if isClosed(c.done) {
+		// Don't resurrect a reader on a socket nobody will ever close.
 		c.mu.Unlock()
 		newPC.Close()
 		return
-	default:
 	}
 	old := c.curPC
 	c.curPC = newPC
@@ -154,7 +150,7 @@ func (c *Client) Migrate(newPC PacketConn) {
 	c.session.migrate(newPC, server)
 	hs, handlerMode := newPC.(handlerSetter)
 	if !handlerMode {
-		c.readerWG.Add(1)
+		c.readers++
 	}
 	c.mu.Unlock()
 
@@ -188,15 +184,17 @@ func (c *Client) writeCtl(p Packet) error {
 	return err
 }
 
+// readLoop feeds the protocol machine from a socket without a handler
+// surface, until Close or a migration retires the socket.
 func (c *Client) readLoop(pc PacketConn) {
-	defer c.readerWG.Done()
+	defer func() {
+		c.mu.Lock()
+		c.readers--
+		c.mu.Unlock()
+		c.exited.Put(struct{}{})
+	}()
 	buf := make([]byte, 64*1024)
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
+	for !isClosed(c.done) {
 		pc.SetReadDeadline(c.clk.Now().Add(200 * time.Millisecond))
 		n, _, err := pc.ReadFrom(buf)
 		if err != nil {
@@ -221,10 +219,8 @@ func (c *Client) readLoop(pc PacketConn) {
 // and Migrate). data is the dispatcher's buffer, valid only for this
 // call; the packet's consumers copy what they keep.
 func (c *Client) ingress(data []byte, _ net.Addr) {
-	select {
-	case <-c.done:
+	if isClosed(c.done) {
 		return
-	default:
 	}
 	p, err := DecodePacket(data)
 	if err != nil || p.CID != c.cid {
@@ -242,12 +238,7 @@ func (c *Client) handlePkt(p Packet) {
 		c.mu.Lock()
 		c.token = append([]byte{}, p.Token...)
 		c.mu.Unlock()
-		c.accOnce.Do(func() {
-			close(c.accepted)
-			// The dialer parked on accepted wakes; tell a virtual clock
-			// when this runs inside a dispatch handler.
-			simnet.Poke(c.clk)
-		})
+		c.accepted.Put(struct{}{}) // a duplicate ACCEPT finds it full
 	case PktData:
 		// Ack first, deliver second: see ingestData.
 		ack, deliver, freed := c.ingestData(p)
@@ -262,19 +253,13 @@ func (c *Client) handlePkt(p Packet) {
 	}
 }
 
+// retransmitLoop runs a retransmit pass every rto/2 until Close.
 func (c *Client) retransmitLoop() {
-	tick := c.clk.NewTicker(rto / 2)
-	defer tick.Stop()
 	for {
-		c.clk.Block()
-		select {
-		case <-c.done:
-			c.clk.Unblock()
+		if _, err := c.done.Recv(rto / 2); !errors.Is(err, simnet.ErrDeadline) {
 			return
-		case <-tick.C:
-			c.clk.Unblock()
-			c.retransmitTick()
 		}
+		c.retransmitTick()
 	}
 }
 
@@ -282,7 +267,8 @@ func (c *Client) retransmitLoop() {
 func (c *Client) Close() {
 	c.doneOnce.Do(func() {
 		c.writeCtl(Packet{Type: PktClose, CID: c.cid})
-		close(c.done)
+		c.done.Close()
+		c.accepted.Close()
 		c.closeSession()
 		c.mu.Lock()
 		pc := c.curPC
@@ -290,8 +276,15 @@ func (c *Client) Close() {
 		if pc != nil {
 			pc.Close()
 		}
-		c.clk.Block()
-		c.readerWG.Wait()
-		c.clk.Unblock()
+		// Join the legacy readers: each exit re-checks the count.
+		for {
+			c.mu.Lock()
+			n := c.readers
+			c.mu.Unlock()
+			if n == 0 {
+				break
+			}
+			c.exited.Wait()
+		}
 	})
 }

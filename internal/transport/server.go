@@ -3,6 +3,7 @@ package transport
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"net"
 	"sort"
 	"sync"
@@ -23,14 +24,14 @@ type ServerConfig struct {
 type Server struct {
 	pc  PacketConn
 	cfg ServerConfig
-	clk simnet.Clock
+	clk *simnet.VirtualClock
 
 	mu       sync.Mutex
 	sessions map[uint64]*ServerSession
 	tokens   map[string]bool // valid resume tokens
 	cookies  map[uint64]uint64
 	closed   bool
-	done     chan struct{}
+	done     *simnet.Mailbox[struct{}] // never filled; closed by Close
 
 	resumes atomic64
 	fresh   atomic64
@@ -76,16 +77,21 @@ func (ss *ServerSession) Stats() SessionStats { return ss.stats() }
 // Resumed reports whether this session was 0-RTT resumed.
 func (ss *ServerSession) Resumed() bool { return ss.resumed }
 
-// NewServer starts a server on pc.
+// NewServer starts a server on pc. It panics unless pc runs on a
+// simnet.VirtualClock.
 func NewServer(pc PacketConn, cfg ServerConfig) *Server {
+	clk, err := virtualClock(pc)
+	if err != nil {
+		panic(err)
+	}
 	s := &Server{
 		pc:       pc,
 		cfg:      cfg,
-		clk:      simnet.ClockOf(pc),
+		clk:      clk,
 		sessions: make(map[uint64]*ServerSession),
 		tokens:   make(map[string]bool),
 		cookies:  make(map[uint64]uint64),
-		done:     make(chan struct{}),
+		done:     simnet.NewMailbox[struct{}](clk, 1),
 	}
 	if hs, ok := pc.(handlerSetter); ok {
 		// Run-to-completion ingress: each datagram runs the protocol
@@ -104,10 +110,8 @@ func NewServer(pc PacketConn, cfg ServerConfig) *Server {
 // every consumer copies what it keeps (ingestData copies payloads,
 // token lookups re-encode).
 func (s *Server) ingress(data []byte, from net.Addr) {
-	select {
-	case <-s.done:
+	if isClosed(s.done) {
 		return
-	default:
 	}
 	p, err := DecodePacket(data)
 	if err != nil {
@@ -141,12 +145,7 @@ func (s *Server) Stats() ServerStats {
 
 func (s *Server) readLoop() {
 	buf := make([]byte, 64*1024)
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
+	for !isClosed(s.done) {
 		s.pc.SetReadDeadline(s.clk.Now().Add(200 * time.Millisecond))
 		n, from, err := s.pc.ReadFrom(buf)
 		if err != nil {
@@ -255,7 +254,7 @@ func (s *Server) handleConfirm(p Packet, from net.Addr) {
 
 func (s *Server) accept(cid uint64, from net.Addr, resumed bool) {
 	ss := &ServerSession{
-		session: newSession(s.pc, from, cid),
+		session: newSession(s.clk, s.pc, from, cid),
 		srv:     s,
 		boundTo: from.String(),
 		resumed: resumed,
@@ -326,29 +325,24 @@ func (s *Server) issueToken() []byte {
 	return tok
 }
 
+// retransmitLoop runs a retransmit pass over every session every rto/2
+// until Close.
 func (s *Server) retransmitLoop() {
-	tick := s.clk.NewTicker(rto / 2)
-	defer tick.Stop()
 	for {
-		s.clk.Block()
-		select {
-		case <-s.done:
-			s.clk.Unblock()
+		if _, err := s.done.Recv(rto / 2); !errors.Is(err, simnet.ErrDeadline) {
 			return
-		case <-tick.C:
-			s.clk.Unblock()
-			s.mu.Lock()
-			sessions := make([]*ServerSession, 0, len(s.sessions))
-			for _, ss := range s.sessions {
-				sessions = append(sessions, ss)
-			}
-			s.mu.Unlock()
-			// CID order, not map order: retransmission wire order must
-			// not depend on Go's randomized map iteration.
-			sort.Slice(sessions, func(i, j int) bool { return sessions[i].cid < sessions[j].cid })
-			for _, ss := range sessions {
-				ss.retransmitTick()
-			}
+		}
+		s.mu.Lock()
+		sessions := make([]*ServerSession, 0, len(s.sessions))
+		for _, ss := range s.sessions {
+			sessions = append(sessions, ss)
+		}
+		s.mu.Unlock()
+		// CID order, not map order: retransmission wire order must not
+		// depend on Go's randomized map iteration.
+		sort.Slice(sessions, func(i, j int) bool { return sessions[i].cid < sessions[j].cid })
+		for _, ss := range sessions {
+			ss.retransmitTick()
 		}
 	}
 }
@@ -367,7 +361,7 @@ func (s *Server) Close() {
 	}
 	s.sessions = make(map[uint64]*ServerSession)
 	s.mu.Unlock()
-	close(s.done)
+	s.done.Close()
 	for _, ss := range sessions {
 		ss.closeSession()
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -10,8 +11,11 @@ import (
 	"dlte/internal/simnet"
 )
 
-// PacketConn is the datagram surface MST runs over (simnet.PacketConn
-// or net.UDPConn).
+// PacketConn is the datagram surface MST runs over: a simnet.PacketConn,
+// a ue.BearerConn, or any socket whose simnet.ClockOf is a
+// *simnet.VirtualClock. A session waits only through clock-owned
+// mailboxes, which exist only on virtual clocks, so MST does not run
+// over real UDP.
 type PacketConn interface {
 	WriteTo(b []byte, addr net.Addr) (int, error)
 	ReadFrom(b []byte) (int, net.Addr, error)
@@ -46,10 +50,10 @@ const maxWindow = 64
 // sends with cumulative acks and RTO retransmission, in-order
 // delivery, and a swappable (path-migratable) socket/peer.
 type session struct {
-	// clk governs all session timing (RTO, handshake timers, recv
-	// timeouts). It is derived from the socket at creation: virtual
-	// over simnet, wall over real UDP.
-	clk simnet.Clock
+	// clk governs all session timing (RTO, handshake retries, recv
+	// timeouts), and every session wait is a mailbox receive on it. It
+	// is the socket's clock (virtualClock).
+	clk *simnet.VirtualClock
 
 	mu     sync.Mutex
 	pc     PacketConn
@@ -62,12 +66,12 @@ type session struct {
 	nextSeq  uint64
 	sendBase uint64 // lowest unacked
 	inflight map[uint64]*inflightPkt
-	sendCond *sync.Cond
+	window   *simnet.Mailbox[struct{}] // one token: window space was freed
 
 	// Receive state.
 	expected uint64
 	pending  map[uint64][]byte
-	incoming chan []byte
+	incoming *simnet.Mailbox[[]byte]
 
 	// Stats.
 	sent, retransmits, delivered uint64
@@ -78,18 +82,33 @@ type inflightPkt struct {
 	lastTx  time.Time
 }
 
-func newSession(pc PacketConn, peer net.Addr, cid uint64) *session {
-	s := &session{
-		clk:      simnet.ClockOf(pc),
+// virtualClock returns the virtual clock pc runs on, or an error naming
+// the socket type when it runs on any other.
+func virtualClock(pc PacketConn) (*simnet.VirtualClock, error) {
+	if vc, ok := simnet.ClockOf(pc).(*simnet.VirtualClock); ok {
+		return vc, nil
+	}
+	return nil, fmt.Errorf("transport: %T does not run on a simnet virtual clock", pc)
+}
+
+// isClosed reports whether done, a mailbox nobody fills, has been
+// closed. It never parks, so dispatch handlers may call it.
+func isClosed(done *simnet.Mailbox[struct{}]) bool {
+	_, err := done.Recv(0)
+	return errors.Is(err, simnet.ErrClosed)
+}
+
+func newSession(clk *simnet.VirtualClock, pc PacketConn, peer net.Addr, cid uint64) *session {
+	return &session{
+		clk:      clk,
 		pc:       pc,
 		peer:     peer,
 		cid:      cid,
 		inflight: make(map[uint64]*inflightPkt),
+		window:   simnet.NewMailbox[struct{}](clk, 1),
 		pending:  make(map[uint64][]byte),
-		incoming: make(chan []byte, 1024),
+		incoming: simnet.NewMailbox[[]byte](clk, 1024),
 	}
-	s.sendCond = sync.NewCond(&s.mu)
-	return s
 }
 
 // CID reports the session's connection ID.
@@ -98,10 +117,15 @@ func (s *session) CID() uint64 { return s.cid }
 // send transmits one payload reliably.
 func (s *session) send(payload []byte) error {
 	s.mu.Lock()
+	waited := false
 	for !s.closed && !s.reset && len(s.inflight) >= maxWindow {
-		s.clk.Block()
-		s.sendCond.Wait()
-		s.clk.Unblock()
+		s.mu.Unlock()
+		s.window.Wait() // a freed-window token, or ErrClosed once the session ends
+		s.mu.Lock()
+		waited = true
+	}
+	if waited {
+		s.window.Put(struct{}{}) // another sender may wait on the same freed space
 	}
 	if s.closed {
 		s.mu.Unlock()
@@ -142,35 +166,20 @@ func (s *session) writePacket(pc PacketConn, peer net.Addr, p Packet) error {
 
 // recv delivers the next in-order payload.
 func (s *session) recv(timeout time.Duration) ([]byte, error) {
-	// Fast path: a payload is already buffered.
-	select {
-	case b, ok := <-s.incoming:
-		return s.recvResult(b, ok)
-	default:
-	}
-	t := s.clk.NewTimer(timeout)
-	defer t.Stop()
-	s.clk.Block()
-	defer s.clk.Unblock()
-	select {
-	case b, ok := <-s.incoming:
-		return s.recvResult(b, ok)
-	case <-t.C:
+	b, err := s.incoming.Recv(timeout)
+	switch {
+	case err == nil:
+		return b, nil
+	case errors.Is(err, simnet.ErrDeadline):
 		return nil, ErrTimeout
 	}
-}
-
-func (s *session) recvResult(b []byte, ok bool) ([]byte, error) {
-	if !ok {
-		s.mu.Lock()
-		reset := s.reset
-		s.mu.Unlock()
-		if reset {
-			return nil, ErrReset
-		}
-		return nil, ErrClosed
+	s.mu.Lock()
+	reset := s.reset
+	s.mu.Unlock()
+	if reset {
+		return nil, ErrReset
 	}
-	return b, nil
+	return nil, ErrClosed
 }
 
 // ingestData absorbs an inbound DATA packet: it applies the
@@ -209,29 +218,13 @@ func (s *session) ingestData(p Packet) (ack uint64, deliver [][]byte, freed bool
 
 // finishData completes ingestData: payloads reach the receiver and
 // window-blocked senders wake, after the ack is already on the wire.
+// A full or closed mailbox drops the payload, like a full socket buffer.
 func (s *session) finishData(deliver [][]byte, freed bool) {
-	s.mu.Lock()
-	// Deliver under the lock (sends are non-blocking) so a concurrent
-	// close cannot close the channel mid-send.
-	delivered := false
-	if !s.closed && !s.reset {
-		for _, d := range deliver {
-			select {
-			case s.incoming <- d:
-				delivered = true
-			default: // receiver not draining; drop like a full buffer
-			}
-		}
+	for _, d := range deliver {
+		s.incoming.Put(d)
 	}
 	if freed {
-		s.sendCond.Broadcast()
-	}
-	s.mu.Unlock()
-	if delivered || freed {
-		// A recv-parked app or window-blocked sender just became
-		// runnable; when this runs inside a dispatch handler the clock
-		// cannot see that wake on its own.
-		simnet.Poke(s.clk)
+		s.window.Put(struct{}{})
 	}
 }
 
@@ -239,17 +232,14 @@ func (s *session) finishData(deliver [][]byte, freed bool) {
 func (s *session) handleAck(ack uint64) {
 	s.mu.Lock()
 	freed := s.applyAckLocked(ack)
-	if freed {
-		s.sendCond.Broadcast()
-	}
 	s.mu.Unlock()
 	if freed {
-		simnet.Poke(s.clk)
+		s.window.Put(struct{}{})
 	}
 }
 
 // applyAckLocked discards acked inflight packets and reports whether
-// window space was freed. The caller decides when to broadcast.
+// window space was freed. The caller decides when to wake a sender.
 func (s *session) applyAckLocked(ack uint64) bool {
 	freed := false
 	for seq := range s.inflight {
@@ -323,10 +313,9 @@ func (s *session) markReset() {
 		return
 	}
 	s.reset = true
-	close(s.incoming)
-	s.sendCond.Broadcast()
 	s.mu.Unlock()
-	simnet.Poke(s.clk)
+	s.incoming.Close()
+	s.window.Close()
 }
 
 // closeSession ends the session locally.
@@ -338,10 +327,9 @@ func (s *session) closeSession() {
 		return
 	}
 	s.closed = true
-	close(s.incoming)
-	s.sendCond.Broadcast()
 	s.mu.Unlock()
-	simnet.Poke(s.clk)
+	s.incoming.Close()
+	s.window.Close()
 }
 
 // SessionStats reports transfer counters.

@@ -3,8 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,17 +31,9 @@ type rig struct {
 	addr   simnet.Addr
 }
 
-// newRig builds an echo server world on one P. A session's waits
-// (Recv, the send window, the retransmit ticker) are Block-bracketed
-// channel selects, whose wakes reach the virtual clock only through the
-// advancer's settle rounds: exact on one P, where every runnable
-// goroutine gets its turn inside one round of yields, and a guess on
-// several (ROADMAP item 1). The tests are about the protocol, not about
-// that guess.
+// newRig builds an echo server world.
 func newRig(t *testing.T, mode Mode, latency time.Duration) *rig {
 	t.Helper()
-	procs := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	r := &rig{}
 	r.net = simnet.NewVirtualNetwork(simnet.Link{Latency: latency}, 1)
 	t.Cleanup(r.net.Close)
@@ -255,10 +247,9 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 	defer c.Close()
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
+	exited := simnet.NewMailbox[struct{}](clk.(*simnet.VirtualClock), 2)
 	clk.Go(func() {
-		defer wg.Done()
+		defer exited.Put(struct{}{})
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -271,7 +262,7 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 	})
 	var echoes atomic.Int64
 	clk.Go(func() {
-		defer wg.Done()
+		defer exited.Put(struct{}{})
 		for {
 			select {
 			case <-stop:
@@ -296,9 +287,9 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 		clk.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	for i := 0; i < 2; i++ {
+		exited.Wait()
+	}
 	if echoes.Load() == before {
 		t.Fatal("no echoes after final migration: session lost its path")
 	}
@@ -522,4 +513,62 @@ func TestTokenSingleUse(t *testing.T) {
 	if st.Resumes != 1 {
 		t.Errorf("token reuse produced a resume: %+v", st)
 	}
+}
+
+// TestRecvReturnsWhenWorldCloses: a session Recv parked when its
+// network closes returns ErrTimeout at once, because the closing clock
+// releases a parked mailbox receive like any other timed wait.
+func TestRecvReturnsWhenWorldCloses(t *testing.T) {
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
+	vc := n.Clock().(*simnet.VirtualClock)
+	pc, err := n.MustAddHost("server").ListenPacket(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := simnet.NewMailbox[struct{}](vc, 1)
+	returned := make(chan error, 1)
+	srv := NewServer(pc, ServerConfig{Mode: Migratory, Handler: func(ss *ServerSession) {
+		parked.Put(struct{}{})
+		_, err := ss.Recv(time.Hour)
+		returned <- err
+	}})
+	cpc, err := n.MustAddHost("ue1").ListenPacket(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(cpc, simnet.Addr{Host: "server", Port: 7000}, DialConfig{Mode: Migratory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parked.Recv(time.Second); err != nil {
+		t.Fatalf("handler never started: %v", err)
+	}
+	vc.Sleep(time.Millisecond) // time moves only once the handler is parked in Recv
+	n.Close()
+	select {
+	case err := <-returned:
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("Recv at world close = %v, want ErrTimeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("a Recv parked when its network closed never returned")
+	}
+	c.Close()
+	srv.Close()
+}
+
+// TestRequiresVirtualClock: a socket on any clock but a VirtualClock is
+// refused by name.
+func TestRequiresVirtualClock(t *testing.T) {
+	var udp *net.UDPConn
+	if _, err := Dial(udp, simnet.Addr{Host: "server", Port: 7000}, DialConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "*net.UDPConn") {
+		t.Errorf("Dial over real UDP = %v, want an error naming *net.UDPConn", err)
+	}
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "*net.UDPConn") {
+			t.Errorf("NewServer over real UDP recovered %q, want a panic naming *net.UDPConn", r)
+		}
+	}()
+	NewServer(udp, ServerConfig{})
 }

@@ -12,8 +12,8 @@ import (
 // TestAwaitAllocatesNoTimer gates the one park of an Attach/Detach: the
 // caller waits on the done mailbox, whose timeout is the mailbox's own
 // embedded waiter, and the delivery handler's finish wakes it with a
-// tracked Put. No timer, no channel and no Poke per procedure: a
-// begin → finish → await cycle parks once and allocates nothing.
+// tracked Put. No timer and no channel per procedure: a begin → finish
+// → await cycle parks once and allocates nothing.
 func TestAwaitAllocatesNoTimer(t *testing.T) {
 	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer n.Close()

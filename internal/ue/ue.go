@@ -258,7 +258,7 @@ func (d *Device) begin(kind procKind, start time.Time) {
 // association st, and wakes the goroutine parked in await. A successful
 // attach registers here, its latency read off the clock at this
 // delivery's instant. The wake is a Mailbox Put, which the clock tracks
-// itself: no Poke.
+// itself.
 func (d *Device) finish(st *airState, kind procKind, err error) {
 	d.mu.Lock()
 	if d.st != st || d.proc != kind {
