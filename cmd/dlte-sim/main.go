@@ -31,38 +31,12 @@ import (
 	"dlte/internal/exp"
 )
 
-// runner pairs an experiment ID with its entry point.
-type runner struct {
-	id, title string
-	run       func(exp.Options) error
-}
-
-func runners() []runner {
-	wrap := func(f func(exp.Options) error) func(exp.Options) error { return f }
-	return []runner{
-		{"E1", "Table 1: design space", wrap(func(o exp.Options) error { _, err := exp.RunE1(o); return err })},
-		{"E2", "Figure 1: data path", wrap(func(o exp.Options) error { _, err := exp.RunE2(o); return err })},
-		{"E2b", "§3.1: user-plane saturation", wrap(func(o exp.Options) error { _, err := exp.RunE2b(o); return err })},
-		{"E3", "§4.1: core scaling", wrap(func(o exp.Options) error { _, err := exp.RunE3(o); return err })},
-		{"E4", "§4.2: mobility", wrap(func(o exp.Options) error { _, err := exp.RunE4(o); return err })},
-		{"E5", "§4.3: spectrum modes", wrap(func(o exp.Options) error { _, err := exp.RunE5(o); return err })},
-		{"E6", "§3.2: waveform & bands", wrap(func(o exp.Options) error { _, err := exp.RunE6(o); return err })},
-		{"E7", "§4.3: X2 overhead", wrap(func(o exp.Options) error { _, err := exp.RunE7(o); return err })},
-		{"E8", "§5: town deployment", wrap(func(o exp.Options) error { _, err := exp.RunE8(o); return err })},
-		{"E9", "§4.3/§7: hidden terminals & relay", wrap(func(o exp.Options) error { _, err := exp.RunE9(o); return err })},
-		{"E10", "§4.3: discovery at scale", wrap(func(o exp.Options) error { _, err := exp.RunE10(o); return err })},
-		{"E11", "§4.2 at scale: compiled mobility scenarios", wrap(func(o exp.Options) error { _, err := exp.RunE11(o); return err })},
-		{"E12", "§4.3: spectrum-coexistence frontier", wrap(func(o exp.Options) error { _, err := exp.RunE12(o); return err })},
-		{"E13", "§6: million-UE attach-and-idle world", wrap(func(o exp.Options) error { _, err := exp.RunE13(o); return err })},
-	}
-}
-
 // job is one experiment scheduled on the run's worker budget. Each
 // renders into its own buffer; the main goroutine prints buffers in
 // experiment order as they complete, so concurrent execution never
 // reorders or interleaves stdout.
 type job struct {
-	r    runner
+	e    exp.Experiment
 	buf  bytes.Buffer
 	err  error
 	took time.Duration
@@ -139,11 +113,11 @@ func main() {
 	}
 	want := strings.ToUpper(*expFlag)
 	var jobs []*job
-	for _, r := range runners() {
-		if want != "ALL" && want != strings.ToUpper(r.id) {
+	for _, e := range exp.Suite {
+		if want != "ALL" && want != strings.ToUpper(e.ID) {
 			continue
 		}
-		jobs = append(jobs, &job{r: r, done: make(chan struct{})})
+		jobs = append(jobs, &job{e: e, done: make(chan struct{})})
 	}
 	if len(jobs) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E13, E2b, or all)\n", *expFlag)
@@ -163,7 +137,7 @@ func main() {
 			for j := range queue {
 				opt := exp.Options{Quick: *quick, Seed: *seed, Out: &j.buf, Parallelism: workers, UEs: *ues}
 				start := time.Now()
-				j.err = j.r.run(opt)
+				j.err = j.e.Run(opt)
 				j.took = time.Since(start)
 				close(j.done)
 			}
@@ -172,15 +146,15 @@ func main() {
 
 	for _, j := range jobs {
 		<-j.done
-		fmt.Printf("### %s — %s\n\n", j.r.id, j.r.title)
+		j.e.WriteHeader(os.Stdout)
 		os.Stdout.Write(j.buf.Bytes())
 		if j.err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", j.r.id, j.err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", j.e.ID, j.err)
 			os.Exit(1)
 		}
 		// Wall time goes to stderr: stdout (the tables) is deterministic
 		// for a given seed, and stays byte-comparable across runs.
-		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", j.r.id, j.took.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", j.e.ID, j.took.Round(time.Millisecond))
 		fmt.Println()
 	}
 }

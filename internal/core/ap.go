@@ -75,7 +75,7 @@ type AccessPoint struct {
 	keyRev   uint64 // registry revision key sync is current through
 
 	s1Listener *simnet.Listener
-	x2Listener x2.Listener
+	x2Listener *simnet.Listener
 
 	mu             sync.Mutex
 	shares         map[string]float64 // negotiated airtime by AP ID
@@ -154,7 +154,7 @@ func NewAccessPoint(host *simnet.Host, cfg APConfig) (*AccessPoint, error) {
 		return nil, fmt.Errorf("core: X2 listen: %w", err)
 	}
 	ap.x2Listener = x2l
-	host.Clock().Go(func() { ap.Agent.Serve(x2l) })
+	ap.Agent.Serve(x2l)
 
 	return ap, nil
 }

@@ -413,8 +413,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			return pt, err
 		}
 		defer l.Close()
-		ag := agents[k]
-		clk.Go(func() { ag.Serve(l) })
+		agents[k].Serve(l)
 	}
 	meshStart := clk.Now()
 	for k := 0; k < cfg.meshK; k++ {

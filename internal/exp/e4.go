@@ -239,9 +239,9 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 			}
 			clk.Sleep(5 * time.Millisecond)
 		}
-		// Tear the dead connection down completely before redialing:
-		// its reader would otherwise keep consuming bearer packets
-		// meant for the new connection.
+		// Tear the dead connection down before redialing: Close stops
+		// its retransmit loop and returns at once, and the new
+		// connection's bearer takes over the device's downlink.
 		stop.Close()
 		cli.Close()
 		cli2, rerr := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},

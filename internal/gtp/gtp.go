@@ -13,6 +13,10 @@
 // never lock) and per-packet scratch comes from the shared simnet
 // payload pool (buffers released when their packet leaves the stack,
 // never garbage). See DESIGN.md §7.
+//
+// The endpoint receives only through its socket's delivery handler:
+// the demux runs inline on the network's dispatcher for each packet,
+// and the endpoint owns no goroutine.
 package gtp
 
 import (
@@ -22,7 +26,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlte/internal/metrics"
 	"dlte/internal/simnet"
@@ -98,12 +101,11 @@ func Decode(b []byte) (Header, []byte, error) {
 	return h, b[headerLen : headerLen+plen], nil
 }
 
-// PacketConn is the datagram surface the endpoint runs over; both
-// net.UDPConn and simnet.PacketConn satisfy it.
+// PacketConn is the datagram surface the endpoint runs over
+// (simnet.PacketConn), which receives only through SetHandler.
 type PacketConn interface {
 	WriteTo(b []byte, addr net.Addr) (int, error)
-	ReadFrom(b []byte) (int, net.Addr, error)
-	SetReadDeadline(t time.Time) error
+	SetHandler(h func(data []byte, from net.Addr))
 	Close() error
 }
 
@@ -111,19 +113,6 @@ type PacketConn interface {
 // the buffer's ownership transfers to the network on every path.
 type ownedWriter interface {
 	WriteOwnedTo(b []byte, addr net.Addr) (int, error)
-}
-
-// ownedReader is the zero-copy receive surface: the returned buffer is
-// pooled and owned by the caller.
-type ownedReader interface {
-	ReadFromOwned() ([]byte, net.Addr, error)
-}
-
-// handlerSetter is the run-to-completion receive surface
-// (simnet.PacketConn): inbound packets run the handler inline on the
-// network's dispatcher instead of waking a parked reader goroutine.
-type handlerSetter interface {
-	SetHandler(h func(data []byte, from net.Addr))
 }
 
 // Handler consumes a decapsulated user packet arriving on a tunnel.
@@ -194,10 +183,8 @@ type DropCounters struct {
 // Endpoint is one GTP-U node: it owns a packet socket, demultiplexes
 // inbound G-PDUs by TEID, and sends outbound G-PDUs per tunnel.
 type Endpoint struct {
-	pc  PacketConn
-	ow  ownedWriter // non-nil when pc supports zero-copy sends
-	or  ownedReader // non-nil when pc supports zero-copy reads
-	clk simnet.Clock
+	pc PacketConn
+	ow ownedWriter // non-nil when pc supports zero-copy sends
 
 	table  atomic.Pointer[tunnelTable]
 	closed atomic.Bool
@@ -206,33 +193,23 @@ type Endpoint struct {
 	mu       sync.Mutex // serializes table mutations; never on the packet path
 	nextTEID uint32
 	live     atomic.Int64 // tunnels in the table
-	done     chan struct{}
 }
 
-// NewEndpoint wraps pc and starts the demux loop.
+// NewEndpoint wraps pc and installs the demux as its delivery handler,
+// which it may be: demux never blocks on the clock and only views the
+// packet for the duration of the call.
 func NewEndpoint(pc PacketConn) *Endpoint {
 	e := &Endpoint{
 		pc:       pc,
-		clk:      simnet.ClockOf(pc),
 		nextTEID: 1,
-		done:     make(chan struct{}),
 		drops: DropCounters{
 			Malformed:   &metrics.Counter{},
 			UnknownTEID: &metrics.Counter{},
 		},
 	}
 	e.ow, _ = pc.(ownedWriter)
-	e.or, _ = pc.(ownedReader)
 	e.table.Store(&tunnelTable{})
-	if hs, ok := pc.(handlerSetter); ok {
-		// Run-to-completion: demux runs inline per delivered packet; no
-		// reader goroutine exists to leak or park. demux is already a
-		// conforming handler — it never blocks on the clock, and the
-		// pooled buffer is only viewed for the duration of the call.
-		hs.SetHandler(e.demux)
-	} else {
-		e.clk.Go(e.readLoop)
-	}
+	pc.SetHandler(e.demux)
 	return e
 }
 
@@ -358,45 +335,10 @@ func (e *Endpoint) demux(data []byte, from net.Addr) {
 	ts.handler(payload, from)
 }
 
-// readLoop demultiplexes inbound G-PDUs until Close. With a pooled
-// socket (simnet) it blocks directly on owned reads — no per-packet
-// deadline churn, no receive copy — and Close unblocks it by closing
-// the socket. Other sockets take the portable deadline-polling path.
-func (e *Endpoint) readLoop() {
-	if e.or != nil {
-		for {
-			data, from, err := e.or.ReadFromOwned()
-			if err != nil {
-				if e.closed.Load() || errors.Is(err, simnet.ErrClosed) {
-					return
-				}
-				continue // stray deadline; not set on this path
-			}
-			e.demux(data, from)
-			simnet.PutPayload(data)
-		}
-	}
-	buf := make([]byte, 64*1024)
-	for {
-		select {
-		case <-e.done:
-			return
-		default:
-		}
-		e.pc.SetReadDeadline(e.clk.Now().Add(200 * time.Millisecond))
-		n, from, err := e.pc.ReadFrom(buf)
-		if err != nil {
-			continue // deadline tick or transient; Close exits via done
-		}
-		e.demux(buf[:n], from)
-	}
-}
-
 // Close stops the endpoint and its socket.
 func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(e.done)
 	return e.pc.Close()
 }

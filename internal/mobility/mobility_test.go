@@ -252,7 +252,7 @@ func TestWireSizeMatchesAgentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Clock().Go(func() { dst.Serve(l) })
+	dst.Serve(l)
 	if _, err := src.Connect(n.MustAddHost("ap1").Dial, "ap2:36422"); err != nil {
 		t.Fatal(err)
 	}

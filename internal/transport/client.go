@@ -22,8 +22,6 @@ type Client struct {
 	doneOnce sync.Once
 	curPC    PacketConn
 	serverAt net.Addr
-	readers  int                       // legacy readers still running
-	exited   *simnet.Mailbox[struct{}] // a token per reader exit (depth 1)
 }
 
 // DialConfig shapes a client dial.
@@ -55,16 +53,9 @@ func Dial(pc PacketConn, server net.Addr, cfg DialConfig) (*Client, error) {
 		done:     simnet.NewMailbox[struct{}](clk, 1),
 		curPC:    pc,
 		serverAt: server,
-		exited:   simnet.NewMailbox[struct{}](clk, 1),
 	}
-	if hs, ok := pc.(handlerSetter); ok {
-		// Run-to-completion ingress on this socket; see Migrate for how
-		// path changes swap the handler to the new socket.
-		hs.SetHandler(c.ingress)
-	} else {
-		c.readers++
-		c.clk.Go(func() { c.readLoop(pc) })
-	}
+	// Migrate moves the handler to each new socket.
+	pc.SetHandler(c.ingress)
 	c.clk.Go(c.retransmitLoop)
 
 	hello := Packet{Type: PktHello, CID: cid, Token: cfg.ResumeToken}
@@ -139,7 +130,7 @@ func (c *Client) Migrate(newPC PacketConn) {
 	// c.mu → session.mu order cannot deadlock.
 	c.mu.Lock()
 	if isClosed(c.done) {
-		// Don't resurrect a reader on a socket nobody will ever close.
+		// Don't take over a socket nobody will ever close.
 		c.mu.Unlock()
 		newPC.Close()
 		return
@@ -148,23 +139,14 @@ func (c *Client) Migrate(newPC PacketConn) {
 	c.curPC = newPC
 	server := c.serverAt
 	c.session.migrate(newPC, server)
-	hs, handlerMode := newPC.(handlerSetter)
-	if !handlerMode {
-		c.readers++
-	}
 	c.mu.Unlock()
 
-	if handlerMode {
-		// Datagrams that land on newPC before this install are buffered
-		// pre-engagement and replayed to the handler in order.
-		hs.SetHandler(c.ingress)
-	} else {
-		c.clk.Go(func() { c.readLoop(newPC) })
-	}
+	// A simnet socket replays datagrams that landed before this install
+	// to the handler in order.
+	newPC.SetHandler(c.ingress)
 	if old != nil {
-		// Unblocks a legacy reader; in handler mode the close drops the
-		// old socket's in-flight deliveries — the stale-socket check the
-		// old reader loop performed.
+		// Drops the old socket's in-flight deliveries: a stale path
+		// feeds the session nothing.
 		old.Close()
 	}
 	// Nudge the new path immediately so the server re-binds without
@@ -182,37 +164,6 @@ func (c *Client) writeCtl(p Packet) error {
 	}
 	_, err = pc.WriteTo(b, server)
 	return err
-}
-
-// readLoop feeds the protocol machine from a socket without a handler
-// surface, until Close or a migration retires the socket.
-func (c *Client) readLoop(pc PacketConn) {
-	defer func() {
-		c.mu.Lock()
-		c.readers--
-		c.mu.Unlock()
-		c.exited.Put(struct{}{})
-	}()
-	buf := make([]byte, 64*1024)
-	for !isClosed(c.done) {
-		pc.SetReadDeadline(c.clk.Now().Add(200 * time.Millisecond))
-		n, _, err := pc.ReadFrom(buf)
-		if err != nil {
-			// A closed (migrated-away-from) socket ends this reader.
-			c.mu.Lock()
-			stale := c.curPC != pc
-			c.mu.Unlock()
-			if stale {
-				return
-			}
-			continue
-		}
-		p, err := DecodePacket(buf[:n])
-		if err != nil || p.CID != c.cid {
-			continue
-		}
-		c.handlePkt(p)
-	}
 }
 
 // ingress is the client's dispatch handler, installed per socket (Dial
@@ -275,16 +226,6 @@ func (c *Client) Close() {
 		c.mu.Unlock()
 		if pc != nil {
 			pc.Close()
-		}
-		// Join the legacy readers: each exit re-checks the count.
-		for {
-			c.mu.Lock()
-			n := c.readers
-			c.mu.Unlock()
-			if n == 0 {
-				break
-			}
-			c.exited.Wait()
 		}
 	})
 }

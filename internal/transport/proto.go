@@ -11,6 +11,12 @@
 // migrated client is RESET, and re-establishment costs a fresh 2-RTT
 // handshake. Experiment E4 measures exactly the gap between the two
 // under AP roaming.
+//
+// Endpoints receive only through the socket's delivery handler
+// (PacketConn.SetHandler): each inbound packet runs the protocol
+// machine inline on the network's dispatcher, and no reader goroutine
+// exists to poll or to join. Sockets are simnet datagram sockets or
+// ue.BearerConn, both on a simnet.VirtualClock.
 package transport
 
 import (

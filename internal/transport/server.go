@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dlte/internal/simnet"
@@ -33,28 +34,9 @@ type Server struct {
 	closed   bool
 	done     *simnet.Mailbox[struct{}] // never filled; closed by Close
 
-	resumes atomic64
-	fresh   atomic64
-	resets  atomic64
-}
-
-// atomic64 is a tiny mutex-free counter (single writer contention is
-// irrelevant here; a mutexed uint64 keeps it simple and race-free).
-type atomic64 struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (a *atomic64) inc() {
-	a.mu.Lock()
-	a.v++
-	a.mu.Unlock()
-}
-
-func (a *atomic64) get() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	resumes atomic.Uint64
+	fresh   atomic.Uint64
+	resets  atomic.Uint64
 }
 
 // ServerSession is the server's end of one session.
@@ -93,14 +75,7 @@ func NewServer(pc PacketConn, cfg ServerConfig) *Server {
 		cookies:  make(map[uint64]uint64),
 		done:     simnet.NewMailbox[struct{}](clk, 1),
 	}
-	if hs, ok := pc.(handlerSetter); ok {
-		// Run-to-completion ingress: each datagram runs the protocol
-		// machine inline on the network dispatcher; no reader goroutine,
-		// no read-deadline polling.
-		hs.SetHandler(s.ingress)
-	} else {
-		s.clk.Go(s.readLoop)
-	}
+	pc.SetHandler(s.ingress)
 	s.clk.Go(s.retransmitLoop)
 	return s
 }
@@ -136,26 +111,10 @@ func (s *Server) Stats() ServerStats {
 	n := len(s.sessions)
 	s.mu.Unlock()
 	return ServerStats{
-		FreshHandshakes: s.fresh.get(),
-		Resumes:         s.resumes.get(),
-		Resets:          s.resets.get(),
+		FreshHandshakes: s.fresh.Load(),
+		Resumes:         s.resumes.Load(),
+		Resets:          s.resets.Load(),
 		ActiveSessions:  n,
-	}
-}
-
-func (s *Server) readLoop() {
-	buf := make([]byte, 64*1024)
-	for !isClosed(s.done) {
-		s.pc.SetReadDeadline(s.clk.Now().Add(200 * time.Millisecond))
-		n, from, err := s.pc.ReadFrom(buf)
-		if err != nil {
-			continue
-		}
-		p, err := DecodePacket(buf[:n])
-		if err != nil {
-			continue
-		}
-		s.handle(p, from)
 	}
 }
 
@@ -191,11 +150,10 @@ func (s *Server) lookup(cid uint64) *ServerSession {
 
 func (s *Server) handleHello(p Packet, from net.Addr) {
 	s.mu.Lock()
-	if ss, ok := s.sessions[p.CID]; ok {
-		// Duplicate HELLO: re-ACK with the session's token.
+	if _, ok := s.sessions[p.CID]; ok {
+		// Duplicate HELLO: re-ACK with a fresh token.
 		s.mu.Unlock()
 		s.writeTo(Packet{Type: PktAccept, CID: p.CID, Token: s.issueToken()}, from)
-		_ = ss
 		return
 	}
 	s.mu.Unlock()
@@ -248,7 +206,7 @@ func (s *Server) handleConfirm(p Packet, from net.Addr) {
 		return
 	}
 	s.mu.Unlock()
-	s.resets.inc()
+	s.resets.Add(1)
 	s.writeTo(Packet{Type: PktReset, CID: p.CID}, from)
 }
 
@@ -273,9 +231,9 @@ func (s *Server) accept(cid uint64, from net.Addr, resumed bool) {
 	s.mu.Unlock()
 
 	if resumed {
-		s.resumes.inc()
+		s.resumes.Add(1)
 	} else {
-		s.fresh.inc()
+		s.fresh.Add(1)
 	}
 	s.writeTo(Packet{Type: PktAccept, CID: cid, Token: s.issueToken()}, from)
 	if s.cfg.Handler != nil {
@@ -286,14 +244,14 @@ func (s *Server) accept(cid uint64, from net.Addr, resumed bool) {
 func (s *Server) handleData(p Packet, from net.Addr) {
 	ss := s.lookup(p.CID)
 	if ss == nil {
-		s.resets.inc()
+		s.resets.Add(1)
 		s.writeTo(Packet{Type: PktReset, CID: p.CID}, from)
 		return
 	}
 	if s.cfg.Mode == Legacy && from.String() != ss.boundTo {
 		// The TCP failure mode: a packet from a new address does not
 		// belong to this connection.
-		s.resets.inc()
+		s.resets.Add(1)
 		s.writeTo(Packet{Type: PktReset, CID: p.CID}, from)
 		return
 	}

@@ -13,23 +13,14 @@ import (
 
 // PacketConn is the datagram surface MST runs over: a simnet.PacketConn,
 // a ue.BearerConn, or any socket whose simnet.ClockOf is a
-// *simnet.VirtualClock. A session waits only through clock-owned
+// *simnet.VirtualClock, receiving only through SetHandler (data valid
+// only for the call). A session waits only through clock-owned
 // mailboxes, which exist only on virtual clocks, so MST does not run
 // over real UDP.
 type PacketConn interface {
 	WriteTo(b []byte, addr net.Addr) (int, error)
-	ReadFrom(b []byte) (int, net.Addr, error)
-	SetReadDeadline(t time.Time) error
-	Close() error
-}
-
-// handlerSetter is the optional run-to-completion surface of a
-// PacketConn (simnet.PacketConn implements it): installing a delivery
-// handler retires the endpoint's blocking reader goroutine, so each
-// inbound datagram runs the protocol machine inline on the network
-// dispatcher instead of waking a parked reader.
-type handlerSetter interface {
 	SetHandler(h func(data []byte, from net.Addr))
+	Close() error
 }
 
 // Session errors.

@@ -557,17 +557,23 @@ func TestRecvReturnsWhenWorldCloses(t *testing.T) {
 	srv.Close()
 }
 
+// wallUDP is a real UDP socket with the handler surface PacketConn asks
+// for; it runs on the wall clock.
+type wallUDP struct{ *net.UDPConn }
+
+func (wallUDP) SetHandler(func([]byte, net.Addr)) {}
+
 // TestRequiresVirtualClock: a socket on any clock but a VirtualClock is
 // refused by name.
 func TestRequiresVirtualClock(t *testing.T) {
-	var udp *net.UDPConn
+	udp := wallUDP{}
 	if _, err := Dial(udp, simnet.Addr{Host: "server", Port: 7000}, DialConfig{}); err == nil ||
-		!strings.Contains(err.Error(), "*net.UDPConn") {
-		t.Errorf("Dial over real UDP = %v, want an error naming *net.UDPConn", err)
+		!strings.Contains(err.Error(), "transport.wallUDP") {
+		t.Errorf("Dial over real UDP = %v, want an error naming transport.wallUDP", err)
 	}
 	defer func() {
-		if r := fmt.Sprint(recover()); !strings.Contains(r, "*net.UDPConn") {
-			t.Errorf("NewServer over real UDP recovered %q, want a panic naming *net.UDPConn", r)
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "transport.wallUDP") {
+			t.Errorf("NewServer over real UDP recovered %q, want a panic naming transport.wallUDP", r)
 		}
 	}()
 	NewServer(udp, ServerConfig{})

@@ -13,7 +13,8 @@ import (
 // net.PacketConn-style surface the mobility transport (internal/
 // transport) runs over. Datagrams written here ride the air interface
 // and the architecture's data path (GTP tunnel or direct breakout) to
-// their Internet destination; reads deliver downlink packets.
+// their Internet destination; downlink packets reach a handler
+// (SetHandler) or wait for ReadFrom.
 //
 // A single BearerConn stays valid across re-attaches of the underlying
 // Device — which is exactly how experiment E4 models an application
@@ -55,6 +56,18 @@ func (b *BearerConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return len(p), nil
 }
 
+// SetHandler makes this bearer the device's downlink consumer: every
+// downlink user packet runs h inline on the network's dispatcher, at
+// its delivery instant, across re-attaches. data is valid only for the
+// call, and the simnet.PacketConn.SetHandler contract applies to h.
+// Packets queued before the call stay queued for ReadFrom.
+func (b *BearerConn) SetHandler(h func(data []byte, from net.Addr)) {
+	d := b.dev
+	d.mu.Lock()
+	d.down, d.onDown = b, h
+	d.mu.Unlock()
+}
+
 // ReadFrom delivers the next downlink packet. It honors the read
 // deadline; with none set it waits up to a long default.
 func (b *BearerConn) ReadFrom(p []byte) (int, net.Addr, error) {
@@ -90,10 +103,18 @@ func (b *BearerConn) SetReadDeadline(t time.Time) error {
 }
 
 // Close marks the bearer surface closed (the Device itself is managed
-// separately — a migrating client closes sockets, not its radio).
+// separately — a migrating client closes sockets, not its radio). If
+// this bearer's handler consumes the downlink, packets queue for
+// ReadFrom again.
 func (b *BearerConn) Close() error {
 	b.mu.Lock()
 	b.closed = true
 	b.mu.Unlock()
+	d := b.dev
+	d.mu.Lock()
+	if d.down == b {
+		d.down, d.onDown = nil, nil
+	}
+	d.mu.Unlock()
 	return nil
 }

@@ -58,6 +58,10 @@ type Device struct {
 	// control-plane never pays for it — and closed when the association
 	// is lost.
 	rx *simnet.Mailbox[rxPacket]
+	// down is the bearer whose handler consumes downlink user packets
+	// in place of rx (BearerConn.SetHandler); onDown is its handler.
+	down   *BearerConn
+	onDown func(data []byte, from net.Addr)
 
 	// The pending procedure. Attach and Detach are run by the air
 	// conn's delivery handler (airState.frame); the calling goroutine
@@ -463,10 +467,11 @@ func (st *airState) HandleStreamClose() {
 }
 
 // frame consumes one downlink air frame on the delivery thread. frame
-// is valid only for the duration of the call; a queued user packet is
-// copied into its own pooled buffer and put in the rx mailbox, which
-// wakes a parked reader through the clock. Signaling frames drive the
-// pending procedure inline.
+// is valid only for the duration of the call. A user packet goes to the
+// bearer handler, if one is installed, as a view into frame; otherwise
+// it is copied into its own pooled buffer and put in the rx mailbox,
+// which wakes a parked reader through the clock. Signaling frames drive
+// the pending procedure inline.
 func (st *airState) frame(frame []byte) {
 	d := st.d
 	t, payload, err := enb.DecodeAirView(frame)
@@ -498,11 +503,16 @@ func (st *airState) frame(frame []byte) {
 		}
 		d.mu.Lock()
 		var rx *simnet.Mailbox[rxPacket]
+		var h func([]byte, net.Addr)
 		if d.st == st {
-			rx = d.rxLocked()
+			if h = d.onDown; h == nil {
+				rx = d.rxLocked()
+			}
 		}
 		d.mu.Unlock()
-		if rx != nil {
+		if h != nil {
+			h(data, st.lastAddr)
+		} else if rx != nil {
 			buf := append(wire.GetFrame(), data...)
 			if !rx.Put(rxPacket{remote: st.lastRemote, addr: st.lastAddr, data: buf}) {
 				// Receiver not draining; drop like a full buffer.

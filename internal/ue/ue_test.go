@@ -89,11 +89,10 @@ func TestDeviceLifecycleGuards(t *testing.T) {
 	}
 }
 
-func TestBearerConnOverDataPath(t *testing.T) {
-	s, ap1, _ := newWorld(t)
-	// OTT host with an MST echo server.
-	ottHost := s.Net.MustAddHost("ott")
-	pc, err := ottHost.ListenPacket(7000)
+// startEcho serves an MST echo at ott:7000 in s.
+func startEcho(t *testing.T, s *core.Scenario) *transport.Server {
+	t.Helper()
+	pc, err := s.Net.MustAddHost("ott").ListenPacket(7000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +111,12 @@ func TestBearerConnOverDataPath(t *testing.T) {
 		},
 	})
 	t.Cleanup(srv.Close)
+	return srv
+}
+
+func TestBearerConnOverDataPath(t *testing.T) {
+	s, ap1, _ := newWorld(t)
+	startEcho(t, s)
 
 	d := attachUE(t, s, ap1, "ue1", "001010000000402")
 	bearer := d.Bearer()
@@ -130,28 +135,51 @@ func TestBearerConnOverDataPath(t *testing.T) {
 	}
 }
 
+// TestBearerClientCloseIsImmediate: an MST client over a bearer
+// receives through the bearer's handler, so Close has no reader to
+// join and returns at the instant it is called. Closing the bearer
+// hands the downlink back to ReadFrom, which then sees the server's
+// answer to the client's CLOSE.
+func TestBearerClientCloseIsImmediate(t *testing.T) {
+	s, ap1, _ := newWorld(t)
+	startEcho(t, s)
+	d := attachUE(t, s, ap1, "ue1", "001010000000405")
+	c, err := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},
+		transport.DialConfig{Mode: transport.Migratory, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send([]byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Recv(5 * time.Second); err != nil || string(got) != "once" {
+		t.Fatalf("echo = %q %v", got, err)
+	}
+	clk := s.Clock()
+	before := clk.Now()
+	c.Close()
+	if took := clk.Since(before); took != 0 {
+		t.Fatalf("Client.Close took %v of virtual time, want 0", took)
+	}
+
+	b := d.Bearer()
+	b.SetReadDeadline(clk.Now().Add(time.Second))
+	buf := make([]byte, 256)
+	n, _, err := b.ReadFrom(buf)
+	if err != nil {
+		t.Fatalf("downlink after Close: %v", err)
+	}
+	if p, err := transport.DecodePacket(buf[:n]); err != nil || p.Type != transport.PktClose {
+		t.Errorf("downlink after Close = %+v %v, want the server's CLOSE", p, err)
+	}
+}
+
 func TestBearerSurvivesRoam(t *testing.T) {
 	// The E4 core mechanic: the MST session rides across a re-attach
 	// to a different AP (new breakout address) without the application
 	// reconnecting.
 	s, ap1, ap2 := newWorld(t)
-	ottHost := s.Net.MustAddHost("ott")
-	pc, _ := ottHost.ListenPacket(7000)
-	srv := transport.NewServer(pc, transport.ServerConfig{
-		Mode: transport.Migratory,
-		Handler: func(ss *transport.ServerSession) {
-			for {
-				b, err := ss.Recv(5 * time.Second)
-				if err != nil {
-					return
-				}
-				if ss.Send(b) != nil {
-					return
-				}
-			}
-		},
-	})
-	t.Cleanup(srv.Close)
+	srv := startEcho(t, s)
 
 	d := attachUE(t, s, ap1, "roamer", "001010000000403")
 	if err := s.ConnectUERadio("roamer", "ap2", geo.Pt(2000, 0)); err != nil {

@@ -12,18 +12,15 @@ import (
 )
 
 // Handler receives inbound X2 messages from a connected peer. Handlers
-// run on the peer's reader goroutine; reply via Agent.Send.
+// run inline on the network's dispatcher at the message's delivery
+// instant (the simnet.Conn.OnDeliver contract: no clock waits); reply
+// via Agent.Send.
 type Handler func(peerID string, msg Message)
-
-// Listener abstracts the accept side (net.Listener or
-// simnet.Listener).
-type Listener interface {
-	Accept() (net.Conn, error)
-	Close() error
-}
 
 // ErrNoPeer reports a send to an unconnected peer.
 var ErrNoPeer = errors.New("x2: no such peer")
+
+var errClosed = errors.New("x2: agent closed")
 
 // Agent maintains X2 associations with neighboring APs over the
 // Internet backhaul: the dial/hello handshake, message dispatch, and
@@ -67,57 +64,53 @@ func NewAgent(id string, hello PeerHello, handler Handler) *Agent {
 // ID reports the agent's AP identity.
 func (a *Agent) ID() string { return a.id }
 
-// Serve accepts inbound associations until the listener closes. Call
-// in a goroutine.
-func (a *Agent) Serve(l Listener) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		simnet.ClockOf(c).Go(func() { a.acceptPeer(c) })
-	}
+// Serve accepts inbound associations on l and returns at once: each
+// arriving conn's first frame must be a PeerHello, answered inline with
+// the PeerHelloAck; later frames go to the handler.
+func (a *Agent) Serve(l *simnet.Listener) {
+	l.OnAccept(func(c *simnet.Conn) { a.receive(c, nil) })
 }
 
-func (a *Agent) acceptPeer(c net.Conn) {
-	fc := wire.NewFrameConn(c)
-	b, err := fc.Recv()
+// handshake answers an inbound association's first frame, which must
+// be a PeerHello, and registers the peer.
+func (a *Agent) handshake(c *simnet.Conn, frame []byte) (*peerConn, error) {
+	a.bytesRx.Add(uint64(len(frame) + 4))
+	msg, err := Decode(frame)
 	if err != nil {
-		c.Close()
-		return
-	}
-	a.bytesRx.Add(uint64(len(b) + 4))
-	msg, err := Decode(b)
-	if err != nil {
-		c.Close()
-		return
+		return nil, err
 	}
 	hello, ok := msg.(*PeerHello)
 	if !ok {
-		c.Close()
-		return
+		return nil, fmt.Errorf("x2: unexpected %s in handshake", msg.Type())
 	}
 	ackBytes, err := Marshal(&PeerHelloAck{APID: a.id, Mode: a.hello.Mode})
-	if err != nil || fc.Send(ackBytes) != nil {
-		c.Close()
-		return
+	if err != nil {
+		return nil, err
+	}
+	fc := wire.NewFrameConn(c)
+	if err := fc.Send(ackBytes); err != nil {
+		return nil, err
 	}
 	a.bytesTx.Add(uint64(len(ackBytes) + 4))
 	pc := &peerConn{id: hello.APID, fc: fc, raw: c, mode: hello.Mode}
 	if !a.register(pc) {
-		c.Close()
-		return
+		return nil, errClosed
 	}
-	a.attach(pc, true)
+	return pc, nil
 }
 
 // Connect dials a peer's X2 endpoint and performs the hello exchange.
-// dial is the host's dial function (simnet Host.Dial or a net.Dialer
-// wrapper); addr is "host:port".
+// dial is the host's dial function (simnet Host.Dial: the association
+// receives through its delivery handler); addr is "host:port".
 func (a *Agent) Connect(dial func(addr string) (net.Conn, error), addr string) (string, error) {
-	c, err := dial(addr)
+	raw, err := dial(addr)
 	if err != nil {
 		return "", fmt.Errorf("x2: connect %s: %w", addr, err)
+	}
+	c, ok := raw.(*simnet.Conn)
+	if !ok {
+		raw.Close()
+		return "", fmt.Errorf("x2: connect %s: %T is not a simnet conn", addr, raw)
 	}
 	fc := wire.NewFrameConn(c)
 	helloBytes, err := Marshal(&a.hello)
@@ -149,42 +142,42 @@ func (a *Agent) Connect(dial func(addr string) (net.Conn, error), addr string) (
 	pc := &peerConn{id: ack.APID, fc: fc, raw: c, mode: ack.Mode}
 	if !a.register(pc) {
 		c.Close()
-		return "", fmt.Errorf("x2: agent closed")
+		return "", errClosed
 	}
-	a.attach(pc, false)
+	a.receive(c, pc)
 	return ack.APID, nil
 }
 
-// attach starts inbound delivery for a registered peer. A simnet conn
-// gets a run-to-completion delivery handler (per-association frame
-// reassembly, no reader goroutine); anything else falls back to the
-// blocking reader loop — inline when the caller is already a spawned
-// goroutine (accept side), else on a fresh one.
-func (a *Agent) attach(pc *peerConn, inline bool) {
-	if sc, ok := pc.raw.(*simnet.Conn); ok {
-		asm := &wire.FrameAssembler{}
-		sc.OnDeliver(func(data []byte) {
-			if asm.Feed(data, func(frame []byte) error {
-				a.inbound(pc, frame)
-				return nil
-			}) != nil {
-				// Framing is broken; drop the association like a failed
-				// blocking read did.
-				asm.Reset()
-				a.dropPeer(pc)
-				pc.raw.Close()
+// receive installs c's delivery handler: per-association frame
+// reassembly, each frame dispatched to inbound for pc. On the accept
+// side pc is nil until the first frame, the handshake, registers it.
+func (a *Agent) receive(c *simnet.Conn, pc *peerConn) {
+	asm := &wire.FrameAssembler{}
+	c.OnDeliver(func(data []byte) {
+		if asm.Feed(data, func(frame []byte) error {
+			if pc == nil {
+				var err error
+				pc, err = a.handshake(c, frame)
+				return err
 			}
-		}, func() {
+			a.inbound(pc, frame)
+			return nil
+		}) != nil {
+			// A broken frame or handshake drops the association.
 			asm.Reset()
+			if pc != nil {
+				a.dropPeer(pc)
+			}
+			c.Close()
+		}
+	}, func() {
+		asm.Reset()
+		if pc != nil {
 			a.dropPeer(pc)
-		})
-		return
-	}
-	if inline {
-		a.readLoop(pc)
-		return
-	}
-	simnet.ClockOf(pc.raw).Go(func() { a.readLoop(pc) })
+		} else {
+			c.Close() // the peer left before its hello
+		}
+	})
 }
 
 // dropPeer removes the association if pc is still current for its ID.
@@ -229,17 +222,6 @@ func (a *Agent) register(pc *peerConn) bool {
 	}
 	a.peers[pc.id] = pc
 	return true
-}
-
-func (a *Agent) readLoop(pc *peerConn) {
-	for {
-		b, err := pc.fc.Recv()
-		if err != nil {
-			a.dropPeer(pc)
-			return
-		}
-		a.inbound(pc, b)
-	}
 }
 
 // sendFrame ships an encoded message frame to one peer and accounts

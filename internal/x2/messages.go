@@ -8,6 +8,12 @@
 // over the Internet backhaul and meters coordination traffic, which is
 // what experiment E7 sizes against the X2-bandwidth analysis the paper
 // cites.
+//
+// The agent owns no goroutine. Serve installs an accept handler on a
+// simnet.Listener, and every association, accepted or dialed,
+// receives through its conn's delivery handler: the accept side
+// answers the PeerHello there, and message handlers run inline on the
+// network's dispatcher.
 package x2
 
 import (

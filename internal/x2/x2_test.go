@@ -93,9 +93,9 @@ func (tp *testPeers) got(agentID string) []Message {
 
 // newTestPeers builds two connected agents on a virtual-time network:
 // waits below advance the VirtualClock instead of spinning wall-clock
-// poll loops, so the tests are deterministic and fast. The agents'
-// internal goroutines already run under the connection's clock
-// (simnet.ClockOf), so only the test-side waits need converting.
+// poll loops, so the tests are deterministic and fast. The agents own
+// no goroutines (they receive as delivery handlers), so only the
+// test-side waits touch the clock.
 func newTestPeers(t *testing.T, latency time.Duration) *testPeers {
 	t.Helper()
 	tp := &testPeers{received: make(map[string][]Message)}
@@ -112,7 +112,7 @@ func newTestPeers(t *testing.T, latency time.Duration) *testPeers {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp.net.Clock().Go(func() { tp.b.Serve(lb) })
+	tp.b.Serve(lb)
 
 	peerID, err := tp.a.Connect(hostA.Dial, "ap2:36422")
 	if err != nil {
@@ -211,7 +211,7 @@ func TestAgentBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp.net.Clock().Go(func() { c.Serve(lc) })
+	c.Serve(lc)
 	hostA, _ := tp.net.Host("ap1")
 	if _, err := tp.a.Connect(hostA.Dial, "ap3:36422"); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestAgentRejectsGarbageHandshake(t *testing.T) {
 	b := NewAgent("b", PeerHello{}, nil)
 	t.Cleanup(b.Close)
 	lb, _ := hb.Listen(36422)
-	n.Clock().Go(func() { b.Serve(lb) })
+	b.Serve(lb)
 
 	c, err := ha.Dial("b:36422")
 	if err != nil {
