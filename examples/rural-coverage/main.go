@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	"dlte/internal/metrics"
@@ -14,9 +16,16 @@ import (
 )
 
 func main() {
-	fmt.Println("One tower, 20 m mast, rural terrain (Okumura-Hata open area).")
-	fmt.Println("Downlink throughput by distance and technology:")
-	fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the coverage comparison to out.
+func run(out io.Writer) error {
+	fmt.Fprintln(out, "One tower, 20 m mast, rural terrain (Okumura-Hata open area).")
+	fmt.Fprintln(out, "Downlink throughput by distance and technology:")
+	fmt.Fprintln(out)
 
 	techs := []struct {
 		name string
@@ -47,10 +56,10 @@ func main() {
 		}
 		t.AddRow(row...)
 	}
-	t.Render(os.Stdout)
+	t.Render(out)
 
-	fmt.Println()
-	fmt.Println("Service range at 512 kbps (the 'usable Internet' floor):")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "Service range at 512 kbps (the 'usable Internet' floor):")
 	for _, tech := range techs {
 		tech := tech
 		r := radio.MaxRangeKm(func(d float64) float64 {
@@ -61,16 +70,17 @@ func main() {
 			l := radio.Link{Tx: radio.LTEBaseStation, Rx: radio.LTEHandset, Band: tech.band}
 			return radio.LTEThroughputBps(l.SNRdB(d), tech.band.BandwidthHz(), true)
 		}, 512e3, radio.LTETimingAdvanceMaxKm)
-		fmt.Printf("  %-24s %6.1f km\n", tech.name, r)
+		fmt.Fprintf(out, "  %-24s %6.1f km\n", tech.name, r)
 	}
 
-	fmt.Println()
-	fmt.Println("The asymmetric-uplink advantage (§3.2): at 5 km on band 5,")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "The asymmetric-uplink advantage (§3.2): at 5 km on band 5,")
 	dl := radio.Link{Tx: radio.LTEBaseStation, Rx: radio.LTEHandset, Band: radio.LTEBand5}
 	ul := radio.Link{Tx: radio.LTEHandset, Rx: radio.LTEBaseStation, Band: radio.LTEBand5, Uplink: true}
-	fmt.Printf("  downlink SNR %.1f dB, uplink SNR %.1f dB — the tower's high\n", dl.SNRdB(5), ul.SNRdB(5))
-	fmt.Println("  antenna and the handset's SC-FDMA (no PAPR backoff) keep the")
-	fmt.Println("  uplink alive where a WiFi client would have given up.")
+	fmt.Fprintf(out, "  downlink SNR %.1f dB, uplink SNR %.1f dB — the tower's high\n", dl.SNRdB(5), ul.SNRdB(5))
+	fmt.Fprintln(out, "  antenna and the handset's SC-FDMA (no PAPR backoff) keep the")
+	fmt.Fprintln(out, "  uplink alive where a WiFi client would have given up.")
+	return nil
 }
 
 func kmHeaders(ds []float64) []string {

@@ -20,8 +20,8 @@ import (
 // omissions: the per-sender sync.Map nothing ever read, and the copy
 // out of the delivery buffer — the read is ReadFromOwned, so that this
 // package stays free of the blocking read's name while the oracle
-// still walks the whole legacy path (inbox, delivery barrier,
-// holdDelivery, deadline timer, Block/Unblock).
+// still walks the whole blocking path (reader endpoint, the mailbox
+// the dispatcher fills, deadline timer).
 type refEchoServer struct {
 	pc      *simnet.PacketConn
 	done    chan struct{}

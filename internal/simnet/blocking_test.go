@@ -3,7 +3,9 @@ package simnet
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -12,8 +14,8 @@ import (
 )
 
 // The blocking receive shims — Conn.Read, PacketConn.ReadFrom,
-// Listener.Accept — wait on a Mailbox: a tracked clock wait, with the
-// delivery hold parked on the mailbox's own waiter.
+// Listener.Accept — wait on a Mailbox: a tracked clock wait. The
+// dispatcher fills a reader's mailbox at each delivery instant.
 
 // allocBytes reports the heap bytes allocated while f runs.
 func allocBytes(f func()) int64 {
@@ -111,22 +113,16 @@ func TestBlockingReaderFootprint(t *testing.T) {
 	}
 }
 
-// TestBlockingReadWakeIsTracked pins the legacy path's wake contract on
-// a virtual clock, as TestMailboxHandlerWakeIsTracked does for the
-// mailbox itself: a dispatch handler writing to a conn whose reader is
-// parked in Read counts the reader busy before it runs — no generation
-// bump, so nothing for a settle round to catch — and the steady-state
-// round trip allocates nothing.
+// TestBlockingReadWakeIsTracked pins the blocking reader's wake
+// contract on a virtual clock, as TestMailboxHandlerWakeIsTracked does
+// for the mailbox itself: the dispatcher's delivery to a reader parked
+// in Read counts it busy at the delivery instant, before it runs — no
+// generation bump, so nothing for a settle round to catch — and the
+// steady-state round trip allocates nothing.
 func TestBlockingReadWakeIsTracked(t *testing.T) {
 	n, cc, sc := diffWorld(t, Link{})
 	vc := n.Clock().(*VirtualClock)
-	busyAfterWrite := -1
-	cont := n.NewContinuation(func(uint64) {
-		cc.Write([]byte("x"))
-		vc.mu.Lock()
-		busyAfterWrite = vc.busy
-		vc.mu.Unlock()
-	})
+	cont := n.NewContinuation(func(uint64) { cc.Write([]byte("x")) })
 	buf := make([]byte, 8)
 	roundTrip := func() {
 		cont.After(time.Millisecond, 0)
@@ -147,11 +143,36 @@ func TestBlockingReadWakeIsTracked(t *testing.T) {
 		t.Errorf("handler writes bumped the clock generation %d times: untracked wakes", vc.gen-gen)
 	}
 	vc.mu.Unlock()
-	if busyAfterWrite != 1 {
-		t.Errorf("busy = %d after the handler's write, want 1 (the woken reader)", busyAfterWrite)
-	}
 	if got := vc.parks.Load() - parks; got != 10 {
 		t.Errorf("10 reads parked %d times", got)
+	}
+
+	// A probe registered after the reader's endpoint runs right after
+	// the delivery at the same instant, while the woken reader waits for
+	// it outside the clock: it must find the reader counted busy.
+	busyAtDelivery := -1
+	probed := make(chan struct{})
+	probe := n.NewContinuation(func(uint64) {
+		vc.mu.Lock()
+		busyAtDelivery = vc.busy
+		vc.mu.Unlock()
+		close(probed)
+	})
+	writeAndProbe := n.NewContinuation(func(uint64) {
+		cc.Write([]byte("x"))
+		probe.After(0, 0)
+	})
+	writeAndProbe.After(time.Millisecond, 0)
+	sent := vc.nowDur() + time.Millisecond
+	if nr, err := sc.Read(buf); err != nil || nr != 1 {
+		t.Fatalf("Read = %d, %v", nr, err)
+	}
+	if at := vc.nowDur(); at != sent {
+		t.Errorf("reader woke at %v, want the delivery instant %v", at, sent)
+	}
+	<-probed
+	if busyAtDelivery != 1 {
+		t.Errorf("busy = %d at the delivery instant, want 1 (the woken reader)", busyAtDelivery)
 	}
 
 	if leaktest.RaceEnabled {
@@ -196,48 +217,173 @@ func TestLegacyStreamWriteNeverBlocks(t *testing.T) {
 }
 
 // TestReadDeadlineInsideLinkDelay: a read deadline that falls before a
-// delivery's instant ends the read at the deadline, data consumed — on
-// both receive shims.
+// delivery's instant ends the read at the deadline with ErrDeadline and
+// leaves the data queued; a later read returns it at its own delivery
+// instant — on both receive shims.
 func TestReadDeadlineInsideLinkDelay(t *testing.T) {
 	const latency, wait = 200 * time.Millisecond, 20 * time.Millisecond
 	onVirtual(t, Link{Latency: latency}, func(t *testing.T, n *Network) {
 		clk := n.Clock()
 		a, b := n.MustAddHost("a"), n.MustAddHost("b")
-		check := func(kind string, start time.Time, nr int, err error) {
+		buf := make([]byte, 8)
+		check := func(kind string, send func(), setDeadline func(time.Time) error, read func() (int, error)) {
 			t.Helper()
-			if err != nil || nr != 1 {
-				t.Fatalf("%s = %d, %v; want the byte", kind, nr, err)
+			start := clk.Now()
+			send()
+			setDeadline(start.Add(wait))
+			if nr, err := read(); !errors.Is(err, ErrDeadline) {
+				t.Errorf("%s before the delivery = %d, %v; want ErrDeadline", kind, nr, err)
 			}
 			if waited := clk.Since(start); waited != wait {
-				t.Errorf("%s returned after %v, want exactly the %v deadline, before the %v delivery", kind, waited, wait, latency)
+				t.Errorf("%s returned after %v, want exactly the %v deadline", kind, waited, wait)
+			}
+			setDeadline(time.Time{})
+			if nr, err := read(); err != nil || nr != 1 {
+				t.Fatalf("%s after the deadline = %d, %v; want the byte", kind, nr, err)
+			}
+			if waited := clk.Since(start); waited != latency {
+				t.Errorf("%s returned the byte after %v, want its %v delivery instant", kind, waited, latency)
 			}
 		}
-		buf := make([]byte, 8)
 
 		l, _ := b.Listen(80)
 		cc, sc := acceptOne(t, n, l, a, "b:80")
-		start := clk.Now()
-		cc.Write([]byte("x"))
-		sc.SetReadDeadline(start.Add(wait))
-		nr, err := sc.Read(buf)
-		check("Read", start, nr, err)
-		sc.SetReadDeadline(clk.Now().Add(latency))
-		if _, err := sc.Read(buf); !errors.Is(err, ErrDeadline) {
-			t.Errorf("Read after the early return = %v, want ErrDeadline (data consumed)", err)
-		}
+		check("Read", func() { cc.Write([]byte("x")) }, sc.SetReadDeadline,
+			func() (int, error) { return sc.Read(buf) })
 
 		src, _ := a.ListenPacket(0)
 		dst, _ := b.ListenPacket(9)
-		start = clk.Now()
-		src.WriteToHost([]byte("x"), "b", 9)
-		dst.SetReadDeadline(start.Add(wait))
-		nr, _, err = dst.ReadFrom(buf)
-		check("ReadFrom", start, nr, err)
-		dst.SetReadDeadline(clk.Now().Add(latency))
-		if _, _, err := dst.ReadFrom(buf); !errors.Is(err, ErrDeadline) {
-			t.Errorf("ReadFrom after the early return = %v, want ErrDeadline (datagram consumed)", err)
+		check("ReadFrom", func() { src.WriteToHost([]byte("x"), "b", 9) }, dst.SetReadDeadline,
+			func() (int, error) { nr, _, err := dst.ReadFrom(buf); return nr, err })
+	})
+}
+
+// observed is one handler delivery: its offset from the test's start
+// and what it carried.
+type observed struct {
+	at   time.Duration
+	data string
+}
+
+// stagger sends three payloads, the i-th over a link of (i+1) ms, so
+// they are in flight together and land 1, 2 and 3 ms out.
+func stagger(n *Network, send func(msg string)) {
+	for i := 0; i < 3; i++ {
+		n.SetLink("a", "b", Link{Latency: time.Duration(i+1) * time.Millisecond})
+		send(fmt.Sprintf("msg%d", i))
+	}
+}
+
+// checkObserved compares a handler's deliveries with want.
+func checkObserved(t *testing.T, kind string, got, want []observed) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s: handler saw %v, want %v", kind, got, want)
+	}
+}
+
+// TestOnDeliverAdoptsReader installs a stream handler on a conn a
+// blocking Read has been using: the handler sees the unread remainder
+// of the chunk Read took part of first, at the install instant, then
+// the chunks still in flight at their own instants, in order.
+func TestOnDeliverAdoptsReader(t *testing.T) {
+	n, cc, sc := diffWorld(t, Link{})
+	vc := n.Clock().(*VirtualClock)
+	start := vc.nowDur()
+	stagger(n, func(msg string) { cc.Write([]byte(msg)) })
+	buf := make([]byte, 2)
+	if nr, err := sc.Read(buf); err != nil || string(buf[:nr]) != "ms" {
+		t.Fatalf("Read = %q, %v", buf[:nr], err)
+	}
+	var got []observed
+	done := NewMailbox[struct{}](vc, 1)
+	sc.OnDeliver(func(data []byte) {
+		got = append(got, observed{vc.nowDur() - start, string(data)})
+		if len(got) == 3 {
+			done.Put(struct{}{})
+		}
+	}, nil)
+	if _, err := done.Recv(time.Second); err != nil {
+		t.Fatalf("handler saw %v, then nothing", got)
+	}
+	checkObserved(t, "stream", got, []observed{
+		{time.Millisecond, "g0"}, {2 * time.Millisecond, "msg1"}, {3 * time.Millisecond, "msg2"},
+	})
+}
+
+// TestSetHandlerAdoptsReader does the same for a packet socket: after a
+// ReadFrom, a datagram delivered but not yet read reaches the handler
+// first, at the install instant, then the one still in flight at its
+// own instant, with the sender's address.
+func TestSetHandlerAdoptsReader(t *testing.T) {
+	n := newTestNet(t, Link{})
+	vc := n.Clock().(*VirtualClock)
+	a, b := n.MustAddHost("a"), n.MustAddHost("b")
+	src, _ := a.ListenPacket(0)
+	dst, _ := b.ListenPacket(9)
+	start := vc.nowDur()
+	stagger(n, func(msg string) { src.WriteToHost([]byte(msg), "b", 9) })
+	buf := make([]byte, 8)
+	if nr, _, err := dst.ReadFrom(buf); err != nil || string(buf[:nr]) != "msg0" {
+		t.Fatalf("ReadFrom = %q, %v", buf[:nr], err)
+	}
+	vc.Sleep(1500 * time.Microsecond) // msg1 is delivered, unread
+	var got []observed
+	done := NewMailbox[struct{}](vc, 1)
+	dst.SetHandler(func(data []byte, from net.Addr) {
+		if from != src.LocalAddr() {
+			t.Errorf("datagram from %v, want %v", from, src.LocalAddr())
+		}
+		got = append(got, observed{vc.nowDur() - start, string(data)})
+		if len(got) == 2 {
+			done.Put(struct{}{})
 		}
 	})
+	if _, err := done.Recv(time.Second); err != nil {
+		t.Fatalf("handler saw %v, then nothing", got)
+	}
+	checkObserved(t, "packet", got, []observed{
+		{2500 * time.Microsecond, "msg1"}, {3 * time.Millisecond, "msg2"},
+	})
+}
+
+// TestExecStatsAttribution: a write a blocking reader consumes counts
+// as one legacy delivery, and one a handler consumes as one handler
+// dispatch — on streams and datagrams alike.
+func TestExecStatsAttribution(t *testing.T) {
+	n, cc, sc := diffWorld(t, Link{Latency: time.Millisecond})
+	a, _ := n.Host("a")
+	b, _ := n.Host("b")
+	pa, _ := a.ListenPacket(7)
+	pb, _ := b.ListenPacket(7)
+	vc := n.Clock().(*VirtualClock)
+	buf := make([]byte, 8)
+	handled := NewMailbox[struct{}](vc, 1)
+	sc.OnDeliver(func([]byte) { handled.Put(struct{}{}) }, nil)
+	pb.SetHandler(func([]byte, net.Addr) { handled.Put(struct{}{}) })
+
+	for _, tc := range []struct {
+		name                   string
+		consume                func() error
+		dispatches, deliveries uint64
+	}{
+		{"stream read", func() error { sc.Write([]byte("x")); _, err := cc.Read(buf); return err }, 0, 1},
+		{"stream handler", func() error { cc.Write([]byte("x")); _, err := handled.Recv(time.Second); return err }, 1, 0},
+		{"packet read", func() error { pb.WriteToHost([]byte("x"), "a", 7); _, _, err := pa.ReadFrom(buf); return err }, 0, 1},
+		{"packet handler", func() error { pa.WriteToHost([]byte("x"), "b", 7); _, err := handled.Recv(time.Second); return err }, 1, 0},
+	} {
+		before := n.ExecStats()
+		if err := tc.consume(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after := n.ExecStats()
+		if got := after.HandlerDispatches - before.HandlerDispatches; got != tc.dispatches {
+			t.Errorf("%s: %d handler dispatches, want %d", tc.name, got, tc.dispatches)
+		}
+		if got := after.LegacyDeliveries - before.LegacyDeliveries; got != tc.deliveries {
+			t.Errorf("%s: %d legacy deliveries, want %d", tc.name, got, tc.deliveries)
+		}
+	}
 }
 
 // TestUntimedReadersReleasedOnClose: readers parked with no deadline

@@ -9,61 +9,88 @@ import (
 	"time"
 )
 
-// chunk is a batch of stream bytes due for delivery at a clock
-// instant (its send time plus the link delay at send time). bar holds
-// the delivery barrier keeping virtual time from jumping past the
-// delivery before the receiver parks on it.
-type chunk struct {
-	data []byte
-	at   time.Time
-	bar  *vbarrier
-}
-
 // halfPipe is one direction of a stream connection. Bytes written are
 // delivered after the link delay; the byte stream is reliable and
 // ordered (it models TCP riding the simulated link).
 //
-// A pipe delivers through one of two paths. The legacy path is box, the
-// mailbox a blocking Read waits on, made on the first legacy write or
-// the first Read; a reliable stream never drops, so it is unbounded. A
-// registered dispatch handler (dc) replaces it and runs deliveries
-// run-to-completion on the network's dispatcher.
+// Every write is a delivery event on the receiver's dispatch endpoint
+// (dc), registered at the first write, Read or handler install. With a
+// handler the event runs it; without one (a reader endpoint) it hands
+// the chunk to the endpoint's mailbox, which Read drains. A reliable
+// stream never drops, so that mailbox is unbounded.
 type halfPipe struct {
 	mu         sync.Mutex
-	box        *Mailbox[chunk] // legacy path; nil until a write or Read needs it
-	pending    []byte          // unread remainder of the last delivered chunk
-	pendingBuf []byte          // pending's backing pool buffer, recycled when drained
+	pending    []byte // unread remainder of the last chunk Read took
+	pendingBuf []byte // pending's backing pool buffer, recycled when drained
 	closed     atomic.Bool
 
-	// dc is the receiver's dispatch endpoint. Written under mu (so
-	// installation can migrate buffered chunks atomically against
-	// writers); read lock-free on the write fast path.
+	// dc is the receiver's dispatch endpoint. Written under mu, with
+	// its handlers; read lock-free on the write fast path.
 	dc atomic.Pointer[dconn]
 }
 
-// close marks the pipe closed and closes its mailbox: a parked reader
-// drains what is queued, then sees EOF.
-func (p *halfPipe) close() {
-	if p.closed.Swap(true) {
-		return
+// endpoint returns the pipe's dispatch endpoint, registering a reader
+// endpoint if there is none yet — its mailbox already closed if the
+// pipe is.
+func (p *halfPipe) endpoint(n *Network) *dconn {
+	if dc := p.dc.Load(); dc != nil {
+		return dc
 	}
 	p.mu.Lock()
-	if p.box != nil {
-		p.box.Close()
+	defer p.mu.Unlock()
+	if dc := p.dc.Load(); dc != nil {
+		return dc
 	}
-	p.mu.Unlock()
+	dc := n.dispatcherFor().registerReader(math.MaxInt)
+	if p.closed.Load() {
+		dc.box.Close()
+	}
+	p.dc.Store(dc)
+	return dc
 }
 
-// mailboxLocked returns the legacy mailbox, making it on first use —
-// already closed if the pipe is. Caller holds p.mu.
-func (p *halfPipe) mailboxLocked(vc *VirtualClock) *Mailbox[chunk] {
-	if p.box == nil {
-		p.box = NewMailbox[chunk](vc, math.MaxInt)
-		if p.closed.Load() {
-			p.box.Close()
+// close marks the pipe closed. The reading side's own close (self)
+// drops deliveries still in flight and ends a parked Read at once; the
+// writing side's close is the peer's, an event after the writes it
+// already queued.
+func (p *halfPipe) close(self bool) {
+	p.mu.Lock()
+	p.closed.Store(true)
+	dc := p.dc.Load()
+	p.mu.Unlock()
+	switch {
+	case dc == nil:
+	case self:
+		dc.d.markClosed(dc)
+		if dc.box != nil {
+			dc.box.Close()
 		}
+	default:
+		dc.d.sendClose(dc, false)
 	}
-	return p.box
+}
+
+// install gives the pipe's endpoint the handlers h (see OnDeliver),
+// registering one if there is none yet.
+func (p *halfPipe) install(n *Network, h handlers) {
+	d := n.dispatcherFor()
+	p.mu.Lock()
+	dc := p.dc.Load()
+	fresh := dc == nil
+	if fresh {
+		dc = d.register()
+	}
+	// Move the remainder to the front of its pool buffer, so the
+	// handler's delivery recycles it.
+	d.install(dc, h, p.pendingBuf[:copy(p.pendingBuf, p.pending)])
+	p.pending, p.pendingBuf = nil, nil
+	p.dc.Store(dc)
+	p.mu.Unlock()
+	if fresh && p.closed.Load() {
+		// The peer closed before any endpoint existed, so no close
+		// event was scheduled.
+		d.sendClose(dc, false)
+	}
 }
 
 // Conn is a simnet stream connection implementing net.Conn.
@@ -112,21 +139,17 @@ func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
 // h is owned by the dispatcher and valid only for the duration of the
 // call — copy anything retained.
 //
-// Anything already buffered (a handshake frame read partially, chunks
-// queued before the handler existed) is re-registered with the
-// dispatcher at its original delivery instant, so installing a handler
-// mid-stream loses nothing and shifts no timestamps. After
-// installation the blocking Read path must not be used again. The
-// caller must be a clock-registered goroutine, and h must not block on
-// clock waits (no Sleep, no blocking simnet reads). h wakes goroutines
-// only through a simnet write or a Mailbox.Put, the wakes the clock
-// tracks (DESIGN.md §14).
+// Data a blocking Read left unread (the rest of a chunk read
+// partially, chunks delivered since) reaches h first, at the current
+// instant; writes still in flight keep their delivery instants, so
+// installing a handler mid-stream loses nothing and shifts no
+// timestamps. Install at most once; the blocking Read path must not be
+// used afterwards. The caller must be a clock-registered goroutine,
+// and h must not block on clock waits (no Sleep, no blocking simnet
+// reads). h wakes goroutines only through a simnet write or a
+// Mailbox.Put, the wakes the clock tracks (DESIGN.md §14).
 func (c *Conn) OnDeliver(h func(data []byte), onClose func()) {
-	d := c.network.dispatcherFor()
-	dc := d.register()
-	dc.onData = h
-	dc.onClose = onClose
-	c.installDispatch(d, dc)
+	c.rx.install(c.network, handlers{onData: h, onClose: onClose})
 }
 
 // StreamHandler is the allocation-free form of OnDeliver: one receiver
@@ -142,10 +165,7 @@ type StreamHandler interface {
 // OnDeliverHandler is OnDeliver with an interface receiver in place of
 // the two closures.
 func (c *Conn) OnDeliverHandler(h StreamHandler) {
-	d := c.network.dispatcherFor()
-	dc := d.register()
-	dc.sink = h
-	c.installDispatch(d, dc)
+	c.rx.install(c.network, handlers{sink: h})
 }
 
 // closeTeardown is Close for world teardown: if the conn runs a
@@ -154,47 +174,21 @@ func (c *Conn) OnDeliverHandler(h StreamHandler) {
 // administrative rather than the peer's — a service goroutine parked
 // on a handler-fed queue depends on that callback to exit.
 func (c *Conn) closeTeardown() error {
-	if dc := c.rx.dc.Load(); dc != nil && (dc.sink != nil || dc.onClose != nil) {
+	p := c.rx
+	p.mu.Lock()
+	dc := p.dc.Load()
+	handled := dc != nil && (dc.sink != nil || dc.onClose != nil)
+	p.mu.Unlock()
+	if handled {
 		dc.d.sendClose(dc, true)
 	}
 	return c.Close()
 }
 
-// installDispatch migrates buffered data to the endpoint's dispatcher
-// and publishes the registration, preserving original delivery
-// instants (see OnDeliver).
-func (c *Conn) installDispatch(d *dispatcher, dc *dconn) {
-	p := c.rx
-	p.mu.Lock()
-	if len(p.pending) > 0 {
-		// Remainder of a partially-read chunk: already deliverable.
-		d.migrate(dc, p.pending, nil, time.Time{}, nil)
-		p.pending, p.pendingBuf = nil, nil
-	}
-	if p.box != nil {
-		for {
-			ch, err := p.box.Recv(0)
-			if err != nil {
-				break
-			}
-			d.migrate(dc, ch.data, nil, ch.at, ch.bar)
-		}
-	}
-	p.dc.Store(dc)
-	p.mu.Unlock()
-	if p.closed.Load() {
-		// Peer closed before the handler existed; its close event was
-		// never scheduled, so schedule it now (after migrated data).
-		d.sendClose(dc, false)
-	}
-}
-
-// Read implements net.Conn. It waits on the pipe's mailbox until data
-// is deliverable (its link delay has elapsed), the peer closes, or the
-// read deadline passes. A deadline inside a delivery's link delay ends
-// the read at the deadline with the data consumed (real kernels would
-// have buffered it, and our single-reader protocols never rely on
-// post-deadline re-reads).
+// Read implements net.Conn. It waits on the endpoint's mailbox until a
+// chunk is delivered (its link delay has elapsed), the peer closes, or
+// the read deadline passes. A deadline before the next delivery
+// instant returns ErrDeadline and leaves the data for a later Read.
 func (c *Conn) Read(b []byte) (int, error) {
 	p := c.rx
 	p.mu.Lock()
@@ -209,17 +203,14 @@ func (c *Conn) Read(b []byte) (int, error) {
 		p.mu.Unlock()
 		return n, nil
 	}
-	box := p.mailboxLocked(c.network.clock)
 	p.mu.Unlock()
 
-	dl := c.readDeadline.get()
-	ch, err := box.recvBy(dl)
+	ch, err := p.endpoint(c.network).box.recvBy(c.readDeadline.get())
 	if err == ErrClosed {
 		return 0, io.EOF
 	} else if err != nil {
 		return 0, err
 	}
-	box.hold(ch.bar, ch.at, dl)
 
 	// Copy out, stashing any remainder as pending. A fully consumed
 	// chunk's buffer goes back to the payload pool; a partially consumed
@@ -235,10 +226,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// Write implements net.Conn. Bytes are queued with the link delay
-// computed at write time; writes fail if the link is down or the pipe
-// has closed, and never block — on either path the receive queue is
-// unbounded, as befits a reliable stream.
+// Write implements net.Conn. The bytes become one delivery event, due
+// after the link delay computed at write time; writes fail if the link
+// is down or the pipe has closed, and never block — the receive side
+// is unbounded, as befits a reliable stream.
 func (c *Conn) Write(b []byte) (int, error) {
 	if c.tx.closed.Load() {
 		return 0, ErrClosed
@@ -252,41 +243,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if !up {
 		return 0, ErrLinkDown
 	}
-	p := c.tx
-
-	// Dispatch fast path: the receiver runs a handler; schedule a
-	// delivery event. No mailbox, no barrier.
-	if dc := p.dc.Load(); dc != nil {
-		data := payloadGet(len(b))
-		copy(data, b)
-		dc.d.send(dc, data, nil, delay)
-		return len(b), nil
-	}
-
-	vc := c.network.clock
+	dc := c.tx.endpoint(c.network)
 	data := payloadGet(len(b))
 	copy(data, b)
-	at := vc.Now().Add(delay)
-	ch := chunk{data: data, at: at, bar: vc.addBarrier(at)}
-
-	// Legacy enqueue, mode-checked under the pipe lock so a concurrent
-	// OnDeliver migration cannot strand the chunk behind the handler.
-	// The unbounded mailbox refuses only once the pipe has closed.
-	p.mu.Lock()
-	if dc := p.dc.Load(); dc != nil {
-		p.mu.Unlock()
-		vc.releaseBarrier(ch.bar)
-		dc.d.send(dc, data, nil, delay)
-		return len(b), nil
-	}
-	queued := p.mailboxLocked(vc).Put(ch)
-	p.mu.Unlock()
-	if !queued {
-		vc.releaseBarrier(ch.bar)
-		payloadPut(data)
-		return 0, ErrClosed
-	}
-	c.network.noteLegacyDelivery()
+	dc.d.send(dc, data, nil, delay)
 	return len(b), nil
 }
 
@@ -294,14 +254,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 // pending Read returns io.EOF (or its dispatch handler sees onClose)
 // after draining delivered data.
 func (c *Conn) Close() error {
-	if dc := c.rx.dc.Load(); dc != nil {
-		dc.d.markClosed(dc) // drop own in-flight deliveries
-	}
-	if dc := c.tx.dc.Load(); dc != nil {
-		dc.d.sendClose(dc, false) // peer's handler sees EOF after queued data
-	}
-	c.tx.close()
-	c.rx.close()
+	c.rx.close(true)
+	c.tx.close(false)
 	c.network.dropConn(c)
 	return nil
 }

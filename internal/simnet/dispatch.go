@@ -7,75 +7,100 @@ import (
 	"time"
 )
 
-// This file is the run-to-completion dispatch core (DESIGN.md §14).
+// This file is the run-to-completion dispatch core (DESIGN.md §14),
+// and the only way simnet delivers a stream write or a datagram.
 //
-// A Conn or PacketConn with a registered handler no longer delivers
-// through a mailbox to a parked reader goroutine: each write
-// becomes a closure-free delivery event and the receiver's handler runs
-// inline when the event fires. The events live on the timing wheel and
-// the VirtualClock's advancer executes each instant's batch in
+// Every write becomes a closure-free delivery event on the receiving
+// endpoint's dconn. The events live on the timing wheel and the
+// VirtualClock's advancer executes each instant's batch in
 // deterministic (delivery instant, conn ID) order — the same
-// admission-order convention epc's detGate uses — with no mailbox, no
-// barrier, no park/unpark, and no settle round for pure
-// handler-to-handler hops. A handler's own writes only enqueue, so a
-// handler may write (even back into the conn whose send triggered it)
-// without re-entering application locks.
+// admission-order convention epc's detGate uses. An endpoint with a
+// handler runs it inline when the event fires, with no mailbox, no
+// park/unpark and no settle round for a handler-to-handler hop. An
+// endpoint without one is a reader endpoint: the event hands the
+// buffer to its mailbox, which a blocking Read or ReadFrom drains. A
+// handler's own writes only enqueue, so a handler may write (even back
+// into the conn whose send triggered it) without re-entering
+// application locks.
 
 // inboxDepth bounds a packet socket's receive queue: datagrams beyond
-// it drop, modeling kernel receive-buffer overflow. Handler-mode
-// sockets deliver through the dispatcher and never queue.
+// it drop, modeling kernel receive-buffer overflow. The bound applies
+// to deliveries in flight and, on a reader socket, again to those
+// delivered but not yet read.
 const inboxDepth = 1024
 
-// dconn is one registered dispatch endpoint: a stream half-pipe or a
-// packet socket whose deliveries run through handlers. The id is
-// assigned at registration time from the dispatcher's counter and is
-// the deterministic tie-break for same-instant deliveries.
-type dconn struct {
-	d  *dispatcher
-	id uint64
+// chunk is one delivered write waiting in a reader endpoint's mailbox:
+// a stream chunk, or a datagram with its sender's pre-boxed address (so
+// the ReadFrom return costs no interface allocation).
+type chunk struct {
+	data []byte
+	from net.Addr
+}
 
+// handlers are a dispatch endpoint's callbacks; all nil on a reader
+// endpoint.
+type handlers struct {
 	sink     StreamHandler                    // interface-form stream handler
 	onData   func(data []byte)                // stream payload handler
 	onPacket func(data []byte, from net.Addr) // datagram handler
 	onClose  func()                           // stream EOF handler
-	cont     func(arg uint64)                 // continuation endpoint (Continuation)
+}
+
+// dconn is one dispatch endpoint: a stream half-pipe, a packet socket
+// or a continuation. The id is assigned at registration time from the
+// dispatcher's counter and is the deterministic tie-break for
+// same-instant deliveries.
+type dconn struct {
+	d  *dispatcher
+	id uint64
+	handlers
+	cont func(arg uint64) // continuation endpoint (Continuation)
+
+	// box is a reader endpoint's mailbox, fixed at registration; nil
+	// on an endpoint registered with its handler.
+	box *Mailbox[chunk]
 
 	// closed marks a self-closed endpoint: deliveries already in
 	// flight are dropped when they fire. It is set under the owning
 	// dispatcher's mutex and read atomically on the delivery thread,
 	// which a goroutine woken mid-batch may be closing the endpoint
-	// under. closeSent dedups the peer close event. lastAt is the
-	// latest delivery instant scheduled to this endpoint, so a close
-	// event never overtakes queued data. Both are guarded by the
-	// dispatcher's mutex.
-	closed    atomic.Bool
-	closeSent bool
-	lastAt    time.Duration
+	// under. inflight counts events scheduled but not yet run (bounded
+	// endpoints, the packet sockets, cap it at inboxDepth); lastAt is
+	// the latest delivery instant scheduled, so a close event never
+	// overtakes queued data; closeSent dedups the peer close event.
+	// Those three are guarded by the dispatcher's mutex.
+	closed   atomic.Bool
+	inflight int32
+	lastAt   time.Duration
 
 	// closeDelivered dedups the close callback itself: a teardown
 	// (forced) close event may coexist with the peer's ordinary close
-	// event, and the handler must see EOF exactly once. Touched only
-	// on the single delivery thread.
-	closeDelivered bool
-
-	// bounded endpoints (packet sockets) cap scheduled-but-undelivered
-	// datagrams at inboxDepth, preserving the legacy inbox's
-	// receive-buffer overflow drops. inflight is guarded by the
-	// dispatcher's mutex.
-	bounded  bool
-	inflight int
+	// event, and the handler must see EOF exactly once. reader is true
+	// until a handler adopts the endpoint. After registration both are
+	// touched only on the delivery thread. The four flags share one
+	// word, which keeps a dconn in the 96 B size class.
+	closeSent, closeDelivered, bounded, reader bool
 }
+
+// evKind is what a delivery event does when it fires.
+type evKind uint8
+
+const (
+	evData       evKind = iota // a write's payload (or a continuation's arg)
+	evClose                    // the peer closed, after every queued write
+	evForceClose               // teardown's close: delivered even to a closed endpoint
+	evAdopt                    // a handler takes over a reader endpoint
+)
 
 // vrec is one virtual-clock delivery record. Records live in a slab
 // indexed by the wheel event's arg, so scheduling a delivery allocates
 // nothing at steady state.
 type vrec struct {
-	data    []byte
-	from    net.Addr
-	arg     uint64 // continuation argument
-	dc      *dconn
-	isClose bool
-	force   bool // teardown close: deliver even to a closed endpoint
+	data []byte
+	from net.Addr
+	arg  uint64 // continuation argument
+	dc   *dconn
+	kind evKind
 }
 
 // dispatcher is the per-Network run-to-completion engine: the clock's
@@ -96,10 +121,11 @@ type dispatcher struct {
 	connSeq atomic.Uint64
 
 	dispatches atomic.Uint64 // handler deliveries run (ExecStats)
+	readerPuts atomic.Uint64 // deliveries handed to reader mailboxes (ExecStats)
 }
 
 // dispatcherFor returns the network's dispatcher, creating it on first
-// handler registration.
+// use.
 func (n *Network) dispatcherFor() *dispatcher {
 	if d := n.disp.Load(); d != nil {
 		return d
@@ -120,11 +146,36 @@ func (d *dispatcher) register() *dconn {
 	return &dconn{d: d, id: d.connSeq.Add(1)}
 }
 
+// registerReader creates a reader endpoint whose mailbox holds at most
+// depth delivered-but-unread writes.
+func (d *dispatcher) registerReader(depth int) *dconn {
+	dc := d.register()
+	dc.box, dc.reader = NewMailbox[chunk](d.vc, depth), true
+	return dc
+}
+
+// install gives endpoint dc the handlers h; the caller holds the
+// endpoint's receive lock and publishes dc. A reader endpoint keeps
+// its dconn, so writes in flight keep their instants and FIFO, but it
+// takes a fresh conn ID, as a new registration would, and an adopt
+// event at the current instant hands h the unread remainder rest, then
+// whatever the mailbox holds by the time it fires.
+func (d *dispatcher) install(dc *dconn, h handlers, rest []byte) {
+	dc.handlers = h
+	if dc.box == nil {
+		return
+	}
+	d.mu.Lock()
+	dc.id = d.connSeq.Add(1)
+	d.mu.Unlock()
+	d.enqueueV(dc, rest, nil, 0, d.vc.nowDur(), evAdopt)
+}
+
 // enqueueV schedules one delivery at virtual instant at (duration since
 // the clock's base). Caller must not hold d.mu.
-func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Duration, isClose, force bool) {
+func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64, at time.Duration, kind evKind) {
 	d.mu.Lock()
-	if (dc.closed.Load() && !force) || (dc.bounded && dc.inflight >= inboxDepth) {
+	if (dc.closed.Load() && kind != evForceClose) || (kind == evData && dc.bounded && dc.inflight >= inboxDepth) {
 		d.mu.Unlock()
 		payloadPut(data)
 		return
@@ -138,14 +189,14 @@ func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64,
 		d.recs = append(d.recs, vrec{})
 		idx = uint32(len(d.recs) - 1)
 	}
-	d.recs[idx] = vrec{data: data, from: from, arg: arg, dc: dc, isClose: isClose, force: force}
+	d.recs[idx] = vrec{data: data, from: from, arg: arg, dc: dc, kind: kind}
 	// Per-endpoint FIFO: a delivery never overtakes an earlier one on
 	// the same conn. Jitter can draw a smaller delay for a later write;
-	// the legacy queue serialized those at the running max instant, and
-	// stream byte order (and differential equivalence) depends on the
-	// dispatcher doing the same. Continuation events are timers, not a
-	// byte stream: each fires at its own instant.
-	if dc.cont == nil {
+	// it is serialized at the running max instant, as stream byte order
+	// requires. Continuation events are timers, not a byte stream: each
+	// fires at its own instant. An adopt event runs now, ahead of the
+	// instants in flight, and leaves the running max alone.
+	if dc.cont == nil && kind != evAdopt {
 		if at < dc.lastAt {
 			at = dc.lastAt
 		} else {
@@ -161,9 +212,8 @@ func (d *dispatcher) enqueueV(dc *dconn, data []byte, from net.Addr, arg uint64,
 // that may hold a delivery. The bound is exact when it comes from the
 // wheel's run or its level-0 wheel; an upper-level bound is a lower
 // bound only, and the advancer resolves it by advancing the clock (and
-// wheel) to the bound and asking again — exactly how delivery barriers
-// already move time without firing anything. The wheel flattens the
-// slot into its run on that step, so the second answer is exact.
+// wheel) to the bound and asking again. The wheel flattens the slot
+// into its run on that step, so the second answer is exact.
 func (d *dispatcher) next() (time.Duration, bool) {
 	if d.pending.Load() == 0 {
 		return 0, false
@@ -247,68 +297,95 @@ func stableSortByConn(recs []vrec) {
 // deliver runs one record. The payload buffer is valid only for the
 // duration of the handler call.
 func (d *dispatcher) deliver(r *vrec) {
-	d.run(r.dc, r.dc.closed.Load() && !r.force, r.data, r.from, r.arg, r.isClose)
+	d.run(r.dc, r.dc.closed.Load() && r.kind != evForceClose, r.data, r.from, r.arg, r.kind)
 }
 
 // run executes one matured event on its endpoint, on the advancer's
-// delivery thread. Only conn and packet deliveries count as handler
-// dispatches; continuation events (timers, connection arrivals) do not.
-// drop is the endpoint's closed flag as read at delivery.
-func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg uint64, isClose bool) {
+// delivery thread. Only conn and packet deliveries count, as handler
+// dispatches or reader puts; continuation events (timers, connection
+// arrivals) do not. drop is the endpoint's closed flag as read at
+// delivery.
+func (d *dispatcher) run(dc *dconn, drop bool, data []byte, from net.Addr, arg uint64, kind evKind) {
 	switch {
 	case drop: // endpoint closed itself while the event was in flight
 		payloadPut(data)
 	case dc.cont != nil:
 		dc.cont(arg)
-	case isClose:
-		if dc.closeDelivered {
+	case kind == evAdopt:
+		d.adopt(dc, data)
+	case dc.reader && kind != evData:
+		dc.box.Close() // EOF once the reader drains what is queued
+	case dc.reader:
+		// The mailbox takes ownership: no copy.
+		if dc.box.Put(chunk{data: data, from: from}) {
+			d.readerPuts.Add(1)
+		} else {
+			payloadPut(data)
+		}
+	case kind != evData:
+		d.closeHandler(dc)
+	default:
+		d.handle(dc, data, from)
+	}
+}
+
+// handle runs dc's handler on one delivery and recycles the buffer.
+func (d *dispatcher) handle(dc *dconn, data []byte, from net.Addr) {
+	d.dispatches.Add(1)
+	if dc.onPacket != nil {
+		dc.onPacket(data, from)
+	} else if dc.sink != nil {
+		dc.sink.HandleDeliver(data)
+	} else {
+		dc.onData(data)
+	}
+	payloadPut(data)
+}
+
+// closeHandler tells dc's handler the peer closed, once.
+func (d *dispatcher) closeHandler(dc *dconn) {
+	if dc.closeDelivered {
+		return
+	}
+	dc.closeDelivered = true
+	if dc.sink != nil {
+		dc.sink.HandleStreamClose()
+	} else if f := dc.onClose; f != nil {
+		f()
+	}
+}
+
+// adopt switches a reader endpoint to the handler install gave it: the
+// handler gets the unread remainder rest, then the mailbox's backlog,
+// then — if a peer close already closed the mailbox — EOF. Every
+// later event on the endpoint finds the handler.
+func (d *dispatcher) adopt(dc *dconn, rest []byte) {
+	dc.reader = false
+	if len(rest) > 0 {
+		d.handle(dc, rest, nil)
+	}
+	for {
+		ch, err := dc.box.Recv(0)
+		if err != nil {
+			if err == ErrClosed && !dc.closed.Load() {
+				d.closeHandler(dc)
+			}
 			return
 		}
-		dc.closeDelivered = true
-		if dc.sink != nil {
-			dc.sink.HandleStreamClose()
-		} else if f := dc.onClose; f != nil {
-			f()
-		}
-	default:
-		d.dispatches.Add(1)
-		if dc.onPacket != nil {
-			dc.onPacket(data, from)
-		} else if dc.sink != nil {
-			dc.sink.HandleDeliver(data)
-		} else {
-			dc.onData(data)
-		}
-		payloadPut(data)
+		d.handle(dc, ch.data, ch.from)
 	}
 }
 
 // send schedules one delivery to dc after the link delay. data
 // ownership transfers to the dispatcher (it is recycled after the
-// handler returns).
+// handler returns, or handed to a reader).
 func (d *dispatcher) send(dc *dconn, data []byte, from net.Addr, delay time.Duration) {
 	d.sendArg(dc, data, from, 0, delay)
 }
 
 // sendArg is send carrying a continuation argument.
 func (d *dispatcher) sendArg(dc *dconn, data []byte, from net.Addr, arg uint64, delay time.Duration) {
-	d.enqueueV(dc, data, from, arg, d.vc.nowDur()+delay, false, false)
-}
-
-// migrate re-registers a delivery that was buffered on the legacy path
-// before the handler existed, preserving its original delivery instant
-// at (zero: already deliverable) and releasing its delivery barrier —
-// the dispatcher's pending count now holds time back instead. Callers
-// are running goroutines, so the clock cannot advance mid-migration.
-func (d *dispatcher) migrate(dc *dconn, data []byte, from net.Addr, at time.Time, bar *vbarrier) {
-	due := d.vc.nowDur()
-	if !at.IsZero() {
-		if t := at.Sub(d.vc.base); t > due {
-			due = t
-		}
-	}
-	d.enqueueV(dc, data, from, 0, due, false, false)
-	d.vc.releaseBarrier(bar)
+	d.enqueueV(dc, data, from, arg, d.vc.nowDur()+delay, evData)
 }
 
 // sendClose schedules the endpoint's close notification after every
@@ -332,7 +409,11 @@ func (d *dispatcher) sendClose(dc *dconn, force bool) {
 	if now := d.vc.nowDur(); now > at {
 		at = now
 	}
-	d.enqueueV(dc, nil, nil, 0, at, true, force)
+	kind := evClose
+	if force {
+		kind = evForceClose
+	}
+	d.enqueueV(dc, nil, nil, 0, at, kind)
 }
 
 // markClosed marks a self-closed endpoint so deliveries already in
@@ -344,11 +425,12 @@ func (d *dispatcher) markClosed(dc *dconn) {
 }
 
 // ExecStats are a world's execution-model counters: how many deliveries
-// ran as run-to-completion handler dispatches, how many took the legacy
-// mailbox path to a blocking reader, and how many times a registered
-// goroutine parked in the virtual clock (sleeps, blocking reads,
-// delivery holds). The dispatches/parks ratio is the direct measure of
-// what the dispatch conversion bought.
+// ran as run-to-completion handler dispatches, how many went to a
+// reader endpoint's mailbox for a blocking Read or ReadFrom (the legacy
+// receive path), and how many times a registered goroutine parked in
+// the virtual clock (sleeps, mailbox receives, blocking reads). The
+// dispatches/parks ratio is the direct measure of what the dispatch
+// conversion bought.
 type ExecStats struct {
 	HandlerDispatches uint64
 	LegacyDeliveries  uint64
@@ -360,12 +442,8 @@ func (n *Network) ExecStats() ExecStats {
 	var s ExecStats
 	if d := n.disp.Load(); d != nil {
 		s.HandlerDispatches = d.dispatches.Load()
+		s.LegacyDeliveries = d.readerPuts.Load()
 	}
-	s.LegacyDeliveries = n.legacyDeliveries.Load()
 	s.GoroutineParks = n.clock.parks.Load()
 	return s
 }
-
-// noteLegacyDelivery counts a legacy mailbox enqueue. The wake of a
-// parked reader is the mailbox's, tracked by the clock.
-func (n *Network) noteLegacyDelivery() { n.legacyDeliveries.Add(1) }

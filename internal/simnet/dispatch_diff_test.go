@@ -250,7 +250,7 @@ func TestDispatchLoneDeliveryTwoBatches(t *testing.T) {
 		dc := d.register()
 		delivered := 0
 		dc.onData = func([]byte) { delivered++ }
-		d.enqueueV(dc, nil, nil, 0, delay, false, false)
+		d.enqueueV(dc, nil, nil, 0, delay, evData)
 		batches := 0
 		for delivered == 0 {
 			at, ok := d.next()

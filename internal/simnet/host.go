@@ -130,8 +130,8 @@ func (h *Host) ListenPacket(port int) (*PacketConn, error) {
 	if _, used := h.pktConns[port]; used {
 		return nil, fmt.Errorf("%w: %s:%d (udp)", ErrPortInUse, h.name, port)
 	}
-	// The legacy mailbox is made lazily on first use; handler-mode
-	// sockets never pay for it.
+	// The dispatch endpoint is registered on first use; a socket that
+	// only sends never pays for it.
 	pc := &PacketConn{
 		host: h,
 		addr: Addr{Host: h.name, Port: port},

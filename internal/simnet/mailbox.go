@@ -24,9 +24,9 @@ import (
 // parked receive allocates nothing; concurrent receivers are served in
 // arrival order and allocate their own.
 //
-// Mailboxes are also simnet's legacy receive path: a blocking Conn.Read,
-// PacketConn.ReadFrom or Listener.Accept waits on one, fed at write
-// time, and then holds a delivery until its link delay has elapsed.
+// Mailboxes are also simnet's blocking receive path: Conn.Read and
+// PacketConn.ReadFrom wait on one that the dispatcher fills at each
+// delivery instant, Listener.Accept on one fed at each arrival.
 type Mailbox[T any] struct {
 	vc    *VirtualClock
 	depth int
@@ -37,7 +37,7 @@ type Mailbox[T any] struct {
 	closed      bool
 	first, last *mailWaiter[T] // parked receivers, oldest first
 	own         mailWaiter[T]
-	ownInUse    bool // own is parked in a receive or a hold
+	ownInUse    bool // own is parked in a receive
 }
 
 // mailWaiter is one parked receiver. state and val are written by
@@ -168,25 +168,8 @@ func (m *Mailbox[T]) recv(timeout time.Duration) (T, error) {
 	return zero, ErrDeadline
 }
 
-// hold waits out a received legacy delivery: until its instant at, or
-// the read deadline if that comes first (zero: none). The hold re-arms
-// a claimed waiter (holdDelivery), so while one receiver holds at a
-// time it allocates nothing.
-func (m *Mailbox[T]) hold(b *vbarrier, at, deadline time.Time) {
-	if !deadline.IsZero() && deadline.Before(at) {
-		at = deadline
-	}
-	m.mu.Lock()
-	w := m.claim()
-	m.mu.Unlock()
-	m.vc.holdDelivery(&w.vw, b, at)
-	m.mu.Lock()
-	m.unclaim(w)
-	m.mu.Unlock()
-}
-
-// claim returns the embedded waiter if no receive or hold is using it,
-// else a fresh one. Caller holds m.mu.
+// claim returns the embedded waiter if no receive is using it, else a
+// fresh one. Caller holds m.mu.
 func (m *Mailbox[T]) claim() *mailWaiter[T] {
 	w := &m.own
 	if m.ownInUse {

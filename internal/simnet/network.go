@@ -56,12 +56,9 @@ type Network struct {
 	rng         *rand.Rand
 	closed      bool
 
-	// disp is the run-to-completion dispatch engine, created lazily on
-	// the first handler registration (dispatcherFor).
+	// disp is the dispatch engine every delivery runs on, created
+	// lazily on the first endpoint registration (dispatcherFor).
 	disp atomic.Pointer[dispatcher]
-	// legacyDeliveries counts deliveries that took the mailbox path to
-	// a blocking reader instead of a handler (ExecStats).
-	legacyDeliveries atomic.Uint64
 }
 
 type linkState struct {

@@ -8,38 +8,26 @@ import (
 	"time"
 )
 
-// datagram is one queued packet with its delivery instant. bar keeps
-// virtual time from jumping past the delivery before the receiver parks
-// on it. from carries the sender's pre-boxed
-// address so the ReadFrom return costs no interface allocation.
-type datagram struct {
-	data []byte
-	from net.Addr
-	at   time.Time
-	bar  *vbarrier
-}
-
 // PacketConn is a simnet datagram socket. It implements the
 // net.PacketConn read/write surface used by the GTP-U and mobility
 // transport layers: unreliable, unordered-within-jitter, loss- and
 // latency-afflicted delivery.
 //
-// Like a stream halfPipe, a socket receives through one of two paths:
-// box is the legacy mailbox a blocking ReadFrom waits on (made on the
-// first datagram or ReadFrom), and a registered dispatch handler
-// replaces it. The receive buffer is bounded at inboxDepth on both
-// paths — overflow drops model kernel receive-buffer loss identically.
+// Like a stream halfPipe, a socket receives every datagram as a
+// delivery event on its dispatch endpoint, registered at the first
+// datagram, ReadFrom or SetHandler: a handler runs inline, or, on a
+// reader endpoint, the datagram waits in the endpoint's mailbox for
+// ReadFrom. Both paths drop beyond inboxDepth, modeling kernel
+// receive-buffer loss.
 type PacketConn struct {
 	host     *Host
 	addr     Addr
 	boxedSrc net.Addr // addr boxed once, stamped on outgoing datagrams
 
+	// dc is the receiver's dispatch endpoint. Written under imu, with
+	// its handler; read lock-free on the send fast path.
 	imu sync.Mutex
-	box *Mailbox[datagram] // legacy path; nil until a datagram or ReadFrom needs it
-
-	// dc is the receiver's dispatch endpoint. Written under imu; read
-	// lock-free on the send fast path.
-	dc atomic.Pointer[dconn]
+	dc  atomic.Pointer[dconn]
 
 	// lastDst memoizes the most recent resolved destination — the
 	// socket and the link toward its host — so a socket streaming to one
@@ -96,42 +84,45 @@ func (p *PacketConn) LocalAddr() net.Addr { return p.addr }
 // SetHandler switches the socket to run-to-completion dispatch: h runs
 // inline on the network's dispatcher for every delivered datagram, in
 // delivery order, at the delivery instant. The buffer is owned by the
-// dispatcher and valid only for the duration of the call. Packets
-// already buffered are re-registered at their original delivery
-// instants. The same handler contract as Conn.OnDeliver applies: no
-// clock waits inside h, and wakes only through a simnet write or a
-// Mailbox.Put.
+// dispatcher and valid only for the duration of the call. Datagrams
+// delivered but not yet read reach h first, at the current instant;
+// those in flight keep their instants. The same handler contract as
+// Conn.OnDeliver applies: install at most once, no clock waits inside
+// h, and wakes only through a simnet write or a Mailbox.Put.
 func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	d := p.host.net.dispatcherFor()
-	dc := d.register()
-	dc.onPacket = h
-	dc.bounded = true
 	p.imu.Lock()
-	if p.box != nil {
-		for {
-			dg, err := p.box.Recv(0)
-			if err != nil {
-				break
-			}
-			d.migrate(dc, dg.data, dg.from, dg.at, dg.bar)
-		}
+	dc := p.dc.Load()
+	if dc == nil {
+		dc = d.register()
+		dc.bounded = true
 	}
+	d.install(dc, handlers{onPacket: h}, nil)
 	p.dc.Store(dc)
 	p.imu.Unlock()
 }
 
-// mailboxLocked returns the legacy mailbox, making it on first use —
-// already closed if the socket is. Caller holds p.imu.
-func (p *PacketConn) mailboxLocked() *Mailbox[datagram] {
-	if p.box == nil {
-		p.box = NewMailbox[datagram](p.host.net.clock, inboxDepth)
-		select {
-		case <-p.done:
-			p.box.Close()
-		default:
-		}
+// endpoint returns the socket's dispatch endpoint, registering a
+// reader endpoint if there is none yet — closed if the socket is.
+func (p *PacketConn) endpoint() *dconn {
+	if dc := p.dc.Load(); dc != nil {
+		return dc
 	}
-	return p.box
+	p.imu.Lock()
+	defer p.imu.Unlock()
+	if dc := p.dc.Load(); dc != nil {
+		return dc
+	}
+	dc := p.host.net.dispatcherFor().registerReader(inboxDepth)
+	dc.bounded = true
+	select {
+	case <-p.done:
+		dc.closed.Store(true)
+		dc.box.Close()
+	default:
+	}
+	p.dc.Store(dc)
+	return dc
 }
 
 // coerceAddr normalizes the destination address forms WriteTo accepts.
@@ -146,36 +137,10 @@ func coerceAddr(addr net.Addr) (Addr, error) {
 	}
 }
 
-// queueTo hands an owned payload to dst's receive path after delay:
-// the dispatch handler when one is registered, otherwise the legacy
-// mailbox. Overflow beyond inboxDepth drops the packet on both paths.
+// queueTo hands an owned payload to dst's endpoint after delay.
 func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) {
-	// Dispatch fast path: no barrier, no mailbox.
-	if dc := dst.dc.Load(); dc != nil {
-		dc.d.send(dc, data, p.boxedSrc, delay)
-		return
-	}
-	vc := p.host.net.clock
-	at := vc.Now().Add(delay)
-	dg := datagram{data: data, from: p.boxedSrc, at: at, bar: vc.addBarrier(at)}
-	// Legacy enqueue, mode-checked under the receive lock so a
-	// concurrent SetHandler migration cannot strand the datagram.
-	dst.imu.Lock()
-	if dc := dst.dc.Load(); dc != nil {
-		dst.imu.Unlock()
-		vc.releaseBarrier(dg.bar)
-		dc.d.send(dc, data, p.boxedSrc, delay)
-		return
-	}
-	queued := dst.mailboxLocked().Put(dg)
-	dst.imu.Unlock()
-	if queued {
-		p.host.net.noteLegacyDelivery()
-		return
-	}
-	// A full (or closed) receive buffer drops the packet.
-	vc.releaseBarrier(dg.bar)
-	payloadPut(data)
+	dc := dst.endpoint()
+	dc.d.send(dc, data, p.boxedSrc, delay)
 }
 
 // WriteTo sends a datagram to addr ("host:port" or an Addr). Sends on a
@@ -272,20 +237,14 @@ func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 // delivery buffer directly, avoiding ReadFrom's copy-out. Ownership of
 // the returned slice transfers to the caller, who must release it with
 // PutPayload (or pass it on via WriteOwnedTo) exactly once. Deadline
-// and close behavior match ReadFrom: a deadline inside the datagram's
-// link delay ends the read at the deadline with the datagram consumed
-// (a real kernel would have buffered it past the deadline too).
+// and close behavior match ReadFrom: a deadline before the next
+// delivery instant returns ErrDeadline and leaves the datagram queued.
 func (p *PacketConn) ReadFromOwned() ([]byte, net.Addr, error) {
-	p.imu.Lock()
-	box := p.mailboxLocked()
-	p.imu.Unlock()
-	dl := p.readDeadline.get()
-	dg, err := box.recvBy(dl)
+	ch, err := p.endpoint().box.recvBy(p.readDeadline.get())
 	if err != nil {
 		return nil, nil, err
 	}
-	box.hold(dg.bar, dg.at, dl)
-	return dg.data, dg.from, nil
+	return ch.data, ch.from, nil
 }
 
 // Clock returns the clock governing this socket's network.
@@ -301,15 +260,16 @@ func (p *PacketConn) SetReadDeadline(t time.Time) error {
 // Close releases the socket.
 func (p *PacketConn) Close() error {
 	p.closeOnce.Do(func() {
-		if dc := p.dc.Load(); dc != nil {
-			dc.d.markClosed(dc)
-		}
 		close(p.done)
 		p.imu.Lock()
-		if p.box != nil {
-			p.box.Close()
-		}
+		dc := p.dc.Load()
 		p.imu.Unlock()
+		if dc != nil {
+			dc.d.markClosed(dc)
+			if dc.box != nil {
+				dc.box.Close()
+			}
+		}
 		p.host.removePacketConn(p.addr.Port)
 	})
 	return nil

@@ -11,16 +11,18 @@ import (
 // VirtualClock is a deterministic discrete-event Clock. It tracks how
 // many registered goroutines are runnable ("busy"); when that count
 // reaches zero the world is quiescent — everyone is parked in a clock
-// wait (Sleep, a Mailbox receive, a delivery hold, a Block bracket) —
-// and a background advancer jumps virtual time straight to the next
-// timer's expiry and fires it. Simulated latencies therefore cost
-// microseconds of wall time instead of their face value, and two runs
-// with the same seed see the same virtual timeline.
+// wait (Sleep, a Mailbox receive, a Block bracket) — and a background
+// advancer jumps virtual time straight to the next event and runs it:
+// a timer's expiry, or a dispatcher's delivery batch. Simulated
+// latencies therefore cost microseconds of wall time instead of their
+// face value, and two runs with the same seed see the same virtual
+// timeline.
 //
-// Delivery barriers pin each legacy (blocking-read) delivery's instant:
-// the sender registers it as a barrier, and the advancer never jumps
-// past the earliest barrier until the receiver has swapped it for a
-// real timer (holdDelivery) or the barrier's instant has been reached.
+// Every simnet delivery is a dispatcher event, a blocking reader's
+// included: the batch puts the chunk in the reader's mailbox at its
+// instant, and that Put counts the woken reader busy. So a delivery
+// in flight is always an event the advancer can see, and nothing else
+// has to hold time back.
 //
 // The zero value is not usable; call NewVirtual. The goroutine that
 // creates the clock is the initial registered goroutine and must be
@@ -32,24 +34,23 @@ type VirtualClock struct {
 	base time.Time     // fixed epoch virtual instants are rendered from
 	now  time.Duration // virtual time since base
 
-	busy     int // registered goroutines currently runnable
-	blocked  int // goroutines inside a Block/Unblock bracket
-	yields   int // settle-loop scheduler yields, for tests
-	gen      uint64
-	seq      uint64
-	timers   waiterHeap
-	untimed  []*vwaiter // receivers parked with no timeout (Mailbox.Wait); Close releases them
-	barriers barrierHeap
-	closed   bool
+	busy    int // registered goroutines currently runnable
+	blocked int // goroutines inside a Block/Unblock bracket
+	yields  int // settle-loop scheduler yields, for tests
+	gen     uint64
+	seq     uint64
+	timers  waiterHeap
+	untimed []*vwaiter // receivers parked with no timeout (Mailbox.Wait); Close releases them
+	closed  bool
 
-	// disp holds the run-to-completion dispatchers attached to this
-	// clock (one per Network with registered handlers; almost always
-	// zero or one). The advancer treats their earliest pending
-	// delivery as a third event source next to timers and barriers.
+	// disp holds the dispatchers attached to this clock (one per
+	// Network that registered an endpoint; almost always zero or one).
+	// The advancer treats their earliest pending delivery as the
+	// second event source next to timers.
 	disp []*dispatcher
 
 	live  atomic.Int64  // goroutines spawned via Go that have not returned
-	parks atomic.Uint64 // goroutine parks: Sleep, Block, Mailbox receives, delivery holds
+	parks atomic.Uint64 // goroutine parks: Sleep, Block, Mailbox receives
 }
 
 // vwaiter is one parked goroutine's wakeup: wake is its 1-buffered
@@ -64,9 +65,8 @@ type vwaiter struct {
 }
 
 // release lets the goroutine parked on w run by sending its one token.
-// Every parked waiter — a Sleep's pooled one, a Mailbox's receive or
-// delivery hold — is re-armed park after park, so the token is a send,
-// never a close.
+// Every parked waiter — a Sleep's pooled one, a Mailbox's receive — is
+// re-armed park after park, so the token is a send, never a close.
 func (w *vwaiter) release() {
 	select {
 	case w.wake <- struct{}{}:
@@ -101,36 +101,6 @@ func (h *waiterHeap) Pop() interface{} {
 	w.idx = -1
 	*h = old[:n-1]
 	return w
-}
-
-// vbarrier marks an in-flight delivery the clock may not jump past.
-type vbarrier struct {
-	at  time.Duration
-	idx int
-}
-
-type barrierHeap []*vbarrier
-
-func (h barrierHeap) Len() int           { return len(h) }
-func (h barrierHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h barrierHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *barrierHeap) Push(x interface{}) {
-	b := x.(*vbarrier)
-	b.idx = len(*h)
-	*h = append(*h, b)
-}
-func (h *barrierHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	b := old[n-1]
-	old[n-1] = nil
-	b.idx = -1
-	*h = old[:n-1]
-	return b
 }
 
 // virtualEpoch is the fixed origin of every VirtualClock. It is
@@ -180,11 +150,7 @@ func (c *VirtualClock) Close() {
 			w.release()
 		}
 	}
-	for _, b := range c.barriers {
-		b.idx = -1
-	}
 	c.timers, c.untimed = nil, nil
-	c.barriers = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -361,68 +327,16 @@ func (c *VirtualClock) Unblock() {
 	c.mu.Unlock()
 }
 
-// addBarrier registers an in-flight delivery due at the given instant.
-// It returns nil (no barrier needed) when at is not in the virtual
-// future.
-func (c *VirtualClock) addBarrier(at time.Time) *vbarrier {
-	d := at.Sub(c.base)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || d <= c.now {
-		return nil
-	}
-	b := &vbarrier{at: d}
-	heap.Push(&c.barriers, b)
-	return b
-}
-
-// releaseBarrier drops a barrier whose delivery was consumed or
-// abandoned (packet dropped on queue overflow, write aborted).
-func (c *VirtualClock) releaseBarrier(b *vbarrier) {
-	if b == nil {
-		return
-	}
-	c.mu.Lock()
-	if b.idx >= 0 {
-		heap.Remove(&c.barriers, b.idx)
-		if c.busy == 0 {
-			c.cond.Broadcast()
-		}
-	}
-	c.mu.Unlock()
-}
-
-// holdDelivery parks the calling goroutine on w (a re-armed Mailbox
-// waiter) until virtual time reaches at — the delivery instant, or a
-// read deadline before it — atomically swapping the delivery's barrier
-// for the timed waiter so the advancer can neither jump past the
-// delivery nor stall on its barrier. Only the advancer (or Close)
-// releases it, so there is no abort race to settle.
-func (c *VirtualClock) holdDelivery(w *vwaiter, b *vbarrier, at time.Time) {
-	d := at.Sub(c.base)
-	c.mu.Lock()
-	if b != nil && b.idx >= 0 {
-		heap.Remove(&c.barriers, b.idx)
-	}
-	if c.closed || d <= c.now {
-		c.mu.Unlock()
-		return
-	}
-	c.parkLocked(w, d)
-	c.mu.Unlock()
-	<-w.wake // fired: the advancer transferred our busy slot back
-}
-
 // Pending reports the number of timed parks (sleeps, mailbox receives
-// with a timeout, delivery holds). Intended for tests.
+// with a timeout). Intended for tests.
 func (c *VirtualClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.timers)
 }
 
-// attachDispatcher registers a Network's run-to-completion dispatcher
-// as an event source for the advancer.
+// attachDispatcher registers a Network's dispatcher as an event source
+// for the advancer.
 func (c *VirtualClock) attachDispatcher(d *dispatcher) {
 	c.mu.Lock()
 	c.disp = append(c.disp, d)
@@ -468,26 +382,25 @@ type stepKind int
 
 const (
 	stepIdle     stepKind = iota // nothing to step
-	stepQuiet                    // moved time only; nobody became runnable
 	stepWake                     // released a parked goroutine
 	stepDispatch                 // a dispatch batch is due at c.now
 )
 
 // advance is the clock's background engine. Whenever the world is
-// quiescent (busy == 0) and wakeups, barriers, or dispatch deliveries
-// are scheduled, it settles the Go scheduler, then moves virtual time
-// one step: to the earliest barrier (making that delivery current so
-// its receiver can run), the earliest timer (firing it), or the
-// earliest dispatch batch (running its handlers inline).
+// quiescent (busy == 0) and wakeups or dispatch deliveries are
+// scheduled, it settles the Go scheduler, then moves virtual time one
+// step: to the earliest timer (firing it) or the earliest dispatch
+// batch (running its handlers inline, and filling the mailboxes of
+// reader endpoints).
 //
 // Settle rounds are the expensive part of a step, and they exist only
 // to catch goroutines that became runnable outside the clock's
 // bookkeeping — which only a goroutine inside Block can be, so a world
-// with nobody blocked never settles (settleLocked). Steps that provably
-// woke nobody — barrier advances, and dispatch batches whose handlers
-// only wrote handler-mode conns — skip the settle before the next step;
-// that skip is what makes a handler-to-handler hop a plain scheduler
-// event instead of a park/settle/unpark round.
+// with nobody blocked never settles (settleLocked). A dispatch batch
+// that provably woke nobody — its handlers only wrote to handler
+// endpoints — skips the settle before the next step; that skip is what
+// makes a handler-to-handler hop a plain scheduler event instead of a
+// park/settle/unpark round.
 func (c *VirtualClock) advance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -518,8 +431,6 @@ func (c *VirtualClock) advance() {
 		switch kind {
 		case stepIdle, stepWake:
 			needSettle = true
-		case stepQuiet:
-			needSettle = false
 		case stepDispatch:
 			at := c.now
 			gen := c.gen
@@ -533,7 +444,7 @@ func (c *VirtualClock) advance() {
 
 // pendingWorkLocked reports whether any event source has work.
 func (c *VirtualClock) pendingWorkLocked() bool {
-	if len(c.timers) > 0 || len(c.barriers) > 0 {
+	if len(c.timers) > 0 {
 		return true
 	}
 	for _, d := range c.disp {
@@ -551,9 +462,8 @@ func (c *VirtualClock) pendingWorkLocked() bool {
 //
 // Only a goroutine inside Block can be such a receiver. With busy == 0
 // and blocked == 0 every registered goroutine is parked in a clock-owned
-// wait — a Sleep, a Mailbox receive, a delivery hold — and only the
-// advancer, unpark or Close can release one, each doing busy++ under
-// c.mu first. So with nobody blocked the yields could find no one, and
+// wait — a Sleep or a Mailbox receive — and only the advancer, unpark
+// or Close can release one, each doing busy++ under c.mu first. So with nobody blocked the yields could find no one, and
 // the world is quiescent exactly.
 func (c *VirtualClock) settleLocked() bool {
 	if c.blocked == 0 {
@@ -573,18 +483,13 @@ func (c *VirtualClock) settleLocked() bool {
 	return true
 }
 
-// stepLocked advances virtual time by one event. Ordering among the
-// three sources at one instant: barriers strictly first (they only
-// move time), then timers (legacy receivers parked on a delivery run
-// before same-instant handlers), then dispatch batches. For
-// stepDispatch the returned dispatcher's batch at the (already
-// advanced) current instant must be run by the caller with the clock
-// unlocked.
+// stepLocked advances virtual time by one event from its two sources.
+// At one instant timers run first (a goroutine whose Sleep or receive
+// timeout ends there runs before same-instant deliveries), then
+// dispatch batches. For stepDispatch the returned dispatcher's batch at
+// the (already advanced) current instant must be run by the caller
+// with the clock unlocked.
 func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
-	// Barriers already in the past never hold time back.
-	for len(c.barriers) > 0 && c.barriers[0].at <= c.now {
-		heap.Pop(&c.barriers)
-	}
 	nextTimer := time.Duration(-1)
 	if len(c.timers) > 0 {
 		nextTimer = c.timers[0].at
@@ -601,20 +506,6 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 			}
 		}
 	}
-	if len(c.barriers) > 0 {
-		b := c.barriers[0].at
-		if (nextTimer < 0 || b < nextTimer) && (nextDispatch < 0 || b < nextDispatch) {
-			// An in-flight delivery is due first: advance to its instant
-			// only. A receiver parked on its mailbox was counted busy
-			// when the value was put; a mailbox nobody reads stops
-			// capping time once matured.
-			heap.Pop(&c.barriers)
-			if b > c.now {
-				c.now = b
-			}
-			return stepQuiet, nil
-		}
-	}
 	if nextTimer >= 0 && (nextDispatch < 0 || nextTimer <= nextDispatch) {
 		w := heap.Pop(&c.timers).(*vwaiter)
 		if w.at > c.now {
@@ -628,8 +519,7 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 		// The bound may be an upper-wheel slot boundary rather than an
 		// exact event instant; advancing to it and running the (possibly
 		// empty) batch lets the wheel flatten that slot into its run,
-		// which makes the next bound exact — the same way barrier steps
-		// move time without firing anything.
+		// which makes the next bound exact.
 		if nextDispatch > c.now {
 			c.now = nextDispatch
 		}
