@@ -7,25 +7,47 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dlte/internal/leaktest"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden report from this run")
-
-// goldenReport is the stdout of `dlte-sim -exp all -quick -seed 1 -p 1`.
-var goldenReport = filepath.Join("testdata", "all.quick.seed1.golden")
+var update = flag.Bool("update", false, "rewrite the golden reports from this run")
 
 // TestQuickSuiteGolden pins every quick table to its committed bytes:
 // a change that moves any row shows up in the golden file's diff, where
 // a reviewer can check each moved row against the change's stated
-// effect. Regenerate with `go test ./internal/exp -run Golden -update`.
+// effect. The golden is the stdout of `dlte-sim -exp all -quick -seed 1
+// -p 1`. Regenerate with `go test ./internal/exp -run Golden -update`.
 func TestQuickSuiteGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	checkSuiteGolden(t, filepath.Join("testdata", "all.quick.seed1.golden"),
+		Options{Quick: true, Seed: 1, Parallelism: 1})
+}
+
+// TestFullSuiteGolden is the full-size twin: the stdout of `dlte-sim
+// -exp all -seed 42`, about 7 s of wall time on a 2-CPU box. It pins
+// the rows the quick sizes never reach (E7's 16-AP mesh, E10 at 500
+// APs, E11's 4-AP corridor, E12's full sweeps). Too slow under the race
+// detector, so it runs only in a plain `go test`.
+func TestFullSuiteGolden(t *testing.T) {
+	if testing.Short() || leaktest.RaceEnabled {
+		t.Skip("full-size suite: not in -short or -race runs")
+	}
+	checkSuiteGolden(t, filepath.Join("testdata", "all.seed42.golden"), Options{Seed: 42})
+}
+
+// checkSuiteGolden renders the whole suite under opts, headers and
+// tables as dlte-sim prints them, and compares it with the golden file
+// at path (or rewrites the file under -update).
+func checkSuiteGolden(t *testing.T, path string, opts Options) {
+	t.Helper()
 	var report bytes.Buffer
 	for _, e := range Suite {
 		var tables bytes.Buffer
-		if err := e.Run(Options{Quick: true, Seed: 1, Out: &tables, Parallelism: 1}); err != nil {
+		opts.Out = &tables
+		if err := e.Run(opts); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		e.WriteHeader(&report)
@@ -33,14 +55,14 @@ func TestQuickSuiteGolden(t *testing.T) {
 		fmt.Fprintln(&report)
 	}
 	if *update {
-		if err := os.WriteFile(goldenReport, report.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, report.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenReport)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBytes(t, goldenReport, "this run", want, report.Bytes())
+	requireSameBytes(t, path, "this run", want, report.Bytes())
 }
