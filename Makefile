@@ -215,17 +215,17 @@ determinism-smoke: build
 		/tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt \
 		/tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
 
-# Determinism gate (ROADMAP item 1a, "gate first"): the two
-# determinism tests at GOMAXPROCS 1/2/8 x -count=DET_COUNT, one pass
-# ratio per cell. The ratios are the progress measure of ROADMAP item 1.
-# No experiment world waits inside Block any more, so the settle
-# heuristic is out of their path; what is left is same-instant
-# concurrency among tracked wakes (item 1c). Measured on a 2-CPU host
-# with DET_COUNT=20: TestExperimentsDeterministic 20/20/20 and
-# TestSerialParallelIdentical 20/20/19 at GOMAXPROCS 1/2/8, where the
-# Block-based waits scored 20/18/11 and 20/16/15. The target reports
-# and never fails, and `check` does not run it yet. A change to the
-# clock or to a parked wait compares its ratios against its parent's.
+# Determinism gate: the two determinism tests at GOMAXPROCS 1/2/8 x
+# -count=DET_COUNT, one pass ratio per cell. No experiment world waits
+# inside Block any more, so the settle heuristic is out of their path;
+# what is left is same-instant concurrency among tracked wakes, which
+# ROADMAP item 2(e) proposes to close by construction. Measured on a
+# 2-CPU host with DET_COUNT=20: TestExperimentsDeterministic and
+# TestSerialParallelIdentical both 20/20/20 at GOMAXPROCS 1/2/8, where
+# the Block-based waits scored 20/18/11 and 20/16/15. The target
+# reports and never fails, and `check` does not run it yet. A change to
+# the clock or to a parked wait compares its ratios against its
+# parent's.
 DET_COUNT ?= 10
 determinism-gate:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

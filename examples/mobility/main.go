@@ -18,6 +18,7 @@ import (
 	"dlte/internal/auth"
 	"dlte/internal/core"
 	"dlte/internal/geo"
+	"dlte/internal/mobility"
 	"dlte/internal/radio"
 	"dlte/internal/simnet"
 	"dlte/internal/transport"
@@ -132,7 +133,9 @@ func roam(out io.Writer, mode transport.Mode) error {
 	if err := aps[0].Mobility.Prepare("ap2", d.Publication(), -103); err != nil {
 		return err
 	}
-	clk.Sleep(50 * time.Millisecond)
+	clk.(*simnet.VirtualClock).WaitUntil(time.Second, func() bool {
+		return aps[0].Mobility.State(d.IMSI()) == mobility.StatePrepared
+	})
 	start := clk.Now()
 	if _, err := d.Attach(aps[1].AirAddr(), 10*time.Second); err != nil {
 		return err
@@ -145,14 +148,11 @@ func roam(out io.Writer, mode transport.Mode) error {
 		fmt.Fprintln(out, "  → the connection migrated: same session, new path (QUIC-style)")
 		return nil
 	}
-	// Legacy: the server resets the address-bound connection.
-	deadline := clk.Now().Add(3 * time.Second)
-	for clk.Now().Before(deadline) {
-		if err := cli.Send([]byte("after-roam")); err != nil {
-			fmt.Fprintf(out, "  connection reset by server: %v\n", err)
-			break
-		}
-		clk.Sleep(10 * time.Millisecond)
+	// Legacy: the first packet from the new address draws the server's
+	// reset of the address-bound connection, which ends the read.
+	cli.Send([]byte("after-roam"))
+	if _, err := cli.Recv(3 * time.Second); err != nil {
+		fmt.Fprintf(out, "  connection reset by server: %v\n", err)
 	}
 	cli.Close()
 	re, err := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},

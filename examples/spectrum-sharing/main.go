@@ -39,7 +39,6 @@ func run(out io.Writer) error {
 		return err
 	}
 	defer s.Close()
-	clk := s.Clock()
 
 	ap1, err := s.AddAP(core.APConfig{ID: "farm-coop", Position: geo.Pt(0, 0),
 		Band: radio.LTEBand5, HeightM: 20, EIRPdBm: 58, Mode: x2.ModeFairShare, TAC: 1})
@@ -62,10 +61,7 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	deadline := clk.Now().Add(2 * time.Second)
-	for clk.Now().Before(deadline) && ap2.Share() == 1 {
-		clk.Sleep(5 * time.Millisecond)
-	}
+	s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Share() != 1 })
 	fmt.Fprintf(out, "negotiated over X2: farm-coop=%.2f school=%.2f\n\n", share, ap2.Share())
 
 	// --- The airtime consequences, on the multi-cell simulator: eight

@@ -54,7 +54,7 @@ func (ap *AccessPoint) handleX2(peerID string, msg x2.Message) {
 }
 
 // RequestRelay asks a peer to carry traffic during a backhaul outage
-// (§7). The grant arrives asynchronously; poll RelayGrant.
+// (§7). The grant arrives asynchronously; watch RelayGrant.
 func (ap *AccessPoint) RequestRelay(peer string, neededBps uint64) error {
 	return ap.Agent.Send(peer, &x2.RelayRequest{APID: ap.cfg.ID, NeededBps: neededBps})
 }

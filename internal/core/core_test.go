@@ -15,19 +15,6 @@ import (
 	"dlte/internal/x2"
 )
 
-// waitSettle polls cond on the world's clock until it holds or the
-// (virtual) timeout passes: coordination messages are asynchronous.
-func waitSettle(clk simnet.Clock, timeout time.Duration, cond func() bool) bool {
-	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
 func newScenario(t *testing.T) *Scenario {
 	t.Helper()
 	s, err := NewScenario(simnet.Link{Latency: 2 * time.Millisecond}, 1)
@@ -72,7 +59,7 @@ func TestOpenJoinAndDiscovery(t *testing.T) {
 		t.Fatalf("ap1 peers = %v", peers)
 	}
 	// The X2 association is live in both directions.
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool { return len(ap2.Agent.Peers()) == 1 }) {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Agent.PeerCount() == 1 }) {
 		t.Fatal("ap2 never saw the association")
 	}
 }
@@ -95,7 +82,7 @@ func TestFairShareNegotiation(t *testing.T) {
 	}
 	// Peers adopt the broadcast pattern (quantized to 1/10000 on the
 	// wire).
-	ok := waitSettle(s.Clock(), 2*time.Second, func() bool {
+	ok := s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		return math.Abs(ap2.Share()-1.0/3) < 1e-3 && math.Abs(ap3.Share()-1.0/3) < 1e-3
 	})
 	if !ok {
@@ -178,7 +165,7 @@ func TestCooperativeSharesFollowLoad(t *testing.T) {
 	if _, err := ap1.DiscoverPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool { return len(ap2.Agent.Peers()) == 1 }) {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Agent.PeerCount() == 1 }) {
 		t.Fatal("association not established")
 	}
 
@@ -207,14 +194,14 @@ func TestCooperativeSharesFollowLoad(t *testing.T) {
 	if err := ap1.AdvertiseLoad(); err != nil {
 		t.Fatal(err)
 	}
-	ok := waitSettle(s.Clock(), 2*time.Second, func() bool {
+	ok := s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		share, err := ap1.NegotiateShares()
 		return err == nil && share > 0.9
 	})
 	if !ok {
 		t.Fatalf("cooperative share for loaded AP = %v, want ≈1 (3 UEs vs 0)", ap1.Share())
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool { return ap2.Share() < 0.1 }) {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Share() < 0.1 }) {
 		t.Errorf("idle AP share = %v, want ≈0", ap2.Share())
 	}
 }
@@ -226,7 +213,7 @@ func TestRoamingWithHandoverPrep(t *testing.T) {
 	if _, err := ap1.DiscoverPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool { return len(ap2.Agent.Peers()) == 1 }) {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Agent.PeerCount() == 1 }) {
 		t.Fatal("association not established")
 	}
 
@@ -250,7 +237,7 @@ func TestRoamingWithHandoverPrep(t *testing.T) {
 	if err := ap1.Mobility.Prepare("ap2", d.Publication(), -101.5); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		_, ok := ap2.Mobility.PreparedBy(d.IMSI())
 		return ok
 	}) {
@@ -274,7 +261,7 @@ func TestRoamingWithHandoverPrep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Source cleans up its session.
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		return ap1.Core.Gateway().NumSessions() == 0
 	}) {
 		t.Errorf("source sessions = %d, want 0", ap1.Core.Gateway().NumSessions())
@@ -438,7 +425,7 @@ func roamPair(t *testing.T, imsi string) (*Scenario, *AccessPoint, *AccessPoint,
 	if _, err := ap1.DiscoverPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool { return len(ap2.Agent.Peers()) == 1 }) {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return ap2.Agent.PeerCount() == 1 }) {
 		t.Fatal("association not established")
 	}
 	d, err := s.AddUE("roamer", auth.IMSI(imsi))
@@ -468,7 +455,7 @@ func TestHandoverTargetRejects(t *testing.T) {
 	if err := ap1.Mobility.Prepare("ap2", d.Publication(), -101); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		return ap1.Mobility.State(d.IMSI()) == mobility.StateRejected
 	}) {
 		t.Fatalf("source state = %v, want REJECTED", ap1.Mobility.State(d.IMSI()))
@@ -498,7 +485,7 @@ func TestHandoverSourceDiesMidPrepare(t *testing.T) {
 	if err := ap1.Mobility.Prepare("ap2", d.Publication(), -101); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		_, ok := ap2.Mobility.PreparedBy(d.IMSI())
 		return ok
 	}) {
@@ -536,7 +523,7 @@ func TestHandoverDuplicateComplete(t *testing.T) {
 	if err := ap1.Mobility.Prepare("ap2", d.Publication(), -101); err != nil {
 		t.Fatal(err)
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		return ap1.Mobility.State(d.IMSI()) == mobility.StatePrepared
 	}) {
 		t.Fatalf("source state = %v, want PREPARED", ap1.Mobility.State(d.IMSI()))
@@ -549,7 +536,7 @@ func TestHandoverDuplicateComplete(t *testing.T) {
 			t.Fatalf("notify %d: %v", i+1, err)
 		}
 	}
-	if !waitSettle(s.Clock(), 2*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool {
 		return ap1.Core.Gateway().NumSessions() == 0 &&
 			ap1.Mobility.State(d.IMSI()) == mobility.StateCompleted
 	}) {

@@ -446,18 +446,15 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	if firstErr != nil {
 		return pt, firstErr
 	}
-	meshed := func() bool {
+	vc := clk.(*simnet.VirtualClock)
+	if !vc.WaitUntil(10*time.Second, func() bool {
 		for _, ag := range agents {
-			if len(ag.Peers()) != cfg.meshK-1 {
+			if ag.PeerCount() != cfg.meshK-1 {
 				return false
 			}
 		}
 		return true
-	}
-	for !meshed() && clk.Since(meshStart) < 10*time.Second {
-		clk.Sleep(5 * time.Millisecond)
-	}
-	if !meshed() {
+	}) {
 		return pt, fmt.Errorf("e10: X2 mesh did not converge")
 	}
 	pt.convergeMs = ms(clk.Since(meshStart))
@@ -470,7 +467,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			return pt, err
 		}
 	}
-	bcastDone := func() bool {
+	if !vc.WaitUntil(5*time.Second, func() bool {
 		for _, ag := range agents {
 			_, _, _, rxMsgs := ag.Traffic()
 			if rxMsgs < uint64(cfg.meshK-1) {
@@ -478,12 +475,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			}
 		}
 		return true
-	}
-	bt := clk.Now()
-	for !bcastDone() && clk.Since(bt) < 5*time.Second {
-		clk.Sleep(5 * time.Millisecond)
-	}
-	if !bcastDone() {
+	}) {
 		return pt, fmt.Errorf("e10: broadcast round did not complete")
 	}
 	var x2Bytes uint64

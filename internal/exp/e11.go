@@ -182,31 +182,17 @@ func associate(s *core.Scenario, aps []*core.AccessPoint) error {
 			return err
 		}
 	}
-	ok := waitSettleExported(s, 5*time.Second, func() bool {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(5*time.Second, func() bool {
 		for _, ap := range aps {
-			if len(ap.Agent.Peers()) < len(aps)-1 {
+			if ap.Agent.PeerCount() < len(aps)-1 {
 				return false
 			}
 		}
 		return true
-	})
-	if !ok {
+	}) {
 		return fmt.Errorf("e11: X2 mesh never settled")
 	}
 	return nil
-}
-
-// waitSettleExported polls cond on the scenario's virtual clock.
-func waitSettleExported(s *core.Scenario, timeout time.Duration, cond func() bool) bool {
-	clk := s.Clock()
-	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	return cond()
 }
 
 // probeHandover runs one full-arc handover of device d from src to dst
@@ -214,17 +200,18 @@ func waitSettleExported(s *core.Scenario, timeout time.Duration, cond func() boo
 // NAS bytes into the shared meter. Returns the measured interruption.
 func probeHandover(s *core.Scenario, src, dst *core.AccessPoint, d *ue.Device, m *mobility.Meter) (time.Duration, error) {
 	imsi := d.IMSI()
+	vc := s.Clock().(*simnet.VirtualClock)
 	// RSRP at the cell edge between the two APs.
 	edge := src.Position().DistanceTo(dst.Position()) / 2
 	if err := src.Mobility.Prepare(dst.ID(), d.Publication(), scenRSRP(edge)); err != nil {
 		return 0, err
 	}
-	if !waitSettleExported(s, 5*time.Second, func() bool {
+	if !vc.WaitUntil(5*time.Second, func() bool {
 		return src.Mobility.State(imsi) == mobility.StatePrepared
 	}) {
 		return 0, fmt.Errorf("e11: prepare %s→%s stuck in %v", src.ID(), dst.ID(), src.Mobility.State(imsi))
 	}
-	start := s.Clock().Now()
+	start := vc.Now()
 	hr, err := d.Handover(dst.AirAddr(), 15*time.Second)
 	if err != nil {
 		return 0, fmt.Errorf("e11: handover %s→%s: %w", src.ID(), dst.ID(), err)
@@ -235,7 +222,7 @@ func probeHandover(s *core.Scenario, src, dst *core.AccessPoint, d *ue.Device, m
 	if err := dst.Mobility.NotifyComplete(src.ID(), imsi); err != nil {
 		return 0, err
 	}
-	if !waitSettleExported(s, 5*time.Second, func() bool {
+	if !vc.WaitUntil(5*time.Second, func() bool {
 		return src.Mobility.State(imsi) == mobility.StateCompleted &&
 			src.Core.Gateway().NumSessions() == 0
 	}) {

@@ -7,6 +7,7 @@ import (
 
 	"dlte/internal/core"
 	"dlte/internal/mobility"
+	"dlte/internal/simnet"
 	"dlte/internal/ue"
 )
 
@@ -96,16 +97,17 @@ func BenchmarkHandover(b *testing.B) {
 // sessions (probeHandover insists on 0, which only fits a lone UE).
 func benchArc(hb *handoverBench, src, dst *core.AccessPoint, d *ue.Device, remaining int) error {
 	imsi := d.IMSI()
+	vc := hb.s.Clock().(*simnet.VirtualClock)
 	edge := src.Position().DistanceTo(dst.Position()) / 2
 	if err := src.Mobility.Prepare(dst.ID(), d.Publication(), scenRSRP(edge)); err != nil {
 		return err
 	}
-	if !waitSettleExported(hb.s, 5*time.Second, func() bool {
+	if !vc.WaitUntil(5*time.Second, func() bool {
 		return src.Mobility.State(imsi) == mobility.StatePrepared
 	}) {
 		return fmt.Errorf("storm: prepare %s→%s stuck in %v", src.ID(), dst.ID(), src.Mobility.State(imsi))
 	}
-	start := hb.s.Clock().Now()
+	start := vc.Now()
 	hr, err := d.Handover(dst.AirAddr(), 15*time.Second)
 	if err != nil {
 		return fmt.Errorf("storm: handover %s→%s: %w", src.ID(), dst.ID(), err)
@@ -116,7 +118,7 @@ func benchArc(hb *handoverBench, src, dst *core.AccessPoint, d *ue.Device, remai
 	if err := dst.Mobility.NotifyComplete(src.ID(), imsi); err != nil {
 		return err
 	}
-	if !waitSettleExported(hb.s, 5*time.Second, func() bool {
+	if !vc.WaitUntil(5*time.Second, func() bool {
 		return src.Mobility.State(imsi) == mobility.StateCompleted &&
 			src.Core.Gateway().NumSessions() == remaining
 	}) {

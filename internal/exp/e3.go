@@ -192,7 +192,6 @@ func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err e
 		}
 	}
 	g.wait()
-	clk := s.Clock()
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}
@@ -200,15 +199,14 @@ func runDLTEStorm(nAP int, seed int64) (p50, p99 float64, coreMsgs uint64, err e
 	// AttachComplete; drain until every core has processed its last one
 	// so the message count is a complete, deterministic total rather
 	// than a racy snapshot.
-	for {
+	if !s.Clock().(*simnet.VirtualClock).WaitUntil(time.Minute, func() bool {
 		var attaches uint64
 		for _, ap := range aps {
 			attaches += ap.Core.Stats().Attaches
 		}
-		if attaches >= uint64(nAP*uesPerAP) {
-			break
-		}
-		clk.Sleep(time.Millisecond)
+		return attaches >= uint64(nAP*uesPerAP)
+	}) {
+		return 0, 0, 0, fmt.Errorf("e3: cores never processed every AttachComplete")
 	}
 	var msgs uint64
 	for _, ap := range aps {
@@ -279,14 +277,15 @@ func runCentralStorm(nAP int, seed int64, procs int) (p50, p99 float64, coreMsgs
 		}
 	}
 	g.wait()
-	clk := n.Clock()
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}
 	// Same drain as the dLTE storm: the last AttachComplete per UE is
 	// still in flight when Attach() returns.
-	for central.Core.Stats().Attaches < uint64(nAP*uesPerAP) {
-		clk.Sleep(time.Millisecond)
+	if !n.Clock().(*simnet.VirtualClock).WaitUntil(time.Minute, func() bool {
+		return central.Core.Stats().Attaches >= uint64(nAP*uesPerAP)
+	}) {
+		return 0, 0, 0, fmt.Errorf("e3: the central core never processed every AttachComplete")
 	}
 	return hist.Quantile(0.5), hist.Quantile(0.99), central.Core.Stats().SignalingMessages, nil
 }

@@ -192,10 +192,12 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 	// Probe loop: send seq, count echoes, track the largest gap.
 	const probePeriod = 10 * time.Millisecond
 	echoes := simnet.NewMailbox[time.Time](vc, 1024)
+	readerEnd := simnet.NewMailbox[error](vc, 2)
 	readEchoes := func(c *transport.Client) func() {
 		return func() {
 			for {
 				if _, rerr := c.Recv(5 * time.Second); rerr != nil {
+					readerEnd.Put(rerr)
 					return
 				}
 				echoes.Put(clk.Now())
@@ -229,16 +231,12 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 		return out, fmt.Errorf("re-attach: %w", err)
 	}
 
-	// Legacy transports die at the roam: detect RESET and redial (the
-	// application-level reconnect TCP forces).
+	// Legacy transports die at the roam: a probe from the new address
+	// draws the RESET, which ends the echo reader with ErrReset; then
+	// redial (the application-level reconnect TCP forces).
 	if mode == transport.Legacy {
-		deadline := clk.Now().Add(5 * time.Second)
-		for clk.Now().Before(deadline) {
-			if err := cli.Send([]byte("probe")); err != nil {
-				break // reset observed
-			}
-			clk.Sleep(5 * time.Millisecond)
-		}
+		cli.Send([]byte("probe"))
+		readerEnd.Recv(5 * time.Second)
 		// Tear the dead connection down before redialing: Close stops
 		// its retransmit loop and returns at once, and the new
 		// connection's bearer takes over the device's downlink.

@@ -140,12 +140,11 @@ func measureConvergence(backhaul simnet.Link, seed int64) (float64, error) {
 	if _, err := aps[0].NegotiateShares(); err != nil {
 		return 0, err
 	}
-	deadline := clk.Now().Add(10 * time.Second)
-	for clk.Now().Before(deadline) {
-		if s := aps[1].Share(); s > 0.49 && s < 0.51 {
-			return ms(clk.Since(start)), nil
-		}
-		clk.Sleep(2 * time.Millisecond)
+	if !clk.(*simnet.VirtualClock).WaitUntil(10*time.Second, func() bool {
+		s := aps[1].Share()
+		return s > 0.49 && s < 0.51
+	}) {
+		return 0, fmt.Errorf("shares never converged")
 	}
-	return 0, fmt.Errorf("shares never converged")
+	return ms(clk.Since(start)), nil
 }

@@ -10,6 +10,7 @@ import (
 	"dlte/internal/ott"
 	"dlte/internal/phy"
 	"dlte/internal/radio"
+	"dlte/internal/simnet"
 	"dlte/internal/x2"
 )
 
@@ -157,16 +158,11 @@ func runOTTMessaging(seed int64) (int, error) {
 		return 0, err
 	}
 	// Wait until both registrations land at the relay.
-	clk := s.Clock()
-	deadline := clk.Now().Add(5 * time.Second)
-	for clk.Now().Before(deadline) {
+	s.Clock().(*simnet.VirtualClock).WaitUntil(5*time.Second, func() bool {
 		_, aOK := relay.Registered("alice")
 		_, bOK := relay.Registered("bob")
-		if aOK && bOK {
-			break
-		}
-		clk.Sleep(10 * time.Millisecond)
-	}
+		return aOK && bOK
+	})
 
 	delivered := 0
 	for i := 0; i < 3; i++ {

@@ -7,6 +7,7 @@ import (
 	"dlte/internal/metrics"
 	"dlte/internal/phy"
 	"dlte/internal/radio"
+	"dlte/internal/simnet"
 	"dlte/internal/x2"
 )
 
@@ -174,13 +175,8 @@ func runRelayOutage(seed int64) (granted bool, detectMs float64, err error) {
 	if err := aps[0].RequestRelay("ap2", 5e6); err != nil {
 		return false, detectMs, err
 	}
-	deadline := clk.Now().Add(3 * time.Second)
-	for clk.Now().Before(deadline) {
-		if bps, from := aps[0].RelayGrant(); bps > 0 && from == "ap2" {
-			granted = true
-			break
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	return granted, detectMs, nil
+	return clk.(*simnet.VirtualClock).WaitUntil(3*time.Second, func() bool {
+		bps, from := aps[0].RelayGrant()
+		return bps > 0 && from == "ap2"
+	}), detectMs, nil
 }

@@ -182,7 +182,7 @@ func wireSize(msg x2.Message) int {
 // Prepare runs the source side of handover preparation: push the
 // roaming UE's published key to the target (so its re-attach there is
 // purely local) and request admission. The ack arrives asynchronously
-// through HandleX2; poll State. Any previous record for this IMSI is
+// through HandleX2; watch State. Any previous record for this IMSI is
 // superseded (a re-prepare after rejection or abort is legal).
 func (p *Plane) Prepare(targetAP string, pub auth.KeyPublication, rsrpDBm float64) error {
 	imsi := string(pub.IMSI)

@@ -78,7 +78,7 @@ func BenchmarkStoreJoin(b *testing.B) {
 
 // BenchmarkRegistryRevisionRTT measures the lightweight revision probe
 // end to end over a zero-latency simnet connection — the whole
-// request/response cycle that WaitForRevision polls.
+// request/response cycle behind Client.Revision.
 func BenchmarkRegistryRevisionRTT(b *testing.B) {
 	n := simnet.NewVirtualNetwork(simnet.Link{}, 1)
 	defer n.Close()
@@ -181,9 +181,9 @@ func (l *revLoopConn) SetDeadline(time.Time) error      { return nil }
 func (l *revLoopConn) SetReadDeadline(time.Time) error  { return nil }
 func (l *revLoopConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestRevisionProbeZeroAlloc gates the client fast path WaitForRevision
-// spins on: one pooled frame out, one pooled frame back, in-place
-// decode — nothing allocated per probe.
+// TestRevisionProbeZeroAlloc gates Client.Revision's fast path: one
+// pooled frame out, one pooled frame back, in-place decode — nothing
+// allocated per probe.
 func TestRevisionProbeZeroAlloc(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
@@ -202,35 +202,5 @@ func TestRevisionProbeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Revision round trip: %.2f allocs/op, want 0", allocs)
-	}
-}
-
-// TestWaitForRevisionUsesRevProbe pins the WaitForRevision traffic
-// shape: polling must cost tiny fixed-size frames, not full list
-// pulls (a 2048-AP list is ~180 KB; the rev probe is 13 bytes each
-// way).
-func TestWaitForRevisionUsesRevProbe(t *testing.T) {
-	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
-	defer n.Close()
-	srvHost := n.MustAddHost("registry")
-	cliHost := n.MustAddHost("client")
-	store := NewStore()
-	seedGrid(t, store, 2048)
-	l, err := srvHost.Listen(8400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Clock().Go(func() { NewServer(store).Serve(l) })
-	c, err := Dial(cliHost.Dial, "registry:8400")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.WaitForRevision(store.Revision(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tx, rx := c.Traffic()
-	if total := tx + rx; total > 256 {
-		t.Errorf("WaitForRevision moved %d bytes; polling full lists instead of the rev probe?", total)
 	}
 }

@@ -2,15 +2,12 @@ package registry
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlte/internal/geo"
-	"dlte/internal/simnet"
 	"dlte/internal/wire"
 )
 
@@ -194,8 +191,8 @@ func (c *Client) Keys() ([]KeyRecord, error) {
 }
 
 // Revision reads the server's revision counter — one tiny frame each
-// way, 0 allocs/op at steady state (this is what WaitForRevision polls
-// instead of fetching the full AP list).
+// way, 0 allocs/op at steady state — so AccessPoint.syncMirror knows
+// which revision its mirror must reach without fetching the AP list.
 func (c *Client) Revision() (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,24 +236,6 @@ func (c *Client) DeltasSince(fromRev uint64) ([]Delta, uint64, error) {
 	w.U64(fromRev)
 	res, err := c.exchange(w)
 	return res.deltas, res.rev, err
-}
-
-// WaitForRevision polls the revision counter until it reaches at least
-// rev or the timeout elapses; used by tests and scenario setup.
-func (c *Client) WaitForRevision(rev uint64, timeout time.Duration) error {
-	clk := simnet.ClockOf(c.c)
-	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		cur, err := c.Revision()
-		if err != nil {
-			return err
-		}
-		if cur >= rev {
-			return nil
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	return errors.New("registry: revision wait timed out")
 }
 
 // Subscription is the client side of the revision-delta push feed: one

@@ -150,25 +150,18 @@ func (m *Mirror) Err() error {
 	return m.err
 }
 
-// WaitRev blocks until the mirror has applied revision target, polling
-// on the virtual clock. It fails fast if the feed broke.
+// WaitRev parks on the virtual clock, which the mirror's connection
+// must run on, until the mirror has applied revision target. It fails
+// fast if the feed broke.
 func (m *Mirror) WaitRev(target uint64, timeout time.Duration) error {
-	deadline := m.clk.Now().Add(timeout)
-	for {
-		m.mu.Lock()
-		rev, err := m.rev, m.err
-		m.mu.Unlock()
-		if rev >= target {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("registry: mirror feed: %w", err)
-		}
-		if !m.clk.Now().Before(deadline) {
-			return errors.New("registry: mirror revision wait timed out")
-		}
-		m.clk.Sleep(time.Millisecond)
+	m.clk.(*simnet.VirtualClock).WaitUntil(timeout, func() bool { return m.Rev() >= target || m.Err() != nil })
+	if m.Rev() >= target {
+		return nil
 	}
+	if err := m.Err(); err != nil {
+		return fmt.Errorf("registry: mirror feed: %w", err)
+	}
+	return errors.New("registry: mirror revision wait timed out")
 }
 
 // List returns the mirrored records in a band ("" = all), sorted by ID.

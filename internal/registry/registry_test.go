@@ -212,16 +212,27 @@ func TestClientServerKeys(t *testing.T) {
 	}
 }
 
-func TestWaitForRevision(t *testing.T) {
+// TestClientRevision: the revision probe reports the server's counter
+// over a live connection, and however large the registry is it costs
+// one small fixed-size frame each way (the rev probe is 13 bytes; a
+// 2048-AP list would be ~180 KB).
+func TestClientRevision(t *testing.T) {
 	c, store := newClientServer(t)
+	seedGrid(t, store, 2048)
 	if err := c.Join(rec("ap1", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitForRevision(store.Revision(), time.Second); err != nil {
+	tx0, rx0 := c.Traffic()
+	rev, err := c.Revision()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitForRevision(store.Revision()+100, 50*time.Millisecond); err == nil {
-		t.Error("impossible revision reached")
+	if want := store.Revision(); rev != want {
+		t.Errorf("Revision = %d, want %d", rev, want)
+	}
+	tx, rx := c.Traffic()
+	if total := tx + rx - tx0 - rx0; total > 64 {
+		t.Errorf("one revision probe moved %d bytes; a list pull instead of the rev probe?", total)
 	}
 }
 

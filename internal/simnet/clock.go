@@ -22,11 +22,11 @@ import "time"
 //     Go, never with a bare `go` statement (a VirtualClock counts
 //     runnable goroutines; an uncounted one makes time advance while
 //     work is still pending).
-//   - Wait only through the clock: Sleep, or a clock-owned Mailbox
-//     (Recv, Wait, Close), whose receive parks and wakes under the
-//     clock's own accounting. simnet's blocking reads and accepts are
-//     such waits already. A goroutine woken any other way — a channel
-//     send, a cond broadcast, a WaitGroup — is invisible to the clock.
+//   - Wait only through the clock: Sleep, a clock-owned Mailbox, or
+//     WaitUntil for a state change (never a Sleep poll), which park and
+//     wake under the clock's own accounting; simnet's blocking reads
+//     and accepts are mailbox waits. A goroutine woken any other way —
+//     a channel send, a cond broadcast, a WaitGroup — is invisible.
 //   - Block/Unblock bracket only a wait outside the simulator (a
 //     harness joining worlds it drives). While a goroutine is inside
 //     Block the clock cannot know the world is quiescent and settles

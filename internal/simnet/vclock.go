@@ -3,6 +3,7 @@ package simnet
 import (
 	"container/heap"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,9 @@ import (
 // VirtualClock is a deterministic discrete-event Clock. It tracks how
 // many registered goroutines are runnable ("busy"); when that count
 // reaches zero the world is quiescent — everyone is parked in a clock
-// wait (Sleep, a Mailbox receive, a Block bracket) — and a background
-// advancer jumps virtual time straight to the next event and runs it:
-// a timer's expiry, or a dispatcher's delivery batch. Simulated
+// wait (Sleep, a Mailbox receive, WaitUntil, a Block bracket) — and a
+// background advancer jumps virtual time straight to the next event and
+// runs it: a timer's expiry, or a dispatcher's delivery batch. Simulated
 // latencies therefore cost microseconds of wall time instead of their
 // face value, and two runs with the same seed see the same virtual
 // timeline.
@@ -42,6 +43,12 @@ type VirtualClock struct {
 	timers  waiterHeap
 	untimed []*vwaiter // receivers parked with no timeout (Mailbox.Wait); Close releases them
 	closed  bool
+
+	// preds/conds: parked WaitUntil waiters, oldest first, and their
+	// predicates. ran: a goroutine parked or a batch ran since a check.
+	preds []*vwaiter
+	conds []func() bool
+	ran   bool
 
 	// disp holds the dispatchers attached to this clock (one per
 	// Network that registered an endpoint; almost always zero or one).
@@ -150,7 +157,7 @@ func (c *VirtualClock) Close() {
 			w.release()
 		}
 	}
-	c.timers, c.untimed = nil, nil
+	c.timers, c.untimed, c.preds, c.conds = nil, nil, nil, nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -179,10 +186,10 @@ func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) 
 // Until implements Clock.
 func (c *VirtualClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
 
-// sleepWaiters recycles Sleep's waiters, each with its 1-buffered wake
-// channel, so a steady-state Sleep allocates nothing. A waiter goes back
-// only after its token has arrived: by then the clock has taken it off
-// the heap and holds no reference to it.
+// sleepWaiters recycles Sleep's and WaitUntil's waiters, each with its
+// 1-buffered wake channel, so a steady-state park allocates nothing. A
+// waiter goes back only after its token has arrived: by then the clock
+// has taken it off the heap and holds no reference to it.
 var sleepWaiters = sync.Pool{New: func() any {
 	return &vwaiter{wake: make(chan struct{}, 1)}
 }}
@@ -203,6 +210,29 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	sleepWaiters.Put(w)
 }
 
+// WaitUntil parks the caller until cond holds or timeout passes, and
+// reports whether cond holds. The advancer checks cond before it moves
+// time, so the caller resumes at the instant the state changed. Like a
+// handler, cond runs on the advancer: it must not wait, write, or take
+// a lock a parked goroutine may hold.
+func (c *VirtualClock) WaitUntil(timeout time.Duration, cond func() bool) bool {
+	if cond() {
+		return true
+	}
+	c.mu.Lock()
+	if c.closed || timeout <= 0 {
+		c.mu.Unlock()
+		return false
+	}
+	w := sleepWaiters.Get().(*vwaiter)
+	c.parkLocked(w, c.now+timeout)
+	c.preds, c.conds = append(c.preds, w), append(c.conds, cond)
+	c.mu.Unlock()
+	<-w.wake
+	sleepWaiters.Put(w)
+	return cond()
+}
+
 // parkLocked gives up the caller's busy slot until w is released: by
 // the advancer at virtual instant at (a heap entry), or — for a
 // negative at, an untimed park — only by unpark or Close. An untimed
@@ -219,8 +249,14 @@ func (c *VirtualClock) parkLocked(w *vwaiter, at time.Duration) {
 		w.seq = c.seq
 		heap.Push(&c.timers, w)
 	}
-	c.busy--
 	c.parks.Add(1)
+	c.idleLocked()
+}
+
+// idleLocked gives up the caller's busy slot after it ran; c.mu held.
+func (c *VirtualClock) idleLocked() {
+	c.busy--
+	c.ran = true
 	if c.busy == 0 {
 		c.cond.Broadcast()
 	}
@@ -242,10 +278,7 @@ func (c *VirtualClock) Go(fn func()) {
 	go func() {
 		defer func() {
 			c.mu.Lock()
-			c.busy--
-			if c.busy == 0 {
-				c.cond.Broadcast()
-			}
+			c.idleLocked()
 			c.mu.Unlock()
 			c.live.Add(-1)
 		}()
@@ -304,12 +337,9 @@ func (c *VirtualClock) unpark(w *vwaiter) bool {
 // waits outside the simulator need it; see Clock.
 func (c *VirtualClock) Block() {
 	c.mu.Lock()
-	c.busy--
 	c.blocked++
 	c.parks.Add(1)
-	if c.busy == 0 {
-		c.cond.Broadcast()
-	}
+	c.idleLocked()
 	c.mu.Unlock()
 }
 
@@ -388,10 +418,10 @@ const (
 
 // advance is the clock's background engine. Whenever the world is
 // quiescent (busy == 0) and wakeups or dispatch deliveries are
-// scheduled, it settles the Go scheduler, then moves virtual time one
-// step: to the earliest timer (firing it) or the earliest dispatch
-// batch (running its handlers inline, and filling the mailboxes of
-// reader endpoints).
+// scheduled, it settles the Go scheduler, releases a WaitUntil whose
+// predicate now holds, or else moves virtual time one step: to the
+// earliest timer (firing it) or the earliest dispatch batch (running
+// its handlers inline, and filling the mailboxes of reader endpoints).
 //
 // Settle rounds are the expensive part of a step, and they exist only
 // to catch goroutines that became runnable outside the clock's
@@ -419,13 +449,16 @@ func (c *VirtualClock) advance() {
 			c.mu.Lock()
 			return
 		}
-		if c.busy > 0 || !c.pendingWorkLocked() {
+		if c.busy > 0 || !c.pendingWorkLocked() { // a WaitUntil's timeout is pending work
 			c.cond.Wait()
 			needSettle = true
 			continue
 		}
 		if needSettle && !c.settleLocked() {
 			continue // someone became runnable; re-evaluate
+		}
+		if len(c.preds) > 0 && c.ran && c.checkPredsLocked() {
+			continue // the world moved during the check
 		}
 		kind, d := c.stepLocked()
 		switch kind {
@@ -438,6 +471,7 @@ func (c *VirtualClock) advance() {
 			d.runAt(at)
 			c.mu.Lock()
 			needSettle = c.gen != gen || c.busy > 0
+			c.ran = true
 		}
 	}
 }
@@ -483,6 +517,25 @@ func (c *VirtualClock) settleLocked() bool {
 	return true
 }
 
+// checkPredsLocked runs the predicates, oldest first, with c.mu released
+// (no simulated state moves: all are parked, handlers run only here) and
+// makes the first that holds due now, so the next step releases it as a
+// timer: one per quiescent point, keeping same-instant wakes sequential.
+// It reports whether something outside the simulator ran meanwhile.
+func (c *VirtualClock) checkPredsLocked() bool {
+	c.ran = false
+	conds := c.conds // only this goroutine removes entries; Close drops the slice
+	c.mu.Unlock()
+	hit := slices.IndexFunc(conds, func(cond func() bool) bool { return cond() })
+	c.mu.Lock()
+	if moved := c.closed || c.busy > 0 || c.ran; moved || hit < 0 {
+		return moved
+	}
+	c.preds[hit].at = c.now
+	heap.Fix(&c.timers, c.preds[hit].idx)
+	return false
+}
+
 // stepLocked advances virtual time by one event from its two sources.
 // At one instant timers run first (a goroutine whose Sleep or receive
 // timeout ends there runs before same-instant deliveries), then
@@ -508,6 +561,9 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 	}
 	if nextTimer >= 0 && (nextDispatch < 0 || nextTimer <= nextDispatch) {
 		w := heap.Pop(&c.timers).(*vwaiter)
+		if i := slices.Index(c.preds, w); i >= 0 { // a WaitUntil ends
+			c.preds, c.conds = slices.Delete(c.preds, i, i+1), slices.Delete(c.conds, i, i+1)
+		}
 		if w.at > c.now {
 			c.now = w.at
 		}

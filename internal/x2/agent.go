@@ -296,6 +296,14 @@ func (a *Agent) Peers() []string {
 	return out
 }
 
+// PeerCount reports how many peers are connected. Unlike Peers it
+// builds no slice, so a WaitUntil predicate can call it at every check.
+func (a *Agent) PeerCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.peers)
+}
+
 // PeerMode reports the mode a peer declared at handshake.
 func (a *Agent) PeerMode(peerID string) (Mode, bool) {
 	a.mu.Lock()

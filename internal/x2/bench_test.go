@@ -45,7 +45,7 @@ func benchAgent(tb testing.TB, k int) *Agent {
 			tb.Fatal("register failed")
 		}
 	}
-	if got := len(a.Peers()); got != k {
+	if got := a.PeerCount(); got != k {
 		tb.Fatalf("mesh has %d peers, want %d", got, k)
 	}
 	return a
@@ -92,7 +92,7 @@ func benchMesh(tb testing.TB, k int) *Agent {
 			tb.Fatal(err)
 		}
 	}
-	if got := len(a.Peers()); got != k {
+	if got := a.PeerCount(); got != k {
 		tb.Fatalf("mesh has %d peers, want %d", got, k)
 	}
 	return a

@@ -124,21 +124,13 @@ func newTestPeers(t *testing.T, latency time.Duration) *testPeers {
 	return tp
 }
 
-// waitFor advances virtual time until cond holds. Each Sleep lets the
-// network quiesce, so in practice one tick is enough for any in-flight
-// delivery; the deadline is virtual too, so a failing condition doesn't
-// stall the suite for wall-clock seconds.
+// waitFor parks on the virtual clock until cond holds, failing after
+// 3 s of virtual time: coordination messages are asynchronous.
 func (tp *testPeers) waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	clk := tp.net.Clock()
-	deadline := clk.Now().Add(3 * time.Second)
-	for clk.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		clk.Sleep(5 * time.Millisecond)
+	if !tp.net.Clock().(*simnet.VirtualClock).WaitUntil(3*time.Second, cond) {
+		t.Fatal("condition not reached")
 	}
-	t.Fatal("condition not reached")
 }
 
 func TestAgentHandshakeAndSend(t *testing.T) {
@@ -146,7 +138,7 @@ func TestAgentHandshakeAndSend(t *testing.T) {
 	if peers := tp.a.Peers(); len(peers) != 1 || peers[0] != "ap2" {
 		t.Fatalf("a peers = %v", peers)
 	}
-	tp.waitFor(t, func() bool { return len(tp.b.Peers()) == 1 })
+	tp.waitFor(t, func() bool { return tp.b.PeerCount() == 1 })
 	if mode, ok := tp.a.PeerMode("ap2"); !ok || mode != ModeCooperative {
 		t.Errorf("a sees b mode %v ok=%v", mode, ok)
 	}
@@ -224,9 +216,9 @@ func TestAgentBroadcast(t *testing.T) {
 
 func TestAgentPeerDisconnect(t *testing.T) {
 	tp := newTestPeers(t, 0)
-	tp.waitFor(t, func() bool { return len(tp.b.Peers()) == 1 })
+	tp.waitFor(t, func() bool { return tp.b.PeerCount() == 1 })
 	tp.b.Close()
-	tp.waitFor(t, func() bool { return len(tp.a.Peers()) == 0 })
+	tp.waitFor(t, func() bool { return tp.a.PeerCount() == 0 })
 	if err := tp.a.Send("ap2", &LoadInformation{}); !errors.Is(err, ErrNoPeer) {
 		t.Errorf("send after disconnect: %v", err)
 	}
@@ -250,7 +242,7 @@ func TestAgentRejectsGarbageHandshake(t *testing.T) {
 	c.Write([]byte{0, 0, 0, 2, 99, 99}) // framed garbage
 	// One virtual tick: the agent has read and rejected the frame.
 	n.Clock().Sleep(50 * time.Millisecond)
-	if len(b.Peers()) != 0 {
+	if b.PeerCount() != 0 {
 		t.Error("garbage handshake registered a peer")
 	}
 }
@@ -258,7 +250,7 @@ func TestAgentRejectsGarbageHandshake(t *testing.T) {
 func TestHandoverExchange(t *testing.T) {
 	// Drive the full cooperative handover message flow a↔b.
 	tp := newTestPeers(t, time.Millisecond)
-	tp.waitFor(t, func() bool { return len(tp.b.Peers()) == 1 })
+	tp.waitFor(t, func() bool { return tp.b.PeerCount() == 1 })
 
 	if err := tp.a.Send("ap2", &UEContextPush{IMSI: "001010000000001", K: make([]byte, 16), OPc: make([]byte, 16)}); err != nil {
 		t.Fatal(err)
