@@ -25,7 +25,12 @@ func main() {
 		log.Fatalf("dlte-registry: %v", err)
 	}
 	log.Printf("dlte-registry: open registry listening on %s", l.Addr())
-	store := registry.NewStore()
-	srv := registry.NewServer(store)
-	srv.Serve(l) // blocks until the listener closes
+	srv := registry.NewServer(registry.NewStore())
+	for {
+		c, err := l.Accept()
+		if err != nil {
+			log.Fatalf("dlte-registry: %v", err)
+		}
+		go srv.ServeConn(c)
+	}
 }

@@ -48,16 +48,16 @@ func TestSleepOnlyPaces(t *testing.T) {
 // TestEndpointsReceiveOnlyByHandler keeps MST, GTP and X2 on one
 // receive path: every endpoint takes packets as delivery handlers on
 // the network's dispatcher. A read-deadline poll is a reader goroutine
-// spinning on the clock, and the GTP and X2 endpoints spawn no
-// goroutines at all. (MST's retransmit loops and 0-RTT handshake wait
-// are still goroutines.)
+// spinning on the clock. And no service spawns a goroutine: MST, GTP,
+// X2 and the registry run every timer and session as a continuation or
+// a delivery handler, so no service goroutine ever parks.
 func TestEndpointsReceiveOnlyByHandler(t *testing.T) {
 	poll := regexp.MustCompile(`SetReadDeadline\(`)
 	spawn := regexp.MustCompile(`\.Go\(`)
 	for _, pkg := range []string{"transport", "gtp", "x2"} {
 		forbid(t, filepath.Join("internal", pkg), "", poll, nil, "receive through SetHandler or OnDeliver instead")
 	}
-	for _, pkg := range []string{"gtp", "x2"} {
+	for _, pkg := range []string{"transport", "registry", "gtp", "x2"} {
 		forbid(t, filepath.Join("internal", pkg), "", spawn, nil, "run the work inside the delivery handler instead")
 	}
 }

@@ -72,18 +72,8 @@ func roam(out io.Writer, mode transport.Mode) error {
 		return err
 	}
 	srv := transport.NewServer(pc, transport.ServerConfig{
-		Mode: mode,
-		Handler: func(ss *transport.ServerSession) {
-			for {
-				b, err := ss.Recv(10 * time.Second)
-				if err != nil {
-					return
-				}
-				if ss.Send(b) != nil {
-					return
-				}
-			}
-		},
+		Mode:    mode,
+		Handler: func(ss *transport.ServerSession, b []byte) { ss.Send(b) },
 	})
 	defer srv.Close()
 

@@ -332,15 +332,6 @@ const (
 	AlgoNASInt = 0x02
 )
 
-// DeriveNASKey derives a 16-byte NAS key (encryption or integrity) from
-// KASME for algorithm identity algoID.
-func DeriveNASKey(kasme []byte, algoDistinguisher byte, algoID byte) []byte {
-	s := kdfString(0x15, []byte{algoDistinguisher}, []byte{algoID})
-	mac := hmac.New(sha256.New, kasme)
-	mac.Write(s)
-	return mac.Sum(nil)[16:32] // 128-bit key from the low half
-}
-
 // kdfString assembles the TS 33.220 KDF input string:
 // FC ‖ P0 ‖ L0 ‖ P1 ‖ L1.
 func kdfString(fc byte, p0, p1 []byte) []byte {

@@ -22,7 +22,7 @@ type Scenario struct {
 	Net      *simnet.Network
 	Registry *registry.Store
 
-	regListener registry.Listener
+	regListener *simnet.Listener
 	aps         map[string]*AccessPoint
 	ues         map[string]*ue.Device
 	closed      bool
@@ -56,8 +56,7 @@ func NewScenario(wan simnet.Link, seed int64) (*Scenario, error) {
 		return nil, err
 	}
 	s.regListener = l
-	srv := registry.NewServer(s.Registry)
-	s.Net.Clock().Go(func() { srv.Serve(l) })
+	registry.NewServer(s.Registry).Serve(l)
 	return s, nil
 }
 

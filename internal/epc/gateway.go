@@ -230,17 +230,6 @@ func (g *Gateway) DeleteSession(imsi string) error {
 	return nil
 }
 
-// SessionIP reports the PDN address assigned to imsi.
-func (g *Gateway) SessionIP(imsi string) (string, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.sessions[imsi]
-	if !ok {
-		return "", false
-	}
-	return s.ueIP, true
-}
-
 // NumSessions reports live session count.
 func (g *Gateway) NumSessions() int {
 	g.mu.Lock()

@@ -177,8 +177,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	if err != nil {
 		return pt, err
 	}
-	srv := registry.NewServer(store)
-	clk.Go(func() { srv.Serve(regL) })
+	registry.NewServer(store).Serve(regL)
 	const regAddr = "registry:8400"
 
 	// Site layout: a grid with 1 km pitch; the first meshK sites share

@@ -152,18 +152,8 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode) (roamOutcome, err
 		return out, err
 	}
 	srv := transport.NewServer(pc, transport.ServerConfig{
-		Mode: mode,
-		Handler: func(ss *transport.ServerSession) {
-			for {
-				b, rerr := ss.Recv(10 * time.Second)
-				if rerr != nil {
-					return
-				}
-				if ss.Send(b) != nil {
-					return
-				}
-			}
-		},
+		Mode:    mode,
+		Handler: func(ss *transport.ServerSession, b []byte) { ss.Send(b) },
 	})
 	defer srv.Close()
 

@@ -80,18 +80,8 @@ func runResumeRoam(seed int64, ottOneWayMs int, resume bool) (float64, error) {
 		return 0, err
 	}
 	srv := transport.NewServer(pc, transport.ServerConfig{
-		Mode: transport.Migratory,
-		Handler: func(ss *transport.ServerSession) {
-			for {
-				b, rerr := ss.Recv(10 * time.Second)
-				if rerr != nil {
-					return
-				}
-				if ss.Send(b) != nil {
-					return
-				}
-			}
-		},
+		Mode:    transport.Migratory,
+		Handler: func(ss *transport.ServerSession, b []byte) { ss.Send(b) },
 	})
 	defer srv.Close()
 

@@ -99,17 +99,3 @@ func (g *Grid) CellRange(r Rect) (cx0, cy0, cx1, cy1 int) {
 // order the points were given to BuildGrid. The slice is shared with
 // the Grid and must not be modified.
 func (g *Grid) Cell(cx, cy int) []int32 { return g.cells[cy*g.cols+cx] }
-
-// VisitRect calls visit for every indexed point whose cell overlaps r,
-// rows then columns, insertion order within a cell. Cells overhang the
-// query rectangle, so callers must still filter with r.Contains.
-func (g *Grid) VisitRect(r Rect, visit func(i int32)) {
-	cx0, cy0, cx1, cy1 := g.CellRange(r)
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, i := range g.Cell(cx, cy) {
-				visit(i)
-			}
-		}
-	}
-}

@@ -90,7 +90,7 @@ func BenchmarkRegistryRevisionRTT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.Clock().Go(func() { NewServer(store).Serve(l) })
+	NewServer(store).Serve(l)
 	c, err := Dial(cliHost.Dial, "registry:8400")
 	if err != nil {
 		b.Fatal(err)

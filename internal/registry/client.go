@@ -227,7 +227,7 @@ func (c *Client) Revision() (uint64, error) {
 
 // DeltasSince pulls all deltas after fromRev. ErrDeltaGap means fromRev
 // has aged out of the server's log and the caller must resync via
-// List/Keys (or a Subscription, which handles the fallback itself).
+// List/Keys (or a Mirror, whose feed handles the fallback itself).
 func (c *Client) DeltasSince(fromRev uint64) ([]Delta, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,59 +237,3 @@ func (c *Client) DeltasSince(fromRev uint64) ([]Delta, uint64, error) {
 	res, err := c.exchange(w)
 	return res.deltas, res.rev, err
 }
-
-// Subscription is the client side of the revision-delta push feed: one
-// opSubscribe request, then the server streams snapshot and delta
-// frames. Mirror wraps it with state; use a Subscription directly only
-// to meter or relay the raw feed.
-type Subscription struct {
-	c  net.Conn
-	fc *wire.FrameConn
-
-	bytesTx atomic.Uint64
-	bytesRx atomic.Uint64
-}
-
-// Subscribe opens a subscription whose feed starts after fromRev.
-// Subscribing from 0 on a populated server yields a full snapshot
-// first; subscribing from a recent revision yields only the deltas.
-func Subscribe(dial func(addr string) (net.Conn, error), addr string, fromRev uint64) (*Subscription, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("registry: dial %s: %w", addr, err)
-	}
-	s := &Subscription{c: c, fc: wire.NewFrameConn(c)}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(opSubscribe)
-	w.U64(fromRev)
-	if err := s.fc.Send(w.Bytes()); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("registry: subscribe: %w", err)
-	}
-	s.bytesTx.Add(uint64(w.Len()) + 4)
-	return s, nil
-}
-
-// next blocks for the next feed frame.
-func (s *Subscription) next() (chunk, error) {
-	b, err := s.fc.RecvOwned()
-	if err != nil {
-		return chunk{}, err
-	}
-	s.bytesRx.Add(uint64(len(b)) + 4)
-	ch, derr := decodeChunk(b)
-	wire.PutFrame(b)
-	return ch, derr
-}
-
-// Conn exposes the underlying connection (clock discovery).
-func (s *Subscription) Conn() net.Conn { return s.c }
-
-// Traffic reports total bytes sent and received on the wire.
-func (s *Subscription) Traffic() (tx, rx uint64) {
-	return s.bytesTx.Load(), s.bytesRx.Load()
-}
-
-// Close tears down the feed.
-func (s *Subscription) Close() error { return s.c.Close() }

@@ -3,14 +3,17 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dlte/internal/geo"
 	"dlte/internal/simnet"
+	"dlte/internal/wire"
 
 	"slices"
 )
@@ -20,9 +23,18 @@ import (
 // happen, so reads (peer discovery, key sync) are local and the wire
 // carries only changes — the scalable replacement for the full-list
 // polling that core.AccessPoint used before.
+//
+// The mirror is its subscription conn's simnet.StreamHandler: every
+// feed frame is applied on the network's delivery thread at its
+// delivery instant, and no goroutine waits for the feed.
 type Mirror struct {
-	sub *Subscription
-	clk simnet.Clock
+	c    *simnet.Conn
+	clk  *simnet.VirtualClock
+	asm  wire.FrameAssembler // delivery thread only, as is dead
+	dead bool                // a frame failed to decode: ignore the rest
+
+	bytesTx atomic.Uint64
+	bytesRx atomic.Uint64
 
 	mu      sync.Mutex
 	onDelta func(Delta)
@@ -42,38 +54,77 @@ type keyArrival struct {
 	key KeyRecord
 }
 
-// NewMirror subscribes at addr from fromRev and starts the feed
-// goroutine on the connection's clock. fromRev 0 replicates the full
-// registry; a recent revision replays only what changed since.
+// NewMirror subscribes at addr from fromRev over a simnet stream conn
+// from dial. Subscribing from 0 on a populated server yields a full
+// snapshot first; subscribing from a recent revision yields only the
+// deltas since.
 func NewMirror(dial func(addr string) (net.Conn, error), addr string, fromRev uint64) (*Mirror, error) {
-	sub, err := Subscribe(dial, addr, fromRev)
+	nc, err := dial(addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("registry: dial %s: %w", addr, err)
+	}
+	c, ok := nc.(*simnet.Conn)
+	if !ok {
+		nc.Close()
+		return nil, fmt.Errorf("registry: a mirror needs a simnet conn, not %T", nc)
 	}
 	m := &Mirror{
-		sub:  sub,
-		clk:  simnet.ClockOf(sub.Conn()),
+		c:    c,
+		clk:  c.Clock().(*simnet.VirtualClock),
 		aps:  make(map[string]APRecord),
 		keys: make(map[string]KeyRecord),
 		rev:  fromRev,
 	}
-	m.clk.Go(m.loop)
+	c.OnDeliverHandler(m)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.U8(opSubscribe)
+	w.U64(fromRev)
+	if err := wire.WriteFrame(c, w.Bytes()); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("registry: subscribe: %w", err)
+	}
+	m.bytesTx.Add(uint64(w.Len()) + 4)
 	return m, nil
 }
 
-func (m *Mirror) loop() {
-	for {
-		ch, err := m.sub.next()
-		if err != nil {
-			m.mu.Lock()
-			if m.err == nil {
-				m.err = err
-			}
-			m.mu.Unlock()
-			return
-		}
-		m.apply(ch)
+// HandleDeliver implements simnet.StreamHandler: apply every feed frame
+// the chunk completes. A frame that does not decode breaks the feed.
+func (m *Mirror) HandleDeliver(data []byte) {
+	if m.dead {
+		return
 	}
+	if err := m.asm.Feed(data, m.frame); err != nil {
+		m.asm.Reset()
+		m.dead = true
+		m.fail(err)
+		m.c.Close()
+	}
+}
+
+// HandleStreamClose implements simnet.StreamHandler: the feed ended.
+func (m *Mirror) HandleStreamClose() {
+	m.asm.Reset()
+	m.fail(io.EOF)
+}
+
+func (m *Mirror) frame(b []byte) error {
+	m.bytesRx.Add(uint64(len(b)) + 4)
+	ch, err := decodeChunk(b)
+	if err != nil {
+		return err
+	}
+	m.apply(ch)
+	return nil
+}
+
+// fail records the first error that broke the feed.
+func (m *Mirror) fail(err error) {
+	m.mu.Lock()
+	if m.err == nil {
+		m.err = err
+	}
+	m.mu.Unlock()
 }
 
 func (m *Mirror) apply(ch chunk) {
@@ -127,9 +178,10 @@ func (m *Mirror) apply(ch chunk) {
 	}
 }
 
-// SetOnDelta installs an observer for every applied delta (called on
-// the mirror's feed goroutine, outside the mirror lock). E10 uses it
-// to timestamp join→discoverable latency.
+// SetOnDelta installs an observer for every applied delta. It is
+// called on the network's delivery thread, outside the mirror lock, so
+// it is a handler (simnet.Conn.OnDeliver): it must not park. E10 uses
+// it to timestamp join→discoverable latency.
 func (m *Mirror) SetOnDelta(fn func(Delta)) {
 	m.mu.Lock()
 	m.onDelta = fn
@@ -154,7 +206,7 @@ func (m *Mirror) Err() error {
 // must run on, until the mirror has applied revision target. It fails
 // fast if the feed broke.
 func (m *Mirror) WaitRev(target uint64, timeout time.Duration) error {
-	m.clk.(*simnet.VirtualClock).WaitUntil(timeout, func() bool { return m.Rev() >= target || m.Err() != nil })
+	m.clk.WaitUntil(timeout, func() bool { return m.Rev() >= target || m.Err() != nil })
 	if m.Rev() >= target {
 		return nil
 	}
@@ -167,10 +219,15 @@ func (m *Mirror) WaitRev(target uint64, timeout time.Duration) error {
 // List returns the mirrored records in a band ("" = all), sorted by ID.
 // The slice is the caller's.
 func (m *Mirror) List(band string) []APRecord {
+	return m.collect(func(r APRecord) bool { return band == "" || r.Band == band })
+}
+
+// collect returns the mirrored records keep accepts, sorted by ID.
+func (m *Mirror) collect(keep func(APRecord) bool) []APRecord {
 	m.mu.Lock()
 	var out []APRecord
 	for _, r := range m.aps {
-		if band == "" || r.Band == band {
+		if keep(r) {
 			out = append(out, r)
 		}
 	}
@@ -190,16 +247,9 @@ func (m *Mirror) Get(id string) (APRecord, bool) {
 // InRegion returns mirrored records in a band within the rectangle,
 // sorted by ID.
 func (m *Mirror) InRegion(band string, rect geo.Rect) []APRecord {
-	m.mu.Lock()
-	var out []APRecord
-	for _, r := range m.aps {
-		if (band == "" || r.Band == band) && rect.Contains(r.Position()) {
-			out = append(out, r)
-		}
-	}
-	m.mu.Unlock()
-	slices.SortFunc(out, func(a, b APRecord) int { return strings.Compare(a.ID, b.ID) })
-	return out
+	return m.collect(func(r APRecord) bool {
+		return (band == "" || r.Band == band) && rect.Contains(r.Position())
+	})
 }
 
 // FetchKey retrieves one mirrored key.
@@ -227,8 +277,9 @@ func (m *Mirror) KeysSince(after uint64) ([]KeyRecord, uint64) {
 	return out, m.rev
 }
 
-// Traffic reports total bytes the subscription moved on the wire.
-func (m *Mirror) Traffic() (tx, rx uint64) { return m.sub.Traffic() }
+// Traffic reports total bytes the subscription moved on the wire
+// (payload plus frame headers).
+func (m *Mirror) Traffic() (tx, rx uint64) { return m.bytesTx.Load(), m.bytesRx.Load() }
 
 // Close tears down the feed.
-func (m *Mirror) Close() error { return m.sub.Close() }
+func (m *Mirror) Close() error { return m.c.Close() }

@@ -7,12 +7,13 @@
 //
 // The registry is deliberately simple: open join (any conforming AP is
 // accepted, like BGP peering or a DNS zone), region/band queries, and
-// a key-publication feed. It runs over any stream transport via a
-// small binary framed protocol (see codec.go), so the same server
-// binds to real TCP (cmd/dlte-registry) and to simnet WANs
-// (experiments). Clients either poll (Client) or subscribe to a
-// revision-delta feed (Subscription/Mirror) that ships only what
-// changed since a known revision.
+// a key-publication feed, over a small binary framed protocol (see
+// codec.go). One per-connection engine serves it: as a delivery
+// handler on simnet WANs (Server.Serve, the experiments) and fed frame
+// by frame from a blocking conn on real TCP (Server.ServeConn,
+// cmd/dlte-registry). Clients either poll (Client) or mirror a
+// revision-delta feed (Mirror) that ships only what changed since a
+// known revision.
 package registry
 
 import (

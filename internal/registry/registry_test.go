@@ -138,7 +138,7 @@ func newClientServer(t *testing.T) (*Client, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Clock().Go(func() { srv.Serve(l) })
+	srv.Serve(l)
 	c, err := Dial(cliHost.Dial, "registry:8400")
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestConcurrentClients(t *testing.T) {
 	srvHost := n.MustAddHost("registry")
 	store := NewStore()
 	l, _ := srvHost.Listen(8400)
-	n.Clock().Go(func() { NewServer(store).Serve(l) })
+	NewServer(store).Serve(l)
 
 	clk := n.Clock()
 	done := simnet.NewMailbox[error](clk.(*simnet.VirtualClock), 8)

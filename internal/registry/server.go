@@ -8,12 +8,6 @@ import (
 	"dlte/internal/wire"
 )
 
-// Listener abstracts net.Listener / simnet.Listener.
-type Listener interface {
-	Accept() (net.Conn, error)
-	Close() error
-}
-
 // defaultPushTimeout bounds one push to a subscriber, its catch-up
 // included. The store pushes under its mutation lock, so this is also
 // the longest a subscriber that stops reading can hold up the
@@ -31,117 +25,162 @@ func NewServer(store *Store) *Server {
 	return &Server{store: store, pushTimeout: defaultPushTimeout}
 }
 
-// Store returns the underlying store (for in-process seeding).
-func (s *Server) Store() *Store { return s.store }
-
-// Serve accepts clients until the listener closes. Run in a goroutine.
-func (s *Server) Serve(l Listener) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		simnet.ClockOf(c).Go(func() { s.serveConn(c) })
-	}
+// Serve installs the server as l's accept handler and returns. Every
+// connection is served by its own delivery handler (serverConn), so
+// the server costs no goroutine and never parks.
+func (s *Server) Serve(l *simnet.Listener) {
+	l.OnAccept(func(c *simnet.Conn) { c.OnDeliverHandler(s.newConn(c)) })
 }
 
-// connState carries per-connection scratch so steady-state request
-// handling stays allocation-free.
-type connState struct {
+// ServeConn serves one blocking connection — a real TCP conn — until
+// it closes, feeding the same engine one frame at a time. It returns
+// when the connection ends.
+func (s *Server) ServeConn(c net.Conn) {
+	sc := s.newConn(c)
+	for {
+		b, err := sc.fc.RecvOwned()
+		if err != nil {
+			break
+		}
+		err = sc.serve(b)
+		wire.PutFrame(b)
+		if err != nil {
+			break
+		}
+	}
+	sc.HandleStreamClose()
+}
+
+// serverConn is one client connection's engine: it answers each
+// request inline, and on opSubscribe turns the connection into a push
+// feed. Over simnet it is the conn's simnet.StreamHandler and every
+// call runs on the network's delivery thread; ServeConn drives it
+// from the connection's reader.
+type serverConn struct {
+	s      *Server
+	c      net.Conn
+	fc     *wire.FrameConn
+	asm    wire.FrameAssembler
+	cancel func() // the store subscription, once the conn is a feed
+	dead   bool
+
+	// Per-connection buffers, reused so steady-state requests allocate
+	// nothing.
 	region []APRecord
 	deltas []Delta
 }
 
-func (s *Server) serveConn(c net.Conn) {
-	defer c.Close()
-	fc := wire.NewFrameConn(c)
-	var cs connState
-	for {
-		b, err := fc.RecvOwned()
-		if err != nil {
-			return
-		}
-		req, derr := decodeRequest(b)
-		wire.PutFrame(b)
-		if derr != nil {
-			// Unknown op or malformed frame: the peer is broken (or
-			// speaking protocol v1 JSON) — fail fast.
-			sendErr(fc, errCodeGeneric, "bad request")
-			return
-		}
-		if req.op == opSubscribe {
-			s.serveSubscription(c, fc, req.fromRev)
-			return
-		}
-		if err := s.handle(fc, req, &cs); err != nil {
-			return
-		}
+func (s *Server) newConn(c net.Conn) *serverConn {
+	return &serverConn{s: s, c: c, fc: wire.NewFrameConn(c)}
+}
+
+// HandleDeliver implements simnet.StreamHandler: reassemble the chunk
+// and serve every request it completes. A broken frame or connection
+// drops the client.
+func (sc *serverConn) HandleDeliver(data []byte) {
+	if sc.dead {
+		return
+	}
+	if sc.asm.Feed(data, sc.serve) != nil {
+		sc.HandleStreamClose()
 	}
 }
 
-// handle serves one request, writing the response frame(s) to fc. The
-// returned error reports a broken connection, not a request failure
-// (those travel to the client as respErr).
-func (s *Server) handle(fc *wire.FrameConn, req request, cs *connState) error {
+// HandleStreamClose implements simnet.StreamHandler: the client hung up
+// (or broke), which also ends its subscription.
+func (sc *serverConn) HandleStreamClose() {
+	sc.asm.Reset()
+	sc.dead = true
+	if sc.cancel != nil {
+		sc.cancel()
+		sc.cancel = nil
+	}
+	sc.c.Close()
+}
+
+// serve answers one request frame. The returned error reports a broken
+// connection, not a request failure (those travel to the client as
+// respErr).
+func (sc *serverConn) serve(b []byte) error {
+	if sc.cancel != nil {
+		return nil // a feed: the subscriber sends nothing more
+	}
+	req, err := decodeRequest(b)
+	if err != nil {
+		// Unknown op or malformed frame: the peer is broken (or
+		// speaking protocol v1 JSON) — fail fast.
+		sendErr(sc.fc, errCodeGeneric, "bad request")
+		return err
+	}
+	if req.op == opSubscribe {
+		return sc.subscribe(req.fromRev)
+	}
+	return sc.handle(req)
+}
+
+// handle serves one request, writing the response frame(s).
+func (sc *serverConn) handle(req request) error {
+	store, fc := sc.s.store, sc.fc
 	switch req.op {
 	case opJoin:
-		if err := s.store.Join(req.ap); err != nil {
+		if err := store.Join(req.ap); err != nil {
 			return sendErr(fc, errCodeGeneric, err.Error())
 		}
-		return sendU64(fc, respAck, s.store.Revision())
+		return sendU64(fc, respAck, store.Revision())
 	case opLeave:
-		if err := s.store.Leave(req.id); err != nil {
+		if err := store.Leave(req.id); err != nil {
 			return sendErr(fc, errCodeGeneric, err.Error())
 		}
-		return sendU64(fc, respAck, s.store.Revision())
+		return sendU64(fc, respAck, store.Revision())
 	case opList:
-		return sendRecords(fc, s.store.Revision(), s.store.List(req.band))
+		return sendRecords(fc, store.Revision(), store.List(req.band))
 	case opRegion:
-		cs.region = s.store.InRegionAppend(req.band, req.rect, cs.region[:0])
-		return sendRecords(fc, s.store.Revision(), cs.region)
+		sc.region = store.InRegionAppend(req.band, req.rect, sc.region[:0])
+		return sendRecords(fc, store.Revision(), sc.region)
 	case opPublishKey:
-		if err := s.store.PublishKey(req.key); err != nil {
+		if err := store.PublishKey(req.key); err != nil {
 			return sendErr(fc, errCodeGeneric, err.Error())
 		}
-		return sendU64(fc, respAck, s.store.Revision())
+		return sendU64(fc, respAck, store.Revision())
 	case opFetchKey:
-		k, ok := s.store.FetchKey(req.imsi)
+		k, ok := store.FetchKey(req.imsi)
 		if !ok {
 			return sendErr(fc, errCodeNotFound, ErrNotFound.Error())
 		}
-		return sendKeyFrame(fc, s.store.Revision(), k)
+		return sendKeys(fc, store.Revision(), []KeyRecord{k})
 	case opKeys:
-		return sendKeys(fc, s.store.Revision(), s.store.Keys())
+		return sendKeys(fc, store.Revision(), store.Keys())
 	case opRev:
-		return sendU64(fc, respRev, s.store.Revision())
+		return sendU64(fc, respRev, store.Revision())
 	case opDeltas:
-		ds, ok := s.store.DeltasSince(req.fromRev, cs.deltas[:0])
-		cs.deltas = ds
+		ds, ok := store.DeltasSince(req.fromRev, sc.deltas[:0])
+		sc.deltas = ds
 		if !ok {
 			return sendErr(fc, errCodeGap, ErrDeltaGap.Error())
 		}
-		return sendDeltas(fc, s.store.Revision(), ds)
+		return sendDeltas(fc, store.Revision(), ds)
 	}
 	return sendErr(fc, errCodeGeneric, "unknown op")
 }
 
-// serveSubscription turns the connection into a one-way push feed. The
-// store pushes each frame from inside the mutation that causes it: a
+// subscribe turns the connection into a one-way push feed. The store
+// pushes each frame from inside the mutation that causes it: a
 // catch-up first — a full snapshot (respSnapshot, then records and keys
 // chunks) if the client's revision has aged out of the delta log,
 // else one batch of the deltas since — then one frame per live delta.
-// The subscriber sends nothing more; reading on only notices its
-// hang-up, which ends the subscription.
+// The subscriber sends nothing more; its hang-up (HandleStreamClose)
+// cancels the subscription.
 //
 // Each push carries a write deadline of pushTimeout (simnet writes never
 // block and ignore it; a TCP subscriber that stops reading fails its
 // push instead of holding the store lock). A failed push closes the
 // connection: the store has dropped the subscriber, and the client sees
 // its feed end rather than go silent.
-func (s *Server) serveSubscription(c net.Conn, fc *wire.FrameConn, fromRev uint64) {
-	clk := simnet.ClockOf(c)
-	cancel, err := s.store.Subscribe(fromRev, func(f Feed) error {
-		c.SetWriteDeadline(clk.Now().Add(s.pushTimeout))
+func (sc *serverConn) subscribe(fromRev uint64) error {
+	c, fc := sc.c, sc.fc
+	clk, timeout := simnet.ClockOf(c), sc.s.pushTimeout
+	cancel, err := sc.s.store.Subscribe(fromRev, func(f Feed) error {
+		c.SetWriteDeadline(clk.Now().Add(timeout))
 		var err error
 		if f.Snapshot {
 			err = sendSnapshot(fc, f.Rev, f.Records, f.Keys)
@@ -154,16 +193,10 @@ func (s *Server) serveSubscription(c net.Conn, fc *wire.FrameConn, fromRev uint6
 		return err
 	})
 	if err != nil {
-		return
+		return err
 	}
-	defer cancel()
-	for {
-		b, err := fc.RecvOwned()
-		if err != nil {
-			return
-		}
-		wire.PutFrame(b)
-	}
+	sc.cancel = cancel
+	return nil
 }
 
 // --- frame senders -----------------------------------------------------
@@ -185,23 +218,26 @@ func sendU64(fc *wire.FrameConn, kind uint8, rev uint64) error {
 	return fc.Send(w.Bytes())
 }
 
-// sendRecords ships recs as one or more respRecords frames (always at
-// least one, so an empty result still carries the revision).
-func sendRecords(fc *wire.FrameConn, rev uint64, recs []APRecord) error {
+// sendChunked ships items as one or more frames of kind (always at
+// least one, so an empty result still carries the revision), up to
+// max items each: U64 rev, the more flag, the count (U32 for keys, else
+// U16), then the encoded items.
+func sendChunked[T any](fc *wire.FrameConn, kind uint8, rev uint64, items []T, max int, enc func(*wire.Writer, T)) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	for {
-		n := len(recs)
-		if n > maxRecordsPerFrame {
-			n = maxRecordsPerFrame
-		}
+		n := min(len(items), max)
 		w.Reset()
-		w.U8(respRecords)
+		w.U8(kind)
 		w.U64(rev)
-		w.Bool(len(recs) > n)
-		w.U16(uint16(n))
-		for _, r := range recs[:n] {
-			encodeAP(w, r)
+		w.Bool(len(items) > n)
+		if kind == respKeys {
+			w.U32(uint32(n))
+		} else {
+			w.U16(uint16(n))
+		}
+		for _, it := range items[:n] {
+			enc(w, it)
 		}
 		if err := w.Err(); err != nil {
 			return sendErr(fc, errCodeGeneric, err.Error())
@@ -209,84 +245,23 @@ func sendRecords(fc *wire.FrameConn, rev uint64, recs []APRecord) error {
 		if err := fc.Send(w.Bytes()); err != nil {
 			return err
 		}
-		recs = recs[n:]
-		if len(recs) == 0 {
+		items = items[n:]
+		if len(items) == 0 {
 			return nil
 		}
 	}
+}
+
+func sendRecords(fc *wire.FrameConn, rev uint64, recs []APRecord) error {
+	return sendChunked(fc, respRecords, rev, recs, maxRecordsPerFrame, encodeAP)
 }
 
 func sendKeys(fc *wire.FrameConn, rev uint64, keys []KeyRecord) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	for {
-		n := len(keys)
-		if n > maxKeysPerFrame {
-			n = maxKeysPerFrame
-		}
-		w.Reset()
-		w.U8(respKeys)
-		w.U64(rev)
-		w.Bool(len(keys) > n)
-		w.U32(uint32(n))
-		for _, k := range keys[:n] {
-			encodeKey(w, k)
-		}
-		if err := w.Err(); err != nil {
-			return sendErr(fc, errCodeGeneric, err.Error())
-		}
-		if err := fc.Send(w.Bytes()); err != nil {
-			return err
-		}
-		keys = keys[n:]
-		if len(keys) == 0 {
-			return nil
-		}
-	}
-}
-
-// sendKeyFrame ships a single key (fetchKey response).
-func sendKeyFrame(fc *wire.FrameConn, rev uint64, k KeyRecord) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(respKeys)
-	w.U64(rev)
-	w.Bool(false)
-	w.U32(1)
-	encodeKey(w, k)
-	if err := w.Err(); err != nil {
-		return sendErr(fc, errCodeGeneric, err.Error())
-	}
-	return fc.Send(w.Bytes())
+	return sendChunked(fc, respKeys, rev, keys, maxKeysPerFrame, encodeKey)
 }
 
 func sendDeltas(fc *wire.FrameConn, rev uint64, ds []Delta) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	for {
-		n := len(ds)
-		if n > maxDeltasPerFrame {
-			n = maxDeltasPerFrame
-		}
-		w.Reset()
-		w.U8(respDeltas)
-		w.U64(rev)
-		w.Bool(len(ds) > n)
-		w.U16(uint16(n))
-		for _, d := range ds[:n] {
-			encodeDelta(w, d)
-		}
-		if err := w.Err(); err != nil {
-			return sendErr(fc, errCodeGeneric, err.Error())
-		}
-		if err := fc.Send(w.Bytes()); err != nil {
-			return err
-		}
-		ds = ds[n:]
-		if len(ds) == 0 {
-			return nil
-		}
-	}
+	return sendChunked(fc, respDeltas, rev, ds, maxDeltasPerFrame, encodeDelta)
 }
 
 func sendSnapshot(fc *wire.FrameConn, rev uint64, recs []APRecord, keys []KeyRecord) error {

@@ -13,6 +13,7 @@ import (
 
 	"dlte/internal/geo"
 	"dlte/internal/simnet"
+	"dlte/internal/wire"
 )
 
 func testKey(i int) KeyRecord {
@@ -211,7 +212,7 @@ func newMirrorWorld(t *testing.T) (*simnet.Network, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Clock().Go(func() { NewServer(store).Serve(l) })
+	NewServer(store).Serve(l)
 	return n, store
 }
 
@@ -414,48 +415,55 @@ func TestStoreFirstPublishAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestSubscriberGoroutineFootprint: a subscription costs the server one
-// standing goroutine — its serveConn, which reads on only to notice the
-// hang-up. The push itself runs inside each mutation and needs no
-// goroutine; a closed subscription takes its serveConn with it.
+// TestSubscriberGoroutineFootprint: a subscription costs no goroutine
+// on either end — the server's push runs inside each mutation and its
+// hang-up watch is the conn's delivery handler, and the mirror applies
+// the feed in its own — and neither does a polling Client's connection,
+// whose requests the server answers inline. A closed subscription
+// leaves the store's push list.
 func TestSubscriberGoroutineFootprint(t *testing.T) {
 	n, store := newMirrorWorld(t)
 	clk := n.Clock()
 	host := n.MustAddHost("obs")
-	clk.Sleep(time.Millisecond) // the server is accepting
+	clk.Sleep(time.Millisecond) // the world's own goroutines are up
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	const subs = 8
-	feeds := make([]*Subscription, subs)
+	feeds := make([]*Mirror, subs)
 	for i := range feeds {
-		sub, err := Subscribe(host.Dial, "registry:8400", store.Revision())
+		m, err := NewMirror(host.Dial, "registry:8400", store.Revision())
 		if err != nil {
 			t.Fatal(err)
 		}
-		feeds[i] = sub
+		feeds[i] = m
 	}
-	clk.Sleep(10 * time.Millisecond) // every subscribe has been served
+	c, err := Dial(host.Dial, "registry:8400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(rec("ap1", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range feeds {
+		if err := m.WaitRev(store.Revision(), time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := store.subscribers(); got != subs {
 		t.Fatalf("store has %d subscribers, want %d", got, subs)
 	}
-	if added := runtime.NumGoroutine() - before; added != subs {
-		t.Errorf("%d subscribers cost %d goroutines, want exactly 1 each", subs, added)
+	if added := runtime.NumGoroutine() - before; added != 0 {
+		t.Errorf("%d subscribers and a client cost %d goroutines, want 0", subs, added)
 	}
-	for _, sub := range feeds {
-		sub.Close()
+	c.Close()
+	for _, m := range feeds {
+		m.Close()
 	}
 	clk.Sleep(10 * time.Millisecond)
 	if got := store.subscribers(); got != 0 {
 		t.Errorf("%d subscribers left after every feed closed", got)
 	}
-	// A returned serveConn has given back its busy slot but may not
-	// have exited yet.
-	after := runtime.NumGoroutine()
-	for i := 0; after > before && i < 100; i++ {
-		time.Sleep(time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
-	if after != before {
+	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("goroutines %d → %d across subscribe and close", before, after)
 	}
 }
@@ -621,12 +629,17 @@ func TestStalledSubscriberDropped(t *testing.T) {
 	srv := NewServer(store)
 	srv.pushTimeout = 20 * time.Millisecond
 	sc, cc := net.Pipe() // unbuffered: a write waits for the reader
-	go srv.serveConn(sc)
-	sub, err := Subscribe(func(string) (net.Conn, error) { return cc, nil }, "registry", 0)
+	go srv.ServeConn(sc)
+	fc := wire.NewFrameConn(cc)
+	defer cc.Close()
+	w := wire.GetWriter()
+	w.U8(opSubscribe)
+	w.U64(0)
+	err := fc.Send(w.Bytes())
+	wire.PutWriter(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
 	for deadline := time.Now().Add(5 * time.Second); store.subscribers() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("subscription never registered")
@@ -647,7 +660,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 		t.Errorf("stalled subscriber still registered (%d)", got)
 	}
 	cc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := sub.next(); !errors.Is(err, io.EOF) {
+	if _, err := fc.RecvOwned(); !errors.Is(err, io.EOF) {
 		t.Errorf("stalled subscriber's feed read %v after its push failed, want EOF", err)
 	}
 }

@@ -600,8 +600,3 @@ func (c *Conn) Recv() (Message, error) {
 	}
 	return Decode(b)
 }
-
-// RecvOwned reads the next raw serialized message into a pooled buffer
-// owned by the caller, who decodes views into it (DecodeView) and
-// releases it with wire.PutFrame once consumed.
-func (c *Conn) RecvOwned() ([]byte, error) { return c.fc.RecvOwned() }

@@ -12,9 +12,10 @@ import "time"
 //     latencies cost no wall-clock time.
 //
 //   - WallClock (the package-level Wall): real time via the time
-//     package. It exists for ClockOf, which hands it to
-//     transport-agnostic code (the registry server, X2) running over
-//     real sockets, as cmd/dlte-registry does.
+//     package. It exists for ClockOf, which hands it to the one
+//     service that runs over real sockets: the registry server's
+//     ServeConn, as cmd/dlte-registry drives it over TCP. (X2 and MST
+//     refuse any socket that is not simnet's.)
 //
 // The contract for code running under a Clock:
 //
@@ -72,11 +73,10 @@ func (wallClock) Unblock()                        {}
 
 // ClockOf returns the Clock governing v — any value exposing a
 // `Clock() Clock` method (Network, Host, Conn, PacketConn, Listener,
-// ue.BearerConn, …) — or Wall for plain OS-backed values such as
-// *net.UDPConn. It lets transport-agnostic code (registry, X2) inherit
-// virtual time when running over a simulated network and real time
-// when running over real sockets, and MST find the virtual clock its
-// socket runs on, without new constructor parameters.
+// …) — or Wall for plain OS-backed values such as *net.TCPConn. It lets
+// the registry server stamp its push deadlines in virtual time over a
+// simulated network and in real time over real sockets, without new
+// constructor parameters.
 func ClockOf(v any) Clock {
 	if h, ok := v.(interface{ Clock() Clock }); ok {
 		if c := h.Clock(); c != nil {

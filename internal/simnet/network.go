@@ -144,13 +144,6 @@ func (n *Network) SetLink(a, b string, l Link) {
 	n.setLinkLocked(b, a, l)
 }
 
-// SetLinkOneWay configures only the a→b direction.
-func (n *Network) SetLinkOneWay(a, b string, l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.setLinkLocked(a, b, l)
-}
-
 // setLinkLocked reconfigures the src→dst direction and idles its
 // transmitter. An existing entry is rewritten in place, never replaced:
 // sockets and conns memoize the *linkState they send through, so an

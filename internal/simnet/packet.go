@@ -250,6 +250,10 @@ func (p *PacketConn) ReadFromOwned() ([]byte, net.Addr, error) {
 // Clock returns the clock governing this socket's network.
 func (p *PacketConn) Clock() Clock { return p.host.net.clock }
 
+// Network returns the network the socket lives on, for services that
+// schedule their own timers on its dispatcher (NewContinuation).
+func (p *PacketConn) Network() *Network { return p.host.net }
+
 // SetReadDeadline bounds future ReadFrom calls. It does not interrupt a
 // blocked ReadFrom.
 func (p *PacketConn) SetReadDeadline(t time.Time) error {

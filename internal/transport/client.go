@@ -10,19 +10,30 @@ import (
 	"dlte/internal/simnet"
 )
 
-// Client is the client end of an MST session.
+// Client is the client end of an MST session. Its protocol machine runs
+// in handlers: inbound packets on the socket's delivery handler, the
+// retransmit pass and the HELLO retries on one continuation. Only a
+// goroutine calling Dial, Send or Recv ever waits.
 type Client struct {
 	*session
-	mode Mode
+	timer    *simnet.Continuation      // retransmit passes and HELLO retries
+	accepted *simnet.Mailbox[struct{}] // a token per ACCEPT (depth 1)
+	incoming *simnet.Mailbox[[]byte]   // in-order server payloads for Recv
 
 	mu       sync.Mutex
-	token    []byte                    // resume token from the last ACCEPT
-	accepted *simnet.Mailbox[struct{}] // a token per ACCEPT (depth 1)
-	done     *simnet.Mailbox[struct{}] // never filled; closed by Close
-	doneOnce sync.Once
+	done     bool   // Close has run
+	token    []byte // resume token from the last ACCEPT; nil before the first
+	hello    Packet
+	helloEnd time.Time // HELLO retries stop after this instant
 	curPC    PacketConn
 	serverAt net.Addr
 }
+
+// Continuation event kinds on a client's timer.
+const (
+	timerRetransmit uint64 = iota // every rto/2 from Dial
+	timerHello                    // every rto until ACCEPT or the handshake deadline
+)
 
 // DialConfig shapes a client dial.
 type DialConfig struct {
@@ -35,62 +46,67 @@ type DialConfig struct {
 	Timeout time.Duration
 }
 
-// Dial opens a session to server over pc, which must run on a
-// simnet.VirtualClock.
+// Dial opens a session to server over pc, which must live on a simnet
+// network.
 func Dial(pc PacketConn, server net.Addr, cfg DialConfig) (*Client, error) {
-	clk, err := virtualClock(pc)
+	n, err := networkOf(pc)
 	if err != nil {
 		return nil, err
 	}
+	clk := n.Clock().(*simnet.VirtualClock)
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 3 * time.Second
 	}
 	cid := randomU64()
 	c := &Client{
-		session:  newSession(clk, pc, server, cid),
-		mode:     cfg.Mode,
+		session:  newSession(clk, pc, server, cid, simnet.NewMailbox[struct{}](clk, 1)),
 		accepted: simnet.NewMailbox[struct{}](clk, 1),
-		done:     simnet.NewMailbox[struct{}](clk, 1),
+		incoming: simnet.NewMailbox[[]byte](clk, 1024),
+		hello:    Packet{Type: PktHello, CID: cid, Token: cfg.ResumeToken},
+		helloEnd: clk.Now().Add(cfg.Timeout),
 		curPC:    pc,
 		serverAt: server,
 	}
+	c.timer = n.NewContinuation(c.fire)
 	// Migrate moves the handler to each new socket.
 	pc.SetHandler(c.ingress)
-	c.clk.Go(c.retransmitLoop)
+	c.timer.After(rto/2, timerRetransmit)
 
-	hello := Packet{Type: PktHello, CID: cid, Token: cfg.ResumeToken}
-	if err := c.writeCtl(hello); err != nil {
+	if err := c.writeCtl(c.hello); err != nil {
 		c.Close()
 		return nil, err
 	}
+	c.timer.After(rto, timerHello)
 
 	if cfg.Mode == Migratory && len(cfg.ResumeToken) > 0 {
 		// 0-RTT: the session is usable immediately; the ACCEPT (and
 		// fresh token) arrives asynchronously.
-		c.clk.Go(func() { c.awaitAcceptRetry(hello, cfg.Timeout) })
 		return c, nil
 	}
-	if err := c.awaitAcceptRetry(hello, cfg.Timeout); err != nil {
+	if _, err := c.accepted.Recv(cfg.Timeout); err != nil {
 		c.Close()
-		return nil, err
+		if errors.Is(err, simnet.ErrDeadline) {
+			return nil, fmt.Errorf("%w: handshake", ErrTimeout)
+		}
+		return nil, ErrClosed // Close closed accepted
 	}
 	return c, nil
 }
 
-// awaitAcceptRetry retransmits the HELLO until ACCEPT or timeout.
-func (c *Client) awaitAcceptRetry(hello Packet, timeout time.Duration) error {
-	deadline := c.clk.Now().Add(timeout)
-	for {
-		_, err := c.accepted.Recv(rto)
-		switch {
-		case err == nil:
-			return nil
-		case !errors.Is(err, simnet.ErrDeadline):
-			return ErrClosed // Close closed accepted
-		case c.clk.Now().After(deadline):
-			return fmt.Errorf("%w: handshake", ErrTimeout)
-		}
-		c.writeCtl(hello)
+// fire is the client's continuation: a retransmit pass every rto/2,
+// and a HELLO retry every rto until ACCEPT or the handshake deadline.
+func (c *Client) fire(kind uint64) {
+	if kind == timerRetransmit {
+		c.retransmitTick()
+		c.timer.After(rto/2, timerRetransmit)
+		return
+	}
+	c.mu.Lock()
+	stop := c.done || c.token != nil || c.clk.Now().After(c.helloEnd)
+	c.mu.Unlock()
+	if !stop {
+		c.writeCtl(c.hello)
+		c.timer.After(rto, timerHello)
 	}
 }
 
@@ -106,11 +122,26 @@ func (c *Client) Token() []byte {
 	return out
 }
 
-// Send transmits a payload reliably.
+// Send transmits a payload reliably, waiting while the window is full.
 func (c *Client) Send(payload []byte) error { return c.send(payload) }
 
 // Recv delivers the next in-order server payload.
-func (c *Client) Recv(timeout time.Duration) ([]byte, error) { return c.recv(timeout) }
+func (c *Client) Recv(timeout time.Duration) ([]byte, error) {
+	b, err := c.incoming.Recv(timeout)
+	switch {
+	case err == nil:
+		return b, nil
+	case errors.Is(err, simnet.ErrDeadline):
+		return nil, ErrTimeout
+	}
+	c.session.mu.Lock()
+	reset := c.reset
+	c.session.mu.Unlock()
+	if reset {
+		return nil, ErrReset
+	}
+	return nil, ErrClosed
+}
 
 // Stats reports transfer counters.
 func (c *Client) Stats() SessionStats { return c.stats() }
@@ -129,7 +160,7 @@ func (c *Client) Migrate(newPC PacketConn) {
 	// both swaps — the session never calls back into Client, so the
 	// c.mu → session.mu order cannot deadlock.
 	c.mu.Lock()
-	if isClosed(c.done) {
+	if c.done {
 		// Don't take over a socket nobody will ever close.
 		c.mu.Unlock()
 		newPC.Close()
@@ -170,7 +201,10 @@ func (c *Client) writeCtl(p Packet) error {
 // and Migrate). data is the dispatcher's buffer, valid only for this
 // call; the packet's consumers copy what they keep.
 func (c *Client) ingress(data []byte, _ net.Addr) {
-	if isClosed(c.done) {
+	c.mu.Lock()
+	done := c.done
+	c.mu.Unlock()
+	if done {
 		return
 	}
 	p, err := DecodePacket(data)
@@ -191,41 +225,49 @@ func (c *Client) handlePkt(p Packet) {
 		c.mu.Unlock()
 		c.accepted.Put(struct{}{}) // a duplicate ACCEPT finds it full
 	case PktData:
-		// Ack first, deliver second: see ingestData.
+		// Ack first, deliver second: see ingestData. A full mailbox
+		// drops the payload, like a full socket buffer.
 		ack, deliver, freed := c.ingestData(p)
 		c.writeCtl(Packet{Type: PktAck, CID: c.cid, Ack: ack})
-		c.finishData(deliver, freed)
+		for _, d := range deliver {
+			c.incoming.Put(d)
+		}
+		if freed {
+			c.opened()
+		}
 	case PktAck:
 		c.handleAck(p.Ack)
 	case PktReset:
-		c.markReset()
+		c.finish(true)
 	case PktClose:
-		c.closeSession()
+		c.finish(false)
 	}
 }
 
-// retransmitLoop runs a retransmit pass every rto/2 until Close.
-func (c *Client) retransmitLoop() {
-	for {
-		if _, err := c.done.Recv(rto / 2); !errors.Is(err, simnet.ErrDeadline) {
-			return
-		}
-		c.retransmitTick()
+// finish ends the session (session.end) and releases a parked Recv.
+func (c *Client) finish(reset bool) {
+	if c.end(reset) {
+		c.incoming.Close()
 	}
 }
 
 // Close ends the session and releases the socket.
 func (c *Client) Close() {
-	c.doneOnce.Do(func() {
-		c.writeCtl(Packet{Type: PktClose, CID: c.cid})
-		c.done.Close()
-		c.accepted.Close()
-		c.closeSession()
-		c.mu.Lock()
-		pc := c.curPC
+	c.mu.Lock()
+	if c.done {
 		c.mu.Unlock()
-		if pc != nil {
-			pc.Close()
-		}
-	})
+		return
+	}
+	c.done = true
+	c.mu.Unlock()
+	c.writeCtl(Packet{Type: PktClose, CID: c.cid})
+	c.timer.Stop()
+	c.accepted.Close()
+	c.finish(false)
+	c.mu.Lock()
+	pc := c.curPC
+	c.mu.Unlock()
+	if pc != nil {
+		pc.Close()
+	}
 }

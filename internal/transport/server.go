@@ -1,14 +1,13 @@
 package transport
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlte/internal/simnet"
 )
@@ -17,22 +16,28 @@ import (
 type ServerConfig struct {
 	// Mode selects migratory (MST) or legacy (TCP-like) semantics.
 	Mode Mode
-	// Handler runs once per accepted session, on its own goroutine.
-	Handler func(*ServerSession)
+	// Handler receives each in-order client payload, which it may keep.
+	// It runs inline on the network's delivery thread, right after the
+	// ACK covering the payload is on the wire, so it must not park: a
+	// ServerSession.Send never waits (past the window it queues).
+	Handler func(ss *ServerSession, payload []byte)
 }
 
-// Server accepts MST sessions on one packet socket.
+// Server accepts MST sessions on one packet socket. It runs entirely in
+// handlers: inbound packets on the socket's delivery handler, the
+// retransmit pass on a continuation.
 type Server struct {
-	pc  PacketConn
-	cfg ServerConfig
-	clk *simnet.VirtualClock
+	pc    PacketConn
+	cfg   ServerConfig
+	clk   *simnet.VirtualClock
+	timer *simnet.Continuation // the retransmit pass, every rto/2
 
 	mu       sync.Mutex
 	sessions map[uint64]*ServerSession
 	tokens   map[string]bool // valid resume tokens
 	cookies  map[uint64]uint64
 	closed   bool
-	done     *simnet.Mailbox[struct{}] // never filled; closed by Close
+	pass     []*ServerSession // reused by every retransmit pass
 
 	resumes atomic.Uint64
 	fresh   atomic.Uint64
@@ -42,41 +47,35 @@ type Server struct {
 // ServerSession is the server's end of one session.
 type ServerSession struct {
 	*session
-	srv     *Server
 	boundTo string // legacy: the locked source address
-	resumed bool
 }
 
-// Send transmits a payload to the client (reliable).
+// Send transmits a payload to the client (reliable). It never parks:
+// past the window the payload queues, and the ack that frees space
+// transmits it.
 func (ss *ServerSession) Send(payload []byte) error { return ss.send(payload) }
-
-// Recv delivers the next in-order client payload.
-func (ss *ServerSession) Recv(timeout time.Duration) ([]byte, error) { return ss.recv(timeout) }
 
 // Stats reports transfer counters.
 func (ss *ServerSession) Stats() SessionStats { return ss.stats() }
 
-// Resumed reports whether this session was 0-RTT resumed.
-func (ss *ServerSession) Resumed() bool { return ss.resumed }
-
-// NewServer starts a server on pc. It panics unless pc runs on a
-// simnet.VirtualClock.
+// NewServer starts a server on pc. It panics unless pc lives on a
+// simnet network.
 func NewServer(pc PacketConn, cfg ServerConfig) *Server {
-	clk, err := virtualClock(pc)
+	n, err := networkOf(pc)
 	if err != nil {
 		panic(err)
 	}
 	s := &Server{
 		pc:       pc,
 		cfg:      cfg,
-		clk:      clk,
+		clk:      n.Clock().(*simnet.VirtualClock),
 		sessions: make(map[uint64]*ServerSession),
 		tokens:   make(map[string]bool),
 		cookies:  make(map[uint64]uint64),
-		done:     simnet.NewMailbox[struct{}](clk, 1),
 	}
+	s.timer = n.NewContinuation(s.retransmit)
 	pc.SetHandler(s.ingress)
-	s.clk.Go(s.retransmitLoop)
+	s.timer.After(rto/2, 0)
 	return s
 }
 
@@ -85,7 +84,10 @@ func NewServer(pc PacketConn, cfg ServerConfig) *Server {
 // every consumer copies what it keeps (ingestData copies payloads,
 // token lookups re-encode).
 func (s *Server) ingress(data []byte, from net.Addr) {
-	if isClosed(s.done) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return
 	}
 	p, err := DecodePacket(data)
@@ -136,7 +138,7 @@ func (s *Server) handle(p Packet, from net.Addr) {
 		delete(s.sessions, p.CID)
 		s.mu.Unlock()
 		if ss != nil {
-			ss.closeSession()
+			ss.end(false)
 			s.writeTo(Packet{Type: PktClose, CID: p.CID}, from)
 		}
 	}
@@ -212,10 +214,8 @@ func (s *Server) handleConfirm(p Packet, from net.Addr) {
 
 func (s *Server) accept(cid uint64, from net.Addr, resumed bool) {
 	ss := &ServerSession{
-		session: newSession(s.clk, s.pc, from, cid),
-		srv:     s,
+		session: newSession(s.clk, s.pc, from, cid, nil),
 		boundTo: from.String(),
-		resumed: resumed,
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -236,9 +236,6 @@ func (s *Server) accept(cid uint64, from net.Addr, resumed bool) {
 		s.fresh.Add(1)
 	}
 	s.writeTo(Packet{Type: PktAccept, CID: cid, Token: s.issueToken()}, from)
-	if s.cfg.Handler != nil {
-		s.clk.Go(func() { s.cfg.Handler(ss) })
-	}
 }
 
 func (s *Server) handleData(p Packet, from net.Addr) {
@@ -263,7 +260,14 @@ func (s *Server) handleData(p Packet, from net.Addr) {
 	// Ack first, deliver second: see session.ingestData.
 	ack, deliver, freed := ss.ingestData(p)
 	s.writeTo(Packet{Type: PktAck, CID: p.CID, Ack: ack}, ss.peerAddr())
-	ss.finishData(deliver, freed)
+	if freed {
+		ss.opened()
+	}
+	if s.cfg.Handler != nil {
+		for _, d := range deliver {
+			s.cfg.Handler(ss, d)
+		}
+	}
 }
 
 func (s *Server) writeTo(p Packet, to net.Addr) {
@@ -283,26 +287,27 @@ func (s *Server) issueToken() []byte {
 	return tok
 }
 
-// retransmitLoop runs a retransmit pass over every session every rto/2
-// until Close.
-func (s *Server) retransmitLoop() {
-	for {
-		if _, err := s.done.Recv(rto / 2); !errors.Is(err, simnet.ErrDeadline) {
-			return
-		}
-		s.mu.Lock()
-		sessions := make([]*ServerSession, 0, len(s.sessions))
-		for _, ss := range s.sessions {
-			sessions = append(sessions, ss)
-		}
+// retransmit is the server's continuation: every rto/2, a retransmit
+// pass over the sessions in CID order, not map order — retransmission
+// wire order must not depend on Go's randomized map iteration.
+func (s *Server) retransmit(uint64) {
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
-		// CID order, not map order: retransmission wire order must not
-		// depend on Go's randomized map iteration.
-		sort.Slice(sessions, func(i, j int) bool { return sessions[i].cid < sessions[j].cid })
-		for _, ss := range sessions {
-			ss.retransmitTick()
-		}
+		return
 	}
+	pass := s.pass[:0]
+	for _, ss := range s.sessions {
+		pass = append(pass, ss)
+	}
+	s.pass = pass
+	s.mu.Unlock()
+	slices.SortFunc(pass, func(a, b *ServerSession) int { return cmp.Compare(a.cid, b.cid) })
+	for i, ss := range pass {
+		ss.retransmitTick()
+		pass[i] = nil
+	}
+	s.timer.After(rto/2, 0)
 }
 
 // Close stops the server and all sessions.
@@ -313,15 +318,12 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	sessions := make([]*ServerSession, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		sessions = append(sessions, ss)
-	}
+	sessions := s.sessions
 	s.sessions = make(map[uint64]*ServerSession)
 	s.mu.Unlock()
-	s.done.Close()
+	s.timer.Stop()
 	for _, ss := range sessions {
-		ss.closeSession()
+		ss.end(false) // puts nothing on the wire, so map order is fine
 	}
 	s.pc.Close()
 }

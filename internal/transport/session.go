@@ -11,12 +11,11 @@ import (
 	"dlte/internal/simnet"
 )
 
-// PacketConn is the datagram surface MST runs over: a simnet.PacketConn,
-// a ue.BearerConn, or any socket whose simnet.ClockOf is a
-// *simnet.VirtualClock, receiving only through SetHandler (data valid
-// only for the call). A session waits only through clock-owned
-// mailboxes, which exist only on virtual clocks, so MST does not run
-// over real UDP.
+// PacketConn is the datagram surface MST runs over: a simnet.PacketConn
+// or a ue.BearerConn, receiving only through SetHandler (data valid
+// only for the call). A session's timers are continuations on its
+// socket's simnet.Network (see networkOf), so MST does not run over
+// real UDP.
 type PacketConn interface {
 	WriteTo(b []byte, addr net.Addr) (int, error)
 	SetHandler(h func(data []byte, from net.Addr))
@@ -25,10 +24,9 @@ type PacketConn interface {
 
 // Session errors.
 var (
-	ErrClosed      = errors.New("transport: session closed")
-	ErrReset       = errors.New("transport: session reset by peer")
-	ErrTimeout     = errors.New("transport: timeout")
-	ErrNotAccepted = errors.New("transport: handshake incomplete")
+	ErrClosed  = errors.New("transport: session closed")
+	ErrReset   = errors.New("transport: session reset by peer")
+	ErrTimeout = errors.New("transport: timeout")
 )
 
 // rto is the retransmission timeout for unacked data.
@@ -41,9 +39,8 @@ const maxWindow = 64
 // sends with cumulative acks and RTO retransmission, in-order
 // delivery, and a swappable (path-migratable) socket/peer.
 type session struct {
-	// clk governs all session timing (RTO, handshake retries, recv
-	// timeouts), and every session wait is a mailbox receive on it. It
-	// is the socket's clock (virtualClock).
+	// clk is the socket's virtual clock: RTO ages and, on the client,
+	// the mailboxes Dial, Send and Recv wait on.
 	clk *simnet.VirtualClock
 
 	mu     sync.Mutex
@@ -53,16 +50,18 @@ type session struct {
 	closed bool
 	reset  bool
 
-	// Send state.
+	// Send state. A send past the window either parks on window (the
+	// client's, one token per freed window) or, where window is nil
+	// (the server's, whose sends run inside handlers), queues in
+	// backlog until an ack frees space.
 	nextSeq  uint64
-	sendBase uint64 // lowest unacked
 	inflight map[uint64]*inflightPkt
-	window   *simnet.Mailbox[struct{}] // one token: window space was freed
+	window   *simnet.Mailbox[struct{}]
+	backlog  [][]byte
 
 	// Receive state.
 	expected uint64
 	pending  map[uint64][]byte
-	incoming *simnet.Mailbox[[]byte]
 
 	// Stats.
 	sent, retransmits, delivered uint64
@@ -73,43 +72,34 @@ type inflightPkt struct {
 	lastTx  time.Time
 }
 
-// virtualClock returns the virtual clock pc runs on, or an error naming
-// the socket type when it runs on any other.
-func virtualClock(pc PacketConn) (*simnet.VirtualClock, error) {
-	if vc, ok := simnet.ClockOf(pc).(*simnet.VirtualClock); ok {
-		return vc, nil
+// networkOf returns the simnet network pc lives on, or an error naming
+// the socket type when it has none.
+func networkOf(pc PacketConn) (*simnet.Network, error) {
+	if s, ok := pc.(interface{ Network() *simnet.Network }); ok {
+		return s.Network(), nil
 	}
-	return nil, fmt.Errorf("transport: %T does not run on a simnet virtual clock", pc)
+	return nil, fmt.Errorf("transport: %T does not run on a simnet network", pc)
 }
 
-// isClosed reports whether done, a mailbox nobody fills, has been
-// closed. It never parks, so dispatch handlers may call it.
-func isClosed(done *simnet.Mailbox[struct{}]) bool {
-	_, err := done.Recv(0)
-	return errors.Is(err, simnet.ErrClosed)
-}
-
-func newSession(clk *simnet.VirtualClock, pc PacketConn, peer net.Addr, cid uint64) *session {
+func newSession(clk *simnet.VirtualClock, pc PacketConn, peer net.Addr, cid uint64, window *simnet.Mailbox[struct{}]) *session {
 	return &session{
 		clk:      clk,
 		pc:       pc,
 		peer:     peer,
 		cid:      cid,
 		inflight: make(map[uint64]*inflightPkt),
-		window:   simnet.NewMailbox[struct{}](clk, 1),
+		window:   window,
 		pending:  make(map[uint64][]byte),
-		incoming: simnet.NewMailbox[[]byte](clk, 1024),
 	}
 }
 
-// CID reports the session's connection ID.
-func (s *session) CID() uint64 { return s.cid }
-
-// send transmits one payload reliably.
+// send transmits one payload reliably. Past the window it parks until
+// an ack frees space (the client), or queues the payload for the ack
+// that frees it to transmit (the server, which must never park).
 func (s *session) send(payload []byte) error {
 	s.mu.Lock()
 	waited := false
-	for !s.closed && !s.reset && len(s.inflight) >= maxWindow {
+	for s.window != nil && !s.closed && !s.reset && len(s.inflight) >= maxWindow {
 		s.mu.Unlock()
 		s.window.Wait() // a freed-window token, or ErrClosed once the session ends
 		s.mu.Lock()
@@ -126,16 +116,53 @@ func (s *session) send(payload []byte) error {
 		s.mu.Unlock()
 		return ErrReset
 	}
-	seq := s.nextSeq
-	s.nextSeq++
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	s.inflight[seq] = &inflightPkt{payload: data, lastTx: s.clk.Now()}
-	s.sent++
+	if len(s.backlog) > 0 || len(s.inflight) >= maxWindow {
+		s.backlog = append(s.backlog, data)
+		s.mu.Unlock()
+		return nil
+	}
+	seq := s.enqueueLocked(data)
 	pc, peer := s.pc, s.peer
 	s.mu.Unlock()
 
 	return s.writePacket(pc, peer, Packet{Type: PktData, CID: s.cid, Seq: seq})
+}
+
+// enqueueLocked puts data in flight under the next sequence number.
+func (s *session) enqueueLocked(data []byte) uint64 {
+	seq := s.nextSeq
+	s.nextSeq++
+	s.inflight[seq] = &inflightPkt{payload: data, lastTx: s.clk.Now()}
+	s.sent++
+	return seq
+}
+
+// opened runs after an ack freed window space: it wakes a client sender
+// parked in send, or transmits the server's queued payloads in order
+// as far as the window now allows.
+func (s *session) opened() {
+	if s.window != nil {
+		s.window.Put(struct{}{})
+		return
+	}
+	s.mu.Lock()
+	if s.closed || s.reset {
+		s.mu.Unlock()
+		return
+	}
+	var seqs []uint64
+	for len(s.backlog) > 0 && len(s.inflight) < maxWindow {
+		seqs = append(seqs, s.enqueueLocked(s.backlog[0]))
+		s.backlog[0] = nil
+		s.backlog = s.backlog[1:]
+	}
+	pc, peer := s.pc, s.peer
+	s.mu.Unlock()
+	for _, seq := range seqs {
+		s.writePacket(pc, peer, Packet{Type: PktData, CID: s.cid, Seq: seq})
+	}
 }
 
 func (s *session) writePacket(pc PacketConn, peer net.Addr, p Packet) error {
@@ -155,33 +182,15 @@ func (s *session) writePacket(pc PacketConn, peer net.Addr, p Packet) error {
 	return err
 }
 
-// recv delivers the next in-order payload.
-func (s *session) recv(timeout time.Duration) ([]byte, error) {
-	b, err := s.incoming.Recv(timeout)
-	switch {
-	case err == nil:
-		return b, nil
-	case errors.Is(err, simnet.ErrDeadline):
-		return nil, ErrTimeout
-	}
-	s.mu.Lock()
-	reset := s.reset
-	s.mu.Unlock()
-	if reset {
-		return nil, ErrReset
-	}
-	return nil, ErrClosed
-}
-
 // ingestData absorbs an inbound DATA packet: it applies the
 // piggybacked ack and advances the in-order receive state, but wakes
-// nobody. The caller puts the returned cumulative ack on the wire
-// first and only then calls finishData — so any goroutine this packet
-// unblocks (the app reading a payload, a sender freed by the ack)
-// enqueues its response strictly after our ack. Keeping that wire
-// order fixed is what makes same-seed runs byte-identical: waking the
-// app before acking lets its reply race the ack for the link's
-// serialization slot.
+// nobody and sends nothing. The caller puts the returned cumulative ack
+// on the wire first and only then hands the payloads on and calls
+// opened — so whatever this packet sets off (the app's reply to a
+// payload, a sender freed by the ack) is written strictly after our
+// ack. Keeping that wire order fixed is what makes same-seed runs
+// byte-identical: an app that replies before the ack is written races
+// it for the link's serialization slot.
 func (s *session) ingestData(p Packet) (ack uint64, deliver [][]byte, freed bool) {
 	s.mu.Lock()
 	freed = s.applyAckLocked(p.Ack)
@@ -207,25 +216,13 @@ func (s *session) ingestData(p Packet) (ack uint64, deliver [][]byte, freed bool
 	return ack, deliver, freed
 }
 
-// finishData completes ingestData: payloads reach the receiver and
-// window-blocked senders wake, after the ack is already on the wire.
-// A full or closed mailbox drops the payload, like a full socket buffer.
-func (s *session) finishData(deliver [][]byte, freed bool) {
-	for _, d := range deliver {
-		s.incoming.Put(d)
-	}
-	if freed {
-		s.window.Put(struct{}{})
-	}
-}
-
 // handleAck processes a cumulative acknowledgment.
 func (s *session) handleAck(ack uint64) {
 	s.mu.Lock()
 	freed := s.applyAckLocked(ack)
 	s.mu.Unlock()
 	if freed {
-		s.window.Put(struct{}{})
+		s.opened()
 	}
 }
 
@@ -239,19 +236,15 @@ func (s *session) applyAckLocked(ack uint64) bool {
 			freed = true
 		}
 	}
-	if ack > s.sendBase {
-		s.sendBase = ack
-	}
 	return freed
 }
 
-// retransmitTick resends any packet older than the RTO. Returns the
-// number retransmitted.
-func (s *session) retransmitTick() int {
+// retransmitTick resends any packet older than the RTO.
+func (s *session) retransmitTick() {
 	s.mu.Lock()
 	if s.closed || s.reset {
 		s.mu.Unlock()
-		return 0
+		return
 	}
 	now := s.clk.Now()
 	var stale []uint64
@@ -273,7 +266,6 @@ func (s *session) retransmitTick() int {
 	for _, seq := range stale {
 		s.writePacket(pc, peer, Packet{Type: PktData, CID: s.cid, Seq: seq})
 	}
-	return len(stale)
 }
 
 // migrate swaps the session onto a new socket/peer (client side) or
@@ -296,31 +288,23 @@ func (s *session) peerAddr() net.Addr {
 	return s.peer
 }
 
-// markReset flags the session as reset by the peer and wakes everyone.
-func (s *session) markReset() {
+// end marks the session reset by the peer (reset) or closed by either
+// end, and reports whether this call ended a live session. Parked senders
+// wake with the outcome; the backlog is dropped.
+func (s *session) end(reset bool) bool {
 	s.mu.Lock()
-	if s.reset || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.reset = true
-	s.mu.Unlock()
-	s.incoming.Close()
-	s.window.Close()
-}
-
-// closeSession ends the session locally.
-func (s *session) closeSession() {
-	s.mu.Lock()
-	if s.closed || s.reset {
+	live := !s.closed && !s.reset
+	if reset && live {
+		s.reset = true
+	} else if !reset {
 		s.closed = true
-		s.mu.Unlock()
-		return
 	}
-	s.closed = true
+	s.backlog = nil
 	s.mu.Unlock()
-	s.incoming.Close()
-	s.window.Close()
+	if live && s.window != nil {
+		s.window.Close()
+	}
+	return live
 }
 
 // SessionStats reports transfer counters.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,17 +14,7 @@ import (
 )
 
 // echoHandler bounces every payload back.
-func echoHandler(ss *ServerSession) {
-	for {
-		b, err := ss.Recv(5 * time.Second)
-		if err != nil {
-			return
-		}
-		if err := ss.Send(b); err != nil {
-			return
-		}
-	}
-}
+func echoHandler(ss *ServerSession, b []byte) { ss.Send(b) }
 
 type rig struct {
 	net    *simnet.Network
@@ -194,10 +185,7 @@ func TestZeroRTTResume(t *testing.T) {
 		t.Fatalf("0-RTT echo = %q err=%v", got, err)
 	}
 	// Wait for the async ACCEPT to land before checking stats.
-	deadline := clk.Now().Add(2 * time.Second)
-	for r.server.Stats().Resumes == 0 && clk.Now().Before(deadline) {
-		clk.Sleep(5 * time.Millisecond)
-	}
+	clk.(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return r.server.Stats().Resumes != 0 })
 	if st := r.server.Stats(); st.Resumes != 1 {
 		t.Errorf("resumes = %d", st.Resumes)
 	}
@@ -282,10 +270,7 @@ func TestMigrateConcurrentWithTraffic(t *testing.T) {
 	}
 	// Traffic must still flow on the final path.
 	before := echoes.Load()
-	deadline := clk.Now().Add(3 * time.Second)
-	for clk.Now().Before(deadline) && echoes.Load() == before {
-		clk.Sleep(10 * time.Millisecond)
-	}
+	clk.(*simnet.VirtualClock).WaitUntil(3*time.Second, func() bool { return echoes.Load() != before })
 	close(stop)
 	for i := 0; i < 2; i++ {
 		exited.Wait()
@@ -491,13 +476,7 @@ func TestTokenSingleUse(t *testing.T) {
 	}
 	defer c2.Close()
 	waitStats := func(f func(ServerStats) bool) ServerStats {
-		deadline := clk.Now().Add(2 * time.Second)
-		for clk.Now().Before(deadline) {
-			if st := r.server.Stats(); f(st) {
-				return st
-			}
-			clk.Sleep(5 * time.Millisecond)
-		}
+		clk.(*simnet.VirtualClock).WaitUntil(2*time.Second, func() bool { return f(r.server.Stats()) })
 		return r.server.Stats()
 	}
 	waitStats(func(st ServerStats) bool { return st.Resumes == 1 })
@@ -515,9 +494,9 @@ func TestTokenSingleUse(t *testing.T) {
 	}
 }
 
-// TestRecvReturnsWhenWorldCloses: a session Recv parked when its
-// network closes returns ErrTimeout at once, because the closing clock
-// releases a parked mailbox receive like any other timed wait.
+// TestRecvReturnsWhenWorldCloses: a client Recv parked when its network
+// closes returns ErrTimeout at once, because the closing clock releases
+// a parked mailbox receive like any other timed wait.
 func TestRecvReturnsWhenWorldCloses(t *testing.T) {
 	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
 	vc := n.Clock().(*simnet.VirtualClock)
@@ -525,13 +504,7 @@ func TestRecvReturnsWhenWorldCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := simnet.NewMailbox[struct{}](vc, 1)
-	returned := make(chan error, 1)
-	srv := NewServer(pc, ServerConfig{Mode: Migratory, Handler: func(ss *ServerSession) {
-		parked.Put(struct{}{})
-		_, err := ss.Recv(time.Hour)
-		returned <- err
-	}})
+	srv := NewServer(pc, ServerConfig{Mode: Migratory})
 	cpc, err := n.MustAddHost("ue1").ListenPacket(0)
 	if err != nil {
 		t.Fatal(err)
@@ -540,10 +513,17 @@ func TestRecvReturnsWhenWorldCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parked := simnet.NewMailbox[struct{}](vc, 1)
+	returned := make(chan error, 1)
+	vc.Go(func() {
+		parked.Put(struct{}{})
+		_, err := c.Recv(time.Hour)
+		returned <- err
+	})
 	if _, err := parked.Recv(time.Second); err != nil {
-		t.Fatalf("handler never started: %v", err)
+		t.Fatalf("reader never started: %v", err)
 	}
-	vc.Sleep(time.Millisecond) // time moves only once the handler is parked in Recv
+	vc.Sleep(time.Millisecond) // time moves only once the reader is parked in Recv
 	n.Close()
 	select {
 	case err := <-returned:
@@ -555,6 +535,118 @@ func TestRecvReturnsWhenWorldCloses(t *testing.T) {
 	}
 	c.Close()
 	srv.Close()
+}
+
+// TestEchoAfterIdleGap: a server handler is called per payload, not
+// parked in a timed read, so a session that sat idle past any read
+// timeout still echoes the next payload.
+func TestEchoAfterIdleGap(t *testing.T) {
+	r := newRig(t, Migratory, 2*time.Millisecond)
+	clk := r.net.Clock()
+	c, err := Dial(r.clientPC(t, "ue1"), r.addr, DialConfig{Mode: Migratory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	clk.Sleep(12 * time.Second) // past the 5 s and 10 s read timeouts echo loops once had
+	if err := c.Send([]byte("after-idle")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Recv(2 * time.Second); err != nil || string(got) != "after-idle" {
+		t.Fatalf("echo after idle gap = %q, %v", got, err)
+	}
+	if st := r.server.Stats(); st.ActiveSessions != 1 {
+		t.Errorf("server stats after idle gap = %+v", st)
+	}
+}
+
+// TestServerSendPastWindowQueues: a handler that sends far past the
+// window does not park (it runs on the delivery thread); the sends
+// queue, and the acks that free window space transmit them in order.
+func TestServerSendPastWindowQueues(t *testing.T) {
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: 2 * time.Millisecond}, 1)
+	t.Cleanup(n.Close)
+	pc, err := n.MustAddHost("server").ListenPacket(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 3 * maxWindow
+	var sess *ServerSession
+	srv := NewServer(pc, ServerConfig{Mode: Migratory, Handler: func(ss *ServerSession, _ []byte) {
+		sess = ss
+		for i := 0; i < burst; i++ {
+			ss.Send([]byte{byte(i)})
+		}
+	}})
+	t.Cleanup(srv.Close)
+	cpc, err := n.MustAddHost("ue1").ListenPacket(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(cpc, simnet.Addr{Host: "server", Port: 7000}, DialConfig{Mode: Migratory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send([]byte("go")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < burst; i++ {
+		b, err := c.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if b[0] != byte(i) {
+			t.Fatalf("reply %d carries %d: out of order", i, b[0])
+		}
+	}
+	if st := sess.Stats(); st.Sent != burst || st.Retransmits != 0 {
+		t.Errorf("server session stats = %+v, want %d sent and no retransmits on a lossless path", st, burst)
+	}
+}
+
+// TestSessionGoroutineFootprint: MST sessions run in handlers and
+// continuations, so clients with traffic in flight, and the server
+// sessions they opened, cost no standing goroutine beyond the test's own.
+func TestSessionGoroutineFootprint(t *testing.T) {
+	r := newRig(t, Migratory, 5*time.Millisecond)
+	clk := r.net.Clock()
+	clk.Sleep(time.Millisecond) // the world's own goroutines are up
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	const n = 16
+	clients := make([]*Client, n)
+	for i := range clients {
+		c, err := Dial(r.clientPC(t, fmt.Sprintf("ue%d", i)), r.addr, DialConfig{Mode: Migratory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	for i, c := range clients {
+		for k := 0; k < 4; k++ {
+			if err := c.Send([]byte{byte(i), byte(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Every payload is on the wire and no echo has come back yet.
+	if added := runtime.NumGoroutine() - before; added != 0 {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%d clients with traffic in flight cost %d goroutines, want 0:\n\n%s", n, added, buf)
+	}
+	if st := r.server.Stats(); st.ActiveSessions != n {
+		t.Fatalf("server has %d sessions, want %d", st.ActiveSessions, n)
+	}
+	for _, c := range clients {
+		for k := 0; k < 4; k++ {
+			if _, err := c.Recv(2 * time.Second); err != nil {
+				t.Fatalf("echo %d: %v", k, err)
+			}
+		}
+	}
 }
 
 // wallUDP is a real UDP socket with the handler surface PacketConn asks

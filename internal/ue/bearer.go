@@ -34,9 +34,12 @@ type BearerConn struct {
 // Bearer returns a packet surface over the device's default bearer.
 func (d *Device) Bearer() *BearerConn { return &BearerConn{dev: d} }
 
-// Clock returns the clock governing the device's network, letting
-// transport sessions over a bearer inherit virtual time (simnet.ClockOf).
+// Clock returns the clock governing the device's network.
 func (b *BearerConn) Clock() simnet.Clock { return b.dev.host.Clock() }
+
+// Network returns the device's network, on whose dispatcher a
+// transport session over the bearer schedules its timers.
+func (b *BearerConn) Network() *simnet.Network { return b.dev.host.Network() }
 
 // WriteTo sends payload to addr via the bearer.
 func (b *BearerConn) WriteTo(p []byte, addr net.Addr) (int, error) {

@@ -97,18 +97,8 @@ func startEcho(t *testing.T, s *core.Scenario) *transport.Server {
 		t.Fatal(err)
 	}
 	srv := transport.NewServer(pc, transport.ServerConfig{
-		Mode: transport.Migratory,
-		Handler: func(ss *transport.ServerSession) {
-			for {
-				b, err := ss.Recv(5 * time.Second)
-				if err != nil {
-					return
-				}
-				if ss.Send(b) != nil {
-					return
-				}
-			}
-		},
+		Mode:    transport.Migratory,
+		Handler: func(ss *transport.ServerSession, b []byte) { ss.Send(b) },
 	})
 	t.Cleanup(srv.Close)
 	return srv
