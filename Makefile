@@ -216,20 +216,24 @@ determinism-smoke: build
 		/tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
 
 # Determinism gate: the two determinism tests at GOMAXPROCS 1/2/8 x
-# -count=DET_COUNT, one pass ratio per cell. No experiment world waits
+# -count=DET_COUNT, one pass ratio per cell, with three `yes` CPU hogs
+# running for the gate's duration so the tests also see a loaded host
+# (the hogs are killed by the exit trap). No experiment world waits
 # inside Block any more, so the settle heuristic is out of their path;
 # what is left is same-instant concurrency among tracked wakes, which
 # ROADMAP item 2(e) proposes to close by construction. Measured on a
 # 2-CPU host with DET_COUNT=20: TestExperimentsDeterministic and
-# TestSerialParallelIdentical both 20/20/20 at GOMAXPROCS 1/2/8, where
-# the Block-based waits scored 20/18/11 and 20/16/15. The target
-# reports and never fails, and `check` does not run it yet. A change to
-# the clock or to a parked wait compares its ratios against its
-# parent's.
+# TestSerialParallelIdentical both 20/20/20 at GOMAXPROCS 1/2/8 with
+# the hogs running, as they were unloaded, where the Block-based waits
+# scored 20/18/11 and 20/16/15 unloaded. The target reports and never
+# fails, and `check` does not run it yet. A change to the clock or to
+# a parked wait compares its ratios against its parent's.
 DET_COUNT ?= 10
 determinism-gate:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	@set -e; tmp=$$(mktemp -d); hogs=""; \
+	trap 'kill $$hogs 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) test -c -o "$$tmp/exp.test" ./internal/exp; \
+	for i in 1 2 3; do yes >/dev/null & hogs="$$hogs $$!"; done; \
 	for t in TestExperimentsDeterministic TestSerialParallelIdentical; do \
 		for p in 1 2 8; do \
 			pass=$$( (cd internal/exp && "$$tmp/exp.test" -test.run "^$$t\$$" -test.count $(DET_COUNT) -test.cpu $$p -test.v 2>&1 || true) | grep -c '^--- PASS' || true ); \

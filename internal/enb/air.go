@@ -59,46 +59,31 @@ func (t AirMsgType) String() string {
 // ErrBadAirFrame reports a malformed air frame.
 var ErrBadAirFrame = errors.New("enb: bad air frame")
 
-// EncodeAir frames one air message.
-func EncodeAir(t AirMsgType, payload []byte) ([]byte, error) {
-	w := wire.NewWriter(1 + 2 + len(payload))
-	w.U8(uint8(t))
-	w.Bytes16(payload)
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+// walkAir is the one declaration of the air frame layout: the type
+// octet, then the payload behind a u16 length.
+func walkAir(c *wire.Codec, t *AirMsgType, payload *[]byte) {
+	c.U8((*uint8)(t))
+	c.Bytes16(payload)
 }
 
 // AppendAir appends one framed air message to dst and returns the
 // extended slice: the allocation-free encode for the per-packet data
 // path (dst is typically a pooled buffer from wire.GetFrame).
 func AppendAir(dst []byte, t AirMsgType, payload []byte) ([]byte, error) {
-	if len(payload) > 0xFFFF {
-		return dst, fmt.Errorf("enb: air payload length %d overflows", len(payload))
+	c := wire.Encoder(dst)
+	walkAir(&c, &t, &payload)
+	if err := c.Err(); err != nil {
+		return dst, fmt.Errorf("enb: air frame: %w", err)
 	}
-	dst = append(dst, uint8(t), byte(len(payload)>>8), byte(len(payload)))
-	return append(dst, payload...), nil
+	return c.Bytes(), nil
 }
 
 // DecodeAirView parses one air message without copying: the payload is
 // a view into b, valid only as long as b is. Retainers must copy.
-func DecodeAirView(b []byte) (AirMsgType, []byte, error) {
-	r := wire.NewReader(b)
-	t := AirMsgType(r.U8())
-	payload := r.View16()
-	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadAirFrame, err)
-	}
-	return t, payload, nil
-}
-
-// DecodeAir parses one air message.
-func DecodeAir(b []byte) (AirMsgType, []byte, error) {
-	r := wire.NewReader(b)
-	t := AirMsgType(r.U8())
-	payload := r.Bytes16()
-	if err := r.Err(); err != nil {
+func DecodeAirView(b []byte) (t AirMsgType, payload []byte, err error) {
+	c := wire.Decoder(b)
+	walkAir(&c, &t, &payload)
+	if err := c.Err(); err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrBadAirFrame, err)
 	}
 	return t, payload, nil
@@ -112,22 +97,26 @@ type SystemInfo struct {
 	TAC uint16
 }
 
+func (si *SystemInfo) walk(c *wire.Codec) {
+	c.String8(&si.SNID)
+	c.U16(&si.TAC)
+}
+
 // EncodeSystemInfo serializes broadcast system information.
 func EncodeSystemInfo(si SystemInfo) ([]byte, error) {
-	w := wire.NewWriter(3 + len(si.SNID))
-	w.String8(si.SNID)
-	w.U16(si.TAC)
-	if err := w.Err(); err != nil {
+	c := wire.Encoder(make([]byte, 0, 3+len(si.SNID)))
+	si.walk(&c)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	return c.Bytes(), nil
 }
 
 // DecodeSystemInfo parses broadcast system information.
-func DecodeSystemInfo(b []byte) (SystemInfo, error) {
-	r := wire.NewReader(b)
-	si := SystemInfo{SNID: r.String8(), TAC: r.U16()}
-	if err := r.Err(); err != nil {
+func DecodeSystemInfo(b []byte) (si SystemInfo, err error) {
+	c := wire.Decoder(b)
+	si.walk(&c)
+	if err := c.Err(); err != nil {
 		return SystemInfo{}, fmt.Errorf("%w: %v", ErrBadAirFrame, err)
 	}
 	return si, nil

@@ -86,18 +86,17 @@ func New(host *simnet.Host, cfg Config) (*ENodeB, error) {
 		return nil, fmt.Errorf("enb: S1AP dial: %w", err)
 	}
 	e.s1 = s1ap.NewConn(raw)
-	if err := e.s1.Send(&s1ap.S1SetupRequest{ENBID: cfg.ID, ENBName: cfg.Name, TAC: cfg.TAC}); err != nil {
+	if err := e.s1.Send(&s1ap.MsgView{Type: s1ap.TypeS1SetupRequest, ENBID: cfg.ID, ENBName: []byte(cfg.Name), TAC: cfg.TAC}); err != nil {
 		return nil, fmt.Errorf("enb: S1 setup: %w", err)
 	}
-	resp, err := e.s1.Recv()
-	if err != nil {
+	var sr s1ap.MsgView
+	if err := e.s1.Recv(&sr); err != nil {
 		return nil, fmt.Errorf("enb: S1 setup response: %w", err)
 	}
-	sr, ok := resp.(*s1ap.S1SetupResponse)
-	if !ok {
-		return nil, fmt.Errorf("enb: unexpected %s during S1 setup", resp.Type())
+	if sr.Type != s1ap.TypeS1SetupResponse {
+		return nil, fmt.Errorf("enb: unexpected %s during S1 setup", sr.Type)
 	}
-	e.si = SystemInfo{SNID: sr.SNID, TAC: sr.ServedTAC}
+	e.si = SystemInfo{SNID: string(sr.SNID), TAC: sr.ServedTAC}
 
 	pc, err := host.ListenPacket(GTPPort)
 	if err != nil {
@@ -208,12 +207,12 @@ func (ur *ueRx) frame(frame []byte) error {
 		buf := wire.GetFrame()
 		var out []byte
 		var serr error
+		v := s1ap.MsgView{Type: s1ap.TypeUplinkNASTransport, ENBUEID: ur.ctx.enbUEID, NASPDU: payload}
 		if ur.first {
 			ur.first = false
-			out, serr = s1ap.AppendInitialUEMessage(buf, ur.ctx.enbUEID, payload)
-		} else {
-			out, serr = s1ap.AppendUplinkNASTransport(buf, ur.ctx.enbUEID, 0, payload)
+			v.Type = s1ap.TypeInitialUEMessage
 		}
+		out, serr = s1ap.Append(buf, &v)
 		if serr == nil {
 			ur.e.s1.SendFrame(out)
 		}
@@ -256,7 +255,7 @@ func (ur *ueRx) teardown() {
 	// upstream so the UE's session is evicted instead of lingering
 	// until association teardown.
 	if !ur.first && !released && !closing {
-		e.s1.Send(&s1ap.UEContextReleaseRequest{ENBUEID: ctx.enbUEID})
+		e.s1.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseRequest, ENBUEID: ctx.enbUEID})
 	}
 }
 
@@ -302,7 +301,7 @@ func (e *ENodeB) handleS1(v *s1ap.MsgView) {
 			ctx.raw.Close()
 			ctx.rx.teardown()
 		}
-		e.s1.Send(&s1ap.UEContextReleaseComplete{ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
+		e.s1.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseComplete, ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 	}
 }
 
@@ -350,10 +349,11 @@ func (e *ENodeB) setupContext(m *s1ap.MsgView) {
 	ctx.mu.Unlock()
 	ctx.ul.Store(ulTEID)
 
-	e.s1.Send(&s1ap.InitialContextSetupResponse{
+	e.s1.Send(&s1ap.MsgView{
+		Type:    s1ap.TypeInitialContextSetupResponse,
 		ENBUEID: m.ENBUEID,
 		MMEUEID: m.MMEUEID,
-		ENBAddr: e.GTPAddr(),
+		ENBAddr: []byte(e.GTPAddr()),
 		ENBTEID: dlTEID,
 	})
 }

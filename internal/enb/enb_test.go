@@ -9,11 +9,11 @@ import (
 func TestAirCodecRoundTrip(t *testing.T) {
 	for _, typ := range []AirMsgType{AirNASUp, AirNASDown, AirDataUp, AirDataDown, AirRelease, AirBroadcast} {
 		payload := []byte{byte(typ), 0xFF}
-		b, err := EncodeAir(typ, payload)
+		b, err := AppendAir(nil, typ, payload)
 		if err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}
-		gt, gp, err := DecodeAir(b)
+		gt, gp, err := DecodeAirView(b)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", typ, err)
 		}
@@ -24,25 +24,25 @@ func TestAirCodecRoundTrip(t *testing.T) {
 }
 
 func TestAirCodecEmptyPayload(t *testing.T) {
-	b, err := EncodeAir(AirRelease, nil)
+	b, err := AppendAir(nil, AirRelease, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := DecodeAir(b)
+	typ, payload, err := DecodeAirView(b)
 	if err != nil || typ != AirRelease || len(payload) != 0 {
 		t.Errorf("empty payload: %v %v %v", typ, payload, err)
 	}
 }
 
 func TestAirDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeAir([]byte{1}); !errors.Is(err, ErrBadAirFrame) {
+	if _, _, err := DecodeAirView([]byte{1}); !errors.Is(err, ErrBadAirFrame) {
 		t.Errorf("truncated: %v", err)
 	}
-	if _, _, err := DecodeAir(nil); !errors.Is(err, ErrBadAirFrame) {
+	if _, _, err := DecodeAirView(nil); !errors.Is(err, ErrBadAirFrame) {
 		t.Errorf("empty: %v", err)
 	}
 	// Length prefix overruns the buffer.
-	if _, _, err := DecodeAir([]byte{1, 0, 9, 1}); !errors.Is(err, ErrBadAirFrame) {
+	if _, _, err := DecodeAirView([]byte{1, 0, 9, 1}); !errors.Is(err, ErrBadAirFrame) {
 		t.Errorf("overrun: %v", err)
 	}
 }

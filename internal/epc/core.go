@@ -490,7 +490,7 @@ func (c *Core) serve(ec *enbConn) error {
 				return errENBRefused
 			}
 		}
-		return ec.conn.Send(&s1ap.S1SetupResponse{MMEName: c.cfg.Name, ServedTAC: c.cfg.TAC, SNID: c.cfg.SNID})
+		return ec.conn.Send(&s1ap.MsgView{Type: s1ap.TypeS1SetupResponse, MMEName: []byte(c.cfg.Name), ServedTAC: c.cfg.TAC, SNID: []byte(c.cfg.SNID)})
 
 	case s1ap.TypeInitialUEMessage:
 		s = c.newUESession(v.ENBUEID)
@@ -518,7 +518,7 @@ func (c *Core) serve(ec *enbConn) error {
 		if err := c.gw.SwitchPath(s.imsi, addr, v.NewENBTEID); err != nil {
 			return err
 		}
-		return ec.conn.Send(&s1ap.PathSwitchAck{MMEUEID: v.MMEUEID})
+		return ec.conn.Send(&s1ap.MsgView{Type: s1ap.TypePathSwitchAck, MMEUEID: v.MMEUEID})
 
 	case s1ap.TypeUEContextReleaseRequest:
 		// eNB-initiated release (radio loss): end the lifecycle, then
@@ -527,7 +527,7 @@ func (c *Core) serve(ec *enbConn) error {
 			c.releaseSession(s)
 			delete(ec.sessions, v.ENBUEID)
 		}
-		return ec.conn.Send(&s1ap.UEContextReleaseCommand{ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
+		return ec.conn.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseCommand, ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 
 	case s1ap.TypeUEContextReleaseComplete:
 		if s != nil {
@@ -603,12 +603,13 @@ func (c *Core) feedNAS(ec *enbConn, s *ueSession, pdu []byte) error {
 	// tunnels are live by the time the UE confirms.
 	if !s.icsSent && s.nasSession.State() == session.Attaching && s.uplinkTEID != 0 {
 		s.icsSent = true
-		if err := ec.conn.Send(&s1ap.InitialContextSetupRequest{
+		if err := ec.conn.Send(&s1ap.MsgView{
+			Type:    s1ap.TypeInitialContextSetupRequest,
 			ENBUEID: s.enbUEID,
 			MMEUEID: s.mmeUEID,
-			SGWAddr: c.gw.GTPAddr(),
+			SGWAddr: []byte(c.gw.GTPAddr()),
 			SGWTEID: s.uplinkTEID,
-			UEAddr:  s.nasSession.IP(),
+			UEAddr:  []byte(s.nasSession.IP()),
 		}); err != nil {
 			wire.PutFrame(frame)
 			return err

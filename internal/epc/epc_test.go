@@ -367,19 +367,21 @@ func TestReattachWithoutDetachSupersedes(t *testing.T) {
 }
 
 func TestUserPacketCodec(t *testing.T) {
-	p := epc.UserPacket{Remote: "ott:9000", Payload: []byte("data")}
-	b, err := epc.EncodeUserPacket(p)
+	b, err := epc.AppendUserPacket(nil, "ott:9000", []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := epc.DecodeUserPacket(b)
+	remote, payload, err := epc.DecodeUserPacketView(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Remote != p.Remote || string(got.Payload) != "data" {
-		t.Errorf("round trip = %+v", got)
+	if string(remote) != "ott:9000" || string(payload) != "data" {
+		t.Errorf("round trip = %q %q", remote, payload)
 	}
-	if _, err := epc.DecodeUserPacket([]byte{5, 1}); err == nil {
+	if _, _, err := epc.DecodeUserPacketView([]byte{5, 1}); err == nil {
 		t.Error("truncated packet decoded")
+	}
+	if _, _, err := epc.DecodeUserPacketView(append(b, 0)); err == nil {
+		t.Error("trailing byte decoded")
 	}
 }

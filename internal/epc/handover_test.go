@@ -45,31 +45,32 @@ func TestCompleteHandoverFindsTAUOpenedSession(t *testing.T) {
 	const enbUEID = 1
 	// recvNAS returns the next downlink NAS PDU, skipping the context
 	// setup request the core interleaves once the session is Attaching.
-	recvNAS := func() *s1ap.DownlinkNASTransport {
+	recvNAS := func() s1ap.MsgView {
 		t.Helper()
 		for {
-			m, err := conn.Recv()
-			if err != nil {
+			var m s1ap.MsgView
+			if err := conn.Recv(&m); err != nil {
 				t.Fatal(err)
 			}
-			if d, ok := m.(*s1ap.DownlinkNASTransport); ok {
-				return d
+			if m.Type == s1ap.TypeDownlinkNASTransport {
+				return m
 			}
 		}
 	}
 
 	// A GUTI some other core allocated: TAC 9, and top bits no identity
 	// of this core carries.
-	tau, err := nas.Marshal(&nas.TAURequest{GUTI: 5<<48 | 9<<32 | 0x123, TrackingArea: 7})
+	tau, err := nas.Append(nil, &nas.MsgView{Type: nas.TypeTAURequest, GUTI: 5<<48 | 9<<32 | 0x123, TrackingArea: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(&s1ap.InitialUEMessage{ENBUEID: enbUEID, NASPDU: tau}); err != nil {
+	if err := conn.Send(&s1ap.MsgView{Type: s1ap.TypeInitialUEMessage, ENBUEID: enbUEID, NASPDU: tau}); err != nil {
 		t.Fatal(err)
 	}
 	d := recvNAS()
-	if m, err := nas.Decode(d.NASPDU); err != nil || m.Type() != nas.TypeTAUReject {
-		t.Fatalf("foreign-GUTI TAU answered with %v (%v), want TAUReject", m, err)
+	var m nas.MsgView
+	if err := nas.DecodeView(d.NASPDU, &m); err != nil || m.Type != nas.TypeTAUReject {
+		t.Fatalf("foreign-GUTI TAU answered with %v (%v), want TAUReject", m.Type, err)
 	}
 	mmeUEID := d.MMEUEID
 
@@ -79,7 +80,7 @@ func TestCompleteHandoverFindsTAUOpenedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for done := false; ; {
-		if err := conn.Send(&s1ap.UplinkNASTransport{ENBUEID: enbUEID, MMEUEID: mmeUEID, NASPDU: pdu}); err != nil {
+		if err := conn.Send(&s1ap.MsgView{Type: s1ap.TypeUplinkNASTransport, ENBUEID: enbUEID, MMEUEID: mmeUEID, NASPDU: pdu}); err != nil {
 			t.Fatal(err)
 		}
 		if done { // that was the AttachComplete
@@ -91,11 +92,12 @@ func TestCompleteHandoverFindsTAUOpenedSession(t *testing.T) {
 	}
 	// An association is served in order: once the setup response is
 	// back, the AttachComplete before it has been served.
-	if err := conn.Send(&s1ap.S1SetupRequest{ENBID: 1, TAC: 7}); err != nil {
+	if err := conn.Send(&s1ap.MsgView{Type: s1ap.TypeS1SetupRequest, ENBID: 1, TAC: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := conn.Recv(); err != nil || m.Type() != s1ap.TypeS1SetupResponse {
-		t.Fatalf("after AttachComplete: %v (%v), want S1SetupResponse", m, err)
+	var sr s1ap.MsgView
+	if err := conn.Recv(&sr); err != nil || sr.Type != s1ap.TypeS1SetupResponse {
+		t.Fatalf("after AttachComplete: %v (%v), want S1SetupResponse", sr.Type, err)
 	}
 
 	c.mu.Lock()

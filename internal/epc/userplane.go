@@ -30,17 +30,6 @@ type UserPacket struct {
 	Payload []byte
 }
 
-// EncodeUserPacket serializes a user packet for tunneling.
-func EncodeUserPacket(p UserPacket) ([]byte, error) {
-	w := wire.NewWriter(8 + len(p.Remote) + len(p.Payload))
-	w.String8(p.Remote)
-	w.Bytes16(p.Payload)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("epc: encode user packet: %w", err)
-	}
-	return w.Bytes(), nil
-}
-
 // AppendUserPacket appends the wire form of a user packet to dst and
 // returns the extended slice. It is the allocation-free encode the
 // forwarding loops use: dst is typically a pooled buffer with GTP
@@ -63,23 +52,14 @@ func AppendUserPacket(dst []byte, remote string, payload []byte) ([]byte, error)
 // DecodeUserPacketView parses a tunneled user packet without copying:
 // remote and payload are views into b, valid only as long as b is.
 // Retainers must copy; the forwarding loops consume both before the
-// receive buffer is recycled.
+// receive buffer is recycled. The layout is AppendUserPacket's: remote
+// behind a u8 length, payload behind a u16 length, nothing after.
 func DecodeUserPacketView(b []byte) (remote, payload []byte, err error) {
-	r := wire.NewReader(b)
-	remote = r.View8()
-	payload = r.View16()
-	if err := r.Err(); err != nil {
+	c := wire.Decoder(b)
+	c.Bytes8(&remote)
+	c.Bytes16(&payload)
+	if err := c.Err(); err != nil {
 		return nil, nil, fmt.Errorf("epc: decode user packet: %w", err)
 	}
 	return remote, payload, nil
-}
-
-// DecodeUserPacket parses a tunneled user packet.
-func DecodeUserPacket(b []byte) (UserPacket, error) {
-	r := wire.NewReader(b)
-	p := UserPacket{Remote: r.String8(), Payload: r.Bytes16()}
-	if err := r.Err(); err != nil {
-		return UserPacket{}, fmt.Errorf("epc: decode user packet: %w", err)
-	}
-	return p, nil
 }

@@ -114,14 +114,16 @@ func telecomHandoverBytes() (uint64, error) {
 		}
 		total += uint64(len(b) + 4)
 	}
-	psr, err := s1ap.AppendPathSwitchRequest(nil, s1ap.PathSwitchRequest{
-		MMEUEID: 1, NewENBAddr: "site2:2152", NewENBTEID: 1,
-	})
-	if err != nil {
-		return 0, err
+	for _, m := range []s1ap.MsgView{
+		{Type: s1ap.TypePathSwitchRequest, MMEUEID: 1, NewENBAddr: []byte("site2:2152"), NewENBTEID: 1},
+		{Type: s1ap.TypePathSwitchAck, MMEUEID: 1},
+	} {
+		b, err := s1ap.Append(nil, &m)
+		if err != nil {
+			return 0, err
+		}
+		total += uint64(len(b) + 4)
 	}
-	total += uint64(len(psr) + 4)
-	total += uint64(len(s1ap.AppendPathSwitchAck(nil, s1ap.PathSwitchAck{MMEUEID: 1})) + 4)
 	return total, nil
 }
 

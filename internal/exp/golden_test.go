@@ -17,13 +17,19 @@ var update = flag.Bool("update", false, "rewrite the golden reports from this ru
 // a change that moves any row shows up in the golden file's diff, where
 // a reviewer can check each moved row against the change's stated
 // effect. The golden is the stdout of `dlte-sim -exp all -quick -seed 1
-// -p 1`. Regenerate with `go test ./internal/exp -run Golden -update`.
+// -p 1`, and the -p 8 rendering must match it byte for byte.
+// Regenerate with `go test ./internal/exp -run Golden -update` (the -p
+// 1 leg writes; the -p 8 leg still compares).
 func TestQuickSuiteGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	checkSuiteGolden(t, filepath.Join("testdata", "all.quick.seed1.golden"),
-		Options{Quick: true, Seed: 1, Parallelism: 1})
+	path := filepath.Join("testdata", "all.quick.seed1.golden")
+	for _, p := range []int{1, 8} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			checkGolden(t, path, Options{Quick: true, Seed: 1, Parallelism: p}, "", p == 1)
+		})
+	}
 }
 
 // TestFullSuiteGolden is the full-size twin: the stdout of `dlte-sim
@@ -35,16 +41,32 @@ func TestFullSuiteGolden(t *testing.T) {
 	if testing.Short() || leaktest.RaceEnabled {
 		t.Skip("full-size suite: not in -short or -race runs")
 	}
-	checkSuiteGolden(t, filepath.Join("testdata", "all.seed42.golden"), Options{Seed: 42})
+	checkGolden(t, filepath.Join("testdata", "all.seed42.golden"), Options{Seed: 42}, "", true)
 }
 
-// checkSuiteGolden renders the whole suite under opts, headers and
-// tables as dlte-sim prints them, and compares it with the golden file
-// at path (or rewrites the file under -update).
-func checkSuiteGolden(t *testing.T, path string, opts Options) {
+// TestE13Golden100k pins `dlte-sim -exp E13 -ues 100000`: one 100k-UE
+// compact world (~130 ms on a 2-CPU box) whose region wheels fan out
+// over the -p workers. determinism-smoke compares its -p 1 and -p 8
+// runs with each other; this pins the bytes themselves.
+func TestE13Golden100k(t *testing.T) {
+	if testing.Short() || leaktest.RaceEnabled {
+		t.Skip("100k-UE world: not in -short or -race runs")
+	}
+	checkGolden(t, filepath.Join("testdata", "e13.ues100000.seed42.golden"),
+		Options{Seed: 42, UEs: 100000}, "E13", true)
+}
+
+// checkGolden renders the suite (or only the experiment with ID only)
+// under opts, headers and tables as dlte-sim prints them, and compares
+// it with the golden file at path — or, under -update when write is
+// set, rewrites the file.
+func checkGolden(t *testing.T, path string, opts Options, only string, write bool) {
 	t.Helper()
 	var report bytes.Buffer
 	for _, e := range Suite {
+		if only != "" && e.ID != only {
+			continue
+		}
 		var tables bytes.Buffer
 		opts.Out = &tables
 		if err := e.Run(opts); err != nil {
@@ -54,7 +76,7 @@ func checkSuiteGolden(t *testing.T, path string, opts Options) {
 		report.Write(tables.Bytes())
 		fmt.Fprintln(&report)
 	}
-	if *update {
+	if *update && write {
 		if err := os.WriteFile(path, report.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -167,16 +167,15 @@ func (p *Plane) SetAdmit(f AdmitFunc) {
 
 // wireSize reports the framed on-the-wire size of an X2 message — what
 // the agent's traffic meter charges for sending it. The frame is sized
-// in a pooled writer, so metering allocates nothing.
+// in a pooled encoder, so metering allocates nothing.
 func wireSize(msg x2.Message) int {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(uint8(msg.Type()))
-	msg.EncodeTo(w)
-	if w.Err() != nil {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	x2.Encode(c, msg)
+	if c.Err() != nil {
 		return 0
 	}
-	return w.Len() + 4 // frame header
+	return c.Len() + 4 // frame header
 }
 
 // Prepare runs the source side of handover preparation: push the

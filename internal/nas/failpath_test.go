@@ -60,9 +60,9 @@ func TestAttachAcceptBuildFailureRejects(t *testing.T) {
 	if down == nil {
 		t.Fatal("no downlink: UE left hanging with no reject")
 	}
-	m, derr := Decode(down)
-	if derr != nil || m.Type() != TypeAttachReject {
-		t.Fatalf("downlink = %v (err %v), want clear AttachReject", m, derr)
+	var m MsgView
+	if derr := DecodeView(down, &m); derr != nil || m.Type != TypeAttachReject {
+		t.Fatalf("downlink = %v (err %v), want clear AttachReject", m.Type, derr)
 	}
 	if _, _, uerr := ue.Handle(down); uerr == nil ||
 		!strings.Contains(uerr.Error(), "attach rejected") {
@@ -88,7 +88,7 @@ func TestDetachSealFailureStillReleases(t *testing.T) {
 		}
 	}
 
-	det, _ := Marshal(&DetachRequest{GUTI: 7})
+	det, _ := marshal(MsgView{Type: TypeDetachRequest, GUTI: 7})
 	down, ev, err := net.Handle(det)
 	if err == nil {
 		t.Fatal("seal on inactive security context succeeded")
@@ -114,18 +114,18 @@ func TestNetworkIllegalTransitions(t *testing.T) {
 	hss := auth.NewSubscriberDB(false)
 	cases := []struct {
 		name string
-		msg  Message
+		msg  MsgView
 	}{
-		{"auth response in idle", &AuthenticationResponse{RES: make([]byte, 8)}},
-		{"auth failure in idle", &AuthenticationFailure{Cause: CauseSyncFailure, AUTS: make([]byte, 14)}},
-		{"SMC complete in idle", &SecurityModeComplete{}},
-		{"attach complete in idle", &AttachComplete{}},
-		{"detach in idle", &DetachRequest{GUTI: 1}},
+		{"auth response in idle", MsgView{Type: TypeAuthenticationResponse, RES: make([]byte, 8)}},
+		{"auth failure in idle", MsgView{Type: TypeAuthenticationFailure, Cause: CauseSyncFailure, AUTS: make([]byte, 14)}},
+		{"SMC complete in idle", MsgView{Type: TypeSecurityModeComplete}},
+		{"attach complete in idle", MsgView{Type: TypeAttachComplete}},
+		{"detach in idle", MsgView{Type: TypeDetachRequest, GUTI: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			net := testNetwork(t, hss)
-			b, _ := Marshal(tc.msg)
+			b, _ := marshal(tc.msg)
 			down, ev, err := net.Handle(b)
 			if !errors.Is(err, session.ErrIllegalTransition) {
 				t.Fatalf("err = %v, want ErrIllegalTransition", err)
@@ -149,7 +149,7 @@ func TestNetworkIllegalTransitions(t *testing.T) {
 	hss2 := auth.NewSubscriberDB(false)
 	hss2.Provision(sim)
 	net := testNetwork(t, hss2)
-	att, _ := Marshal(&AttachRequest{IMSI: string(sim.IMSI)})
+	att, _ := marshal(MsgView{Type: TypeAttachRequest, IMSI: []byte(sim.IMSI)})
 	if _, _, err := net.Handle(att); err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ func TestDecodeNeverPanics(t *testing.T) {
 				t.Fatalf("Decode panicked on %x: %v", b, r)
 			}
 		}()
-		msg, err := Decode(b)
+		var v MsgView
 		// Either a clean error or a decodable message that re-encodes.
-		if err == nil && msg != nil {
-			if _, merr := Marshal(msg); merr != nil {
+		if err := DecodeView(b, &v); err == nil {
+			if _, merr := Append(nil, &v); merr != nil {
 				return false
 			}
 		}
@@ -46,7 +46,8 @@ func TestDecodeValidPrefixRandomTail(t *testing.T) {
 						t.Fatalf("type %d panicked on %x: %v", typ, tail, r)
 					}
 				}()
-				Decode(buf)
+				var v MsgView
+				DecodeView(buf, &v)
 			}()
 		}
 	}
@@ -59,8 +60,7 @@ func TestSecuredOpenNeverPanics(t *testing.T) {
 	ctx.Activate(make([]byte, 32))
 	f := func(count uint32, mac, inner []byte) bool {
 		defer func() { recover() }()
-		_, err := ctx.Open(&Secured{Count: count, MAC: mac, Inner: inner})
-		_ = err
+		ctx.OpenView(count, mac, inner)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -72,8 +72,8 @@ func TestSecuredOpenNeverPanics(t *testing.T) {
 // above, run against the binary fixed-layout decoder. The invariant is
 // stronger than "no panic": the decoder is strict (no trailing bytes,
 // boolean octets must be 0 or 1), so any input it accepts is already
-// the canonical serialization of the result — re-encoding the
-// materialized message must reproduce the input byte for byte. That
+// the canonical serialization of the result — re-encoding the decoded
+// view must reproduce the input byte for byte. That
 // property is what closes the mis-parse class where two distinct byte
 // strings decode to the same message (replay/dedup confusion on an
 // open radio).
@@ -81,8 +81,8 @@ func TestSecuredOpenNeverPanics(t *testing.T) {
 // Run the seeds with `go test`; explore with
 // `go test -fuzz=FuzzDecode ./internal/nas`.
 func FuzzDecode(f *testing.F) {
-	seed := func(m Message) []byte {
-		b, err := Marshal(m)
+	seed := func(m MsgView) []byte {
+		b, err := Append(nil, &m)
 		if err != nil {
 			panic(err)
 		}
@@ -91,31 +91,31 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeAttachRequest)})
 	f.Add([]byte{0xFF, 1, 2, 3})
-	f.Add(seed(&AttachRequest{IMSI: "001010000000001", UECapabilities: "cat4", FollowOnData: true}))
-	f.Add(seed(&AuthenticationRequest{RAND: make([]byte, 16), AUTN: make([]byte, 16)}))
-	f.Add(seed(&AuthenticationResponse{RES: []byte{1, 2, 3, 4, 5, 6, 7, 8}}))
-	f.Add(seed(&AuthenticationFailure{Cause: CauseSyncFailure, AUTS: make([]byte, 14)}))
-	f.Add(seed(&AuthenticationReject{Cause: CauseAuthFailure}))
-	f.Add(seed(&SecurityModeCommand{IntegrityAlg: 1, CipherAlg: 0}))
-	f.Add(seed(&SecurityModeComplete{}))
-	f.Add(seed(&AttachAccept{GUTI: 0x1001, TrackingArea: 7, EBI: 5, PDNAddress: "10.45.0.2", DirectBreakout: true}))
-	f.Add(seed(&AttachComplete{}))
-	f.Add(seed(&AttachReject{Cause: CauseIMSIUnknown}))
-	f.Add(seed(&DetachRequest{GUTI: 0x1001}))
-	f.Add(seed(&DetachAccept{}))
-	f.Add(seed(&TAURequest{GUTI: 0x1001, TrackingArea: 9}))
-	f.Add(seed(&TAUAccept{TrackingArea: 9}))
-	f.Add(seed(&TAUReject{Cause: CauseIllegalUE}))
-	f.Add(seed(&Secured{Count: 3, MAC: []byte{1, 2, 3, 4}, Inner: []byte{5, 6}}))
-	f.Add(append(seed(&AttachComplete{}), 0xDE))         // trailing byte must be rejected
-	f.Add([]byte{byte(TypeAttachRequest), 1, 'a', 0, 2}) // bool octet 2: non-canonical
+	f.Add(seed(MsgView{Type: TypeAttachRequest, IMSI: []byte("001010000000001"), UECapabilities: []byte("cat4"), FollowOnData: true}))
+	f.Add(seed(MsgView{Type: TypeAuthenticationRequest, RAND: make([]byte, 16), AUTN: make([]byte, 16)}))
+	f.Add(seed(MsgView{Type: TypeAuthenticationResponse, RES: []byte{1, 2, 3, 4, 5, 6, 7, 8}}))
+	f.Add(seed(MsgView{Type: TypeAuthenticationFailure, Cause: CauseSyncFailure, AUTS: make([]byte, 14)}))
+	f.Add(seed(MsgView{Type: TypeAuthenticationReject, Cause: CauseAuthFailure}))
+	f.Add(seed(MsgView{Type: TypeSecurityModeCommand, IntegrityAlg: 1, CipherAlg: 0}))
+	f.Add(seed(MsgView{Type: TypeSecurityModeComplete}))
+	f.Add(seed(MsgView{Type: TypeAttachAccept, GUTI: 0x1001, TrackingArea: 7, EBI: 5, PDNAddress: []byte("10.45.0.2"), DirectBreakout: true}))
+	f.Add(seed(MsgView{Type: TypeAttachComplete}))
+	f.Add(seed(MsgView{Type: TypeAttachReject, Cause: CauseIMSIUnknown}))
+	f.Add(seed(MsgView{Type: TypeDetachRequest, GUTI: 0x1001}))
+	f.Add(seed(MsgView{Type: TypeDetachAccept}))
+	f.Add(seed(MsgView{Type: TypeTAURequest, GUTI: 0x1001, TrackingArea: 9}))
+	f.Add(seed(MsgView{Type: TypeTAUAccept, TrackingArea: 9}))
+	f.Add(seed(MsgView{Type: TypeTAUReject, Cause: CauseIllegalUE}))
+	f.Add(seed(MsgView{Type: TypeSecured, Count: 3, MAC: [4]byte{1, 2, 3, 4}, Inner: []byte{5, 6}}))
+	f.Add(append(seed(MsgView{Type: TypeAttachComplete}), 0xDE)) // trailing byte must be rejected
+	f.Add([]byte{byte(TypeAttachRequest), 1, 'a', 0, 2})         // bool octet 2: non-canonical
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var v MsgView
 		if err := DecodeView(b, &v); err != nil {
 			return
 		}
-		round, err := Marshal(v.Materialize())
+		round, err := Append(nil, &v)
 		if err != nil {
 			t.Fatalf("accepted input does not re-marshal: %v", err)
 		}

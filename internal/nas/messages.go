@@ -5,20 +5,19 @@
 // integrity protection that makes the dLTE stub core look like a real
 // network to an unmodified handset (paper §4.1).
 //
-// The wire codec is fixed-layout and allocation-free in both
-// directions (DESIGN.md §9): AppendX encoders append a type octet and
-// body into a caller-owned buffer, and DecodeView parses into a
-// MsgView whose byte fields alias the input. Decoding is canonical —
-// trailing bytes and non-{0,1} boolean octets are rejected — so every
-// accepted encoding re-encodes byte-identically. The allocating
-// Marshal/Decode pair remains as a convenience layered on top.
+// Every message is a MsgView: a type tag plus the union of all message
+// fields. Each type's field layout is declared once, in MsgView.walk,
+// and the wire.Codec runs that one declaration in both directions
+// (DESIGN.md §9): Append encodes into a caller-owned buffer, and
+// DecodeView parses with byte fields aliasing the input. Both are
+// allocation-free. Decoding is canonical — trailing bytes and non-{0,1}
+// boolean octets are rejected — so every accepted encoding re-encodes
+// byte-identically.
 package nas
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"dlte/internal/wire"
 )
@@ -49,50 +48,31 @@ const (
 	TypeAuthenticationFailure
 )
 
-// String names the message type for logs and tests.
-func (t MsgType) String() string {
-	switch t {
-	case TypeAttachRequest:
-		return "AttachRequest"
-	case TypeAuthenticationRequest:
-		return "AuthenticationRequest"
-	case TypeAuthenticationResponse:
-		return "AuthenticationResponse"
-	case TypeAuthenticationReject:
-		return "AuthenticationReject"
-	case TypeSecurityModeCommand:
-		return "SecurityModeCommand"
-	case TypeSecurityModeComplete:
-		return "SecurityModeComplete"
-	case TypeAttachAccept:
-		return "AttachAccept"
-	case TypeAttachComplete:
-		return "AttachComplete"
-	case TypeAttachReject:
-		return "AttachReject"
-	case TypeDetachRequest:
-		return "DetachRequest"
-	case TypeDetachAccept:
-		return "DetachAccept"
-	case TypeTAURequest:
-		return "TAURequest"
-	case TypeTAUAccept:
-		return "TAUAccept"
-	case TypeTAUReject:
-		return "TAUReject"
-	case TypeSecured:
-		return "Secured"
-	case TypeAuthenticationFailure:
-		return "AuthenticationFailure"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
-	}
+var typeNames = [...]string{
+	TypeAttachRequest:          "AttachRequest",
+	TypeAuthenticationRequest:  "AuthenticationRequest",
+	TypeAuthenticationResponse: "AuthenticationResponse",
+	TypeAuthenticationReject:   "AuthenticationReject",
+	TypeSecurityModeCommand:    "SecurityModeCommand",
+	TypeSecurityModeComplete:   "SecurityModeComplete",
+	TypeAttachAccept:           "AttachAccept",
+	TypeAttachComplete:         "AttachComplete",
+	TypeAttachReject:           "AttachReject",
+	TypeDetachRequest:          "DetachRequest",
+	TypeDetachAccept:           "DetachAccept",
+	TypeTAURequest:             "TAURequest",
+	TypeTAUAccept:              "TAUAccept",
+	TypeTAUReject:              "TAUReject",
+	TypeSecured:                "Secured",
+	TypeAuthenticationFailure:  "AuthenticationFailure",
 }
 
-// Message is any NAS message.
-type Message interface {
-	// Type reports the message's type octet.
-	Type() MsgType
+// String names the message type for logs and tests.
+func (t MsgType) String() string {
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
+	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // Codec errors.
@@ -103,7 +83,7 @@ var (
 	// unique canonical form (trailing bytes, boolean octets other than
 	// 0/1). Decoders reject these so that accepted input always
 	// re-encodes byte-identically.
-	ErrNonCanonical = errors.New("nas: non-canonical encoding")
+	ErrNonCanonical = wire.ErrNonCanonical
 )
 
 // Cause codes for reject messages.
@@ -120,377 +100,94 @@ const (
 // cause #21).
 const CauseSyncFailure uint8 = 21
 
-// AttachRequest initiates registration. The IMSI is sent in clear on
-// first attach (as in real LTE before a GUTI is assigned).
-type AttachRequest struct {
-	IMSI string
-	// UECapabilities is an opaque capability string.
-	UECapabilities string
-	// FollowOnData requests immediate user-plane resources.
-	FollowOnData bool
-}
-
-// Type implements Message.
-func (AttachRequest) Type() MsgType { return TypeAttachRequest }
-
-// AuthenticationRequest carries the AKA challenge.
-type AuthenticationRequest struct {
-	RAND []byte // 16 bytes
-	AUTN []byte // 16 bytes
-}
-
-// Type implements Message.
-func (AuthenticationRequest) Type() MsgType { return TypeAuthenticationRequest }
-
-// AuthenticationResponse carries the UE's RES.
-type AuthenticationResponse struct {
-	RES []byte
-}
-
-// Type implements Message.
-func (AuthenticationResponse) Type() MsgType { return TypeAuthenticationResponse }
-
-// AuthenticationFailure reports the UE's rejection of the network's
-// challenge. CauseSyncFailure carries AUTS so the HSS can
-// resynchronize its sequence counter and retry.
-type AuthenticationFailure struct {
-	Cause uint8
-	AUTS  []byte // 14 bytes when Cause == CauseSyncFailure
-}
-
-// Type implements Message.
-func (AuthenticationFailure) Type() MsgType { return TypeAuthenticationFailure }
-
-// AuthenticationReject aborts registration after failed AKA.
-type AuthenticationReject struct {
-	Cause uint8
-}
-
-// Type implements Message.
-func (AuthenticationReject) Type() MsgType { return TypeAuthenticationReject }
-
-// SecurityModeCommand activates NAS security with the chosen
-// algorithm; it is the first integrity-protected downlink message.
-type SecurityModeCommand struct {
-	IntegrityAlg uint8
-	CipherAlg    uint8
-}
-
-// Type implements Message.
-func (SecurityModeCommand) Type() MsgType { return TypeSecurityModeCommand }
-
-// SecurityModeComplete acknowledges security activation.
-type SecurityModeComplete struct{}
-
-// Type implements Message.
-func (SecurityModeComplete) Type() MsgType { return TypeSecurityModeComplete }
-
-// AttachAccept completes registration and carries the default EPS
-// bearer: the UE's IP address and bearer identity (ESM folded in, as
-// the combined attach procedure does).
-type AttachAccept struct {
-	// GUTI is the temporary identity assigned to the UE.
-	GUTI uint64
-	// TrackingArea identifies the serving TA.
-	TrackingArea uint16
-	// EBI is the default bearer identity (5..15).
-	EBI uint8
-	// PDNAddress is the UE's assigned IP address, as a string.
-	PDNAddress string
-	// DirectBreakout reports dLTE semantics: traffic exits at the AP
-	// rather than tunneling to a remote PGW (paper Fig. 1).
-	DirectBreakout bool
-}
-
-// Type implements Message.
-func (AttachAccept) Type() MsgType { return TypeAttachAccept }
-
-// AttachComplete acknowledges the accept.
-type AttachComplete struct{}
-
-// Type implements Message.
-func (AttachComplete) Type() MsgType { return TypeAttachComplete }
-
-// AttachReject refuses registration.
-type AttachReject struct {
-	Cause uint8
-}
-
-// Type implements Message.
-func (AttachReject) Type() MsgType { return TypeAttachReject }
-
-// DetachRequest releases registration (UE- or network-initiated).
-type DetachRequest struct {
-	GUTI uint64
-}
-
-// Type implements Message.
-func (DetachRequest) Type() MsgType { return TypeDetachRequest }
-
-// DetachAccept acknowledges a detach.
-type DetachAccept struct{}
-
-// Type implements Message.
-func (DetachAccept) Type() MsgType { return TypeDetachAccept }
-
-// TAURequest updates the UE's tracking area after idle mobility.
-type TAURequest struct {
-	GUTI         uint64
-	TrackingArea uint16
-}
-
-// Type implements Message.
-func (TAURequest) Type() MsgType { return TypeTAURequest }
-
-// TAUAccept confirms the tracking-area update.
-type TAUAccept struct {
-	TrackingArea uint16
-}
-
-// Type implements Message.
-func (TAUAccept) Type() MsgType { return TypeTAUAccept }
-
-// TAUReject refuses a tracking-area update (e.g. unknown GUTI, forcing
-// a fresh attach — which is what happens when a dLTE UE roams to an AP
-// with no shared MME state).
-type TAUReject struct {
-	Cause uint8
-}
-
-// Type implements Message.
-func (TAUReject) Type() MsgType { return TypeTAUReject }
-
-// --- Append encoders -------------------------------------------------
-//
-// Each AppendX writes the type octet plus the fixed layout of X into
-// dst and returns the extended slice. Encoders whose message carries
-// length-prefixed fields return an error when a field exceeds its
-// prefix; fixed-layout messages cannot fail and return only the
-// buffer. Ownership of dst stays with the caller (DESIGN.md §7).
-
-func appendBytes8(dst, b []byte) ([]byte, error) {
-	if len(b) > math.MaxUint8 {
-		return dst, fmt.Errorf("%w: length-8 field of %d bytes", wire.ErrOverflow, len(b))
-	}
-	dst = append(dst, uint8(len(b)))
-	return append(dst, b...), nil
-}
-
-func appendString8(dst []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint8 {
-		return dst, fmt.Errorf("%w: length-8 field of %d bytes", wire.ErrOverflow, len(s))
-	}
-	dst = append(dst, uint8(len(s)))
-	return append(dst, s...), nil
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// AppendAttachRequest appends a serialized AttachRequest to dst.
-func AppendAttachRequest(dst []byte, m AttachRequest) ([]byte, error) {
-	dst = append(dst, byte(TypeAttachRequest))
-	dst, err := appendString8(dst, m.IMSI)
-	if err != nil {
-		return dst, err
-	}
-	if dst, err = appendString8(dst, m.UECapabilities); err != nil {
-		return dst, err
-	}
-	return appendBool(dst, m.FollowOnData), nil
-}
-
-// AppendAuthenticationRequest appends a serialized challenge to dst.
-func AppendAuthenticationRequest(dst []byte, m AuthenticationRequest) ([]byte, error) {
-	dst = append(dst, byte(TypeAuthenticationRequest))
-	dst, err := appendBytes8(dst, m.RAND)
-	if err != nil {
-		return dst, err
-	}
-	return appendBytes8(dst, m.AUTN)
-}
-
-// AppendAuthenticationResponse appends a serialized RES to dst.
-func AppendAuthenticationResponse(dst []byte, m AuthenticationResponse) ([]byte, error) {
-	dst = append(dst, byte(TypeAuthenticationResponse))
-	return appendBytes8(dst, m.RES)
-}
-
-// AppendAuthenticationFailure appends a serialized failure to dst.
-func AppendAuthenticationFailure(dst []byte, m AuthenticationFailure) ([]byte, error) {
-	dst = append(dst, byte(TypeAuthenticationFailure), m.Cause)
-	return appendBytes8(dst, m.AUTS)
-}
-
-// AppendAuthenticationReject appends a serialized reject to dst.
-func AppendAuthenticationReject(dst []byte, m AuthenticationReject) []byte {
-	return append(dst, byte(TypeAuthenticationReject), m.Cause)
-}
-
-// AppendSecurityModeCommand appends a serialized command to dst.
-func AppendSecurityModeCommand(dst []byte, m SecurityModeCommand) []byte {
-	return append(dst, byte(TypeSecurityModeCommand), m.IntegrityAlg, m.CipherAlg)
-}
-
-// AppendSecurityModeComplete appends the (empty) acknowledgment to dst.
-func AppendSecurityModeComplete(dst []byte) []byte {
-	return append(dst, byte(TypeSecurityModeComplete))
-}
-
-// AppendAttachAccept appends a serialized AttachAccept to dst.
-func AppendAttachAccept(dst []byte, m AttachAccept) ([]byte, error) {
-	dst = append(dst, byte(TypeAttachAccept))
-	dst = binary.BigEndian.AppendUint64(dst, m.GUTI)
-	dst = binary.BigEndian.AppendUint16(dst, m.TrackingArea)
-	dst = append(dst, m.EBI)
-	dst, err := appendString8(dst, m.PDNAddress)
-	if err != nil {
-		return dst, err
-	}
-	return appendBool(dst, m.DirectBreakout), nil
-}
-
-// AppendAttachComplete appends the (empty) acknowledgment to dst.
-func AppendAttachComplete(dst []byte) []byte {
-	return append(dst, byte(TypeAttachComplete))
-}
-
-// AppendAttachReject appends a serialized reject to dst.
-func AppendAttachReject(dst []byte, m AttachReject) []byte {
-	return append(dst, byte(TypeAttachReject), m.Cause)
-}
-
-// AppendDetachRequest appends a serialized DetachRequest to dst.
-func AppendDetachRequest(dst []byte, m DetachRequest) []byte {
-	dst = append(dst, byte(TypeDetachRequest))
-	return binary.BigEndian.AppendUint64(dst, m.GUTI)
-}
-
-// AppendDetachAccept appends the (empty) acknowledgment to dst.
-func AppendDetachAccept(dst []byte) []byte {
-	return append(dst, byte(TypeDetachAccept))
-}
-
-// AppendTAURequest appends a serialized TAURequest to dst.
-func AppendTAURequest(dst []byte, m TAURequest) []byte {
-	dst = append(dst, byte(TypeTAURequest))
-	dst = binary.BigEndian.AppendUint64(dst, m.GUTI)
-	return binary.BigEndian.AppendUint16(dst, m.TrackingArea)
-}
-
-// AppendTAUAccept appends a serialized TAUAccept to dst.
-func AppendTAUAccept(dst []byte, m TAUAccept) []byte {
-	dst = append(dst, byte(TypeTAUAccept))
-	return binary.BigEndian.AppendUint16(dst, m.TrackingArea)
-}
-
-// AppendTAUReject appends a serialized reject to dst.
-func AppendTAUReject(dst []byte, m TAUReject) []byte {
-	return append(dst, byte(TypeTAUReject), m.Cause)
-}
-
-// AppendSecured appends a Secured envelope (count ‖ MAC ‖ inner) to
-// dst. mac must be exactly 4 bytes and inner at most 64 KiB.
-func AppendSecured(dst []byte, count uint32, mac, inner []byte) ([]byte, error) {
-	if len(mac) != 4 {
-		return dst, fmt.Errorf("nas: secured MAC must be 4 bytes, got %d", len(mac))
-	}
-	if len(inner) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: secured inner of %d bytes", wire.ErrOverflow, len(inner))
-	}
-	dst = append(dst, byte(TypeSecured))
-	dst = binary.BigEndian.AppendUint32(dst, count)
-	dst = append(dst, mac...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(inner)))
-	return append(dst, inner...), nil
-}
-
-// AppendMessage appends any NAS message to dst, dispatching on its
-// concrete type.
-func AppendMessage(dst []byte, m Message) ([]byte, error) {
-	switch t := m.(type) {
-	case *AttachRequest:
-		return AppendAttachRequest(dst, *t)
-	case *AuthenticationRequest:
-		return AppendAuthenticationRequest(dst, *t)
-	case *AuthenticationResponse:
-		return AppendAuthenticationResponse(dst, *t)
-	case *AuthenticationFailure:
-		return AppendAuthenticationFailure(dst, *t)
-	case *AuthenticationReject:
-		return AppendAuthenticationReject(dst, *t), nil
-	case *SecurityModeCommand:
-		return AppendSecurityModeCommand(dst, *t), nil
-	case *SecurityModeComplete:
-		return AppendSecurityModeComplete(dst), nil
-	case *AttachAccept:
-		return AppendAttachAccept(dst, *t)
-	case *AttachComplete:
-		return AppendAttachComplete(dst), nil
-	case *AttachReject:
-		return AppendAttachReject(dst, *t), nil
-	case *DetachRequest:
-		return AppendDetachRequest(dst, *t), nil
-	case *DetachAccept:
-		return AppendDetachAccept(dst), nil
-	case *TAURequest:
-		return AppendTAURequest(dst, *t), nil
-	case *TAUAccept:
-		return AppendTAUAccept(dst, *t), nil
-	case *TAUReject:
-		return AppendTAUReject(dst, *t), nil
-	case *Secured:
-		return AppendSecured(dst, t.Count, t.MAC, t.Inner)
-	default:
-		return dst, fmt.Errorf("%w: %T", ErrUnknownMessage, m)
-	}
-}
-
-// Marshal serializes any NAS message with its type octet into a fresh
-// buffer.
-func Marshal(m Message) ([]byte, error) {
-	out, err := AppendMessage(make([]byte, 0, 64), m)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// --- View decoder ----------------------------------------------------
-
-// MsgView is the decoded form of any NAS message: a type tag plus the
-// union of all message fields. Byte-slice and string-backed fields are
-// views aliasing the decoded buffer — valid only while the caller owns
-// that buffer, never retained (DESIGN.md §7). Fields not carried by
-// the decoded type are zero.
+// MsgView is any NAS message: a type tag plus the union of all message
+// fields. Only the fields its Type carries mean anything: Append reads
+// just those and DecodeView writes just those, so a view can be reused
+// (a reply built in the request's view sets its type and its fields).
+// After DecodeView the byte fields are views aliasing the decoded
+// buffer — valid only while the caller owns that buffer, never
+// retained (DESIGN.md §7).
 type MsgView struct {
 	Type MsgType
 
-	// Views into the decoded buffer.
 	IMSI           []byte // AttachRequest
-	UECapabilities []byte // AttachRequest
-	RAND           []byte // AuthenticationRequest
-	AUTN           []byte // AuthenticationRequest
+	UECapabilities []byte // AttachRequest: opaque capability string
+	RAND           []byte // AuthenticationRequest (16 bytes)
+	AUTN           []byte // AuthenticationRequest (16 bytes)
 	RES            []byte // AuthenticationResponse
-	AUTS           []byte // AuthenticationFailure
-	PDNAddress     []byte // AttachAccept
-	MAC            []byte // Secured (4 bytes)
-	Inner          []byte // Secured
+	AUTS           []byte // AuthenticationFailure (14 bytes on CauseSyncFailure)
+	PDNAddress     []byte // AttachAccept: the UE's IP address
+	Inner          []byte // Secured: the protected message
 
-	GUTI         uint64 // AttachAccept, DetachRequest, TAURequest
-	Count        uint32 // Secured
-	TrackingArea uint16 // AttachAccept, TAURequest, TAUAccept
-	Cause        uint8  // rejects, AuthenticationFailure
-	IntegrityAlg uint8  // SecurityModeCommand
-	CipherAlg    uint8  // SecurityModeCommand
-	EBI          uint8  // AttachAccept
+	GUTI         uint64  // AttachAccept, DetachRequest, TAURequest
+	Count        uint32  // Secured: replay-protected counter
+	MAC          [4]byte // Secured: over count‖inner
+	TrackingArea uint16  // AttachAccept, TAURequest, TAUAccept
+	Cause        uint8   // rejects, AuthenticationFailure
+	IntegrityAlg uint8   // SecurityModeCommand
+	CipherAlg    uint8   // SecurityModeCommand
+	EBI          uint8   // AttachAccept: default bearer identity (5..15)
 
-	FollowOnData   bool // AttachRequest
-	DirectBreakout bool // AttachAccept
+	FollowOnData   bool // AttachRequest: wants user-plane resources now
+	DirectBreakout bool // AttachAccept: traffic exits at the AP (Fig. 1)
+}
+
+// walk is the one declaration of every NAS message layout: the type
+// octet, then the type's fields in wire order.
+func (v *MsgView) walk(c *wire.Codec) {
+	c.U8((*uint8)(&v.Type))
+	switch v.Type {
+	case TypeAttachRequest: // the IMSI goes in clear before a GUTI exists
+		c.Bytes8(&v.IMSI)
+		c.Bytes8(&v.UECapabilities)
+		c.Bool(&v.FollowOnData)
+	case TypeAuthenticationRequest: // the AKA challenge
+		c.Bytes8(&v.RAND)
+		c.Bytes8(&v.AUTN)
+	case TypeAuthenticationResponse:
+		c.Bytes8(&v.RES)
+	case TypeAuthenticationFailure: // the UE rejects the network's challenge
+		c.U8(&v.Cause)
+		c.Bytes8(&v.AUTS)
+	case TypeAuthenticationReject, TypeAttachReject, TypeTAUReject:
+		c.U8(&v.Cause)
+	case TypeSecurityModeCommand: // the first integrity-protected downlink
+		c.U8(&v.IntegrityAlg)
+		c.U8(&v.CipherAlg)
+	case TypeSecurityModeComplete, TypeAttachComplete, TypeDetachAccept:
+	case TypeAttachAccept: // registration plus the default EPS bearer
+		c.U64(&v.GUTI)
+		c.U16(&v.TrackingArea)
+		c.U8(&v.EBI)
+		c.Bytes8(&v.PDNAddress)
+		c.Bool(&v.DirectBreakout)
+	case TypeDetachRequest:
+		c.U64(&v.GUTI)
+	case TypeTAURequest:
+		c.U64(&v.GUTI)
+		c.U16(&v.TrackingArea)
+	case TypeTAUAccept:
+		c.U16(&v.TrackingArea)
+	case TypeSecured: // count ‖ MAC over count‖inner ‖ inner
+		c.U32(&v.Count)
+		c.Fixed(v.MAC[:])
+		c.Bytes16(&v.Inner)
+	default:
+		c.Fail(ErrUnknownMessage)
+	}
+}
+
+// Append appends v's encoding (type octet and fields) to dst and
+// returns the extended slice. A field too long for its length prefix
+// is an error, and dst comes back unextended. Ownership of dst stays
+// with the caller (DESIGN.md §7).
+func Append(dst []byte, v *MsgView) ([]byte, error) {
+	c := wire.Encoder(dst)
+	v.walk(&c)
+	if err := c.Err(); err != nil {
+		return dst, fmt.Errorf("nas: encode %s: %w", v.Type, err)
+	}
+	return c.Bytes(), nil
 }
 
 // DecodeView parses one NAS message into v without copying: byte
@@ -498,124 +195,10 @@ type MsgView struct {
 // trailing bytes, and non-canonical boolean octets are all errors — so
 // any accepted input is the unique encoding of the result.
 func DecodeView(b []byte, v *MsgView) error {
-	*v = MsgView{}
-	r := *wire.NewReader(b)
-	t := MsgType(r.U8())
-	v.Type = t
-	boolOctet := uint8(0)
-	switch t {
-	case TypeAttachRequest:
-		v.IMSI = r.View8()
-		v.UECapabilities = r.View8()
-		boolOctet = r.U8()
-		v.FollowOnData = boolOctet == 1
-	case TypeAuthenticationRequest:
-		v.RAND = r.View8()
-		v.AUTN = r.View8()
-	case TypeAuthenticationResponse:
-		v.RES = r.View8()
-	case TypeAuthenticationReject:
-		v.Cause = r.U8()
-	case TypeSecurityModeCommand:
-		v.IntegrityAlg = r.U8()
-		v.CipherAlg = r.U8()
-	case TypeSecurityModeComplete, TypeAttachComplete, TypeDetachAccept:
-		// Empty bodies.
-	case TypeAttachAccept:
-		v.GUTI = r.U64()
-		v.TrackingArea = r.U16()
-		v.EBI = r.U8()
-		v.PDNAddress = r.View8()
-		boolOctet = r.U8()
-		v.DirectBreakout = boolOctet == 1
-	case TypeAttachReject:
-		v.Cause = r.U8()
-	case TypeDetachRequest:
-		v.GUTI = r.U64()
-	case TypeTAURequest:
-		v.GUTI = r.U64()
-		v.TrackingArea = r.U16()
-	case TypeTAUAccept:
-		v.TrackingArea = r.U16()
-	case TypeTAUReject:
-		v.Cause = r.U8()
-	case TypeSecured:
-		v.Count = r.U32()
-		v.MAC = r.ViewN(4)
-		v.Inner = r.View16()
-	case TypeAuthenticationFailure:
-		v.Cause = r.U8()
-		v.AUTS = r.View8()
-	default:
-		return fmt.Errorf("%w: %d", ErrUnknownMessage, t)
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("nas: decode %s: %w", t, err)
-	}
-	if boolOctet > 1 {
-		return fmt.Errorf("nas: decode %s: %w: boolean octet %d", t, ErrNonCanonical, boolOctet)
-	}
-	if n := r.Remaining(); n != 0 {
-		return fmt.Errorf("nas: decode %s: %w: %d trailing bytes", t, ErrNonCanonical, n)
+	c := wire.Decoder(b)
+	v.walk(&c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("nas: decode %s: %w", v.Type, err)
 	}
 	return nil
-}
-
-// bcopy copies a view into a fresh heap slice for the materialized
-// message forms.
-func bcopy(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// Materialize copies the view into the concrete heap-owned message
-// struct for its type, detaching it from the decoded buffer.
-func (v *MsgView) Materialize() Message {
-	switch v.Type {
-	case TypeAttachRequest:
-		return &AttachRequest{IMSI: string(v.IMSI), UECapabilities: string(v.UECapabilities), FollowOnData: v.FollowOnData}
-	case TypeAuthenticationRequest:
-		return &AuthenticationRequest{RAND: bcopy(v.RAND), AUTN: bcopy(v.AUTN)}
-	case TypeAuthenticationResponse:
-		return &AuthenticationResponse{RES: bcopy(v.RES)}
-	case TypeAuthenticationReject:
-		return &AuthenticationReject{Cause: v.Cause}
-	case TypeSecurityModeCommand:
-		return &SecurityModeCommand{IntegrityAlg: v.IntegrityAlg, CipherAlg: v.CipherAlg}
-	case TypeSecurityModeComplete:
-		return &SecurityModeComplete{}
-	case TypeAttachAccept:
-		return &AttachAccept{GUTI: v.GUTI, TrackingArea: v.TrackingArea, EBI: v.EBI, PDNAddress: string(v.PDNAddress), DirectBreakout: v.DirectBreakout}
-	case TypeAttachComplete:
-		return &AttachComplete{}
-	case TypeAttachReject:
-		return &AttachReject{Cause: v.Cause}
-	case TypeDetachRequest:
-		return &DetachRequest{GUTI: v.GUTI}
-	case TypeDetachAccept:
-		return &DetachAccept{}
-	case TypeTAURequest:
-		return &TAURequest{GUTI: v.GUTI, TrackingArea: v.TrackingArea}
-	case TypeTAUAccept:
-		return &TAUAccept{TrackingArea: v.TrackingArea}
-	case TypeTAUReject:
-		return &TAUReject{Cause: v.Cause}
-	case TypeSecured:
-		return &Secured{Count: v.Count, MAC: bcopy(v.MAC), Inner: bcopy(v.Inner)}
-	case TypeAuthenticationFailure:
-		return &AuthenticationFailure{Cause: v.Cause, AUTS: bcopy(v.AUTS)}
-	default:
-		return nil
-	}
-}
-
-// Decode parses a NAS message into its heap-owned concrete struct
-// (which may be a Secured envelope; the caller unwraps it with Open).
-func Decode(b []byte) (Message, error) {
-	var v MsgView
-	if err := DecodeView(b, &v); err != nil {
-		return nil, err
-	}
-	return v.Materialize(), nil
 }

@@ -3,11 +3,13 @@ package nas
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dlte/internal/auth"
 	"dlte/internal/session"
+	"dlte/internal/wire"
 )
 
 func testSIM(t *testing.T, imsi string) auth.SIM {
@@ -47,8 +49,7 @@ func runAttach(t *testing.T, ue *UE, net *NetworkSession) []string {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		m, _ := Decode(up)
-		trace = append(trace, "UL:"+m.Type().String())
+		trace = append(trace, "UL:"+decode(up).Type.String())
 		down, ev, err := net.Handle(up)
 		if err != nil {
 			t.Fatalf("network handle: %v", err)
@@ -59,8 +60,7 @@ func runAttach(t *testing.T, ue *UE, net *NetworkSession) []string {
 		if down == nil {
 			t.Fatal("network went silent mid-attach")
 		}
-		dm, _ := Decode(down)
-		trace = append(trace, "DL:"+dm.Type().String())
+		trace = append(trace, "DL:"+decode(down).Type.String())
 		reply, _, err := ue.Handle(down)
 		if err != nil {
 			t.Fatalf("UE handle: %v", err)
@@ -175,7 +175,7 @@ func TestNetworkRejectsWrongRES(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge a RES instead of running the SIM.
-	forged, _ := Marshal(&AuthenticationResponse{RES: []byte{9, 9, 9, 9, 9, 9, 9, 9}})
+	forged, _ := marshal(MsgView{Type: TypeAuthenticationResponse, RES: []byte{9, 9, 9, 9, 9, 9, 9, 9}})
 	down, ev, err := net.Handle(forged)
 	if err == nil || !errors.Is(err, auth.ErrResMismatch) {
 		t.Errorf("want ErrResMismatch, got %v", err)
@@ -315,11 +315,11 @@ func TestResyncLoopGuard(t *testing.T) {
 	hss.Provision(sim)
 	net := testNetwork(t, hss)
 
-	att, _ := Marshal(&AttachRequest{IMSI: string(sim.IMSI)})
+	att, _ := marshal(MsgView{Type: TypeAttachRequest, IMSI: []byte(sim.IMSI)})
 	if _, _, err := net.Handle(att); err != nil {
 		t.Fatal(err)
 	}
-	fail, _ := Marshal(&AuthenticationFailure{Cause: CauseSyncFailure, AUTS: make([]byte, 14)})
+	fail, _ := marshal(MsgView{Type: TypeAuthenticationFailure, Cause: CauseSyncFailure, AUTS: make([]byte, 14)})
 	// First resync attempt: bad AUTS → rejected immediately.
 	down, ev, err := net.Handle(fail)
 	if err == nil {
@@ -358,78 +358,68 @@ func TestSecurityContextReplay(t *testing.T) {
 	kasme := make([]byte, 32)
 	a.Activate(kasme)
 	b.Activate(kasme)
-	env, err := a.Seal(&AttachComplete{})
+	env, err := a.sealMsg(nil, &MsgView{Type: TypeAttachComplete})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Open(env); err != nil {
+	v := decode(env)
+	if err := b.OpenView(v.Count, v.MAC[:], v.Inner); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Open(env); !errors.Is(err, ErrReplay) {
+	if err := b.OpenView(v.Count, v.MAC[:], v.Inner); !errors.Is(err, ErrReplay) {
 		t.Errorf("replay: want ErrReplay, got %v", err)
 	}
 }
 
 func TestSecurityContextInactive(t *testing.T) {
 	var c SecurityContext
-	if _, err := c.Seal(&AttachComplete{}); err == nil {
-		t.Error("Seal on inactive context succeeded")
+	if _, err := c.sealMsg(nil, &MsgView{Type: TypeAttachComplete}); err == nil {
+		t.Error("seal on inactive context succeeded")
 	}
-	if _, err := c.Open(&Secured{}); err == nil {
-		t.Error("Open on inactive context succeeded")
+	if err := c.OpenView(0, nil, nil); err == nil {
+		t.Error("open on inactive context succeeded")
 	}
 }
 
 func TestAllMessageCodecsRoundTrip(t *testing.T) {
-	msgs := []Message{
-		&AttachRequest{IMSI: "001019999999999", UECapabilities: "cat4", FollowOnData: true},
-		&AuthenticationRequest{RAND: make([]byte, 16), AUTN: make([]byte, 16)},
-		&AuthenticationResponse{RES: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		&AuthenticationReject{Cause: CauseAuthFailure},
-		&SecurityModeCommand{IntegrityAlg: 1, CipherAlg: 2},
-		&SecurityModeComplete{},
-		&AttachAccept{GUTI: 0xDEAD, TrackingArea: 7, EBI: 5, PDNAddress: "10.0.0.9", DirectBreakout: true},
-		&AttachComplete{},
-		&AttachReject{Cause: CauseCongestion},
-		&DetachRequest{GUTI: 99},
-		&DetachAccept{},
-		&TAURequest{GUTI: 5, TrackingArea: 9},
-		&TAUAccept{TrackingArea: 9},
-		&TAUReject{Cause: CauseIllegalUE},
-		&Secured{Count: 3, MAC: []byte{1, 2, 3, 4}, Inner: []byte{5, 6}},
-		&AuthenticationFailure{Cause: CauseSyncFailure, AUTS: make([]byte, 14)},
-	}
-	for _, m := range msgs {
-		b, err := Marshal(m)
+	for _, m := range allMessages() {
+		b, err := Append(nil, &m)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", m.Type(), err)
+			t.Fatalf("%s: marshal: %v", m.Type, err)
 		}
-		got, err := Decode(b)
+		var got MsgView
+		if err := DecodeView(b, &got); err != nil {
+			t.Fatalf("%s: decode: %v", m.Type, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%s decoded as %+v", m.Type, got)
+		}
+		b2, err := Append(nil, &got)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", m.Type(), err)
-		}
-		if got.Type() != m.Type() {
-			t.Errorf("%s decoded as %s", m.Type(), got.Type())
-		}
-		b2, err := Marshal(got)
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", m.Type(), err)
+			t.Fatalf("%s: re-marshal: %v", m.Type, err)
 		}
 		if string(b) != string(b2) {
-			t.Errorf("%s: round trip not stable", m.Type())
+			t.Errorf("%s: round trip not stable", m.Type)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte{200}); !errors.Is(err, ErrUnknownMessage) {
+	var v MsgView
+	if err := DecodeView([]byte{200}, &v); !errors.Is(err, ErrUnknownMessage) {
 		t.Errorf("unknown type: %v", err)
 	}
-	if _, err := Decode([]byte{byte(TypeAttachAccept), 1}); err == nil {
+	if err := DecodeView([]byte{byte(TypeAttachAccept), 1}, &v); err == nil {
 		t.Error("truncated AttachAccept decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if err := DecodeView(nil, &v); err == nil {
 		t.Error("empty buffer decoded")
+	}
+	if _, err := Append(nil, &MsgView{Type: 200}); !errors.Is(err, ErrUnknownMessage) {
+		t.Errorf("encode unknown type: %v", err)
+	}
+	if _, err := Append(nil, &MsgView{Type: TypeAuthenticationResponse, RES: make([]byte, 256)}); !errors.Is(err, wire.ErrOverflow) {
+		t.Errorf("256-byte RES: %v", err)
 	}
 }
 
@@ -467,7 +457,7 @@ func TestUEGuards(t *testing.T) {
 		t.Errorf("TAU while deregistered: %v", err)
 	}
 	// AttachAccept before authentication is rejected.
-	acc, _ := Marshal(&AttachAccept{})
+	acc, _ := marshal(MsgView{Type: TypeAttachAccept})
 	if _, _, err := ue.Handle(acc); err == nil {
 		t.Error("accept in deregistered state processed")
 	}
@@ -476,12 +466,44 @@ func TestUEGuards(t *testing.T) {
 func TestNetworkGuards(t *testing.T) {
 	hss := auth.NewSubscriberDB(false)
 	net := testNetwork(t, hss)
-	resp, _ := Marshal(&AuthenticationResponse{RES: make([]byte, 8)})
+	resp, _ := marshal(MsgView{Type: TypeAuthenticationResponse, RES: make([]byte, 8)})
 	if _, _, err := net.Handle(resp); !errors.Is(err, session.ErrIllegalTransition) {
 		t.Errorf("auth response in idle: %v", err)
 	}
-	det, _ := Marshal(&DetachRequest{})
+	det, _ := marshal(MsgView{Type: TypeDetachRequest})
 	if _, _, err := net.Handle(det); err == nil {
 		t.Error("clear detach in idle processed")
+	}
+}
+
+// marshal encodes v with Append into a fresh buffer.
+func marshal(v MsgView) ([]byte, error) { return Append(nil, &v) }
+
+// decode parses b, returning the zero view on error.
+func decode(b []byte) MsgView {
+	var v MsgView
+	DecodeView(b, &v)
+	return v
+}
+
+// allMessages is one instance of every NAS message type.
+func allMessages() []MsgView {
+	return []MsgView{
+		{Type: TypeAttachRequest, IMSI: []byte("001019999999999"), UECapabilities: []byte("cat4"), FollowOnData: true},
+		{Type: TypeAuthenticationRequest, RAND: make([]byte, 16), AUTN: make([]byte, 16)},
+		{Type: TypeAuthenticationResponse, RES: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Type: TypeAuthenticationReject, Cause: CauseAuthFailure},
+		{Type: TypeSecurityModeCommand, IntegrityAlg: 1, CipherAlg: 2},
+		{Type: TypeSecurityModeComplete},
+		{Type: TypeAttachAccept, GUTI: 0xDEAD, TrackingArea: 7, EBI: 5, PDNAddress: []byte("10.0.0.9"), DirectBreakout: true},
+		{Type: TypeAttachComplete},
+		{Type: TypeAttachReject, Cause: CauseCongestion},
+		{Type: TypeDetachRequest, GUTI: 99},
+		{Type: TypeDetachAccept},
+		{Type: TypeTAURequest, GUTI: 5, TrackingArea: 9},
+		{Type: TypeTAUAccept, TrackingArea: 9},
+		{Type: TypeTAUReject, Cause: CauseIllegalUE},
+		{Type: TypeSecured, Count: 3, MAC: [4]byte{1, 2, 3, 4}, Inner: []byte{5, 6}},
+		{Type: TypeAuthenticationFailure, Cause: CauseSyncFailure, AUTS: make([]byte, 14)},
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"dlte/internal/auth"
 	"dlte/internal/session"
-	"dlte/internal/wire"
 )
 
 // EventKind classifies session events surfaced to the MME.
@@ -113,7 +112,7 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 		if !s.sec.Active() {
 			return dst, Event{}, fmt.Errorf("nas: protected uplink before security activation")
 		}
-		if oerr := s.sec.OpenView(v.Count, v.MAC, v.Inner); oerr != nil {
+		if oerr := s.sec.OpenView(v.Count, v.MAC[:], v.Inner); oerr != nil {
 			return dst, Event{}, oerr
 		}
 		inner := v.Inner
@@ -133,17 +132,18 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 		s.resynced = false // fresh attach, fresh resync-loop budget
 		if !s.cfg.HSS.Known(auth.IMSI(s.imsi)) {
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseIMSIUnknown}),
+			return reply(dst, &v, TypeAttachReject, CauseIMSIUnknown),
 				Event{Kind: EventRejected, IMSI: s.imsi}, nil
 		}
 		vec, verr := s.cfg.HSS.NextVector(auth.IMSI(s.imsi), s.cfg.ServingNetworkID)
 		if verr != nil {
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseProtocolError}),
+			return reply(dst, &v, TypeAttachReject, CauseProtocolError),
 				Event{Kind: EventRejected, IMSI: s.imsi}, verr
 		}
 		s.vector = vec
-		out, merr := AppendAuthenticationRequest(dst, AuthenticationRequest{RAND: vec.RAND, AUTN: vec.AUTN})
+		v.Type, v.RAND, v.AUTN = TypeAuthenticationRequest, vec.RAND, vec.AUTN
+		out, merr := Append(dst, &v)
 		return out, Event{}, merr
 
 	case TypeAuthenticationFailure:
@@ -153,7 +153,7 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 			if _, ferr := s.fsm.Fire(session.EvAuthFailure); ferr != nil {
 				return dst, Event{}, ferr
 			}
-			return AppendAttachReject(dst, AttachReject{Cause: CauseAuthFailure}),
+			return reply(dst, &v, TypeAttachReject, CauseAuthFailure),
 				Event{Kind: EventAuthFailed, IMSI: s.imsi}, nil
 		}
 		if _, ferr := s.fsm.Fire(session.EvAuthResync); ferr != nil {
@@ -161,18 +161,19 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 		}
 		if rerr := s.cfg.HSS.Resynchronize(auth.IMSI(s.imsi), s.vector.RAND, v.AUTS); rerr != nil {
 			s.fsm.Fire(session.EvAuthFailure)
-			return AppendAuthenticationReject(dst, AuthenticationReject{Cause: CauseAuthFailure}),
+			return reply(dst, &v, TypeAuthenticationReject, CauseAuthFailure),
 				Event{Kind: EventAuthFailed, IMSI: s.imsi}, rerr
 		}
 		s.resynced = true
 		vec, verr := s.cfg.HSS.NextVector(auth.IMSI(s.imsi), s.cfg.ServingNetworkID)
 		if verr != nil {
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseProtocolError}),
+			return reply(dst, &v, TypeAttachReject, CauseProtocolError),
 				Event{Kind: EventRejected, IMSI: s.imsi}, verr
 		}
 		s.vector = vec
-		out, merr := AppendAuthenticationRequest(dst, AuthenticationRequest{RAND: vec.RAND, AUTN: vec.AUTN})
+		v.Type, v.RAND, v.AUTN = TypeAuthenticationRequest, vec.RAND, vec.AUTN
+		out, merr := Append(dst, &v)
 		return out, Event{}, merr
 
 	case TypeAuthenticationResponse:
@@ -180,23 +181,21 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 			if _, ferr := s.fsm.Fire(session.EvAuthFailure); ferr != nil {
 				return dst, Event{}, ferr
 			}
-			return AppendAuthenticationReject(dst, AuthenticationReject{Cause: CauseAuthFailure}),
+			return reply(dst, &v, TypeAuthenticationReject, CauseAuthFailure),
 				Event{Kind: EventAuthFailed, IMSI: s.imsi}, cerr
 		}
 		if _, ferr := s.fsm.Fire(session.EvAuthSuccess); ferr != nil {
 			return dst, Event{}, ferr
 		}
 		s.sec.Activate(s.vector.KASME)
-		frame := wire.GetFrame()
-		inner := AppendSecurityModeCommand(frame, SecurityModeCommand{IntegrityAlg: 1, CipherAlg: 0})
-		out, serr := s.sec.SealAppend(dst, inner)
-		wire.PutFrame(frame)
+		v.Type, v.IntegrityAlg, v.CipherAlg = TypeSecurityModeCommand, 1, 0
+		out, serr := s.sec.sealMsg(dst, &v)
 		if serr != nil {
 			// A session left in SecurityMode with no downlink would hang
 			// until the UE gave up and the EPC leaked the context: fail
 			// the FSM and tell the UE to start over.
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseProtocolError}),
+			return reply(dst, &v, TypeAttachReject, CauseProtocolError),
 				Event{Kind: EventRejected, IMSI: s.imsi}, serr
 		}
 		return out, Event{}, nil
@@ -208,31 +207,29 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 		ip, aerr := s.cfg.AllocateIP(s.imsi)
 		if aerr != nil {
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseCongestion}),
+			return reply(dst, &v, TypeAttachReject, CauseCongestion),
 				Event{Kind: EventRejected, IMSI: s.imsi}, aerr
 		}
 		s.ip = ip
 		s.guti = s.cfg.AllocateGUTI()
 		s.ebi = 5
-		frame := wire.GetFrame()
-		inner, merr := AppendAttachAccept(frame, AttachAccept{
+		// A literal, not v: v's fields flow into the HSS calls above,
+		// so a conversion stored in v would be heap-allocated, where
+		// in a literal it stays on the stack.
+		out, serr := s.sec.sealMsg(dst, &MsgView{
+			Type:           TypeAttachAccept,
 			GUTI:           s.guti,
 			TrackingArea:   s.cfg.TrackingArea,
 			EBI:            s.ebi,
-			PDNAddress:     s.ip,
+			PDNAddress:     []byte(s.ip),
 			DirectBreakout: s.cfg.DirectBreakout,
 		})
-		var serr error
-		if merr == nil {
-			out, serr = s.sec.SealAppend(dst, inner)
-		}
-		wire.PutFrame(frame)
-		if ferr := joinErr(merr, serr); ferr != nil {
+		if serr != nil {
 			// Same leak as the SecurityModeCommand path: an un-sendable
 			// accept must fail the session, not strand it in Attaching.
 			s.fsm.Fire(session.EvReject)
-			return AppendAttachReject(dst, AttachReject{Cause: CauseProtocolError}),
-				Event{Kind: EventRejected, IMSI: s.imsi}, ferr
+			return reply(dst, &v, TypeAttachReject, CauseProtocolError),
+				Event{Kind: EventRejected, IMSI: s.imsi}, serr
 		}
 		return out, Event{}, nil
 
@@ -251,11 +248,9 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 		if _, ferr := s.fsm.Fire(session.EvDetachRequest); ferr != nil {
 			return dst, Event{}, ferr
 		}
-		frame := wire.GetFrame()
-		inner := AppendDetachAccept(frame)
-		out, serr := s.sec.SealAppend(dst, inner)
-		wire.PutFrame(frame)
 		ev := Event{Kind: EventDetached, IMSI: s.imsi, GUTI: v.GUTI}
+		v.Type = TypeDetachAccept
+		out, serr := s.sec.sealMsg(dst, &v)
 		if serr != nil {
 			// The FSM is already Detached; surface the event regardless
 			// so the EPC releases the context instead of leaking it (the
@@ -269,21 +264,27 @@ func (s *NetworkSession) HandleAppend(b, dst []byte) (out []byte, ev Event, err 
 			return dst, Event{}, ferr
 		}
 		if s.cfg.KnownGUTI != nil && s.cfg.KnownGUTI(v.GUTI) {
-			return AppendTAUAccept(dst, TAUAccept{TrackingArea: v.TrackingArea}), Event{}, nil
+			v.Type = TypeTAUAccept // the reply echoes the request's TrackingArea
+			out, _ := Append(dst, &v)
+			return out, Event{}, nil
 		}
 		// Unknown GUTI: this MME has no context for the UE — the
 		// standard response that forces a fresh attach, and the normal
 		// case when roaming between independent dLTE APs.
-		return AppendTAUReject(dst, TAUReject{Cause: CauseIllegalUE}), Event{}, nil
+		return reply(dst, &v, TypeTAUReject, CauseIllegalUE), Event{}, nil
 
 	default:
 		return dst, Event{}, fmt.Errorf("%w: %s in %s", ErrUnexpectedMessage, v.Type, s.fsm.State())
 	}
 }
 
-func joinErr(primary, secondary error) error {
-	if primary != nil {
-		return primary
-	}
-	return secondary
+// reply appends a cause-only message of type t (a reject), built in v.
+// Replies reuse the request's view once its fields are consumed: the
+// encoder reads only the fields of v.Type, so setting those is enough,
+// and the handler's frame holds one view. The fixed layout cannot fail
+// to encode.
+func reply(dst []byte, v *MsgView, t MsgType, cause uint8) []byte {
+	v.Type, v.Cause = t, cause
+	out, _ := Append(dst, v)
+	return out
 }

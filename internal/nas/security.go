@@ -5,21 +5,8 @@ import (
 	"fmt"
 
 	"dlte/internal/auth"
+	"dlte/internal/wire"
 )
-
-// Secured is the integrity-protected NAS envelope: a replay-protected
-// counter, a 32-bit MAC over count‖inner, and the inner serialized
-// message. (Ciphering is omitted — the paper's trust model explicitly
-// tolerates an open link layer, §4.2 — but integrity keeps the
-// signaling unforgeable once security is activated.)
-type Secured struct {
-	Count uint32
-	MAC   []byte // 4 bytes
-	Inner []byte
-}
-
-// Type implements Message.
-func (Secured) Type() MsgType { return TypeSecured }
 
 // Security errors.
 var (
@@ -33,6 +20,11 @@ var errNotActive = errors.New("nas: security not active")
 
 // SecurityContext holds one direction's NAS security state. Each peer
 // keeps an uplink and a downlink context with independent counters.
+// What it seals is a Secured message: a replay-protected counter, a
+// 32-bit MAC over count‖inner, and the inner serialized message.
+// (Ciphering is omitted — the paper's trust model explicitly tolerates
+// an open link layer, §4.2 — but integrity keeps the signaling
+// unforgeable once security is activated.)
 type SecurityContext struct {
 	Keys auth.NASKeys
 	// mac is the precomputed HMAC context over Keys.Int; it makes
@@ -85,7 +77,7 @@ func (c *SecurityContext) SealAppend(dst, inner []byte) ([]byte, error) {
 	count := c.nextTx
 	var mac [4]byte
 	c.mac.ComputeInto(count, inner, &mac)
-	out, err := AppendSecured(dst, count, mac[:], inner)
+	out, err := Append(dst, &MsgView{Type: TypeSecured, Count: count, MAC: mac, Inner: inner})
 	if err != nil {
 		return dst, err
 	}
@@ -93,21 +85,16 @@ func (c *SecurityContext) SealAppend(dst, inner []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Seal wraps msg in a heap-owned Secured envelope with the next
-// counter value.
-func (c *SecurityContext) Seal(msg Message) (*Secured, error) {
-	if !c.active {
-		return nil, errNotActive
+// sealMsg encodes v in a pooled scratch frame and appends its Secured
+// envelope to dst.
+func (c *SecurityContext) sealMsg(dst []byte, v *MsgView) ([]byte, error) {
+	frame := wire.GetFrame()
+	inner, err := Append(frame, v)
+	if err == nil {
+		dst, err = c.SealAppend(dst, inner)
 	}
-	inner, err := Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
-	count := c.nextTx
-	c.nextTx++
-	var mac [4]byte
-	c.mac.ComputeInto(count, inner, &mac)
-	return &Secured{Count: count, MAC: append([]byte(nil), mac[:]...), Inner: inner}, nil
+	wire.PutFrame(frame)
+	return dst, err
 }
 
 // OpenView verifies a decoded Secured envelope's MAC and replay
@@ -125,13 +112,4 @@ func (c *SecurityContext) OpenView(count uint32, mac, inner []byte) error {
 	}
 	c.highestRx = count
 	return nil
-}
-
-// Open verifies and unwraps a Secured envelope, enforcing strictly
-// increasing counters.
-func (c *SecurityContext) Open(env *Secured) (Message, error) {
-	if err := c.OpenView(env.Count, env.MAC, env.Inner); err != nil {
-		return nil, err
-	}
-	return Decode(env.Inner)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dlte/internal/auth"
-	"dlte/internal/wire"
 )
 
 // UEState is the UE-side EMM state.
@@ -97,7 +96,7 @@ func (u *UE) StartAttachAppend(dst []byte, snID string) ([]byte, error) {
 	// valid in UERegistered, and keeping the old string lets the
 	// accept path skip reallocating when the network reassigns it.
 	u.GUTI, u.EBI = 0, 0
-	return AppendAttachRequest(dst, AttachRequest{IMSI: string(u.sim.IMSI), UECapabilities: "cat4", FollowOnData: true})
+	return Append(dst, &MsgView{Type: TypeAttachRequest, IMSI: []byte(u.sim.IMSI), UECapabilities: []byte("cat4"), FollowOnData: true})
 }
 
 // StartDetach returns a sealed DetachRequest; valid only when
@@ -112,14 +111,7 @@ func (u *UE) StartDetachAppend(dst []byte) ([]byte, error) {
 	if u.state != UERegistered {
 		return dst, fmt.Errorf("%w: detach in %s", ErrUnexpectedMessage, u.state)
 	}
-	frame := wire.GetFrame()
-	inner := AppendDetachRequest(frame, DetachRequest{GUTI: u.GUTI})
-	out, err := u.sec.SealAppend(dst, inner)
-	wire.PutFrame(frame)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
+	return u.sec.sealMsg(dst, &MsgView{Type: TypeDetachRequest, GUTI: u.GUTI})
 }
 
 // StartTAU returns a Tracking Area Update request for use after idle
@@ -136,7 +128,7 @@ func (u *UE) StartTAUAppend(dst []byte, ta uint16) ([]byte, error) {
 	// TAU is sent in clear here: the target MME may not hold our
 	// security context (it will reject and force re-attach, which is
 	// the dLTE roaming path).
-	return AppendTAURequest(dst, TAURequest{GUTI: u.GUTI, TrackingArea: ta}), nil
+	return Append(dst, &MsgView{Type: TypeTAURequest, GUTI: u.GUTI, TrackingArea: ta})
 }
 
 // Handle processes one downlink NAS message and returns the uplink
@@ -167,7 +159,7 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 			}
 			u.sec.Activate(u.kasme)
 		}
-		if oerr := u.sec.OpenView(v.Count, v.MAC, v.Inner); oerr != nil {
+		if oerr := u.sec.OpenView(v.Count, v.MAC[:], v.Inner); oerr != nil {
 			return dst, false, oerr
 		}
 		inner := v.Inner
@@ -176,6 +168,8 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 		}
 	}
 
+	// Replies reuse v once the message's fields are consumed: the
+	// encoder reads only the fields of v.Type.
 	switch v.Type {
 	case TypeAuthenticationRequest:
 		if u.state != UEAttachInitiated {
@@ -190,7 +184,8 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 			if berr != nil {
 				return dst, false, berr
 			}
-			out, merr := AppendAuthenticationFailure(dst, AuthenticationFailure{Cause: CauseSyncFailure, AUTS: auts})
+			v.Type, v.Cause, v.AUTS = TypeAuthenticationFailure, CauseSyncFailure, auts
+			out, merr := Append(dst, &v)
 			return out, false, merr
 		}
 		if aerr != nil {
@@ -200,7 +195,8 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 		}
 		u.kasme = res.KASME
 		u.state = UEAuthenticated
-		out, merr := AppendAuthenticationResponse(dst, AuthenticationResponse{RES: res.RES})
+		v.Type, v.RES = TypeAuthenticationResponse, res.RES
+		out, merr := Append(dst, &v)
 		return out, false, merr
 
 	case TypeSecurityModeCommand:
@@ -208,10 +204,8 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 			return dst, false, fmt.Errorf("%w: %s in %s", ErrUnexpectedMessage, v.Type, u.state)
 		}
 		u.state = UESecured
-		frame := wire.GetFrame()
-		inner := AppendSecurityModeComplete(frame)
-		out, serr := u.sec.SealAppend(dst, inner)
-		wire.PutFrame(frame)
+		v.Type = TypeSecurityModeComplete
+		out, serr := u.sec.sealMsg(dst, &v)
 		if serr != nil {
 			return dst, false, serr
 		}
@@ -229,10 +223,8 @@ func (u *UE) HandleAppend(b, dst []byte) (out []byte, done bool, err error) {
 		}
 		u.Breakout = v.DirectBreakout
 		u.state = UERegistered
-		frame := wire.GetFrame()
-		inner := AppendAttachComplete(frame)
-		out, serr := u.sec.SealAppend(dst, inner)
-		wire.PutFrame(frame)
+		v.Type = TypeAttachComplete
+		out, serr := u.sec.sealMsg(dst, &v)
 		if serr != nil {
 			return dst, false, serr
 		}

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -40,16 +39,19 @@ func (c *Client) Traffic() (tx, rx uint64) {
 	return c.bytesTx.Load(), c.bytesRx.Load()
 }
 
-// send ships the writer's frame and accounts the bytes. Caller holds
-// c.mu and releases w.
-func (c *Client) send(w *wire.Writer) error {
-	if err := w.Err(); err != nil {
+// send encodes and ships one request frame, accounting the bytes.
+// Caller holds c.mu.
+func (c *Client) send(q request) error {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	q.walk(e)
+	if err := e.Err(); err != nil {
 		return err
 	}
-	if err := c.fc.Send(w.Bytes()); err != nil {
+	if err := c.fc.Send(e.Bytes()); err != nil {
 		return fmt.Errorf("registry: send: %w", err)
 	}
-	c.bytesTx.Add(uint64(w.Len()) + 4)
+	c.bytesTx.Add(uint64(e.Len()) + 4)
 	return nil
 }
 
@@ -71,12 +73,10 @@ type result struct {
 	deltas  []Delta
 }
 
-// exchange sends the request in w (and releases it), then reads reply
-// frames until the terminal chunk. Caller holds c.mu.
-func (c *Client) exchange(w *wire.Writer) (result, error) {
-	err := c.send(w)
-	wire.PutWriter(w)
-	if err != nil {
+// exchange sends the request, then reads reply frames until the
+// terminal chunk. Caller holds c.mu.
+func (c *Client) exchange(q request) (result, error) {
+	if err := c.send(q); err != nil {
 		return result{}, err
 	}
 	var res result
@@ -108,10 +108,7 @@ func (c *Client) exchange(w *wire.Writer) (result, error) {
 func (c *Client) Join(r APRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opJoin)
-	encodeAP(w, r)
-	_, err := c.exchange(w)
+	_, err := c.exchange(request{op: opJoin, ap: r})
 	return err
 }
 
@@ -119,10 +116,7 @@ func (c *Client) Join(r APRecord) error {
 func (c *Client) Leave(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opLeave)
-	w.String8(id)
-	_, err := c.exchange(w)
+	_, err := c.exchange(request{op: opLeave, id: id})
 	return err
 }
 
@@ -130,10 +124,7 @@ func (c *Client) Leave(id string) error {
 func (c *Client) List(band string) ([]APRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opList)
-	w.String8(band)
-	res, err := c.exchange(w)
+	res, err := c.exchange(request{op: opList, band: band})
 	return res.records, err
 }
 
@@ -141,14 +132,7 @@ func (c *Client) List(band string) ([]APRecord, error) {
 func (c *Client) InRegion(band string, rect geo.Rect) ([]APRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opRegion)
-	w.String8(band)
-	w.F64(rect.Min.X)
-	w.F64(rect.Min.Y)
-	w.F64(rect.Max.X)
-	w.F64(rect.Max.Y)
-	res, err := c.exchange(w)
+	res, err := c.exchange(request{op: opRegion, band: band, rect: rect})
 	return res.records, err
 }
 
@@ -156,10 +140,7 @@ func (c *Client) InRegion(band string, rect geo.Rect) ([]APRecord, error) {
 func (c *Client) PublishKey(k KeyRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opPublishKey)
-	encodeKey(w, k)
-	_, err := c.exchange(w)
+	_, err := c.exchange(request{op: opPublishKey, key: k})
 	return err
 }
 
@@ -167,10 +148,7 @@ func (c *Client) PublishKey(k KeyRecord) error {
 func (c *Client) FetchKey(imsi string) (KeyRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opFetchKey)
-	w.String8(imsi)
-	res, err := c.exchange(w)
+	res, err := c.exchange(request{op: opFetchKey, imsi: imsi})
 	if err != nil {
 		return KeyRecord{}, err
 	}
@@ -184,9 +162,7 @@ func (c *Client) FetchKey(imsi string) (KeyRecord, error) {
 func (c *Client) Keys() ([]KeyRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opKeys)
-	res, err := c.exchange(w)
+	res, err := c.exchange(request{op: opKeys})
 	return res.keys, err
 }
 
@@ -196,11 +172,7 @@ func (c *Client) Keys() ([]KeyRecord, error) {
 func (c *Client) Revision() (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opRev)
-	err := c.send(w)
-	wire.PutWriter(w)
-	if err != nil {
+	if err := c.send(request{op: opRev}); err != nil {
 		return 0, err
 	}
 	b, err := c.fc.RecvOwned()
@@ -208,18 +180,14 @@ func (c *Client) Revision() (uint64, error) {
 		return 0, fmt.Errorf("registry: recv: %w", err)
 	}
 	c.bytesRx.Add(uint64(len(b)) + 4)
-	// Decode in place: the reply is one kind byte and the counter.
-	if len(b) == 9 && b[0] == respRev {
-		rev := binary.BigEndian.Uint64(b[1:])
-		wire.PutFrame(b)
-		return rev, nil
-	}
-	ch, derr := decodeChunk(b)
+	ch, derr := decodeChunk(b) // a respRev chunk decodes without allocating
 	wire.PutFrame(b)
-	if derr != nil {
+	switch {
+	case derr != nil:
 		return 0, fmt.Errorf("registry: bad response: %w", derr)
-	}
-	if ch.kind == respErr {
+	case ch.kind == respRev:
+		return ch.rev, nil
+	case ch.kind == respErr:
 		return 0, chunkError(ch)
 	}
 	return 0, fmt.Errorf("registry: unexpected response kind %d", ch.kind)
@@ -231,9 +199,6 @@ func (c *Client) Revision() (uint64, error) {
 func (c *Client) DeltasSince(fromRev uint64) ([]Delta, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := wire.GetWriter()
-	w.U8(opDeltas)
-	w.U64(fromRev)
-	res, err := c.exchange(w)
+	res, err := c.exchange(request{op: opDeltas, fromRev: fromRev})
 	return res.deltas, res.rev, err
 }

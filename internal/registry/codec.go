@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
 
 	"dlte/internal/geo"
@@ -9,7 +8,7 @@ import (
 )
 
 // ProtocolVersion identifies the registry wire protocol. Version 1 was
-// JSON-over-frames; version 2 (this codec) is wire.Writer/Reader binary
+// JSON-over-frames; version 2 (this codec) is wire.Codec binary
 // with chunked bulk responses and the revision-delta subscription. The
 // version is implicit in the op space — a v1 JSON request starts with
 // '{' (0x7B), which v2 rejects as an unknown op and closes the
@@ -57,70 +56,43 @@ const (
 	maxDeltasPerFrame  = 1024
 )
 
-func encodeAP(w *wire.Writer, r APRecord) {
-	w.String8(r.ID)
-	w.String8(r.X2Addr)
-	w.F64(r.X)
-	w.F64(r.Y)
-	w.String8(r.Band)
-	w.F64(r.EIRPdBm)
-	w.F64(r.HeightM)
-	w.String8(r.Mode)
+// The walks below are the one declaration of every registry layout;
+// encoding and decoding both run them.
+
+func (r *APRecord) walk(c *wire.Codec) {
+	c.String8(&r.ID)
+	c.String8(&r.X2Addr)
+	c.F64(&r.X)
+	c.F64(&r.Y)
+	c.String8(&r.Band)
+	c.F64(&r.EIRPdBm)
+	c.F64(&r.HeightM)
+	c.String8(&r.Mode)
 }
 
-func decodeAP(r *wire.Reader) APRecord {
-	return APRecord{
-		ID:      r.String8(),
-		X2Addr:  r.String8(),
-		X:       r.F64(),
-		Y:       r.F64(),
-		Band:    r.String8(),
-		EIRPdBm: r.F64(),
-		HeightM: r.F64(),
-		Mode:    r.String8(),
-	}
+func (k *KeyRecord) walk(c *wire.Codec) {
+	c.String8(&k.IMSI)
+	c.String8(&k.K)
+	c.String8(&k.OPc)
 }
 
-func encodeKey(w *wire.Writer, k KeyRecord) {
-	w.String8(k.IMSI)
-	w.String8(k.K)
-	w.String8(k.OPc)
-}
-
-func decodeKey(r *wire.Reader) KeyRecord {
-	return KeyRecord{IMSI: r.String8(), K: r.String8(), OPc: r.String8()}
-}
-
-func encodeDelta(w *wire.Writer, d Delta) {
-	w.U8(d.Kind)
-	w.U64(d.Rev)
+func (d *Delta) walk(c *wire.Codec) {
+	c.U8(&d.Kind)
+	c.U64(&d.Rev)
 	switch d.Kind {
 	case DeltaJoin:
-		encodeAP(w, d.AP)
+		d.AP.walk(c)
 	case DeltaLeave:
-		w.String8(d.ID)
+		c.String8(&d.ID)
 	case DeltaKey:
-		encodeKey(w, d.Key)
-	}
-}
-
-func decodeDelta(r *wire.Reader) (Delta, error) {
-	d := Delta{Kind: r.U8(), Rev: r.U64()}
-	switch d.Kind {
-	case DeltaJoin:
-		d.AP = decodeAP(r)
-	case DeltaLeave:
-		d.ID = r.String8()
-	case DeltaKey:
-		d.Key = decodeKey(r)
+		d.Key.walk(c)
 	default:
-		return d, fmt.Errorf("registry: unknown delta kind %d", d.Kind)
+		c.Fail(fmt.Errorf("registry: unknown delta kind %d", d.Kind))
 	}
-	return d, r.Err()
 }
 
-// request is the decoded form of one request frame. Exactly the fields
-// implied by op are meaningful.
+// request is one request frame: the op, then exactly the fields it
+// implies.
 type request struct {
 	op      uint8
 	ap      APRecord // join
@@ -132,40 +104,45 @@ type request struct {
 	fromRev uint64 // deltas, subscribe
 }
 
-func decodeRequest(b []byte) (request, error) {
-	r := wire.NewReader(b)
-	req := request{op: r.U8()}
-	switch req.op {
+func (q *request) walk(c *wire.Codec) {
+	c.U8(&q.op)
+	switch q.op {
 	case opJoin:
-		req.ap = decodeAP(r)
+		q.ap.walk(c)
 	case opLeave:
-		req.id = r.String8()
+		c.String8(&q.id)
 	case opList:
-		req.band = r.String8()
+		c.String8(&q.band)
 	case opRegion:
-		req.band = r.String8()
-		req.rect = geo.NewRect(geo.Pt(r.F64(), r.F64()), geo.Pt(r.F64(), r.F64()))
+		c.String8(&q.band)
+		c.F64(&q.rect.Min.X)
+		c.F64(&q.rect.Min.Y)
+		c.F64(&q.rect.Max.X)
+		c.F64(&q.rect.Max.Y)
 	case opPublishKey:
-		req.key = decodeKey(r)
+		q.key.walk(c)
 	case opFetchKey:
-		req.imsi = r.String8()
+		c.String8(&q.imsi)
 	case opKeys, opRev:
 	case opDeltas, opSubscribe:
-		req.fromRev = r.U64()
+		c.U64(&q.fromRev)
 	default:
-		return req, fmt.Errorf("registry: unknown op %d", req.op)
+		c.Fail(fmt.Errorf("registry: unknown op %d", q.op))
 	}
-	if err := r.Err(); err != nil {
-		return req, err
-	}
-	if r.Remaining() != 0 {
-		return req, fmt.Errorf("registry: %d trailing bytes after op %d", r.Remaining(), req.op)
-	}
-	return req, nil
 }
 
-// chunk is the decoded form of one response frame. Bulk responses span
-// several chunks; more marks continuations of the same reply.
+func decodeRequest(b []byte) (request, error) {
+	var q request
+	c := wire.Decoder(b)
+	q.walk(&c)
+	if q.op == opRegion { // the corners may arrive in either order
+		q.rect = geo.NewRect(q.rect.Min, q.rect.Max)
+	}
+	return q, c.Err()
+}
+
+// chunk is one response frame. Bulk responses span several chunks;
+// more marks continuations of the same reply.
 type chunk struct {
 	kind    uint8
 	rev     uint64
@@ -177,98 +154,54 @@ type chunk struct {
 	deltas  []Delta
 }
 
-// readMore decodes the continuation flag strictly: the codec is
-// canonical (one frame, one byte reading), so only 0 and 1 are legal
-// encodings of a bool on this protocol.
-func readMore(r *wire.Reader) (bool, error) {
-	switch r.U8() {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
+func (ch *chunk) walk(c *wire.Codec) {
+	c.U8(&ch.kind)
+	switch ch.kind {
+	case respErr:
+		c.U8(&ch.errCode)
+		c.String16(&ch.errMsg)
+	case respAck, respRev, respSnapshot:
+		c.U64(&ch.rev)
+	case respRecords:
+		c.U64(&ch.rev)
+		c.Bool(&ch.more)
+		wire.Len(c, &ch.records, 2, maxRecordsPerFrame)
+		for i := range ch.records {
+			ch.records[i].walk(c)
+		}
+	case respKeys:
+		c.U64(&ch.rev)
+		c.Bool(&ch.more)
+		wire.Len(c, &ch.keys, 4, maxKeysPerFrame)
+		for i := range ch.keys {
+			ch.keys[i].walk(c)
+		}
+	case respDeltas:
+		c.U64(&ch.rev)
+		c.Bool(&ch.more)
+		wire.Len(c, &ch.deltas, 2, maxDeltasPerFrame)
+		for i := range ch.deltas {
+			ch.deltas[i].walk(c)
+		}
+	default:
+		c.Fail(fmt.Errorf("registry: unknown response kind %d", ch.kind))
 	}
-	return false, errors.New("registry: non-canonical bool")
 }
 
 func decodeChunk(b []byte) (chunk, error) {
-	r := wire.NewReader(b)
-	c := chunk{kind: r.U8()}
-	switch c.kind {
-	case respErr:
-		c.errCode = r.U8()
-		c.errMsg = r.String16()
-	case respAck, respRev, respSnapshot:
-		c.rev = r.U64()
-	case respRecords:
-		c.rev = r.U64()
-		var merr error
-		if c.more, merr = readMore(r); merr != nil {
-			return c, merr
-		}
-		n := int(r.U16())
-		if n > maxRecordsPerFrame {
-			return c, fmt.Errorf("registry: record chunk count %d", n)
-		}
-		if n > 0 {
-			c.records = make([]APRecord, n)
-			for i := range c.records {
-				c.records[i] = decodeAP(r)
-			}
-		}
-	case respKeys:
-		c.rev = r.U64()
-		var merr error
-		if c.more, merr = readMore(r); merr != nil {
-			return c, merr
-		}
-		n := int(r.U32())
-		if n > maxKeysPerFrame {
-			return c, fmt.Errorf("registry: key chunk count %d", n)
-		}
-		if n > 0 {
-			c.keys = make([]KeyRecord, n)
-			for i := range c.keys {
-				c.keys[i] = decodeKey(r)
-			}
-		}
-	case respDeltas:
-		c.rev = r.U64()
-		var merr error
-		if c.more, merr = readMore(r); merr != nil {
-			return c, merr
-		}
-		n := int(r.U16())
-		if n > maxDeltasPerFrame {
-			return c, fmt.Errorf("registry: delta chunk count %d", n)
-		}
-		if n > 0 {
-			c.deltas = make([]Delta, n)
-			for i := range c.deltas {
-				var err error
-				if c.deltas[i], err = decodeDelta(r); err != nil {
-					return c, err
-				}
-			}
-		}
-	default:
-		return c, fmt.Errorf("registry: unknown response kind %d", c.kind)
-	}
-	if err := r.Err(); err != nil {
-		return c, err
-	}
-	if r.Remaining() != 0 {
-		return c, fmt.Errorf("registry: %d trailing bytes after response kind %d", r.Remaining(), c.kind)
-	}
-	return c, nil
+	var ch chunk
+	c := wire.Decoder(b)
+	ch.walk(&c)
+	return ch, c.Err()
 }
 
 // terminal reports whether this chunk completes a reply (no
 // continuation frames follow it within the same request/response
 // exchange).
-func (c chunk) terminal() bool {
-	switch c.kind {
+func (ch chunk) terminal() bool {
+	switch ch.kind {
 	case respRecords, respKeys, respDeltas:
-		return !c.more
+		return !ch.more
 	}
 	return true
 }

@@ -6,55 +6,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dlte/internal/geo"
 	"dlte/internal/wire"
 )
 
-// reqFrame hand-encodes a request the way Client does, for seeds and
-// round-trip checks.
-func reqFrame(build func(w *wire.Writer)) []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	build(w)
-	return bytes.Clone(w.Bytes())
+// frame encodes any layout the walk declares, as the client and
+// server do, for seeds and round-trip checks.
+func frame(walk func(c *wire.Codec)) []byte {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	walk(c)
+	if err := c.Err(); err != nil {
+		panic(err)
+	}
+	return bytes.Clone(c.Bytes())
 }
 
-// encodeChunk mirrors the server's frame senders (sendRecords,
-// sendKeys, sendDeltas, sendErr, sendU64) so decode results can be
-// re-encoded and compared.
-func encodeChunk(c chunk) []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(c.kind)
-	switch c.kind {
-	case respErr:
-		w.U8(c.errCode)
-		w.String16(c.errMsg)
-	case respAck, respRev, respSnapshot:
-		w.U64(c.rev)
-	case respRecords:
-		w.U64(c.rev)
-		w.Bool(c.more)
-		w.U16(uint16(len(c.records)))
-		for _, r := range c.records {
-			encodeAP(w, r)
-		}
-	case respKeys:
-		w.U64(c.rev)
-		w.Bool(c.more)
-		w.U32(uint32(len(c.keys)))
-		for _, k := range c.keys {
-			encodeKey(w, k)
-		}
-	case respDeltas:
-		w.U64(c.rev)
-		w.Bool(c.more)
-		w.U16(uint16(len(c.deltas)))
-		for _, d := range c.deltas {
-			encodeDelta(w, d)
-		}
-	}
-	return bytes.Clone(w.Bytes())
-}
+func encodeRequest(q request) []byte { return frame(q.walk) }
+
+func encodeChunk(ch chunk) []byte { return frame(ch.walk) }
 
 // FuzzDecode feeds arbitrary bytes to both registry frame decoders.
 // Registry frames arrive from other administrative domains (any AP on
@@ -72,28 +42,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x7B})                                                        // '{' — a protocol-v1 JSON request
 	f.Add([]byte{opRev, 0xFF})                                                 // trailing junk
 	f.Add([]byte{respKeys, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // forged huge count
-	f.Add(reqFrame(func(w *wire.Writer) {
-		w.U8(opJoin)
-		encodeAP(w, APRecord{ID: "ap1", X2Addr: "ap1:36422", Band: "b", Mode: "fair-share"})
-	}))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opLeave); w.String8("ap1") }))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opList); w.String8("") }))
-	f.Add(reqFrame(func(w *wire.Writer) {
-		w.U8(opRegion)
-		w.String8("b")
-		w.F64(0)
-		w.F64(0)
-		w.F64(1000)
-		w.F64(1000)
-	}))
-	f.Add(reqFrame(func(w *wire.Writer) {
-		w.U8(opPublishKey)
-		encodeKey(w, KeyRecord{IMSI: "001010000000001", K: "00", OPc: "00"})
-	}))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opFetchKey); w.String8("001010000000001") }))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opKeys) }))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opDeltas); w.U64(7) }))
-	f.Add(reqFrame(func(w *wire.Writer) { w.U8(opSubscribe); w.U64(0) }))
+	f.Add(encodeRequest(request{op: opJoin, ap: APRecord{ID: "ap1", X2Addr: "ap1:36422", Band: "b", Mode: "fair-share"}}))
+	f.Add(encodeRequest(request{op: opLeave, id: "ap1"}))
+	f.Add(encodeRequest(request{op: opList}))
+	f.Add(encodeRequest(request{op: opRegion, band: "b", rect: geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))}))
+	f.Add(encodeRequest(request{op: opPublishKey, key: KeyRecord{IMSI: "001010000000001", K: "00", OPc: "00"}}))
+	f.Add(encodeRequest(request{op: opFetchKey, imsi: "001010000000001"}))
+	f.Add(encodeRequest(request{op: opKeys}))
+	f.Add(encodeRequest(request{op: opDeltas, fromRev: 7}))
+	f.Add(encodeRequest(request{op: opSubscribe}))
 	f.Add(encodeChunk(chunk{kind: respErr, errCode: errCodeGap, errMsg: ErrDeltaGap.Error()}))
 	f.Add(encodeChunk(chunk{kind: respAck, rev: 42}))
 	f.Add(encodeChunk(chunk{kind: respRecords, rev: 9, more: true, records: []APRecord{{ID: "a"}, {ID: "b"}}}))
@@ -108,29 +65,7 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := decodeRequest(b); err == nil {
 			// Accepted requests re-encode to exactly the input frame.
-			round := reqFrame(func(w *wire.Writer) {
-				w.U8(req.op)
-				switch req.op {
-				case opJoin:
-					encodeAP(w, req.ap)
-				case opLeave:
-					w.String8(req.id)
-				case opList:
-					w.String8(req.band)
-				case opRegion:
-					w.String8(req.band)
-					w.F64(req.rect.Min.X)
-					w.F64(req.rect.Min.Y)
-					w.F64(req.rect.Max.X)
-					w.F64(req.rect.Max.Y)
-				case opPublishKey:
-					encodeKey(w, req.key)
-				case opFetchKey:
-					w.String8(req.imsi)
-				case opDeltas, opSubscribe:
-					w.U64(req.fromRev)
-				}
-			})
+			round := encodeRequest(req)
 			// geo.NewRect normalizes min/max, so opRegion frames with a
 			// "backwards" rectangle legitimately re-encode differently;
 			// everything else must round-trip byte for byte.
@@ -174,17 +109,21 @@ func clampKey(k KeyRecord) KeyRecord {
 	return KeyRecord{IMSI: c(k.IMSI), K: c(k.K), OPc: c(k.OPc)}
 }
 
-// TestAPCodecRoundTripProperty checks encodeAP/decodeAP agreement on
-// arbitrary records.
+// roundTrip encodes in with its walk and decodes the bytes into out
+// with the same walk, strictly.
+func roundTrip(in, out interface{ walk(*wire.Codec) }) error {
+	c := wire.Decoder(frame(in.walk))
+	out.walk(&c)
+	return c.Err()
+}
+
+// TestAPCodecRoundTripProperty checks that the APRecord walk decodes
+// what it encodes, for arbitrary records.
 func TestAPCodecRoundTripProperty(t *testing.T) {
 	f := func(r APRecord) bool {
 		r = clampAP(r)
-		w := wire.GetWriter()
-		defer wire.PutWriter(w)
-		encodeAP(w, r)
-		rd := wire.NewReader(w.Bytes())
-		got := decodeAP(rd)
-		return rd.Err() == nil && rd.Remaining() == 0 && got == r
+		var got APRecord
+		return roundTrip(&r, &got) == nil && got == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -195,12 +134,8 @@ func TestAPCodecRoundTripProperty(t *testing.T) {
 func TestKeyCodecRoundTripProperty(t *testing.T) {
 	f := func(k KeyRecord) bool {
 		k = clampKey(k)
-		w := wire.GetWriter()
-		defer wire.PutWriter(w)
-		encodeKey(w, k)
-		rd := wire.NewReader(w.Bytes())
-		got := decodeKey(rd)
-		return rd.Err() == nil && rd.Remaining() == 0 && got == k
+		var got KeyRecord
+		return roundTrip(&k, &got) == nil && got == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -223,12 +158,8 @@ func TestDeltaCodecRoundTripProperty(t *testing.T) {
 		case DeltaKey:
 			d.Key = clampKey(key)
 		}
-		w := wire.GetWriter()
-		defer wire.PutWriter(w)
-		encodeDelta(w, d)
-		rd := wire.NewReader(w.Bytes())
-		got, err := decodeDelta(rd)
-		return err == nil && rd.Remaining() == 0 && reflect.DeepEqual(got, d)
+		var got Delta
+		return roundTrip(&d, &got) == nil && reflect.DeepEqual(got, d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -76,15 +76,15 @@ func NewMirror(dial func(addr string) (net.Conn, error), addr string, fromRev ui
 		rev:  fromRev,
 	}
 	c.OnDeliverHandler(m)
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(opSubscribe)
-	w.U64(fromRev)
-	if err := wire.WriteFrame(c, w.Bytes()); err != nil {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	q := request{op: opSubscribe, fromRev: fromRev}
+	q.walk(e)
+	if err := wire.WriteFrame(c, e.Bytes()); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("registry: subscribe: %w", err)
 	}
-	m.bytesTx.Add(uint64(w.Len()) + 4)
+	m.bytesTx.Add(uint64(e.Len()) + 4)
 	return m, nil
 }
 

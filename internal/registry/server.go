@@ -201,48 +201,35 @@ func (sc *serverConn) subscribe(fromRev uint64) error {
 
 // --- frame senders -----------------------------------------------------
 
+// send encodes and ships one response frame. A frame that fails to
+// encode goes out as a respErr naming the failure instead.
+func send(fc *wire.FrameConn, ch *chunk) error {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	ch.walk(c)
+	if err := c.Err(); err != nil {
+		c.Reset()
+		(&chunk{kind: respErr, errCode: errCodeGeneric, errMsg: err.Error()}).walk(c)
+	}
+	return fc.Send(c.Bytes())
+}
+
 func sendErr(fc *wire.FrameConn, code uint8, msg string) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(respErr)
-	w.U8(code)
-	w.String16(msg)
-	return fc.Send(w.Bytes())
+	return send(fc, &chunk{kind: respErr, errCode: code, errMsg: msg})
 }
 
 func sendU64(fc *wire.FrameConn, kind uint8, rev uint64) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(kind)
-	w.U64(rev)
-	return fc.Send(w.Bytes())
+	return send(fc, &chunk{kind: kind, rev: rev})
 }
 
-// sendChunked ships items as one or more frames of kind (always at
-// least one, so an empty result still carries the revision), up to
-// max items each: U64 rev, the more flag, the count (U32 for keys, else
-// U16), then the encoded items.
-func sendChunked[T any](fc *wire.FrameConn, kind uint8, rev uint64, items []T, max int, enc func(*wire.Writer, T)) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
+// sendChunked ships items as one or more frames (always at least one,
+// so an empty result still carries the revision) of up to max items
+// each; frame builds the chunk for one slice of them.
+func sendChunked[T any](fc *wire.FrameConn, items []T, max int, frame func(part []T, more bool) chunk) error {
 	for {
 		n := min(len(items), max)
-		w.Reset()
-		w.U8(kind)
-		w.U64(rev)
-		w.Bool(len(items) > n)
-		if kind == respKeys {
-			w.U32(uint32(n))
-		} else {
-			w.U16(uint16(n))
-		}
-		for _, it := range items[:n] {
-			enc(w, it)
-		}
-		if err := w.Err(); err != nil {
-			return sendErr(fc, errCodeGeneric, err.Error())
-		}
-		if err := fc.Send(w.Bytes()); err != nil {
+		ch := frame(items[:n], len(items) > n)
+		if err := send(fc, &ch); err != nil {
 			return err
 		}
 		items = items[n:]
@@ -253,15 +240,21 @@ func sendChunked[T any](fc *wire.FrameConn, kind uint8, rev uint64, items []T, m
 }
 
 func sendRecords(fc *wire.FrameConn, rev uint64, recs []APRecord) error {
-	return sendChunked(fc, respRecords, rev, recs, maxRecordsPerFrame, encodeAP)
+	return sendChunked(fc, recs, maxRecordsPerFrame, func(part []APRecord, more bool) chunk {
+		return chunk{kind: respRecords, rev: rev, more: more, records: part}
+	})
 }
 
 func sendKeys(fc *wire.FrameConn, rev uint64, keys []KeyRecord) error {
-	return sendChunked(fc, respKeys, rev, keys, maxKeysPerFrame, encodeKey)
+	return sendChunked(fc, keys, maxKeysPerFrame, func(part []KeyRecord, more bool) chunk {
+		return chunk{kind: respKeys, rev: rev, more: more, keys: part}
+	})
 }
 
 func sendDeltas(fc *wire.FrameConn, rev uint64, ds []Delta) error {
-	return sendChunked(fc, respDeltas, rev, ds, maxDeltasPerFrame, encodeDelta)
+	return sendChunked(fc, ds, maxDeltasPerFrame, func(part []Delta, more bool) chunk {
+		return chunk{kind: respDeltas, rev: rev, more: more, deltas: part}
+	})
 }
 
 func sendSnapshot(fc *wire.FrameConn, rev uint64, recs []APRecord, keys []KeyRecord) error {

@@ -632,12 +632,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 	go srv.ServeConn(sc)
 	fc := wire.NewFrameConn(cc)
 	defer cc.Close()
-	w := wire.GetWriter()
-	w.U8(opSubscribe)
-	w.U64(0)
-	err := fc.Send(w.Bytes())
-	wire.PutWriter(w)
-	if err != nil {
+	if err := fc.Send(encodeRequest(request{op: opSubscribe})); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); store.subscribers() == 0; {

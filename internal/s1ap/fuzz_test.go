@@ -16,9 +16,9 @@ func TestDecodeNeverPanics(t *testing.T) {
 				t.Fatalf("Decode panicked on %x: %v", b, r)
 			}
 		}()
-		msg, err := Decode(b)
-		if err == nil && msg != nil {
-			if _, merr := Marshal(msg); merr != nil {
+		var v MsgView
+		if err := DecodeView(b, &v); err == nil {
+			if _, merr := Append(nil, &v); merr != nil {
 				return false
 			}
 		}
@@ -42,7 +42,8 @@ func TestDecodeEveryTypeRandomTail(t *testing.T) {
 						t.Fatalf("type %d panicked: %v", typ, r)
 					}
 				}()
-				Decode(append([]byte{typ}, tail...))
+				var v MsgView
+				DecodeView(append([]byte{typ}, tail...), &v)
 			}()
 		}
 	}
@@ -52,13 +53,13 @@ func TestDecodeEveryTypeRandomTail(t *testing.T) {
 // above, run against the binary fixed-layout decoder. Like the NAS
 // fuzzer, the invariant is canonicality: the strict decoder rejects
 // trailing bytes, so any accepted input must re-encode byte-identical
-// after materializing the view.
+// from the decoded view.
 //
 // Run the seeds with `go test`; explore with
 // `go test -fuzz=FuzzDecode ./internal/s1ap`.
 func FuzzDecode(f *testing.F) {
-	seed := func(m Message) []byte {
-		b, err := Marshal(m)
+	seed := func(m MsgView) []byte {
+		b, err := Append(nil, &m)
 		if err != nil {
 			panic(err)
 		}
@@ -67,26 +68,26 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeS1SetupRequest)})
 	f.Add([]byte{0xFF, 1, 2, 3})
-	f.Add(seed(&S1SetupRequest{ENBID: 42, ENBName: "enb-ap1", TAC: 7}))
-	f.Add(seed(&S1SetupResponse{MMEName: "mme", ServedTAC: 7, SNID: "dlte-ap1"}))
-	f.Add(seed(&InitialUEMessage{ENBUEID: 1, NASPDU: []byte{1, 2, 3}}))
-	f.Add(seed(&DownlinkNASTransport{ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{9}}))
-	f.Add(seed(&UplinkNASTransport{ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{8, 8}}))
-	f.Add(seed(&InitialContextSetupRequest{ENBUEID: 1, MMEUEID: 2, SGWAddr: "gw:2152", SGWTEID: 9, UEAddr: "10.45.0.2"}))
-	f.Add(seed(&InitialContextSetupResponse{ENBUEID: 1, MMEUEID: 2, ENBAddr: "ap1:2153", ENBTEID: 4}))
-	f.Add(seed(&UEContextReleaseCommand{ENBUEID: 1, MMEUEID: 2, Cause: 3}))
-	f.Add(seed(&UEContextReleaseComplete{ENBUEID: 1, MMEUEID: 2}))
-	f.Add(seed(&UEContextReleaseRequest{ENBUEID: 1, MMEUEID: 2, Cause: 1}))
-	f.Add(seed(&PathSwitchRequest{MMEUEID: 2, NewENBAddr: "ap2:2153", NewENBTEID: 5}))
-	f.Add(seed(&PathSwitchAck{MMEUEID: 2}))
-	f.Add(append(seed(&PathSwitchAck{MMEUEID: 2}), 0xDE)) // trailing byte must be rejected
+	f.Add(seed(MsgView{Type: TypeS1SetupRequest, ENBID: 42, ENBName: []byte("enb-ap1"), TAC: 7}))
+	f.Add(seed(MsgView{Type: TypeS1SetupResponse, MMEName: []byte("mme"), ServedTAC: 7, SNID: []byte("dlte-ap1")}))
+	f.Add(seed(MsgView{Type: TypeInitialUEMessage, ENBUEID: 1, NASPDU: []byte{1, 2, 3}}))
+	f.Add(seed(MsgView{Type: TypeDownlinkNASTransport, ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{9}}))
+	f.Add(seed(MsgView{Type: TypeUplinkNASTransport, ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{8, 8}}))
+	f.Add(seed(MsgView{Type: TypeInitialContextSetupRequest, ENBUEID: 1, MMEUEID: 2, SGWAddr: []byte("gw:2152"), SGWTEID: 9, UEAddr: []byte("10.45.0.2")}))
+	f.Add(seed(MsgView{Type: TypeInitialContextSetupResponse, ENBUEID: 1, MMEUEID: 2, ENBAddr: []byte("ap1:2153"), ENBTEID: 4}))
+	f.Add(seed(MsgView{Type: TypeUEContextReleaseCommand, ENBUEID: 1, MMEUEID: 2, Cause: 3}))
+	f.Add(seed(MsgView{Type: TypeUEContextReleaseComplete, ENBUEID: 1, MMEUEID: 2}))
+	f.Add(seed(MsgView{Type: TypeUEContextReleaseRequest, ENBUEID: 1, MMEUEID: 2, Cause: 1}))
+	f.Add(seed(MsgView{Type: TypePathSwitchRequest, MMEUEID: 2, NewENBAddr: []byte("ap2:2153"), NewENBTEID: 5}))
+	f.Add(seed(MsgView{Type: TypePathSwitchAck, MMEUEID: 2}))
+	f.Add(append(seed(MsgView{Type: TypePathSwitchAck, MMEUEID: 2}), 0xDE)) // trailing byte must be rejected
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var v MsgView
 		if err := DecodeView(b, &v); err != nil {
 			return
 		}
-		round, err := Marshal(v.Materialize())
+		round, err := Append(nil, &v)
 		if err != nil {
 			t.Fatalf("accepted input does not re-marshal: %v", err)
 		}

@@ -16,7 +16,7 @@ func TestAppendDecodeAllocFree(t *testing.T) {
 	var v MsgView
 
 	if g := testing.AllocsPerRun(200, func() {
-		out, err := AppendUplinkNASTransport(buf, 7, 9, pdu)
+		out, err := Append(buf, &MsgView{Type: TypeUplinkNASTransport, ENBUEID: 7, MMEUEID: 9, NASPDU: pdu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestAppendDecodeAllocFree(t *testing.T) {
 	}
 
 	if g := testing.AllocsPerRun(200, func() {
-		out, err := AppendInitialUEMessage(buf, 7, pdu)
+		out, err := Append(buf, &MsgView{Type: TypeInitialUEMessage, ENBUEID: 7, NASPDU: pdu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +56,10 @@ func TestAppendDecodeAllocFree(t *testing.T) {
 
 // TestStartFinishMatchesAppend pins the fast path to the canonical
 // encoder: building a DownlinkNASTransport via the start/finish pair
-// must produce exactly the bytes AppendDownlinkNASTransport produces.
+// must produce exactly the bytes Append produces.
 func TestStartFinishMatchesAppend(t *testing.T) {
 	pdu := []byte("nas-pdu-bytes")
-	want, err := AppendDownlinkNASTransport(nil, 3, 4, pdu)
+	want, err := Append(nil, &MsgView{Type: TypeDownlinkNASTransport, ENBUEID: 3, MMEUEID: 4, NASPDU: pdu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +73,6 @@ func TestStartFinishMatchesAppend(t *testing.T) {
 		t.Fatalf("start/finish = %x, append = %x", got, want)
 	}
 
-	wantUp, err := AppendUplinkNASTransport(nil, 3, 4, pdu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, mark = StartUplinkNASTransport(nil, 3, 4)
-	hdr = append(hdr, pdu...)
-	gotUp, err := FinishNASTransport(hdr, mark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotUp, wantUp) {
-		t.Fatalf("uplink start/finish = %x, append = %x", gotUp, wantUp)
-	}
 }
 
 // BenchmarkS1APTransportCodec is the gated per-message codec cost of

@@ -9,55 +9,62 @@ import (
 	"dlte/internal/simnet"
 )
 
-func allMessages() []Message {
-	return []Message{
-		&S1SetupRequest{ENBID: 7, ENBName: "silo-enb", TAC: 42},
-		&S1SetupResponse{MMEName: "stub-mme", ServedTAC: 42},
-		&InitialUEMessage{ENBUEID: 1, NASPDU: []byte{1, 2, 3}},
-		&DownlinkNASTransport{ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{4}},
-		&UplinkNASTransport{ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{5, 6}},
-		&InitialContextSetupRequest{ENBUEID: 1, MMEUEID: 2, SGWAddr: "gw:2152", SGWTEID: 9, UEAddr: "10.45.0.2"},
-		&InitialContextSetupResponse{ENBUEID: 1, MMEUEID: 2, ENBAddr: "enb:2152", ENBTEID: 11},
-		&UEContextReleaseCommand{ENBUEID: 1, MMEUEID: 2, Cause: 3},
-		&UEContextReleaseComplete{ENBUEID: 1, MMEUEID: 2},
-		&PathSwitchRequest{MMEUEID: 2, NewENBAddr: "enb2:2152", NewENBTEID: 17},
-		&PathSwitchAck{MMEUEID: 2},
+func allMessages() []MsgView {
+	return []MsgView{
+		{Type: TypeS1SetupRequest, ENBID: 7, ENBName: []byte("silo-enb"), TAC: 42},
+		{Type: TypeS1SetupResponse, MMEName: []byte("stub-mme"), ServedTAC: 42},
+		{Type: TypeInitialUEMessage, ENBUEID: 1, NASPDU: []byte{1, 2, 3}},
+		{Type: TypeDownlinkNASTransport, ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{4}},
+		{Type: TypeUplinkNASTransport, ENBUEID: 1, MMEUEID: 2, NASPDU: []byte{5, 6}},
+		{Type: TypeInitialContextSetupRequest, ENBUEID: 1, MMEUEID: 2, SGWAddr: []byte("gw:2152"), SGWTEID: 9, UEAddr: []byte("10.45.0.2")},
+		{Type: TypeInitialContextSetupResponse, ENBUEID: 1, MMEUEID: 2, ENBAddr: []byte("enb:2152"), ENBTEID: 11},
+		{Type: TypeUEContextReleaseCommand, ENBUEID: 1, MMEUEID: 2, Cause: 3},
+		{Type: TypeUEContextReleaseComplete, ENBUEID: 1, MMEUEID: 2},
+		{Type: TypePathSwitchRequest, MMEUEID: 2, NewENBAddr: []byte("enb2:2152"), NewENBTEID: 17},
+		{Type: TypePathSwitchAck, MMEUEID: 2},
 	}
 }
 
 func TestCodecsRoundTrip(t *testing.T) {
 	for _, m := range allMessages() {
-		b, err := Marshal(m)
+		b, err := Append(nil, &m)
 		if err != nil {
-			t.Fatalf("%s: %v", m.Type(), err)
+			t.Fatalf("%s: %v", m.Type, err)
 		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", m.Type(), err)
+		var got MsgView
+		if err := DecodeView(b, &got); err != nil {
+			t.Fatalf("%s: decode: %v", m.Type, err)
 		}
-		b2, _ := Marshal(got)
+		if got.Type != m.Type {
+			t.Errorf("%s decoded as %s", m.Type, got.Type)
+		}
+		b2, _ := Append(nil, &got)
 		if string(b) != string(b2) {
-			t.Errorf("%s: unstable round trip", m.Type())
+			t.Errorf("%s: unstable round trip", m.Type)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte{99}); !errors.Is(err, ErrUnknownMessage) {
+	var v MsgView
+	if err := DecodeView([]byte{99}, &v); !errors.Is(err, ErrUnknownMessage) {
 		t.Errorf("unknown: %v", err)
 	}
-	if _, err := Decode([]byte{byte(TypeInitialUEMessage), 1}); err == nil {
+	if err := DecodeView([]byte{byte(TypeInitialUEMessage), 1}, &v); err == nil {
 		t.Error("truncated message decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if err := DecodeView(nil, &v); err == nil {
 		t.Error("empty buffer decoded")
+	}
+	if _, err := Append(nil, &MsgView{Type: 99}); !errors.Is(err, ErrUnknownMessage) {
+		t.Errorf("encode unknown: %v", err)
 	}
 }
 
 func TestTypeNames(t *testing.T) {
 	for _, m := range allMessages() {
-		if strings.HasPrefix(m.Type().String(), "S1AP(") {
-			t.Errorf("missing name for %d", m.Type())
+		if strings.HasPrefix(m.Type.String(), "S1AP(") {
+			t.Errorf("missing name for %d", m.Type)
 		}
 	}
 	if MsgType(99).String() != "S1AP(99)" {
@@ -84,17 +91,16 @@ func TestConnOverSimnet(t *testing.T) {
 			return
 		}
 		conn := NewConn(c)
-		msg, err := conn.Recv()
-		if err != nil {
+		var req MsgView
+		if err := conn.Recv(&req); err != nil {
 			done.Put(err)
 			return
 		}
-		req, ok := msg.(*S1SetupRequest)
-		if !ok {
+		if req.Type != TypeS1SetupRequest {
 			done.Put(errors.New("wrong message type"))
 			return
 		}
-		done.Put(conn.Send(&S1SetupResponse{MMEName: "mme-for-" + req.ENBName, ServedTAC: req.TAC}))
+		done.Put(conn.Send(&MsgView{Type: TypeS1SetupResponse, MMEName: []byte("mme-for-" + string(req.ENBName)), ServedTAC: req.TAC}))
 	})
 
 	raw, err := enbHost.Dial("mme:36412")
@@ -102,16 +108,15 @@ func TestConnOverSimnet(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := NewConn(raw)
-	if err := conn.Send(&S1SetupRequest{ENBID: 1, ENBName: "e1", TAC: 7}); err != nil {
+	if err := conn.Send(&MsgView{Type: TypeS1SetupRequest, ENBID: 1, ENBName: []byte("e1"), TAC: 7}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := conn.Recv()
-	if err != nil {
+	var sr MsgView
+	if err := conn.Recv(&sr); err != nil {
 		t.Fatal(err)
 	}
-	sr, ok := resp.(*S1SetupResponse)
-	if !ok || sr.MMEName != "mme-for-e1" || sr.ServedTAC != 7 {
-		t.Errorf("response = %+v", resp)
+	if sr.Type != TypeS1SetupResponse || string(sr.MMEName) != "mme-for-e1" || sr.ServedTAC != 7 {
+		t.Errorf("response = %+v", sr)
 	}
 	if err, _ := done.Wait(); err != nil {
 		t.Fatal(err)
@@ -134,13 +139,12 @@ func TestConnInterleavedNASTransport(t *testing.T) {
 		}
 		conn := NewConn(c)
 		for i := 0; i < 10; i++ {
-			m, err := conn.Recv()
-			if err != nil {
+			var ul MsgView
+			if err := conn.Recv(&ul); err != nil {
 				srvDone.Put(err)
 				return
 			}
-			ul := m.(*UplinkNASTransport)
-			if err := conn.Send(&DownlinkNASTransport{ENBUEID: ul.ENBUEID, MMEUEID: 100 + ul.ENBUEID, NASPDU: ul.NASPDU}); err != nil {
+			if err := conn.Send(&MsgView{Type: TypeDownlinkNASTransport, ENBUEID: ul.ENBUEID, MMEUEID: 100 + ul.ENBUEID, NASPDU: ul.NASPDU}); err != nil {
 				srvDone.Put(err)
 				return
 			}
@@ -153,15 +157,14 @@ func TestConnInterleavedNASTransport(t *testing.T) {
 	}
 	conn := NewConn(raw)
 	for i := uint32(0); i < 10; i++ {
-		if err := conn.Send(&UplinkNASTransport{ENBUEID: i, MMEUEID: 0, NASPDU: []byte{byte(i)}}); err != nil {
+		if err := conn.Send(&MsgView{Type: TypeUplinkNASTransport, ENBUEID: i, MMEUEID: 0, NASPDU: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
-		m, err := conn.Recv()
-		if err != nil {
+		var dl MsgView
+		if err := conn.Recv(&dl); err != nil {
 			t.Fatal(err)
 		}
-		dl := m.(*DownlinkNASTransport)
-		if dl.ENBUEID != i || dl.MMEUEID != 100+i || dl.NASPDU[0] != byte(i) {
+		if dl.Type != TypeDownlinkNASTransport || dl.ENBUEID != i || dl.MMEUEID != 100+i || dl.NASPDU[0] != byte(i) {
 			t.Fatalf("echo mismatch at %d: %+v", i, dl)
 		}
 	}

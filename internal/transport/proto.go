@@ -94,33 +94,30 @@ type Packet struct {
 // ErrBadPacket reports a malformed MST packet.
 var ErrBadPacket = errors.New("transport: bad packet")
 
-// EncodePacket serializes a packet.
-func EncodePacket(p Packet) ([]byte, error) {
-	w := wire.NewWriter(32 + len(p.Token) + len(p.Payload))
-	w.U8(uint8(p.Type))
-	w.U64(p.CID)
-	w.U64(p.Seq)
-	w.U64(p.Ack)
-	w.Bytes8(p.Token)
-	w.Bytes16(p.Payload)
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+func (p *Packet) walk(c *wire.Codec) {
+	c.U8((*uint8)(&p.Type))
+	c.U64(&p.CID)
+	c.U64(&p.Seq)
+	c.U64(&p.Ack)
+	c.Bytes8(&p.Token)
+	c.Bytes16(&p.Payload)
 }
 
-// DecodePacket parses a packet.
-func DecodePacket(b []byte) (Packet, error) {
-	r := wire.NewReader(b)
-	p := Packet{
-		Type:    PacketType(r.U8()),
-		CID:     r.U64(),
-		Seq:     r.U64(),
-		Ack:     r.U64(),
-		Token:   r.Bytes8(),
-		Payload: r.Bytes16(),
+// EncodePacket serializes a packet.
+func EncodePacket(p Packet) ([]byte, error) {
+	c := wire.Encoder(make([]byte, 0, 32+len(p.Token)+len(p.Payload)))
+	p.walk(&c)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	if err := r.Err(); err != nil {
+	return c.Bytes(), nil
+}
+
+// DecodePacket parses a packet. Token and Payload are copies.
+func DecodePacket(b []byte) (p Packet, err error) {
+	c := wire.CopyingDecoder(b)
+	p.walk(&c)
+	if err := c.Err(); err != nil {
 		return Packet{}, fmt.Errorf("%w: %v", ErrBadPacket, err)
 	}
 	return p, nil

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 )
 
@@ -176,28 +175,3 @@ func (c *FrameConn) RecvOwned() ([]byte, error) {
 	defer c.readMu.Unlock()
 	return ReadFrameOwned(c.rw)
 }
-
-// Message is implemented by every protocol message that can serialize
-// itself. Decode counterparts are per-package functions dispatching on a
-// message-type byte, gopacket-style.
-type Message interface {
-	// EncodeTo appends the message body (excluding any type tag the
-	// enclosing protocol adds) to w.
-	EncodeTo(w *Writer)
-}
-
-// Marshal encodes a type tag followed by the message body.
-func Marshal(msgType uint8, m Message) ([]byte, error) {
-	w := NewWriter(64)
-	w.U8(msgType)
-	m.EncodeTo(w)
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
-// mathFloat64bits and mathFloat64frombits avoid importing math in
-// wire.go for two conversions; they live here beside other helpers.
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }

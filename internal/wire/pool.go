@@ -2,36 +2,30 @@ package wire
 
 import "sync"
 
-// writerPoolCap bounds the buffer capacity retained by the writer pool.
-// Occasional giant frames (registry snapshot chunks) go back to the GC
-// instead of pinning megabytes inside the pool.
-const writerPoolCap = 1 << 20
+// encoderPoolCap bounds the buffer capacity retained by the encoder
+// pool. Occasional giant frames (registry snapshot chunks) go back to
+// the GC instead of pinning megabytes inside the pool.
+const encoderPoolCap = 1 << 20
 
-var writerPool = sync.Pool{
-	New: func() interface{} { return &Writer{buf: make([]byte, 0, 1024)} },
+var encoderPool = sync.Pool{
+	New: func() interface{} { return &Codec{buf: make([]byte, 0, 1024)} },
 }
 
-// GetWriter returns an empty pooled Writer. Hot encode paths (X2 send,
-// registry round trips) use it to marshal without a per-message
-// allocation: encode, hand Bytes() to FrameConn.Send (which copies into
-// the stream), then release with PutWriter.
-func GetWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	return w
+// GetEncoder returns an empty pooled encoding Codec. Hot encode paths
+// (X2 send, registry round trips) use it to marshal without a
+// per-message allocation: encode, hand Bytes() to FrameConn.Send
+// (which copies into the stream), then release with PutEncoder.
+func GetEncoder() *Codec {
+	c := encoderPool.Get().(*Codec)
+	c.Reset()
+	return c
 }
 
-// PutWriter recycles a Writer obtained from GetWriter. The Writer and
+// PutEncoder recycles a Codec obtained from GetEncoder. The Codec and
 // its Bytes() must not be used afterwards.
-func PutWriter(w *Writer) {
-	if cap(w.buf) > writerPoolCap {
+func PutEncoder(c *Codec) {
+	if cap(c.buf) > encoderPoolCap {
 		return
 	}
-	writerPool.Put(w)
-}
-
-// Reset empties the Writer for reuse, keeping its buffer capacity.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.err = nil
+	encoderPool.Put(c)
 }

@@ -5,121 +5,165 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-func TestWriterReaderRoundTrip(t *testing.T) {
-	w := NewWriter(0)
-	w.U8(0xAB)
-	w.U16(0xBEEF)
-	w.U32(0xDEADBEEF)
-	w.U64(0x0123456789ABCDEF)
-	w.F64(-12.75)
-	w.Bool(true)
-	w.Bool(false)
-	w.Bytes8([]byte{1, 2, 3})
-	w.Bytes16([]byte{9, 8})
-	w.String8("hi")
-	w.String16("dlte")
-	w.Bytes0([]byte{0xFF})
-	if err := w.Err(); err != nil {
-		t.Fatalf("writer error: %v", err)
-	}
+// sample carries one field of every kind; its walk is the layout.
+type sample struct {
+	u8     uint8
+	u16    uint16
+	u32    uint32
+	u64    uint64
+	i32    int32
+	f64    float64
+	yes    bool
+	no     bool
+	fixed  [3]byte
+	b8     []byte
+	b16    []byte
+	s8     string
+	s16    string
+	list   []uint16
+	listed bool
+}
 
-	r := NewReader(w.Bytes())
-	if got := r.U8(); got != 0xAB {
-		t.Errorf("U8 = %#x", got)
+func (s *sample) walk(c *Codec) {
+	c.U8(&s.u8)
+	c.U16(&s.u16)
+	c.U32(&s.u32)
+	c.U64(&s.u64)
+	c.I32(&s.i32)
+	c.F64(&s.f64)
+	c.Bool(&s.yes)
+	c.Bool(&s.no)
+	c.Fixed(s.fixed[:])
+	c.Bytes8(&s.b8)
+	c.Bytes16(&s.b16)
+	c.String8(&s.s8)
+	c.String16(&s.s16)
+	Len(c, &s.list, 1, 4)
+	for i := range s.list {
+		c.U16(&s.list[i])
 	}
-	if got := r.U16(); got != 0xBEEF {
-		t.Errorf("U16 = %#x", got)
+}
+
+// TestWriterReaderRoundTrip: one walk writes every field kind and the
+// same walk reads them back, views and copies alike.
+func TestWriterReaderRoundTrip(t *testing.T) {
+	in := sample{u8: 0xAB, u16: 0xBEEF, u32: 0xDEADBEEF, u64: 0x0123456789ABCDEF, i32: -9850,
+		f64: -12.75, yes: true, fixed: [3]byte{7, 7, 7}, b8: []byte{1, 2, 3}, b16: []byte{9, 8},
+		s8: "hi", s16: "dlte", list: []uint16{5, 6}}
+	e := Encoder(nil)
+	in.walk(&e)
+	if err := e.Err(); err != nil {
+		t.Fatalf("encode error: %v", err)
 	}
-	if got := r.U32(); got != 0xDEADBEEF {
-		t.Errorf("U32 = %#x", got)
+	if e.Len() != len(e.Bytes()) || e.Decoding() {
+		t.Fatal("encoder state")
 	}
-	if got := r.U64(); got != 0x0123456789ABCDEF {
-		t.Errorf("U64 = %#x", got)
+	for _, d := range []Codec{Decoder(e.Bytes()), CopyingDecoder(e.Bytes())} {
+		var out sample
+		out.walk(&d)
+		if err := d.Err(); err != nil {
+			t.Fatalf("decode error: %v", err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Errorf("round trip = %+v, want %+v", out, in)
+		}
 	}
-	if got := r.F64(); got != -12.75 {
-		t.Errorf("F64 = %v", got)
+	// Views alias the input; copies do not.
+	buf := bytes.Clone(e.Bytes())
+	var view, owned sample
+	v, o := Decoder(buf), CopyingDecoder(buf)
+	view.walk(&v)
+	owned.walk(&o)
+	for i := range buf {
+		buf[i] ^= 0xFF
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if got := r.Bytes8(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("Bytes8 = %v", got)
-	}
-	if got := r.Bytes16(); !bytes.Equal(got, []byte{9, 8}) {
-		t.Errorf("Bytes16 = %v", got)
-	}
-	if got := r.String8(); got != "hi" {
-		t.Errorf("String8 = %q", got)
-	}
-	if got := r.String16(); got != "dlte" {
-		t.Errorf("String16 = %q", got)
-	}
-	if got := r.Rest(); !bytes.Equal(got, []byte{0xFF}) {
-		t.Errorf("Rest = %v", got)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("reader error: %v", err)
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("Remaining = %d", r.Remaining())
+	if view.b16[1] == 8 || owned.b16[1] != 8 {
+		t.Errorf("view b16 = %v, copy b16 = %v", view.b16, owned.b16)
 	}
 }
 
 func TestReaderTruncation(t *testing.T) {
-	r := NewReader([]byte{0x01})
-	_ = r.U32()
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("want ErrTruncated, got %v", r.Err())
+	d := Decoder([]byte{0x01})
+	var v uint32
+	d.U32(&v)
+	if !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("want ErrTruncated, got %v", d.Err())
 	}
-	// After an error, everything reads as zero and the error sticks.
-	if got := r.U8(); got != 0 {
-		t.Errorf("post-error read = %v, want 0", got)
+	// After an error, fields are left untouched and the error sticks.
+	x := uint8(9)
+	d.U8(&x)
+	if x != 9 || v != 0 {
+		t.Errorf("post-error read = %v/%v, want untouched", x, v)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Errorf("error did not stick: %v", r.Err())
+	if !errors.Is(d.Err(), ErrTruncated) {
+		t.Errorf("error did not stick: %v", d.Err())
 	}
 }
 
 func TestReaderTruncatedLengthPrefix(t *testing.T) {
 	// Prefix says 5 bytes but only 2 present.
-	r := NewReader([]byte{5, 1, 2})
-	_ = r.Bytes8()
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("want ErrTruncated, got %v", r.Err())
+	d := Decoder([]byte{5, 1, 2})
+	var b []byte
+	d.Bytes8(&b)
+	if !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("want ErrTruncated, got %v", d.Err())
+	}
+}
+
+// TestDecoderStrict: the one decoder rejects trailing bytes and
+// boolean octets other than 0/1, and forged list counts above the cap.
+func TestDecoderStrict(t *testing.T) {
+	var x uint8
+	d := Decoder([]byte{1, 2})
+	d.U8(&x)
+	if !errors.Is(d.Err(), ErrNonCanonical) {
+		t.Errorf("trailing byte: %v", d.Err())
+	}
+	var yes bool
+	d = Decoder([]byte{2})
+	d.Bool(&yes)
+	if !errors.Is(d.Err(), ErrNonCanonical) || yes {
+		t.Errorf("bool octet 2: %v, %v", d.Err(), yes)
+	}
+	var list []uint64
+	d = Decoder([]byte{0xFF, 0xFF})
+	Len(&d, &list, 2, 100)
+	if !errors.Is(d.Err(), ErrOverflow) || list != nil {
+		t.Errorf("forged count: %v, len %d", d.Err(), len(list))
 	}
 }
 
 func TestWriterOverflow(t *testing.T) {
-	w := NewWriter(0)
-	w.Bytes8(make([]byte, 256))
-	if !errors.Is(w.Err(), ErrOverflow) {
-		t.Fatalf("want ErrOverflow, got %v", w.Err())
-	}
-	w2 := NewWriter(0)
-	w2.Bytes16(make([]byte, 70000))
-	if !errors.Is(w2.Err(), ErrOverflow) {
-		t.Fatalf("want ErrOverflow, got %v", w2.Err())
+	for name, walk := range map[string]func(c *Codec){
+		"bytes8":  func(c *Codec) { b := make([]byte, 256); c.Bytes8(&b) },
+		"bytes16": func(c *Codec) { b := make([]byte, 70000); c.Bytes16(&b) },
+		"string8": func(c *Codec) { s := string(make([]byte, 300)); c.String8(&s) },
+		"len":     func(c *Codec) { l := make([]int, 5); Len(c, &l, 1, 4) },
+	} {
+		e := Encoder(nil)
+		walk(&e)
+		if !errors.Is(e.Err(), ErrOverflow) {
+			t.Errorf("%s: want ErrOverflow, got %v", name, e.Err())
+		}
 	}
 }
 
 func TestF64SpecialValues(t *testing.T) {
-	for _, v := range []float64{0, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64} {
-		w := NewWriter(8)
-		w.F64(v)
-		r := NewReader(w.Bytes())
-		if got := r.F64(); got != v {
+	for _, v := range []float64{0, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN()} {
+		e := Encoder(nil)
+		e.F64(&v)
+		var got float64
+		d := Decoder(e.Bytes())
+		d.F64(&got)
+		// NaN round-trips to NaN: the bit pattern is preserved.
+		if math.Float64bits(got) != math.Float64bits(v) {
 			t.Errorf("F64(%v) round trip = %v", v, got)
 		}
-	}
-	// NaN round-trips to NaN (bit pattern preserved).
-	w := NewWriter(8)
-	w.F64(math.NaN())
-	if got := NewReader(w.Bytes()).F64(); !math.IsNaN(got) {
-		t.Errorf("NaN round trip = %v", got)
 	}
 }
 
@@ -128,20 +172,17 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(s) > 255 || len(blob) > 65535 {
 			return true
 		}
-		w := NewWriter(0)
-		w.U8(a)
-		w.U16(b)
-		w.U32(c)
-		w.U64(d)
-		w.String8(s)
-		w.Bytes16(blob)
-		if w.Err() != nil {
+		in := sample{u8: a, u16: b, u32: c, u64: d, s8: s, b16: blob, fixed: [3]byte{1, 2, 3}}
+		e := Encoder(nil)
+		in.walk(&e)
+		if e.Err() != nil {
 			return false
 		}
-		r := NewReader(w.Bytes())
-		ok := r.U8() == a && r.U16() == b && r.U32() == c && r.U64() == d &&
-			r.String8() == s && bytes.Equal(r.Bytes16(), blob)
-		return ok && r.Err() == nil && r.Remaining() == 0
+		var out sample
+		dec := Decoder(e.Bytes())
+		out.walk(&dec)
+		return dec.Err() == nil && out.u8 == a && out.u16 == b && out.u32 == c && out.u64 == d &&
+			out.s8 == s && bytes.Equal(out.b16, blob)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -257,30 +298,35 @@ func (b *countingBuffer) Write(p []byte) (int, error) {
 	return b.Buffer.Write(p)
 }
 
-type testMsg struct{ v uint32 }
-
-func (m testMsg) EncodeTo(w *Writer) { w.U32(m.v) }
-
-func TestMarshal(t *testing.T) {
-	b, err := Marshal(7, testMsg{v: 42})
-	if err != nil {
-		t.Fatal(err)
+// TestLayoutWalksBothWays: a pooled encoder runs a walk like a fresh
+// one and resets cleanly between messages.
+func TestLayoutWalksBothWays(t *testing.T) {
+	typ, v := uint8(7), uint32(42)
+	c := GetEncoder()
+	defer PutEncoder(c)
+	c.U8(&typ)
+	c.U32(&v)
+	d := Decoder(bytes.Clone(c.Bytes()))
+	var gt uint8
+	var gv uint32
+	d.U8(&gt)
+	d.U32(&gv)
+	if d.Err() != nil || gt != 7 || gv != 42 {
+		t.Errorf("decoded %d/%d, %v", gt, gv, d.Err())
 	}
-	r := NewReader(b)
-	if typ := r.U8(); typ != 7 {
-		t.Errorf("type = %d", typ)
-	}
-	if v := r.U32(); v != 42 {
-		t.Errorf("v = %d", v)
+	c.Reset()
+	if c.Len() != 0 || c.Err() != nil {
+		t.Errorf("reset encoder: len %d, err %v", c.Len(), c.Err())
 	}
 }
 
-type overflowMsg struct{}
-
-func (overflowMsg) EncodeTo(w *Writer) { w.Bytes8(make([]byte, 300)) }
-
-func TestMarshalPropagatesError(t *testing.T) {
-	if _, err := Marshal(1, overflowMsg{}); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("want ErrOverflow, got %v", err)
+// TestEncodeErrorSticks: the first encoding error is the one reported.
+func TestEncodeErrorSticks(t *testing.T) {
+	e := Encoder(nil)
+	b := make([]byte, 300)
+	e.Bytes8(&b)
+	e.Fail(errors.New("later"))
+	if !errors.Is(e.Err(), ErrOverflow) {
+		t.Fatalf("want ErrOverflow, got %v", e.Err())
 	}
 }

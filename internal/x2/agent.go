@@ -237,7 +237,7 @@ func (a *Agent) sendFrame(pc *peerConn, b []byte) error {
 }
 
 // Send delivers a message to the named peer. The encode path uses a
-// pooled writer: 0 allocs/op at steady state.
+// pooled encoder: 0 allocs/op at steady state.
 func (a *Agent) Send(peerID string, m Message) error {
 	a.mu.Lock()
 	pc, ok := a.peers[peerID]
@@ -245,26 +245,24 @@ func (a *Agent) Send(peerID string, m Message) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoPeer, peerID)
 	}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(uint8(m.Type()))
-	m.EncodeTo(w)
-	if err := w.Err(); err != nil {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	Encode(c, m)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	return a.sendFrame(pc, w.Bytes())
+	return a.sendFrame(pc, c.Bytes())
 }
 
 // Broadcast sends a message to every connected peer, returning the
 // first error (all peers are still attempted). The message is encoded
-// once into a pooled writer and the peer set snapshots into a reused
+// once into a pooled encoder and the peer set snapshots into a reused
 // scratch slice, so steady-state broadcasts allocate nothing.
 func (a *Agent) Broadcast(m Message) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U8(uint8(m.Type()))
-	m.EncodeTo(w)
-	if err := w.Err(); err != nil {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	Encode(c, m)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	a.bmu.Lock()
@@ -277,7 +275,7 @@ func (a *Agent) Broadcast(m Message) error {
 	a.mu.Unlock()
 	var first error
 	for i, pc := range a.bscratch {
-		if err := a.sendFrame(pc, w.Bytes()); err != nil && first == nil {
+		if err := a.sendFrame(pc, c.Bytes()); err != nil && first == nil {
 			first = err
 		}
 		a.bscratch[i] = nil // don't pin dropped peers until the next call

@@ -14,7 +14,7 @@ import (
 
 // discardConn is a net.Conn whose writes are counted and dropped. The
 // allocation-gated benchmarks attach peers to it so they measure
-// exactly the claim under test — encode once into a pooled writer,
+// exactly the claim under test — encode once into a pooled encoder,
 // frame, and write per peer — without concurrent receiver goroutines
 // in the measured window. (Cross-goroutine sync.Pool traffic strands
 // buffers in per-P private slots whenever a blocked reader wakes on a
@@ -116,7 +116,7 @@ func sinkHandshake(fc *wire.FrameConn, id string) error {
 var benchLoad = LoadInformation{APID: "hub", AttachedUEs: 40, PRBUtilization: 750, DemandBps: 80_000_000}
 
 // BenchmarkX2Broadcast measures one load report fanned out to a
-// 16-peer contention domain: encode once into a pooled writer, send
+// 16-peer contention domain: encode once into a pooled encoder, send
 // per peer from a reused peer-snapshot scratch. Allocation-gated in
 // CI (cmd/benchgate) at 0 allocs/op.
 func BenchmarkX2Broadcast(b *testing.B) {
@@ -160,7 +160,7 @@ func BenchmarkX2BroadcastSimnet(b *testing.B) {
 
 // TestX2BroadcastZeroAlloc is the hard allocation gate on the
 // coordination-plane send path: after warm-up, broadcasting to a full
-// mesh must not allocate — not in the encoder (pooled writer), not in
+// mesh must not allocate — not in the encoder (pooled encoder), not in
 // the peer snapshot (reused scratch), not in the framing (pooled
 // prefix+payload scratch released after the stream write).
 func TestX2BroadcastZeroAlloc(t *testing.T) {

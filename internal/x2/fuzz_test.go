@@ -95,10 +95,13 @@ func TestShareUpdateRoundTripProperty(t *testing.T) {
 }
 
 // FuzzDecode is the coverage-guided companion to the quick checks
-// above, mirroring internal/gtp's fuzzer: arbitrary bytes must never
-// panic the decoder, and anything it accepts must survive a
-// marshal→decode round trip unchanged (after boolean normalization —
-// the wire treats any nonzero octet as true).
+// above. The invariant is the one the NAS, S1AP and registry fuzzers
+// hold: the decoder is strict (no trailing bytes, boolean octets must
+// be 0 or 1), so any input it accepts is already the canonical
+// serialization of the result — re-marshaling the decoded message must
+// reproduce the input byte for byte. X2 peers are other administrative
+// domains, so two byte strings that decode to one message would be a
+// mis-parse an attacker could use.
 //
 // Run the seeds with `go test`; explore with
 // `go test -fuzz=FuzzDecode ./internal/x2`.
@@ -126,30 +129,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add(seed(&RelayRequest{APID: "ap3", NeededBps: 1_000_000}))
 	f.Add(seed(&RelayResponse{APID: "ap1", Granted: true, GrantedBps: 500_000}))
 	f.Add(seed(&RelayData{FlowID: 7, Payload: []byte("datagram")}))
-	f.Add(append(seed(&PeerHello{APID: "ap1"}), 0xDE, 0xAD)) // trailing junk is tolerated
+	f.Add(append(seed(&PeerHello{APID: "ap1"}), 0xDE, 0xAD)) // trailing junk must be rejected
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := Decode(b)
 		if err != nil {
 			return
 		}
+		// NaN coordinates (legal on the wire) keep their bits, so the
+		// bytes compare even where the floats would not.
 		round, err := Marshal(msg)
 		if err != nil {
 			t.Fatalf("accepted message does not re-marshal: %v", err)
 		}
-		again, err := Decode(round)
-		if err != nil {
-			t.Fatalf("re-marshaled message does not decode: %v", err)
-		}
-		// Compare via a second marshal rather than DeepEqual: marshaled
-		// bytes are the protocol's canonical form, and NaN coordinates
-		// (legal on the wire) never compare equal as floats.
-		round2, err := Marshal(again)
-		if err != nil {
-			t.Fatalf("second marshal failed: %v", err)
-		}
-		if !bytes.Equal(round, round2) {
-			t.Fatalf("round trip changed the message:\n got %x (%#v)\nwant %x (%#v)", round2, again, round, msg)
+		if !bytes.Equal(b, round) {
+			t.Fatalf("accepted a non-canonical encoding:\n  in  %x\n  out %x", b, round)
 		}
 	})
 }

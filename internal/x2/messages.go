@@ -17,8 +17,10 @@
 package x2
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"dlte/internal/wire"
 )
@@ -44,36 +46,40 @@ const (
 	TypeRelayData
 )
 
-// msgTypeNames is built once; String runs on logging/error paths that
-// must not allocate a map per call.
-var msgTypeNames = map[MsgType]string{
-	TypePeerHello:          "PeerHello",
-	TypePeerHelloAck:       "PeerHelloAck",
-	TypeLoadInformation:    "LoadInformation",
-	TypeHandoverRequest:    "HandoverRequest",
-	TypeHandoverRequestAck: "HandoverRequestAck",
-	TypeHandoverComplete:   "HandoverComplete",
-	TypeModeProposal:       "ModeProposal",
-	TypeModeResponse:       "ModeResponse",
-	TypeShareUpdate:        "ShareUpdate",
-	TypeUEContextPush:      "UEContextPush",
-	TypeRelayRequest:       "RelayRequest",
-	TypeRelayResponse:      "RelayResponse",
-	TypeRelayData:          "RelayData",
+// kinds maps each type octet to its name and a constructor for the
+// message the decoder walks into.
+var kinds = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypePeerHello:          {"PeerHello", func() Message { return new(PeerHello) }},
+	TypePeerHelloAck:       {"PeerHelloAck", func() Message { return new(PeerHelloAck) }},
+	TypeLoadInformation:    {"LoadInformation", func() Message { return new(LoadInformation) }},
+	TypeHandoverRequest:    {"HandoverRequest", func() Message { return new(HandoverRequest) }},
+	TypeHandoverRequestAck: {"HandoverRequestAck", func() Message { return new(HandoverRequestAck) }},
+	TypeHandoverComplete:   {"HandoverComplete", func() Message { return new(HandoverComplete) }},
+	TypeModeProposal:       {"ModeProposal", func() Message { return new(ModeProposal) }},
+	TypeModeResponse:       {"ModeResponse", func() Message { return new(ModeResponse) }},
+	TypeShareUpdate:        {"ShareUpdate", func() Message { return new(ShareUpdate) }},
+	TypeUEContextPush:      {"UEContextPush", func() Message { return new(UEContextPush) }},
+	TypeRelayRequest:       {"RelayRequest", func() Message { return new(RelayRequest) }},
+	TypeRelayResponse:      {"RelayResponse", func() Message { return new(RelayResponse) }},
+	TypeRelayData:          {"RelayData", func() Message { return new(RelayData) }},
 }
 
 // String names the type.
 func (t MsgType) String() string {
-	if n, ok := msgTypeNames[t]; ok {
-		return n
+	if int(t) < len(kinds) && kinds[t].new != nil {
+		return kinds[t].name
 	}
 	return fmt.Sprintf("X2(%d)", uint8(t))
 }
 
-// Message is any X2 message.
+// Message is any X2 message. Its walk is the one declaration of its
+// field layout, run by Encode and Decode alike.
 type Message interface {
-	wire.Message
 	Type() MsgType
+	walk(c *wire.Codec)
 }
 
 // ErrUnknownMessage reports an unrecognized type octet.
@@ -117,13 +123,12 @@ type PeerHello struct {
 // Type implements Message.
 func (PeerHello) Type() MsgType { return TypePeerHello }
 
-// EncodeTo implements wire.Message.
-func (m PeerHello) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.F64(m.X)
-	w.F64(m.Y)
-	w.String8(m.BandName)
-	w.U8(uint8(m.Mode))
+func (m *PeerHello) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.F64(&m.X)
+	c.F64(&m.Y)
+	c.String8(&m.BandName)
+	c.U8((*uint8)(&m.Mode))
 }
 
 // PeerHelloAck completes the hello exchange.
@@ -135,10 +140,9 @@ type PeerHelloAck struct {
 // Type implements Message.
 func (PeerHelloAck) Type() MsgType { return TypePeerHelloAck }
 
-// EncodeTo implements wire.Message.
-func (m PeerHelloAck) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.U8(uint8(m.Mode))
+func (m *PeerHelloAck) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.U8((*uint8)(&m.Mode))
 }
 
 // LoadInformation advertises an AP's current radio load, the input to
@@ -157,12 +161,11 @@ type LoadInformation struct {
 // Type implements Message.
 func (LoadInformation) Type() MsgType { return TypeLoadInformation }
 
-// EncodeTo implements wire.Message.
-func (m LoadInformation) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.U16(m.AttachedUEs)
-	w.U16(m.PRBUtilization)
-	w.U64(m.DemandBps)
+func (m *LoadInformation) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.U16(&m.AttachedUEs)
+	c.U16(&m.PRBUtilization)
+	c.U64(&m.DemandBps)
 }
 
 // HandoverRequest prepares the target AP to receive a client.
@@ -176,11 +179,10 @@ type HandoverRequest struct {
 // Type implements Message.
 func (HandoverRequest) Type() MsgType { return TypeHandoverRequest }
 
-// EncodeTo implements wire.Message.
-func (m HandoverRequest) EncodeTo(w *wire.Writer) {
-	w.String8(m.IMSI)
-	w.String8(m.SourceAP)
-	w.U32(uint32(m.RSRPdBm))
+func (m *HandoverRequest) walk(c *wire.Codec) {
+	c.String8(&m.IMSI)
+	c.String8(&m.SourceAP)
+	c.I32(&m.RSRPdBm)
 }
 
 // HandoverRequestAck accepts (or refuses) the incoming client.
@@ -193,11 +195,10 @@ type HandoverRequestAck struct {
 // Type implements Message.
 func (HandoverRequestAck) Type() MsgType { return TypeHandoverRequestAck }
 
-// EncodeTo implements wire.Message.
-func (m HandoverRequestAck) EncodeTo(w *wire.Writer) {
-	w.String8(m.IMSI)
-	w.Bool(m.Accepted)
-	w.U8(m.Cause)
+func (m *HandoverRequestAck) walk(c *wire.Codec) {
+	c.String8(&m.IMSI)
+	c.Bool(&m.Accepted)
+	c.U8(&m.Cause)
 }
 
 // HandoverComplete tells the source the client attached at the target.
@@ -209,10 +210,9 @@ type HandoverComplete struct {
 // Type implements Message.
 func (HandoverComplete) Type() MsgType { return TypeHandoverComplete }
 
-// EncodeTo implements wire.Message.
-func (m HandoverComplete) EncodeTo(w *wire.Writer) {
-	w.String8(m.IMSI)
-	w.String8(m.TargetAP)
+func (m *HandoverComplete) walk(c *wire.Codec) {
+	c.String8(&m.IMSI)
+	c.String8(&m.TargetAP)
 }
 
 // ModeProposal asks a peer to operate in the given mode.
@@ -224,10 +224,9 @@ type ModeProposal struct {
 // Type implements Message.
 func (ModeProposal) Type() MsgType { return TypeModeProposal }
 
-// EncodeTo implements wire.Message.
-func (m ModeProposal) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.U8(uint8(m.Mode))
+func (m *ModeProposal) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.U8((*uint8)(&m.Mode))
 }
 
 // ModeResponse accepts or rejects a mode proposal. Agreement requires
@@ -241,11 +240,10 @@ type ModeResponse struct {
 // Type implements Message.
 func (ModeResponse) Type() MsgType { return TypeModeResponse }
 
-// EncodeTo implements wire.Message.
-func (m ModeResponse) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.U8(uint8(m.Mode))
-	w.Bool(m.Accepted)
+func (m *ModeResponse) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.U8((*uint8)(&m.Mode))
+	c.Bool(&m.Accepted)
 }
 
 // ShareUpdate distributes the negotiated TDM airtime pattern.
@@ -258,12 +256,22 @@ type ShareUpdate struct {
 // Type implements Message.
 func (ShareUpdate) Type() MsgType { return TypeShareUpdate }
 
-// EncodeTo implements wire.Message.
-func (m ShareUpdate) EncodeTo(w *wire.Writer) {
-	w.U8(uint8(len(m.APIDs)))
+// ErrShareMismatch reports a ShareUpdate whose APIDs and Fractions
+// differ in length.
+var ErrShareMismatch = errors.New("x2: share update APIDs and Fractions differ in length")
+
+func (m *ShareUpdate) walk(c *wire.Codec) {
+	n := len(m.APIDs)
+	wire.Len(c, &m.APIDs, 1, math.MaxUint8) // a larger domain is ErrOverflow, not a wrapped count
+	if c.Decoding() {
+		m.Fractions = make([]uint16, len(m.APIDs))
+	} else if len(m.Fractions) != n {
+		c.Fail(fmt.Errorf("%w: %d and %d", ErrShareMismatch, n, len(m.Fractions)))
+		return
+	}
 	for i := range m.APIDs {
-		w.String8(m.APIDs[i])
-		w.U16(m.Fractions[i])
+		c.String8(&m.APIDs[i])
+		c.U16(&m.Fractions[i])
 	}
 }
 
@@ -279,11 +287,10 @@ type UEContextPush struct {
 // Type implements Message.
 func (UEContextPush) Type() MsgType { return TypeUEContextPush }
 
-// EncodeTo implements wire.Message.
-func (m UEContextPush) EncodeTo(w *wire.Writer) {
-	w.String8(m.IMSI)
-	w.Bytes8(m.K)
-	w.Bytes8(m.OPc)
+func (m *UEContextPush) walk(c *wire.Codec) {
+	c.String8(&m.IMSI)
+	c.Bytes8(&m.K)
+	c.Bytes8(&m.OPc)
 }
 
 // RelayRequest asks a neighbor to carry traffic while this AP's
@@ -297,10 +304,9 @@ type RelayRequest struct {
 // Type implements Message.
 func (RelayRequest) Type() MsgType { return TypeRelayRequest }
 
-// EncodeTo implements wire.Message.
-func (m RelayRequest) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.U64(m.NeededBps)
+func (m *RelayRequest) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.U64(&m.NeededBps)
 }
 
 // RelayResponse grants or refuses relay capacity.
@@ -313,11 +319,10 @@ type RelayResponse struct {
 // Type implements Message.
 func (RelayResponse) Type() MsgType { return TypeRelayResponse }
 
-// EncodeTo implements wire.Message.
-func (m RelayResponse) EncodeTo(w *wire.Writer) {
-	w.String8(m.APID)
-	w.Bool(m.Granted)
-	w.U64(m.GrantedBps)
+func (m *RelayResponse) walk(c *wire.Codec) {
+	c.String8(&m.APID)
+	c.Bool(&m.Granted)
+	c.U64(&m.GrantedBps)
 }
 
 // RelayData carries an opaque user packet across the inter-AP radio
@@ -330,57 +335,46 @@ type RelayData struct {
 // Type implements Message.
 func (RelayData) Type() MsgType { return TypeRelayData }
 
-// EncodeTo implements wire.Message.
-func (m RelayData) EncodeTo(w *wire.Writer) {
-	w.U32(m.FlowID)
-	w.Bytes16(m.Payload)
+func (m *RelayData) walk(c *wire.Codec) {
+	c.U32(&m.FlowID)
+	c.Bytes16(&m.Payload)
 }
 
-// Marshal serializes a message with its type octet.
-func Marshal(m Message) ([]byte, error) { return wire.Marshal(uint8(m.Type()), m) }
+// Encode writes m's type octet and fields to an encoding Codec — a
+// pooled one (wire.GetEncoder) on the allocation-free send path.
+func Encode(c *wire.Codec, m Message) {
+	t := m.Type()
+	c.U8((*uint8)(&t))
+	m.walk(c)
+}
 
-// Decode parses an X2 message.
+// Marshal serializes a message with its type octet into a fresh
+// buffer.
+func Marshal(m Message) ([]byte, error) {
+	c := wire.GetEncoder()
+	defer wire.PutEncoder(c)
+	Encode(c, m)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("x2: encode %s: %w", m.Type(), err)
+	}
+	return bytes.Clone(c.Bytes()), nil
+}
+
+// Decode parses an X2 message. Decoding is as strict as NAS, S1AP and
+// the registry: X2 peers are other administrative domains, so
+// truncation, trailing bytes and boolean octets other than 0/1 are all
+// errors, and an accepted input is the unique encoding of the result.
+// Byte fields are copies, so the message outlives b.
 func Decode(b []byte) (Message, error) {
-	r := wire.NewReader(b)
-	t := MsgType(r.U8())
-	var m Message
-	switch t {
-	case TypePeerHello:
-		m = &PeerHello{APID: r.String8(), X: r.F64(), Y: r.F64(), BandName: r.String8(), Mode: Mode(r.U8())}
-	case TypePeerHelloAck:
-		m = &PeerHelloAck{APID: r.String8(), Mode: Mode(r.U8())}
-	case TypeLoadInformation:
-		m = &LoadInformation{APID: r.String8(), AttachedUEs: r.U16(), PRBUtilization: r.U16(), DemandBps: r.U64()}
-	case TypeHandoverRequest:
-		m = &HandoverRequest{IMSI: r.String8(), SourceAP: r.String8(), RSRPdBm: int32(r.U32())}
-	case TypeHandoverRequestAck:
-		m = &HandoverRequestAck{IMSI: r.String8(), Accepted: r.Bool(), Cause: r.U8()}
-	case TypeHandoverComplete:
-		m = &HandoverComplete{IMSI: r.String8(), TargetAP: r.String8()}
-	case TypeModeProposal:
-		m = &ModeProposal{APID: r.String8(), Mode: Mode(r.U8())}
-	case TypeModeResponse:
-		m = &ModeResponse{APID: r.String8(), Mode: Mode(r.U8()), Accepted: r.Bool()}
-	case TypeShareUpdate:
-		n := int(r.U8())
-		su := &ShareUpdate{}
-		for i := 0; i < n; i++ {
-			su.APIDs = append(su.APIDs, r.String8())
-			su.Fractions = append(su.Fractions, r.U16())
-		}
-		m = su
-	case TypeUEContextPush:
-		m = &UEContextPush{IMSI: r.String8(), K: r.Bytes8(), OPc: r.Bytes8()}
-	case TypeRelayRequest:
-		m = &RelayRequest{APID: r.String8(), NeededBps: r.U64()}
-	case TypeRelayResponse:
-		m = &RelayResponse{APID: r.String8(), Granted: r.Bool(), GrantedBps: r.U64()}
-	case TypeRelayData:
-		m = &RelayData{FlowID: r.U32(), Payload: r.Bytes16()}
-	default:
+	c := wire.CopyingDecoder(b)
+	var t MsgType
+	c.U8((*uint8)(&t))
+	if int(t) >= len(kinds) || kinds[t].new == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMessage, t)
 	}
-	if err := r.Err(); err != nil {
+	m := kinds[t].new()
+	m.walk(&c)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("x2: decode %s: %w", t, err)
 	}
 	return m, nil

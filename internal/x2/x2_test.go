@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dlte/internal/simnet"
+	"dlte/internal/wire"
 )
 
 func allMessages() []Message {
@@ -52,6 +53,44 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode([]byte{byte(TypeShareUpdate), 2, 1}); err == nil {
 		t.Error("truncated ShareUpdate decoded")
+	}
+	// Strict like NAS, S1AP and the registry: trailing bytes and
+	// boolean octets other than 0/1 are rejected.
+	hello, _ := Marshal(&PeerHello{APID: "ap1"})
+	if _, err := Decode(append(hello, 0)); !errors.Is(err, wire.ErrNonCanonical) {
+		t.Errorf("trailing byte: %v", err)
+	}
+	ack, _ := Marshal(&HandoverRequestAck{IMSI: "i", Accepted: true})
+	ack[len(ack)-2] = 2 // the Accepted octet
+	if _, err := Decode(ack); !errors.Is(err, wire.ErrNonCanonical) {
+		t.Errorf("boolean octet 2: %v", err)
+	}
+}
+
+// TestShareUpdateEncodeErrors: a domain too large for the u8 count, or
+// APIDs and Fractions of different lengths, fail to encode instead of
+// wrapping the count or panicking.
+func TestShareUpdateEncodeErrors(t *testing.T) {
+	big := &ShareUpdate{APIDs: make([]string, 256), Fractions: make([]uint16, 256)}
+	if _, err := Marshal(big); !errors.Is(err, wire.ErrOverflow) {
+		t.Errorf("256 members: %v, want ErrOverflow", err)
+	}
+	for _, m := range []*ShareUpdate{
+		{APIDs: []string{"ap1", "ap2"}, Fractions: []uint16{5000}},
+		{APIDs: []string{"ap1"}, Fractions: []uint16{5000, 5000}},
+	} {
+		if _, err := Marshal(m); !errors.Is(err, ErrShareMismatch) {
+			t.Errorf("%d APIDs, %d fractions: %v, want ErrShareMismatch", len(m.APIDs), len(m.Fractions), err)
+		}
+	}
+	n := 255
+	full := &ShareUpdate{APIDs: make([]string, n), Fractions: make([]uint16, n)}
+	b, err := Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(b); err != nil || len(got.(*ShareUpdate).APIDs) != n {
+		t.Errorf("255 members: %v", err)
 	}
 }
 
