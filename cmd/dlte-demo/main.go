@@ -51,7 +51,7 @@ func run(out io.Writer, nUE int) error {
 		return err
 	}
 	defer s.Close()
-	clk := s.Clock()
+	clk := s.Clock().(*simnet.VirtualClock)
 
 	step("three owners independently bring up dLTE APs and join the open registry")
 	var aps []*core.AccessPoint
@@ -128,7 +128,16 @@ func run(out io.Writer, nUE int) error {
 	for _, ap := range aps {
 		ap.AdvertiseLoad()
 	}
-	clk.Sleep(100 * time.Millisecond)
+	if !clk.WaitUntil(5*time.Second, func() bool {
+		for _, id := range aps[0].Peers() {
+			if _, ok := aps[0].PeerLoad(id); !ok {
+				return false
+			}
+		}
+		return true
+	}) {
+		return fmt.Errorf("ap1 never received its peers' loads")
+	}
 	share, err := aps[0].NegotiateShares()
 	if err != nil {
 		return err
@@ -143,7 +152,12 @@ func run(out io.Writer, nUE int) error {
 	if err := aps[0].Mobility.Prepare("ap2", d.Publication(), -102); err != nil {
 		return err
 	}
-	clk.Sleep(100 * time.Millisecond)
+	if !clk.WaitUntil(5*time.Second, func() bool {
+		_, ok := aps[1].Mobility.PreparedBy(d.IMSI())
+		return ok
+	}) {
+		return fmt.Errorf("ap2 never received ue1's prepared context")
+	}
 	res, err := d.Attach(aps[1].AirAddr(), 10*time.Second)
 	if err != nil {
 		return err

@@ -32,7 +32,6 @@ func TestSleepOnlyPaces(t *testing.T) {
 	allow := map[string]int{
 		"internal/exp/e7.go: clk.Sleep(period)":                           1, // E7's update period
 		"internal/exp/e10.go: clk.Sleep(d)":                               1, // sleepUntil, E10's join and dial stagger
-		"cmd/dlte-demo/main.go: clk.Sleep(100 * time.Millisecond)":        2, // the demo's narration pauses
 		"internal/leaktest/leaktest.go: time.Sleep(2 * time.Millisecond)": 1, // wall-clock goroutine settle after the tests
 	}
 	for _, root := range []string{"internal", "cmd", "examples"} {

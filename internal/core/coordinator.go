@@ -53,6 +53,15 @@ func (ap *AccessPoint) handleX2(peerID string, msg x2.Message) {
 	}
 }
 
+// PeerLoad reports the latest LoadInformation peer id advertised to
+// this AP over X2.
+func (ap *AccessPoint) PeerLoad(id string) (x2.LoadInformation, bool) {
+	ap.mu.Lock()
+	defer ap.mu.Unlock()
+	l, ok := ap.loads[id]
+	return l, ok
+}
+
 // RequestRelay asks a peer to carry traffic during a backhaul outage
 // (§7). The grant arrives asynchronously; watch RelayGrant.
 func (ap *AccessPoint) RequestRelay(peer string, neededBps uint64) error {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"sync"
@@ -147,6 +149,16 @@ func sleepUntil(clk simnet.Clock, t time.Time) {
 	}
 }
 
+// e10Hex is fmt.Sprintf("%032x", v) without the formatter: a seeded
+// store holds 10k–100k keys of two such strings each.
+func e10Hex(v uint64) string {
+	var src [16]byte
+	var dst [32]byte
+	binary.BigEndian.PutUint64(src[8:], v)
+	hex.Encode(dst[:], src[:])
+	return string(dst[:])
+}
+
 func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	pt := e10Point{n: n}
 	net := simnet.NewVirtualNetwork(defaultWAN, seed)
@@ -165,8 +177,8 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	for k := 0; k < cfg.nKeys; k++ {
 		rec := registry.KeyRecord{
 			IMSI: string(imsiFor(90, k)),
-			K:    fmt.Sprintf("%032x", uint64(k)+1),
-			OPc:  fmt.Sprintf("%032x", uint64(k)^0x5a5a),
+			K:    e10Hex(uint64(k) + 1),
+			OPc:  e10Hex(uint64(k) ^ 0x5a5a),
 		}
 		if err := store.PublishKey(rec); err != nil {
 			return pt, fmt.Errorf("e10: seed key %d: %w", k, err)
@@ -321,8 +333,8 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			sleepUntil(clk, t0.Add(e10JoinStart+time.Duration(j)*churnStagger))
 			rec := registry.KeyRecord{
 				IMSI: string(imsiFor(89, j)),
-				K:    fmt.Sprintf("%032x", uint64(j)+7),
-				OPc:  fmt.Sprintf("%032x", uint64(j)+9),
+				K:    e10Hex(uint64(j) + 7),
+				OPc:  e10Hex(uint64(j) + 9),
 			}
 			if err := store.PublishKey(rec); err != nil {
 				fail(fmt.Errorf("e10: churn key %d: %w", j, err))

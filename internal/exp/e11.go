@@ -63,8 +63,6 @@ type E11Result struct {
 	// failure-wave probe outcomes: a dLTE UE re-attaching to a
 	// surviving island vs a telecom UE stranded behind a dead EPC.
 	FailureProbeSurvived, FailureProbeTelecomSurvived bool
-	// WallByScenario is real-CPU (never rendered).
-	WallByScenario map[string]time.Duration
 }
 
 // e11Specs declares the three scenarios. Quick shrinks populations and
@@ -128,7 +126,7 @@ func telecomHandoverBytes() (uint64, error) {
 }
 
 // e11Row is one scenario's full outcome, filled by one forEachWorld
-// job (compact dLTE + compact telecom + real probe legs).
+// job (compact dLTE + compact or derived telecom + real probe legs).
 type e11Row struct {
 	spec ScenarioSpec
 
@@ -142,7 +140,6 @@ type e11Row struct {
 	probeTelSurvived  bool    // failure wave: telecom probe behind the dead EPC
 	promoted          int     // flash crowd: compact UEs replayed through the stack
 	promoP50          float64 // their real attach p50, ms
-	wall              time.Duration
 }
 
 // newMobilityWorld is newDLTEWorld with cooperative X2 mode and a
@@ -409,39 +406,70 @@ func probeFailureTelecom(seed int64) (bool, error) {
 	return true, nil
 }
 
-// runE11Scenario executes one scenario end to end: both compact
-// schemes plus the scenario's real probe legs.
-func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) {
+// runE11Compact runs the scenario's compact worlds and fills the row's
+// compact columns, returning the dLTE world's promotion log for the
+// flash-crowd probe.
+//
+// Only a failure wave compiles a telecom world. Elsewhere the scheme
+// changes nothing but the interruption code recordHandover stores: no
+// cell fails, so measure never takes the telecom-dead branch and the
+// telecom world replays the dLTE world's movement exactly. Its row is
+// therefore derived — the same handover count, every interruption the
+// flat centralHandoverMs, survival 1.0 — and
+// TestE11DerivedTelecomMatchesSimulated holds the derivation to the
+// simulated world.
+func runE11Compact(spec ScenarioSpec, opt Options, seed int64) (e11Row, []scenPromo, error) {
 	row := e11Row{spec: spec}
-	t0 := time.Now()
+	w, err := runCompactScenario(spec, SchemeDLTE, seed, opt.workers())
+	if err != nil {
+		return row, nil, err
+	}
+	row.hoDLTE = w.Handovers()
+	row.p50DLTE, row.p99DLTE = w.InterruptionQuantiles()
+	_, _, row.survDLTE = w.Outage()
+	var promos []scenPromo
+	if spec.Kind == KindFlashCrowd {
+		promos = w.Promotions()
+	}
 
-	for _, scheme := range []Scheme{SchemeDLTE, SchemeTelecom} {
-		w, err := CompileScenario(spec, scheme, seed, opt.workers())
-		if err != nil {
-			return row, err
+	if spec.Kind != KindFailureWave {
+		row.hoTelecom = row.hoDLTE
+		if n := int(row.hoDLTE); n > 0 {
+			counts := make([]uint32, scenHOCodes+1)
+			counts[scenHOTelecomCode] = uint32(n)
+			row.p50Tel, row.p99Tel = scenHOQuantile(counts, n, 0.5), scenHOQuantile(counts, n, 0.99)
 		}
-		if err := w.Run(); err != nil {
-			return row, err
-		}
-		if err := w.Verify(); err != nil {
-			return row, err
-		}
-		p50, p99 := w.InterruptionQuantiles()
-		_, _, surv := w.Outage()
-		if scheme == SchemeDLTE {
-			row.hoDLTE, row.p50DLTE, row.p99DLTE, row.survDLTE = w.Handovers(), p50, p99, surv
-			if spec.Kind == KindFlashCrowd {
-				promos := w.Promotions()
-				row.promoted = len(promos)
-				pp50, hoMs, hoBytes, perr := probeFlash(seed, promos)
-				if perr != nil {
-					return row, perr
-				}
-				row.promoP50, row.probeMs, row.probeBytes = pp50, hoMs, hoBytes
-			}
-		} else {
-			row.hoTelecom, row.p50Tel, row.p99Tel, row.survTel = w.Handovers(), p50, p99, surv
-		}
+		row.survTel = 1.0
+		return row, promos, nil
+	}
+	tw, err := runCompactScenario(spec, SchemeTelecom, seed, opt.workers())
+	if err != nil {
+		return row, nil, err
+	}
+	row.hoTelecom = tw.Handovers()
+	row.p50Tel, row.p99Tel = tw.InterruptionQuantiles()
+	_, _, row.survTel = tw.Outage()
+	return row, promos, nil
+}
+
+// runCompactScenario compiles, runs and verifies one compact world.
+func runCompactScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) (*CompiledScenario, error) {
+	w, err := CompileScenario(spec, scheme, seed, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Run(); err != nil {
+		return nil, err
+	}
+	return w, w.Verify()
+}
+
+// runE11Scenario executes one scenario end to end: the compact worlds
+// plus the scenario's real probe legs.
+func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) {
+	row, promos, err := runE11Compact(spec, opt, seed)
+	if err != nil {
+		return row, err
 	}
 
 	switch spec.Kind {
@@ -451,6 +479,13 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 			return row, err
 		}
 		row.probeMs, row.probeBytes = probeMs, probeBytes
+	case KindFlashCrowd:
+		row.promoted = len(promos)
+		pp50, hoMs, hoBytes, err := probeFlash(seed, promos)
+		if err != nil {
+			return row, err
+		}
+		row.promoP50, row.probeMs, row.probeBytes = pp50, hoMs, hoBytes
 	case KindFailureWave:
 		survived, outage, err := probeFailureDLTE(seed)
 		if err != nil {
@@ -471,7 +506,6 @@ func runE11Scenario(spec ScenarioSpec, opt Options, seed int64) (e11Row, error) 
 		}
 		row.probeTelSurvived = telOK
 	}
-	row.wall = time.Since(t0)
 	return row, nil
 }
 
@@ -486,7 +520,6 @@ func RunE11(opt Options) (E11Result, error) {
 		TelecomSurvival:  map[string]float64{},
 		ProbeInterruptMs: map[string]float64{},
 		BytesPerHandover: map[string]float64{},
-		WallByScenario:   map[string]time.Duration{},
 	}
 	telBytes, err := telecomHandoverBytes()
 	if err != nil {
@@ -537,7 +570,6 @@ func RunE11(opt Options) (E11Result, error) {
 		res.TelecomSurvival[name] = r.survTel
 		res.ProbeInterruptMs[name] = r.probeMs
 		res.BytesPerHandover[name] = r.probeBytes
-		res.WallByScenario[name] = r.wall
 		if r.spec.Kind == KindFailureWave {
 			res.FailureProbeSurvived = r.probeSurvived
 			res.FailureProbeTelecomSurvived = r.probeTelSurvived

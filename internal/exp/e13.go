@@ -44,9 +44,6 @@ type E13Result struct {
 	EventsByUEs   map[int]uint64
 	TAUByUEs      map[int]uint64
 	PromotedByUEs map[int]int
-	// WallByUEs / EventsPerSecByUEs are real-CPU measurements.
-	WallByUEs         map[int]time.Duration
-	EventsPerSecByUEs map[int]float64
 }
 
 // E13 world shape. The region count is part of the model (like a cell
@@ -288,7 +285,6 @@ type e13Point struct {
 	tau, events          uint64
 	promoted             int
 	promoP50             float64 // real-stack re-attach, ms
-	wall                 time.Duration
 }
 
 func e13Sizes(opt Options) []int {
@@ -304,12 +300,10 @@ func e13Sizes(opt Options) []int {
 func runE13World(seed int64, n int, opt Options) (e13Point, error) {
 	p := e13Point{n: n}
 	w := newE13World(seed, n, opt.workers())
-	t0 := time.Now()
 	if err := w.start(); err != nil {
 		return p, err
 	}
 	w.run()
-	p.wall = time.Since(t0)
 	if err := w.verify(); err != nil {
 		return p, err
 	}
@@ -354,12 +348,10 @@ func runE13World(seed int64, n int, opt Options) (e13Point, error) {
 func RunE13(opt Options) (E13Result, error) {
 	sizes := e13Sizes(opt)
 	res := E13Result{
-		BytesPerUE:        ue.IdleSlotBytes + simnet.EventBytes,
-		EventsByUEs:       map[int]uint64{},
-		TAUByUEs:          map[int]uint64{},
-		PromotedByUEs:     map[int]int{},
-		WallByUEs:         map[int]time.Duration{},
-		EventsPerSecByUEs: map[int]float64{},
+		BytesPerUE:    ue.IdleSlotBytes + simnet.EventBytes,
+		EventsByUEs:   map[int]uint64{},
+		TAUByUEs:      map[int]uint64{},
+		PromotedByUEs: map[int]int{},
 	}
 	pts := make([]e13Point, len(sizes))
 	err := forEachWorld(opt, len(sizes), func(i int) error {
@@ -380,10 +372,6 @@ func RunE13(opt Options) (E13Result, error) {
 		res.EventsByUEs[p.n] = p.events
 		res.TAUByUEs[p.n] = p.tau
 		res.PromotedByUEs[p.n] = p.promoted
-		res.WallByUEs[p.n] = p.wall
-		if p.wall > 0 {
-			res.EventsPerSecByUEs[p.n] = float64(p.events) / p.wall.Seconds()
-		}
 	}
 	res.Table = t
 	opt.emit(t)

@@ -7,9 +7,15 @@ import "math/bits"
 // jumps straight to the next state-changing slot: the earliest
 // transmission end or the earliest start (a backoff expiry of an
 // unblocked contender, or a scheduled LTE-U burst boundary). Sense sets
-// are uint64 bitmask words, so "is the medium idle for node i" is a few
-// ANDs over words instead of an O(n) scan. All state is preallocated at
-// construction; reset+run performs zero heap allocations.
+// are uint64 bitmask words, and so is the contention state: blocked is
+// the union of the active transmitters' transposed sense rows (OR-ed in
+// at each start, rebuilt from the few still active after each finish),
+// so the ready set — idle contenders sensing nothing, the only nodes
+// whose backoff moves or that can start — is three word operations, and
+// each pass of an event visits those nodes, the active set and the duty
+// nodes, never all n. All state is preallocated at construction, in one
+// backing array per element type; reset+run performs zero heap
+// allocations.
 //
 // The engine reproduces the slot-stepped reference loop (refdcf_test.go)
 // bit for bit. The equivalences it relies on:
@@ -43,19 +49,22 @@ type coexEngine struct {
 	lastSlot   int
 
 	// Immutable per-node shape.
-	kind        []uint8 // nodeWiFi, nodeDuty, nodeLBT
-	contender   []bool  // draws backoff and senses before transmitting
-	frameSlots  []int   // TX length in slots (frame, burst, or TXOP)
-	periodSlots []int   // duty: cycle length
-	offsetSlots []int   // duty: first burst start
+	kind        []uint8  // nodeWiFi, nodeDuty, nodeLBT
+	contenders  []uint64 // bitset: draws backoff and senses before transmitting
+	frameSlots  []int    // TX length in slots (frame, burst, or TXOP)
+	periodSlots []int    // duty: cycle length
+	offsetSlots []int    // duty: first burst start
 	payloadBits []float64
 	bitsPerSlot []float64 // LTE: delivered bits per clean burst slot
 	cwFixed     []int     // LBT: fixed contention window
-	sense       [][]uint64
+	sense       []uint64  // n rows of words (see row): bit j of row i iff i senses j
+	sensedBy    []uint64  // the transpose: bit i of row j iff i senses j
+	duty        []uint64  // bitset of nodeDuty nodes
 
 	// Mutable simulation state (cleared by reset).
 	active       []uint64
 	nActive      int
+	blocked      []uint64 // nodes that sense an active transmitter
 	endSlot      []int
 	corrupt      []bool // WiFi: any overlap during current TX
 	corruptSlots []int  // LTE: overlapped slots in current burst
@@ -89,6 +98,9 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 	nw := len(cfg.WiFi)
 	n := nw + len(cfg.LTE)
 	words := (n + 63) / 64
+	ints := make([]int, 16*n)
+	u64s := make([]uint64, (5+2*n)*words)
+	f64s := make([]float64, 3*n)
 	e := &coexEngine{
 		seed:       cfg.Seed,
 		n:          n,
@@ -97,39 +109,44 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 		totalSlots: int(seconds * 1e6 / dcfSlotUs),
 
 		kind:        make([]uint8, n),
-		contender:   make([]bool, n),
-		frameSlots:  make([]int, n),
-		periodSlots: make([]int, n),
-		offsetSlots: make([]int, n),
-		payloadBits: make([]float64, n),
-		bitsPerSlot: make([]float64, n),
-		cwFixed:     make([]int, n),
-		sense:       make([][]uint64, n),
+		contenders:  carve(&u64s, words),
+		frameSlots:  carve(&ints, n),
+		periodSlots: carve(&ints, n),
+		offsetSlots: carve(&ints, n),
+		payloadBits: carve(&f64s, n),
+		bitsPerSlot: carve(&f64s, n),
+		cwFixed:     carve(&ints, n),
+		sense:       carve(&u64s, n*words),
+		sensedBy:    carve(&u64s, n*words),
+		duty:        carve(&u64s, words),
 
-		active:       make([]uint64, words),
-		endSlot:      make([]int, n),
+		active:       carve(&u64s, words),
+		blocked:      carve(&u64s, words),
+		endSlot:      carve(&ints, n),
 		corrupt:      make([]bool, n),
-		corruptSlots: make([]int, n),
-		corruptCover: make([]int, n),
-		backoff:      make([]int, n),
-		cw:           make([]int, n),
-		retries:      make([]int, n),
+		corruptSlots: carve(&ints, n),
+		corruptCover: carve(&ints, n),
+		backoff:      carve(&ints, n),
+		cw:           carve(&ints, n),
+		retries:      carve(&ints, n),
 		draws:        make([]uint32, n),
-		nextBurst:    make([]int, n),
-		delivered:    make([]float64, n),
-		attempts:     make([]int, n),
-		collisions:   make([]int, n),
-		drops:        make([]int, n),
+		nextBurst:    carve(&ints, n),
+		delivered:    carve(&f64s, n),
+		attempts:     carve(&ints, n),
+		collisions:   carve(&ints, n),
+		drops:        carve(&ints, n),
 
-		starters:   make([]int, 0, n),
-		enders:     make([]int, 0, n),
-		endersMask: make([]uint64, words),
+		starters:   carve(&ints, n)[:0],
+		enders:     carve(&ints, n)[:0],
+		endersMask: carve(&u64s, words),
 	}
 	e.lastSlot = e.totalSlots - 1
 
 	for i, st := range cfg.WiFi {
 		e.kind[i] = nodeWiFi
-		e.contender[i] = st.Saturated
+		if st.Saturated {
+			e.contenders[i>>6] |= 1 << uint(i&63)
+		}
 		e.frameSlots[i], e.payloadBits[i] = dcfFrameSlots(st)
 	}
 	msSlots := func(ms, def float64) int {
@@ -156,9 +173,10 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 			if nd.OffsetMs > 0 {
 				e.offsetSlots[i] = int(nd.OffsetMs * 1e3 / dcfSlotUs)
 			}
+			e.duty[i>>6] |= 1 << uint(i&63)
 		case LTELBT:
 			e.kind[i] = nodeLBT
-			e.contender[i] = true
+			e.contenders[i>>6] |= 1 << uint(i&63)
 			e.frameSlots[i] = msSlots(nd.TXOPMs, 4)
 			cw := nd.CW
 			if cw <= 0 {
@@ -177,10 +195,8 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 	// to LBT's clear-channel check) a duty burst is a hidden
 	// transmitter — the asymmetry at the heart of the LTE-U coexistence
 	// papers. Pass an explicit Sense matrix to override.
-	backing := make([]uint64, n*words)
 	for i := 0; i < n; i++ {
-		row := backing[i*words : (i+1)*words]
-		e.sense[i] = row
+		row := e.row(e.sense, i)
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
@@ -191,6 +207,7 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 			}
 			if sensed {
 				row[j>>6] |= 1 << uint(j&63)
+				e.row(e.sensedBy, j)[i>>6] |= 1 << uint(i&63)
 			}
 		}
 	}
@@ -199,13 +216,25 @@ func newCoexEngine(cfg CoexConfig, seconds float64) *coexEngine {
 	return e
 }
 
+// row is node i's row of a sense matrix.
+func (e *coexEngine) row(m []uint64, i int) []uint64 {
+	return m[i*e.words : (i+1)*e.words]
+}
+
+// carve cuts the next n elements off *buf, so the engine's per-node
+// arrays share one allocation per element type.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
 // reset restores post-construction state so one engine can run the same
 // configuration repeatedly (benchmarks, differential tests) without
 // allocating.
 func (e *coexEngine) reset() {
-	for w := range e.active {
-		e.active[w] = 0
-	}
+	clear(e.active)
+	clear(e.blocked)
 	e.nActive = 0
 	e.busySlots, e.busyCover = 0, 0
 	e.lteBurstSlots, e.lteCorruptSlots = 0, 0
@@ -230,26 +259,24 @@ func (e *coexEngine) reset() {
 			e.cw[i] = dcfCWMin
 		}
 		e.backoff[i] = 0
-		if e.contender[i] {
+		if e.contenders[i>>6]&(1<<uint(i&63)) != 0 {
 			e.backoff[i] = backoffDraw(e.seed, i, 0, e.cw[i])
 			e.draws[i] = 1
 		}
 	}
 }
 
-func (e *coexEngine) isActive(i int) bool {
-	return e.active[i>>6]&(1<<uint(i&63)) != 0
+// ready is word w of the ready set: idle contenders that sense no active
+// transmitter.
+func (e *coexEngine) ready(w int) uint64 {
+	return e.contenders[w] &^ e.active[w] &^ e.blocked[w]
 }
 
-// blocked reports whether node i senses any active transmitter.
-func (e *coexEngine) blocked(i int) bool {
-	row := e.sense[i]
-	for w, word := range e.active {
-		if word&row[w] != 0 {
-			return true
-		}
+// block adds every node that senses transmitter i to the blocked set.
+func (e *coexEngine) block(i int) {
+	for w, word := range e.row(e.sensedBy, i) {
+		e.blocked[w] |= word
 	}
-	return false
 }
 
 func (e *coexEngine) run() {
@@ -268,26 +295,27 @@ func (e *coexEngine) run() {
 				}
 			}
 		}
-		// Next start event: earliest backoff expiry among unblocked
-		// contenders, or earliest scheduled duty burst. Blocked
-		// contenders have frozen backoff — their expiry will be
+		// Next start event: earliest backoff expiry among ready
+		// contenders, or earliest scheduled burst of an idle duty node.
+		// Blocked contenders have frozen backoff — their expiry will be
 		// re-derived after the blocking transmission ends.
 		tStart := maxSlot
-		for i := 0; i < e.n; i++ {
-			if e.isActive(i) {
-				continue
-			}
-			var c int
-			if e.kind[i] == nodeDuty {
-				c = e.offsetSlots[i] + e.nextBurst[i]*e.periodSlots[i]
-			} else {
-				if !e.contender[i] || e.blocked(i) {
-					continue
+		for w := range e.active {
+			for word := e.ready(w); word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				if c := now + e.backoff[i]; c < tStart {
+					tStart = c
 				}
-				c = now + e.backoff[i]
 			}
-			if c < tStart {
-				tStart = c
+		}
+		for w, word := range e.duty {
+			word &^= e.active[w]
+			for word != 0 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				if c := e.offsetSlots[i] + e.nextBurst[i]*e.periodSlots[i]; c < tStart {
+					tStart = c
+				}
 			}
 		}
 		next := tStart
@@ -317,19 +345,21 @@ func (e *coexEngine) run() {
 	}
 }
 
-// advanceBackoffs bulk-decrements unblocked idle contenders by the
-// event gap. Candidate selection guarantees backoff ≥ to-now for every
-// node decremented here.
+// advanceBackoffs bulk-decrements the ready contenders by the event
+// gap. Candidate selection guarantees backoff ≥ to-now for every node
+// decremented here.
 func (e *coexEngine) advanceBackoffs(now, to int) {
 	d := to - now
 	if d <= 0 {
 		return
 	}
-	for i := 0; i < e.n; i++ {
-		if !e.contender[i] || e.backoff[i] == 0 || e.isActive(i) || e.blocked(i) {
-			continue
+	for w := range e.active {
+		for word := e.ready(w); word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if e.backoff[i] != 0 {
+				e.backoff[i] -= d
+			}
 		}
-		e.backoff[i] -= d
 	}
 }
 
@@ -341,19 +371,21 @@ func (e *coexEngine) advanceBackoffs(now, to int) {
 // both starter-vs-active and starter-vs-starter overlap.
 func (e *coexEngine) startAt(t int) {
 	e.starters = e.starters[:0]
-	for i := 0; i < e.n; i++ {
-		if e.isActive(i) {
-			continue
-		}
-		if e.kind[i] == nodeDuty {
-			if e.offsetSlots[i]+e.nextBurst[i]*e.periodSlots[i] != t {
+	for w := range e.active {
+		word := e.ready(w) | e.duty[w]&^e.active[w]
+		for word != 0 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if e.kind[i] == nodeDuty {
+				if e.offsetSlots[i]+e.nextBurst[i]*e.periodSlots[i] != t {
+					continue
+				}
+				e.nextBurst[i]++
+			} else if e.backoff[i] != 0 {
 				continue
 			}
-			e.nextBurst[i]++
-		} else if !e.contender[i] || e.backoff[i] != 0 || e.blocked(i) {
-			continue
+			e.starters = append(e.starters, i)
 		}
-		e.starters = append(e.starters, i)
 	}
 	for _, i := range e.starters {
 		end := t + e.frameSlots[i] - 1
@@ -392,6 +424,7 @@ func (e *coexEngine) startAt(t int) {
 		}
 		e.active[i>>6] |= 1 << uint(i&63)
 		e.nActive++
+		e.block(i)
 	}
 }
 
@@ -428,12 +461,11 @@ func (e *coexEngine) markCorrupt(i, from, to int) {
 }
 
 // finishAt completes every transmission ending at slot t: outcome
-// resolution, retry/window bookkeeping, and the next backoff draw.
+// resolution, retry/window bookkeeping, and the next backoff draw. The
+// blocked set is then rebuilt from the transmitters still on the air.
 func (e *coexEngine) finishAt(t int) {
 	e.enders = e.enders[:0]
-	for w := range e.endersMask {
-		e.endersMask[w] = 0
-	}
+	clear(e.endersMask)
 	for w, word := range e.active {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
@@ -483,33 +515,41 @@ func (e *coexEngine) finishAt(t int) {
 			}
 		}
 	}
+	clear(e.blocked)
+	for w, word := range e.active {
+		for ; word != 0; word &= word - 1 {
+			e.block(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // boundaryDecrement applies the oracle's phase-3 backoff countdown at
-// an end slot. A contender decrements iff it is idle, its backoff is
-// nonzero, it did not itself just finish (an ender's freshly drawn
-// backoff starts counting next slot), it senses nothing still active
-// after the slot's completions (same-slot starters included), and no
+// an end slot. A contender decrements iff it is ready after the slot's
+// completions (idle, sensing nothing still active, same-slot starters
+// included), its backoff is nonzero, it did not itself just finish (an
+// ender's freshly drawn backoff starts counting next slot), and no
 // *higher-indexed* ender is in its sense set — the oracle resolves
 // stations in index order, so a lower-indexed ender has already gone
 // idle when station i is examined, while a higher-indexed one still
 // reads as transmitting.
 func (e *coexEngine) boundaryDecrement() {
-	for i := 0; i < e.n; i++ {
-		if !e.contender[i] || e.backoff[i] == 0 || e.isActive(i) {
-			continue
-		}
-		if e.endersMask[i>>6]&(1<<uint(i&63)) != 0 || e.blocked(i) {
-			continue
-		}
-		row := e.sense[i]
-		w0 := i >> 6
-		above := row[w0] & e.endersMask[w0] & (^uint64(0) << uint(i&63+1))
-		for w := w0 + 1; w < e.words && above == 0; w++ {
-			above = row[w] & e.endersMask[w]
-		}
-		if above == 0 {
-			e.backoff[i]--
+	for w0 := range e.active {
+		word := e.ready(w0) &^ e.endersMask[w0]
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			i := w0<<6 + b
+			if e.backoff[i] == 0 {
+				continue
+			}
+			row := e.row(e.sense, i)
+			above := row[w0] & e.endersMask[w0] & (^uint64(0) << uint(b+1))
+			for w := w0 + 1; w < e.words && above == 0; w++ {
+				above = row[w] & e.endersMask[w]
+			}
+			if above == 0 {
+				e.backoff[i]--
+			}
 		}
 	}
 }

@@ -520,6 +520,36 @@ func TestCoexDifferential(t *testing.T) {
 	}
 }
 
+// TestDifferentialMultiWord repeats both oracle comparisons past 64
+// nodes, where sense rows, the blocked set and the ender mask span
+// several words and a higher-indexed ender can sit in a later word.
+func TestDifferentialMultiWord(t *testing.T) {
+	for c := 0; c < 4; c++ {
+		rng := rand.New(rand.NewSource(int64(9000 + c)))
+		nW := 60 + rng.Intn(80)
+		if c%2 == 0 {
+			cfg := DCFConfig{Stations: randomStations(rng, nW), Seed: int64(c * 13)}
+			cfg.Sense = randomSense(rng, nW, c)
+			if got, want := SimulateDCF(cfg, 0.1), simulateDCFRef(cfg, 0.1); !reflect.DeepEqual(got, want) {
+				t.Errorf("case %d (n=%d, sense mode %d): engine diverged from oracle\n got %+v\nwant %+v", c, nW, c, got, want)
+			}
+			continue
+		}
+		cfg := CoexConfig{
+			WiFi: randomStations(rng, nW),
+			LTE: []LTENode{
+				{ID: "duty", Kind: LTEUDuty, RateBps: 36e6, OnMs: 8, PeriodMs: 20, OffsetMs: 3},
+				{ID: "lbt", Kind: LTELBT, RateBps: 36e6, TXOPMs: 3, CW: 15},
+			},
+			Seed: int64(c * 13),
+		}
+		cfg.Sense = randomSense(rng, nW+2, c)
+		if got, want := SimulateCoex(cfg, 0.1), simulateCoexRef(cfg, 0.1); !reflect.DeepEqual(got, want) {
+			t.Errorf("case %d (nW=%d, sense mode %d): engine diverged from reference\n got %+v\nwant %+v", c, nW, c, got, want)
+		}
+	}
+}
+
 // TestDCFEngineSpeedup holds the tentpole's perf bar: the event engine
 // must be ≥ 20× faster than the slot-stepped oracle on a 32-station
 // 10-second saturated domain.

@@ -204,3 +204,30 @@ func TestRevisionProbeZeroAlloc(t *testing.T) {
 		t.Errorf("Revision round trip: %.2f allocs/op, want 0", allocs)
 	}
 }
+
+// BenchmarkKeysAfterPublish prices E10's polling pattern on a 10k-key
+// store: every op republishes one key and reads Keys, so each read
+// finds the key snapshot stale and rebuilds it.
+func BenchmarkKeysAfterPublish(b *testing.B) {
+	const n = 10_000
+	s := NewStore()
+	recs := make([]KeyRecord, n)
+	for i := range recs {
+		if err := s.PublishKey(testKey(i)); err != nil {
+			b.Fatal(err)
+		}
+		recs[i] = testKey(i)
+		recs[i].K = fmt.Sprintf("%032x", uint64(i)+3)
+	}
+	s.Keys()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.PublishKey(recs[i%n]); err != nil {
+			b.Fatal(err)
+		}
+		if got := s.Keys(); len(got) != n {
+			b.Fatalf("Keys = %d records", len(got))
+		}
+	}
+}

@@ -48,11 +48,19 @@ const (
 // in O(cells covered) instead of O(n·copy·sort).
 //
 // Snapshots rebuild lazily on the first read after a mutation, so bulk
-// seeding (100k key publications) costs one rebuild, not 100k.
+// seeding (100k key publications) costs one rebuild, not 100k. The key
+// snapshot is an IMSI-sorted slice with no map: FetchKey binary-searches
+// it, and a rebuild sorts only the IMSIs published since the previous
+// build and merges them into the previous slice — one copy — so a
+// poller reading Keys after each publication pays O(n), not O(n log n).
+// A first build is the same merge into an empty slice.
 type Store struct {
 	mu   sync.Mutex // serializes mutations and snapshot rebuilds
 	aps  map[string]APRecord
 	keys map[string]KeyRecord
+	// keyDirty lists the IMSIs published since keySnap was built, for
+	// the next build to merge.
+	keyDirty []string
 
 	rev    atomic.Uint64 // global revision, bumped once per mutation
 	apRev  atomic.Uint64 // rev of the last AP mutation
@@ -92,11 +100,11 @@ type apSnapshot struct {
 	grid   *geo.Grid
 }
 
-// keySnapshot is the same treatment for published keys.
+// keySnapshot is the same treatment for published keys: the shared
+// IMSI-sorted slice, which also serves lookups by binary search.
 type keySnapshot struct {
 	keyRev uint64
 	all    []KeyRecord
-	byIMSI map[string]KeyRecord
 }
 
 // NewStore returns an empty registry store.
@@ -200,6 +208,12 @@ func (s *Store) PublishKey(k KeyRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.keys[k.IMSI] = k
+	s.keyDirty = append(s.keyDirty, k.IMSI)
+	if len(s.keyDirty) > 2*len(s.keys) {
+		// Republications with no read in between: keep the list no
+		// longer than the table, at an amortized O(log n) a publish.
+		s.keyDirty = sortedIMSIs(s.keyDirty)
+	}
 	s.bump(Delta{Kind: DeltaKey, Key: k})
 	s.keyRev.Store(s.rev.Load())
 	return nil
@@ -254,21 +268,48 @@ func (s *Store) keySnapshot() *keySnapshot {
 
 func (s *Store) keySnapshotLocked() *keySnapshot {
 	cur := s.keyRev.Load()
-	if sn := s.keySnap.Load(); sn != nil && sn.keyRev == cur {
-		return sn
+	prev := s.keySnap.Load()
+	if prev != nil && prev.keyRev == cur {
+		return prev
 	}
-	sn := &keySnapshot{
-		keyRev: cur,
-		all:    make([]KeyRecord, 0, len(s.keys)),
-		byIMSI: make(map[string]KeyRecord, len(s.keys)),
+	var all []KeyRecord
+	if prev != nil {
+		all = prev.all
 	}
-	for _, k := range s.keys {
-		sn.all = append(sn.all, k)
-		sn.byIMSI[k.IMSI] = k
-	}
-	slices.SortFunc(sn.all, func(a, b KeyRecord) int { return strings.Compare(a.IMSI, b.IMSI) })
+	sn := &keySnapshot{keyRev: cur, all: s.mergeKeysLocked(all)}
+	s.keyDirty = s.keyDirty[:0]
 	s.keySnap.Store(sn)
 	return sn
+}
+
+// mergeKeysLocked returns a new sorted slice: prev with the current
+// record of every IMSI in keyDirty inserted, or replacing prev's entry
+// for a republished IMSI. prev is shared and left as it is.
+func (s *Store) mergeKeysLocked(prev []KeyRecord) []KeyRecord {
+	dirty := sortedIMSIs(s.keyDirty)
+	all := make([]KeyRecord, 0, len(prev)+len(dirty))
+	i := 0
+	for _, imsi := range dirty {
+		j, found := searchIMSI(prev[i:], imsi)
+		all = append(all, prev[i:i+j]...)
+		all = append(all, s.keys[imsi])
+		i += j
+		if found {
+			i++
+		}
+	}
+	return append(all, prev[i:]...)
+}
+
+// sortedIMSIs sorts imsis in place and drops repeats.
+func sortedIMSIs(imsis []string) []string {
+	slices.Sort(imsis)
+	return slices.Compact(imsis)
+}
+
+// searchIMSI binary-searches an IMSI-sorted slice.
+func searchIMSI(keys []KeyRecord, imsi string) (int, bool) {
+	return slices.BinarySearchFunc(keys, imsi, func(k KeyRecord, imsi string) int { return strings.Compare(k.IMSI, imsi) })
 }
 
 // List returns all records in a band (empty band = all), sorted by ID.
@@ -328,8 +369,11 @@ func (s *Store) Revision() uint64 { return s.rev.Load() }
 
 // FetchKey retrieves a published key.
 func (s *Store) FetchKey(imsi string) (KeyRecord, bool) {
-	k, ok := s.keySnapshot().byIMSI[imsi]
-	return k, ok
+	all := s.keySnapshot().all
+	if i, ok := searchIMSI(all, imsi); ok {
+		return all[i], true
+	}
+	return KeyRecord{}, false
 }
 
 // Keys lists all published keys, sorted by IMSI. Shared snapshot slice:

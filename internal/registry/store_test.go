@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -657,5 +659,104 @@ func TestStalledSubscriberDropped(t *testing.T) {
 	cc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := fc.RecvOwned(); !errors.Is(err, io.EOF) {
 		t.Errorf("stalled subscriber's feed read %v after its push failed, want EOF", err)
+	}
+}
+
+// TestKeySnapshotMatchesRebuild interleaves key publications (new and
+// republished IMSIs; short bursts, bursts as large as the table, and
+// republication runs long enough to compact the pending list) with
+// every reader of the key snapshot — Keys, FetchKey and a Subscribe
+// catch-up — and checks each against a table sorted from scratch.
+func TestKeySnapshotMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewStore()
+	var imsis []string // every IMSI ever published
+	publishAs := func(republish bool) {
+		var k KeyRecord
+		if len(imsis) == 0 || !republish {
+			k = testKey(rng.Intn(1 << 30))
+		} else {
+			k = KeyRecord{IMSI: imsis[rng.Intn(len(imsis))],
+				K: fmt.Sprintf("%032x", rng.Uint64()), OPc: fmt.Sprintf("%032x", rng.Uint64())}
+		}
+		if _, ok := s.keys[k.IMSI]; !ok {
+			imsis = append(imsis, k.IMSI)
+		}
+		if err := s.PublishKey(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish := func() { publishAs(rng.Intn(2) == 0) }
+	want := func() []KeyRecord {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		ref := make([]KeyRecord, 0, len(s.keys))
+		for _, k := range s.keys {
+			ref = append(ref, k)
+		}
+		slices.SortFunc(ref, func(a, b KeyRecord) int { return strings.Compare(a.IMSI, b.IMSI) })
+		return ref
+	}
+	snapshots := 0
+	for op := 0; op < 400; op++ {
+		if op == 150 {
+			// Age the delta log out so catch-ups become full snapshots.
+			for i := 0; i < defaultLogCap; i++ {
+				publish()
+			}
+		}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			switch rng.Intn(10) {
+			case 0:
+				for n := 1 + rng.Intn(min(len(imsis), 512)+1); n > 0; n-- {
+					publish()
+				}
+			case 1:
+				for n := 1 + rng.Intn(3*min(len(imsis), 512)+1); n > 0; n-- {
+					publishAs(true)
+				}
+			default:
+				for n := 1 + rng.Intn(8); n > 0; n-- {
+					publish()
+				}
+			}
+		case r < 6:
+			if got, ref := s.Keys(), want(); !slices.Equal(got, ref) && len(got)+len(ref) > 0 {
+				t.Fatalf("op %d: Keys() differs from the sorted table (%d vs %d records)", op, len(got), len(ref))
+			}
+		case r < 8:
+			if len(imsis) > 0 {
+				imsi := imsis[rng.Intn(len(imsis))]
+				got, ok := s.FetchKey(imsi)
+				if ref := s.keys[imsi]; !ok || got != ref {
+					t.Fatalf("op %d: FetchKey(%s) = %+v, %v; want %+v", op, imsi, got, ok, ref)
+				}
+			}
+			missing := testKey(1<<30 + rng.Intn(1000)).IMSI
+			if _, ok := s.FetchKey(missing); ok {
+				t.Fatalf("op %d: FetchKey(%s) found an unpublished IMSI", op, missing)
+			}
+		default:
+			var feed []KeyRecord
+			snap := false
+			cancel, err := s.Subscribe(0, func(f Feed) error {
+				snap, feed = f.Snapshot, slices.Clone(f.Keys)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if snap {
+				snapshots++
+				if ref := want(); !slices.Equal(feed, ref) {
+					t.Fatalf("op %d: Subscribe snapshot differs from the sorted table (%d vs %d records)", op, len(feed), len(ref))
+				}
+			}
+		}
+	}
+	if snapshots == 0 {
+		t.Fatal("no Subscribe catch-up carried a snapshot")
 	}
 }
