@@ -411,7 +411,7 @@ func probeFailureTelecom(seed int64) (bool, error) {
 // flash-crowd probe.
 //
 // Only a failure wave compiles a telecom world. Elsewhere the scheme
-// changes nothing but the interruption code recordHandover stores: no
+// changes nothing but the code a handover's interruption counts at: no
 // cell fails, so measure never takes the telecom-dead branch and the
 // telecom world replays the dLTE world's movement exactly. Its row is
 // therefore derived — the same handover count, every interruption the
@@ -434,11 +434,7 @@ func runE11Compact(spec ScenarioSpec, opt Options, seed int64) (e11Row, []scenPr
 
 	if spec.Kind != KindFailureWave {
 		row.hoTelecom = row.hoDLTE
-		if n := int(row.hoDLTE); n > 0 {
-			counts := make([]uint32, scenHOCodes+1)
-			counts[scenHOTelecomCode] = uint32(n)
-			row.p50Tel, row.p99Tel = scenHOQuantile(counts, n, 0.5), scenHOQuantile(counts, n, 0.99)
-		}
+		row.p50Tel, row.p99Tel = scenTelecomQuantiles(row.hoDLTE)
 		row.survTel = 1.0
 		return row, promos, nil
 	}

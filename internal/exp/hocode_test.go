@@ -36,10 +36,11 @@ func TestScenHOCodeDecodesToDraw(t *testing.T) {
 }
 
 // TestScenHOQuantilesMatchHistogram is the oracle for counting codes
-// instead of sorting samples: over random code multisets split across
-// regions — all-dLTE, all-telecom, mixed, tie-heavy, empty, one and two
-// samples — scenHOQuantiles must be bit-equal to metrics.Histogram's
-// p50/p99 over the decoded samples.
+// instead of sorting samples: over random code multisets — all-dLTE,
+// all-telecom, mixed, tie-heavy, empty, one and two samples —
+// scenHOCountQuantiles must be bit-equal to metrics.Histogram's p50/p99
+// over the decoded samples, and scenTelecomQuantiles to the histogram
+// of n flat telecom handovers.
 func TestScenHOQuantilesMatchHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	draw := func(mix int) uint16 {
@@ -54,6 +55,7 @@ func TestScenHOQuantilesMatchHistogram(t *testing.T) {
 			return uint16(rng.Intn(scenHOCodes))
 		}
 	}
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
 	for trial := 0; trial < 3000; trial++ {
 		var n int
 		switch trial % 6 {
@@ -65,19 +67,23 @@ func TestScenHOQuantilesMatchHistogram(t *testing.T) {
 			n = rng.Intn(3000)
 		}
 		mix := rng.Intn(5)
-		parts := make([][]uint16, 1+rng.Intn(8))
-		h := metrics.NewHistogram()
+		counts := make([]uint32, scenHOCodes+1)
+		h, tel := metrics.NewHistogram(), metrics.NewHistogram()
 		for i := 0; i < n; i++ {
 			c := draw(mix)
-			r := rng.Intn(len(parts))
-			parts[r] = append(parts[r], c)
+			counts[c]++
 			h.Observe(scenHOMs(c))
+			tel.Observe(centralHandoverMs)
 		}
-		p50, p99 := scenHOQuantiles(parts)
-		if math.Float64bits(p50) != math.Float64bits(h.Quantile(0.5)) ||
-			math.Float64bits(p99) != math.Float64bits(h.Quantile(0.99)) {
+		p50, p99 := scenHOCountQuantiles(counts, n)
+		if !same(p50, h.Quantile(0.5)) || !same(p99, h.Quantile(0.99)) {
 			t.Fatalf("trial %d (n=%d mix=%d): codes give p50 %v p99 %v, histogram %v %v",
 				trial, n, mix, p50, p99, h.Quantile(0.5), h.Quantile(0.99))
+		}
+		p50, p99 = scenTelecomQuantiles(uint64(n))
+		if !same(p50, tel.Quantile(0.5)) || !same(p99, tel.Quantile(0.99)) {
+			t.Fatalf("trial %d (n=%d): telecom p50 %v p99 %v, histogram %v %v",
+				trial, n, p50, p99, tel.Quantile(0.5), tel.Quantile(0.99))
 		}
 	}
 }

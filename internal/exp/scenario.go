@@ -16,10 +16,11 @@ import (
 // happens* — a vehicular corridor through a string of APs, a flash
 // crowd converging on a stadium, an AP failure/recovery wave — and
 // Compile lowers it to a compact world: UEs are struct-of-arrays slots
-// (ue.IdlePool plus a serving-cell array), their behaviour is periodic
-// measurement events parked in per-region timing wheels, and every
-// per-UE quantity is a pure function of (seed, global index, event
-// ordinal), so the world is byte-deterministic at any worker count.
+// (ue.IdlePool plus serving-cell, draw and handover-count arrays),
+// their behaviour is periodic measurement events parked in per-region
+// timing wheels, and every per-UE quantity is a pure function of (seed,
+// global index, event ordinal), so the world is byte-deterministic at
+// any worker count.
 //
 // The same spec runs under two schemes. SchemeDLTE evaluates the real
 // mobility.Trigger policy per measurement tick and pays a modeled
@@ -120,39 +121,67 @@ const (
 
 func scenArg(kind uint64, l int) uint64 { return kind<<62 | uint64(l) }
 
-// scenUE is one UE's drawn identity: start stagger, speed factor, home
-// cell, and position offsets. Recomputed on demand, never stored.
-type scenUE struct {
-	start time.Duration // first measurement tick
-	speed float64       // corridor m/s (already jittered)
-	home  int           // home cell index
-	offM  float64       // offset within the home cell, meters
-	guti  uint64
-	ip    uint32
+// scenKeys is a world's seed mixed once into each per-UE draw stream,
+// so a draw pays only its own splitmix rounds.
+type scenKeys struct{ draw, period uint64 }
+
+func newScenKeys(seed int64) scenKeys {
+	return scenKeys{
+		draw:   splitmix64(uint64(seed) ^ 0xA24BAED4963EE407),
+		period: splitmix64(uint64(seed) ^ 0xC2B2AE3D27D4EB4F),
+	}
 }
 
-func scenDraw(spec *ScenarioSpec, seed int64, gi int) scenUE {
-	h := splitmix64(uint64(seed) ^ 0xA24BAED4963EE407)
-	h = splitmix64(h ^ uint64(gi))
+// scenDrawCodes is the resolution of the offset and speed draws: each
+// draws one of this many rows of its world's scenTables.
+const scenDrawCodes = 1000
+
+// scenUE is one UE's drawn identity: start stagger, home cell, the
+// offset and speed draw codes, and its GUTI and IP. The start event
+// draws it once and keeps home and the two codes in the region's slots,
+// where measure reads them.
+type scenUE struct {
+	start              time.Duration // first measurement tick
+	home               int32         // home cell index
+	offCode, speedCode uint16        // rows of scenTables.offM and .speed
+	guti               uint64
+	ip                 uint32
+}
+
+func scenDraw(spec *ScenarioSpec, key uint64, gi int) scenUE {
+	h := splitmix64(key ^ uint64(gi))
 	h1 := splitmix64(h)
 	h2 := splitmix64(h1)
 	h3 := splitmix64(h2)
-	u := scenUE{
-		start: time.Duration(h % uint64(2*time.Second)),
-		speed: spec.SpeedMps * (0.75 + 0.5*float64(h1%1000)/1000),
-		home:  int(h2 % uint64(spec.APs)),
-		offM:  (float64(h2>>32%1000)/1000 - 0.5) * spec.SpacingM,
-		guti:  h3,
-		ip:    uint32(h3 >> 32),
+	return scenUE{
+		start:     time.Duration(h % uint64(2*time.Second)),
+		home:      int32(h2 % uint64(spec.APs)),
+		offCode:   uint16(h2 >> 32 % scenDrawCodes),
+		speedCode: uint16(h1 % scenDrawCodes),
+		guti:      h3,
+		ip:        uint32(h3 >> 32),
 	}
-	return u
+}
+
+// scenTables holds what each draw code stands for: offM the offset
+// within the home cell, meters, and speed the corridor m/s (the mean
+// jittered ±25 %).
+type scenTables struct {
+	offM, speed [scenDrawCodes]float64
+}
+
+func (spec *ScenarioSpec) drawTables() (tab scenTables) {
+	for c := range tab.offM {
+		tab.offM[c] = (float64(c)/scenDrawCodes - 0.5) * spec.SpacingM
+		tab.speed[c] = spec.SpeedMps * (0.75 + 0.5*float64(c)/scenDrawCodes)
+	}
+	return tab
 }
 
 // scenMeasurePeriod draws the gap to a UE's next measurement tick, pure
-// in (seed, gi, tick ordinal).
-func scenMeasurePeriod(seed int64, gi, tick int) time.Duration {
-	h := splitmix64(uint64(seed) ^ 0xC2B2AE3D27D4EB4F)
-	h = splitmix64(h ^ uint64(gi)<<20 ^ uint64(tick))
+// in (seed, gi, tick ordinal); key is the seed's scenKeys.period.
+func scenMeasurePeriod(key uint64, gi, tick int) time.Duration {
+	h := splitmix64(key ^ uint64(gi)<<20 ^ uint64(tick))
 	return scenMeasureBase + time.Duration(h%uint64(scenMeasureJitter))
 }
 
@@ -182,23 +211,23 @@ func scenHOMs(code uint16) float64 {
 	return scenHOBaseMs + float64(code)/1000
 }
 
-// scenHOQuantiles reports the p50/p99 of the samples the codes stand
-// for, bit-equal to metrics.Histogram.Quantile over those samples: it
-// counts codes and reads the two order statistics each quantile
-// interpolates between, instead of sorting the floats.
-func scenHOQuantiles(parts [][]uint16) (p50, p99 float64) {
-	counts := make([]uint32, scenHOCodes+1)
-	n := 0
-	for _, p := range parts {
-		for _, c := range p {
-			counts[c]++
-		}
-		n += len(p)
-	}
+// scenHOCountQuantiles reports the p50/p99 of the n samples counted
+// per code (0, 0 when n is 0), bit-equal to metrics.Histogram.Quantile
+// over those samples: it reads the two order statistics each quantile
+// interpolates between instead of sorting the floats.
+func scenHOCountQuantiles(counts []uint32, n int) (p50, p99 float64) {
 	if n == 0 {
 		return 0, 0
 	}
 	return scenHOQuantile(counts, n, 0.5), scenHOQuantile(counts, n, 0.99)
+}
+
+// scenTelecomQuantiles is scenHOCountQuantiles over n telecom
+// handovers, every one of them at scenHOTelecomCode.
+func scenTelecomQuantiles(n uint64) (p50, p99 float64) {
+	counts := make([]uint32, scenHOCodes+1)
+	counts[scenHOTelecomCode] = uint32(n)
+	return scenHOCountQuantiles(counts, int(n))
 }
 
 // scenHOQuantile is metrics.Histogram.Quantile for 0 < q < 1 over the
@@ -245,9 +274,9 @@ func (spec *ScenarioSpec) cellDown(c int, t time.Duration) bool {
 	return t >= spec.FailAt && t < spec.RecoverAt
 }
 
-// uePos is UE gi's position along the corridor axis at time t — pure
-// geometry per kind.
-func (spec *ScenarioSpec) uePos(u scenUE, t time.Duration) float64 {
+// uePos is the position along the corridor axis, at time t, of a UE
+// with the given home cell, offset and speed — pure geometry per kind.
+func (spec *ScenarioSpec) uePos(home int, offM, speed float64, t time.Duration) float64 {
 	switch spec.Kind {
 	case KindCorridor:
 		// Vehicles enter at their home cell and drive toward the far
@@ -257,18 +286,43 @@ func (spec *ScenarioSpec) uePos(u scenUE, t time.Duration) float64 {
 		if span <= 0 {
 			return 0
 		}
-		x := spec.cellX(u.home) + u.offM + u.speed*t.Seconds()
-		return math.Mod(math.Mod(x, span)+span, span)
+		return scenWrap(spec.cellX(home)+offM+speed*t.Seconds(), span)
 	case KindFlashCrowd:
 		// Home cell, except during the event window when the crowd
 		// stands at one of the hot cells (center of the deployment).
 		if t >= spec.ConvergeAt && t < spec.DisperseAt {
-			hot := spec.APs/2 - spec.HotCells/2 + u.home%spec.HotCells
-			return spec.cellX(hot) + u.offM/8 // packed tight
+			hot := spec.APs/2 - spec.HotCells/2 + home%spec.HotCells
+			return spec.cellX(hot) + offM/8 // packed tight
 		}
-		return spec.cellX(u.home) + u.offM
+		return spec.cellX(home) + offM
 	default: // KindFailureWave: stationary population
-		return spec.cellX(u.home) + u.offM
+		return spec.cellX(home) + offM
+	}
+}
+
+// scenWrap is math.Mod(math.Mod(x, span)+span, span), bit for bit,
+// without the software remainder on the usual path. For x in
+// (−span, 2·span) the inner remainder is x or x−span, both exact
+// (Sterbenz), and so is y−span for y in [span, 2·span). Everything
+// else — x out of range, NaN, ±Inf, and a sum r+span that rounds up to
+// 2·span — takes math.Mod.
+func scenWrap(x, span float64) float64 {
+	var r float64
+	switch {
+	case x > -span && x < span:
+		r = x
+	case x >= span && x < 2*span:
+		r = x - span
+	default:
+		return math.Mod(math.Mod(x, span)+span, span)
+	}
+	switch y := r + span; {
+	case y < span:
+		return y
+	case y < 2*span:
+		return y - span
+	default:
+		return math.Mod(y, span)
 	}
 }
 
@@ -280,28 +334,55 @@ const scenTieRel = 1e-9
 
 // nearestLiveCell picks the strongest live cell for a UE at x and
 // returns it with its clamped distance, or -1 when no cell in the scan
-// window is live. RSRP falls with clamped distance, so the scan ranks
-// by distance and takes a logarithm only to split a near-tie; cells at
-// the same clamped distance (the plateau inside scenRSRPRefM included)
-// have the same RSRP and keep the lower index.
+// window [c0, c0+6] is live. RSRP falls with clamped distance, and
+// distance grows with the cell index east of x and shrinks with it west
+// of x, so only the nearest live cell on each side can win — plus, west
+// of x, farther cells close enough to tie with it (the clamp plateau
+// inside scenRSRPRefM), since a tie goes to the lower index. The ranking
+// runs by distance and takes a logarithm only to split a near-tie;
+// cells at the same clamped distance have the same RSRP and keep the
+// lower index.
 func (spec *ScenarioSpec) nearestLiveCell(x float64, t time.Duration) (int, float64) {
+	// Only cells within a few spacings matter; scan a window.
+	q := int(x / spec.SpacingM)
+	c0 := q - 3
+	if c0 < 0 {
+		c0 = 0
+	}
+	c1 := min(c0+6, spec.APs-1)
+	// e is the first window cell east of x, w the last one at or west
+	// of it; each then moves outward to the nearest live cell.
+	e := min(max(q+1, c0), c1+1)
+	for e > c0 && spec.cellX(e-1) > x {
+		e--
+	}
+	for e <= c1 && spec.cellX(e) <= x {
+		e++
+	}
+	w := e - 1
+	for w >= c0 && spec.cellDown(w, t) {
+		w--
+	}
+	for e <= c1 && spec.cellDown(e, t) {
+		e++
+	}
+	from := e
+	if w >= c0 {
+		from = w
+		for band := spec.cellDist(x, w) * (1 + scenTieRel); from > c0 && spec.cellDist(x, from-1) <= band; {
+			from--
+		}
+	}
+
 	best, bestD := -1, math.Inf(1)
 	// [nearer, farther] brackets the distances whose RSRP may round to
 	// the best cell's; outside it the distance order is the RSRP order.
 	nearer, farther := bestD, bestD
-	// Only cells within a few spacings matter; scan a window.
-	c0 := int(x/spec.SpacingM) - 3
-	if c0 < 0 {
-		c0 = 0
-	}
-	for c := c0; c < spec.APs && c <= c0+6; c++ {
+	for c := from; c <= min(e, c1); c++ {
 		if spec.cellDown(c, t) {
 			continue
 		}
-		d := math.Abs(x - spec.cellX(c))
-		if d < scenRSRPRefM {
-			d = scenRSRPRefM // scenRSRP's clamp
-		}
+		d := spec.cellDist(x, c)
 		if d > farther || d == bestD {
 			continue // weaker, or the same RSRP: the earlier cell keeps it
 		}
@@ -311,6 +392,15 @@ func (spec *ScenarioSpec) nearestLiveCell(x float64, t time.Duration) (int, floa
 		}
 	}
 	return best, bestD
+}
+
+// cellDist is cell c's distance from x with scenRSRP's clamp applied.
+func (spec *ScenarioSpec) cellDist(x float64, c int) float64 {
+	d := math.Abs(x - spec.cellX(c))
+	if d < scenRSRPRefM {
+		d = scenRSRPRefM
+	}
+	return d
 }
 
 // bestLiveCell is the cell a UE at x attaches to: the strongest live
@@ -339,16 +429,22 @@ type scenPromo struct {
 type scenRegion struct {
 	idx, base, count int
 	spec             *ScenarioSpec
+	tab              *scenTables
 	scheme           Scheme
-	seed             int64
+	keys             scenKeys
 	sch              *simnet.Scheduler
 	pool             *ue.IdlePool
-	serving          []int32  // cell index, -1 while out of service
-	hoCount          []uint32 // per-slot handovers (the draw ordinal)
+
+	// Per-slot arrays, carved from the world's shared backings. The
+	// start event fills home and the draw codes; measure only reads
+	// them.
+	serving            []int32  // cell index, -1 while out of service
+	home               []int32  // home cell index
+	offCode, speedCode []uint16 // rows of *tab
+	hoCount            []uint32 // per-slot handovers (the draw ordinal)
 
 	events, handovers   uint64
-	dropped, reattached uint64   // failure-wave outcomes
-	interruptCodes      []uint16 // per-handover interruption, see scenHOMs
+	dropped, reattached uint64 // failure-wave outcomes
 	promos              []scenPromo
 }
 
@@ -359,11 +455,12 @@ func (r *scenRegion) handle(arg uint64) {
 	now := r.sch.Now()
 	switch arg >> 62 {
 	case scenKindStart:
-		u := scenDraw(r.spec, r.seed, gi)
+		u := scenDraw(r.spec, r.keys.draw, gi)
+		r.home[l], r.offCode[l], r.speedCode[l] = u.home, u.offCode, u.speedCode
 		r.pool.StartAttach(l)
 		r.pool.Register(l, u.guti, u.ip)
-		r.serving[l] = int32(r.spec.bestLiveCell(r.spec.uePos(u, now), now))
-		r.sch.AtIndexed(now+scenMeasurePeriod(r.seed, gi, 0), scenArg(scenKindMeasure, l))
+		r.serving[l] = int32(r.spec.bestLiveCell(r.pos(l, now), now))
+		r.sch.AtIndexed(now+scenMeasurePeriod(r.keys.period, gi, 0), scenArg(scenKindMeasure, l))
 	case scenKindMeasure:
 		r.measure(l, gi, now)
 	case scenKindActivity:
@@ -374,12 +471,16 @@ func (r *scenRegion) handle(arg uint64) {
 	}
 }
 
+// pos is slot l's position at t.
+func (r *scenRegion) pos(l int, t time.Duration) float64 {
+	return r.spec.uePos(int(r.home[l]), r.tab.offM[r.offCode[l]], r.tab.speed[r.speedCode[l]], t)
+}
+
 // measure is one UE's periodic radio check — the compact lowering of
 // the mobility plane's trigger loop.
 func (r *scenRegion) measure(l, gi int, now time.Duration) {
 	spec := r.spec
-	u := scenDraw(spec, r.seed, gi)
-	x := spec.uePos(u, now)
+	x := r.pos(l, now)
 	cur := int(r.serving[l])
 
 	telecomDead := r.scheme == SchemeTelecom && spec.Kind == KindFailureWave &&
@@ -398,7 +499,7 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 		// drop.
 		if best := spec.bestLiveCell(x, now); best >= 0 {
 			r.serving[l] = int32(best)
-			r.recordHandover(gi, l)
+			r.recordHandover(l)
 			r.reattached++
 		} else {
 			r.serving[l] = -1
@@ -420,23 +521,20 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 			if bestRSRP >= scenMinUsableDB &&
 				scenTrigger.Decide(scenRSRP(math.Abs(x-spec.cellX(cur))), bestRSRP) {
 				r.serving[l] = int32(best)
-				r.recordHandover(gi, l)
+				r.recordHandover(l)
 			}
 		}
 	}
 
 	tick := int(r.hoCount[l]) + int(r.pool.TAUCount(l))
 	r.pool.TrackingAreaUpdate(l) // tick counter doubles as measure count
-	r.sch.AtIndexed(now+scenMeasurePeriod(r.seed, gi, tick+1), scenArg(scenKindMeasure, l))
+	r.sch.AtIndexed(now+scenMeasurePeriod(r.keys.period, gi, tick+1), scenArg(scenKindMeasure, l))
 }
 
-func (r *scenRegion) recordHandover(gi, l int) {
+// recordHandover counts one handover of slot l. Its interruption is
+// not logged: InterruptionQuantiles redraws it from the slot's count.
+func (r *scenRegion) recordHandover(l int) {
 	r.handovers++
-	code := uint16(scenHOTelecomCode)
-	if r.scheme != SchemeTelecom {
-		code = scenHOCode(r.seed, gi, r.hoCount[l])
-	}
-	r.interruptCodes = append(r.interruptCodes, code)
 	r.hoCount[l]++
 }
 
@@ -449,6 +547,8 @@ type CompiledScenario struct {
 	Spec    ScenarioSpec
 	Scheme  Scheme
 	seed    int64
+	keys    scenKeys
+	tab     scenTables
 	ss      *simnet.ShardedScheduler
 	regions []*scenRegion
 }
@@ -464,9 +564,14 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 		workers = runtime.NumCPU()
 	}
 	w := &CompiledScenario{
-		Spec: spec, Scheme: scheme, seed: seed,
-		ss: simnet.NewShardedScheduler(scenRegions, workers),
+		Spec: spec, Scheme: scheme, seed: seed, keys: newScenKeys(seed),
+		tab: spec.drawTables(),
+		ss:  simnet.NewShardedScheduler(scenRegions, workers),
 	}
+	// Every region's slot arrays share one backing per element type.
+	i32s := make([]int32, 2*spec.UEs)
+	u16s := make([]uint16, 2*spec.UEs)
+	u32s := make([]uint32, spec.UEs)
 	q, rem := spec.UEs/scenRegions, spec.UEs%scenRegions
 	base := 0
 	for i := 0; i < scenRegions; i++ {
@@ -476,17 +581,28 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 		}
 		reg := &scenRegion{
 			idx: i, base: base, count: count,
-			spec: &w.Spec, scheme: scheme, seed: seed,
-			sch:     w.ss.Region(i),
-			pool:    ue.NewIdlePool(count),
-			serving: make([]int32, count),
-			hoCount: make([]uint32, count),
+			spec: &w.Spec, tab: &w.tab, scheme: scheme, keys: w.keys,
+			sch:       w.ss.Region(i),
+			pool:      ue.NewIdlePool(count),
+			serving:   carve(&i32s, count),
+			home:      carve(&i32s, count),
+			offCode:   carve(&u16s, count),
+			speedCode: carve(&u16s, count),
+			hoCount:   carve(&u32s, count),
 		}
 		reg.sch.OnIndexed = reg.handle
 		w.regions = append(w.regions, reg)
 		base += count
 	}
 	return w, nil
+}
+
+// carve cuts the next n elements off *buf, so the regions' slot arrays
+// share one allocation per element type.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 // Run seeds the world and drains it to the spec's horizon.
@@ -507,7 +623,7 @@ func (w *CompiledScenario) start() error {
 			if _, ok := reg.pool.Alloc(); !ok {
 				return fmt.Errorf("scenario %q: region %d pool exhausted", spec.Name, reg.idx)
 			}
-			reg.sch.AtIndexed(scenDraw(spec, w.seed, reg.base+l).start, scenArg(scenKindStart, l))
+			reg.sch.AtIndexed(scenDraw(spec, w.keys.draw, reg.base+l).start, scenArg(scenKindStart, l))
 		}
 	}
 	if spec.Kind == KindFlashCrowd {
@@ -567,14 +683,25 @@ func (w *CompiledScenario) Outage() (dropped, reattached uint64, survival float6
 }
 
 // InterruptionQuantiles reports the modeled per-handover interruption
-// p50/p99 in ms. Each region's samples depend only on that region, so
-// the multiset is worker-invariant.
+// p50/p99 in ms. No sample is logged during the run: UE gi's k-th
+// handover drew scenHOCode(seed, gi, k), so the code counts are rebuilt
+// from each slot's handover count, and a telecom world's handovers all
+// count at scenHOTelecomCode. The multiset is worker-invariant.
 func (w *CompiledScenario) InterruptionQuantiles() (p50, p99 float64) {
-	parts := make([][]uint16, len(w.regions))
-	for i, reg := range w.regions {
-		parts[i] = reg.interruptCodes
+	if w.Scheme == SchemeTelecom {
+		return scenTelecomQuantiles(w.Handovers())
 	}
-	return scenHOQuantiles(parts)
+	counts := make([]uint32, scenHOCodes+1)
+	n := 0
+	for _, reg := range w.regions {
+		for l, k := range reg.hoCount {
+			for j := uint32(0); j < k; j++ {
+				counts[scenHOCode(w.seed, reg.base+l, j)]++
+			}
+			n += int(k)
+		}
+	}
+	return scenHOCountQuantiles(counts, n)
 }
 
 // Promotions is the merged flash-crowd promotion log in (at, gi)

@@ -1,10 +1,14 @@
 package registry
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,6 +206,88 @@ func TestRevisionProbeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Revision round trip: %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// keysLoopConn is revLoopConn for a Keys pull: Write accepts the opKeys
+// request and rewinds the pre-encoded reply the following Reads serve,
+// so the allocation gate sees only the client's decode path.
+type keysLoopConn struct {
+	revLoopConn
+	reply []byte
+}
+
+func (l *keysLoopConn) Write(p []byte) (int, error) {
+	if len(p) != 5 || p[4] != opKeys {
+		return 0, fmt.Errorf("keysLoopConn: unexpected frame %x", p)
+	}
+	l.off = 0
+	return len(p), nil
+}
+
+func (l *keysLoopConn) Read(p []byte) (int, error) {
+	if l.off == len(l.reply) {
+		return 0, io.EOF
+	}
+	n := copy(p, l.reply[l.off:])
+	l.off += n
+	return n, nil
+}
+
+// TestKeysPullAllocs pulls a multi-frame Keys reply and requires
+// exactly Store.Keys() back, allocating per key only its three strings,
+// per frame only its receive buffer, for the result at most
+// log2(frames)+1 arrays (each chunk decodes straight into the result),
+// and one request frame.
+// Decoding every chunk into a fresh slice and appending it onto the
+// result costs a slice per frame plus the result's regrowth.
+func TestKeysPullAllocs(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
+	}
+	const n = 7*maxKeysPerFrame + 17
+	store := NewStore()
+	for i := 0; i < n; i++ {
+		if err := store.PublishKey(testKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := store.Keys()
+	var reply bytes.Buffer
+	if err := sendKeys(wire.NewFrameConn(&reply), store.Revision(), want); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for b := reply.Bytes(); len(b) > 0; frames++ {
+		b = b[4+binary.BigEndian.Uint32(b):]
+	}
+	if frames < 8 {
+		t.Fatalf("%d keys travel in %d frames, want at least 8", n, frames)
+	}
+	loop := &keysLoopConn{reply: reply.Bytes()}
+	c := &Client{fc: wire.NewFrameConn(loop), c: loop}
+	got, err := c.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Keys pulled %d keys, store holds %d (or they differ)", len(got), len(want))
+	}
+	// A collection mid-pull would empty the frame pool and count its
+	// refills; the pulls here allocate a few MB, so the gate runs
+	// without one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(5, func() {
+		if got, err := c.Keys(); err != nil || len(got) != n {
+			t.Fatalf("Keys = %d keys, %v", len(got), err)
+		}
+	})
+	result := bits.Len(uint(frames))   // the first chunk, then a doubling per power of two
+	limit := 3*n + frames + result + 1 // strings, receive buffers, result, the request
+	t.Logf("Keys pull of %d keys in %d frames: %.0f allocs, bound %d", n, frames, allocs, limit)
+	if allocs > float64(limit) {
+		t.Errorf("Keys pull of %d keys in %d frames: %.0f allocs, want at most %d (3 per key, 1 per frame, %d for the result, 1 for the request)",
+			n, frames, allocs, limit, result)
 	}
 }
 

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,7 +87,17 @@ func (c *Client) exchange(q request) (result, error) {
 			return res, fmt.Errorf("registry: recv: %w", err)
 		}
 		c.bytesRx.Add(uint64(len(b)) + 4)
-		ch, derr := decodeChunk(b)
+		// Lists decode straight into the result's spare capacity
+		// (wire.Len reuses it), so each item is copied once however
+		// many frames carry it.
+		ch := chunk{
+			records: res.records[len(res.records):],
+			keys:    res.keys[len(res.keys):],
+			deltas:  res.deltas[len(res.deltas):],
+		}
+		d := wire.Decoder(b)
+		ch.walk(&d)
+		derr := d.Err()
 		wire.PutFrame(b)
 		if derr != nil {
 			return res, fmt.Errorf("registry: bad response: %w", derr)
@@ -95,13 +106,34 @@ func (c *Client) exchange(q request) (result, error) {
 			return res, chunkError(ch)
 		}
 		res.rev = ch.rev
-		res.records = append(res.records, ch.records...)
-		res.keys = append(res.keys, ch.keys...)
-		res.deltas = append(res.deltas, ch.deltas...)
+		res.records = gather(res.records, ch.records, ch.more, maxRecordsPerFrame)
+		res.keys = gather(res.keys, ch.keys, ch.more, maxKeysPerFrame)
+		res.deltas = gather(res.deltas, ch.deltas, ch.more, maxDeltasPerFrame)
 		if ch.terminal() {
 			return res, nil
 		}
 	}
+}
+
+// gather adds got, a chunk's items decoded against acc's spare
+// capacity, to acc: in place when they landed there (they did exactly
+// when they fit), adopted when acc is empty, appended otherwise.
+// While more chunks follow it reserves at least a frame's worth of
+// room, doubling acc, so every later chunk decodes in place and a reply
+// of f frames sizes its result about log2(f) times.
+func gather[T any](acc, got []T, more bool, frame int) []T {
+	switch {
+	case cap(acc)-len(acc) >= len(got):
+		acc = acc[:len(acc)+len(got)]
+	case len(acc) == 0:
+		acc = got
+	default:
+		acc = append(acc, got...)
+	}
+	if more && len(got) > 0 && cap(acc)-len(acc) < frame {
+		acc = slices.Grow(acc, max(len(acc), frame))
+	}
+	return acc
 }
 
 // Join registers the AP record.

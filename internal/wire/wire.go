@@ -240,7 +240,9 @@ func (c *Codec) field(bp *[]byte, sp *string, width int) {
 
 // Len carries len(*s) as a width-octet (1, 2 or 4) count of at most
 // limit elements (limit must fit the width); decoding makes *s that
-// long (nil when empty) for the walk to fill element by element. A
+// long (nil when empty), zeroed, for the walk to fill element by
+// element. It reuses the backing array *s already has when that has
+// room, so a caller can decode a list straight into spare capacity. A
 // count above limit is ErrOverflow either way, so a forged count never
 // sizes an allocation.
 func Len[T any](c *Codec, s *[]T, width, limit int) {
@@ -265,10 +267,18 @@ func Len[T any](c *Codec, s *[]T, width, limit int) {
 	if !c.dec {
 		return
 	}
+	room := *s
 	*s = nil
 	if n > limit {
 		c.Fail(fmt.Errorf("%w: %d elements, at most %d", ErrOverflow, n, limit))
-	} else if n > 0 && c.err == nil {
+	}
+	if n == 0 || c.err != nil {
+		return
+	}
+	if cap(room) >= n {
+		*s = room[:n]
+		clear(*s)
+	} else {
 		*s = make([]T, n)
 	}
 }

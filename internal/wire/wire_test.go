@@ -115,6 +115,38 @@ func TestReaderTruncatedLengthPrefix(t *testing.T) {
 	}
 }
 
+// TestLenReusesRoom: decoding a list into a slice whose backing array
+// has room fills that array, zeroed first, and allocates nothing; one
+// without room gets a fresh array.
+func TestLenReusesRoom(t *testing.T) {
+	backing := []uint64{7, 7, 7, 7}
+	b := []byte{0, 3}
+	list := backing[1:1]
+	d := Decoder(b)
+	Len(&d, &list, 2, 100)
+	if d.Err() != nil || len(list) != 3 || &list[0] != &backing[1] || list[0] != 0 || list[2] != 0 {
+		t.Fatalf("with room: %v, %v (backing %v)", d.Err(), list, backing)
+	}
+	list = backing[2:2]
+	d = Decoder(b)
+	Len(&d, &list, 2, 100)
+	if d.Err() != nil || len(list) != 3 || &list[0] == &backing[2] {
+		t.Fatalf("without room: %v, %v shares the backing", d.Err(), list)
+	}
+	list = backing[:0]
+	d = Decoder([]byte{0, 0})
+	if Len(&d, &list, 2, 100); list != nil {
+		t.Fatalf("empty list decodes to %v, want nil", list)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		list = backing[:0]
+		d = Decoder(b)
+		Len(&d, &list, 2, 100)
+	}); n != 0 {
+		t.Errorf("decoding into room: %v allocs", n)
+	}
+}
+
 // TestDecoderStrict: the one decoder rejects trailing bytes and
 // boolean octets other than 0/1, and forged list counts above the cap.
 func TestDecoderStrict(t *testing.T) {
