@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -149,14 +150,49 @@ func sleepUntil(clk simnet.Clock, t time.Time) {
 	}
 }
 
-// e10Hex is fmt.Sprintf("%032x", v) without the formatter: a seeded
-// store holds 10k–100k keys of two such strings each.
-func e10Hex(v uint64) string {
-	var src [16]byte
-	var dst [32]byte
-	binary.BigEndian.PutUint64(src[8:], v)
-	hex.Encode(dst[:], src[:])
-	return string(dst[:])
+// e10Keys is the text of a run of published keys, laid out back to
+// back in one string: key i is imsiFor(block, i), then K and OPc as
+// fmt's "%032x" of two values derived from i. A seeded store holds
+// 10k–100k keys; their text costs one allocation instead of three per
+// key. The fields at returns are substrings, so a published key keeps
+// the whole text alive, which costs nothing while the store keeps
+// every key.
+type e10Keys string
+
+// e10KeyLen is one key's text: a 15-digit IMSI and two 32-digit hex
+// strings.
+const e10KeyLen = 15 + 32 + 32
+
+// newE10Keys lays out n keys (n ≤ 10⁸, the IMSI's eight index digits)
+// whose K and OPc encode k(i) and opc(i).
+func newE10Keys(block, n int, k, opc func(i uint64) uint64) e10Keys {
+	if n > 1e8 {
+		panic(fmt.Sprintf("e10: %d keys overflow the IMSI's index digits", n))
+	}
+	var sb strings.Builder
+	sb.Grow(n * e10KeyLen)
+	var imsi [15]byte
+	copy(imsi[:], fmt.Sprintf("00101%02d", block%100))
+	var raw [16]byte
+	var hexed [32]byte
+	for i := 0; i < n; i++ {
+		for j, v := len(imsi)-1, i; j >= 7; j, v = j-1, v/10 {
+			imsi[j] = byte('0' + v%10)
+		}
+		sb.Write(imsi[:])
+		for _, v := range [2]uint64{k(uint64(i)), opc(uint64(i))} {
+			binary.BigEndian.PutUint64(raw[8:], v)
+			hex.Encode(hexed[:], raw[:])
+			sb.Write(hexed[:])
+		}
+	}
+	return e10Keys(sb.String())
+}
+
+// at returns key i.
+func (t e10Keys) at(i int) registry.KeyRecord {
+	s := string(t)[i*e10KeyLen : (i+1)*e10KeyLen]
+	return registry.KeyRecord{IMSI: s[:15], K: s[15:47], OPc: s[47:]}
 }
 
 func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
@@ -174,13 +210,9 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 		return pt, err
 	}
 	store := registry.NewStore()
+	seeded := newE10Keys(90, cfg.nKeys, func(k uint64) uint64 { return k + 1 }, func(k uint64) uint64 { return k ^ 0x5a5a })
 	for k := 0; k < cfg.nKeys; k++ {
-		rec := registry.KeyRecord{
-			IMSI: string(imsiFor(90, k)),
-			K:    e10Hex(uint64(k) + 1),
-			OPc:  e10Hex(uint64(k) ^ 0x5a5a),
-		}
-		if err := store.PublishKey(rec); err != nil {
+		if err := store.PublishKey(seeded.at(k)); err != nil {
 			return pt, fmt.Errorf("e10: seed key %d: %w", k, err)
 		}
 	}
@@ -328,15 +360,11 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 
 	// Key churn during the join window: new subscribers publish while
 	// membership is in flux (in-process, like Scenario.AddUE does).
+	churned := newE10Keys(89, cfg.churn, func(j uint64) uint64 { return j + 7 }, func(j uint64) uint64 { return j + 9 })
 	g.spawn(func() {
 		for j := 0; j < cfg.churn; j++ {
 			sleepUntil(clk, t0.Add(e10JoinStart+time.Duration(j)*churnStagger))
-			rec := registry.KeyRecord{
-				IMSI: string(imsiFor(89, j)),
-				K:    e10Hex(uint64(j) + 7),
-				OPc:  e10Hex(uint64(j) + 9),
-			}
-			if err := store.PublishKey(rec); err != nil {
+			if err := store.PublishKey(churned.at(j)); err != nil {
 				fail(fmt.Errorf("e10: churn key %d: %w", j, err))
 				return
 			}

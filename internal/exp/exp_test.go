@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"fmt"
 	"testing"
+
+	"dlte/internal/registry"
 )
 
 // Every experiment runs in Quick mode and must reproduce the paper's
@@ -224,6 +227,26 @@ func TestE9HiddenAndRelayShape(t *testing.T) {
 	}
 	if res.RelayMbps <= 0 {
 		t.Error("no relay capacity")
+	}
+}
+
+// TestE10KeysText: the one-string key text spells each key exactly as
+// imsiFor and fmt's "%032x" do.
+func TestE10KeysText(t *testing.T) {
+	const n = 1234
+	keys := newE10Keys(90, n, func(k uint64) uint64 { return k + 1 }, func(k uint64) uint64 { return k ^ 0x5a5a })
+	if len(keys) != n*e10KeyLen {
+		t.Fatalf("%d keys in %d bytes, want %d", n, len(keys), n*e10KeyLen)
+	}
+	for _, i := range []int{0, 1, 9, 10, 99, 100, 1000, n - 1} {
+		want := registry.KeyRecord{
+			IMSI: string(imsiFor(90, i)),
+			K:    fmt.Sprintf("%032x", uint64(i)+1),
+			OPc:  fmt.Sprintf("%032x", uint64(i)^0x5a5a),
+		}
+		if got := keys.at(i); got != want {
+			t.Errorf("key %d = %+v, want %+v", i, got, want)
+		}
 	}
 }
 

@@ -10,9 +10,8 @@
 package phy
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 
 	"dlte/internal/radio"
 )
@@ -177,13 +176,33 @@ func demandMet(st *lteUserState) bool {
 
 // fastFadeDB returns a deterministic per-(user,TTI) fading deviation in
 // dB, a crude block-fading stand-in that gives channel-aware schedulers
-// something to exploit.
+// something to exploit. The draw is the 64-bit FNV-1a hash of the text
+// "seed|user|tti" (decimal integers), hashed in place: a schedule asks
+// for one per user and TTI, too often to format the text first.
 func fastFadeDB(seed int64, user string, tti int) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", seed, user, tti)
-	x := h.Sum64()
-	u := float64(x%10000)/10000.0 - 0.5 // uniform(-0.5, 0.5)
+	var num [20]byte // an int64 in decimal, sign included
+	h := fnv1a(fnvOffset64, strconv.AppendInt(num[:0], seed, 10))
+	h = fnv1a(h, "|")
+	h = fnv1a(h, user)
+	h = fnv1a(h, "|")
+	h = fnv1a(h, strconv.AppendInt(num[:0], int64(tti), 10))
+	u := float64(h%10000)/10000.0 - 0.5 // uniform(-0.5, 0.5)
 	return u * 8                        // ±4 dB swing
+}
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds the octets of s into the FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // LTECellConfig configures a single-cell downlink simulation.
@@ -234,6 +253,7 @@ func SimulateLTECell(cfg LTECellConfig, users []LTEUser, ttis int) LTEResult {
 		}
 	}
 	rates := make([]float64, len(users))
+	perUserBits := make([]float64, len(users))
 	owned := 0
 	// Fair-share airtime: the cell owns floor-distributed TTIs matching
 	// its share fraction (the X2-negotiated TDM pattern).
@@ -252,7 +272,7 @@ func SimulateLTECell(cfg LTECellConfig, users []LTEUser, ttis int) LTEResult {
 			rates[i] = eff * PRBBandwidthHz * LTEOverhead
 		}
 		grants := sched.Allocate(tti, states, rates, numPRB)
-		perUserBits := make([]float64, len(users))
+		clear(perUserBits)
 		for _, u := range grants {
 			if u >= 0 {
 				perUserBits[u] += rates[u] * TTI // one PRB for one TTI

@@ -1,7 +1,11 @@
 package phy
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"dlte/internal/metrics"
@@ -462,6 +466,48 @@ func TestMultiCellEmpty(t *testing.T) {
 	res := SimulateMultiCell(MultiCellConfig{}, nil)
 	if res.TotalBps != 0 {
 		t.Error("empty multicell produced traffic")
+	}
+}
+
+// fastFadeRef is the fading draw as first written: FNV-1a through
+// hash/fnv over fmt's rendering of the same text.
+func fastFadeRef(seed int64, user string, tti int) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s|%d", seed, user, tti)
+	x := h.Sum64()
+	u := float64(x%10000)/10000.0 - 0.5
+	return u * 8
+}
+
+// TestFastFadeMatchesReference: the in-place hash draws exactly what
+// the fmt-and-hash/fnv reference does, for seeds of either sign and
+// any size, user IDs empty to far longer than the number buffer, and
+// TTIs up to the extremes.
+func TestFastFadeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	seeds := []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64}
+	users := []string{"", "u", "ue-17", strings.Repeat("long-user-id/", 9), "ü|%d"}
+	ttis := []int{0, 1, 999, -5, math.MaxInt, math.MinInt}
+	for i := 0; i < 200; i++ {
+		seeds = append(seeds, rng.Int63()-rng.Int63())
+		ttis = append(ttis, rng.Intn(1_000_000))
+		users = append(users, strings.Repeat("x", rng.Intn(64)))
+	}
+	for i, seed := range seeds {
+		for j, user := range users {
+			tti := ttis[(i+j)%len(ttis)]
+			if got, want := fastFadeDB(seed, user, tti), fastFadeRef(seed, user, tti); got != want {
+				t.Fatalf("fastFadeDB(%d, %q, %d) = %v, reference %v", seed, user, tti, got, want)
+			}
+		}
+	}
+}
+
+// TestFastFadeAllocs: a draw allocates nothing.
+func TestFastFadeAllocs(t *testing.T) {
+	user := strings.Repeat("ue", 40)
+	if allocs := testing.AllocsPerRun(100, func() { fastFadeDB(math.MinInt64, user, 123456) }); allocs != 0 {
+		t.Errorf("fastFadeDB: %.1f allocs per draw, want 0", allocs)
 	}
 }
 

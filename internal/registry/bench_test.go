@@ -235,36 +235,27 @@ func (l *keysLoopConn) Read(p []byte) (int, error) {
 }
 
 // TestKeysPullAllocs pulls a multi-frame Keys reply and requires
-// exactly Store.Keys() back, allocating per key only its three strings,
-// per frame only its receive buffer, for the result at most
-// log2(frames)+1 arrays (each chunk decodes straight into the result),
-// and one request frame.
-// Decoding every chunk into a fresh slice and appending it onto the
+// exactly Store.Keys() back at a cost per frame, not per key: per frame
+// its receive buffer and the one string copy all of its keys' IMSI, K
+// and OPc share; for the result at most log2(frames)+1 arrays (each
+// chunk decodes straight into the result); and one request frame.
+// Decoding each string on its own costs three allocations per key;
+// decoding every chunk into a fresh slice and appending it onto the
 // result costs a slice per frame plus the result's regrowth.
 func TestKeysPullAllocs(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
 	}
 	const n = 7*maxKeysPerFrame + 17
-	store := NewStore()
-	for i := 0; i < n; i++ {
-		if err := store.PublishKey(testKey(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := store.Keys()
-	var reply bytes.Buffer
-	if err := sendKeys(wire.NewFrameConn(&reply), store.Revision(), want); err != nil {
-		t.Fatal(err)
-	}
+	want, reply := keysReply(t, n, 1)
 	frames := 0
-	for b := reply.Bytes(); len(b) > 0; frames++ {
+	for b := reply; len(b) > 0; frames++ {
 		b = b[4+binary.BigEndian.Uint32(b):]
 	}
 	if frames < 8 {
 		t.Fatalf("%d keys travel in %d frames, want at least 8", n, frames)
 	}
-	loop := &keysLoopConn{reply: reply.Bytes()}
+	loop := &keysLoopConn{reply: reply}
 	c := &Client{fc: wire.NewFrameConn(loop), c: loop}
 	got, err := c.Keys()
 	if err != nil {
@@ -282,12 +273,82 @@ func TestKeysPullAllocs(t *testing.T) {
 			t.Fatalf("Keys = %d keys, %v", len(got), err)
 		}
 	})
-	result := bits.Len(uint(frames))   // the first chunk, then a doubling per power of two
-	limit := 3*n + frames + result + 1 // strings, receive buffers, result, the request
+	result := bits.Len(uint(frames)) // the first chunk, then a doubling per power of two
+	limit := 2*frames + result + 1   // receive buffers and string copies, result, the request
 	t.Logf("Keys pull of %d keys in %d frames: %.0f allocs, bound %d", n, frames, allocs, limit)
 	if allocs > float64(limit) {
-		t.Errorf("Keys pull of %d keys in %d frames: %.0f allocs, want at most %d (3 per key, 1 per frame, %d for the result, 1 for the request)",
+		t.Errorf("Keys pull of %d keys in %d frames: %.0f allocs, want at most %d (2 per frame, %d for the result, 1 for the request)",
 			n, frames, allocs, limit, result)
+	}
+}
+
+// keysReply publishes n keys derived from salt and returns the store's
+// Keys and the framed reply a server sends for them.
+func keysReply(tb testing.TB, n int, salt uint64) ([]KeyRecord, []byte) {
+	store := NewStore()
+	for i := 0; i < n; i++ {
+		k := testKey(i)
+		k.K = fmt.Sprintf("%032x", uint64(i)+salt)
+		if err := store.PublishKey(k); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var reply bytes.Buffer
+	if err := sendKeys(wire.NewFrameConn(&reply), store.Revision(), store.Keys()); err != nil {
+		tb.Fatal(err)
+	}
+	return store.Keys(), reply.Bytes()
+}
+
+// TestKeysOutliveReceiveFrames: the strings of a pulled reply share a
+// copy of each frame, never the pooled receive buffer, so recycling
+// those buffers — scribbled over, then refilled by a different reply —
+// leaves the first result as it was.
+func TestKeysOutliveReceiveFrames(t *testing.T) {
+	const n = 30 // one frame well inside the pooled frame size
+	want, first := keysReply(t, n, 1)
+	_, second := keysReply(t, n, 1000)
+	if len(first) > 4096 {
+		t.Fatalf("a %d-key reply is %d bytes, past the pooled frame size", n, len(first))
+	}
+	loop := &keysLoopConn{reply: first}
+	c := &Client{fc: wire.NewFrameConn(loop), c: loop}
+	got, err := c.Keys()
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("first pull: %d keys, %v", len(got), err)
+	}
+	for i := 0; i < 4; i++ {
+		f := wire.GetFrame()
+		f = f[:cap(f)]
+		for j := range f {
+			f[j] = 0xFF
+		}
+		wire.PutFrame(f)
+	}
+	loop.reply = second
+	again, err := c.Keys()
+	if err != nil || len(again) != n || again[0].K == want[0].K {
+		t.Fatalf("second pull: %d keys, %v", len(again), err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("the first pull's keys changed when its receive frames were reused:\n got %+v\nwant %+v", got[0], want[0])
+	}
+}
+
+// BenchmarkKeysPull prices the client side of a bulk key pull: a
+// 28 689-key reply in 8 frames, served by an in-process loop so only
+// the client's receive and decode path is measured.
+func BenchmarkKeysPull(b *testing.B) {
+	const n = 7*maxKeysPerFrame + 17
+	want, reply := keysReply(b, n, 1)
+	loop := &keysLoopConn{reply: reply}
+	c := &Client{fc: wire.NewFrameConn(loop), c: loop}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := c.Keys(); err != nil || len(got) != len(want) {
+			b.Fatalf("Keys = %d keys, %v", len(got), err)
+		}
 	}
 }
 

@@ -89,13 +89,15 @@ func (c *Client) exchange(q request) (result, error) {
 		c.bytesRx.Add(uint64(len(b)) + 4)
 		// Lists decode straight into the result's spare capacity
 		// (wire.Len reuses it), so each item is copied once however
-		// many frames carry it.
+		// many frames carry it. Their strings share one copy of the
+		// frame (as decodeChunk's do), never b itself, which goes back
+		// to the pool below.
 		ch := chunk{
 			records: res.records[len(res.records):],
 			keys:    res.keys[len(res.keys):],
 			deltas:  res.deltas[len(res.deltas):],
 		}
-		d := wire.Decoder(b)
+		d := wire.SharingDecoder(b)
 		ch.walk(&d)
 		derr := d.Err()
 		wire.PutFrame(b)

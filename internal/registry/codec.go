@@ -188,9 +188,15 @@ func (ch *chunk) walk(c *wire.Codec) {
 	}
 }
 
+// decodeChunk decodes one response frame. Its strings are substrings
+// of one copy of b (wire.SharingDecoder), so they outlive b and cost
+// one allocation per frame; a frame without strings (respAck, respRev)
+// costs none. Any one of them keeps that copy alive, which costs
+// nothing extra when the caller keeps the frame's items together, as
+// a reply or a mirror does.
 func decodeChunk(b []byte) (chunk, error) {
 	var ch chunk
-	c := wire.Decoder(b)
+	c := wire.SharingDecoder(b)
 	ch.walk(&c)
 	return ch, c.Err()
 }

@@ -75,7 +75,20 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("request round trip mismatch:\n got %x\nwant %x", round, b)
 			}
 		}
-		if ch, err := decodeChunk(b); err == nil {
+		ch, err := decodeChunk(b)
+		// Sharing one copy of the frame among the strings changes what
+		// they cost, not what decodes: a decoder copying each string
+		// on its own reaches the same verdict, and an accepted frame
+		// re-encodes to b from either (below, and here).
+		var each chunk
+		d := wire.CopyingDecoder(b)
+		each.walk(&d)
+		if eachErr := d.Err(); (err == nil) != (eachErr == nil) {
+			t.Fatalf("sharing decode error %v, copying decode error %v", err, eachErr)
+		} else if err == nil && !bytes.Equal(encodeChunk(each), b) {
+			t.Fatalf("copying decode re-encodes to %x, want %x", encodeChunk(each), b)
+		}
+		if err == nil {
 			if len(ch.records) > maxRecordsPerFrame || len(ch.keys) > maxKeysPerFrame || len(ch.deltas) > maxDeltasPerFrame {
 				t.Fatalf("decoded chunk exceeds frame caps: %d/%d/%d", len(ch.records), len(ch.keys), len(ch.deltas))
 			}

@@ -1,7 +1,10 @@
 package registry
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -68,6 +71,38 @@ func TestStoreValidation(t *testing.T) {
 	s := NewStore()
 	if err := s.Join(APRecord{}); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("empty record: %v", err)
+	}
+}
+
+// TestPublishKeyHexCheck: PublishKey's allocation-free hex check
+// accepts exactly what hex.DecodeString does, and a rejected key still
+// fails with the decoder's error text.
+func TestPublishKeyHexCheck(t *testing.T) {
+	const alphabet = "0123456789abcdefABCDEFgG x\x00\xff"
+	rng := rand.New(rand.NewSource(1))
+	cases := []string{"", "0", "00", "0g", "g0", "fF", "Ab9", "abcdefABCDEF0123456789"}
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(7))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(b))
+	}
+	s := NewStore()
+	for _, h := range cases {
+		_, derr := hex.DecodeString(h)
+		if isHex(h) != (derr == nil) {
+			t.Fatalf("isHex(%q) = %v, hex.DecodeString error %v", h, isHex(h), derr)
+		}
+		for _, k := range []KeyRecord{
+			{IMSI: "001010000000001", K: h, OPc: "00"},
+			{IMSI: "001010000000001", K: "00", OPc: h},
+		} {
+			_, want := k.Publication()
+			if got := s.PublishKey(k); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("PublishKey(%+v) = %v, want %v", k, got, want)
+			}
+		}
 	}
 }
 

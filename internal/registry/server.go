@@ -202,16 +202,20 @@ func (sc *serverConn) subscribe(fromRev uint64) error {
 // --- frame senders -----------------------------------------------------
 
 // send encodes and ships one response frame. A frame that fails to
-// encode goes out as a respErr naming the failure instead.
+// encode goes out as a respErr naming the failure instead. The frame is
+// encoded behind its length prefix's headroom and written as is, so a
+// bulk chunk far past the pooled frame size is not copied again.
 func send(fc *wire.FrameConn, ch *chunk) error {
 	c := wire.GetEncoder()
 	defer wire.PutEncoder(c)
+	c.Headroom()
 	ch.walk(c)
 	if err := c.Err(); err != nil {
 		c.Reset()
+		c.Headroom()
 		(&chunk{kind: respErr, errCode: errCodeGeneric, errMsg: err.Error()}).walk(c)
 	}
-	return fc.Send(c.Bytes())
+	return fc.SendFramed(c.Bytes())
 }
 
 func sendErr(fc *wire.FrameConn, code uint8, msg string) error {

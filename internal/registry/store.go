@@ -202,8 +202,10 @@ func (s *Store) PublishKey(k KeyRecord) error {
 	if !auth.IMSI(k.IMSI).Valid() {
 		return fmt.Errorf("%w: bad IMSI %q", ErrBadRecord, k.IMSI)
 	}
-	if _, err := k.Publication(); err != nil {
-		return err
+	if !isHex(k.K) || !isHex(k.OPc) {
+		if _, err := k.Publication(); err != nil { // the decoder names the fault
+			return err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,6 +219,23 @@ func (s *Store) PublishKey(k KeyRecord) error {
 	s.bump(Delta{Kind: DeltaKey, Key: k})
 	s.keyRev.Store(s.rev.Load())
 	return nil
+}
+
+// isHex reports whether s is what hex.DecodeString accepts: an even
+// number of hex digits, either case. It allocates nothing, so a bulk
+// seeding validates its keys without decoding them.
+func isHex(s string) bool {
+	if len(s)%2 != 0 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'f', 'A' <= c && c <= 'F':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // apSnapshot returns the current AP view, rebuilding it first if a

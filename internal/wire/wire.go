@@ -40,28 +40,55 @@ var ErrNonCanonical = errors.New("wire: non-canonical encoding")
 // from its input into the pointed-to value. Either way the first error
 // is recorded and reported by Err, so walks carry no error checks; a
 // decode that failed leaves the remaining fields untouched.
+//
+// The fields are laid out to keep a Codec at 64 bytes: a decoder that
+// escapes (x2.Decode's does) costs one 64-byte allocation.
 type Codec struct {
 	buf  []byte // encoding: the output so far; decoding: the input
-	off  int    // decoding: read cursor
-	dec  bool
-	owns bool // decoding: byte fields are copies, not views into buf
+	text string // sharing decode: buf as one string, taken at the first non-empty string field
 	err  error
+	off  int32 // decoding: read cursor
+	mode mode
 }
+
+// mode is a Codec's direction and, decoding, what its fields own.
+type mode uint8
+
+const (
+	encoding mode = iota
+	viewing       // byte fields view the input
+	copying       // byte fields are copies
+	sharing       // byte fields are copies; strings share one copy of the input
+)
 
 // Encoder returns a Codec that appends to dst.
 func Encoder(dst []byte) Codec { return Codec{buf: dst} }
 
 // Decoder returns a Codec that decodes b. Byte fields decode as views
 // aliasing b — valid only while b is — which is what the
-// allocation-free hot paths want.
-func Decoder(b []byte) Codec { return Codec{buf: b, dec: true} }
+// allocation-free hot paths want. The read cursor is 32 bits, so a
+// decoder reads at most math.MaxInt32 octets of b; every dLTE input is
+// a frame, at most MaxFrameSize.
+func Decoder(b []byte) Codec { return Codec{buf: b, mode: viewing} }
 
 // CopyingDecoder is Decoder with byte fields copied out of b, for
 // messages retained after the input buffer is recycled.
-func CopyingDecoder(b []byte) Codec { return Codec{buf: b, dec: true, owns: true} }
+func CopyingDecoder(b []byte) Codec { return Codec{buf: b, mode: copying} }
+
+// SharingDecoder is CopyingDecoder for layouts with many string
+// fields: at the first non-empty one it copies all of b into a single
+// string, and every string field decodes as a substring of that copy,
+// so a message costs one string allocation however many strings it
+// carries, and none when it carries none. Nothing decoded aliases b.
+//
+// The retention rule: any one decoded string keeps the whole copy of
+// b alive. That suits a frame whose strings the caller keeps together
+// (a registry reply list); a caller that keeps one short string of a
+// large frame should clone it.
+func SharingDecoder(b []byte) Codec { return Codec{buf: b, mode: sharing} }
 
 // Decoding reports whether the Codec reads (true) or writes (false).
-func (c *Codec) Decoding() bool { return c.dec }
+func (c *Codec) Decoding() bool { return c.mode != encoding }
 
 // Bytes returns the encoding so far.
 func (c *Codec) Bytes() []byte { return c.buf }
@@ -74,18 +101,23 @@ func (c *Codec) Reset() {
 	c.buf, c.err = c.buf[:0], nil
 }
 
+// Headroom appends FrameHeadroom zero octets to an encoding Codec, the
+// room FrameConn.SendFramed patches the length prefix into: a frame
+// encoded behind them goes to the stream with no copy in between.
+func (c *Codec) Headroom() { c.buf = append(c.buf, make([]byte, FrameHeadroom)...) }
+
 // Err returns the first recorded error. Called on a decoding Codec
 // after the walk, it also reports unconsumed input as ErrNonCanonical:
 // the strict decoder accepts only an exact encoding.
 func (c *Codec) Err() error {
-	if c.dec && c.off != len(c.buf) {
+	if c.mode != encoding && int(c.off) != len(c.buf) {
 		c.trailing()
 	}
 	return c.err
 }
 
 func (c *Codec) trailing() {
-	c.Fail(fmt.Errorf("%w: %d trailing bytes", ErrNonCanonical, len(c.buf)-c.off))
+	c.Fail(fmt.Errorf("%w: %d trailing bytes", ErrNonCanonical, len(c.buf)-int(c.off)))
 }
 
 // Fail records err unless an error is already recorded. Walks use it
@@ -97,18 +129,18 @@ func (c *Codec) Fail(err error) {
 }
 
 func (c *Codec) take(n int) []byte {
-	if c.err != nil || n > len(c.buf)-c.off {
+	rest := c.buf[c.off:]
+	if c.err != nil || n > len(rest) {
 		c.Fail(ErrTruncated)
 		return nil
 	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
+	c.off += int32(n)
+	return rest[:n]
 }
 
 // U8 carries one octet.
 func (c *Codec) U8(p *uint8) {
-	if !c.dec {
+	if c.mode == encoding {
 		c.buf = append(c.buf, *p)
 	} else if b := c.take(1); b != nil {
 		*p = b[0]
@@ -117,7 +149,7 @@ func (c *Codec) U8(p *uint8) {
 
 // U16 carries a big-endian uint16.
 func (c *Codec) U16(p *uint16) {
-	if !c.dec {
+	if c.mode == encoding {
 		c.buf = binary.BigEndian.AppendUint16(c.buf, *p)
 	} else if b := c.take(2); b != nil {
 		*p = binary.BigEndian.Uint16(b)
@@ -126,7 +158,7 @@ func (c *Codec) U16(p *uint16) {
 
 // U32 carries a big-endian uint32.
 func (c *Codec) U32(p *uint32) {
-	if !c.dec {
+	if c.mode == encoding {
 		c.buf = binary.BigEndian.AppendUint32(c.buf, *p)
 	} else if b := c.take(4); b != nil {
 		*p = binary.BigEndian.Uint32(b)
@@ -135,7 +167,7 @@ func (c *Codec) U32(p *uint32) {
 
 // U64 carries a big-endian uint64.
 func (c *Codec) U64(p *uint64) {
-	if !c.dec {
+	if c.mode == encoding {
 		c.buf = binary.BigEndian.AppendUint64(c.buf, *p)
 	} else if b := c.take(8); b != nil {
 		*p = binary.BigEndian.Uint64(b)
@@ -173,7 +205,7 @@ func (c *Codec) Bool(p *bool) {
 // Fixed carries len(p) raw octets with no prefix (a fixed-N field,
 // typically an array's slice): decoding copies them into p.
 func (c *Codec) Fixed(p []byte) {
-	if !c.dec {
+	if c.mode == encoding {
 		c.buf = append(c.buf, p...)
 	} else if b := c.take(len(p)); b != nil {
 		copy(p, b)
@@ -197,7 +229,7 @@ func (c *Codec) String16(p *string) { c.field(nil, p, 2) }
 // call. Encoding a field longer than its prefix can count is
 // ErrOverflow.
 func (c *Codec) field(bp *[]byte, sp *string, width int) {
-	if !c.dec {
+	if c.mode == encoding {
 		n := 0
 		if bp != nil {
 			n = len(*bp)
@@ -229,9 +261,14 @@ func (c *Codec) field(bp *[]byte, sp *string, width int) {
 	b := c.take(n)
 	switch {
 	case b == nil:
+	case sp != nil && c.mode == sharing && n > 0:
+		if c.text == "" {
+			c.text = string(c.buf)
+		}
+		*sp = c.text[int(c.off)-n : c.off]
 	case sp != nil:
 		*sp = string(b)
-	case c.owns:
+	case c.mode >= copying:
 		*bp = append(make([]byte, 0, n), b...)
 	default:
 		*bp = b[:n:n]
@@ -247,7 +284,7 @@ func (c *Codec) field(bp *[]byte, sp *string, width int) {
 // sizes an allocation.
 func Len[T any](c *Codec, s *[]T, width, limit int) {
 	n := len(*s)
-	if !c.dec && n > limit {
+	if c.mode == encoding && n > limit {
 		c.Fail(fmt.Errorf("%w: %d elements, at most %d", ErrOverflow, n, limit))
 	}
 	switch width {
@@ -264,7 +301,7 @@ func Len[T any](c *Codec, s *[]T, width, limit int) {
 		c.U32(&u)
 		n = int(u)
 	}
-	if !c.dec {
+	if c.mode == encoding {
 		return
 	}
 	room := *s

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // sample carries one field of every kind; its walk is the layout.
@@ -63,7 +64,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if e.Len() != len(e.Bytes()) || e.Decoding() {
 		t.Fatal("encoder state")
 	}
-	for _, d := range []Codec{Decoder(e.Bytes()), CopyingDecoder(e.Bytes())} {
+	for _, d := range []Codec{Decoder(e.Bytes()), CopyingDecoder(e.Bytes()), SharingDecoder(e.Bytes())} {
 		var out sample
 		out.walk(&d)
 		if err := d.Err(); err != nil {
@@ -73,17 +74,73 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Errorf("round trip = %+v, want %+v", out, in)
 		}
 	}
-	// Views alias the input; copies do not.
+	// Views alias the input; copies do not, nor do shared strings.
 	buf := bytes.Clone(e.Bytes())
-	var view, owned sample
-	v, o := Decoder(buf), CopyingDecoder(buf)
+	var view, owned, shared sample
+	v, o, sh := Decoder(buf), CopyingDecoder(buf), SharingDecoder(buf)
 	view.walk(&v)
 	owned.walk(&o)
+	shared.walk(&sh)
 	for i := range buf {
 		buf[i] ^= 0xFF
 	}
-	if view.b16[1] == 8 || owned.b16[1] != 8 {
-		t.Errorf("view b16 = %v, copy b16 = %v", view.b16, owned.b16)
+	if view.b16[1] == 8 || owned.b16[1] != 8 || shared.b16[1] != 8 {
+		t.Errorf("view b16 = %v, copy b16 = %v, shared b16 = %v", view.b16, owned.b16, shared.b16)
+	}
+	if shared.s8 != "hi" || shared.s16 != "dlte" {
+		t.Errorf("shared strings = %q, %q after the input changed", shared.s8, shared.s16)
+	}
+}
+
+// strings3 is a layout of three strings, for the sharing decoder.
+type strings3 [3]string
+
+func (s *strings3) walk(c *Codec) {
+	for i := range s {
+		c.String8(&s[i])
+	}
+}
+
+// TestSharingDecoderAllocs: a SharingDecoder spends one allocation on
+// a frame's strings however many it carries, and none on a frame
+// without any (empty strings included); the other decoders spend one
+// per string.
+func TestSharingDecoderAllocs(t *testing.T) {
+	in := strings3{"001010000000001", "00112233445566778899aabbccddeeff", "ffeeddccbbaa99887766554433221100"}
+	e := Encoder(nil)
+	in.walk(&e)
+	frame := e.Bytes()
+	for _, tc := range []struct {
+		name  string
+		dec   func([]byte) Codec
+		frame []byte
+		want  float64
+	}{
+		{"sharing", SharingDecoder, frame, 1},
+		{"sharing, empty strings", SharingDecoder, []byte{0, 0, 0}, 0},
+		{"copying", CopyingDecoder, frame, 3},
+		{"viewing", Decoder, frame, 3},
+	} {
+		var out strings3
+		allocs := testing.AllocsPerRun(100, func() {
+			d := tc.dec(tc.frame)
+			out.walk(&d)
+			if d.Err() != nil {
+				t.Fatal(d.Err())
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("%s: %.0f allocs per decode, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// TestCodecSize: a Codec that escapes (x2.Decode's) is one allocation
+// in the 64-byte size class; a larger Codec would add 16 bytes to
+// every such decode.
+func TestCodecSize(t *testing.T) {
+	if n := unsafe.Sizeof(Codec{}); n > 64 {
+		t.Errorf("wire.Codec is %d bytes, want at most 64", n)
 	}
 }
 
@@ -349,6 +406,20 @@ func TestLayoutWalksBothWays(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 || c.Err() != nil {
 		t.Errorf("reset encoder: len %d, err %v", c.Len(), c.Err())
+	}
+	// Behind Headroom, the frame goes out through SendFramed exactly as
+	// its payload does through Send.
+	c.Headroom()
+	c.U32(&v)
+	var viaSend, viaFramed bytes.Buffer
+	if err := NewFrameConn(&viaFramed).SendFramed(c.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewFrameConn(&viaSend).Send(c.Bytes()[FrameHeadroom:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaFramed.Bytes(), viaSend.Bytes()) {
+		t.Errorf("headroom frame %x, want %x", viaFramed.Bytes(), viaSend.Bytes())
 	}
 }
 
