@@ -92,9 +92,10 @@ const scenTestWindow = 250 * time.Millisecond
 // worker or eight, every scenario kind under both schemes ends with the
 // same handover, event, outage and interruption figures and the same
 // merged promotion log. A third, windowed leg is the drain-order
-// oracle: it drives every region's wheel from the test in
+// oracle: it parks the world on the wheel-ordered twin
+// (scenwheel_test.go) and drives every region's wheel from the test in
 // scenTestWindow steps, so no region ever runs ahead of another, and
-// must agree with Run's region-major drain.
+// must agree with Run's slot-major drain.
 func TestCompileScenarioWorkerInvariant(t *testing.T) {
 	type outcome struct {
 		handovers, events, dropped, reattached uint64
@@ -107,17 +108,15 @@ func TestCompileScenarioWorkerInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !windowed {
-			err = w.Run()
-		} else if err = w.start(); err == nil {
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sw := newScenWheel(w, nil, nil)
 			for end := time.Duration(0); end < spec.Horizon; {
 				end = min(end+scenTestWindow, spec.Horizon)
-				for _, reg := range w.regions {
-					reg.sch.RunUntil(end)
-				}
+				sw.runUntil(end)
 			}
-		}
-		if err != nil {
-			t.Fatal(err)
 		}
 		o := outcome{handovers: w.Handovers(), events: w.Events()}
 		o.dropped, o.reattached, _ = w.Outage()

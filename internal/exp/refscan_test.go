@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dlte/internal/metrics"
-	"dlte/internal/ue"
 )
 
 // The radio scan scenario.go ran before it ranked cells by distance,
@@ -100,33 +99,23 @@ type refRegion struct {
 	codes []uint16
 }
 
-// refHandle and refMeasure are scenRegion.handle and .measure as they
-// stood over refBestLiveCell, refDraw and the code log.
-func refHandle(r *refRegion, arg uint64) {
+// start and measure are scenRegion's handlers as they stood over
+// refBestLiveCell, refDraw and the code log; activity is the region's
+// own.
+func (r *refRegion) start(l int, u scenUE) time.Duration {
 	r.events++
-	l := int(arg &^ (uint64(3) << 62))
-	gi := r.base + l
-	now := r.sch.Now()
-	switch arg >> 62 {
-	case scenKindStart:
-		u := refDraw(r.spec, r.seed, gi)
-		r.pool.StartAttach(l)
-		r.pool.Register(l, u.guti, u.ip)
-		cell, _ := refBestLiveCell(r.spec, refUEPos(r.spec, u, now), now)
-		r.serving[l] = int32(cell)
-		r.sch.AtIndexed(now+refMeasurePeriod(r.seed, gi, 0), scenArg(scenKindMeasure, l))
-	case scenKindMeasure:
-		refMeasure(r, l, gi, now)
-	case scenKindActivity:
-		if r.pool.State(l) != ue.IdleAttached {
-			return
-		}
-		r.promos = append(r.promos, scenPromo{at: now, gi: uint64(gi), rec: r.pool.Promote(l)})
-	}
+	gi, now := r.base+l, u.start
+	d := refDraw(r.spec, r.seed, gi)
+	r.pool.StartAttach(l)
+	r.pool.Register(l, d.guti, d.ip)
+	cell, _ := refBestLiveCell(r.spec, refUEPos(r.spec, d, now), now)
+	r.serving[l] = int32(cell)
+	return now + refMeasurePeriod(r.seed, gi, 0)
 }
 
-func refMeasure(r *refRegion, l, gi int, now time.Duration) {
-	spec := r.spec
+func (r *refRegion) measure(l int, now time.Duration) time.Duration {
+	r.events++
+	gi, spec := r.base+l, r.spec
 	x := refUEPos(spec, refDraw(spec, r.seed, gi), now)
 	cur := int(r.serving[l])
 
@@ -163,7 +152,7 @@ func refMeasure(r *refRegion, l, gi int, now time.Duration) {
 
 	tick := int(r.hoCount[l]) + int(r.pool.TAUCount(l))
 	r.pool.TrackingAreaUpdate(l)
-	r.sch.AtIndexed(now+refMeasurePeriod(r.seed, gi, tick+1), scenArg(scenKindMeasure, l))
+	return now + refMeasurePeriod(r.seed, gi, tick+1)
 }
 
 func refRecordHandover(r *refRegion, gi, l int) {
@@ -268,10 +257,11 @@ type scanRec struct {
 	dropped, reattached uint64
 }
 
-// runScanWorld runs spec to its horizon, on the reference handlers when
-// ref is set, and returns every region's outcomes in firing order, the
-// world, and (reference runs) the interruption quantiles of the logged
-// codes, taken by metrics.Histogram.
+// runScanWorld runs spec to its horizon on the wheel-ordered drain
+// (scenwheel_test.go), on the reference handlers when ref is set, and
+// returns every region's outcomes in firing order, the world, and
+// (reference runs) the interruption quantiles of the logged codes,
+// taken by metrics.Histogram.
 func runScanWorld(t *testing.T, spec ScenarioSpec, scheme Scheme, seed int64, ref bool) ([][]scanRec, *CompiledScenario, [2]float64) {
 	t.Helper()
 	w, err := CompileScenario(spec, scheme, seed, 1)
@@ -279,24 +269,18 @@ func runScanWorld(t *testing.T, spec ScenarioSpec, scheme Scheme, seed int64, re
 		t.Fatal(err)
 	}
 	logs := make([][]scanRec, len(w.regions))
-	refs := make([]*refRegion, len(w.regions))
-	for i, reg := range w.regions {
-		i, reg := i, reg
-		rr := &refRegion{scenRegion: reg, seed: seed}
-		refs[i] = rr
-		reg.sch.OnIndexed = func(arg uint64) {
-			if ref {
-				refHandle(rr, arg)
-			} else {
-				reg.handle(arg)
-			}
-			l := int(arg &^ (uint64(3) << 62))
-			logs[i] = append(logs[i], scanRec{reg.sch.Now(), reg.base + l, reg.serving[l], reg.hoCount[l], reg.dropped, reg.reattached})
+	var refs []*refRegion
+	steps := func(reg *scenRegion) scenSteps {
+		if !ref {
+			return reg
 		}
+		rr := &refRegion{scenRegion: reg, seed: seed}
+		refs = append(refs, rr)
+		return rr
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	newScenWheel(w, steps, func(reg *scenRegion, l int, now time.Duration) {
+		logs[reg.idx] = append(logs[reg.idx], scanRec{now, reg.base + l, reg.serving[l], reg.hoCount[l], reg.dropped, reg.reattached})
+	}).runUntil(spec.Horizon)
 	h := metrics.NewHistogram()
 	for _, rr := range refs {
 		for _, c := range rr.codes {

@@ -12,15 +12,15 @@ import (
 )
 
 // Scenario compiler: declarative city-scale mobility specs lowered onto
-// the PR 7 sharded-scheduler machinery. A ScenarioSpec describes *what
+// compact region-partitioned worlds. A ScenarioSpec describes *what
 // happens* — a vehicular corridor through a string of APs, a flash
 // crowd converging on a stadium, an AP failure/recovery wave — and
 // Compile lowers it to a compact world: UEs are struct-of-arrays slots
 // (ue.IdlePool plus serving-cell, draw and handover-count arrays),
-// their behaviour is periodic measurement events parked in per-region
-// timing wheels, and every per-UE quantity is a pure function of (seed,
-// global index, event ordinal), so the world is byte-deterministic at
-// any worker count.
+// their behaviour is a chain of periodic measurement ticks that each
+// UE runs to the horizon in one loop, parking no timer, and every
+// per-UE quantity is a pure function of (seed, global index, event
+// ordinal), so the world is byte-deterministic at any worker count.
 //
 // The same spec runs under two schemes. SchemeDLTE evaluates the real
 // mobility.Trigger policy per measurement tick and pays a modeled
@@ -111,15 +111,6 @@ const (
 	scenRSRPSlope   = 35.0
 	scenMinUsableDB = -120.0
 )
-
-// Event kinds packed kind<<62 | region-local slot index.
-const (
-	scenKindStart = iota
-	scenKindMeasure
-	scenKindActivity
-)
-
-func scenArg(kind uint64, l int) uint64 { return kind<<62 | uint64(l) }
 
 // scenKeys is a world's seed mixed once into each per-UE draw stream,
 // so a draw pays only its own splitmix rounds.
@@ -415,25 +406,26 @@ func (spec *ScenarioSpec) bestLiveCell(x float64, t time.Duration) int {
 }
 
 // scenPromo is one flash-crowd promotion record, merged across regions
-// by (at, gi).
+// by (at, gi); a region files its activity instants as records whose
+// rec is still unset.
 type scenPromo struct {
 	at  time.Duration
 	gi  uint64
 	rec ue.PromoteRecord
 }
 
-// scenRegion owns one wheel's worth of the population. Its events touch
-// only its own slots and counters, so its wheel runs to the horizon
-// without looking at any other region; cross-region figures are sums
-// and merged logs taken after the run.
+// scenRegion owns one slice of the population. A UE's events touch only
+// its own slots and commutative counters, and cells are pure functions
+// of time, so run takes the slots one at a time, each to the horizon;
+// cross-region figures are sums and merged logs taken after the run.
 type scenRegion struct {
 	idx, base, count int
 	spec             *ScenarioSpec
 	tab              *scenTables
 	scheme           Scheme
 	keys             scenKeys
-	sch              *simnet.Scheduler
 	pool             *ue.IdlePool
+	acts             []scenPromo // activity instants ≤ horizon, rec unset, in gi order
 
 	// Per-slot arrays, carved from the world's shared backings. The
 	// start event fills home and the draw codes; measure only reads
@@ -448,27 +440,51 @@ type scenRegion struct {
 	promos              []scenPromo
 }
 
-func (r *scenRegion) handle(arg uint64) {
-	r.events++
-	l := int(arg &^ (uint64(3) << 62))
-	gi := r.base + l
-	now := r.sch.Now()
-	switch arg >> 62 {
-	case scenKindStart:
-		u := scenDraw(r.spec, r.keys.draw, gi)
-		r.home[l], r.offCode[l], r.speedCode[l] = u.home, u.offCode, u.speedCode
-		r.pool.StartAttach(l)
-		r.pool.Register(l, u.guti, u.ip)
-		r.serving[l] = int32(r.spec.bestLiveCell(r.pos(l, now), now))
-		r.sch.AtIndexed(now+scenMeasurePeriod(r.keys.period, gi, 0), scenArg(scenKindMeasure, l))
-	case scenKindMeasure:
-		r.measure(l, gi, now)
-	case scenKindActivity:
-		if r.pool.State(l) != ue.IdleAttached {
-			return
+// run drains the region slot-major: a slot's start, then its ticks while
+// t ≤ horizon, with its activity instants merged in by the timing
+// wheel's tie rule — at one instant, start runs before activity and
+// activity before measure.
+func (r *scenRegion) run(horizon time.Duration) {
+	acts := r.acts
+	for l := 0; l < r.count; l++ {
+		u := scenDraw(r.spec, r.keys.draw, r.base+l)
+		next, started := u.start, false
+		for {
+			for len(acts) > 0 && acts[0].gi == uint64(r.base+l) && (acts[0].at < next || started && acts[0].at == next) {
+				r.activity(l, acts[0].at)
+				acts = acts[1:]
+			}
+			if next > horizon {
+				break
+			}
+			if started {
+				next = r.measure(l, next)
+			} else {
+				next, started = r.start(l, u), true
+			}
 		}
-		r.promos = append(r.promos, scenPromo{at: now, gi: uint64(gi), rec: r.pool.Promote(l)})
 	}
+}
+
+// start attaches slot l's UE at u.start and keeps its draws in the
+// slots. It returns the first measurement tick.
+func (r *scenRegion) start(l int, u scenUE) time.Duration {
+	r.events++
+	r.home[l], r.offCode[l], r.speedCode[l] = u.home, u.offCode, u.speedCode
+	r.pool.StartAttach(l)
+	r.pool.Register(l, u.guti, u.ip)
+	r.serving[l] = int32(r.spec.bestLiveCell(r.pos(l, u.start), u.start))
+	return u.start + scenMeasurePeriod(r.keys.period, r.base+l, 0)
+}
+
+// activity promotes slot l's UE out of the pool if it is attached; an
+// activity before the UE's start, or after its promotion, only counts.
+func (r *scenRegion) activity(l int, now time.Duration) {
+	r.events++
+	if r.pool.State(l) != ue.IdleAttached {
+		return
+	}
+	r.promos = append(r.promos, scenPromo{at: now, gi: uint64(r.base + l), rec: r.pool.Promote(l)})
 }
 
 // pos is slot l's position at t.
@@ -477,8 +493,9 @@ func (r *scenRegion) pos(l int, t time.Duration) float64 {
 }
 
 // measure is one UE's periodic radio check — the compact lowering of
-// the mobility plane's trigger loop.
-func (r *scenRegion) measure(l, gi int, now time.Duration) {
+// the mobility plane's trigger loop. It returns the UE's next tick.
+func (r *scenRegion) measure(l int, now time.Duration) time.Duration {
+	r.events++
 	spec := r.spec
 	x := r.pos(l, now)
 	cur := int(r.serving[l])
@@ -528,7 +545,7 @@ func (r *scenRegion) measure(l, gi int, now time.Duration) {
 
 	tick := int(r.hoCount[l]) + int(r.pool.TAUCount(l))
 	r.pool.TrackingAreaUpdate(l) // tick counter doubles as measure count
-	r.sch.AtIndexed(now+scenMeasurePeriod(r.keys.period, gi, tick+1), scenArg(scenKindMeasure, l))
+	return now + scenMeasurePeriod(r.keys.period, r.base+l, tick+1)
 }
 
 // recordHandover counts one handover of slot l. Its interruption is
@@ -549,13 +566,13 @@ type CompiledScenario struct {
 	seed    int64
 	keys    scenKeys
 	tab     scenTables
-	ss      *simnet.ShardedScheduler
+	workers int
 	regions []*scenRegion
 }
 
-// CompileScenario lowers spec onto a sharded compact world. workers
-// follows the Options.Parallelism convention (0 = one per CPU) and
-// never changes results.
+// CompileScenario lowers spec onto a compact world. workers follows the
+// Options.Parallelism convention (0 = one per CPU) and never changes
+// results.
 func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) (*CompiledScenario, error) {
 	if spec.UEs <= 0 || spec.APs <= 1 || spec.SpacingM <= 0 {
 		return nil, fmt.Errorf("scenario %q: need UEs>0, APs>1, SpacingM>0", spec.Name)
@@ -565,8 +582,7 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 	}
 	w := &CompiledScenario{
 		Spec: spec, Scheme: scheme, seed: seed, keys: newScenKeys(seed),
-		tab: spec.drawTables(),
-		ss:  simnet.NewShardedScheduler(scenRegions, workers),
+		tab: spec.drawTables(), workers: workers,
 	}
 	// Every region's slot arrays share one backing per element type.
 	i32s := make([]int32, 2*spec.UEs)
@@ -582,7 +598,6 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 		reg := &scenRegion{
 			idx: i, base: base, count: count,
 			spec: &w.Spec, tab: &w.tab, scheme: scheme, keys: w.keys,
-			sch:       w.ss.Region(i),
 			pool:      ue.NewIdlePool(count),
 			serving:   carve(&i32s, count),
 			home:      carve(&i32s, count),
@@ -590,9 +605,26 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 			speedCode: carve(&u16s, count),
 			hoCount:   carve(&u32s, count),
 		}
-		reg.sch.OnIndexed = reg.handle
+		for range count {
+			reg.pool.Alloc() // the pool holds exactly count slots
+		}
 		w.regions = append(w.regions, reg)
 		base += count
+	}
+	// Flash-crowd activity hits mid-event, 1 ms apart so the merged log
+	// has a stable order. The instant and gi both grow with k, so each
+	// region's acts, and the promos they file, are in slot order and in
+	// (at, gi) order at once, as run and MergeRegions need.
+	for k, reg := 0, w.regions[0]; spec.Kind == KindFlashCrowd && k < min(spec.Promotions, spec.UEs); k++ {
+		at := spec.ConvergeAt + 5*time.Second + time.Duration(k)*time.Millisecond
+		if at > spec.Horizon {
+			break
+		}
+		gi := k * spec.UEs / spec.Promotions
+		for gi >= reg.base+reg.count {
+			reg = w.regions[reg.idx+1]
+		}
+		reg.acts = append(reg.acts, scenPromo{at: at, gi: uint64(gi)})
 	}
 	return w, nil
 }
@@ -605,47 +637,13 @@ func carve[T any](buf *[]T, n int) []T {
 	return s
 }
 
-// Run seeds the world and drains it to the spec's horizon.
+// Run drains the world to the spec's horizon, one region per worker at
+// a time; which worker takes which region is invisible in the results.
 func (w *CompiledScenario) Run() error {
-	if err := w.start(); err != nil {
-		return err
-	}
-	w.ss.RunUntil(w.Spec.Horizon)
-	return nil
-}
-
-// start allocates every slot and parks each UE's start event, plus the
-// flash crowd's activity events.
-func (w *CompiledScenario) start() error {
-	spec := &w.Spec
-	for _, reg := range w.regions {
-		for l := 0; l < reg.count; l++ {
-			if _, ok := reg.pool.Alloc(); !ok {
-				return fmt.Errorf("scenario %q: region %d pool exhausted", spec.Name, reg.idx)
-			}
-			reg.sch.AtIndexed(scenDraw(spec, w.keys.draw, reg.base+l).start, scenArg(scenKindStart, l))
-		}
-	}
-	if spec.Kind == KindFlashCrowd {
-		for k := 0; k < spec.Promotions && k < spec.UEs; k++ {
-			gi := k * spec.UEs / spec.Promotions
-			reg := w.regionOf(gi)
-			// Activity hits mid-event, 1 ms apart so the merged log has
-			// a stable order even if two land in one region.
-			at := spec.ConvergeAt + 5*time.Second + time.Duration(k)*time.Millisecond
-			reg.sch.AtIndexed(at, scenArg(scenKindActivity, gi-reg.base))
-		}
-	}
-	return nil
-}
-
-func (w *CompiledScenario) regionOf(gi int) *scenRegion {
-	for _, reg := range w.regions {
-		if gi < reg.base+reg.count {
-			return reg
-		}
-	}
-	return w.regions[len(w.regions)-1]
+	return ForEach(w.workers, len(w.regions), func(i int) error {
+		w.regions[i].run(w.Spec.Horizon)
+		return nil
+	})
 }
 
 // Handovers is the world's total handover count (commutative sum).

@@ -70,10 +70,11 @@ type lteUserState struct {
 type LTEScheduler interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
-	// Allocate returns, for each of numPRB resource blocks, the index
-	// of the user it is granted to (or -1 for unused). rates[i] is
-	// user i's achievable bits per PRB per TTI this interval.
-	Allocate(tti int, users []*lteUserState, rates []float64, numPRB int) []int
+	// Allocate sets grants[b], for each resource block b, to the index
+	// of the user it is granted to (or -1 for unused); the caller owns
+	// grants and reuses it every TTI. rates[i] is user i's achievable
+	// bits per PRB per TTI this interval.
+	Allocate(tti int, users []*lteUserState, rates []float64, grants []int)
 }
 
 // RoundRobin cycles PRB grants across users irrespective of channel
@@ -84,13 +85,12 @@ type RoundRobin struct{ next int }
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Allocate implements LTEScheduler.
-func (s *RoundRobin) Allocate(_ int, users []*lteUserState, rates []float64, numPRB int) []int {
-	grants := make([]int, numPRB)
+func (s *RoundRobin) Allocate(_ int, users []*lteUserState, rates []float64, grants []int) {
 	if len(users) == 0 {
 		for i := range grants {
 			grants[i] = -1
 		}
-		return grants
+		return
 	}
 	for i := range grants {
 		// Skip users with dead links; they cannot use a grant.
@@ -105,7 +105,6 @@ func (s *RoundRobin) Allocate(_ int, users []*lteUserState, rates []float64, num
 		}
 		grants[i] = granted
 	}
-	return grants
 }
 
 // ProportionalFair grants each PRB to the user maximizing
@@ -117,8 +116,7 @@ type ProportionalFair struct{}
 func (ProportionalFair) Name() string { return "proportional-fair" }
 
 // Allocate implements LTEScheduler.
-func (ProportionalFair) Allocate(_ int, users []*lteUserState, rates []float64, numPRB int) []int {
-	grants := make([]int, numPRB)
+func (ProportionalFair) Allocate(_ int, users []*lteUserState, rates []float64, grants []int) {
 	for i := range grants {
 		best, bestMetric := -1, -1.0
 		for u, st := range users {
@@ -141,7 +139,6 @@ func (ProportionalFair) Allocate(_ int, users []*lteUserState, rates []float64, 
 		}
 		grants[i] = best
 	}
-	return grants
 }
 
 // MaxRate grants every PRB to the user with the best channel — maximum
@@ -152,8 +149,7 @@ type MaxRate struct{}
 func (MaxRate) Name() string { return "max-rate" }
 
 // Allocate implements LTEScheduler.
-func (MaxRate) Allocate(_ int, users []*lteUserState, rates []float64, numPRB int) []int {
-	grants := make([]int, numPRB)
+func (MaxRate) Allocate(_ int, users []*lteUserState, rates []float64, grants []int) {
 	for i := range grants {
 		best, bestRate := -1, 0.0
 		for u, st := range users {
@@ -167,7 +163,6 @@ func (MaxRate) Allocate(_ int, users []*lteUserState, rates []float64, numPRB in
 		}
 		grants[i] = best
 	}
-	return grants
 }
 
 func demandMet(st *lteUserState) bool {
@@ -253,6 +248,7 @@ func SimulateLTECell(cfg LTECellConfig, users []LTEUser, ttis int) LTEResult {
 		}
 	}
 	rates := make([]float64, len(users))
+	grants := make([]int, numPRB)
 	perUserBits := make([]float64, len(users))
 	owned := 0
 	// Fair-share airtime: the cell owns floor-distributed TTIs matching
@@ -271,7 +267,7 @@ func SimulateLTECell(cfg LTECellConfig, users []LTEUser, ttis int) LTEResult {
 			// Achievable rate on one PRB while granted, in bps.
 			rates[i] = eff * PRBBandwidthHz * LTEOverhead
 		}
-		grants := sched.Allocate(tti, states, rates, numPRB)
+		sched.Allocate(tti, states, rates, grants)
 		clear(perUserBits)
 		for _, u := range grants {
 			if u >= 0 {

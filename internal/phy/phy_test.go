@@ -511,6 +511,34 @@ func TestFastFadeAllocs(t *testing.T) {
 	}
 }
 
+// TestLTEAllocateAllocs: every policy fills the caller's grants buffer
+// without allocating, and a cell run's allocations do not grow with
+// its TTI count.
+func TestLTEAllocateAllocs(t *testing.T) {
+	users := []*lteUserState{
+		{LTEUser: LTEUser{ID: "a", SINRdB: 20}, avgRateBps: 1},
+		{LTEUser: LTEUser{ID: "b", SINRdB: 5, Weight: 2}, avgRateBps: 1},
+		{LTEUser: LTEUser{ID: "c", SINRdB: -20}, avgRateBps: 1, demandBits: 1, gotBits: 2},
+	}
+	rates := []float64{900, 300, 0}
+	grants := make([]int, NumPRB(20))
+	for _, s := range []LTEScheduler{&RoundRobin{}, ProportionalFair{}, MaxRate{}} {
+		for _, us := range [][]*lteUserState{users, nil} {
+			if allocs := testing.AllocsPerRun(100, func() { s.Allocate(0, us, rates, grants) }); allocs != 0 {
+				t.Errorf("%s over %d users: %.1f allocs per TTI, want 0", s.Name(), len(us), allocs)
+			}
+		}
+		cell := func(ttis int) float64 {
+			cfg := LTECellConfig{ChannelMHz: 20, Scheduler: s, FastFading: true, Seed: 3}
+			lu := []LTEUser{{ID: "a", SINRdB: 20}, {ID: "b", SINRdB: 5}}
+			return testing.AllocsPerRun(5, func() { SimulateLTECell(cfg, lu, ttis) })
+		}
+		if short, long := cell(10), cell(1000); long != short {
+			t.Errorf("%s: a cell run allocates %.0f times over 10 TTIs, %.0f over 1000", s.Name(), short, long)
+		}
+	}
+}
+
 func TestFastFadeDeterministic(t *testing.T) {
 	a := fastFadeDB(1, "u", 7)
 	b := fastFadeDB(1, "u", 7)
