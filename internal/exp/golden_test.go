@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dlte/internal/leaktest"
 )
@@ -54,6 +55,31 @@ func TestE13Golden100k(t *testing.T) {
 	}
 	checkGolden(t, filepath.Join("testdata", "e13.ues100000.seed42.golden"),
 		Options{Seed: 42, UEs: 100000}, "E13", true)
+}
+
+// TestCityCorridorCounts pins the 200k-UE corridor world bench's
+// city_corridor workload runs (a copy of its citySpec, seed 42): the
+// events it simulates, its handovers and both interruption quantiles.
+// ~0.4 s on a 2-CPU box; like the full-size goldens, not in -short or
+// -race runs.
+func TestCityCorridorCounts(t *testing.T) {
+	if testing.Short() || leaktest.RaceEnabled {
+		t.Skip("200k-UE world: not in -short or -race runs")
+	}
+	spec := ScenarioSpec{
+		Name: "bench-corridor", Kind: KindCorridor,
+		UEs: 200_000, APs: 32, SpacingM: 1000, SpeedMps: 25,
+		Horizon: 120 * time.Second,
+	}
+	w, err := runCompactScenario(spec, SchemeDLTE, 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p50, p99 := w.InterruptionQuantiles()
+	if w.Events() != 9_621_217 || w.Handovers() != 600_220 || p50 != 28.985 || p99 != 39.777 {
+		t.Fatalf("city corridor: %d events, %d handovers, p50 %v ms, p99 %v ms; want 9621217, 600220, 28.985, 39.777",
+			w.Events(), w.Handovers(), p50, p99)
+	}
 }
 
 // checkGolden renders the suite (or only the experiment with ID only)

@@ -102,18 +102,19 @@ type refRegion struct {
 // start and measure are scenRegion's handlers as they stood over
 // refBestLiveCell, refDraw and the code log; activity is the region's
 // own.
-func (r *refRegion) start(l int, u scenUE) time.Duration {
+func (r *refRegion) start(l int, u scenUE) (time.Duration, float64) {
 	r.events++
 	gi, now := r.base+l, u.start
 	d := refDraw(r.spec, r.seed, gi)
 	r.pool.StartAttach(l)
 	r.pool.Register(l, d.guti, d.ip)
-	cell, _ := refBestLiveCell(r.spec, refUEPos(r.spec, d, now), now)
+	x := refUEPos(r.spec, d, now)
+	cell, _ := refBestLiveCell(r.spec, x, now)
 	r.serving[l] = int32(cell)
-	return now + refMeasurePeriod(r.seed, gi, 0)
+	return now + refMeasurePeriod(r.seed, gi, 0), x
 }
 
-func (r *refRegion) measure(l int, now time.Duration) time.Duration {
+func (r *refRegion) measure(l int, now time.Duration) (time.Duration, float64) {
 	r.events++
 	gi, spec := r.base+l, r.spec
 	x := refUEPos(spec, refDraw(spec, r.seed, gi), now)
@@ -152,7 +153,7 @@ func (r *refRegion) measure(l int, now time.Duration) time.Duration {
 
 	tick := int(r.hoCount[l]) + int(r.pool.TAUCount(l))
 	r.pool.TrackingAreaUpdate(l)
-	return now + refMeasurePeriod(r.seed, gi, tick+1)
+	return now + refMeasurePeriod(r.seed, gi, tick+1), x
 }
 
 func refRecordHandover(r *refRegion, gi, l int) {
@@ -194,6 +195,37 @@ func randScanSpec(rng *rand.Rand) ScenarioSpec {
 	}
 	return spec
 }
+
+// noOpTickSpecs are the worlds measure's safe-radius exit and run's
+// corridor run-ahead could most easily get wrong, all at 1 500 UEs:
+//   - corridors at 20–250 m spacing, across the clamp plateau, where the
+//     safe radius shrinks (below 200 m) and then is 0 (at 100 m and
+//     below);
+//   - a corridor whose lap (span/speed, 1.2–2 s) is shorter than a
+//     measurement period, and one whose lap (11–18 s) is shorter than
+//     the horizon, so UEs wrap many times and often inside a window;
+//   - a horizon that cuts into a run-ahead window: at 1 km spacing and
+//     25 m/s a UE spends ~38 s of every 40 inside one, so a 25.5 s
+//     horizon lands inside most UEs' last window.
+func noOpTickSpecs() []ScenarioSpec {
+	var specs []ScenarioSpec
+	for _, s := range []float64{20, 75, 100, 101, 150, 199.5, 200, 201, 250} {
+		specs = append(specs, ScenarioSpec{Name: "plateau", Kind: KindCorridor, UEs: 1500, APs: 10,
+			SpacingM: s, SpeedMps: 12, Horizon: 40 * time.Second})
+	}
+	return append(specs,
+		ScenarioSpec{Name: "lap < period", Kind: KindCorridor, UEs: 1500, APs: 2,
+			SpacingM: 300, SpeedMps: 200, Horizon: 30 * time.Second},
+		ScenarioSpec{Name: "lap < horizon", Kind: KindCorridor, UEs: 1500, APs: 3,
+			SpacingM: 400, SpeedMps: 60, Horizon: 60 * time.Second},
+		ScenarioSpec{Name: "horizon in a window", Kind: KindCorridor, UEs: 1500, APs: 8,
+			SpacingM: 1000, SpeedMps: 25, Horizon: 25500 * time.Millisecond},
+	)
+}
+
+// squeezeSpacing moves a random spec's spacing into 20–250 m, where
+// the safe radius shrinks or is 0.
+func squeezeSpacing(spec *ScenarioSpec) { spec.SpacingM = 20 + math.Mod(spec.SpacingM, 230) }
 
 // TestNearestLiveCellMatchesRSRPScan checks the scan itself on the
 // positions where a distance ranking could part from an RSRP ranking:
@@ -297,8 +329,11 @@ func runScanWorld(t *testing.T, spec ScenarioSpec, scheme Scheme, seed int64, re
 // the world's InterruptionQuantiles bit-equal to the histogram of the
 // reference's code log. UE offsets are drawn in thousandths of a
 // spacing, so every world has UEs standing exactly on midpoints and on
-// cell centres, and (stationary kinds) outside both corridor ends. A
-// stationary world that never hands over closes the list.
+// cell centres, and (stationary kinds) outside both corridor ends.
+// Every fourth random spec is squeezed to 20–250 m spacing, and the
+// noOpTickSpecs run under both schemes, so ticks inside, at and just
+// outside the safe radius all meet the reference scan. A stationary
+// world that never hands over closes the list.
 func TestMeasureMatchesRSRPScan(t *testing.T) {
 	check := func(spec ScenarioSpec, scheme Scheme, seed int64) uint64 {
 		got, gw, _ := runScanWorld(t, spec, scheme, seed, false)
@@ -324,7 +359,13 @@ func TestMeasureMatchesRSRPScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for n := 0; n < 40; n++ {
 		spec := randScanSpec(rng)
+		if n%4 == 0 {
+			squeezeSpacing(&spec)
+		}
 		check(spec, Scheme(n%2), rng.Int63())
+	}
+	for n, spec := range noOpTickSpecs() {
+		check(spec, Scheme(n%2), int64(n))
 	}
 	still := ScenarioSpec{
 		Name: "still", Kind: KindFailureWave, UEs: 1000, APs: 8, SpacingM: 500,

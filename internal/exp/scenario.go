@@ -385,6 +385,22 @@ func (spec *ScenarioSpec) nearestLiveCell(x float64, t time.Duration) (int, floa
 	return best, bestD
 }
 
+// scenSafeRel is 1 000× scenTieRel: a margin no RSRP tie or rounding
+// can close.
+const scenSafeRel = 1e-6
+
+// safeRadius is the distance h from a live serving cell within which a
+// tick provably stays (DESIGN.md §11, "No-op ticks"). At a = |x −
+// cellX(cur)| < h every other cell is at least spacing − a away, and h
+// keeps max(a, R) ≤ (1 − m)·max(spacing − a, R), R = scenRSRPRefM: the
+// serving cell is strictly the strongest, and inside the scan window.
+// Below 2R of spacing the clamp plateau shrinks h; at R it is 0.
+func (spec *ScenarioSpec) safeRadius() float64 {
+	const m = scenSafeRel
+	s := spec.SpacingM
+	return max(0, min((1-m)*s/(2-m), s-scenRSRPRefM/(1-m)))
+}
+
 // cellDist is cell c's distance from x with scenRSRP's clamp applied.
 func (spec *ScenarioSpec) cellDist(x float64, c int) float64 {
 	d := math.Abs(x - spec.cellX(c))
@@ -424,6 +440,7 @@ type scenRegion struct {
 	tab              *scenTables
 	scheme           Scheme
 	keys             scenKeys
+	safeM            float64 // spec.safeRadius()
 	pool             *ue.IdlePool
 	acts             []scenPromo // activity instants ≤ horizon, rec unset, in gi order
 
@@ -443,38 +460,82 @@ type scenRegion struct {
 // run drains the region slot-major: a slot's start, then its ticks while
 // t ≤ horizon, with its activity instants merged in by the timing
 // wheel's tie rule — at one instant, start runs before activity and
-// activity before measure.
+// activity before measure. After each corridor event it counts the
+// slot's ticks up to runAhead's instant without measuring them: each
+// would take measure's safe-radius exit, which only counts the tick.
 func (r *scenRegion) run(horizon time.Duration) {
 	acts := r.acts
 	for l := 0; l < r.count; l++ {
-		u := scenDraw(r.spec, r.keys.draw, r.base+l)
+		gi := uint64(r.base + l)
+		u := scenDraw(r.spec, r.keys.draw, int(gi))
 		next, started := u.start, false
 		for {
-			for len(acts) > 0 && acts[0].gi == uint64(r.base+l) && (acts[0].at < next || started && acts[0].at == next) {
+			for len(acts) > 0 && acts[0].gi == gi && (acts[0].at < next || started && acts[0].at == next) {
 				r.activity(l, acts[0].at)
 				acts = acts[1:]
 			}
 			if next > horizon {
 				break
 			}
+			now, x := next, 0.0
 			if started {
-				next = r.measure(l, next)
+				next, x = r.measure(l, now)
 			} else {
-				next, started = r.start(l, u), true
+				next, x = r.start(l, u)
+				started = true
+			}
+			if r.spec.Kind == KindCorridor {
+				limit := horizon
+				if len(acts) > 0 && acts[0].gi == gi {
+					limit = min(limit, acts[0].at-1)
+				}
+				for lo := r.runAhead(l, now, x, next, limit); next <= lo; {
+					r.events++
+					next = r.countTick(l, next)
+				}
 			}
 		}
 	}
 }
 
+// runAhead returns an instant lo ≤ limit up to which corridor slot l,
+// at x0 at now, provably stays within its serving cell's safe radius,
+// or now. Between wraps x(t) never decreases (uePos is a chain of
+// rounded monotone operations of t, for a positive speed), and v·(lo −
+// now) stays below half a lap, so a wrap in (now, lo] would put x(lo)
+// below x0. lo comes from the speed less a margin and is checked with
+// x(lo) itself: x0 ≤ x(lo) puts every tick in (now, lo] in [x0, x(lo)],
+// and both ends pass measure's own test x − cellX(cur) within ±h.
+func (r *scenRegion) runAhead(l int, now time.Duration, x0 float64, next, limit time.Duration) time.Duration {
+	cur, v := r.serving[l], r.tab.speed[r.speedCode[l]]
+	if cur < 0 || !(v > 0) || next > limit {
+		return now
+	}
+	c, h := r.spec.cellX(int(cur)), r.safeM
+	if math.Abs(x0-c) >= h {
+		return now
+	}
+	lo := limit
+	halfLap := float64(r.spec.APs-1) * r.spec.SpacingM / 2
+	if dt := min(c+h-x0, halfLap) / v * (1 - scenSafeRel) * float64(time.Second); dt < float64(limit-now) {
+		lo = now + time.Duration(dt)
+	}
+	if x1 := r.pos(l, lo); x1 < x0 || x1-c >= h {
+		return now
+	}
+	return lo
+}
+
 // start attaches slot l's UE at u.start and keeps its draws in the
-// slots. It returns the first measurement tick.
-func (r *scenRegion) start(l int, u scenUE) time.Duration {
+// slots. It returns the first measurement tick and the UE's position.
+func (r *scenRegion) start(l int, u scenUE) (time.Duration, float64) {
 	r.events++
 	r.home[l], r.offCode[l], r.speedCode[l] = u.home, u.offCode, u.speedCode
 	r.pool.StartAttach(l)
 	r.pool.Register(l, u.guti, u.ip)
-	r.serving[l] = int32(r.spec.bestLiveCell(r.pos(l, u.start), u.start))
-	return u.start + scenMeasurePeriod(r.keys.period, r.base+l, 0)
+	x := r.pos(l, u.start)
+	r.serving[l] = int32(r.spec.bestLiveCell(x, u.start))
+	return u.start + scenMeasurePeriod(r.keys.period, r.base+l, 0), x
 }
 
 // activity promotes slot l's UE out of the pool if it is attached; an
@@ -493,8 +554,10 @@ func (r *scenRegion) pos(l int, t time.Duration) float64 {
 }
 
 // measure is one UE's periodic radio check — the compact lowering of
-// the mobility plane's trigger loop. It returns the UE's next tick.
-func (r *scenRegion) measure(l int, now time.Duration) time.Duration {
+// the mobility plane's trigger loop. It returns the UE's next tick and
+// the position it measured at. Within the safe radius of a live serving
+// cell the tick stays without a radio scan.
+func (r *scenRegion) measure(l int, now time.Duration) (time.Duration, float64) {
 	r.events++
 	spec := r.spec
 	x := r.pos(l, now)
@@ -531,20 +594,27 @@ func (r *scenRegion) measure(l int, now time.Duration) time.Duration {
 	default:
 		// Normal trigger evaluation: does the best neighbour beat the
 		// serving cell by the A3 hysteresis (or the serving cell fall
-		// below the floor)? Most ticks the strongest cell is the serving
-		// cell and no RSRP is needed at all.
-		if best, d := spec.nearestLiveCell(x, now); best >= 0 && best != cur {
-			bestRSRP := scenRSRP(d)
-			if bestRSRP >= scenMinUsableDB &&
-				scenTrigger.Decide(scenRSRP(math.Abs(x-spec.cellX(cur))), bestRSRP) {
-				r.serving[l] = int32(best)
-				r.recordHandover(l)
+		// below the floor)? Inside the safe radius the serving cell is
+		// the strongest and there is nothing to scan; outside it, most
+		// ticks still find no stronger cell and need no RSRP at all.
+		if d := math.Abs(x - spec.cellX(cur)); d >= r.safeM {
+			if best, bd := spec.nearestLiveCell(x, now); best >= 0 && best != cur {
+				bestRSRP := scenRSRP(bd)
+				if bestRSRP >= scenMinUsableDB && scenTrigger.Decide(scenRSRP(d), bestRSRP) {
+					r.serving[l] = int32(best)
+					r.recordHandover(l)
+				}
 			}
 		}
 	}
+	return r.countTick(l, now), x
+}
 
+// countTick counts slot l's tick at now as a TAU — the tick counter doubles
+// as the measure count — and returns the slot's next tick.
+func (r *scenRegion) countTick(l int, now time.Duration) time.Duration {
 	tick := int(r.hoCount[l]) + int(r.pool.TAUCount(l))
-	r.pool.TrackingAreaUpdate(l) // tick counter doubles as measure count
+	r.pool.TrackingAreaUpdate(l)
 	return now + scenMeasurePeriod(r.keys.period, r.base+l, tick+1)
 }
 
@@ -598,6 +668,7 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 		reg := &scenRegion{
 			idx: i, base: base, count: count,
 			spec: &w.Spec, tab: &w.tab, scheme: scheme, keys: w.keys,
+			safeM:     spec.safeRadius(),
 			pool:      ue.NewIdlePool(count),
 			serving:   carve(&i32s, count),
 			home:      carve(&i32s, count),

@@ -13,12 +13,13 @@ import (
 )
 
 // scenSteps is a region's three event handlers, as a drain drives them:
-// start returns the UE's first measurement tick, measure its next one.
+// start returns the UE's first measurement tick, measure its next one,
+// each with the position the UE was at (which the wheel ignores).
 // *scenRegion implements it; refRegion (refscan_test.go) overrides
 // start and measure with the reference handlers.
 type scenSteps interface {
-	start(l int, u scenUE) time.Duration
-	measure(l int, now time.Duration) time.Duration
+	start(l int, u scenUE) (time.Duration, float64)
+	measure(l int, now time.Duration) (time.Duration, float64)
 	activity(l int, now time.Duration)
 }
 
@@ -58,9 +59,11 @@ func newScenWheel(w *CompiledScenario, steps func(*scenRegion) scenSteps,
 			now := sch.Now()
 			switch arg >> 62 {
 			case wheelStart:
-				sch.AtIndexed(st.start(l, scenDraw(reg.spec, reg.keys.draw, gi)), wheelArg(wheelMeasure, l))
+				next, _ := st.start(l, scenDraw(reg.spec, reg.keys.draw, gi))
+				sch.AtIndexed(next, wheelArg(wheelMeasure, l))
 			case wheelMeasure:
-				sch.AtIndexed(st.measure(l, now), wheelArg(wheelMeasure, l))
+				next, _ := st.measure(l, now)
+				sch.AtIndexed(next, wheelArg(wheelMeasure, l))
 			case wheelActivity:
 				st.activity(l, now)
 			}
@@ -148,11 +151,14 @@ func requireSameWorld(t *testing.T, label string, got, want *CompiledScenario) {
 }
 
 // TestScenarioSlotMajorMatchesWheel holds Run's slot-major drain to its
-// wheel-ordered twin, world by world: every quick E11 spec and a run of
-// random specs under both schemes, and the edges of the tie rule — a
-// horizon on a UE's tick and on its start, more promotions than UEs
-// (slots with several activities), activities before their UE's start,
-// and activities on a UE's start and on its measurement tick.
+// wheel-ordered twin, which measures every tick, world by world: every
+// quick E11 spec, the noOpTickSpecs (where the corridor run-ahead meets
+// wraps, short laps and the horizon) and a run of random specs, every
+// fourth squeezed to 20–250 m spacing, under both schemes; and the
+// edges of the tie rule — a horizon on a UE's tick and on its start,
+// more promotions than UEs (slots with several activities), activities
+// before their UE's start, and activities on a UE's start and on its
+// measurement tick.
 func TestScenarioSlotMajorMatchesWheel(t *testing.T) {
 	const seed = 5
 	check := func(label string, spec ScenarioSpec, scheme Scheme, workers int) *CompiledScenario {
@@ -175,9 +181,16 @@ func TestScenarioSlotMajorMatchesWheel(t *testing.T) {
 	for _, spec := range e11Specs(Options{Quick: true}) {
 		both("quick E11", spec)
 	}
+	for _, spec := range noOpTickSpecs() {
+		both(spec.Name, spec)
+	}
 	rng := rand.New(rand.NewSource(46))
 	for n := 0; n < 12; n++ {
-		check("random", randScanSpec(rng), Scheme(n%2), 1+n%3)
+		spec := randScanSpec(rng)
+		if n%4 == 0 {
+			squeezeSpacing(&spec)
+		}
+		check("random", spec, Scheme(n%2), 1+n%3)
 	}
 
 	keys := newScenKeys(seed)

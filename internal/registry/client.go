@@ -89,15 +89,15 @@ func (c *Client) exchange(q request) (result, error) {
 		c.bytesRx.Add(uint64(len(b)) + 4)
 		// Lists decode straight into the result's spare capacity
 		// (wire.Len reuses it), so each item is copied once however
-		// many frames carry it. Their strings share one copy of the
-		// frame (as decodeChunk's do), never b itself, which goes back
-		// to the pool below.
+		// many frames carry it. Their strings share one copy of a
+		// pooled frame (as decodeChunk's do), which goes back to the
+		// pool below; a frame over the pooled class is that copy.
 		ch := chunk{
 			records: res.records[len(res.records):],
 			keys:    res.keys[len(res.keys):],
 			deltas:  res.deltas[len(res.deltas):],
 		}
-		d := wire.SharingDecoder(b)
+		d := wire.FrameSharingDecoder(b)
 		ch.walk(&d)
 		derr := d.Err()
 		wire.PutFrame(b)

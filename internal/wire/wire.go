@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrTruncated reports that a decode ran out of bytes.
@@ -86,6 +87,20 @@ func CopyingDecoder(b []byte) Codec { return Codec{buf: b, mode: copying} }
 // (a registry reply list); a caller that keeps one short string of a
 // large frame should clone it.
 func SharingDecoder(b []byte) Codec { return Codec{buf: b, mode: sharing} }
+
+// FrameSharingDecoder is SharingDecoder for a frame b from
+// ReadFrameOwned (or RecvOwned) that its caller hands back with
+// PutFrame right after the walk and never writes. A pooled frame is
+// copied into the shared string as usual; a frame over the pooled
+// class is exact-fit heap memory PutFrame drops, so b itself becomes
+// the shared string and the frame is received once and copied no more.
+func FrameSharingDecoder(b []byte) Codec {
+	c := SharingDecoder(b)
+	if cap(b) != frameClassBytes && len(b) > 0 {
+		c.text = unsafe.String(&b[0], len(b))
+	}
+	return c
+}
 
 // Decoding reports whether the Codec reads (true) or writes (false).
 func (c *Codec) Decoding() bool { return c.mode != encoding }

@@ -135,6 +135,81 @@ func TestSharingDecoderAllocs(t *testing.T) {
 	}
 }
 
+// strings64 is a layout of 64 strings: at 100 octets each, a frame
+// over the pooled class.
+type strings64 [64]string
+
+func (s *strings64) walk(c *Codec) {
+	for i := range s {
+		c.String8(&s[i])
+	}
+}
+
+// TestFrameSharingDecoder: the strings of a frame over the pooled class
+// are substrings of the received frame itself, at no allocation; those
+// of a pooled frame share one copy, which outlives the frame's reuse.
+func TestFrameSharingDecoder(t *testing.T) {
+	var big, bigOut strings64
+	for i := range big {
+		big[i] = string(bytes.Repeat([]byte{'a' + byte(i%26)}, 100))
+	}
+	b := ownedFrame(t, &big)
+	allocs := testing.AllocsPerRun(20, func() {
+		d := FrameSharingDecoder(b)
+		bigOut.walk(&d)
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+	})
+	if cap(b) == frameClassBytes || allocs != 0 || unsafe.StringData(bigOut[0]) != &b[1] || bigOut != big {
+		t.Errorf("%d-octet frame (capacity %d): %.0f allocs per decode, want 0; strings alias the frame: %v; equal: %v",
+			len(b), cap(b), allocs, unsafe.StringData(bigOut[0]) == &b[1], bigOut == big)
+	}
+
+	small := strings3{"001010000000001", "00112233445566778899aabbccddeeff", ""}
+	var smallOut strings3
+	b = ownedFrame(t, &small)
+	allocs = testing.AllocsPerRun(20, func() {
+		d := FrameSharingDecoder(b)
+		smallOut.walk(&d)
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+	})
+	if cap(b) != frameClassBytes || allocs != 1 {
+		t.Errorf("%d-octet frame (capacity %d): %.0f allocs per decode, want 1", len(b), cap(b), allocs)
+	}
+	PutFrame(b)
+	for i := 0; i < 4; i++ {
+		f := GetFrame()
+		f = f[:cap(f)]
+		for j := range f {
+			f[j] = 0xFF
+		}
+		PutFrame(f)
+	}
+	if smallOut != small {
+		t.Errorf("pooled frame: decoded %q, sent %q", smallOut, small)
+	}
+}
+
+// ownedFrame encodes in, frames it onto a stream and reads it back
+// with ReadFrameOwned.
+func ownedFrame(t *testing.T, in interface{ walk(*Codec) }) []byte {
+	t.Helper()
+	e := Encoder(nil)
+	in.walk(&e)
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadFrameOwned(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestCodecSize: a Codec that escapes (x2.Decode's) is one allocation
 // in the 64-byte size class; a larger Codec would add 16 bytes to
 // every such decode.
