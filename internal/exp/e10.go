@@ -105,9 +105,15 @@ func RunE10(opt Options) (E10Result, error) {
 		MinReduction:   math.Inf(1),
 	}
 
+	// Every world publishes the same keys, so their text is laid out
+	// once per run; worlds only read it.
+	keys := e10KeySets{
+		seeded:  newE10Keys(90, cfg.nKeys, func(k uint64) uint64 { return k + 1 }, func(k uint64) uint64 { return k ^ 0x5a5a }),
+		churned: newE10Keys(89, cfg.churn, func(j uint64) uint64 { return j + 7 }, func(j uint64) uint64 { return j + 9 }),
+	}
 	pts := make([]e10Point, len(cfg.apCounts))
 	err := forEachWorld(opt, len(cfg.apCounts), func(i int) error {
-		p, e := runE10World(opt.Seed+int64(i)*1000, cfg.apCounts[i], cfg)
+		p, e := runE10World(opt.Seed+int64(i)*1000, cfg.apCounts[i], cfg, keys)
 		pts[i] = p
 		return e
 	})
@@ -195,7 +201,11 @@ func (t e10Keys) at(i int) registry.KeyRecord {
 	return registry.KeyRecord{IMSI: s[:15], K: s[15:47], OPc: s[47:]}
 }
 
-func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
+// e10KeySets are the keys a world publishes: the population seeded
+// before anyone subscribes, and the churn during the join window.
+type e10KeySets struct{ seeded, churned e10Keys }
+
+func runE10World(seed int64, n int, cfg e10Config, keys e10KeySets) (e10Point, error) {
 	pt := e10Point{n: n}
 	net := simnet.NewVirtualNetwork(defaultWAN, seed)
 	defer net.Close()
@@ -210,9 +220,8 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 		return pt, err
 	}
 	store := registry.NewStore()
-	seeded := newE10Keys(90, cfg.nKeys, func(k uint64) uint64 { return k + 1 }, func(k uint64) uint64 { return k ^ 0x5a5a })
 	for k := 0; k < cfg.nKeys; k++ {
-		if err := store.PublishKey(seeded.at(k)); err != nil {
+		if err := store.PublishKey(keys.seeded.at(k)); err != nil {
 			return pt, fmt.Errorf("e10: seed key %d: %w", k, err)
 		}
 	}
@@ -315,6 +324,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	}
 
 	g.spawn(func() {
+		var pulled []registry.KeyRecord // reused across key pulls
 		for k := 0; k < numPolls; k++ {
 			sleepUntil(clk, t0.Add(e10PollStart+time.Duration(k)*e10PollPeriod))
 			list, err := pollC.List("")
@@ -329,7 +339,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 				}
 			}
 			if k%e10KeyPullEvery == e10KeyPullEvery-1 {
-				if _, err := pollC.Keys(); err != nil {
+				if pulled, err = pollC.KeysAppend(pulled[:0]); err != nil {
 					fail(fmt.Errorf("e10: poll keys: %w", err))
 					return
 				}
@@ -360,11 +370,10 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 
 	// Key churn during the join window: new subscribers publish while
 	// membership is in flux (in-process, like Scenario.AddUE does).
-	churned := newE10Keys(89, cfg.churn, func(j uint64) uint64 { return j + 7 }, func(j uint64) uint64 { return j + 9 })
 	g.spawn(func() {
 		for j := 0; j < cfg.churn; j++ {
 			sleepUntil(clk, t0.Add(e10JoinStart+time.Duration(j)*churnStagger))
-			if err := store.PublishKey(churned.at(j)); err != nil {
+			if err := store.PublishKey(keys.churned.at(j)); err != nil {
 				fail(fmt.Errorf("e10: churn key %d: %w", j, err))
 				return
 			}

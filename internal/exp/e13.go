@@ -310,13 +310,16 @@ func runE13World(seed int64, n int, opt Options) (e13Point, error) {
 	p.tau = w.cells.TotalTAU()
 	p.events = w.totalEvents()
 
-	// Modeled attach latency, recomputed in global-index order so the
-	// quantiles cannot depend on the region partition.
-	h := metrics.NewHistogram()
-	for gi := 0; gi < n; gi++ {
-		h.Observe(ms(e13Draw(seed, gi).latency))
+	// Modeled attach latency, recomputed per global index so the
+	// quantiles cannot depend on the region partition, and selected
+	// from the integer latencies rather than sorted as n floats.
+	lat := make([]int64, n)
+	for gi := range lat {
+		lat[gi] = int64(e13Draw(seed, gi).latency)
 	}
-	p.attachP50, p.attachP99 = h.Quantile(0.5), h.Quantile(0.99)
+	toMs := func(d int64) float64 { return ms(time.Duration(d)) }
+	p.attachP50 = metrics.SelectQuantile(lat, 0.5, toMs)
+	p.attachP99 = metrics.SelectQuantile(lat, 0.99, toMs)
 
 	// Replay the merged promotion log through the real stack: each
 	// promoted UE becomes a full Device attaching through an actual

@@ -9,6 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -108,20 +109,79 @@ func (h *Histogram) Quantile(q float64) float64 {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRank(q, n)
 	if lo == hi {
 		return h.samples[lo]
 	}
-	frac := pos - float64(lo)
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+}
+
+// quantileRank locates the q-quantile among n ≥ 1 sorted samples: it
+// lies frac of the way from order statistic lo to hi, where hi is lo or
+// lo+1.
+func quantileRank(q float64, n int) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// SelectQuantile returns the q-quantile of xs exactly as a Histogram
+// holding to(x) for every x would report it, for any non-decreasing to.
+// It finds the one or two order statistics it needs by selection, in
+// O(n) expected time, where Quantile sorts every sample; it reorders xs
+// in place. With no samples it returns 0, as Quantile does.
+func SelectQuantile(xs []int64, q float64, to func(int64) float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	lo, hi, frac := quantileRank(q, len(xs))
+	vlo := to(selectNth(xs, lo))
+	if lo == hi {
+		return vlo
+	}
+	// Selection left xs[lo+1:] holding the larger values, so order
+	// statistic lo+1 is their minimum.
+	return vlo*(1-frac) + to(slices.Min(xs[lo+1:]))*frac
+}
+
+// selectNth reorders xs so that xs[k] holds the value sorting would put
+// there, with nothing larger before it and nothing smaller after, and
+// returns it. Three-way partitioning keeps runs of ties linear.
+func selectNth(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs) // the window [lo, hi) holds position k
+	for hi-lo > 1 {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c)) // median of three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case xs[i] < p:
+				xs[lt], xs[i] = xs[i], xs[lt]
+				lt++
+				i++
+			case xs[i] > p:
+				gt--
+				xs[i], xs[gt] = xs[gt], xs[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return xs[k]
 }
 
 // Snapshot returns a copy of the summary statistics commonly reported by

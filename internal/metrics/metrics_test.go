@@ -257,3 +257,33 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Errorf("Count = %d, want 8000", got)
 	}
 }
+
+// TestSelectQuantileMatchesHistogram holds selection to the sorting
+// Histogram bit for bit, on random samples and on samples heavy with
+// ties, at the edge quantiles and at random ones.
+func TestSelectQuantileMatchesHistogram(t *testing.T) {
+	toMs := func(d int64) float64 { return float64(d) / float64(time.Millisecond) }
+	rng := rand.New(rand.NewSource(5))
+	for c := 0; c < 200; c++ {
+		n := 1 + rng.Intn(500)
+		span := int64(1 + rng.Intn(1e9))
+		if c%2 == 1 {
+			span = int64(1 + rng.Intn(4)) // ties: a handful of distinct values
+		}
+		xs := make([]int64, n)
+		h := NewHistogram()
+		for i := range xs {
+			xs[i] = 5_000_000 + rng.Int63n(span)
+			h.Observe(toMs(xs[i]))
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1, rng.Float64(), rng.Float64()} {
+			got, want := SelectQuantile(xs, q, toMs), h.Quantile(q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d (n=%d) q=%v: SelectQuantile = %v, Histogram = %v", c, n, q, got, want)
+			}
+		}
+	}
+	if got := SelectQuantile(nil, 0.5, toMs); got != 0 {
+		t.Errorf("empty: %v, want 0", got)
+	}
+}

@@ -266,6 +266,105 @@ func (e *coexEngine) reset() {
 	}
 }
 
+// run simulates the configured span. A roster of at most 64 nodes has
+// one-word bitsets and takes runWord; larger rosters take the
+// multi-word loop. Both hand every per-node decision to the same
+// helpers (burstAt, due, begin, markOverlap, complete), so they
+// differ only in how they walk the sets.
+func (e *coexEngine) run() {
+	if e.words == 1 {
+		e.runWord()
+		return
+	}
+	e.runWords()
+}
+
+// runWord is the event loop for rosters that fit one word: active,
+// blocked, ready and the enders are plain uint64s held in locals, and
+// each transposed sense row is the single word sensedBy[i]. Starters
+// fall out of the backoff advance instead of a scan of their own, and
+// the boundary decrement holds back the contenders that sense a
+// higher-indexed ender by OR-ing the enders' rows, where the multi-word
+// loop tests each contender's row.
+func (e *coexEngine) runWord() {
+	contenders, duty := e.contenders[0], e.duty[0]
+	sensedBy := e.sensedBy[:e.n]
+	var active, blocked uint64
+	for now := 0; now <= e.lastSlot; {
+		tEnd := maxSlot
+		for w := active; w != 0; w &= w - 1 {
+			tEnd = min(tEnd, e.endSlot[bits.TrailingZeros64(w)])
+		}
+		ready := contenders &^ active &^ blocked
+		tStart := maxSlot
+		for w := ready; w != 0; w &= w - 1 {
+			tStart = min(tStart, now+e.backoff[bits.TrailingZeros64(w)])
+		}
+		for w := duty &^ active; w != 0; w &= w - 1 {
+			tStart = min(tStart, e.burstAt(bits.TrailingZeros64(w)))
+		}
+		t := min(tStart, tEnd)
+		if t > e.lastSlot {
+			break
+		}
+		// Advance the ready backoffs by the gap, collecting those that
+		// expire at t (a zero backoff means t == now), and the duty
+		// bursts due at t: together, the starters.
+		var starting uint64
+		for w := ready; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			if e.backoff[i] -= t - now; e.backoff[i] == 0 {
+				starting |= 1 << uint(i)
+			}
+		}
+		for w := duty &^ active; w != 0; w &= w - 1 {
+			if i := bits.TrailingZeros64(w); e.due(i, t) {
+				starting |= 1 << uint(i)
+			}
+		}
+		// Starts, in index order against the slot-start sets.
+		for w := starting; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			e.begin(i, t)
+			for a := active; a != 0; a &= a - 1 {
+				e.markOverlap(i, bits.TrailingZeros64(a), t)
+			}
+			active |= 1 << uint(i)
+			blocked |= sensedBy[i]
+		}
+		if tStart < tEnd {
+			now = t
+			continue
+		}
+		// End slot: completions, the blocked set rebuilt from the
+		// transmitters still on the air, then the boundary decrement.
+		var enders uint64
+		for w := active; w != 0; w &= w - 1 {
+			if i := bits.TrailingZeros64(w); e.endSlot[i] == t {
+				enders |= 1 << uint(i)
+			}
+		}
+		active &^= enders
+		var held uint64 // nodes that sense a higher-indexed ender
+		for w := enders; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			e.complete(j)
+			held |= sensedBy[j] & (1<<uint(j) - 1)
+		}
+		blocked = 0
+		for w := active; w != 0; w &= w - 1 {
+			blocked |= sensedBy[bits.TrailingZeros64(w)]
+		}
+		// The boundary decrement, as in boundaryDecrement.
+		for w := contenders &^ active &^ blocked &^ enders &^ held; w != 0; w &= w - 1 {
+			if i := bits.TrailingZeros64(w); e.backoff[i] != 0 {
+				e.backoff[i]--
+			}
+		}
+		now = t + 1
+	}
+}
+
 // ready is word w of the ready set: idle contenders that sense no active
 // transmitter.
 func (e *coexEngine) ready(w int) uint64 {
@@ -279,7 +378,8 @@ func (e *coexEngine) block(i int) {
 	}
 }
 
-func (e *coexEngine) run() {
+// runWords is the event loop for rosters past one word.
+func (e *coexEngine) runWords() {
 	now := 0
 	for now <= e.lastSlot {
 		// Next end event across active transmissions.
@@ -313,7 +413,7 @@ func (e *coexEngine) run() {
 			for word != 0 {
 				i := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				if c := e.offsetSlots[i] + e.nextBurst[i]*e.periodSlots[i]; c < tStart {
+				if c := e.burstAt(i); c < tStart {
 					tStart = c
 				}
 			}
@@ -363,6 +463,49 @@ func (e *coexEngine) advanceBackoffs(now, to int) {
 	}
 }
 
+// burstAt is duty node i's next scheduled burst start.
+func (e *coexEngine) burstAt(i int) int {
+	return e.offsetSlots[i] + e.nextBurst[i]*e.periodSlots[i]
+}
+
+// due reports whether candidate i (a ready contender or an idle duty
+// node) starts transmitting at slot t: a contender whose backoff has
+// expired, or a duty node whose burst is scheduled at t, which consumes
+// that burst.
+func (e *coexEngine) due(i, t int) bool {
+	if e.kind[i] != nodeDuty {
+		return e.backoff[i] == 0
+	}
+	if e.burstAt(i) != t {
+		return false
+	}
+	e.nextBurst[i]++
+	return true
+}
+
+// begin opens node i's transmission at slot t: its end slot, the
+// attempt, a clean corruption record, and its share of busy airtime.
+func (e *coexEngine) begin(i, t int) {
+	end := t + e.frameSlots[i] - 1
+	e.endSlot[i] = end
+	e.attempts[i]++
+	if e.kind[i] == nodeWiFi {
+		e.corrupt[i] = false
+	} else {
+		e.corruptSlots[i] = 0
+		e.corruptCover[i] = t
+	}
+	// Busy airtime: union of [t, end] with everything counted so far.
+	// Starts arrive in nondecreasing t, so a single cover pointer
+	// suffices.
+	hi := min(end, e.lastSlot)
+	lo := max(t, e.busyCover)
+	if hi >= lo {
+		e.busySlots += hi - lo + 1
+		e.busyCover = hi + 1
+	}
+}
+
 // startAt begins every transmission due at slot t: expired unblocked
 // contenders and scheduled duty bursts. Starters are admitted against
 // the slot-start active set, so simultaneous expiries start together
@@ -373,45 +516,14 @@ func (e *coexEngine) startAt(t int) {
 	e.starters = e.starters[:0]
 	for w := range e.active {
 		word := e.ready(w) | e.duty[w]&^e.active[w]
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if e.kind[i] == nodeDuty {
-				if e.offsetSlots[i]+e.nextBurst[i]*e.periodSlots[i] != t {
-					continue
-				}
-				e.nextBurst[i]++
-			} else if e.backoff[i] != 0 {
-				continue
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 + bits.TrailingZeros64(word); e.due(i, t) {
+				e.starters = append(e.starters, i)
 			}
-			e.starters = append(e.starters, i)
 		}
 	}
 	for _, i := range e.starters {
-		end := t + e.frameSlots[i] - 1
-		e.endSlot[i] = end
-		e.attempts[i]++
-		if e.kind[i] == nodeWiFi {
-			e.corrupt[i] = false
-		} else {
-			e.corruptSlots[i] = 0
-			e.corruptCover[i] = t
-		}
-		// Busy airtime: union of [t, end] with everything counted so
-		// far. Starts arrive in nondecreasing t, so a single cover
-		// pointer suffices.
-		hi := end
-		if hi > e.lastSlot {
-			hi = e.lastSlot
-		}
-		lo := t
-		if lo < e.busyCover {
-			lo = e.busyCover
-		}
-		if hi >= lo {
-			e.busySlots += hi - lo + 1
-			e.busyCover = hi + 1
-		}
+		e.begin(i, t)
 		// Mark mutual corruption against everything already active —
 		// including earlier same-slot starters, which were added to
 		// the active set before this node.
@@ -460,9 +572,45 @@ func (e *coexEngine) markCorrupt(i, from, to int) {
 	}
 }
 
-// finishAt completes every transmission ending at slot t: outcome
-// resolution, retry/window bookkeeping, and the next backoff draw. The
-// blocked set is then rebuilt from the transmitters still on the air.
+// complete resolves node i's finished transmission: the WiFi outcome
+// with its retry and window bookkeeping, or the LTE burst's delivered
+// and corrupted slots, then the next backoff draw for a contender.
+func (e *coexEngine) complete(i int) {
+	switch e.kind[i] {
+	case nodeWiFi:
+		if e.corrupt[i] {
+			e.collisions[i]++
+			e.retries[i]++
+			if e.retries[i] > dcfRetryLimit {
+				e.drops[i]++
+				e.retries[i] = 0
+				e.cw[i] = dcfCWMin
+			} else if e.cw[i] < dcfCWMax {
+				e.cw[i] = min(2*(e.cw[i]+1)-1, dcfCWMax)
+			}
+		} else {
+			e.delivered[i] += e.payloadBits[i]
+			e.retries[i] = 0
+			e.cw[i] = dcfCWMin
+		}
+	default:
+		good := e.frameSlots[i] - e.corruptSlots[i]
+		e.delivered[i] += e.bitsPerSlot[i] * float64(good)
+		e.lteBurstSlots += e.frameSlots[i]
+		e.lteCorruptSlots += e.corruptSlots[i]
+		if e.corruptSlots[i] > 0 {
+			e.collisions[i]++
+		}
+		if e.kind[i] != nodeLBT {
+			return
+		}
+	}
+	e.backoff[i] = backoffDraw(e.seed, i, e.draws[i], e.cw[i])
+	e.draws[i]++
+}
+
+// finishAt completes every transmission ending at slot t. The blocked
+// set is then rebuilt from the transmitters still on the air.
 func (e *coexEngine) finishAt(t int) {
 	e.enders = e.enders[:0]
 	clear(e.endersMask)
@@ -479,41 +627,7 @@ func (e *coexEngine) finishAt(t int) {
 	for _, i := range e.enders {
 		e.active[i>>6] &^= 1 << uint(i&63)
 		e.nActive--
-		switch e.kind[i] {
-		case nodeWiFi:
-			if e.corrupt[i] {
-				e.collisions[i]++
-				e.retries[i]++
-				if e.retries[i] > dcfRetryLimit {
-					e.drops[i]++
-					e.retries[i] = 0
-					e.cw[i] = dcfCWMin
-				} else if e.cw[i] < dcfCWMax {
-					e.cw[i] = 2*(e.cw[i]+1) - 1
-					if e.cw[i] > dcfCWMax {
-						e.cw[i] = dcfCWMax
-					}
-				}
-			} else {
-				e.delivered[i] += e.payloadBits[i]
-				e.retries[i] = 0
-				e.cw[i] = dcfCWMin
-			}
-			e.backoff[i] = backoffDraw(e.seed, i, e.draws[i], e.cw[i])
-			e.draws[i]++
-		default:
-			good := e.frameSlots[i] - e.corruptSlots[i]
-			e.delivered[i] += e.bitsPerSlot[i] * float64(good)
-			e.lteBurstSlots += e.frameSlots[i]
-			e.lteCorruptSlots += e.corruptSlots[i]
-			if e.corruptSlots[i] > 0 {
-				e.collisions[i]++
-			}
-			if e.kind[i] == nodeLBT {
-				e.backoff[i] = backoffDraw(e.seed, i, e.draws[i], e.cw[i])
-				e.draws[i]++
-			}
-		}
+		e.complete(i)
 	}
 	clear(e.blocked)
 	for w, word := range e.active {

@@ -462,21 +462,29 @@ func randomStations(rng *rand.Rand, n int) []DCFStation {
 	return ss
 }
 
+// wordBoundarySizes straddle the engine's switch from the one-word
+// loop (n ≤ 64) to the multi-word one.
+var wordBoundarySizes = []int{1, 63, 64, 65}
+
 // TestDCFDifferential drives the event engine and the slot-stepped
 // oracle across randomized seeds and topologies — including hidden
 // terminals — and requires identical results: the same goodput floats,
-// attempts, collisions, drops, and busy airtime.
+// attempts, collisions, drops, and busy airtime. Random rosters run on
+// the one-word loop; the word-boundary sizes cover both loops.
 func TestDCFDifferential(t *testing.T) {
-	for c := 0; c < 12; c++ {
+	for c := 0; c < 12+len(wordBoundarySizes); c++ {
 		rng := rand.New(rand.NewSource(int64(1000 + c)))
-		n := 1 + rng.Intn(12)
+		n, seconds := 1+rng.Intn(12), 0.25
+		if c >= 12 {
+			n, seconds = wordBoundarySizes[c-12], 0.05
+		}
 		cfg := DCFConfig{
 			Stations: randomStations(rng, n),
 			Sense:    randomSense(rng, n, c%4),
 			Seed:     int64(c * 31),
 		}
-		want := simulateDCFRef(cfg, 0.25)
-		got := SimulateDCF(cfg, 0.25)
+		want := simulateDCFRef(cfg, seconds)
+		got := SimulateDCF(cfg, seconds)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d (n=%d, sense mode %d): engine diverged from oracle\n got %+v\nwant %+v",
 				c, n, c%4, got, want)
@@ -485,37 +493,78 @@ func TestDCFDifferential(t *testing.T) {
 }
 
 // TestCoexDifferential does the same for mixed WiFi + LTE-U + LBT
-// domains against the slot-stepped coexistence reference.
+// domains against the slot-stepped coexistence reference. The
+// word-boundary cases size the whole roster: the lone node is an LTE
+// node with no WiFi at all, and at 65 the LTE nodes, which sit after
+// the stations, straddle the word edge.
 func TestCoexDifferential(t *testing.T) {
-	for c := 0; c < 10; c++ {
+	for c := 0; c < 10+len(wordBoundarySizes); c++ {
 		rng := rand.New(rand.NewSource(int64(7000 + c)))
-		nW := 1 + rng.Intn(6)
+		nW, seconds := 1+rng.Intn(6), 0.25
 		cfg := CoexConfig{
 			WiFi: randomStations(rng, nW),
 			Seed: int64(c * 17),
 		}
-		// 1–2 LTE nodes of random kinds and timing.
-		nL := 1 + rng.Intn(2)
-		for k := 0; k < nL; k++ {
-			nd := LTENode{ID: fmt.Sprintf("lte%d", k), RateBps: 36e6}
-			if rng.Intn(2) == 0 {
-				nd.Kind = LTEUDuty
-				nd.OnMs = 5 + rng.Float64()*20
-				nd.PeriodMs = nd.OnMs + rng.Float64()*30
-				nd.OffsetMs = rng.Float64() * 10
-			} else {
-				nd.Kind = LTELBT
-				nd.TXOPMs = 1 + rng.Float64()*7
-				nd.CW = []int{15, 31, 63}[rng.Intn(3)]
-			}
-			cfg.LTE = append(cfg.LTE, nd)
+		nL := 1 + rng.Intn(2) // 1–2 LTE nodes
+		if c >= 10 {
+			n := wordBoundarySizes[c-10]
+			nL = min(n, 2)
+			nW, seconds = n-nL, 0.05
+			cfg.WiFi = randomStations(rng, nW)
 		}
+		cfg.LTE = randomLTENodes(rng, nL)
 		cfg.Sense = randomSense(rng, nW+nL, c%4)
-		want := simulateCoexRef(cfg, 0.25)
-		got := SimulateCoex(cfg, 0.25)
+		want := simulateCoexRef(cfg, seconds)
+		got := SimulateCoex(cfg, seconds)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d (nW=%d nL=%d, sense mode %d): engine diverged from reference\n got %+v\nwant %+v",
 				c, nW, nL, c%4, got, want)
+		}
+	}
+}
+
+// randomLTENodes draws n LTE nodes of random kinds and timing.
+func randomLTENodes(rng *rand.Rand, n int) []LTENode {
+	var nodes []LTENode
+	for k := 0; k < n; k++ {
+		nd := LTENode{ID: fmt.Sprintf("lte%d", k), RateBps: 36e6}
+		if rng.Intn(2) == 0 {
+			nd.Kind = LTEUDuty
+			nd.OnMs = 5 + rng.Float64()*20
+			nd.PeriodMs = nd.OnMs + rng.Float64()*30
+			nd.OffsetMs = rng.Float64() * 10
+		} else {
+			nd.Kind = LTELBT
+			nd.TXOPMs = 1 + rng.Float64()*7
+			nd.CW = []int{15, 31, 63}[rng.Intn(3)]
+		}
+		nodes = append(nodes, nd)
+	}
+	return nodes
+}
+
+// TestCoexDifferentialE12Shaped holds the one-word loop to the
+// reference on 200 rosters shaped like E12's domains: 4–8 saturated
+// stations from the 54/24/12 Mbps mix under default sensing, and one
+// LTE node — CSAT duty cycling at a random duty and phase over a 40 ms
+// period, or LBT with a 4 ms TXOP and CW 63.
+func TestCoexDifferentialE12Shaped(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	rates := []float64{54e6, 24e6, 12e6}
+	for c := 0; c < 200; c++ {
+		stations := make([]DCFStation, 4+rng.Intn(5))
+		for i := range stations {
+			stations[i] = DCFStation{ID: fmt.Sprintf("s%d", i), RateBps: rates[rng.Intn(3)], Saturated: true}
+		}
+		lte := LTENode{ID: "lte", Kind: LTELBT, RateBps: 36e6, TXOPMs: 4, CW: 63}
+		if c%2 == 0 {
+			lte = LTENode{ID: "lte", Kind: LTEUDuty, RateBps: 36e6,
+				OnMs: 40 * (0.1 + 0.8*rng.Float64()), PeriodMs: 40, OffsetMs: float64(rng.Intn(40))}
+		}
+		cfg := CoexConfig{WiFi: stations, LTE: []LTENode{lte}, Seed: rng.Int63()}
+		if got, want := SimulateCoex(cfg, 0.1), simulateCoexRef(cfg, 0.1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("roster %d (%d stations, %v): engine diverged from reference\n got %+v\nwant %+v",
+				c, len(stations), lte.Kind, got, want)
 		}
 	}
 }

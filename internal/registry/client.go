@@ -75,12 +75,11 @@ type result struct {
 }
 
 // exchange sends the request, then reads reply frames until the
-// terminal chunk. Caller holds c.mu.
-func (c *Client) exchange(q request) (result, error) {
+// terminal chunk, decoding into res's spare capacity. Caller holds c.mu.
+func (c *Client) exchange(q request, res result) (result, error) {
 	if err := c.send(q); err != nil {
-		return result{}, err
+		return res, err
 	}
-	var res result
 	for {
 		b, err := c.fc.RecvOwned()
 		if err != nil {
@@ -142,7 +141,7 @@ func gather[T any](acc, got []T, more bool, frame int) []T {
 func (c *Client) Join(r APRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.exchange(request{op: opJoin, ap: r})
+	_, err := c.exchange(request{op: opJoin, ap: r}, result{})
 	return err
 }
 
@@ -150,7 +149,7 @@ func (c *Client) Join(r APRecord) error {
 func (c *Client) Leave(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.exchange(request{op: opLeave, id: id})
+	_, err := c.exchange(request{op: opLeave, id: id}, result{})
 	return err
 }
 
@@ -158,7 +157,7 @@ func (c *Client) Leave(id string) error {
 func (c *Client) List(band string) ([]APRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.exchange(request{op: opList, band: band})
+	res, err := c.exchange(request{op: opList, band: band}, result{})
 	return res.records, err
 }
 
@@ -166,7 +165,7 @@ func (c *Client) List(band string) ([]APRecord, error) {
 func (c *Client) InRegion(band string, rect geo.Rect) ([]APRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.exchange(request{op: opRegion, band: band, rect: rect})
+	res, err := c.exchange(request{op: opRegion, band: band, rect: rect}, result{})
 	return res.records, err
 }
 
@@ -174,7 +173,7 @@ func (c *Client) InRegion(band string, rect geo.Rect) ([]APRecord, error) {
 func (c *Client) PublishKey(k KeyRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.exchange(request{op: opPublishKey, key: k})
+	_, err := c.exchange(request{op: opPublishKey, key: k}, result{})
 	return err
 }
 
@@ -182,7 +181,7 @@ func (c *Client) PublishKey(k KeyRecord) error {
 func (c *Client) FetchKey(imsi string) (KeyRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.exchange(request{op: opFetchKey, imsi: imsi})
+	res, err := c.exchange(request{op: opFetchKey, imsi: imsi}, result{})
 	if err != nil {
 		return KeyRecord{}, err
 	}
@@ -193,10 +192,16 @@ func (c *Client) FetchKey(imsi string) (KeyRecord, error) {
 }
 
 // Keys retrieves all published keys.
-func (c *Client) Keys() ([]KeyRecord, error) {
+func (c *Client) Keys() ([]KeyRecord, error) { return c.KeysAppend(nil) }
+
+// KeysAppend appends all published keys to dst and returns the extended
+// slice. The keys decode straight into dst's spare capacity, so a
+// poller that passes the previous pull back as dst[:0] reuses one
+// slice across pulls.
+func (c *Client) KeysAppend(dst []KeyRecord) ([]KeyRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.exchange(request{op: opKeys})
+	res, err := c.exchange(request{op: opKeys}, result{keys: dst})
 	return res.keys, err
 }
 
@@ -233,6 +238,6 @@ func (c *Client) Revision() (uint64, error) {
 func (c *Client) DeltasSince(fromRev uint64) ([]Delta, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.exchange(request{op: opDeltas, fromRev: fromRev})
+	res, err := c.exchange(request{op: opDeltas, fromRev: fromRev}, result{})
 	return res.deltas, res.rev, err
 }

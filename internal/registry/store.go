@@ -32,10 +32,15 @@ type Delta struct {
 // defaultLogCap bounds the revision delta log: clients more than this
 // many mutations behind fall back to a full snapshot. The log's storage
 // comes in chunks of logChunkLen entries (a whole number per ring).
+// logRecBlock is how many join/leave records the log allocates at once.
+// keyCompactMin is the pending-key slack before a publication compacts
+// the list (see PublishKey).
 const (
 	defaultLogCap = 16384
 	logChunkBits  = 8
 	logChunkLen   = 1 << logChunkBits
+	logRecBlock   = 16
+	keyCompactMin = 1024
 )
 
 // Store is the registry state, usable in process or behind a Server.
@@ -48,19 +53,25 @@ const (
 // in O(cells covered) instead of O(n·copy·sort).
 //
 // Snapshots rebuild lazily on the first read after a mutation, so bulk
-// seeding (100k key publications) costs one rebuild, not 100k. The key
-// snapshot is an IMSI-sorted slice with no map: FetchKey binary-searches
-// it, and a rebuild sorts only the IMSIs published since the previous
-// build and merges them into the previous slice — one copy — so a
-// poller reading Keys after each publication pays O(n), not O(n log n).
-// A first build is the same merge into an empty slice.
+// seeding (100k key publications) costs one rebuild, not 100k. Keys are
+// held in no map at all: the key snapshot is an IMSI-sorted slice that
+// FetchKey binary-searches, and PublishKey only appends the record to a
+// pending list. A rebuild sorts that list (the last publication of an
+// IMSI wins) and merges it into the previous slice — one copy — so a
+// poller reading Keys after each publication pays O(n), not
+// O(n log n). A first build adopts the sorted list as the snapshot.
+//
+// The revision log keeps a 64-byte entry per mutation (see logEntry)
+// and rebuilds each Delta only when a reader asks for it.
 type Store struct {
-	mu   sync.Mutex // serializes mutations and snapshot rebuilds
-	aps  map[string]APRecord
-	keys map[string]KeyRecord
-	// keyDirty lists the IMSIs published since keySnap was built, for
-	// the next build to merge.
-	keyDirty []string
+	mu  sync.Mutex // serializes mutations and snapshot rebuilds
+	aps map[string]APRecord
+	// keyDirty holds the records published since keySnap was built,
+	// for the next build to merge. Its first keySorted records are
+	// sorted by IMSI with one record per IMSI; the rest are in
+	// publication order.
+	keyDirty  []KeyRecord
+	keySorted int
 
 	rev    atomic.Uint64 // global revision, bumped once per mutation
 	apRev  atomic.Uint64 // rev of the last AP mutation
@@ -109,19 +120,19 @@ type keySnapshot struct {
 
 // NewStore returns an empty registry store.
 func NewStore() *Store {
-	return &Store{aps: make(map[string]APRecord), keys: make(map[string]KeyRecord)}
+	return &Store{aps: make(map[string]APRecord)}
 }
 
 // bump records one mutation under s.mu: advances the revision, logs the
-// delta, and pushes it to every subscriber as its own feed entry. A
-// subscriber whose push fails is dropped.
-func (s *Store) bump(d Delta) {
-	d.Rev = s.rev.Add(1)
-	s.log.push(d)
+// entry, and pushes its delta to every subscriber as its own feed
+// entry. A subscriber whose push fails is dropped.
+func (s *Store) bump(e logEntry) {
+	rev := s.rev.Add(1)
+	s.log.push(rev, e)
 	if len(s.subs) == 0 {
 		return
 	}
-	f := Feed{Rev: d.Rev, Deltas: s.log.newest()}
+	f := Feed{Rev: rev, Deltas: s.log.newest()}
 	live := s.subs[:0]
 	for _, sub := range s.subs {
 		if sub.push(f) == nil {
@@ -179,7 +190,7 @@ func (s *Store) Join(r APRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.aps[r.ID] = r
-	s.bump(Delta{Kind: DeltaJoin, AP: r})
+	s.bump(logEntry{kind: DeltaJoin, ap: s.log.keep(r)})
 	s.apRev.Store(s.rev.Load())
 	return nil
 }
@@ -192,12 +203,16 @@ func (s *Store) Leave(id string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(s.aps, id)
-	s.bump(Delta{Kind: DeltaLeave, ID: id})
+	s.bump(logEntry{kind: DeltaLeave, ap: s.log.keep(APRecord{ID: id})})
 	s.apRev.Store(s.rev.Load())
 	return nil
 }
 
-// PublishKey stores an open-SIM key publication.
+// PublishKey stores an open-SIM key publication. The record joins the
+// pending list. Once that list is longer than twice the keys known to
+// be distinct (the snapshot's plus its sorted prefix) plus
+// keyCompactMin, it is compacted, so republications with no read in
+// between keep it O(table) at an amortized O(log n) a publication.
 func (s *Store) PublishKey(k KeyRecord) error {
 	if !auth.IMSI(k.IMSI).Valid() {
 		return fmt.Errorf("%w: bad IMSI %q", ErrBadRecord, k.IMSI)
@@ -209,14 +224,20 @@ func (s *Store) PublishKey(k KeyRecord) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.keys[k.IMSI] = k
-	s.keyDirty = append(s.keyDirty, k.IMSI)
-	if len(s.keyDirty) > 2*len(s.keys) {
-		// Republications with no read in between: keep the list no
-		// longer than the table, at an amortized O(log n) a publish.
-		s.keyDirty = sortedIMSIs(s.keyDirty)
+	if len(s.keyDirty) == cap(s.keyDirty) {
+		// Double: append grows a long list by a quarter at a time,
+		// which over a bulk seeding allocates five times its size.
+		s.keyDirty = slices.Grow(s.keyDirty, max(len(s.keyDirty), 64))
 	}
-	s.bump(Delta{Kind: DeltaKey, Key: k})
+	s.keyDirty = append(s.keyDirty, k)
+	table := 0
+	if sn := s.keySnap.Load(); sn != nil {
+		table = len(sn.all)
+	}
+	if len(s.keyDirty) > 2*(table+s.keySorted)+keyCompactMin {
+		s.compactKeysLocked(len(s.keyDirty)) // room to double, as above
+	}
+	s.bump(logEntry{kind: DeltaKey, key: k})
 	s.keyRev.Store(s.rev.Load())
 	return nil
 }
@@ -291,39 +312,68 @@ func (s *Store) keySnapshotLocked() *keySnapshot {
 	if prev != nil && prev.keyRev == cur {
 		return prev
 	}
-	var all []KeyRecord
-	if prev != nil {
-		all = prev.all
+	s.compactKeysLocked(0)
+	sn := &keySnapshot{keyRev: cur, all: s.keyDirty}
+	if prev != nil && len(prev.all) > 0 {
+		sn.all = mergeKeys(make([]KeyRecord, 0, len(prev.all)+len(s.keyDirty)), prev.all, s.keyDirty)
+		clear(s.keyDirty)
+		s.keyDirty = s.keyDirty[:0]
+	} else {
+		s.keyDirty = nil // adopted as the snapshot
 	}
-	sn := &keySnapshot{keyRev: cur, all: s.mergeKeysLocked(all)}
-	s.keyDirty = s.keyDirty[:0]
+	s.keySorted = 0
 	s.keySnap.Store(sn)
 	return sn
 }
 
-// mergeKeysLocked returns a new sorted slice: prev with the current
-// record of every IMSI in keyDirty inserted, or replacing prev's entry
-// for a republished IMSI. prev is shared and left as it is.
-func (s *Store) mergeKeysLocked(prev []KeyRecord) []KeyRecord {
-	dirty := sortedIMSIs(s.keyDirty)
-	all := make([]KeyRecord, 0, len(prev)+len(dirty))
+// compactKeysLocked sorts keyDirty's unsorted tail and merges it into
+// the sorted prefix, leaving the whole list sorted by IMSI with the
+// latest record of each. A merge leaves room for `room` more records.
+func (s *Store) compactKeysLocked(room int) {
+	if s.keySorted == len(s.keyDirty) {
+		return
+	}
+	tail := sortKeys(s.keyDirty[s.keySorted:])
+	if s.keySorted == 0 || s.keyDirty[s.keySorted-1].IMSI < tail[0].IMSI {
+		// Already in order: a first compaction, or keys published in
+		// IMSI order, as bulk seeding does.
+		s.keyDirty = s.keyDirty[:s.keySorted+len(tail)]
+	} else {
+		s.keyDirty = mergeKeys(make([]KeyRecord, 0, s.keySorted+len(tail)+room), s.keyDirty[:s.keySorted], tail)
+	}
+	s.keySorted = len(s.keyDirty)
+}
+
+// sortKeys sorts ks by IMSI in place, stably, keeps only the last
+// record of each IMSI, and returns the shortened slice.
+func sortKeys(ks []KeyRecord) []KeyRecord {
+	slices.SortStableFunc(ks, func(a, b KeyRecord) int { return strings.Compare(a.IMSI, b.IMSI) })
+	out := ks[:0]
+	for i, k := range ks {
+		if i+1 < len(ks) && ks[i+1].IMSI == k.IMSI {
+			continue // a later publication of this IMSI follows
+		}
+		out = append(out, k)
+	}
+	return out
+}
+
+// mergeKeys appends to all the IMSI-sorted merge of old and newer:
+// old with every record of newer inserted, replacing old's record for
+// the same IMSI. Both inputs are IMSI-sorted with one record per IMSI,
+// and are left as they are.
+func mergeKeys(all, old, newer []KeyRecord) []KeyRecord {
 	i := 0
-	for _, imsi := range dirty {
-		j, found := searchIMSI(prev[i:], imsi)
-		all = append(all, prev[i:i+j]...)
-		all = append(all, s.keys[imsi])
+	for _, k := range newer {
+		j, found := searchIMSI(old[i:], k.IMSI)
+		all = append(all, old[i:i+j]...)
+		all = append(all, k)
 		i += j
 		if found {
 			i++
 		}
 	}
-	return append(all, prev[i:]...)
-}
-
-// sortedIMSIs sorts imsis in place and drops repeats.
-func sortedIMSIs(imsis []string) []string {
-	slices.Sort(imsis)
-	return slices.Compact(imsis)
+	return append(all, old[i:]...)
 }
 
 // searchIMSI binary-searches an IMSI-sorted slice.
@@ -415,61 +465,100 @@ func (s *Store) DeltasSince(fromRev uint64, dst []Delta) (out []Delta, ok bool) 
 	return s.log.since(fromRev, s.rev.Load(), dst)
 }
 
+// logEntry is one logged mutation; its revision is implied by its place
+// in the ring. A key publication is stored inline. A join or leave is
+// rare and wide, so its record sits behind ap, in a block the log
+// keeps (a leave's record holds just the ID). At 64 bytes an entry is
+// well under the 176 of the Delta it stands for.
+type logEntry struct {
+	kind uint8
+	key  KeyRecord
+	ap   *APRecord
+}
+
+// delta is the entry as the Delta of revision rev.
+func (e *logEntry) delta(rev uint64) Delta {
+	d := Delta{Kind: e.kind, Rev: rev}
+	switch e.kind {
+	case DeltaJoin:
+		d.AP = *e.ap
+	case DeltaLeave:
+		d.ID = e.ap.ID
+	case DeltaKey:
+		d.Key = e.key
+	}
+	return d
+}
+
 // deltaLog is a bounded ring of the most recent mutations. Revisions in
-// the log are contiguous: every mutation pushes exactly one delta. The
-// ring's storage is allocated a chunk at a time as the log first fills:
-// most stores log a few dozen deltas and hold one 44 KB chunk, where
-// the whole ring up front is 2.8 MB to allocate and zero per world.
+// the log are contiguous: every mutation pushes exactly one entry, so
+// the oldest entry's revision locates every other. The ring's storage
+// is allocated a chunk at a time as the log first fills: most stores
+// log a few dozen mutations and hold one 16 KB chunk, where the whole
+// ring up front is 1 MB to allocate and zero per world.
 type deltaLog struct {
-	chunks [defaultLogCap / logChunkLen][]Delta
-	start  int // ring position of the oldest entry
-	n      int
+	chunks [defaultLogCap / logChunkLen][]logEntry
+	start  int    // ring position of the oldest entry
+	n      int    // entries held
+	oldest uint64 // revision of the entry at start
+	last   [1]Delta
+	// recs holds the records join and leave entries point at,
+	// allocated logRecBlock at a time.
+	recs []APRecord
+}
+
+// keep copies r to the log's record store and returns its address.
+func (l *deltaLog) keep(r APRecord) *APRecord {
+	if len(l.recs) == cap(l.recs) {
+		l.recs = make([]APRecord, 0, logRecBlock)
+	}
+	l.recs = append(l.recs, r)
+	return &l.recs[len(l.recs)-1]
 }
 
 // at returns ring position i's entry, allocating its chunk on first use.
-func (l *deltaLog) at(i int) *Delta {
+func (l *deltaLog) at(i int) *logEntry {
 	c := &l.chunks[i>>logChunkBits]
 	if *c == nil {
-		*c = make([]Delta, logChunkLen)
+		*c = make([]logEntry, logChunkLen)
 	}
 	return &(*c)[i&(logChunkLen-1)]
 }
 
-func (l *deltaLog) push(d Delta) {
+// push logs e as revision rev, one past the newest entry's.
+func (l *deltaLog) push(rev uint64, e logEntry) {
+	if l.n == 0 {
+		l.oldest = rev
+	}
 	if l.n < defaultLogCap {
-		*l.at(l.n) = d // start stays 0 until the ring is full
+		*l.at(l.n) = e // start stays 0 until the ring is full
 		l.n++
 		return
 	}
-	*l.at(l.start) = d
+	*l.at(l.start) = e
 	l.start = (l.start + 1) % defaultLogCap
+	l.oldest++
 }
 
-// newest returns the most recent entry as a one-element slice of the
-// ring's own storage. The log must not be empty.
+// newest returns the most recent entry's delta as a one-element slice
+// of the log's own scratch, valid until the next call. The log must not
+// be empty.
 func (l *deltaLog) newest() []Delta {
-	i := (l.start + l.n - 1) % defaultLogCap
-	c := l.chunks[i>>logChunkBits]
-	j := i & (logChunkLen - 1)
-	return c[j : j+1]
+	l.last[0] = l.at((l.start + l.n - 1) % defaultLogCap).delta(l.oldest + uint64(l.n-1))
+	return l.last[:]
 }
 
 func (l *deltaLog) since(fromRev, cur uint64, dst []Delta) ([]Delta, bool) {
 	if fromRev >= cur {
 		return dst, true
 	}
-	if l.n == 0 {
-		return dst, false
-	}
-	oldest := l.at(l.start).Rev
-	if fromRev+1 < oldest {
+	if l.n == 0 || fromRev+1 < l.oldest {
 		return dst, false
 	}
 	// Revisions are contiguous, so the first wanted entry is at a fixed
 	// offset from the oldest.
-	skip := int(fromRev + 1 - oldest)
-	for i := skip; i < l.n; i++ {
-		dst = append(dst, *l.at((l.start + i) % defaultLogCap))
+	for i := int(fromRev + 1 - l.oldest); i < l.n; i++ {
+		dst = append(dst, l.at((l.start+i)%defaultLogCap).delta(l.oldest+uint64(i)))
 	}
 	return dst, true
 }

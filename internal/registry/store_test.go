@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dlte/internal/geo"
+	"dlte/internal/leaktest"
 	"dlte/internal/simnet"
 	"dlte/internal/wire"
 )
@@ -666,11 +667,14 @@ func TestStalledSubscriberDropped(t *testing.T) {
 // republished IMSIs; short bursts, bursts as large as the table, and
 // republication runs long enough to compact the pending list) with
 // every reader of the key snapshot — Keys, FetchKey and a Subscribe
-// catch-up — and checks each against a table sorted from scratch.
+// catch-up — and checks each against a reference table kept beside the
+// store and sorted from scratch.
 func TestKeySnapshotMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewStore()
-	var imsis []string // every IMSI ever published
+	var imsis []string              // every IMSI ever published
+	table := map[string]KeyRecord{} // the latest record per IMSI
+	compactions := 0
 	publishAs := func(republish bool) {
 		var k KeyRecord
 		if len(imsis) == 0 || !republish {
@@ -679,19 +683,22 @@ func TestKeySnapshotMatchesRebuild(t *testing.T) {
 			k = KeyRecord{IMSI: imsis[rng.Intn(len(imsis))],
 				K: fmt.Sprintf("%032x", rng.Uint64()), OPc: fmt.Sprintf("%032x", rng.Uint64())}
 		}
-		if _, ok := s.keys[k.IMSI]; !ok {
+		if _, ok := table[k.IMSI]; !ok {
 			imsis = append(imsis, k.IMSI)
 		}
+		table[k.IMSI] = k
+		sorted := s.keySorted
 		if err := s.PublishKey(k); err != nil {
 			t.Fatal(err)
+		}
+		if s.keySorted > sorted {
+			compactions++
 		}
 	}
 	publish := func() { publishAs(rng.Intn(2) == 0) }
 	want := func() []KeyRecord {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		ref := make([]KeyRecord, 0, len(s.keys))
-		for _, k := range s.keys {
+		ref := make([]KeyRecord, 0, len(table))
+		for _, k := range table {
 			ref = append(ref, k)
 		}
 		slices.SortFunc(ref, func(a, b KeyRecord) int { return strings.Compare(a.IMSI, b.IMSI) })
@@ -729,7 +736,7 @@ func TestKeySnapshotMatchesRebuild(t *testing.T) {
 			if len(imsis) > 0 {
 				imsi := imsis[rng.Intn(len(imsis))]
 				got, ok := s.FetchKey(imsi)
-				if ref := s.keys[imsi]; !ok || got != ref {
+				if ref := table[imsi]; !ok || got != ref {
 					t.Fatalf("op %d: FetchKey(%s) = %+v, %v; want %+v", op, imsi, got, ok, ref)
 				}
 			}
@@ -758,5 +765,59 @@ func TestKeySnapshotMatchesRebuild(t *testing.T) {
 	}
 	if snapshots == 0 {
 		t.Fatal("no Subscribe catch-up carried a snapshot")
+	}
+	if compactions == 0 {
+		t.Fatal("no publication compacted the pending list")
+	}
+}
+
+// TestPublishKeyAllocs bounds what a bulk seeding costs the store: 10k
+// publications into a fresh store, then one Keys read, in IMSI order
+// (as seeding runs) and shuffled. A key costs its pending-list slot,
+// its 64-byte log entry and its snapshot slot, each grown by doubling
+// or by the chunk; no allocation is made per key.
+func TestPublishKeyAllocs(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates beside the store")
+	}
+	const n = 10_000
+	keys := make([]KeyRecord, n)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	for _, tc := range []struct {
+		name           string
+		shuffle        bool
+		maxBytesPerKey float64
+	}{
+		{"in order", false, 220},
+		{"shuffled", true, 360},
+	} {
+		ks := slices.Clone(keys)
+		if tc.shuffle {
+			rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := NewStore()
+		for _, k := range ks {
+			if err := s.PublishKey(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := s.Keys()
+		runtime.ReadMemStats(&after)
+		if len(got) != n || got[0] != keys[0] || got[n-1] != keys[n-1] {
+			t.Fatalf("%s: Keys() = %d records, want %d in IMSI order", tc.name, len(got), n)
+		}
+		allocs := float64(after.Mallocs-before.Mallocs) / n
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.4f allocs, %.0f B per key", tc.name, allocs, bytes)
+		if allocs > 0.02 {
+			t.Errorf("%s: %.4f allocs per key, want ≤ 0.02", tc.name, allocs)
+		}
+		if bytes > tc.maxBytesPerKey {
+			t.Errorf("%s: %.0f B per key, want ≤ %.0f", tc.name, bytes, tc.maxBytesPerKey)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package spectrum
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -181,6 +182,14 @@ const InterferenceThresholdDBm = -100
 // mutually audible transmitters (connected components of the
 // interference graph). APs in the same domain must coordinate; APs in
 // different domains can reuse the spectrum freely.
+//
+// Each grant's band is resolved once, and candidate pairs come from a
+// geo.Grid over the positions: no pair beyond the radio horizon can be
+// audible, so grant i only tests the grants within
+// RadioHorizonKm(h_i, h_max) of it, padded so that float rounding at
+// the query's edge cannot drop a pair exactly at the horizon. A
+// non-finite height (NaN or +Inf) has no horizon bound, and then every
+// pair is tested, as the all-pairs scan would.
 func ContentionDomains(grants []Grant, model radio.PathLoss, thresholdDBm float64) [][]string {
 	if model == nil {
 		model = radio.Auto{}
@@ -200,25 +209,41 @@ func ContentionDomains(grants []Grant, model radio.PathLoss, thresholdDBm float6
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if grants[i].Band != grants[j].Band {
-				continue
+	bands := make([]radio.Band, n)
+	known := make([]bool, n)
+	pts := make([]geo.Point, n)
+	maxH := 0.0
+	for i, g := range grants {
+		bands[i], known[i] = bandByName(g.Band)
+		pts[i] = g.Position
+		maxH = max(maxH, g.HeightM)
+	}
+	grid := geo.BuildGrid(pts)
+	try := func(i, j int) {
+		if grants[i].Band == grants[j].Band && audible(&grants[i], &grants[j], bands[i], model, thresholdDBm) {
+			union(i, j)
+		}
+	}
+	for i := range grants {
+		if !known[i] {
+			continue
+		}
+		reach := radio.RadioHorizonKm(grants[i].HeightM, maxH)*1000*(1+1e-9) + 1
+		if math.IsNaN(reach) || math.IsInf(reach, 0) {
+			for j := i + 1; j < n; j++ {
+				try(i, j)
 			}
-			band, ok := bandByName(grants[i].Band)
-			if !ok {
-				continue
-			}
-			dKm := grants[i].Position.DistanceTo(grants[j].Position) / 1000
-			// Beyond the radio horizon the towers cannot hear each
-			// other no matter what the statistical model extrapolates.
-			if dKm > radio.RadioHorizonKm(grants[i].HeightM, grants[j].HeightM) {
-				continue
-			}
-			loss := model.LossDB(dKm, band.DownlinkMHz, grants[i].HeightM, grants[j].HeightM)
-			// Audible in either direction joins the domain.
-			if grants[i].EIRPdBm-loss > thresholdDBm || grants[j].EIRPdBm-loss > thresholdDBm {
-				union(i, j)
+			continue
+		}
+		p := grants[i].Position
+		cx0, cy0, cx1, cy1 := grid.CellRange(geo.Rect{Min: p.Add(-reach, -reach), Max: p.Add(reach, reach)})
+		for cy := cy0; cy <= cy1; cy++ {
+			for cx := cx0; cx <= cx1; cx++ {
+				for _, j := range grid.Cell(cx, cy) {
+					if int(j) > i {
+						try(i, int(j))
+					}
+				}
 			}
 		}
 	}
@@ -235,6 +260,20 @@ func ContentionDomains(grants []Grant, model radio.PathLoss, thresholdDBm float6
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// audible reports whether two grants in one band hear each other: within
+// the radio horizon, and received above thresholdDBm in either
+// direction.
+func audible(a, b *Grant, band radio.Band, model radio.PathLoss, thresholdDBm float64) bool {
+	dKm := a.Position.DistanceTo(b.Position) / 1000
+	// Beyond the radio horizon the towers cannot hear each other no
+	// matter what the statistical model extrapolates.
+	if dKm > radio.RadioHorizonKm(a.HeightM, b.HeightM) {
+		return false
+	}
+	loss := model.LossDB(dKm, band.DownlinkMHz, a.HeightM, b.HeightM)
+	return a.EIRPdBm-loss > thresholdDBm || b.EIRPdBm-loss > thresholdDBm
 }
 
 // SlotShare is one domain member's TDM allocation.

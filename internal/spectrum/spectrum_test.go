@@ -2,7 +2,11 @@ package spectrum
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -218,5 +222,152 @@ func TestPlanTDMEmpty(t *testing.T) {
 	}
 	if p := PlanTDM([]string{"a"}, nil, 0); p != nil {
 		t.Errorf("zero slots = %v", p)
+	}
+}
+
+// contentionDomainsRef is the all-pairs partition ContentionDomains
+// replaced: every pair, with the band looked up per pair.
+func contentionDomainsRef(grants []Grant, model radio.PathLoss, thresholdDBm float64) [][]string {
+	n := len(grants)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if grants[i].Band != grants[j].Band {
+				continue
+			}
+			band, ok := bandByName(grants[i].Band)
+			if !ok {
+				continue
+			}
+			dKm := grants[i].Position.DistanceTo(grants[j].Position) / 1000
+			if dKm > radio.RadioHorizonKm(grants[i].HeightM, grants[j].HeightM) {
+				continue
+			}
+			loss := model.LossDB(dKm, band.DownlinkMHz, grants[i].HeightM, grants[j].HeightM)
+			if grants[i].EIRPdBm-loss > thresholdDBm || grants[j].EIRPdBm-loss > thresholdDBm {
+				parent[find(i)] = find(j)
+			}
+		}
+	}
+	groups := make(map[int][]string)
+	for i, g := range grants {
+		groups[find(i)] = append(groups[find(i)], g.APID)
+	}
+	var out [][]string
+	for _, members := range groups {
+		sort.Strings(members)
+		out = append(out, members)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// TestContentionDomainsMatchesAllPairs holds the grid-pruned partition
+// to the all-pairs one on random rosters: mixed and unknown bands,
+// mixed heights, co-located grants, and partners placed exactly at (and
+// one metre either side of) the radio horizon. The free-space model and
+// a very low threshold make the horizon the deciding cut for those
+// pairs, and dense rosters put grid cell edges inside a horizon.
+func TestContentionDomainsMatchesAllPairs(t *testing.T) {
+	bands := []string{radio.ISM24.Name, radio.LTEBand5.Name, radio.CBRS.Name, "no such band"}
+	for c := 0; c < 60; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		var model radio.PathLoss = radio.Auto{}
+		threshold := float64(InterferenceThresholdDBm)
+		if c%2 == 1 {
+			model, threshold = radio.FreeSpace{}, -1000
+		}
+		n := 1 + rng.Intn(120)
+		side := 5_000 + rng.Float64()*200_000
+		heights := []float64{0, 3, 10, 30, 120}
+		if c%3 == 0 {
+			// Dense, one height: grid cells far smaller than the
+			// horizon every query reaches, so its edge falls between
+			// cells.
+			n, side, heights = 300+rng.Intn(300), 10_000, []float64{10}
+		}
+		var gs []Grant
+		for i := 0; len(gs) < n; i++ {
+			g := Grant{
+				APID:     fmt.Sprintf("g%03d", len(gs)),
+				Band:     bands[rng.Intn(len(bands))],
+				Position: geo.Pt(rng.Float64()*side, rng.Float64()*side),
+				EIRPdBm:  20 + rng.Float64()*40,
+				HeightM:  heights[rng.Intn(len(heights))],
+			}
+			gs = append(gs, g)
+			switch rng.Intn(4) {
+			case 0: // co-located partner
+				g.APID = fmt.Sprintf("g%03d", len(gs))
+				gs = append(gs, g)
+			case 1: // partners at the horizon and one metre either side
+				h := heights[rng.Intn(len(heights))]
+				reach := radio.RadioHorizonKm(g.HeightM, h) * 1000
+				for _, dx := range []float64{-1, 0, 1} {
+					p := g
+					p.APID = fmt.Sprintf("g%03d", len(gs))
+					p.HeightM = h
+					p.Position = g.Position.Add(reach+dx, 0)
+					gs = append(gs, p)
+				}
+			}
+		}
+		got := ContentionDomains(gs, model, threshold)
+		want := contentionDomainsRef(gs, model, threshold)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (%d grants): grid partition diverged from all pairs\n got %v\nwant %v", c, len(gs), got, want)
+		}
+	}
+}
+
+// TestContentionDomainsNonFiniteHeight covers the fallback for a height
+// with no horizon bound: with free-space loss a NaN-height grant is
+// audible at any distance, as in the all-pairs scan.
+func TestContentionDomainsNonFiniteHeight(t *testing.T) {
+	for _, h := range []float64{math.NaN(), math.Inf(1)} {
+		gs := []Grant{grant("a", 0, 0), grant("b", 900_000, 0), grant("c", 1_800_000, 0)}
+		gs[1].HeightM = h
+		got := ContentionDomains(gs, radio.FreeSpace{}, -1000)
+		if want := contentionDomainsRef(gs, radio.FreeSpace{}, -1000); !reflect.DeepEqual(got, want) {
+			t.Errorf("height %v: got %v, want %v", h, got, want)
+		}
+	}
+}
+
+// TestContentionDomainsHorizonEdge places a pair just inside the radio
+// horizon with a grid cell edge 2.6 m short of the partner, so a query
+// that reached even 0.01 % less than the horizon would miss it. A
+// 10×10 lattice of unknown-band filler grants (which join nothing) over
+// [0, L]² fixes BuildGrid's layout at 11×11 cells of L/11.
+func TestContentionDomainsHorizonEdge(t *testing.T) {
+	const L = 100_000.0
+	var gs []Grant
+	for i := 0; i < 100; i++ {
+		gs = append(gs, Grant{
+			APID: fmt.Sprintf("fill%03d", i), Band: "no such band",
+			Position: geo.Pt(float64(i%10)*L/9, float64(i/10)*L/9), HeightM: 10,
+		})
+	}
+	h := radio.RadioHorizonKm(10, 10) * 1000
+	x := 5*L/11 - 0.9999*h // the cell edge at 5L/11 sits 0.9999 h past the anchor
+	a := Grant{APID: "anchor", Band: radio.ISM24.Name, Position: geo.Pt(x, L/2), EIRPdBm: 30, HeightM: 10}
+	b := a
+	b.APID, b.Position = "partner", geo.Pt(x+h-0.01, L/2)
+	gs = append(gs, a, b)
+	got := ContentionDomains(gs, radio.FreeSpace{}, -1000)
+	if d := DomainOf(got, "anchor"); len(d) != 2 {
+		t.Fatalf("anchor's domain = %v, want the partner 0.01 m inside the horizon", d)
+	}
+	if want := contentionDomainsRef(gs, radio.FreeSpace{}, -1000); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
 	}
 }
