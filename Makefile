@@ -70,7 +70,7 @@ STORM_GATE_FLAGS = -benchmem -benchtime 50x -count 3 -json
 # IdleWorld's committed allocs/op carry ~2% of headroom (735–744 and
 # 867–870 have been seen): each region wheel's key slabs and run
 # buffer, the pools, and one worker fan-out per run, whose goroutines'
-# runtime bookkeeping is scheduler-shaped. SchedulerTimers/100k is the first op's closure-record
+# runtime bookkeeping is scheduler-shaped. SchedulerTimers/100k is the first op's closure
 # table and key-slab growth spread over 10 ops — 12 to 14 by rounding.
 WHEEL_GATE_RE = BenchmarkSchedulerTimers/1k$$|BenchmarkSchedulerTimers/100k$$
 WHEEL_GATE_PKGS = ./internal/simnet

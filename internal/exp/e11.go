@@ -27,10 +27,11 @@ import (
 // Two measurement layers per scenario:
 //
 //   - The compact layer (internal/exp/scenario.go) lowers the spec onto
-//     the PR 7 ShardedScheduler: tens of thousands of SoA UEs evaluate
-//     the real mobility.Trigger per measurement tick; handover counts,
-//     modeled interruption quantiles, and failure-wave survival come
-//     from commutative per-region tallies.
+//     per-region slot arrays, each region running its UEs' chains to
+//     the horizon: tens of thousands of SoA UEs evaluate the real
+//     mobility.Trigger per measurement tick; handover counts, modeled
+//     interruption quantiles, and failure-wave survival come from
+//     commutative per-region tallies.
 //   - The probe layer drives ONE real UE through the full stack — X2
 //     prepare via mobility.Plane, break-before-make re-attach, GTP
 //     re-point — with a shared mobility.Meter stitching the source

@@ -17,17 +17,18 @@ import (
 // network pays to keep a registered-but-quiescent subscriber. E13
 // builds a world of up to a million compact UEs — each a
 // struct-of-arrays slot (ue.IdlePool) plus one timer parked in the
-// hierarchical timing wheel — spread over fixed regions drained by a
-// simnet.ShardedScheduler. Every UE attaches (modeled latency), then
-// idles with periodic tracking-area updates; a handful later see real
-// activity and are promoted through the full Device/EPC stack.
+// hierarchical timing wheel — spread over fixed regions, each with its
+// own simnet.Scheduler, drained by ForEach. Every UE attaches (modeled
+// latency), then idles with periodic tracking-area updates; a handful
+// later see real activity and are promoted through the full Device/EPC
+// stack.
 //
 // Determinism: the printed table is byte-identical at any Parallelism.
 // The region count is a constant (regions are a modeling unit;
 // Parallelism only sets how many OS threads drain them), every per-UE
 // quantity is a pure function of (seed, global index), cross-region
 // aggregates are commutative sums, and the promotion log is merged
-// with simnet.MergeRegions before it touches output. Wall time and
+// with mergeRegions before it touches output. Wall time and
 // events/sec are real-CPU measurements and therefore live only in
 // E13Result, never in the rendered table.
 
@@ -179,15 +180,14 @@ func (r *e13Region) handle(arg uint64) {
 type e13World struct {
 	n       int
 	seed    int64
-	ss      *simnet.ShardedScheduler
+	workers int
 	regions []*e13Region
 	cells   *enb.CellPool
 }
 
 func newE13World(seed int64, n, workers int) *e13World {
 	w := &e13World{
-		n: n, seed: seed,
-		ss:    simnet.NewShardedScheduler(e13Regions, workers),
+		n: n, seed: seed, workers: workers,
 		cells: enb.NewCellPool(e13Regions, 1, e13TAC),
 	}
 	q, rem := n/e13Regions, n%e13Regions
@@ -199,7 +199,7 @@ func newE13World(seed int64, n, workers int) *e13World {
 		}
 		reg := &e13Region{
 			idx: r, base: base, count: count, seed: seed,
-			sch: w.ss.Region(r), pool: ue.NewIdlePool(count), cells: w.cells,
+			sch: simnet.NewScheduler(), pool: ue.NewIdlePool(count), cells: w.cells,
 		}
 		reg.sch.OnIndexed = reg.handle
 		w.regions = append(w.regions, reg)
@@ -239,8 +239,14 @@ func (w *e13World) start() error {
 	return nil
 }
 
-// run drains every region to the horizon.
-func (w *e13World) run() { w.ss.RunUntil(e13Horizon) }
+// run drains every region to the horizon, one region per worker at a
+// time; which worker takes which region is invisible in the results.
+func (w *e13World) run() {
+	_ = ForEach(w.workers, len(w.regions), func(i int) error { // a drain cannot fail
+		w.regions[i].sch.RunUntil(e13Horizon)
+		return nil
+	})
+}
 
 // totalEvents sums per-region event counts (commutative; worker-order
 // invariant).
@@ -258,7 +264,7 @@ func (w *e13World) mergedPromos() []e13Promo {
 	for i, reg := range w.regions {
 		parts[i] = reg.promos
 	}
-	return simnet.MergeRegions(parts, func(p e13Promo) (time.Duration, uint64) {
+	return mergeRegions(parts, func(p e13Promo) (time.Duration, uint64) {
 		return p.at, p.gi
 	})
 }

@@ -25,8 +25,8 @@ func TestE13Quick(t *testing.T) {
 		t.Errorf("accounted B/UE = %d, want slot+timer = %d",
 			res.BytesPerUE, ue.IdleSlotBytes+simnet.EventBytes)
 	}
-	if res.BytesPerUE > 58 {
-		t.Errorf("accounted B/UE = %d, want ≤ 58", res.BytesPerUE)
+	if res.BytesPerUE > 50 {
+		t.Errorf("accounted B/UE = %d, want ≤ 50", res.BytesPerUE)
 	}
 	for _, n := range e13Sizes(Options{Quick: true}) {
 		if res.PromotedByUEs[n] != e13Promotions {
@@ -105,9 +105,9 @@ func measureIdleWorld(seed int64, n int) (float64, *e13World, error) {
 // TestIdleWorldFootprint is the measured (not accounted) form of the
 // E13 budget, at the headline scale: a million-UE world — SoA slots,
 // the wheel's key blocks at their high-water mark, region structures
-// — must retain ≤ 66 B per idle UE. The accounted floor is
-// ue.IdleSlotBytes + simnet.EventBytes (53 B as of this writing);
-// measured sits near 60.4 B (partly filled head blocks, slab and pool
+// — must retain ≤ 56 B per idle UE. The accounted floor is
+// ue.IdleSlotBytes + simnet.EventBytes (45 B as of this writing);
+// measured sits near 51 B (partly filled head blocks, slab and pool
 // array rounding), and the bound is that plus ~10 %: a new per-UE
 // field or a fatter wheel key trips this first. Smaller
 // populations read higher — per-region slab rounding is a fixed
@@ -123,8 +123,8 @@ func TestIdleWorldFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("idle compact UE ≈ %.1f B retained (accounted %d)", perUE, ue.IdleSlotBytes+simnet.EventBytes)
-	if perUE > 66 {
-		t.Errorf("idle world retains %.1f B/UE, want ≤ 66", perUE)
+	if perUE > 56 {
+		t.Errorf("idle world retains %.1f B/UE, want ≤ 56", perUE)
 	}
 	runtime.KeepAlive(w)
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file is the parallel world-runner. Every experiment sweep is a
@@ -84,4 +85,34 @@ func ForEach(parallelism, n int, fn func(i int) error) error {
 // experiment sweeps use.
 func forEachWorld(opt Options, n int, fn func(i int) error) error {
 	return ForEach(opt.workers(), n, fn)
+}
+
+// mergeRegions merges per-region record slices — each already in that
+// region's local (at, seq) order — into the single global (at, seq,
+// region) order, the canonical way to turn per-region event logs into
+// region-count-stable output.
+func mergeRegions[T any](parts [][]T, key func(T) (at time.Duration, seq uint64)) []T {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]T, 0, total)
+	idx := make([]int, len(parts))
+	for len(out) < total {
+		best := -1
+		var bestAt time.Duration
+		var bestSeq uint64
+		for r, p := range parts {
+			if idx[r] >= len(p) {
+				continue
+			}
+			at, seq := key(p[idx[r]])
+			if best < 0 || at < bestAt || (at == bestAt && seq < bestSeq) {
+				best, bestAt, bestSeq = r, at, seq
+			}
+		}
+		out = append(out, parts[best][idx[best]])
+		idx[best]++
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dlte/internal/mobility"
-	"dlte/internal/simnet"
 	"dlte/internal/ue"
 )
 
@@ -685,7 +684,7 @@ func CompileScenario(spec ScenarioSpec, scheme Scheme, seed int64, workers int) 
 	// Flash-crowd activity hits mid-event, 1 ms apart so the merged log
 	// has a stable order. The instant and gi both grow with k, so each
 	// region's acts, and the promos they file, are in slot order and in
-	// (at, gi) order at once, as run and MergeRegions need.
+	// (at, gi) order at once, as run and mergeRegions need.
 	for k, reg := 0, w.regions[0]; spec.Kind == KindFlashCrowd && k < min(spec.Promotions, spec.UEs); k++ {
 		at := spec.ConvergeAt + 5*time.Second + time.Duration(k)*time.Millisecond
 		if at > spec.Horizon {
@@ -780,7 +779,7 @@ func (w *CompiledScenario) Promotions() []scenPromo {
 	for i, reg := range w.regions {
 		parts[i] = reg.promos
 	}
-	return simnet.MergeRegions(parts, func(p scenPromo) (time.Duration, uint64) {
+	return mergeRegions(parts, func(p scenPromo) (time.Duration, uint64) {
 		return p.at, p.gi
 	})
 }

@@ -73,23 +73,6 @@ func BenchmarkSimnetPacketConn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerEvery measures the periodic-event engine the PHY
-// simulations are built on; the reused chain link should keep it
-// allocation-free per firing.
-func BenchmarkSchedulerEvery(b *testing.B) {
-	s := NewScheduler()
-	ticks := 0
-	s.Every(0, time.Microsecond, func() { ticks++ })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	if ticks != b.N {
-		b.Fatalf("ticks = %d, want %d", ticks, b.N)
-	}
-}
-
 // schedTimerSizes are the populations BenchmarkSchedulerTimers and its
 // reference-heap twin sweep: one op schedules n timers over a fixed
 // per-timer density, cancels a third, and drains the rest — the
@@ -198,21 +181,6 @@ func TestSchedulerWheelAllocsBeatHeap(t *testing.T) {
 	}
 	if wheelAvg*10 >= heapAvg {
 		t.Errorf("wheel allocs %.0f not clearly below heap allocs %.0f", wheelAvg, heapAvg)
-	}
-}
-
-// TestSchedulerEveryNoAllocPerFiring pins the Every-chain optimization:
-// a firing requeues the same link event, so steady state allocates
-// nothing.
-func TestSchedulerEveryNoAllocPerFiring(t *testing.T) {
-	s := NewScheduler()
-	s.Every(0, time.Microsecond, func() {})
-	// Warm the heap so append growth does not count.
-	for i := 0; i < 128; i++ {
-		s.Step()
-	}
-	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg > 0 {
-		t.Errorf("Every firing allocates %.2f objects/op, want 0", avg)
 	}
 }
 

@@ -2,9 +2,9 @@
 // experiment runs on:
 //
 //   - Scheduler: a single-threaded virtual-time discrete-event engine
-//     used by the radio/PHY simulations and the compact million-UE
-//     worlds (E13), where wall-clock time is irrelevant and
-//     determinism is mandatory.
+//     — the timing wheel under the virtual clock's delivery dispatcher
+//     and the compact million-UE world (E13) — where wall-clock time
+//     is irrelevant and determinism is mandatory.
 //
 //   - Network: an in-memory packet/stream network with per-link latency,
 //     bandwidth, loss, and failure injection, exposing net.Conn-style
@@ -31,14 +31,14 @@ import (
 // level. Schedule, cancel, and fire are all O(1) amortized (a sparse
 // timer is moved twice over its lifetime, a cascading one at most
 // wheelLevels times), versus O(log n) per operation for the old
-// container/heap queue — and cancellation reclaims the event slot
-// immediately instead of pinning it in the heap until its deadline.
+// container/heap queue.
 //
 // Events are stored by value: a slot is a chain of fixed-size blocks
-// of (at, seq, arg, rec) keys, so every wheel walk reads contiguous
-// keys and chases one link per blockKeys events. An AtIndexed event is
-// its key and nothing else; only closure events (At, Every) keep a
-// record, for their func and their cancel handle.
+// of (at, seq, arg) keys, so every wheel walk reads contiguous keys and
+// chases one link per blockKeys events. An event is its key and nothing
+// else. An At event's key names its slot in a closure table beside the
+// wheel; Cancel empties that slot at once, and the wheel drops the key,
+// freeing the slot, wherever it next moves it.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64
@@ -56,7 +56,7 @@ const (
 	// Key blocks are carved from slabs of slabBlocks and recycled
 	// through a free list, so a million parked timers cost one
 	// allocation per slab and zero per event at steady state. 63 blocks
-	// of 16 keys, with their links, fill one 32 KiB size class.
+	// of 24-byte keys, with their links, fit one 24 KiB size class.
 	blockKeys  = 16
 	slabBlocks = 63
 
@@ -65,21 +65,21 @@ const (
 	// table grows by append.
 	inlineSlabs = 4
 
-	// recSlab is the closure-record table's first capacity, so a wheel
-	// that uses At or Every grows it a few times, not once per doubling
-	// from one.
-	recSlab = 512
+	// fnSlab is the closure table's first capacity, so a wheel that
+	// uses At grows it a few times, not once per doubling from one.
+	fnSlab = 512
 )
 
 // wkey is one queued event, stored by value in a slot's block chain
-// and in the run: its firing key (at, seq) and either the OnIndexed
-// payload or the closure record it belongs to. It holds no pointer, so
-// key slabs are never scanned by the GC.
+// and in the run: its firing key (at, seq) and its payload. seq steps
+// by 2 per event and its low bit marks an At event, whose arg is its
+// slot in Scheduler.fns; an AtIndexed event's arg is the OnIndexed
+// payload, all 64 bits of it. A key holds no pointer, so key slabs are
+// never scanned by the GC.
 type wkey struct {
 	at  time.Duration
 	seq uint64
-	arg uint64 // OnIndexed payload when rec == 0
-	rec uint32 // closure event's record in Scheduler.recs; 0 for an indexed event
+	arg uint64
 }
 
 // blockSlab is one allocation of key blocks. Block references are
@@ -98,30 +98,14 @@ type slotChain struct {
 	n    uint32
 }
 
-// wrec is a closure event's record: what its key cannot carry by
-// value. Records live in Scheduler.recs, indexed by wkey.rec, and are
-// recycled (generation-bumped) after firing or cancellation; user code
-// only ever holds the Event value handle.
-type wrec struct {
-	fn  func()
-	gen uint64 // bumped on recycle; stale Event handles check it
-	// armed is the queued chain link of an Every control record; 0 for
-	// ordinary events.
-	armed uint32
-	// blk and pos locate the key while wfLinked, with level and slot
-	// naming its slot. blk is the free-list link while vacant.
-	blk   uint32
-	pos   uint8
-	level uint8
-	slot  uint8
-	flags uint8
+// fnSlot is one closure-table entry: a queued At event's callback, nil
+// once canceled. The slot stays taken until the wheel fires or drops
+// the event's key; user code only ever holds the Event value handle.
+type fnSlot struct {
+	fn   func()
+	gen  uint64 // bumped when the slot is freed; stale Event handles check it
+	next uint32 // free-list link while vacant
 }
-
-const (
-	wfLinked uint8 = 1 << iota // key on a wheel slot
-	wfDue                      // key queued in the run, not yet fired
-	wfDead                     // canceled while due or firing; skip and recycle
-)
 
 // EventBytes is the in-memory size of one parked indexed event — the
 // per-timer cost a compact world accounts per idle UE.
@@ -129,24 +113,28 @@ var EventBytes = int(unsafe.Sizeof(wkey{}))
 
 // Event is a cancelable handle to a scheduled callback. It is a value:
 // the zero Event is valid and Cancel/At on it are no-ops. Handles stay
-// safe after the event fires — the scheduler recycles the underlying
-// record and a generation check turns stale cancels into no-ops.
+// safe after the event fires — the scheduler recycles the table slot
+// and a generation check turns stale cancels into no-ops.
 type Event struct {
-	s   *Scheduler
-	at  time.Duration
-	gen uint64
-	rec uint32
+	s    *Scheduler
+	at   time.Duration
+	gen  uint64
+	slot uint32
 }
 
 // Cancel prevents the event from firing. Canceling an already-fired,
-// already-canceled, or zero Event is a no-op. The event's slot is
-// reclaimed immediately (or, mid-dispatch, as soon as the current
-// instant finishes) instead of lingering until its deadline.
+// already-canceled, or zero Event is a no-op. The callback is released
+// at once; the event's key and table slot are reclaimed when the wheel
+// next moves the key, at the latest when it passes the event's instant.
 func (ev Event) Cancel() {
-	if ev.s == nil || ev.s.recs[ev.rec].gen != ev.gen {
+	if ev.s == nil {
 		return
 	}
-	ev.s.cancelEvent(ev.rec)
+	if f := &ev.s.fns[ev.slot]; f.gen == ev.gen && f.fn != nil {
+		f.fn = nil
+		ev.s.live--
+		ev.s.canceled++
+	}
 }
 
 // At reports the virtual time the event was scheduled for.
@@ -156,9 +144,10 @@ func (ev Event) At() time.Duration { return ev.at }
 // for concurrent use: all events run on the caller's goroutine, in
 // timestamp order with FIFO tie-breaking.
 type Scheduler struct {
-	now  time.Duration
-	seq  uint64
-	live int // queued, non-canceled events
+	now      time.Duration
+	seq      uint64
+	live     int // queued, non-canceled events
+	canceled int // queued keys of canceled At events
 
 	slots    [wheelLevels][wheelSlots]slotChain
 	occupied [wheelLevels]uint64 // bitmap of non-empty slots per level
@@ -176,8 +165,8 @@ type Scheduler struct {
 	slabs0    [inlineSlabs]*blockSlab // slabs' first backing array
 	freeBlock uint32
 
-	recs    []wrec // recs[0] is never handed out: rec 0 marks an indexed key
-	freeRec uint32
+	fns    []fnSlot // fns[0] is never handed out: 0 ends the free list
+	freeFn uint32
 
 	// OnIndexed dispatches events scheduled with AtIndexed: closure-free
 	// timers for compact worlds, where arg encodes the target endpoint.
@@ -229,46 +218,51 @@ func (s *Scheduler) releaseBlock(b uint32) uint32 {
 	return next
 }
 
-// newRec takes a vacant closure record.
-func (s *Scheduler) newRec() uint32 {
-	r := s.freeRec
-	if r == 0 {
-		if s.recs == nil {
-			s.recs = make([]wrec, 1, recSlab)
+// newFn takes a vacant closure-table slot for fn.
+func (s *Scheduler) newFn(fn func()) uint32 {
+	i := s.freeFn
+	if i == 0 {
+		if s.fns == nil {
+			s.fns = make([]fnSlot, 1, fnSlab)
 		}
-		s.recs = append(s.recs, wrec{})
-		return uint32(len(s.recs) - 1)
+		s.fns = append(s.fns, fnSlot{fn: fn})
+		return uint32(len(s.fns) - 1)
 	}
-	s.freeRec = s.recs[r].blk
-	s.recs[r].blk = 0
-	return r
+	f := &s.fns[i]
+	s.freeFn, f.fn, f.next = f.next, fn, 0
+	return i
 }
 
-// recycle returns a record to the free list, bumping its generation so
-// outstanding handles go stale.
-func (s *Scheduler) recycle(r uint32) {
-	rc := &s.recs[r]
-	*rc = wrec{gen: rc.gen + 1, blk: s.freeRec}
-	s.freeRec = r
+// releaseFn returns table slot i to the free list, bumping its generation
+// so outstanding handles go stale.
+func (s *Scheduler) releaseFn(i uint32) {
+	f := &s.fns[i]
+	*f = fnSlot{gen: f.gen + 1, next: s.freeFn}
+	s.freeFn = i
 }
 
-// dead reports a closure key whose event was canceled after it reached
-// the run.
+// dead reports the key of a canceled At event.
 func (s *Scheduler) dead(k wkey) bool {
-	return k.rec != 0 && s.recs[k.rec].flags&wfDead != 0
+	return k.seq&1 != 0 && s.fns[k.arg].fn == nil
 }
 
-// markDue moves a closure key's record from the wheel to the run.
-func (s *Scheduler) markDue(k wkey) {
-	if k.rec != 0 {
-		rc := &s.recs[k.rec]
-		rc.flags = rc.flags&^wfLinked | wfDue
+// keep reports whether k stays queued. A canceled At event's key is
+// dropped instead, its table slot freed.
+func (s *Scheduler) keep(k wkey) bool {
+	if !s.dead(k) {
+		return true
 	}
+	s.releaseFn(uint32(k.arg))
+	s.canceled--
+	return false
 }
 
-// enqueue queues k (at >= s.now): in the run when its instant lies
-// inside the open span, on the wheel otherwise.
-func (s *Scheduler) enqueue(k wkey) {
+// enqueue queues an event at t (>= s.now) with a fresh seq carrying
+// mark in its low bit: in the run when its instant lies inside the open
+// span, on the wheel otherwise.
+func (s *Scheduler) enqueue(t time.Duration, mark, arg uint64) {
+	s.seq += 2
+	k := wkey{at: t, seq: s.seq | mark, arg: arg}
 	if k.at < s.spanEnd {
 		s.joinRun(k)
 	} else {
@@ -294,14 +288,9 @@ func (s *Scheduler) joinRun(k wkey) {
 	})
 	if len(run) >= flattenMax {
 		for _, r := range run[lo:] {
-			if s.dead(r) {
-				s.recycle(r.rec)
-				continue
+			if s.keep(r) {
+				s.insert(r)
 			}
-			if r.rec != 0 {
-				s.recs[r.rec].flags &^= wfDue
-			}
-			s.insert(r)
 		}
 		s.due = s.due[:s.dueIdx+lo]
 		s.spanEnd = k.at
@@ -316,9 +305,6 @@ func (s *Scheduler) joinRun(k wkey) {
 	run = s.due[s.dueIdx:]
 	copy(run[lo+1:], run[lo:])
 	run[lo] = k
-	if k.rec != 0 {
-		s.recs[k.rec].flags |= wfDue
-	}
 }
 
 // insert files k (at >= s.now) on the wheel, at the tail of its slot's
@@ -346,41 +332,8 @@ func (s *Scheduler) insert(k wkey) {
 	}
 	sl, i := s.block(l.head)
 	sl.keys[i][l.n] = k
-	if k.rec != 0 {
-		rc := &s.recs[k.rec]
-		rc.blk, rc.pos, rc.level, rc.slot = l.head, uint8(l.n), uint8(lv), uint8(slot)
-		rc.flags |= wfLinked
-	}
 	l.n++
 	s.occupied[lv] |= 1 << uint(slot)
-}
-
-// unlink takes closure record r's key off its wheel slot: the slot's
-// last key (the head block's tail) moves into the hole, so Cancel stays
-// O(1) and the chain keeps every block but its head full.
-func (s *Scheduler) unlink(r uint32) {
-	rc := &s.recs[r]
-	l := &s.slots[rc.level][rc.slot]
-	hs, hi := s.block(l.head)
-	last := l.n - 1
-	if rc.blk != l.head || uint32(rc.pos) != last {
-		moved := hs.keys[hi][last]
-		sl, i := s.block(rc.blk)
-		sl.keys[i][rc.pos] = moved
-		if moved.rec != 0 {
-			m := &s.recs[moved.rec]
-			m.blk, m.pos = rc.blk, rc.pos
-		}
-	}
-	l.n = last
-	if last == 0 {
-		l.head, l.n = s.releaseBlock(l.head), blockKeys
-		if l.head == 0 {
-			l.n = 0
-			s.occupied[rc.level] &^= 1 << uint(rc.slot)
-		}
-	}
-	rc.flags &^= wfLinked
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past runs
@@ -390,13 +343,10 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	if fn == nil {
 		panic("simnet: Scheduler.At with nil fn")
 	}
-	if t < s.now {
-		t = s.now
-	}
-	r := s.newRec()
-	s.recs[r].fn = fn
-	s.requeue(r, t)
-	return Event{s: s, rec: r, gen: s.recs[r].gen, at: t}
+	t = max(t, s.now)
+	i := s.newFn(fn)
+	s.enqueue(t, 1, uint64(i))
+	return Event{s: s, at: t, gen: s.fns[i].gen, slot: i}
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -405,105 +355,13 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 }
 
 // AtIndexed schedules a closure-free event: when it fires, the
-// scheduler calls OnIndexed(arg). There is no handle and no record —
-// the event is its key — so compact worlds pay EventBytes per parked
+// scheduler calls OnIndexed(arg). There is no handle and no table slot
+// — the event is its key — so compact worlds pay EventBytes per parked
 // timer and zero allocations per schedule at steady state. A timer
 // that must stop firing is skipped by the handler (the arg encodes
 // enough state to tell), not canceled.
 func (s *Scheduler) AtIndexed(t time.Duration, arg uint64) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.enqueue(wkey{at: t, seq: s.seq, arg: arg})
-}
-
-// requeue queues closure record r at t (clamped to now) with a fresh seq.
-func (s *Scheduler) requeue(r uint32, t time.Duration) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.enqueue(wkey{at: t, seq: s.seq, rec: r})
-}
-
-// Every schedules fn to run at t, t+period, t+2·period, … until the
-// returned Event is canceled. period must be positive.
-func (s *Scheduler) Every(start, period time.Duration, fn func()) Event {
-	if fn == nil {
-		panic("simnet: Scheduler.Every with nil fn")
-	}
-	if period <= 0 {
-		// It would re-arm at the instant it fires, forever.
-		panic("simnet: Scheduler.Every with non-positive period")
-	}
-	// One chain link and one closure serve the whole chain: each firing
-	// requeues the same record instead of allocating per period — the
-	// dominant allocation in long PHY simulations. The control record
-	// exists only to give Cancel a stable target; it is never queued.
-	ctl, link := s.newRec(), s.newRec()
-	s.recs[ctl].armed = link
-	ctlGen := s.recs[ctl].gen
-	next := start
-	s.recs[link].fn = func() {
-		if !s.chainLive(ctl, ctlGen) {
-			return
-		}
-		fn()
-		if !s.chainLive(ctl, ctlGen) {
-			return // fn canceled the chain; do not re-arm
-		}
-		next += period
-		s.requeue(link, next)
-	}
-	// Clamp only the queued time: `next` keeps the raw chain phase, so a
-	// past start still yields firings at start+period, start+2·period, …
-	s.requeue(link, next)
-	return Event{s: s, rec: ctl, gen: ctlGen}
-}
-
-// chainLive reports that the Every control record ctl is still the
-// uncanceled generation gen.
-func (s *Scheduler) chainLive(ctl uint32, gen uint64) bool {
-	c := &s.recs[ctl]
-	return c.gen == gen && c.flags&wfDead == 0
-}
-
-// cancelEvent handles a live (generation-matched) cancel.
-func (s *Scheduler) cancelEvent(r uint32) {
-	rc := &s.recs[r]
-	if rc.flags&wfDead != 0 {
-		return
-	}
-	if l := rc.armed; l != 0 {
-		// Every control: kill the queued chain link, reclaim the
-		// control record.
-		rc.armed = 0
-		rc.flags |= wfDead // closure may observe this before the gen bump
-		s.cancelQueued(l)
-		s.recycle(r)
-		return
-	}
-	s.cancelQueued(r)
-}
-
-// cancelQueued cancels an event in whatever dispatch state it is in:
-// parked in the wheel (unlink and reclaim now), queued in the run (flag
-// dead; popDue reclaims it when it reaches the head), or currently
-// firing (flag dead; runEvent reclaims it after fn returns).
-func (s *Scheduler) cancelQueued(r uint32) {
-	rc := &s.recs[r]
-	switch {
-	case rc.flags&wfLinked != 0:
-		s.unlink(r)
-		s.live--
-		s.recycle(r)
-	case rc.flags&wfDue != 0:
-		rc.flags |= wfDead
-		s.live--
-	default:
-		rc.flags |= wfDead
-	}
+	s.enqueue(max(t, s.now), 0, arg)
 }
 
 // nextOf reports the block after b in its chain.
@@ -519,8 +377,9 @@ func (s *Scheduler) pullSlot(slot int) {
 	for b, n := l.head, l.n; b != 0; b, n = s.releaseBlock(b), blockKeys {
 		sl, i := s.block(b)
 		for _, k := range sl.keys[i][:n] {
-			s.markDue(k)
-			s.due = append(s.due, k)
+			if s.keep(k) {
+				s.due = append(s.due, k)
+			}
 		}
 	}
 	*l = slotChain{}
@@ -539,7 +398,7 @@ func (s *Scheduler) pullSlot(slot int) {
 }
 
 // cascade empties an upper-level slot whose span the clock has reached;
-// every key re-inserts at a strictly lower level.
+// every live key re-inserts at a strictly lower level.
 func (s *Scheduler) cascade(level, slot int) {
 	l := &s.slots[level][slot]
 	head, n := l.head, l.n
@@ -548,9 +407,29 @@ func (s *Scheduler) cascade(level, slot int) {
 	for b := head; b != 0; b, n = s.releaseBlock(b), blockKeys {
 		sl, i := s.block(b)
 		for _, k := range sl.keys[i][:n] {
-			s.insert(k)
+			if s.keep(k) {
+				s.insert(k)
+			}
 		}
 	}
+}
+
+// purge empties a slot that holds only canceled keys, and reports
+// whether it did. The clock must not move to such a slot: time only
+// ever advances to an event that fires (or to a RunUntil limit), and
+// a later past-time At clamps to wherever it stands.
+func (s *Scheduler) purge(level, slot int) bool {
+	l := &s.slots[level][slot]
+	for b, n := l.head, l.n; b != 0; b, n = s.nextOf(b), blockKeys {
+		sl, i := s.block(b)
+		for _, k := range sl.keys[i][:n] {
+			if !s.dead(k) {
+				return false
+			}
+		}
+	}
+	s.cascade(level, slot) // drops every key, re-inserts none
+	return true
 }
 
 // flatten moves an upper-level slot's keys straight into the run,
@@ -572,13 +451,15 @@ func (s *Scheduler) flatten(level, slot int) bool {
 	for b, n := l.head, l.n; b != 0; b, n = s.releaseBlock(b), blockKeys {
 		sl, i := s.block(b)
 		for _, k := range sl.keys[i][:n] {
+			if !s.keep(k) {
+				continue
+			}
 			j := len(run)
 			run = append(run, k)
 			for ; j > 0 && (run[j-1].at > k.at || run[j-1].at == k.at && run[j-1].seq > k.seq); j-- {
 				run[j] = run[j-1]
 			}
 			run[j] = k
-			s.markDue(k)
 		}
 	}
 	*l = slotChain{}
@@ -634,17 +515,20 @@ func (s *Scheduler) scan() (level int, start time.Duration, alone bool) {
 }
 
 // peekBound is the read-only half of popDue: the instant of the next
-// event, exactly, when the run holds one; otherwise scan's bound — exact
-// from level 0, a lower bound (the slot's span start) from an upper
-// level. ok=false means nothing is queued.
+// event, exactly, when the run holds one; otherwise scan's bound — a
+// lower bound, exact from level 0 unless canceled keys sit there.
+// ok=false means no live event is queued.
 func (s *Scheduler) peekBound() (time.Duration, bool) {
+	if s.live == 0 {
+		return 0, false
+	}
 	for _, k := range s.due[s.dueIdx:] {
 		if !s.dead(k) {
 			return k.at, true
 		}
 	}
-	level, start, _ := s.scan()
-	return start, level >= 0
+	_, start, _ := s.scan()
+	return start, true
 }
 
 // nextDue refills the empty run from the wheel's next occupied position
@@ -653,7 +537,8 @@ func (s *Scheduler) peekBound() (time.Duration, bool) {
 // slot is flattened into a run over its whole span when it is alone and
 // small; otherwise it cascades one level down — before any level-0
 // instant at the same time fires, so same-instant events always merge
-// into one seq-sorted batch — and the search repeats.
+// into one seq-sorted batch — and the search repeats. A slot of
+// canceled keys only is purged where it stands.
 func (s *Scheduler) nextDue(limit time.Duration) bool {
 	if s.due == nil {
 		s.due = make([]wkey, 0, flattenMax) // the wheel's one run buffer
@@ -663,11 +548,14 @@ func (s *Scheduler) nextDue(limit time.Duration) bool {
 		if level < 0 || start > limit {
 			return false
 		}
+		shift := uint(level) * wheelBits
+		slot := int((uint64(start) >> shift) & wheelMask)
+		if s.canceled > 0 && s.purge(level, slot) {
+			continue
+		}
 		if start > s.now {
 			s.now = start
 		}
-		shift := uint(level) * wheelBits
-		slot := int((uint64(start) >> shift) & wheelMask)
 		switch {
 		case level == 0:
 			s.pullSlot(slot)
@@ -704,13 +592,8 @@ func (s *Scheduler) popDue(limit time.Duration, advance bool) (k wkey, ok bool) 
 			break
 		}
 		s.dueIdx++
-		if k.rec != 0 {
-			rc := &s.recs[k.rec]
-			rc.flags &^= wfDue
-			if rc.flags&wfDead != 0 {
-				s.recycle(k.rec)
-				continue
-			}
+		if !s.keep(k) {
+			continue
 		}
 		s.now = k.at
 		return k, true
@@ -721,21 +604,20 @@ func (s *Scheduler) popDue(limit time.Duration, advance bool) (k wkey, ok bool) 
 	return wkey{}, false
 }
 
-// runEvent dispatches one popped event and reclaims a closure event's
-// record unless it re-queued itself (an Every chain link, back on the
-// wheel or in the run).
+// runEvent dispatches one popped event. An At event's table slot is
+// freed before its callback runs, so the callback may schedule into it
+// and its own handle is already stale.
 func (s *Scheduler) runEvent(k wkey) {
 	s.live--
-	if k.rec == 0 {
+	if k.seq&1 == 0 {
 		if h := s.OnIndexed; h != nil {
 			h(k.arg)
 		}
 		return
 	}
-	s.recs[k.rec].fn()
-	if s.recs[k.rec].flags&(wfLinked|wfDue) == 0 {
-		s.recycle(k.rec)
-	}
+	fn := s.fns[k.arg].fn
+	s.releaseFn(uint32(k.arg))
+	fn()
 }
 
 // Step runs the single next event, if any, advancing virtual time to it.
@@ -769,26 +651,3 @@ func (s *Scheduler) Run() {
 
 // Pending reports the number of live queued events.
 func (s *Scheduler) Pending() int { return s.live }
-
-// storeCap reports the closure-record capacity ever allocated;
-// storeFree walks the free list. Together they let tests assert that
-// cancellation actually reclaims records (live + free == cap, with free
-// growing on cancel) instead of pinning them until their deadline.
-// blocksInUse does the same for key blocks.
-func (s *Scheduler) storeCap() int { return max(len(s.recs)-1, 0) }
-
-func (s *Scheduler) storeFree() int {
-	n := 0
-	for r := s.freeRec; r != 0; r = s.recs[r].blk {
-		n++
-	}
-	return n
-}
-
-func (s *Scheduler) blocksInUse() int {
-	n := len(s.slabs) * slabBlocks
-	for b := s.freeBlock; b != 0; b = s.nextOf(b) {
-		n--
-	}
-	return n
-}

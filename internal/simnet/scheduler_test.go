@@ -101,15 +101,17 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
+// The Every tests drive the At-built periodic chain (every, in
+// wheel_test.go) that the differential test's every op runs on.
 func TestSchedulerEvery(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	ctl := s.Every(time.Second, time.Second, func() { count++ })
+	cancel := every(s, time.Second, time.Second, func() { count++ })
 	s.RunUntil(5500 * time.Millisecond)
 	if count != 5 {
 		t.Fatalf("periodic fired %d times, want 5", count)
 	}
-	ctl.Cancel()
+	cancel()
 	s.RunUntil(20 * time.Second)
 	if count != 5 {
 		t.Fatalf("periodic fired after cancel: %d", count)
@@ -141,8 +143,8 @@ func TestSchedulerManyEventsDeterministic(t *testing.T) {
 		s := NewScheduler()
 		var log []time.Duration
 		// Interleaved periodic producers, like two cell schedulers.
-		s.Every(0, 3*time.Millisecond, func() { log = append(log, s.Now()) })
-		s.Every(time.Millisecond, 5*time.Millisecond, func() { log = append(log, s.Now()) })
+		every(s, 0, 3*time.Millisecond, func() { log = append(log, s.Now()) })
+		every(s, time.Millisecond, 5*time.Millisecond, func() { log = append(log, s.Now()) })
 		s.RunUntil(100 * time.Millisecond)
 		return log
 	}
@@ -158,13 +160,12 @@ func TestSchedulerManyEventsDeterministic(t *testing.T) {
 }
 
 func TestSchedulerEveryCancelLeavesNoZombie(t *testing.T) {
-	// Regression: Cancel used to kill only the control struct, leaving
-	// the queued chain link alive in the heap — Pending reported ghost
-	// events and RunUntil kept popping them.
+	// Canceling a chain between firings cancels its one queued event:
+	// Pending drops to 0 and no firing is left to run.
 	s := NewScheduler()
-	ctl := s.Every(time.Second, time.Second, func() {})
+	cancel := every(s, time.Second, time.Second, func() {})
 	s.RunUntil(2500 * time.Millisecond)
-	ctl.Cancel()
+	cancel()
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after cancel = %d, want 0", got)
 	}
@@ -176,11 +177,11 @@ func TestSchedulerEveryCancelLeavesNoZombie(t *testing.T) {
 func TestSchedulerEveryCancelFromInsideFn(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var ctl Event
-	ctl = s.Every(time.Second, time.Second, func() {
+	var cancel func()
+	cancel = every(s, time.Second, time.Second, func() {
 		count++
 		if count == 3 {
-			ctl.Cancel()
+			cancel()
 		}
 	})
 	s.RunUntil(time.Minute)
@@ -189,22 +190,6 @@ func TestSchedulerEveryCancelFromInsideFn(t *testing.T) {
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after self-cancel = %d, want 0", got)
-	}
-}
-
-// TestSchedulerEveryNonPositivePeriodPanics: a chain that re-arms at the
-// instant it fires would keep RunUntil from ever returning, so Every
-// refuses it up front, as it refuses a nil fn.
-func TestSchedulerEveryNonPositivePeriodPanics(t *testing.T) {
-	for _, period := range []time.Duration{0, -time.Second} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Every with period %v did not panic", period)
-				}
-			}()
-			NewScheduler().Every(time.Second, period, func() {})
-		}()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,6 +271,30 @@ func driveSchedOps(ops []schedOp, d schedDriver) schedTrace {
 	return tr
 }
 
+// every is a periodic timer built the way a world would build one on
+// the wheel: each firing re-arms fn with At at start+k·period (clamped
+// to now, as At clamps), and the returned func cancels the chain, also
+// from inside fn. It issues one At per firing, in the order the
+// reference heap's Every requeues its link, so both assign the same
+// relative seqs.
+func every(s *Scheduler, start, period time.Duration, fn func()) (cancel func()) {
+	next, stopped := start, false
+	var ev Event
+	var tick func()
+	tick = func() {
+		fn()
+		if !stopped {
+			next += period
+			ev = s.At(next, tick)
+		}
+	}
+	ev = s.At(next, tick)
+	return func() {
+		stopped = true
+		ev.Cancel() // stale, and so a no-op, while tick runs
+	}
+}
+
 func wheelDriver() schedDriver {
 	s := NewScheduler()
 	return schedDriver{
@@ -280,7 +305,7 @@ func wheelDriver() schedDriver {
 		atIndexed: s.AtIndexed,
 		onIndexed: func(h func(uint64)) { s.OnIndexed = h },
 		every: func(start, period time.Duration, fn func()) func() {
-			return s.Every(start, period, fn).Cancel
+			return every(s, start, period, fn)
 		},
 		runUntil: s.RunUntil,
 		step:     s.Step,
@@ -367,8 +392,9 @@ func TestSchedulerDifferentialVsRefHeap(t *testing.T) {
 // schedScripts are hand-written scripts, one per open-span state the
 // random generator reaches only by luck. They also seed the fuzzer.
 var schedScripts = map[string][]schedOp{
-	// The runEvent recycle regression: a chain link that re-arms into
-	// the open run is wfDue, not wfLinked, when fn returns.
+	// A chain that re-arms into the open run: each firing's At joins
+	// the run it is being popped from, reusing the table slot runEvent
+	// freed for it.
 	"every-inside-span": {
 		{kind: opEvery, t: 2500 * time.Millisecond, period: 10 * time.Microsecond, stopAfter: 5},
 		{kind: opRunUntil, t: 10 * time.Second},
@@ -421,13 +447,11 @@ var schedScripts = map[string][]schedOp{
 		{kind: opAt, t: maxDuration - 1<<54, kids: []kidOp{{kind: kidBlockEnd, level: 9}, {kind: kidBlockEnd, level: 10}}},
 		{kind: opRunUntil, t: maxDuration},
 	},
-	// Cancel swap-removes a key with the last key of its slot's head
-	// block. Twenty keys in one slot are a full block (handles 0–15) and
-	// a head of four (handles 16–18, then an indexed key). The cancels
-	// move the indexed key into the full block, handle 17 to the head's
-	// front and, once the emptied head block is released, handles 15, 14
-	// and 13 to the full block's front; 17, 15 and 14 are then canceled
-	// through their handles where they moved to.
+	// Canceled keys stay where they are until the wheel moves them.
+	// Twenty keys in one slot are a full block (handles 0–15) and a head
+	// of four (handles 16–18, then an indexed key); the cancels hit both
+	// blocks, the head's last closure key and the full block's first and
+	// last, and the slot cascades with live and canceled keys mixed.
 	"cancel-mid-block": func() []schedOp {
 		var ops []schedOp
 		for j := 0; j < blockKeys+4; j++ {
@@ -442,8 +466,19 @@ var schedScripts = map[string][]schedOp{
 		}
 		return append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 9}, schedOp{kind: opRunUntil, t: 4 * time.Second})
 	}(),
-	// A crowded slot spanning seven blocks, with cancels that swap keys
-	// across its blocks, cascades through several levels.
+	// A Step over canceled events only must leave the clock where it
+	// stands: the past-time At after it clamps to that instant.
+	"step-over-canceled": {
+		{kind: opAt, t: 3 * time.Second},
+		{kind: opAt, t: 5*time.Second + 7},
+		{kind: opCancel, cancelIdx: 0},
+		{kind: opCancel, cancelIdx: 1},
+		{kind: opStep},
+		{kind: opAt, t: time.Second},
+		{kind: opRunUntil, t: 10 * time.Second},
+	},
+	// A crowded slot spanning seven blocks, with canceled keys across
+	// its blocks, cascades through several levels.
 	"cascade-multi-block": func() []schedOp {
 		var ops []schedOp
 		for j := 0; j < 6*blockKeys+4; j++ {
@@ -477,11 +512,11 @@ func init() {
 		ops = append(ops, schedOp{kind: opRunUntil, t: 3*time.Second + 5}, schedOp{kind: opRunUntil, t: 4 * time.Second})
 		schedScripts[fmt.Sprintf("slot-of-%d", m)] = ops
 	}
-	// 66 keys over five blocks, canceled down to 65 (four full blocks
-	// and one key): flatten refuses the slot and it cascades. 65 keys
-	// canceled down to 64 empty the head block: the slot flattens.
-	schedScripts["flatten-refuses-65-keys"] = slotOfCancel(flattenMax + 2)
-	schedScripts["flatten-takes-64-keys"] = slotOfCancel(flattenMax + 1)
+	// Flatten counts a slot by its links, canceled keys included: 65
+	// keys with one canceled are refused and cascade, 64 with one
+	// canceled flatten, and either path drops the canceled key.
+	schedScripts["flatten-refuses-65-keys"] = slotOfCancel(flattenMax + 1)
+	schedScripts["flatten-takes-64-keys"] = slotOfCancel(flattenMax)
 }
 
 func TestSchedulerScriptsVsRefHeap(t *testing.T) {
@@ -571,39 +606,45 @@ func FuzzSchedulerVsRefHeap(f *testing.F) {
 
 // ---- wheel-specific regressions ------------------------------------------
 
-// TestSchedulerCancelReclaimsStore is the regression for the heap
-// scheduler's memory pinning: canceled events stayed in the queue
-// until their deadline. The wheel must return every record of 100k
-// canceled periodic chains, and every key block their keys sat in, to
-// the free lists immediately, and reuse them for later events instead
-// of growing the store.
+// TestSchedulerCancelReclaimsStore pins the cancel contract. Cancel
+// releases the callback at once and Pending drops to 0, but a canceled
+// key stays on the wheel until the wheel next moves it; by the time the
+// clock has passed every canceled instant, every key block and every
+// closure-table slot is free again, and a second population reuses them
+// without growing the table or carving a slab.
 func TestSchedulerCancelReclaimsStore(t *testing.T) {
 	s := NewScheduler()
 	const n = 100_000
-	ctls := make([]Event, 0, n)
+	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		ctls = append(ctls, s.Every(time.Duration(i)*time.Microsecond, time.Hour, func() {}))
+		evs = append(evs, s.At(time.Duration(i)*time.Microsecond, func() { t.Fatal("canceled event fired") }))
 	}
-	inUse := s.storeCap() - s.storeFree()
-	if inUse != 2*n { // one control + one chain link per Every
-		t.Fatalf("in-use records = %d, want %d", inUse, 2*n)
-	}
-	for _, c := range ctls {
-		c.Cancel()
+	for _, ev := range evs {
+		ev.Cancel()
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after mass cancel = %d, want 0", got)
 	}
-	if free, cap := s.storeFree(), s.storeCap(); free != cap {
-		t.Fatalf("canceled events still pin %d of %d records", cap-free, cap)
+	for i, f := range s.fns[1:] {
+		if f.fn != nil {
+			t.Fatalf("table slot %d still holds its callback after Cancel", i+1)
+		}
+	}
+	// A Step walks the wheel past every canceled instant, dropping each
+	// key, and finds nothing to run.
+	if s.Step() || s.Now() != 0 {
+		t.Fatalf("Step over canceled events ran one or moved the clock to %v", s.Now())
+	}
+	if free, cap := s.fnsFree(), len(s.fns)-1; free != cap {
+		t.Fatalf("the wheel passed every canceled instant, yet %d of %d table slots are taken", cap-free, cap)
 	}
 	if inUse := s.blocksInUse(); inUse != 0 {
-		t.Fatalf("canceled events still pin %d key blocks", inUse)
+		t.Fatalf("the wheel passed every canceled instant, yet %d key blocks are in use", inUse)
 	}
-	// The reclaimed store is reused: n fresh timers at the chains' first
+	// The reclaimed store is reused: n fresh timers at the canceled
 	// instants, half closures and half indexed, fill the same slots key
-	// for key, so they must not grow the record table or carve a slab.
-	capBefore, slabsBefore := s.storeCap(), len(s.slabs)
+	// for key, so they must not grow the table or carve a slab.
+	capBefore, slabsBefore := len(s.fns), len(s.slabs)
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * time.Microsecond
 		if i%2 == 0 {
@@ -612,8 +653,8 @@ func TestSchedulerCancelReclaimsStore(t *testing.T) {
 			s.AtIndexed(at, uint64(i))
 		}
 	}
-	if s.storeCap() != capBefore {
-		t.Fatalf("store grew %d -> %d records despite %d free", capBefore, s.storeCap(), capBefore)
+	if len(s.fns) != capBefore {
+		t.Fatalf("closure table grew %d -> %d slots despite every slot free", capBefore, len(s.fns))
 	}
 	if len(s.slabs) != slabsBefore {
 		t.Fatalf("key slabs grew %d -> %d despite every block free", slabsBefore, len(s.slabs))
@@ -625,6 +666,52 @@ func TestSchedulerCancelReclaimsStore(t *testing.T) {
 	if inUse := s.blocksInUse(); inUse != 0 {
 		t.Fatalf("%d key blocks still in use after the drain", inUse)
 	}
+}
+
+// TestSchedulerCanceledKeepsClock: canceled keys never move the clock.
+// With every event canceled, Step finds nothing to run and Now stays
+// put, so a past-time At afterwards clamps to the old instant, as the
+// reference heap's does.
+func TestSchedulerCanceledKeepsClock(t *testing.T) {
+	s := NewScheduler()
+	s.At(time.Millisecond, func() {})
+	s.Step()
+	for _, at := range []time.Duration{time.Millisecond, 2 * time.Millisecond, time.Second, time.Hour} {
+		s.At(at, func() { t.Fatalf("canceled event at %v fired", at) }).Cancel()
+	}
+	if s.Step() {
+		t.Fatal("Step ran an event with every event canceled")
+	}
+	if s.Now() != time.Millisecond {
+		t.Fatalf("Now = %v after stepping over canceled events, want 1ms", s.Now())
+	}
+	var ran time.Duration
+	s.At(0, func() { ran = s.Now() })
+	if !s.Step() || ran != time.Millisecond {
+		t.Fatalf("a past-time At ran at %v, want 1ms", ran)
+	}
+	if s.blocksInUse() != 0 || s.fnsFree() != len(s.fns)-1 {
+		t.Fatalf("%d key blocks and %d table slots still taken", s.blocksInUse(), len(s.fns)-1-s.fnsFree())
+	}
+}
+
+// fnsFree walks the closure table's free list; blocksInUse counts the
+// key blocks not on the block free list. Together they let tests assert
+// that the wheel reclaims what canceled events held.
+func (s *Scheduler) fnsFree() int {
+	n := 0
+	for i := s.freeFn; i != 0; i = s.fns[i].next {
+		n++
+	}
+	return n
+}
+
+func (s *Scheduler) blocksInUse() int {
+	n := len(s.slabs) * slabBlocks
+	for b := s.freeBlock; b != 0; b = s.nextOf(b) {
+		n--
+	}
+	return n
 }
 
 // TestSchedulerFreshWorldAllocs pins the key slab's allocation shape:
@@ -714,7 +801,7 @@ func TestSchedulerLoneTimerSingleDescent(t *testing.T) {
 	if s.occupied != [wheelLevels]uint64{} {
 		t.Fatalf("record still on the wheel after one refill: occupied = %v", s.occupied)
 	}
-	if len(s.due) != 1 || s.due[0] != (wkey{at: at, seq: 1, arg: 1}) {
+	if len(s.due) != 1 || s.due[0] != (wkey{at: at, seq: s.seq, arg: 1}) {
 		t.Fatalf("run after one refill = %v", s.due)
 	}
 	// The clock stands at the slot's span start with the run open over
@@ -813,13 +900,13 @@ func TestSchedulerIndexedEvents(t *testing.T) {
 
 // TestSchedulerStaleHandleCancel pins the generation guard: a handle
 // kept past its event's firing must not cancel whatever event reuses
-// the record.
+// the table slot.
 func TestSchedulerStaleHandleCancel(t *testing.T) {
 	s := NewScheduler()
 	stale := s.At(time.Millisecond, func() {})
-	s.Run() // fires and recycles the record
+	s.Run() // fires and frees its table slot
 	fired := false
-	fresh := s.At(2*time.Millisecond, func() { fired = true }) // reuses it
+	fresh := s.At(2*time.Millisecond, func() { fired = true }) // reuses the slot
 	stale.Cancel()                                             // must be a no-op
 	s.Run()
 	if !fired {
@@ -828,44 +915,10 @@ func TestSchedulerStaleHandleCancel(t *testing.T) {
 	fresh.Cancel() // already fired: no-op
 }
 
-// ---- sharded scheduler ----------------------------------------------------
+// ---- region wheels drained straight to the horizon ----------------------
 
-// TestShardedSchedulerDeterministicAcrossWorkers runs the same
-// per-region workload serially and with more workers than CPUs and
-// requires identical per-region logs and clocks.
-func TestShardedSchedulerDeterministicAcrossWorkers(t *testing.T) {
-	const horizon = 100 * time.Millisecond
-	run := func(workers int) [][]time.Duration {
-		ss := NewShardedScheduler(8, workers)
-		logs := make([][]time.Duration, ss.Regions())
-		for i := 0; i < ss.Regions(); i++ {
-			i := i
-			r := ss.Region(i)
-			r.Every(time.Duration(i+1)*time.Millisecond, 7*time.Millisecond, func() {
-				logs[i] = append(logs[i], r.Now())
-			})
-		}
-		ss.RunUntil(horizon)
-		for i := 0; i < ss.Regions(); i++ {
-			if now := ss.Region(i).Now(); now != horizon {
-				t.Fatalf("workers=%d region %d: Now = %v, want %v", workers, i, now, horizon)
-			}
-		}
-		return logs
-	}
-	serial := run(1)
-	for _, workers := range []int{3, 8} {
-		par := run(workers)
-		for i := range serial {
-			if fmt.Sprint(serial[i]) != fmt.Sprint(par[i]) {
-				t.Fatalf("region %d: workers=1 fired at %v, workers=%d at %v", i, serial[i], workers, par[i])
-			}
-		}
-	}
-}
-
-// shardFire is one entry of a region's fire log: when, and which event.
-type shardFire struct {
+// regionFire is one entry of a region's fire log: when, and which event.
+type regionFire struct {
 	at  time.Duration
 	tag uint64
 }
@@ -873,78 +926,81 @@ type shardFire struct {
 // Fire-log tags: the low bits of an indexed arg name its chain; these
 // high bits mark the closure events.
 const (
-	shardTagAt    = 1 << 62
-	shardTagEvery = 1 << 63
+	regionTagAt    = 1 << 62
+	regionTagChain = 1 << 63
 )
 
-// shardWindow is the step of the windowed twin drain.
-const shardWindow = 10 * time.Millisecond
+// regionWindow is the step of the windowed twin drain.
+const regionWindow = 10 * time.Millisecond
 
-// shardDelay draws a follow-up delay that lands at the firing instant,
+// regionDelay draws a follow-up delay that lands at the firing instant,
 // exactly on one of the next window boundaries, or anywhere up to four
 // windows on — so follow-ups hit and cross many boundaries.
-func shardDelay(rng *rand.Rand, now time.Duration) time.Duration {
+func regionDelay(rng *rand.Rand, now time.Duration) time.Duration {
 	switch rng.Intn(4) {
 	case 0:
 		return 0
 	case 1:
-		return (now/shardWindow+1+time.Duration(rng.Intn(3)))*shardWindow - now
+		return (now/regionWindow+1+time.Duration(rng.Intn(3)))*regionWindow - now
 	default:
-		return time.Duration(rng.Int63n(int64(4 * shardWindow)))
+		return time.Duration(rng.Int63n(int64(4 * regionWindow)))
 	}
 }
 
-// seedShardedWorkload gives every region of ss its own mix of At, Every
-// and AtIndexed events. Each indexed chain re-arms itself from its
-// handler and now and then schedules a closure; Every firings schedule
-// a closure on the next boundary. Each region draws from its own rng in
-// its own event order, so its log is a function of the region alone.
-func seedShardedWorkload(ss *ShardedScheduler, horizon time.Duration) [][]shardFire {
-	logs := make([][]shardFire, ss.Regions())
-	for i := 0; i < ss.Regions(); i++ {
+// seedRegions builds n independent region wheels, each with its own mix
+// of At, periodic and AtIndexed events. Each indexed chain re-arms
+// itself from its handler and now and then schedules a closure; each
+// periodic firing schedules a closure on the next boundary. Each region
+// draws from its own rng in its own event order, so its log is a
+// function of the region alone.
+func seedRegions(n int, horizon time.Duration) ([]*Scheduler, [][]regionFire) {
+	regs := make([]*Scheduler, n)
+	logs := make([][]regionFire, n)
+	for i := range regs {
 		i := i
-		r := ss.Region(i)
+		r := NewScheduler()
+		regs[i] = r
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
 		logAt := func(tag uint64) func() {
-			return func() { logs[i] = append(logs[i], shardFire{r.Now(), tag}) }
+			return func() { logs[i] = append(logs[i], regionFire{r.Now(), tag}) }
 		}
 		r.OnIndexed = func(arg uint64) {
 			now := r.Now()
-			logs[i] = append(logs[i], shardFire{now, arg})
+			logs[i] = append(logs[i], regionFire{now, arg})
 			if now < horizon {
-				r.AtIndexed(now+shardDelay(rng, now), arg)
+				r.AtIndexed(now+regionDelay(rng, now), arg)
 			}
 			if rng.Intn(4) == 0 {
-				r.At(now+shardDelay(rng, now), logAt(shardTagAt|arg))
+				r.At(now+regionDelay(rng, now), logAt(regionTagAt|arg))
 			}
 		}
-		r.Every(time.Duration(i)*time.Millisecond, 7*time.Millisecond, func() {
-			logAt(shardTagEvery)()
+		every(r, time.Duration(i)*time.Millisecond, 7*time.Millisecond, func() {
+			logAt(regionTagChain)()
 			now := r.Now()
-			r.At((now/shardWindow+1)*shardWindow, logAt(shardTagEvery|shardTagAt))
+			r.At((now/regionWindow+1)*regionWindow, logAt(regionTagChain|regionTagAt))
 		})
 		for k := 0; k < 40; k++ {
 			at := time.Duration(rng.Int63n(int64(horizon / 2)))
 			if k%5 == 0 {
-				at = at / shardWindow * shardWindow // on a boundary
+				at = at / regionWindow * regionWindow // on a boundary
 			}
 			r.AtIndexed(at, uint64(k))
 			if k%8 == 0 {
-				r.At(at, logAt(shardTagAt|uint64(k)))
+				r.At(at, logAt(regionTagAt|uint64(k)))
 			}
 		}
 	}
-	return logs
+	return regs, logs
 }
 
-// drainWindowed is the slow twin of ShardedScheduler.RunUntil: it stops
-// every region at each shardWindow boundary before any region enters the
+// drainWindowed is the slow twin of a straight drain: it stops every
+// region at each regionWindow boundary before any region enters the
 // next window.
-func drainWindowed(ss *ShardedScheduler, t time.Duration) {
-	for end := shardWindow; ; end += shardWindow {
+func drainWindowed(regs []*Scheduler, t time.Duration) {
+	for end := regionWindow; ; end += regionWindow {
 		end = min(end, t)
-		for i := 0; i < ss.Regions(); i++ {
-			ss.Region(i).RunUntil(end)
+		for _, r := range regs {
+			r.RunUntil(end)
 		}
 		if end == t {
 			return
@@ -952,71 +1008,59 @@ func drainWindowed(ss *ShardedScheduler, t time.Duration) {
 	}
 }
 
-// TestShardedDrainMatchesWindowed is the drain-order oracle: running
-// each region straight to the horizon, at one worker or eight, must
-// fire exactly what the windowed drain fires, in the same order, with
-// the same clocks and the same events left parked.
-func TestShardedDrainMatchesWindowed(t *testing.T) {
+// TestRegionDrainMatchesWindowed is the drain-order oracle of the
+// compact worlds, whose regions each run their own wheel straight to
+// the horizon: a straight drain, region after region or every region
+// on its own goroutine, must fire exactly what the windowed drain
+// fires, in the same order, with the same clocks and the same events
+// left parked.
+func TestRegionDrainMatchesWindowed(t *testing.T) {
 	const regions, horizon = 16, 300 * time.Millisecond
-	ref := NewShardedScheduler(regions, 1)
-	want := seedShardedWorkload(ref, horizon)
+	ref, want := seedRegions(regions, horizon)
 	drainWindowed(ref, horizon)
 	fires, onBoundary := 0, 0
 	for _, log := range want {
 		fires += len(log)
 		for _, f := range log {
-			if f.at%shardWindow == 0 {
+			if f.at%regionWindow == 0 {
 				onBoundary++
 			}
 		}
 	}
-	if onBoundary < regions*int(horizon/shardWindow) {
+	if onBoundary < regions*int(horizon/regionWindow) {
 		t.Fatalf("workload too thin: %d of %d fires on window boundaries", onBoundary, fires)
 	}
 	t.Logf("%d fires, %d on window boundaries", fires, onBoundary)
-	for _, workers := range []int{1, 8} {
-		ss := NewShardedScheduler(regions, workers)
-		got := seedShardedWorkload(ss, horizon)
-		ss.RunUntil(horizon)
+	for _, concurrent := range []bool{false, true} {
+		regs, got := seedRegions(regions, horizon)
+		var wg sync.WaitGroup
+		for _, r := range regs {
+			if !concurrent {
+				r.RunUntil(horizon)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.RunUntil(horizon)
+			}()
+		}
+		wg.Wait()
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
-				t.Fatalf("workers=%d region %d: %d fires, windowed %d", workers, i, len(got[i]), len(want[i]))
+				t.Fatalf("concurrent=%v region %d: %d fires, windowed %d", concurrent, i, len(got[i]), len(want[i]))
 			}
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d region %d fire %d: %+v, windowed %+v", workers, i, j, got[i][j], want[i][j])
+					t.Fatalf("concurrent=%v region %d fire %d: %+v, windowed %+v", concurrent, i, j, got[i][j], want[i][j])
 				}
 			}
-			if g, w := ss.Region(i).Now(), ref.Region(i).Now(); g != w {
-				t.Fatalf("workers=%d region %d: Now %v, windowed %v", workers, i, g, w)
+			if g, w := regs[i].Now(), ref[i].Now(); g != w {
+				t.Fatalf("concurrent=%v region %d: Now %v, windowed %v", concurrent, i, g, w)
 			}
-			if g, w := ss.Region(i).Pending(), ref.Region(i).Pending(); g != w {
-				t.Fatalf("workers=%d region %d: %d pending, windowed %d", workers, i, g, w)
+			if g, w := regs[i].Pending(), ref[i].Pending(); g != w {
+				t.Fatalf("concurrent=%v region %d: %d pending, windowed %d", concurrent, i, g, w)
 			}
-		}
-	}
-}
-
-func TestMergeRegions(t *testing.T) {
-	type rec struct {
-		at  time.Duration
-		seq uint64
-		val string
-	}
-	parts := [][]rec{
-		{{1, 1, "a1"}, {5, 2, "a2"}, {5, 9, "a3"}},
-		{{2, 1, "b1"}, {5, 3, "b2"}},
-		{},
-		{{1, 1, "d1"}, {9, 1, "d2"}},
-	}
-	got := MergeRegions(parts, func(r rec) (time.Duration, uint64) { return r.at, r.seq })
-	want := []string{"a1", "d1", "b1", "a2", "b2", "a3", "d2"}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d records, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].val != w {
-			t.Fatalf("merge order %v, want %v at %d", got[i].val, w, i)
 		}
 	}
 }
