@@ -3,14 +3,16 @@ package registry
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dlte/internal/geo"
 	"dlte/internal/leaktest"
@@ -237,11 +239,12 @@ func (l *keysLoopConn) Read(p []byte) (int, error) {
 // TestKeysPullAllocs pulls a multi-frame Keys reply and requires
 // exactly Store.Keys() back at a cost per frame, not per key: per frame
 // its receive buffer and the one string copy all of its keys' IMSI, K
-// and OPc share; for the result at most log2(frames)+1 arrays (each
-// chunk decodes straight into the result); and one request frame.
-// Decoding each string on its own costs three allocations per key;
-// decoding every chunk into a fresh slice and appending it onto the
-// result costs a slice per frame plus the result's regrowth.
+// and OPc share; one array for the result (the reply's frames are held
+// until the last, so the result is sized once and every chunk decodes
+// straight into it); and one request frame. Decoding each string on
+// its own costs three allocations per key; decoding every chunk into a
+// fresh slice and appending it onto the result costs a slice per frame
+// plus the result's regrowth.
 func TestKeysPullAllocs(t *testing.T) {
 	if leaktest.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
@@ -273,8 +276,8 @@ func TestKeysPullAllocs(t *testing.T) {
 			t.Fatalf("Keys = %d keys, %v", len(got), err)
 		}
 	})
-	result := bits.Len(uint(frames)) // the first chunk, then a doubling per power of two
-	limit := 2*frames + result + 1   // receive buffers and string copies, result, the request
+	result := 1                    // sized once, to the reply's total
+	limit := 2*frames + result + 1 // receive buffers and string copies, result, the request
 	t.Logf("Keys pull of %d keys in %d frames: %.0f allocs, bound %d", n, frames, allocs, limit)
 	if allocs > float64(limit) {
 		t.Errorf("Keys pull of %d keys in %d frames: %.0f allocs, want at most %d (2 per frame, %d for the result, 1 for the request)",
@@ -376,5 +379,145 @@ func BenchmarkKeysAfterPublish(b *testing.B) {
 		if got := s.Keys(); len(got) != n {
 			b.Fatalf("Keys = %d records", len(got))
 		}
+	}
+}
+
+// simPullKeys is the key count of the simnet-backed pulls: two full
+// 4 096-key chunks and a partial third, E10's 10k-key scale.
+const simPullKeys = 2*maxKeysPerFrame + 1825
+
+// simPull serves a store of simPullKeys keys on a virtual network and
+// dials a client to it, the way E10's observers pull.
+func simPull(tb testing.TB) (*Client, []KeyRecord) {
+	tb.Helper()
+	n := simnet.NewVirtualNetwork(simnet.Link{Latency: time.Millisecond}, 1)
+	tb.Cleanup(n.Close)
+	store := NewStore()
+	for i := 0; i < simPullKeys; i++ {
+		if err := store.PublishKey(testKey(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	l, err := n.MustAddHost("registry").Listen(8400)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	NewServer(store).Serve(l)
+	c, err := Dial(n.MustAddHost("client").Dial, "registry:8400")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c, store.Keys()
+}
+
+// pullBytes runs pull once and reports the bytes the process allocated
+// during it and the reply's wire bytes (frames and prefixes).
+func pullBytes(tb testing.TB, c *Client, pull func() ([]KeyRecord, error)) (alloc, wire uint64, got []KeyRecord) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	_, rx0 := c.Traffic()
+	runtime.ReadMemStats(&before)
+	got, err := pull()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, rx1 := c.Traffic()
+	return after.TotalAlloc - before.TotalAlloc, rx1 - rx0, got
+}
+
+// TestKeysPullSimnetBytes prices a whole key pull — server encode,
+// stream, client decode — over a simnet stream. Each oversize chunk is
+// allocated once, by the stream's copy of the server's write, and the
+// client adopts it as its frame and its keys' string storage; the
+// result is sized once. So a fresh Keys pull allocates little more
+// than the reply's wire bytes plus the result array, and a KeysAppend
+// re-pull into the previous result little more than the wire bytes.
+func TestKeysPullSimnetBytes(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector; pooled paths allocate by design")
+	}
+	// One P and no collection: every pool lookup (the server's encoder,
+	// the frame pools) finds what the warm-up pull left on that P's
+	// cache, so the count does not depend on the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c, want := simPull(t)
+	if got, err := c.Keys(); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("warm-up pull: %d keys, %v", len(got), err)
+	}
+
+	alloc, wireBytes, got := pullBytes(t, c, c.Keys)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Keys pulled %d keys, store holds %d (or they differ)", len(got), len(want))
+	}
+	bound := 1.1 * float64(wireBytes+simPullKeys*uint64(unsafe.Sizeof(KeyRecord{})))
+	t.Logf("fresh Keys pull: %d B allocated, %d wire bytes, bound %.0f", alloc, wireBytes, bound)
+	if float64(alloc) > bound {
+		t.Errorf("fresh Keys pull allocated %d B, want at most %.0f (1.1 × (%d wire bytes + the %d-key result))",
+			alloc, bound, wireBytes, simPullKeys)
+	}
+
+	prev := got
+	alloc, wireBytes, got = pullBytes(t, c, func() ([]KeyRecord, error) { return c.KeysAppend(prev[:0]) })
+	if !slices.Equal(got, want) || &got[0] != &prev[0] {
+		t.Fatalf("KeysAppend re-pull: %d keys, in place %v", len(got), &got[0] == &prev[0])
+	}
+	bound = 1.1 * float64(wireBytes)
+	t.Logf("KeysAppend re-pull: %d B allocated, %d wire bytes, bound %.0f", alloc, wireBytes, bound)
+	if float64(alloc) > bound {
+		t.Errorf("KeysAppend re-pull allocated %d B, want at most %.0f (1.1 × %d wire bytes)", alloc, bound, wireBytes)
+	}
+}
+
+// BenchmarkKeysPullSimnet is BenchmarkKeysPull end to end: a Server
+// over a 10k-key Store answers each Keys pull through Dial on a
+// virtual network, so its B/op counts the server's encode, the
+// stream's one copy of every chunk and the client's decode.
+func BenchmarkKeysPullSimnet(b *testing.B) {
+	c, want := simPull(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := c.Keys(); err != nil || len(got) != len(want) {
+			b.Fatalf("Keys = %d keys, %v", len(got), err)
+		}
+	}
+}
+
+// TestForgedCountsSizeNothing: a reply of many tiny frames, each
+// claiming a full chunk of keys it does not carry, fails as a bad
+// response at about its wire bytes' cost. The client caps each frame's
+// count at the frame's length before adding it to the total (without
+// the cap it would size the result for 200 × 4 096 keys, ~39 MB), and
+// holds a pooled non-terminal frame as a copy of its bytes, not as a
+// 4 KiB pool buffer (~0.8 MB here).
+func TestForgedCountsSizeNothing(t *testing.T) {
+	const frames = 200
+	var reply bytes.Buffer
+	fc := wire.NewFrameConn(&reply)
+	for i := 0; i < frames; i++ {
+		e := wire.Encoder(nil)
+		h := chunk{kind: respKeys, rev: 1, more: i < frames-1}
+		e.U8(&h.kind)
+		h.listHead(&e, maxKeysPerFrame, 4, maxKeysPerFrame)
+		if err := fc.Send(e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop := &keysLoopConn{reply: reply.Bytes()}
+	c := &Client{fc: wire.NewFrameConn(loop), c: loop}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Keys()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("forged reply: %v, want ErrTruncated", err)
+	}
+	// Sized by the claims, the result would take frames × 4096 keys
+	// (~39 MB); one frame's make in wire.Fit is ~200 KB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("forged reply of %d frames allocated %d B, want under 1 MiB", frames, got)
 	}
 }

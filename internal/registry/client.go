@@ -75,22 +75,60 @@ type result struct {
 }
 
 // exchange sends the request, then reads reply frames until the
-// terminal chunk, decoding into res's spare capacity. Caller holds c.mu.
+// terminal chunk and decodes them into res. Caller holds c.mu.
+//
+// A bulk reply carries no total count, so exchange holds its frames
+// until the terminal chunk, reading each one's item count through
+// chunk.head. The result then grows once, to at least the exact total
+// (a KeysAppend dst with room already has it), and every frame decodes
+// straight into place, so each item is copied once and the result is
+// sized once however many frames carry it. Holding the frames costs
+// nothing: the server fills every non-terminal chunk, and a full chunk
+// of even the smallest encodable item is over the pooled frame class,
+// so it is exact-fit memory whose strings FrameSharingDecoder aliases
+// — the decoded items keep it alive anyway. A pooled terminal frame is
+// decoded last, into one string copy, and goes back to the pool.
 func (c *Client) exchange(q request, res result) (result, error) {
 	if err := c.send(q); err != nil {
 		return res, err
 	}
+	var held [8][]byte
+	frames := held[:0]
+	var nRecords, nKeys, nDeltas int
 	for {
 		b, err := c.fc.RecvOwned()
 		if err != nil {
+			putFrames(frames)
 			return res, fmt.Errorf("registry: recv: %w", err)
 		}
 		c.bytesRx.Add(uint64(len(b)) + 4)
-		// Lists decode straight into the result's spare capacity
-		// (wire.Len reuses it), so each item is copied once however
-		// many frames carry it. Their strings share one copy of a
-		// pooled frame (as decodeChunk's do), which goes back to the
-		// pool below; a frame over the pooled class is that copy.
+		var h chunk
+		d := wire.Decoder(b)
+		// Every item takes at least one octet, so a count past the
+		// frame's length cannot decode; capping it there keeps a
+		// forged count from sizing more than the bytes received.
+		n := min(h.head(&d), len(b))
+		switch h.kind {
+		case respRecords:
+			nRecords += n
+		case respKeys:
+			nKeys += n
+		case respDeltas:
+			nDeltas += n
+		}
+		if h.terminal() {
+			frames = append(frames, b)
+			break
+		}
+		// A pooled non-terminal frame (a peer that chunks small) is
+		// copied out rather than held, so holding a reply costs about
+		// its wire bytes whatever its chunking.
+		frames = append(frames, wire.DetachFrame(b))
+	}
+	res.records = slices.Grow(res.records, nRecords)
+	res.keys = slices.Grow(res.keys, nKeys)
+	res.deltas = slices.Grow(res.deltas, nDeltas)
+	for i, b := range frames {
 		ch := chunk{
 			records: res.records[len(res.records):],
 			keys:    res.keys[len(res.keys):],
@@ -101,40 +139,27 @@ func (c *Client) exchange(q request, res result) (result, error) {
 		derr := d.Err()
 		wire.PutFrame(b)
 		if derr != nil {
+			putFrames(frames[i+1:])
 			return res, fmt.Errorf("registry: bad response: %w", derr)
 		}
 		if ch.kind == respErr {
 			return res, chunkError(ch)
 		}
 		res.rev = ch.rev
-		res.records = gather(res.records, ch.records, ch.more, maxRecordsPerFrame)
-		res.keys = gather(res.keys, ch.keys, ch.more, maxKeysPerFrame)
-		res.deltas = gather(res.deltas, ch.deltas, ch.more, maxDeltasPerFrame)
-		if ch.terminal() {
-			return res, nil
-		}
+		// The items landed in the spare capacity, which holds at
+		// least what this frame and the rest still carry.
+		res.records = res.records[:len(res.records)+len(ch.records)]
+		res.keys = res.keys[:len(res.keys)+len(ch.keys)]
+		res.deltas = res.deltas[:len(res.deltas)+len(ch.deltas)]
 	}
+	return res, nil
 }
 
-// gather adds got, a chunk's items decoded against acc's spare
-// capacity, to acc: in place when they landed there (they did exactly
-// when they fit), adopted when acc is empty, appended otherwise.
-// While more chunks follow it reserves at least a frame's worth of
-// room, doubling acc, so every later chunk decodes in place and a reply
-// of f frames sizes its result about log2(f) times.
-func gather[T any](acc, got []T, more bool, frame int) []T {
-	switch {
-	case cap(acc)-len(acc) >= len(got):
-		acc = acc[:len(acc)+len(got)]
-	case len(acc) == 0:
-		acc = got
-	default:
-		acc = append(acc, got...)
+// putFrames releases received frames that will not be decoded.
+func putFrames(frames [][]byte) {
+	for _, b := range frames {
+		wire.PutFrame(b)
 	}
-	if more && len(got) > 0 && cap(acc)-len(acc) < frame {
-		acc = slices.Grow(acc, max(len(acc), frame))
-	}
-	return acc
 }
 
 // Join registers the AP record.

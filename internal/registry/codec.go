@@ -155,6 +155,31 @@ type chunk struct {
 }
 
 func (ch *chunk) walk(c *wire.Codec) {
+	n := ch.head(c)
+	switch ch.kind {
+	case respRecords:
+		wire.Fit(c, &ch.records, n)
+		for i := range ch.records {
+			ch.records[i].walk(c)
+		}
+	case respKeys:
+		wire.Fit(c, &ch.keys, n)
+		for i := range ch.keys {
+			ch.keys[i].walk(c)
+		}
+	case respDeltas:
+		wire.Fit(c, &ch.deltas, n)
+		for i := range ch.deltas {
+			ch.deltas[i].walk(c)
+		}
+	}
+}
+
+// head walks a chunk up to and including its list's count, which it
+// returns (0 for a kind without a list); walk continues from there. A
+// client reads a bulk reply's item count through it, before any item
+// is decoded.
+func (ch *chunk) head(c *wire.Codec) int {
 	c.U8(&ch.kind)
 	switch ch.kind {
 	case respErr:
@@ -163,29 +188,24 @@ func (ch *chunk) walk(c *wire.Codec) {
 	case respAck, respRev, respSnapshot:
 		c.U64(&ch.rev)
 	case respRecords:
-		c.U64(&ch.rev)
-		c.Bool(&ch.more)
-		wire.Len(c, &ch.records, 2, maxRecordsPerFrame)
-		for i := range ch.records {
-			ch.records[i].walk(c)
-		}
+		return ch.listHead(c, len(ch.records), 2, maxRecordsPerFrame)
 	case respKeys:
-		c.U64(&ch.rev)
-		c.Bool(&ch.more)
-		wire.Len(c, &ch.keys, 4, maxKeysPerFrame)
-		for i := range ch.keys {
-			ch.keys[i].walk(c)
-		}
+		return ch.listHead(c, len(ch.keys), 4, maxKeysPerFrame)
 	case respDeltas:
-		c.U64(&ch.rev)
-		c.Bool(&ch.more)
-		wire.Len(c, &ch.deltas, 2, maxDeltasPerFrame)
-		for i := range ch.deltas {
-			ch.deltas[i].walk(c)
-		}
+		return ch.listHead(c, len(ch.deltas), 2, maxDeltasPerFrame)
 	default:
 		c.Fail(fmt.Errorf("registry: unknown response kind %d", ch.kind))
 	}
+	return 0
+}
+
+// listHead walks the header every list chunk shares — revision,
+// continuation flag, a width-octet count of n of at most limit items —
+// and returns the count.
+func (ch *chunk) listHead(c *wire.Codec, n, width, limit int) int {
+	c.U64(&ch.rev)
+	c.Bool(&ch.more)
+	return wire.Count(c, n, width, limit)
 }
 
 // decodeChunk decodes one response frame. Its strings are substrings

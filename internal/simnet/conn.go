@@ -189,6 +189,8 @@ func (c *Conn) closeTeardown() error {
 // chunk is delivered (its link delay has elapsed), the peer closes, or
 // the read deadline passes. A deadline before the next delivery
 // instant returns ErrDeadline and leaves the data for a later Read.
+// Each chunk is one Write's copy of its bytes; what b cannot take
+// stays pending for the next Read, or for AdoptFrame.
 func (c *Conn) Read(b []byte) (int, error) {
 	p := c.rx
 	p.mu.Lock()
@@ -224,6 +226,26 @@ func (c *Conn) Read(b []byte) (int, error) {
 	}
 	p.mu.Unlock()
 	return n, nil
+}
+
+// AdoptFrame implements wire.FrameAdopter. If the chunk the last Read
+// took is over the payload class, that Read took exactly its first 4
+// bytes (a frame's length prefix) and exactly n bytes remain, it hands
+// those n bytes over: the chunk is exact-fit heap memory only this
+// conn held, so the caller owns them outright and the frame needs no
+// second buffer. Any other state — nothing pending, a pooled chunk, a
+// chunk read partly before the prefix or holding more than one frame —
+// returns nil and leaves the pending bytes for Read.
+func (c *Conn) AdoptFrame(n int) []byte {
+	p := c.rx
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.pending) != n || len(p.pendingBuf) != 4+n || cap(p.pendingBuf) == payloadClassBytes {
+		return nil
+	}
+	b := p.pending[:n:n]
+	p.pending, p.pendingBuf = nil, nil
+	return b
 }
 
 // Write implements net.Conn. The bytes become one delivery event, due

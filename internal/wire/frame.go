@@ -84,12 +84,32 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DetachFrame(b), nil
+}
+
+// DetachFrame turns a frame from ReadFrameOwned into heap memory its
+// caller may keep: a pooled frame is copied out and its buffer goes
+// back to the pool; an oversize frame is exact-fit heap memory already
+// and is returned as is.
+func DetachFrame(b []byte) []byte {
 	if cap(b) != frameClassBytes {
-		return b, nil // oversize frames are exact-fit and heap-owned already
+		return b
 	}
 	out := append([]byte(nil), b...)
 	PutFrame(b)
-	return out, nil
+	return out
+}
+
+// FrameAdopter is implemented by a stream that delivers each write as
+// one chunk of its own heap memory (simnet.Conn). ReadFrameOwned calls
+// AdoptFrame(n) right after reading the length prefix of a frame over
+// the pooled class. If that prefix began the chunk the stream is
+// reading and exactly n bytes of the chunk remain, the stream hands
+// those bytes over and returns them: the reader owns them from then on
+// and the stream never touches them again. Otherwise it returns nil
+// and the reader copies the frame out as usual.
+type FrameAdopter interface {
+	AdoptFrame(n int) []byte
 }
 
 // ReadFrameOwned is ReadFrame into a pooled buffer owned by the
@@ -98,6 +118,11 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // The length prefix is read into the pooled buffer too: a stack header
 // array would escape through the io.Reader interface and cost a tiny
 // heap allocation per frame.
+//
+// A frame over the pooled class is exact-fit heap memory PutFrame
+// drops. When r is a FrameAdopter holding the frame as one written
+// chunk, that chunk is the frame: the stream's copy of the write is
+// the only allocation and the only copy the frame costs in flight.
 func ReadFrameOwned(r io.Reader) ([]byte, error) {
 	pooled := framePool.Get().(*[frameClassBytes]byte)
 	if _, err := io.ReadFull(r, pooled[:4]); err != nil {
@@ -114,6 +139,11 @@ func ReadFrameOwned(r io.Reader) ([]byte, error) {
 		payload = pooled[:n]
 	} else {
 		framePool.Put(pooled)
+		if a, ok := r.(FrameAdopter); ok {
+			if b := a.AdoptFrame(n); b != nil {
+				return b, nil
+			}
+		}
 		payload = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -93,7 +93,9 @@ func SharingDecoder(b []byte) Codec { return Codec{buf: b, mode: sharing} }
 // PutFrame right after the walk and never writes. A pooled frame is
 // copied into the shared string as usual; a frame over the pooled
 // class is exact-fit heap memory PutFrame drops, so b itself becomes
-// the shared string and the frame is received once and copied no more.
+// the shared string. On a stream that hands frames over whole
+// (FrameAdopter), b is the chunk the writer's Write copied into, so
+// the decoded strings' storage is that one copy and nothing else.
 func FrameSharingDecoder(b []byte) Codec {
 	c := SharingDecoder(b)
 	if cap(b) != frameClassBytes && len(b) > 0 {
@@ -296,9 +298,20 @@ func (c *Codec) field(bp *[]byte, sp *string, width int) {
 // element. It reuses the backing array *s already has when that has
 // room, so a caller can decode a list straight into spare capacity. A
 // count above limit is ErrOverflow either way, so a forged count never
-// sizes an allocation.
+// sizes an allocation. Len is Count followed by Fit.
 func Len[T any](c *Codec, s *[]T, width, limit int) {
-	n := len(*s)
+	Fit(c, s, Count(c, len(*s), width, limit))
+}
+
+// Count is Len's count on its own: it carries n as a width-octet (1, 2
+// or 4) count of at most limit and returns the count carried — n when
+// encoding, the count read when decoding. A count above limit is
+// ErrOverflow; decoding then returns 0, as it does once any error is
+// recorded, so a forged count sizes nothing. A walk that must learn a
+// list's length before decoding it (to size one destination for a
+// list spread over several frames) walks up to its Count and stops; a
+// full walk follows Count with Fit.
+func Count(c *Codec, n, width, limit int) int {
 	if c.mode == encoding && n > limit {
 		c.Fail(fmt.Errorf("%w: %d elements, at most %d", ErrOverflow, n, limit))
 	}
@@ -317,13 +330,26 @@ func Len[T any](c *Codec, s *[]T, width, limit int) {
 		n = int(u)
 	}
 	if c.mode == encoding {
+		return n
+	}
+	if n > limit {
+		c.Fail(fmt.Errorf("%w: %d elements, at most %d", ErrOverflow, n, limit))
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
+// Fit is Len's sizing on its own: decoding, it makes *s n long (nil
+// when n is 0 or the walk has failed), zeroed, reusing the backing
+// array *s already has when that has room. Encoding, it does nothing.
+func Fit[T any](c *Codec, s *[]T, n int) {
+	if c.mode == encoding {
 		return
 	}
 	room := *s
 	*s = nil
-	if n > limit {
-		c.Fail(fmt.Errorf("%w: %d elements, at most %d", ErrOverflow, n, limit))
-	}
 	if n == 0 || c.err != nil {
 		return
 	}

@@ -279,6 +279,35 @@ func TestLenReusesRoom(t *testing.T) {
 	}
 }
 
+// TestCountReadsOnlyTheCount: Count reads a list's count and nothing
+// past it, allocating nothing; a count above the limit, or one the
+// input truncates, reads as 0 with the error recorded.
+func TestCountReadsOnlyTheCount(t *testing.T) {
+	d := Decoder([]byte{0, 3, 9, 9, 9})
+	if n := Count(&d, 0, 2, 100); n != 3 || d.off != 2 || d.err != nil {
+		t.Fatalf("Count = %d at offset %d, %v; want 3 at 2", n, d.off, d.err)
+	}
+	d = Decoder([]byte{0, 101})
+	if n := Count(&d, 0, 2, 100); n != 0 || !errors.Is(d.err, ErrOverflow) {
+		t.Errorf("count over the limit: %d, %v; want 0, ErrOverflow", n, d.err)
+	}
+	d = Decoder([]byte{0})
+	if n := Count(&d, 7, 2, 100); n != 0 || !errors.Is(d.err, ErrTruncated) {
+		t.Errorf("truncated count: %d, %v; want 0, ErrTruncated", n, d.err)
+	}
+	e := Encoder(nil)
+	if n := Count(&e, 3, 4, 100); n != 3 || !bytes.Equal(e.Bytes(), []byte{0, 0, 0, 3}) {
+		t.Errorf("encoding: %d, %x", n, e.Bytes())
+	}
+	b := []byte{0, 0, 0, 3}
+	if n := testing.AllocsPerRun(10, func() {
+		d = Decoder(b)
+		Count(&d, 0, 4, 100)
+	}); n != 0 {
+		t.Errorf("Count: %v allocs", n)
+	}
+}
+
 // TestDecoderStrict: the one decoder rejects trailing bytes and
 // boolean octets other than 0/1, and forged list counts above the cap.
 func TestDecoderStrict(t *testing.T) {
