@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"dlte/internal/x2"
 )
 
@@ -11,22 +13,25 @@ import (
 // the AP's mobility plane (internal/mobility): handleX2 funnels every
 // message through the plane first and only handles what it declines.
 
-// handleX2 dispatches inbound peer messages.
+// handleX2 dispatches inbound peer messages. msg views the received
+// frame (x2.Inbox), so every string it stores is cloned first.
 func (ap *AccessPoint) handleX2(peerID string, msg x2.Message) {
 	if ap.Mobility.HandleX2(peerID, msg) {
 		return
 	}
 	switch m := msg.(type) {
 	case *x2.LoadInformation:
+		load := *m
+		load.APID = strings.Clone(m.APID)
 		ap.mu.Lock()
-		ap.loads[m.APID] = *m
+		ap.loads[load.APID] = load
 		ap.mu.Unlock()
 
 	case *x2.ShareUpdate:
 		// Adopt the broadcast share pattern.
 		ap.mu.Lock()
 		for i, id := range m.APIDs {
-			ap.shares[id] = float64(m.Fractions[i]) / 10000
+			ap.shares[strings.Clone(id)] = float64(m.Fractions[i]) / 10000
 		}
 		ap.mu.Unlock()
 
@@ -48,7 +53,7 @@ func (ap *AccessPoint) handleX2(peerID string, msg x2.Message) {
 		if m.Granted {
 			ap.relayGrantBps = m.GrantedBps
 		}
-		ap.relayGrantFrom = m.APID
+		ap.relayGrantFrom = strings.Clone(m.APID)
 		ap.mu.Unlock()
 	}
 }

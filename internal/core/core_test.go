@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -546,5 +547,80 @@ func TestHandoverDuplicateComplete(t *testing.T) {
 	// Both sides settled: target serves the UE, source holds nothing.
 	if n := ap2.Core.Gateway().NumSessions(); n != 1 {
 		t.Errorf("target sessions = %d, want 1", n)
+	}
+}
+
+// TestX2HandlersKeepNoFrameBytes: the X2 agent decodes each frame in
+// place (x2.Inbox), so a message's strings and byte fields view the
+// frame and are valid only during the handler call. Each message here
+// is decoded that way and handed to the AP's X2 handler, and then its
+// frame is overwritten, as a later delivery into a recycled buffer
+// would. Everything the handler kept must still read as it was sent:
+// the mobility plane's prepared and completed handovers, the peer
+// load, the shares, the relay grant and the imported subscriber.
+func TestX2HandlersKeepNoFrameBytes(t *testing.T) {
+	s := newScenario(t)
+	ap := addAP(t, s, "ap1", 0, x2.ModeCooperative)
+	var in x2.Inbox
+	deliver := func(peer string, m x2.Message) {
+		t.Helper()
+		frame, err := x2.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := in.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap.handleX2(peer, msg)
+		for i := range frame {
+			frame[i] = 'X'
+		}
+	}
+
+	const pushed, roamed = "001017700000042", "001017700000043"
+	sim, err := auth.NewSIM(pushed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := x2.LoadInformation{APID: "ap2", AttachedUEs: 3, PRBUtilization: 4200, DemandBps: 9e6}
+	deliver("ap2", &x2.UEContextPush{IMSI: pushed, K: sim.K, OPc: sim.OPc})
+	deliver("ap2", &x2.HandoverRequest{IMSI: pushed, SourceAP: "ap2", RSRPdBm: -9000})
+	deliver("ap3", &x2.HandoverComplete{IMSI: roamed, TargetAP: "ap3"})
+	deliver("ap2", &load)
+	deliver("ap2", &x2.ShareUpdate{APIDs: []string{"ap1", "ap2"}, Fractions: []uint16{4000, 6000}})
+	deliver("ap2", &x2.RelayResponse{APID: "ap2", Granted: true, GrantedBps: 7e6})
+
+	if src, ok := ap.Mobility.PreparedBy(pushed); !ok || src != "ap2" {
+		t.Errorf("PreparedBy(%s) = %q, %v; want ap2", pushed, src, ok)
+	}
+	if st := ap.Mobility.State(roamed); st != mobility.StateCompleted {
+		t.Errorf("State(%s) = %v, want COMPLETED", roamed, st)
+	}
+	if got, ok := ap.PeerLoad("ap2"); !ok || got != load {
+		t.Errorf("PeerLoad(ap2) = %+v, %v; want %+v", got, ok, load)
+	}
+	if a, b := ap.ShareOf("ap1"), ap.ShareOf("ap2"); a != 0.4 || b != 0.6 {
+		t.Errorf("shares = %v, %v; want 0.4, 0.6", a, b)
+	}
+	if bps, from := ap.RelayGrant(); bps != 7e6 || from != "ap2" {
+		t.Errorf("RelayGrant = %d from %q, want 7000000 from ap2", bps, from)
+	}
+	// The imported subscriber is still found under its IMSI, and its
+	// vectors still come from the pushed key material.
+	hss := ap.Core.HSS()
+	if !hss.Known(pushed) {
+		t.Fatalf("subscriber %s lost", pushed)
+	}
+	v, err := hss.NextVector(pushed, "ap1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mil, err := sim.Milenage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, _, _, err := mil.F2345(v.RAND); err != nil || !bytes.Equal(res, v.XRES) {
+		t.Errorf("vector XRES %x, want %x from the pushed key (%v)", v.XRES, res, err)
 	}
 }

@@ -40,7 +40,9 @@ type ENodeB struct {
 	s1   *s1ap.Conn
 	gtpE *gtp.Endpoint
 	airL *simnet.Listener
-	si   SystemInfo
+	sib  []byte // encoded SystemInfo, the first frame of every air conn
+
+	airAddr, gtpAddr string
 
 	mu       sync.Mutex
 	nextUEID uint32
@@ -79,7 +81,11 @@ func New(host *simnet.Host, cfg Config) (*ENodeB, error) {
 	if cfg.Name == "" {
 		cfg.Name = "enb-" + host.Name()
 	}
-	e := &ENodeB{cfg: cfg, host: host, byUEID: make(map[uint32]*ueCtx)}
+	e := &ENodeB{
+		cfg: cfg, host: host, byUEID: make(map[uint32]*ueCtx),
+		airAddr: fmt.Sprintf("%s:%d", host.Name(), cfg.AirPort),
+		gtpAddr: fmt.Sprintf("%s:%d", host.Name(), GTPPort),
+	}
 
 	raw, err := host.Dial(cfg.MMEAddr)
 	if err != nil {
@@ -96,7 +102,9 @@ func New(host *simnet.Host, cfg Config) (*ENodeB, error) {
 	if sr.Type != s1ap.TypeS1SetupResponse {
 		return nil, fmt.Errorf("enb: unexpected %s during S1 setup", sr.Type)
 	}
-	e.si = SystemInfo{SNID: string(sr.SNID), TAC: sr.ServedTAC}
+	if e.sib, err = EncodeSystemInfo(SystemInfo{SNID: string(sr.SNID), TAC: sr.ServedTAC}); err != nil {
+		return nil, fmt.Errorf("enb: system information: %w", err)
+	}
 
 	pc, err := host.ListenPacket(GTPPort)
 	if err != nil {
@@ -143,10 +151,10 @@ func (e *ENodeB) installS1(sc *simnet.Conn) {
 }
 
 // AirAddr is where UEs attach ("host:port").
-func (e *ENodeB) AirAddr() string { return fmt.Sprintf("%s:%d", e.host.Name(), e.cfg.AirPort) }
+func (e *ENodeB) AirAddr() string { return e.airAddr }
 
 // GTPAddr is the eNodeB's GTP-U endpoint.
-func (e *ENodeB) GTPAddr() string { return fmt.Sprintf("%s:%d", e.host.Name(), GTPPort) }
+func (e *ENodeB) GTPAddr() string { return e.gtpAddr }
 
 // NumUEs reports the number of radio-connected UEs.
 func (e *ENodeB) NumUEs() int {
@@ -275,9 +283,7 @@ func (e *ENodeB) serveUE(sc *simnet.Conn) {
 
 	// First downlink frame: broadcast system information, so the UE
 	// knows the serving network before it attaches.
-	if sib, err := EncodeSystemInfo(e.si); err == nil {
-		e.sendAir(ctx, AirBroadcast, sib)
-	}
+	e.sendAir(ctx, AirBroadcast, e.sib)
 	sc.OnDeliverHandler(ur)
 }
 

@@ -193,7 +193,7 @@ func (c *Core) CompleteHandover(imsi string) error {
 	if s == nil {
 		// No live control-plane session (it may already have been
 		// released); make sure the user plane is gone regardless.
-		c.gw.DeleteSession(imsi)
+		c.gw.dropSession(imsi)
 		return nil
 	}
 	_, err := s.nasSession.FSM().Fire(session.EvHandoverComplete)
@@ -665,7 +665,7 @@ func (c *Core) releaseSession(s *ueSession) {
 	}
 	c.mu.Unlock()
 	if owner {
-		c.gw.DeleteSession(imsi)
+		c.gw.dropSession(imsi)
 	}
 }
 

@@ -47,8 +47,9 @@ type GatewayDrops struct {
 // to the (simulated) Internet — one external datagram socket per UE
 // session, so return traffic maps back to the right tunnel.
 type Gateway struct {
-	host *simnet.Host
-	ep   *gtp.Endpoint
+	host    *simnet.Host
+	ep      *gtp.Endpoint
+	gtpAddr string
 
 	// nat caches parsed+boxed remote addresses keyed by their wire
 	// string, copy-on-write so the uplink path reads without locking
@@ -107,6 +108,7 @@ func NewGateway(host *simnet.Host) (*Gateway, error) {
 	g := &Gateway{
 		host:     host,
 		ep:       gtp.NewEndpoint(pc),
+		gtpAddr:  fmt.Sprintf("%s:%d", host.Name(), GTPPort),
 		sessions: make(map[string]*gwSession),
 		drops: GatewayDrops{
 			MalformedUser:    &metrics.Counter{},
@@ -123,7 +125,7 @@ func NewGateway(host *simnet.Host) (*Gateway, error) {
 func (g *Gateway) Host() string { return g.host.Name() }
 
 // GTPAddr reports the gateway's GTP-U endpoint address string.
-func (g *Gateway) GTPAddr() string { return fmt.Sprintf("%s:%d", g.host.Name(), GTPPort) }
+func (g *Gateway) GTPAddr() string { return g.gtpAddr }
 
 // Drops exposes the gateway's forwarding drop counters.
 func (g *Gateway) Drops() GatewayDrops { return g.drops }
@@ -215,6 +217,15 @@ func (g *Gateway) SwitchPath(imsi string, enbAddr net.Addr, enbTEID uint32) erro
 
 // DeleteSession releases imsi's address, tunnel, and external socket.
 func (g *Gateway) DeleteSession(imsi string) error {
+	if !g.dropSession(imsi) {
+		return fmt.Errorf("%w: %s", ErrNoSession, imsi)
+	}
+	return nil
+}
+
+// dropSession is DeleteSession reporting whether imsi had a session,
+// for callers to whom a missing one is not an error.
+func (g *Gateway) dropSession(imsi string) bool {
 	g.mu.Lock()
 	s, ok := g.sessions[imsi]
 	if ok {
@@ -222,12 +233,11 @@ func (g *Gateway) DeleteSession(imsi string) error {
 		g.releaseIP(s.ipIdx)
 	}
 	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSession, imsi)
+	if ok {
+		g.ep.Release(s.localTEID)
+		s.ext.Close()
 	}
-	g.ep.Release(s.localTEID)
-	s.ext.Close()
-	return nil
+	return ok
 }
 
 // NumSessions reports live session count.

@@ -2,10 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"dlte/internal/core"
+	"dlte/internal/leaktest"
 	"dlte/internal/mobility"
 	"dlte/internal/simnet"
 	"dlte/internal/ue"
@@ -14,7 +17,7 @@ import (
 // benchHandoverWorld builds a 2-AP cooperative world with n UEs parked
 // at the cell-edge midpoint, radio to both cells, all attached at ap1.
 // Returns a teardown-free scenario (caller closes) plus the devices.
-func benchHandoverWorld(b *testing.B, n int) *handoverBench {
+func benchHandoverWorld(b testing.TB, n int) *handoverBench {
 	b.Helper()
 	m := mobility.NewMeter()
 	s, aps, err := newMobilityWorld(2, 1.0, 42, m)
@@ -90,6 +93,50 @@ func BenchmarkHandover(b *testing.B) {
 			}
 		}
 	})
+}
+
+// arcAllocsBound bounds the allocations of one prepared handover arc
+// (BenchmarkHandover/single's op): 1.1× the 49 it measured once the X2
+// receive path decoded in place and the mobility plane's sends and
+// records stopped allocating. What is left is session state — the
+// gateway session and its TEIDs, the S1 and NAS contexts, the UE's new
+// air conn, the imported subscriber — and the meter's record. Before
+// that change an arc cost 81. Allocation counts do not depend on the
+// machine, so the bound means the same on any host.
+const arcAllocsBound = 54
+
+// TestHandoverArcAllocs runs prepared handover arcs between two APs,
+// one UE ping-ponging, and bounds the allocations per arc. The
+// collector is off and GOMAXPROCS is 1, so no pool is emptied or
+// missed mid-run.
+func TestHandoverArcAllocs(t *testing.T) {
+	if leaktest.RaceEnabled {
+		t.Skip("the race detector's shadow allocations inflate the count")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	hb := benchHandoverWorld(t, 1)
+	defer hb.s.Close()
+	arcs := 0
+	run := func(n int) {
+		for end := arcs + n; arcs < end; arcs++ {
+			src, dst := hb.aps[arcs%2], hb.aps[(arcs+1)%2]
+			if _, err := probeHandover(hb.s, src, dst, hb.ues[0], hb.m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(4) // both directions, twice: every pool and scratch message is warm
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(n)
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.2f allocs per handover arc, bound %d", got, arcAllocsBound)
+	if got > arcAllocsBound {
+		t.Errorf("a handover arc allocates %.2f times, want at most %d", got, arcAllocsBound)
+	}
 }
 
 // benchArc is probeHandover with a population-aware settle condition:

@@ -28,6 +28,7 @@ package mobility
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"dlte/internal/auth"
@@ -71,6 +72,8 @@ func (s State) String() string {
 }
 
 // Sender is the X2 half the plane drives; *x2.Agent satisfies it.
+// Send encodes msg before it returns and keeps no reference to it, so
+// the plane sends from pooled messages.
 type Sender interface {
 	Send(peer string, msg x2.Message) error
 }
@@ -80,7 +83,8 @@ type Sender interface {
 // legality is the session FSM's job, behind CompleteHandover.
 type Core interface {
 	// ImportPublishedKey admits a pushed open-SIM publication so the
-	// roaming UE's re-attach here authenticates locally.
+	// roaming UE's re-attach here authenticates locally. It may keep
+	// pub's IMSI and key slices; the plane hands it copies it owns.
 	ImportPublishedKey(pub auth.KeyPublication) error
 	// CompleteHandover ends the local lifecycle of a UE that landed at
 	// a peer AP (Attached → Detached via the session FSM) and tears
@@ -90,7 +94,9 @@ type Core interface {
 }
 
 // AdmitFunc decides target-side handover admission. Returning false
-// acks the request with Accepted=false and the given cause.
+// acks the request with Accepted=false and the given cause. imsi and
+// sourceAP view the received X2 frame: they are valid only during the
+// call.
 type AdmitFunc func(imsi, sourceAP string, rsrpDBm float64) (ok bool, cause uint8)
 
 // Config shapes a plane.
@@ -115,6 +121,8 @@ type Config struct {
 }
 
 // outbound is the source side's record of one UE's in-flight handover.
+// A record is only read or written under Plane.mu, so Prepare reuses
+// the IMSI's previous record in place.
 type outbound struct {
 	target string
 	state  State
@@ -165,6 +173,26 @@ func (p *Plane) SetAdmit(f AdmitFunc) {
 	p.mu.Unlock()
 }
 
+// outbox holds the messages one send builds. Sender.Send keeps no
+// reference to what it sent, so outboxes are pooled and a send
+// allocates nothing.
+type outbox struct {
+	push x2.UEContextPush
+	req  x2.HandoverRequest
+	ack  x2.HandoverRequestAck
+	done x2.HandoverComplete
+}
+
+var outboxes = sync.Pool{New: func() any { return new(outbox) }}
+
+func getOutbox() *outbox { return outboxes.Get().(*outbox) }
+
+// put clears the box, which may hold key material, and recycles it.
+func (o *outbox) put() {
+	*o = outbox{}
+	outboxes.Put(o)
+}
+
 // wireSize reports the framed on-the-wire size of an X2 message — what
 // the agent's traffic meter charges for sending it. The frame is sized
 // in a pooled encoder, so metering allocates nothing.
@@ -186,12 +214,19 @@ func wireSize(msg x2.Message) int {
 func (p *Plane) Prepare(targetAP string, pub auth.KeyPublication, rsrpDBm float64) error {
 	imsi := string(pub.IMSI)
 	p.mu.Lock()
-	p.outbound[imsi] = &outbound{target: targetAP, state: StatePreparing}
+	if ho := p.outbound[imsi]; ho != nil {
+		*ho = outbound{target: targetAP, state: StatePreparing}
+	} else {
+		p.outbound[imsi] = &outbound{target: targetAP, state: StatePreparing}
+	}
 	p.mu.Unlock()
 	p.meter.Begin(imsi, p.cfg.APID, targetAP)
 
-	push := &x2.UEContextPush{IMSI: imsi, K: pub.K, OPc: pub.OPc}
-	req := &x2.HandoverRequest{IMSI: imsi, SourceAP: p.cfg.APID, RSRPdBm: int32(rsrpDBm * 100)}
+	o := getOutbox()
+	defer o.put()
+	push, req := &o.push, &o.req
+	*push = x2.UEContextPush{IMSI: imsi, K: pub.K, OPc: pub.OPc}
+	*req = x2.HandoverRequest{IMSI: imsi, SourceAP: p.cfg.APID, RSRPdBm: int32(rsrpDBm * 100)}
 	if err := p.cfg.X2.Send(targetAP, push); err != nil {
 		p.abortLocked(imsi)
 		return fmt.Errorf("mobility: context push to %s: %w", targetAP, err)
@@ -258,8 +293,10 @@ func (p *Plane) NotifyComplete(sourceAP, imsi string) error {
 	p.mu.Lock()
 	delete(p.prepared, imsi)
 	p.mu.Unlock()
-	msg := &x2.HandoverComplete{IMSI: imsi, TargetAP: p.cfg.APID}
-	if err := p.cfg.X2.Send(sourceAP, msg); err != nil {
+	o := getOutbox()
+	defer o.put()
+	o.done = x2.HandoverComplete{IMSI: imsi, TargetAP: p.cfg.APID}
+	if err := p.cfg.X2.Send(sourceAP, &o.done); err != nil {
 		return fmt.Errorf("mobility: handover complete to %s: %w", sourceAP, err)
 	}
 	return nil
@@ -267,7 +304,8 @@ func (p *Plane) NotifyComplete(sourceAP, imsi string) error {
 
 // HandleX2 dispatches one inbound peer message if it belongs to the
 // mobility plane, reporting whether it was consumed. Core's X2 handler
-// funnels every message through here first.
+// funnels every message through here first. msg may view the received
+// frame (x2.Inbox), so the plane copies whatever it keeps.
 func (p *Plane) HandleX2(peerID string, msg x2.Message) bool {
 	switch m := msg.(type) {
 	case *x2.UEContextPush:
@@ -287,12 +325,16 @@ func (p *Plane) HandleX2(peerID string, msg x2.Message) bool {
 // handlePush is the target side of preparation: import the key so the
 // re-attach authenticates locally, and remember who prepared it.
 func (p *Plane) handlePush(peerID string, m *x2.UEContextPush) {
-	pub := auth.KeyPublication{IMSI: auth.IMSI(m.IMSI), K: m.K, OPc: m.OPc}
+	// The HSS keeps the publication and the table keeps the IMSI, so
+	// both get copies: the IMSI, and K and OPc in one buffer.
+	imsi := strings.Clone(m.IMSI)
+	keys := append(append(make([]byte, 0, len(m.K)+len(m.OPc)), m.K...), m.OPc...)
+	pub := auth.KeyPublication{IMSI: auth.IMSI(imsi), K: keys[:len(m.K):len(m.K)], OPc: keys[len(m.K):]}
 	if err := p.cfg.Core.ImportPublishedKey(pub); err != nil {
 		return // unusable context: never record it as prepared
 	}
 	p.mu.Lock()
-	p.prepared[m.IMSI] = peerID
+	p.prepared[imsi] = peerID
 	p.mu.Unlock()
 }
 
@@ -313,7 +355,10 @@ func (p *Plane) handleRequest(peerID string, m *x2.HandoverRequest) {
 		delete(p.prepared, m.IMSI)
 		p.mu.Unlock()
 	}
-	p.cfg.X2.Send(peerID, &x2.HandoverRequestAck{IMSI: m.IMSI, Accepted: ok, Cause: cause})
+	o := getOutbox()
+	o.ack = x2.HandoverRequestAck{IMSI: m.IMSI, Accepted: ok, Cause: cause}
+	p.cfg.X2.Send(peerID, &o.ack)
+	o.put()
 }
 
 // handleAck is the source side learning the target's admission
@@ -352,7 +397,7 @@ func (p *Plane) handleComplete(peerID string, m *x2.HandoverComplete) {
 		// Target-initiated complete without a local prepare (the UE
 		// roamed without warning); record it so a duplicate dedupes.
 		ho = &outbound{target: peerID}
-		p.outbound[m.IMSI] = ho
+		p.outbound[strings.Clone(m.IMSI)] = ho
 	}
 	ho.state = StateCompleted
 	p.mu.Unlock()

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -11,8 +12,9 @@ import (
 	"dlte/internal/x2"
 )
 
-// fakeSender records sent X2 messages and can be told to fail (a dead
-// peer link).
+// fakeSender records copies of sent X2 messages, as the plane's sends
+// come from pooled messages Sender must not keep, and can be told to
+// fail (a dead peer link).
 type fakeSender struct {
 	sent []struct {
 		peer string
@@ -25,6 +27,13 @@ func (f *fakeSender) Send(peer string, msg x2.Message) error {
 	if f.err != nil {
 		return f.err
 	}
+	b, err := x2.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	if msg, err = x2.Decode(b); err != nil {
+		return err
+	}
 	f.sent = append(f.sent, struct {
 		peer string
 		msg  x2.Message
@@ -32,9 +41,11 @@ func (f *fakeSender) Send(peer string, msg x2.Message) error {
 	return nil
 }
 
-// fakeCore records imports and completes.
+// fakeCore records imports and completes. It keeps each publication
+// as handed over, as the HSS does.
 type fakeCore struct {
 	imported  []string
+	pubs      []auth.KeyPublication
 	completed []string
 	importErr error
 }
@@ -44,6 +55,7 @@ func (f *fakeCore) ImportPublishedKey(pub auth.KeyPublication) error {
 		return f.importErr
 	}
 	f.imported = append(f.imported, string(pub.IMSI))
+	f.pubs = append(f.pubs, pub)
 	return nil
 }
 
@@ -396,5 +408,50 @@ func TestMeterLifecycle(t *testing.T) {
 	m.InterruptionEnd("imsi-z", base)
 	if got := len(m.Records()); got != 2 {
 		t.Fatalf("unknown-IMSI charges created records: %d", got)
+	}
+}
+
+// TestHandleX2KeepsNoFrameBytes: the X2 agent hands the plane messages
+// decoded in place (x2.Inbox), whose strings and bytes view the frame
+// only for the call. After each frame is overwritten, the prepared
+// table, a completed record and the publication handed to the core
+// must still read as sent.
+func TestHandleX2KeepsNoFrameBytes(t *testing.T) {
+	p, _, core := newTestPlane("ap1")
+	var in x2.Inbox
+	deliver := func(peer string, m x2.Message) {
+		t.Helper()
+		frame, err := x2.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := in.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.HandleX2(peer, msg) {
+			t.Fatalf("%s not consumed", m.Type())
+		}
+		for i := range frame {
+			frame[i] = 'X'
+		}
+	}
+	const pushed, roamed = "001010000000009", "001010000000010"
+	k, opc := bytes.Repeat([]byte{1}, 16), bytes.Repeat([]byte{2}, 16)
+	deliver("ap2", &x2.UEContextPush{IMSI: pushed, K: k, OPc: opc})
+	deliver("ap2", &x2.HandoverRequest{IMSI: pushed, SourceAP: "ap2", RSRPdBm: -9000})
+	deliver("ap3", &x2.HandoverComplete{IMSI: roamed, TargetAP: "ap3"})
+
+	if src, ok := p.PreparedBy(pushed); !ok || src != "ap2" {
+		t.Errorf("PreparedBy(%s) = %q, %v; want ap2", pushed, src, ok)
+	}
+	if st := p.State(roamed); st != StateCompleted {
+		t.Errorf("State(%s) = %v, want COMPLETED", roamed, st)
+	}
+	if len(core.pubs) != 1 {
+		t.Fatalf("imports = %d, want 1", len(core.pubs))
+	}
+	if pub := core.pubs[0]; pub.IMSI != pushed || !bytes.Equal(pub.K, k) || !bytes.Equal(pub.OPc, opc) {
+		t.Errorf("imported %s K %x OPc %x, want %s K %x OPc %x", pub.IMSI, pub.K, pub.OPc, pushed, k, opc)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"net"
 	"time"
 
+	"dlte/internal/auth"
 	"dlte/internal/simnet"
 	"dlte/internal/wire"
 )
@@ -204,10 +205,14 @@ func (sc *serverConn) subscribe(fromRev uint64) error {
 // send encodes and ships one response frame. A frame that fails to
 // encode goes out as a respErr naming the failure instead. The frame is
 // encoded behind its length prefix's headroom and written as is, so a
-// bulk chunk far past the pooled frame size is not copied again.
+// bulk chunk far past the pooled frame size is not copied again. The
+// encoder is grown to the chunk's size hint first: a pooled encoder
+// that missed (parked on another P's cache, or dropped by a GC) starts
+// at 1 KiB and would otherwise double its way up to a key chunk.
 func send(fc *wire.FrameConn, ch *chunk) error {
 	c := wire.GetEncoder()
 	defer wire.PutEncoder(c)
+	c.Grow(ch.sizeHint())
 	c.Headroom()
 	ch.walk(c)
 	if err := c.Err(); err != nil {
@@ -216,6 +221,22 @@ func send(fc *wire.FrameConn, ch *chunk) error {
 		(&chunk{kind: respErr, errCode: errCodeGeneric, errMsg: err.Error()}).walk(c)
 	}
 	return fc.SendFramed(c.Bytes())
+}
+
+// Per-item size hints: a standard published key (a 15-digit IMSI, K
+// and OPc as hex) and a typical AP record. A chunk of longer items
+// regrows once from its hint.
+const (
+	keyWireHint    = 3 + 15 + 2*2*auth.KeyLen
+	recordWireHint = 96
+	deltaWireHint  = 9 + recordWireHint
+)
+
+// sizeHint estimates ch's encoded size: its list items times their
+// per-item hints, plus the header.
+func (ch *chunk) sizeHint() int {
+	return wire.FrameHeadroom + 16 + len(ch.errMsg) +
+		len(ch.keys)*keyWireHint + len(ch.records)*recordWireHint + len(ch.deltas)*deltaWireHint
 }
 
 func sendErr(fc *wire.FrameConn, code uint8, msg string) error {

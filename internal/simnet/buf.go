@@ -25,6 +25,19 @@ func payloadGet(n int) []byte {
 	return payloadPool.Get().(*[payloadClassBytes]byte)[:n:payloadClassBytes]
 }
 
+// payloadClone returns a copy of b in a buffer payloadPut accepts:
+// pooled when len(b) fits the class, else exact-fit heap memory.
+// Oversize memory is not zeroed before the copy overwrites it, as
+// payloadGet's make would do.
+func payloadClone(b []byte) []byte {
+	if len(b) > payloadClassBytes {
+		return append([]byte(nil), b...)[:len(b):len(b)]
+	}
+	data := payloadGet(len(b))
+	copy(data, b)
+	return data
+}
+
 // payloadPut recycles a buffer obtained from payloadGet. Buffers from
 // the oversize fallback (recognizable by capacity) go to the GC; the
 // full-capacity check also means a subslice can never be recycled by

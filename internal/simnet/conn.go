@@ -266,9 +266,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, ErrLinkDown
 	}
 	dc := c.tx.endpoint(c.network)
-	data := payloadGet(len(b))
-	copy(data, b)
-	dc.d.send(dc, data, nil, delay)
+	dc.d.send(dc, payloadClone(b), nil, delay)
 	return len(b), nil
 }
 

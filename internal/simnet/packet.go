@@ -170,9 +170,7 @@ func (p *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if !deliver {
 		return len(b), nil // lost or link down
 	}
-	data := payloadGet(len(b))
-	copy(data, b)
-	p.queueTo(m.dst, data, delay)
+	p.queueTo(m.dst, payloadClone(b), delay)
 	return len(b), nil
 }
 

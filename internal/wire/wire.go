@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -43,7 +44,8 @@ var ErrNonCanonical = errors.New("wire: non-canonical encoding")
 // decode that failed leaves the remaining fields untouched.
 //
 // The fields are laid out to keep a Codec at 64 bytes: a decoder that
-// escapes (x2.Decode's does) costs one 64-byte allocation.
+// escapes (one whose walk is an interface call, as x2.Decode's is)
+// costs one 64-byte allocation.
 type Codec struct {
 	buf  []byte // encoding: the output so far; decoding: the input
 	text string // sharing decode: buf as one string, taken at the first non-empty string field
@@ -56,10 +58,11 @@ type Codec struct {
 type mode uint8
 
 const (
-	encoding mode = iota
-	viewing       // byte fields view the input
-	copying       // byte fields are copies
-	sharing       // byte fields are copies; strings share one copy of the input
+	encoding  mode = iota
+	viewing        // byte fields view the input
+	borrowing      // byte and string fields view the input
+	copying        // byte fields are copies
+	sharing        // byte fields are copies; strings share one copy of the input
 )
 
 // Encoder returns a Codec that appends to dst.
@@ -71,6 +74,13 @@ func Encoder(dst []byte) Codec { return Codec{buf: dst} }
 // decoder reads at most math.MaxInt32 octets of b; every dLTE input is
 // a frame, at most MaxFrameSize.
 func Decoder(b []byte) Codec { return Codec{buf: b, mode: viewing} }
+
+// BorrowingDecoder is Decoder with string fields viewing b as well:
+// nothing decoded owns memory, so a walk allocates nothing, and every
+// string and byte field is valid only while b is unchanged. It is for
+// receive paths whose handlers finish with a message before its frame
+// is reused and clone whatever they keep (x2.Inbox).
+func BorrowingDecoder(b []byte) Codec { return Codec{buf: b, mode: borrowing} }
 
 // CopyingDecoder is Decoder with byte fields copied out of b, for
 // messages retained after the input buffer is recycled.
@@ -117,6 +127,11 @@ func (c *Codec) Len() int { return len(c.buf) }
 func (c *Codec) Reset() {
 	c.buf, c.err = c.buf[:0], nil
 }
+
+// Grow makes room for n more octets in an encoding Codec's buffer, so
+// an encoding whose size the caller can estimate grows it once instead
+// of doubling from the buffer's current capacity.
+func (c *Codec) Grow(n int) { c.buf = slices.Grow(c.buf, n) }
 
 // Headroom appends FrameHeadroom zero octets to an encoding Codec, the
 // room FrameConn.SendFramed patches the length prefix into: a frame
@@ -283,6 +298,8 @@ func (c *Codec) field(bp *[]byte, sp *string, width int) {
 			c.text = string(c.buf)
 		}
 		*sp = c.text[int(c.off)-n : c.off]
+	case sp != nil && c.mode == borrowing && n > 0:
+		*sp = unsafe.String(&b[0], n)
 	case sp != nil:
 		*sp = string(b)
 	case c.mode >= copying:

@@ -14,7 +14,9 @@ import (
 // Handler receives inbound X2 messages from a connected peer. Handlers
 // run inline on the network's dispatcher at the message's delivery
 // instant (the simnet.Conn.OnDeliver contract: no clock waits); reply
-// via Agent.Send.
+// via Agent.Send. msg is decoded in place (Inbox): it, its strings and
+// its byte fields are valid only for the call, so a handler clones
+// whatever it keeps after returning.
 type Handler func(peerID string, msg Message)
 
 // ErrNoPeer reports a send to an unconnected peer.
@@ -149,10 +151,12 @@ func (a *Agent) Connect(dial func(addr string) (net.Conn, error), addr string) (
 }
 
 // receive installs c's delivery handler: per-association frame
-// reassembly, each frame dispatched to inbound for pc. On the accept
-// side pc is nil until the first frame, the handshake, registers it.
+// reassembly and scratch messages, each frame dispatched to inbound
+// for pc. On the accept side pc is nil until the first frame, the
+// handshake, registers it.
 func (a *Agent) receive(c *simnet.Conn, pc *peerConn) {
 	asm := &wire.FrameAssembler{}
+	in := &Inbox{}
 	c.OnDeliver(func(data []byte) {
 		if asm.Feed(data, func(frame []byte) error {
 			if pc == nil {
@@ -160,7 +164,7 @@ func (a *Agent) receive(c *simnet.Conn, pc *peerConn) {
 				pc, err = a.handshake(c, frame)
 				return err
 			}
-			a.inbound(pc, frame)
+			a.inbound(pc, in, frame)
 			return nil
 		}) != nil {
 			// A broken frame or handshake drops the association.
@@ -189,22 +193,16 @@ func (a *Agent) dropPeer(pc *peerConn) {
 	a.mu.Unlock()
 }
 
-// inbound accounts and dispatches one received message frame. frame is
-// only valid for the duration of the call; decoded views that handlers
-// may retain (key material, relay payloads) are un-aliased here.
-func (a *Agent) inbound(pc *peerConn, frame []byte) {
+// inbound accounts and dispatches one received message frame, decoded
+// into the association's Inbox: the message views frame, which is only
+// valid for the duration of the call, so nothing is copied here and
+// the handler clones what it keeps.
+func (a *Agent) inbound(pc *peerConn, in *Inbox, frame []byte) {
 	a.bytesRx.Add(uint64(len(frame) + 4))
 	a.msgsRx.Add(1)
-	msg, err := Decode(frame)
+	msg, err := in.Decode(frame)
 	if err != nil {
 		return // tolerate unknown extensions from newer peers
-	}
-	switch m := msg.(type) {
-	case *UEContextPush:
-		m.K = append([]byte(nil), m.K...)
-		m.OPc = append([]byte(nil), m.OPc...)
-	case *RelayData:
-		m.Payload = append([]byte(nil), m.Payload...)
 	}
 	if a.handle != nil {
 		a.handle(pc.id, msg)

@@ -101,7 +101,8 @@ func TestShareUpdateRoundTripProperty(t *testing.T) {
 // serialization of the result — re-marshaling the decoded message must
 // reproduce the input byte for byte. X2 peers are other administrative
 // domains, so two byte strings that decode to one message would be a
-// mis-parse an attacker could use.
+// mis-parse an attacker could use. The in-place decoder the agent
+// receives with (Inbox) must accept exactly the same inputs.
 //
 // Run the seeds with `go test`; explore with
 // `go test -fuzz=FuzzDecode ./internal/x2`.
@@ -133,6 +134,10 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := Decode(b)
+		var in Inbox
+		if _, ierr := in.Decode(bytes.Clone(b)); (ierr == nil) != (err == nil) {
+			t.Fatalf("Decode error %v, Inbox.Decode error %v", err, ierr)
+		}
 		if err != nil {
 			return
 		}

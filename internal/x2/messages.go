@@ -264,7 +264,7 @@ func (m *ShareUpdate) walk(c *wire.Codec) {
 	n := len(m.APIDs)
 	wire.Len(c, &m.APIDs, 1, math.MaxUint8) // a larger domain is ErrOverflow, not a wrapped count
 	if c.Decoding() {
-		m.Fractions = make([]uint16, len(m.APIDs))
+		wire.Fit(c, &m.Fractions, len(m.APIDs))
 	} else if len(m.Fractions) != n {
 		c.Fail(fmt.Errorf("%w: %d and %d", ErrShareMismatch, n, len(m.Fractions)))
 		return
@@ -364,16 +364,50 @@ func Marshal(m Message) ([]byte, error) {
 // the registry: X2 peers are other administrative domains, so
 // truncation, trailing bytes and boolean octets other than 0/1 are all
 // errors, and an accepted input is the unique encoding of the result.
-// Byte fields are copies, so the message outlives b.
+// The message and its fields are copies, so it outlives b; Inbox is
+// the allocation-free alternative for a receive path.
 func Decode(b []byte) (Message, error) {
 	c := wire.CopyingDecoder(b)
+	return decode(&c, nil)
+}
+
+// Inbox decodes one association's frames in place. It holds one
+// scratch message per type, which every frame of that type is decoded
+// into, and the message's strings and byte fields view the frame, so
+// once each type has been seen a decode allocates nothing. What Decode
+// returns is valid only until the next Decode and only while the frame
+// is unchanged: a handler that keeps a field past its call clones it
+// (DESIGN.md §12, "X2 receive lifetime"). An Inbox is not safe for
+// concurrent use; the zero value is ready.
+type Inbox struct {
+	c    wire.Codec
+	msgs [len(kinds)]Message
+}
+
+// Decode parses frame, as strictly as the package-level Decode, into
+// the inbox's message of its type.
+func (in *Inbox) Decode(frame []byte) (Message, error) {
+	in.c = wire.BorrowingDecoder(frame)
+	return decode(&in.c, &in.msgs)
+}
+
+// decode reads a type octet from c and walks the rest of c's input
+// into a message of that type: box's, when box is non-nil (made on the
+// type's first use), else a new one.
+func decode(c *wire.Codec, box *[len(kinds)]Message) (Message, error) {
 	var t MsgType
 	c.U8((*uint8)(&t))
 	if int(t) >= len(kinds) || kinds[t].new == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMessage, t)
 	}
-	m := kinds[t].new()
-	m.walk(&c)
+	var m Message
+	if box == nil {
+		m = kinds[t].new()
+	} else if m = box[t]; m == nil {
+		m = kinds[t].new()
+		box[t] = m
+	}
+	m.walk(c)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("x2: decode %s: %w", t, err)
 	}

@@ -116,12 +116,27 @@ type testPeers struct {
 	received map[string][]Message // receiver agent ID → messages
 }
 
+// record keeps a copy of each message (a handler's message views the
+// frame only for the call, so a handler that keeps it copies it).
 func (tp *testPeers) record(agentID string) Handler {
 	return func(peerID string, msg Message) {
+		msg = own(msg)
 		tp.mu.Lock()
 		tp.received[agentID] = append(tp.received[agentID], msg)
 		tp.mu.Unlock()
 	}
+}
+
+// own returns a copy of msg that owns all its fields.
+func own(msg Message) Message {
+	b, err := Marshal(msg)
+	if err == nil {
+		msg, err = Decode(b)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return msg
 }
 
 func (tp *testPeers) got(agentID string) []Message {
