@@ -56,8 +56,8 @@ BENCH_GATE_PKGS = ./internal/registry ./internal/x2 ./internal/nas ./internal/s1
 # The attach-storm benchmark is end-to-end (every op re-attaches a
 # 32-UE population across 8 eNodeB associations), so it runs in its
 # own invocation with far fewer iterations than the hot-path gates.
-# Its committed allocs/op carry ~1.5% of headroom over the usual 1930
-# (runs between 1927 and 1942 have been seen across -cpu 1/2/4).
+# Its committed allocs/op carry ~1.5% of headroom over the usual 905
+# (runs between 904 and 909 have been seen across -cpu 1/2/4).
 STORM_GATE_RE = BenchmarkAttachStorm
 STORM_GATE_PKGS = ./internal/epc
 STORM_GATE_FLAGS = -benchmem -benchtime 50x -count 3 -json
@@ -96,9 +96,9 @@ E12_GATE_FLAGS = -benchmem -benchtime 5x -count 3 -json
 # Mobility-plane gate: one full prepared handover arc (X2 prepare/ack,
 # break-before-make re-attach, TEID re-point, path migration,
 # complete/retire) on the real stack, single UE and a 16-UE wave.
-# Committed allocs/op carry ~1.5% of headroom (120 and 1902 are the
-# usual counts, 121 and 1918 have been seen): the settle poll count
-# varies by a tick across benchtime choices.
+# Committed allocs/op carry ~1.5% of headroom (34 and 540 are the
+# usual counts, 541 has been seen): the settle poll count varies by a
+# tick across benchtime choices.
 HO_GATE_RE = BenchmarkHandover/single$$|BenchmarkHandover/storm$$
 HO_GATE_PKGS = ./internal/exp
 HO_GATE_FLAGS = -benchmem -benchtime 50x -count 3 -json

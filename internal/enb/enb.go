@@ -44,15 +44,23 @@ type ENodeB struct {
 
 	airAddr, gtpAddr string
 
+	// sgw caches the gateway address of the last context set up: every
+	// UE of a core names the same one. Touched only by the S1 delivery
+	// handler.
+	sgw simnet.AddrCache
+
 	mu       sync.Mutex
 	nextUEID uint32
 	byUEID   map[uint32]*ueCtx
 	closed   bool
 }
 
+// ueCtx is one radio association: the UE's S1 context and the air
+// conn's uplink consumer (its simnet.StreamHandler), in one allocation.
 type ueCtx struct {
+	e       *ENodeB
 	enbUEID uint32
-	air     *wire.FrameConn
+	air     wire.FrameConn // frames raw's downlink; lives as long as the context
 	raw     net.Conn
 
 	// ul is the local TEID whose reverse direction points at the
@@ -64,11 +72,13 @@ type ueCtx struct {
 	dlTEID   uint32 // eNodeB-local TEID for downlink
 	released bool   // core commanded this context's release already
 
-	// rx, set before the context is published, owns the association's
-	// idempotent exit path (teardown). The S1 release handler calls it
-	// directly: closing our own side of the air conn delivers no close
-	// event to ourselves.
-	rx *ueRx
+	// The uplink consumer's state, touched only by the (serialized)
+	// delivery path for this conn, plus the idempotent teardown: first
+	// marks the next NAS frame as the InitialUEMessage, done the
+	// association's exit, and asm reassembles the uplink stream.
+	first bool
+	done  atomic.Bool
+	asm   wire.FrameAssembler
 }
 
 // New creates an eNodeB on host and connects it to its core: dials
@@ -163,46 +173,36 @@ func (e *ENodeB) NumUEs() int {
 	return len(e.byUEID)
 }
 
+// NumTunnels reports the eNodeB's live GTP tunnels (two per UE with a
+// data path).
+func (e *ENodeB) NumTunnels() int { return e.gtpE.NumTunnels() }
+
 // errAirReleased stops frame consumption after an AirRelease tore the
 // association down mid-chunk.
 var errAirReleased = errors.New("enb: air released")
 
-// ueRx is one radio association's uplink consumer: the air conn's
-// delivery handler. Its fields are only touched by the (serialized)
-// delivery path for this conn, plus the idempotent teardown.
-type ueRx struct {
-	e     *ENodeB
-	ctx   *ueCtx
-	first bool
-	done  atomic.Bool
-	// asm reassembles the uplink stream; embedded so an association
-	// costs one state allocation (ueRx doubles as the conn's
-	// simnet.StreamHandler).
-	asm wire.FrameAssembler
-}
-
 // HandleDeliver implements simnet.StreamHandler: reassemble the chunk
 // and dispatch each completed uplink frame inline.
-func (ur *ueRx) HandleDeliver(data []byte) {
-	if ur.done.Load() {
+func (ctx *ueCtx) HandleDeliver(data []byte) {
+	if ctx.done.Load() {
 		return
 	}
-	if err := ur.asm.Feed(data, ur.frame); err != nil {
-		ur.asm.Reset()
-		ur.teardown()
+	if err := ctx.asm.Feed(data, ctx.frame); err != nil {
+		ctx.asm.Reset()
+		ctx.teardown()
 	}
 }
 
 // HandleStreamClose implements simnet.StreamHandler: the UE end closed
 // the association.
-func (ur *ueRx) HandleStreamClose() {
-	ur.asm.Reset()
-	ur.teardown()
+func (ctx *ueCtx) HandleStreamClose() {
+	ctx.asm.Reset()
+	ctx.teardown()
 }
 
 // frame consumes one uplink air frame, valid only for the duration of
 // the call: every consumer (S1AP send, GTP send) copies synchronously.
-func (ur *ueRx) frame(frame []byte) error {
+func (ctx *ueCtx) frame(frame []byte) error {
 	t, payload, err := DecodeAirView(frame)
 	if err != nil {
 		return nil // tolerate junk frames
@@ -215,22 +215,22 @@ func (ur *ueRx) frame(frame []byte) error {
 		buf := wire.GetFrame()
 		var out []byte
 		var serr error
-		v := s1ap.MsgView{Type: s1ap.TypeUplinkNASTransport, ENBUEID: ur.ctx.enbUEID, NASPDU: payload}
-		if ur.first {
-			ur.first = false
+		v := s1ap.MsgView{Type: s1ap.TypeUplinkNASTransport, ENBUEID: ctx.enbUEID, NASPDU: payload}
+		if ctx.first {
+			ctx.first = false
 			v.Type = s1ap.TypeInitialUEMessage
 		}
 		out, serr = s1ap.Append(buf, &v)
 		if serr == nil {
-			ur.e.s1.SendFrame(out)
+			ctx.e.s1.SendFrame(out)
 		}
 		wire.PutFrame(buf)
 	case AirDataUp:
-		if teid := ur.ctx.ul.Load(); teid != 0 {
-			ur.e.gtpE.Send(teid, payload)
+		if teid := ctx.ul.Load(); teid != 0 {
+			ctx.e.gtpE.Send(teid, payload)
 		}
 	case AirRelease:
-		ur.teardown()
+		ctx.teardown()
 		return errAirReleased
 	}
 	return nil
@@ -238,12 +238,13 @@ func (ur *ueRx) frame(frame []byte) error {
 
 // teardown is the association's exit path. Idempotent: reachable from
 // the air conn's delivery path, its close event, and the S1 release
-// handler.
-func (ur *ueRx) teardown() {
-	if !ur.done.CompareAndSwap(false, true) {
+// handler — which calls it directly, because closing our own side of
+// the air conn delivers no close event to ourselves.
+func (ctx *ueCtx) teardown() {
+	if !ctx.done.CompareAndSwap(false, true) {
 		return
 	}
-	e, ctx := ur.e, ur.ctx
+	e := ctx.e
 	ctx.raw.Close()
 	e.mu.Lock()
 	delete(e.byUEID, ctx.enbUEID)
@@ -262,19 +263,18 @@ func (ur *ueRx) teardown() {
 	// release (or the whole eNodeB is shutting down), report it
 	// upstream so the UE's session is evicted instead of lingering
 	// until association teardown.
-	if !ur.first && !released && !closing {
+	if !ctx.first && !released && !closing {
 		e.s1.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseRequest, ENBUEID: ctx.enbUEID})
 	}
 }
 
 // serveUE is the air-interface accept handler: it runs inline at the
 // instant a UE's connection arrives, registers the radio context,
-// broadcasts system information, and binds the conn's uplink to ueRx.
-// No goroutine per UE.
+// broadcasts system information, and binds the conn's uplink to the
+// context. No goroutine per UE.
 func (e *ENodeB) serveUE(sc *simnet.Conn) {
-	ctx := &ueCtx{air: wire.NewFrameConn(sc), raw: sc}
-	ur := &ueRx{e: e, ctx: ctx, first: true}
-	ctx.rx = ur
+	ctx := &ueCtx{e: e, raw: sc, first: true}
+	ctx.air.Init(sc)
 	e.mu.Lock()
 	e.nextUEID++
 	ctx.enbUEID = e.nextUEID
@@ -284,7 +284,7 @@ func (e *ENodeB) serveUE(sc *simnet.Conn) {
 	// First downlink frame: broadcast system information, so the UE
 	// knows the serving network before it attaches.
 	e.sendAir(ctx, AirBroadcast, e.sib)
-	sc.OnDeliverHandler(ur)
+	sc.OnDeliverHandler(ctx)
 }
 
 // handleS1 runs one decoded downlink S1AP message. The view's slices
@@ -305,7 +305,7 @@ func (e *ENodeB) handleS1(v *s1ap.MsgView) {
 			ctx.mu.Unlock()
 			e.sendAir(ctx, AirRelease, nil)
 			ctx.raw.Close()
-			ctx.rx.teardown()
+			ctx.teardown()
 		}
 		e.s1.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseComplete, ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 	}
@@ -336,7 +336,7 @@ func (e *ENodeB) setupContext(m *s1ap.MsgView) {
 	if ctx == nil {
 		return
 	}
-	sgwAddr, err := simnet.ParseAddr(string(m.SGWAddr))
+	sgwAddr, err := e.sgw.Parse(m.SGWAddr)
 	if err != nil {
 		return
 	}

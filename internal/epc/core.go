@@ -108,8 +108,10 @@ type Core struct {
 	nextMME    uint32
 	nextGUTI   uint64
 	gutis      map[uint64]string     // GUTI → IMSI
+	gutiOf     map[string]uint64     // IMSI → its GUTI: gutis inverted, one per subscriber
 	byIMSI     map[string]*ueSession // current session per registered IMSI
 
+	contexts atomic.Int64 // S1 UE contexts across all associations
 	sigMsgs  atomic.Uint64
 	attaches atomic.Uint64
 	rejects  atomic.Uint64
@@ -141,6 +143,7 @@ func NewCore(host *simnet.Host, cfg Config) (*Core, error) {
 		allowedENB: make(map[uint32]bool),
 		nextGUTI:   0x100,
 		gutis:      make(map[uint64]string),
+		gutiOf:     make(map[string]uint64),
 		byIMSI:     make(map[string]*ueSession),
 	}
 	c.proc.init(host, cfg.SignalingProcessors)
@@ -201,6 +204,25 @@ func (c *Core) CompleteHandover(imsi string) error {
 	return err
 }
 
+// Tables are the sizes of a core's per-UE tables: what a leak of UE
+// state would grow.
+type Tables struct {
+	// Contexts counts S1 UE contexts across all eNodeB associations.
+	Contexts int
+	// Registered counts subscribers with a canonical session.
+	Registered int
+	// GUTIs counts assigned temporary identities (at most one per
+	// subscriber).
+	GUTIs int
+}
+
+// Tables snapshots the per-UE table sizes.
+func (c *Core) Tables() Tables {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Tables{Contexts: int(c.contexts.Load()), Registered: len(c.byIMSI), GUTIs: len(c.gutis)}
+}
+
 // Stats snapshots the signaling counters.
 func (c *Core) Stats() Stats {
 	gd := c.gw.Drops()
@@ -230,13 +252,51 @@ func (c *Core) ServeS1AP(l *simnet.Listener) { l.OnAccept(c.serveENB) }
 // under the core's serving gate. imsi (and the core's byIMSI entry)
 // is guarded by Core.mu because release and handover paths read it
 // from other goroutines.
+//
+// The session holds its NAS session by value, wired through its
+// association's nasCfg: a new UE context is one allocation.
 type ueSession struct {
-	nasSession *nas.NetworkSession
+	nasSession nas.NetworkSession
 	enbUEID    uint32
 	mmeUEID    uint32
 	imsi       string
 	uplinkTEID uint32
 	icsSent    bool
+}
+
+// allocateIP is the association's nas.NetworkConfig.AllocateIP, called
+// while the session ec.cur is being served: the UE passed
+// authentication, so that session becomes the canonical one for its
+// IMSI (superseding any stale one) and gets a gateway session.
+func (ec *enbConn) allocateIP(imsi string) (string, error) {
+	c, s := ec.c, ec.cur
+	c.mu.Lock()
+	s.imsi = imsi
+	c.byIMSI[imsi] = s
+	c.mu.Unlock()
+	ip, teid, err := c.gw.CreateSession(imsi)
+	if err != nil {
+		return "", err
+	}
+	s.uplinkTEID = teid
+	return ip, nil
+}
+
+// allocateGUTI assigns a temporary identity from the core's counter.
+func (c *Core) allocateGUTI() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nextGUTI++
+	return uint64(c.cfg.TAC)<<32 | c.nextGUTI
+}
+
+// KnownGUTI reports whether g is a GUTI the core assigned and still
+// holds for its subscriber.
+func (c *Core) KnownGUTI(g uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.gutis[g]
+	return ok
 }
 
 // enbConn is one eNodeB association, served run-to-completion from the
@@ -262,6 +322,12 @@ type enbConn struct {
 	connID   string                // admission-order actor ID: the eNB's address
 	asm      wire.FrameAssembler   // reassembles the S1AP stream
 	sessions map[uint32]*ueSession // ENBUEID → session
+	enbAddr  simnet.AddrCache      // the eNodeB's GTP address, as its messages name it
+
+	// nasCfg wires each of the association's NAS sessions to the core.
+	// Its allocators act for the session being served (cur), so they
+	// are bound once per association, not once per UE.
+	nasCfg nas.NetworkConfig
 
 	q       [][]byte // pooled copies of frames awaiting their turn, FIFO from head
 	head    int
@@ -293,12 +359,27 @@ func (c *Core) serveENB(sc *simnet.Conn) {
 		connID:   sc.RemoteAddr().String(),
 		sessions: make(map[uint32]*ueSession),
 	}
+	ec.bindNAS()
 	ec.servingAdmitted = ec.serveGated
 	if c.cfg.ProcessingDelay > 0 {
 		ec.delay = c.host.Network().NewContinuation(ec.processed)
 		ec.procAdmitted = ec.process
 	}
 	sc.OnDeliverHandler(ec)
+}
+
+// bindNAS builds the NAS configuration the association's sessions share.
+func (ec *enbConn) bindNAS() {
+	c := ec.c
+	ec.nasCfg = nas.NetworkConfig{
+		HSS:              c.hss,
+		ServingNetworkID: c.cfg.SNID,
+		TrackingArea:     c.cfg.TAC,
+		DirectBreakout:   c.cfg.DirectBreakout,
+		AllocateIP:       ec.allocateIP,
+		AllocateGUTI:     c.allocateGUTI,
+		KnownGUTI:        c.KnownGUTI,
+	}
 }
 
 // HandleDeliver implements simnet.StreamHandler: reassemble the chunk,
@@ -423,8 +504,7 @@ func (ec *enbConn) done(err error) {
 func (ec *enbConn) teardown() {
 	ec.dead = true
 	for id, s := range ec.sessions {
-		ec.c.releaseSession(s)
-		delete(ec.sessions, id)
+		ec.drop(id, s)
 	}
 	for i := ec.head; i < len(ec.q); i++ {
 		wire.PutFrame(ec.q[i])
@@ -493,15 +573,20 @@ func (c *Core) serve(ec *enbConn) error {
 		return ec.conn.Send(&s1ap.MsgView{Type: s1ap.TypeS1SetupResponse, MMEName: []byte(c.cfg.Name), ServedTAC: c.cfg.TAC, SNID: []byte(c.cfg.SNID)})
 
 	case s1ap.TypeInitialUEMessage:
-		s = c.newUESession(v.ENBUEID)
+		if old, ok := ec.sessions[v.ENBUEID]; ok {
+			ec.drop(v.ENBUEID, old) // a reused eNB UE ID ends the context it named
+		}
+		s = ec.newUESession(v.ENBUEID)
 		ec.sessions[v.ENBUEID] = s
+		ec.cur = s
+		c.contexts.Add(1)
 		return c.feedNAS(ec, s, v.NASPDU)
 
 	case s1ap.TypeUplinkNASTransport:
 		return c.feedNAS(ec, s, v.NASPDU)
 
 	case s1ap.TypeInitialContextSetupResponse:
-		addr, err := simnet.ParseAddr(string(v.ENBAddr))
+		addr, err := ec.enbAddr.Parse(v.ENBAddr)
 		if err != nil {
 			return err
 		}
@@ -511,7 +596,7 @@ func (c *Core) serve(ec *enbConn) error {
 		if _, err := s.nasSession.FSM().Fire(session.EvPathSwitch); err != nil {
 			return err
 		}
-		addr, err := simnet.ParseAddr(string(v.NewENBAddr))
+		addr, err := ec.enbAddr.Parse(v.NewENBAddr)
 		if err != nil {
 			return err
 		}
@@ -524,15 +609,13 @@ func (c *Core) serve(ec *enbConn) error {
 		// eNB-initiated release (radio loss): end the lifecycle, then
 		// complete the standard command/complete exchange.
 		if s != nil {
-			c.releaseSession(s)
-			delete(ec.sessions, v.ENBUEID)
+			ec.drop(v.ENBUEID, s)
 		}
 		return ec.conn.Send(&s1ap.MsgView{Type: s1ap.TypeUEContextReleaseCommand, ENBUEID: v.ENBUEID, MMEUEID: v.MMEUEID})
 
 	case s1ap.TypeUEContextReleaseComplete:
 		if s != nil {
-			c.releaseSession(s)
-			delete(ec.sessions, v.ENBUEID)
+			ec.drop(v.ENBUEID, s)
 		}
 		return nil
 
@@ -542,51 +625,23 @@ func (c *Core) serve(ec *enbConn) error {
 }
 
 // newUESession builds a session for a new S1 UE context.
-func (c *Core) newUESession(enbUEID uint32) *ueSession {
+func (ec *enbConn) newUESession(enbUEID uint32) *ueSession {
+	c := ec.c
 	c.mu.Lock()
 	c.nextMME++
 	mmeUEID := c.nextMME
 	c.mu.Unlock()
 
 	s := &ueSession{enbUEID: enbUEID, mmeUEID: mmeUEID}
-	s.nasSession = nas.NewNetworkSession(nas.NetworkConfig{
-		HSS:              c.hss,
-		ServingNetworkID: c.cfg.SNID,
-		TrackingArea:     c.cfg.TAC,
-		DirectBreakout:   c.cfg.DirectBreakout,
-		AllocateIP: func(imsi string) (string, error) {
-			// The UE passed authentication: it becomes the canonical
-			// session for its IMSI (superseding any stale one).
-			c.mu.Lock()
-			s.imsi = imsi
-			c.byIMSI[imsi] = s
-			c.mu.Unlock()
-			ip, teid, err := c.gw.CreateSession(imsi)
-			if err != nil {
-				return "", err
-			}
-			s.uplinkTEID = teid
-			return ip, nil
-		},
-		AllocateGUTI: func() uint64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			c.nextGUTI++
-			return uint64(c.cfg.TAC)<<32 | c.nextGUTI
-		},
-		KnownGUTI: func(g uint64) bool {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			_, ok := c.gutis[g]
-			return ok
-		},
-	})
+	s.nasSession.Init(ec.nasCfg)
 	return s
 }
 
 // feedNAS pushes an uplink NAS PDU into the session's protocol
 // handler (which drives the lifecycle FSM) and relays any reply /
-// context-setup downlink. Runs under the serving gate.
+// context-setup downlink. Runs under the serving gate, with s the
+// session being served (ec.cur), which the association's NAS
+// allocators act for.
 //
 // The downlink path is single-buffer: the S1AP transport header goes
 // into a pooled frame first, the NAS handler appends its reply (NAS
@@ -620,13 +675,26 @@ func (c *Core) feedNAS(ec *enbConn, s *ueSession, pdu []byte) error {
 	case nas.EventRegistered:
 		c.attaches.Add(1)
 		c.mu.Lock()
-		c.gutis[ev.GUTI] = ev.IMSI
+		// A subscriber holds one GUTI: a re-attach retires the last one,
+		// so the table stays one entry per subscriber. Only the canonical
+		// session speaks for it: a superseded session completing late
+		// must not retire the GUTI its successor handed out.
+		if c.byIMSI[ev.IMSI] == s {
+			if old, ok := c.gutiOf[ev.IMSI]; ok {
+				delete(c.gutis, old)
+			}
+			c.gutis[ev.GUTI] = ev.IMSI
+			c.gutiOf[ev.IMSI] = ev.GUTI
+		}
 		c.mu.Unlock()
 	case nas.EventDetached:
 		c.detaches.Add(1)
 		// The GUTI is UE-echoed: a garbage one unmaps nothing.
 		c.mu.Lock()
-		delete(c.gutis, ev.GUTI)
+		if imsi, ok := c.gutis[ev.GUTI]; ok {
+			delete(c.gutis, ev.GUTI)
+			delete(c.gutiOf, imsi)
+		}
 		c.mu.Unlock()
 		defer c.releaseSession(s)
 	case nas.EventRejected, nas.EventAuthFailed:
@@ -648,6 +716,14 @@ func (c *Core) feedNAS(ec *enbConn, s *ueSession, pdu []byte) error {
 	// transitions) are per-UE; surface them without killing the
 	// association.
 	return nasErr
+}
+
+// drop releases session s and removes its S1 context id from the
+// association.
+func (ec *enbConn) drop(id uint32, s *ueSession) {
+	ec.c.releaseSession(s)
+	delete(ec.sessions, id)
+	ec.c.contexts.Add(-1)
 }
 
 // releaseSession ends a session's lifecycle (EvRelease is legal from

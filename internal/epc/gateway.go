@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +22,14 @@ const maxIPIndex = 63999
 // live session. Sessions must be deleted (or superseded) to free one.
 var ErrAddressPoolExhausted = errors.New("epc: PDN address pool exhausted")
 
-// ipForIndex maps a pool index to its dotted address.
-func ipForIndex(i int) string { return fmt.Sprintf("10.45.%d.%d", i/250, i%250+1) }
+// ipForIndex maps a pool index to its dotted address, assembled in a
+// stack buffer so the returned string is the only allocation.
+func ipForIndex(i int) string {
+	b := append(make([]byte, 0, 16), "10.45."...)
+	b = strconv.AppendInt(b, int64(i/250), 10)
+	b = append(b, '.')
+	return string(strconv.AppendInt(b, int64(i%250+1), 10))
+}
 
 // GatewayDrops exposes the gateway's user-plane drop counters. Every
 // silent discard on the forwarding path is accounted: drops are rare
@@ -129,6 +136,9 @@ func (g *Gateway) GTPAddr() string { return g.gtpAddr }
 
 // Drops exposes the gateway's forwarding drop counters.
 func (g *Gateway) Drops() GatewayDrops { return g.drops }
+
+// NumTunnels reports the gateway's live GTP tunnels.
+func (g *Gateway) NumTunnels() int { return g.ep.NumTunnels() }
 
 // TunnelDrops exposes the underlying GTP endpoint's demux drop
 // counters (malformed G-PDUs, unknown TEIDs).

@@ -2,6 +2,7 @@ package epc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,6 +93,20 @@ func TestIPFormulaSpansSubnet(t *testing.T) {
 	}
 	if got := ipForIndex(maxIPIndex); got != "10.45.255.250" {
 		t.Errorf("ipForIndex(max) = %s", got)
+	}
+}
+
+// TestIPForIndexMatchesSprintf compares ipForIndex with the Sprintf
+// form it replaced over the whole pool, 0 included, and holds it to the
+// one allocation of its result.
+func TestIPForIndexMatchesSprintf(t *testing.T) {
+	for i := 0; i <= maxIPIndex; i++ {
+		if got, want := ipForIndex(i), fmt.Sprintf("10.45.%d.%d", i/250, i%250+1); got != want {
+			t.Fatalf("ipForIndex(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ipForIndex(maxIPIndex) }); n != 1 {
+		t.Errorf("ipForIndex allocates %v times, want 1", n)
 	}
 }
 

@@ -69,8 +69,15 @@ type NetworkSession struct {
 
 // NewNetworkSession builds a session.
 func NewNetworkSession(cfg NetworkConfig) *NetworkSession {
-	return &NetworkSession{cfg: cfg}
+	s := new(NetworkSession)
+	s.Init(cfg)
+	return s
 }
+
+// Init makes the zero session s a fresh session on cfg: an owner that
+// holds its NAS session by value (the core's per-UE session) spends no
+// allocation on it.
+func (s *NetworkSession) Init(cfg NetworkConfig) { s.cfg = cfg }
 
 // State reports the current lifecycle state.
 func (s *NetworkSession) State() session.State { return s.fsm.State() }

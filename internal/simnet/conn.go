@@ -27,6 +27,10 @@ type halfPipe struct {
 	// dc is the receiver's dispatch endpoint. Written under mu, with
 	// its handlers; read lock-free on the write fast path.
 	dc atomic.Pointer[dconn]
+	// ep is dc's storage: the endpoint lives and dies with its pipe,
+	// and takes its conn ID only when dc is first set, so same-instant
+	// deliveries order exactly as if it were allocated then.
+	ep dconn
 }
 
 // endpoint returns the pipe's dispatch endpoint, registering a reader
@@ -41,7 +45,7 @@ func (p *halfPipe) endpoint(n *Network) *dconn {
 	if dc := p.dc.Load(); dc != nil {
 		return dc
 	}
-	dc := n.dispatcherFor().registerReader(math.MaxInt)
+	dc := n.dispatcherFor().registerReader(&p.ep, math.MaxInt)
 	if p.closed.Load() {
 		dc.box.Close()
 	}
@@ -78,7 +82,7 @@ func (p *halfPipe) install(n *Network, h handlers) {
 	dc := p.dc.Load()
 	fresh := dc == nil
 	if fresh {
-		dc = d.register()
+		dc = d.register(&p.ep)
 	}
 	// Move the remainder to the front of its pool buffer, so the
 	// handler's delivery recycles it.
@@ -124,11 +128,20 @@ func (d *deadline) get() time.Time {
 	return d.t
 }
 
+// connPair is one stream connection's memory: both ends and both
+// directions, each pipe holding its receiver's endpoint, in a single
+// allocation that lives as long as either end is reachable.
+type connPair struct {
+	a, b       Conn
+	aToB, bToA halfPipe
+}
+
 // newConnPair wires two Conns back to back across the network's links.
 func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
-	aToB, bToA := &halfPipe{}, &halfPipe{}
-	a := &Conn{network: n, local: local, remote: remote, rx: bToA, tx: aToB}
-	b := &Conn{network: n, local: remote, remote: local, rx: aToB, tx: bToA}
+	p := new(connPair)
+	a, b := &p.a, &p.b
+	a.network, a.local, a.remote, a.rx, a.tx = n, local, remote, &p.bToA, &p.aToB
+	b.network, b.local, b.remote, b.rx, b.tx = n, remote, local, &p.aToB, &p.bToA
 	return a, b
 }
 

@@ -23,7 +23,7 @@ type Continuation struct{ dc *dconn }
 // endpoint's ID — its rank among same-instant events — is assigned
 // here, in registration order with conn handlers.
 func (n *Network) NewContinuation(fn func(arg uint64)) *Continuation {
-	dc := n.dispatcherFor().register()
+	dc := n.dispatcherFor().register(new(dconn))
 	dc.cont = fn
 	return &Continuation{dc: dc}
 }

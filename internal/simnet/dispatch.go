@@ -141,15 +141,18 @@ func (n *Network) dispatcherFor() *dispatcher {
 	return d
 }
 
-// register creates a dispatch endpoint with the next conn ID.
-func (d *dispatcher) register() *dconn {
-	return &dconn{d: d, id: d.connSeq.Add(1)}
+// register makes the zero endpoint dc a dispatch endpoint with the
+// next conn ID and returns it. The caller owns dc's memory: a packet
+// socket or continuation passes a fresh one, a stream pipe its own.
+func (d *dispatcher) register(dc *dconn) *dconn {
+	dc.d, dc.id = d, d.connSeq.Add(1)
+	return dc
 }
 
-// registerReader creates a reader endpoint whose mailbox holds at most
-// depth delivered-but-unread writes.
-func (d *dispatcher) registerReader(depth int) *dconn {
-	dc := d.register()
+// registerReader registers dc as a reader endpoint whose mailbox holds
+// at most depth delivered-but-unread writes.
+func (d *dispatcher) registerReader(dc *dconn, depth int) *dconn {
+	d.register(dc)
 	dc.box, dc.reader = NewMailbox[chunk](d.vc, depth), true
 	return dc
 }

@@ -247,7 +247,7 @@ func compareTraces(t *testing.T, kind string, handler, legacy []delivery) {
 func TestDispatchLoneDeliveryTwoBatches(t *testing.T) {
 	for _, delay := range []time.Duration{10 * time.Millisecond, 100 * time.Millisecond} {
 		d := &dispatcher{sched: NewScheduler()}
-		dc := d.register()
+		dc := d.register(new(dconn))
 		delivered := 0
 		dc.onData = func([]byte) { delivered++ }
 		d.enqueueV(dc, nil, nil, 0, delay, evData)

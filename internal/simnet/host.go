@@ -142,6 +142,13 @@ func (h *Host) ListenPacket(port int) (*PacketConn, error) {
 	return pc, nil
 }
 
+// NumPacketConns reports the host's open packet sockets.
+func (h *Host) NumPacketConns() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pktConns)
+}
+
 func (h *Host) removeListener(port int) {
 	h.mu.Lock()
 	delete(h.listeners, port)

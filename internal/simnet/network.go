@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -239,6 +240,13 @@ func (n *Network) addConn(c *Conn) {
 	n.mu.Unlock()
 }
 
+// NumConns reports the network's open stream conns (each end counts).
+func (n *Network) NumConns() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.conns)
+}
+
 // dropConn removes a conn closed by its owner.
 func (n *Network) dropConn(c *Conn) {
 	n.mu.Lock()
@@ -325,4 +333,30 @@ func ParseAddr(s string) (Addr, error) {
 		}
 	}
 	return Addr{}, fmt.Errorf("simnet: bad address %q: missing port", s)
+}
+
+// AddrCache memoizes the last address parsed from wire bytes, boxed as
+// a net.Addr: a peer that names the same address in every message (a
+// core's gateway, an eNodeB's GTP endpoint) is parsed and boxed once.
+// A hit is a byte comparison and allocates nothing. Bytes that do not
+// parse are rejected on every call and never cached. Not safe for
+// concurrent use; an owner touches its cache from one delivery handler.
+type AddrCache struct {
+	key  string   // the bytes addr was parsed from, owned by the cache
+	addr net.Addr // nil until the first successful parse
+}
+
+// Parse returns the address b names, parsing it only when b differs
+// from the bytes of the last successful parse. b is not retained.
+func (c *AddrCache) Parse(b []byte) (net.Addr, error) {
+	if c.addr != nil && string(b) == c.key {
+		return c.addr, nil
+	}
+	key := string(b)
+	a, err := ParseAddr(key)
+	if err != nil {
+		return nil, err
+	}
+	c.key, c.addr = key, a
+	return c.addr, nil
 }

@@ -109,6 +109,54 @@ func TestAddrStringOneAlloc(t *testing.T) {
 	}
 }
 
+// TestAddrCache: a hit returns the boxed address without allocating;
+// bytes that change are parsed again; bytes that do not parse fail on
+// every call and displace nothing; and the cache keeps no view of the
+// caller's buffer, so scribbling over it moves nothing.
+func TestAddrCache(t *testing.T) {
+	var c AddrCache
+	buf := []byte("core:2152")
+	a1, err := c.Parse(buf)
+	if err != nil || a1 != net.Addr(Addr{Host: "core", Port: 2152}) {
+		t.Fatalf("Parse = %v, %v", a1, err)
+	}
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	got, err := c.Parse([]byte("core:2152"))
+	if err != nil || got != net.Addr(Addr{Host: "core", Port: 2152}) {
+		t.Fatalf("after scribbling the parsed bytes: Parse = %v, %v", got, err)
+	}
+	again := []byte("core:2152")
+	if n := testing.AllocsPerRun(100, func() { got, _ = c.Parse(again) }); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+
+	// Another address is parsed, and becomes the cached one.
+	if got, err := c.Parse([]byte("core2:2153")); err != nil || got != net.Addr(Addr{Host: "core2", Port: 2153}) {
+		t.Fatalf("changed bytes: Parse = %v, %v", got, err)
+	}
+	if got, err := c.Parse([]byte("core:2152")); err != nil || got != net.Addr(Addr{Host: "core", Port: 2152}) {
+		t.Fatalf("changed back: Parse = %v, %v", got, err)
+	}
+
+	// Malformed bytes fail every time and leave the cached entry alone.
+	for i := 0; i < 3; i++ {
+		for _, bad := range []string{"core", "core:", "core:21x2", "", "core:70000"} {
+			if got, err := c.Parse([]byte(bad)); err == nil || got != nil {
+				t.Fatalf("Parse(%q) = %v, %v; want an error", bad, got, err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { got, _ = c.Parse(again) }); n != 0 || got != net.Addr(Addr{Host: "core", Port: 2152}) {
+		t.Errorf("after malformed input: Parse = %v with %v allocs, want the cached address and 0", got, n)
+	}
+	var empty AddrCache
+	if got, err := empty.Parse(nil); err == nil || got != nil {
+		t.Errorf("empty cache, nil bytes: Parse = %v, %v; want an error", got, err)
+	}
+}
+
 func TestStreamEcho(t *testing.T) {
 	n := newTestNet(t, Link{Latency: time.Millisecond})
 	a := n.MustAddHost("a")

@@ -94,7 +94,7 @@ func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	p.imu.Lock()
 	dc := p.dc.Load()
 	if dc == nil {
-		dc = d.register()
+		dc = d.register(new(dconn))
 		dc.bounded = true
 	}
 	d.install(dc, handlers{onPacket: h}, nil)
@@ -113,7 +113,7 @@ func (p *PacketConn) endpoint() *dconn {
 	if dc := p.dc.Load(); dc != nil {
 		return dc
 	}
-	dc := p.host.net.dispatcherFor().registerReader(inboxDepth)
+	dc := p.host.net.dispatcherFor().registerReader(new(dconn), inboxDepth)
 	dc.bounded = true
 	select {
 	case <-p.done:

@@ -201,7 +201,8 @@ func (d *Device) Attach(airAddr string, timeout time.Duration) (AttachResult, er
 		return AttachResult{}, fmt.Errorf("ue: air dial: %w", err)
 	}
 	sc := raw.(*simnet.Conn)
-	st := &airState{d: d, raw: sc, air: wire.NewFrameConn(sc)}
+	st := &airState{d: d, raw: sc}
+	st.air.Init(sc)
 
 	d.mu.Lock()
 	d.st = st
@@ -414,7 +415,7 @@ func (d *Device) rxLocked() *simnet.Mailbox[rxPacket] {
 type airState struct {
 	d   *Device
 	raw *simnet.Conn
-	air *wire.FrameConn
+	air wire.FrameConn // frames raw's uplink; lives as long as the association
 	// lost marks an association the network side ended; guarded by d.mu.
 	lost bool
 	// Downlink packets from one peer share a memoized remote string and

@@ -166,6 +166,11 @@ type FrameConn struct {
 // NewFrameConn wraps rw.
 func NewFrameConn(rw io.ReadWriter) *FrameConn { return &FrameConn{rw: rw} }
 
+// Init makes the zero FrameConn c wrap rw: an owner that holds its
+// FrameConn by value (a per-UE radio context) spends no allocation on
+// it.
+func (c *FrameConn) Init(rw io.ReadWriter) { c.rw = rw }
+
 // Send writes one frame. Safe for concurrent use.
 func (c *FrameConn) Send(payload []byte) error {
 	c.writeMu.Lock()
